@@ -20,6 +20,7 @@ from typing import Optional
 from . import analysis, oracle
 from .instance import Instance, check
 from .solver import (
+    NodeLimitReached,
     SolverConfig,
     solve,
     solve_randomized_32,
@@ -214,6 +215,11 @@ def _exit_for(result: str) -> int:
     )
 
 
+def _failed_verification() -> int:
+    print("solution failed verification", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def _stats_dict(stats) -> dict:
     d = asdict(stats)
     if "rule_counts" in d:
@@ -243,8 +249,7 @@ def cmd_solve(args) -> int:
     solution = None
     if asg is not None:
         if args.verify and not check(inst, asg):
-            print("solution failed verification", file=sys.stderr)
-            return EXIT_USAGE
+            return _failed_verification()
         solution = {str(v): names.get(c, c) for v, c in sorted(asg.items())}
     RunReport(
         args.file, args.mode, result, solution, stats,
@@ -260,8 +265,8 @@ def cmd_color(args) -> int:
     result = {True: "sat", False: "unsat", None: "limit"}[res.colorable]
     solution = None
     if res.coloring is not None:
-        if args.verify:
-            assert all(res.coloring[u] != res.coloring[v] for u, v in edges)
+        if args.verify and any(res.coloring[u] == res.coloring[v] for u, v in edges):
+            return _failed_verification()
         solution = {str(v): res.coloring[v] for v in range(n)}
     RunReport(
         args.file, "det", result, solution, _stats_dict(res.stats),
@@ -270,16 +275,27 @@ def cmd_color(args) -> int:
     return _exit_for(result)
 
 
+def _proper_edge_coloring(edges, colors) -> bool:
+    """Every edge has a color in 0..2 and no vertex sees a color twice."""
+    ends = [(x, colors.get(e)) for e in edges for x in e]
+    return all(c in (0, 1, 2) for _x, c in ends) and len(set(ends)) == len(ends)
+
+
 def cmd_edge_color(args) -> int:
     n, edges = load_col(args.file)
     t0 = time.perf_counter()
-    colors, stats = edge_color(n, edges, ColorConfig(node_limit=args.node_limit))
-    result = "sat" if colors is not None else "unsat"
+    try:
+        colors, stats = edge_color(n, edges, ColorConfig(node_limit=args.node_limit))
+        result = "sat" if colors is not None else "unsat"
+    except NodeLimitReached:
+        colors, stats, result = None, None, "limit"
     solution = None
     if colors is not None:
+        if args.verify and not _proper_edge_coloring(edges, colors):
+            return _failed_verification()
         solution = {f"{u}-{v}": c for (u, v), c in sorted(colors.items())}
     RunReport(
-        args.file, "det", result, solution, _stats_dict(stats),
+        args.file, "det", result, solution, stats and _stats_dict(stats),
         time.perf_counter() - t0, None, VERSION,
     ).emit(args.json, args.stats)
     return _exit_for(result)
@@ -301,10 +317,10 @@ def cmd_sat(args) -> int:
         model = smap.decode(res.assignment) if res.satisfiable else None
     solution = None
     if model is not None:
-        if args.verify:
-            assert all(
-                any(model[abs(l)] == (l > 0) for l in cl) for cl in clauses
-            )
+        if args.verify and not all(
+            any(model[abs(l)] == (l > 0) for l in cl) for cl in clauses
+        ):
+            return _failed_verification()
         solution = {str(x): model[x] for x in sorted(model)}
     RunReport(
         args.file, "det", result, solution, stats,

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .graphalg import general_matching
+from .solver import NodeLimitReached
 from .vertexcolor import ColorConfig, color_graph
 
 Edge = tuple[int, int]
@@ -248,7 +249,7 @@ def _line_graph_solve(ei: EdgeInstance, config) -> Optional[dict[int, int]]:
         lg_edges.add((index[a], index[b]))
     res = color_graph(len(ids), sorted(lg_edges), config)
     if res.colorable is None:
-        raise RuntimeError("node limit reached while coloring a line graph")
+        raise NodeLimitReached
     if not res.colorable:
         return None
     return {eid: res.coloring[index[eid]] for eid in ids}
@@ -279,7 +280,10 @@ def _splice_search(
 def edge_color(
     n: int, edges: list[Edge], config: Optional[ColorConfig] = None
 ) -> tuple[Optional[dict[Edge, int]], EdgeColorStats]:
-    """Proper 3-edge-coloring of a simple graph, or None when impossible."""
+    """Proper 3-edge-coloring of a simple graph, or None when impossible.
+
+    Raises NodeLimitReached when a line graph exceeds config's node limit.
+    """
     stats = EdgeColorStats()
     ei = EdgeInstance.from_graph(n, edges)
     if any(ei.degree(v) > 3 for v in range(n)):

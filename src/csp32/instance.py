@@ -98,14 +98,11 @@ LiftTrace = list
 class Instance:
     """A (d,2)-CSP instance with an incrementally maintained adjacency index."""
 
-    __slots__ = ("colors", "adj", "palette", "next_id")
+    __slots__ = ("colors", "adj", "next_id")
 
     def __init__(self):
         self.colors: dict[int, set[int]] = {}
         self.adj: dict[Pair, set[Pair]] = {}
-        # Optional display labels: var -> {color id: label}; never consulted
-        # by the algorithms, only by serialization and decoding.
-        self.palette: dict[int, dict[int, object]] = {}
         self.next_id = 0
 
     # -- construction -------------------------------------------------------
@@ -115,7 +112,6 @@ class Instance:
         cls,
         colors: dict[int, Iterable[int]],
         constraints: Iterable[tuple[Pair, Pair]] = (),
-        palette: Optional[dict[int, dict[int, object]]] = None,
     ) -> "Instance":
         inst = cls()
         for v, cs in colors.items():
@@ -123,8 +119,6 @@ class Instance:
             for c in inst.colors[v]:
                 inst.adj[(v, c)] = set()
         inst.next_id = max(inst.colors, default=-1) + 1
-        if palette:
-            inst.palette = {v: dict(m) for v, m in palette.items()}
         for a, b in constraints:
             inst.add_constraint(tuple(a), tuple(b))
         return inst
@@ -133,7 +127,6 @@ class Instance:
         inst = Instance.__new__(Instance)
         inst.colors = {v: set(cs) for v, cs in self.colors.items()}
         inst.adj = {p: set(q) for p, q in self.adj.items()}
-        inst.palette = dict(self.palette)
         inst.next_id = self.next_id
         return inst
 
@@ -157,22 +150,18 @@ class Instance:
     def degree(self, p: Pair) -> int:
         return len(self.adj[p])
 
-    def has_empty_variable(self) -> bool:
-        return any(not cs for cs in self.colors.values())
-
     def variables(self) -> list[int]:
         return sorted(self.colors)
 
     # -- mutation -----------------------------------------------------------
 
-    def add_variable(self, colors: Iterable[int], var: Optional[int] = None) -> int:
-        v = self.next_id if var is None else var
-        if v in self.colors:
-            raise ValueError(f"variable {v} already present")
+    def add_variable(self, colors: Iterable[int]) -> int:
+        """Add a variable under a fresh id and return the id."""
+        v = self.next_id
         self.colors[v] = set(colors)
         for c in self.colors[v]:
             self.adj[(v, c)] = set()
-        self.next_id = max(self.next_id, v + 1)
+        self.next_id = v + 1
         return v
 
     def add_constraint(self, a: Pair, b: Pair):
@@ -203,7 +192,6 @@ class Instance:
         for c in list(self.colors[var]):
             self.remove_color(var, c)
         del self.colors[var]
-        self.palette.pop(var, None)
 
     def assign(self, p: Pair) -> Assigned:
         """Use pair p: drop its variable and propagate color removals.
@@ -230,19 +218,13 @@ class Instance:
 def measure(inst: Instance) -> float:
     """Instance size n3 + (2 - epsilon) * n4.
 
-    Variables with one or two colors must have been simplified away
-    before measuring.
+    Variables with two or fewer colors weigh nothing: simplification
+    removes them without branching.
     """
-    n3 = n4 = 0
-    for v, cs in inst.colors.items():
-        k = len(cs)
-        if k == 3:
-            n3 += 1
-        elif k >= 4:
-            n4 += 1
-        else:
-            raise ValueError(f"variable {v} has {k} colors; simplify before measuring")
-    return n3 + (2 - EPSILON) * n4
+    return sum(
+        0.0 if len(cs) <= 2 else 1.0 if len(cs) == 3 else 2 - EPSILON
+        for cs in inst.colors.values()
+    )
 
 
 def check(inst: Instance, asg: Assignment) -> bool:
@@ -307,6 +289,26 @@ def eliminate_two_color(inst: Instance, v: int) -> TwoColorEliminated:
     return TwoColorEliminated(v, r, g, tuple(conflict_r), tuple(conflict_g))
 
 
+def eliminate_low_colors(inst: Instance, trace: LiftTrace) -> bool:
+    """Clear every variable with two or fewer colors from inst, in place.
+
+    One-color variables are assigned and two-color ones projected out,
+    lowest id first, appending a lift step to trace for each.  False as
+    soon as some variable has no color left.
+    """
+    while True:
+        low = next((v for v in inst.variables() if len(inst.colors[v]) <= 2), None)
+        if low is None:
+            return True
+        cs = inst.colors[low]
+        if not cs:
+            return False
+        if len(cs) == 1:
+            trace.append(inst.assign((low, min(cs))))
+        else:
+            trace.append(eliminate_two_color(inst, low))
+
+
 def find_free_pair(inst: Instance) -> Optional[tuple[Pair, Pair]]:
     """Two pairs on distinct variables constrained only against each other's
     variable, and never against each other: both can be used outright."""
@@ -323,18 +325,6 @@ def find_free_pair(inst: Instance) -> Optional[tuple[Pair, Pair]]:
     return None
 
 
-def apply_free_pair(inst: Instance) -> Optional[tuple[Instance, LiftStep]]:
-    found = find_free_pair(inst)
-    if found is None:
-        return None
-    p, q = found
-    out = inst.copy()
-    out.assign(p)
-    if q in out.adj:
-        out.assign(q)
-    return out, FreePairUsed(p, q)
-
-
 def find_dominated(inst: Instance) -> Optional[tuple[int, int, int]]:
     """(var, keeper color, dominated color): conflicts of the keeper are a
     subset of the dominated color's, so the dominated color is never needed."""
@@ -344,26 +334,6 @@ def find_dominated(inst: Instance) -> Optional[tuple[int, int, int]]:
             for b in cs:
                 if r != b and inst.adj[(v, r)] <= inst.adj[(v, b)]:
                     return v, r, b
-    return None
-
-
-def apply_dominance(inst: Instance) -> Optional[tuple[Instance, LiftStep]]:
-    found = find_dominated(inst)
-    if found is None:
-        return None
-    v, _r, b = found
-    out = inst.copy()
-    out.remove_color(v, b)
-    return out, DominatedColorRemoved(v, b)
-
-
-def apply_unconstrained(inst: Instance) -> Optional[tuple[Instance, LiftStep]]:
-    """A pair with no constraints at all is always safe to use."""
-    for p in inst.pairs():
-        if not inst.adj[p]:
-            out = inst.copy()
-            step = out.assign(p)
-            return out, step
     return None
 
 
@@ -380,20 +350,37 @@ def find_dead_color(inst: Instance) -> Optional[Pair]:
     return None
 
 
-def apply_dead_color(inst: Instance) -> Optional[tuple[Instance, LiftStep]]:
+def _lemma_step(inst: Instance) -> Optional[LiftStep]:
+    """Apply the first lemma that matches, in place; its lift step or None."""
+    found = find_free_pair(inst)
+    if found is not None:
+        p, q = found
+        inst.assign(p)
+        if q in inst.adj:
+            inst.assign(q)
+        return FreePairUsed(p, q)
+    found = find_dominated(inst)
+    if found is not None:
+        v, _r, b = found
+        inst.remove_color(v, b)
+        return DominatedColorRemoved(v, b)
+    p = next((p for p in inst.pairs() if not inst.adj[p]), None)
+    if p is not None:
+        return inst.assign(p)
     p = find_dead_color(inst)
-    if p is None:
-        return None
-    out = inst.copy()
-    out.remove_color(p[0], p[1])
-    return out, DeadColorRemoved(p[0], p[1])
-
-
-_LEMMAS = (apply_free_pair, apply_dominance, apply_unconstrained, apply_dead_color)
+    if p is not None:
+        inst.remove_color(p[0], p[1])
+        return DeadColorRemoved(p[0], p[1])
+    return None
 
 
 def simplify(inst: Instance) -> tuple[Optional[Instance], LiftTrace]:
     """Run all polynomial simplifications to a fixpoint.
+
+    inst is copied once and never edited; every lemma then edits that
+    working copy in place.  Each round first clears 0/1/2-color
+    variables (eliminate_low_colors), then applies the first of: free
+    pair, dominated color, unconstrained pair, dead color.
 
     Returns (reduced instance, trace), or (None, trace) when some
     variable runs out of colors.  The result has only 3- and 4-color
@@ -401,42 +388,17 @@ def simplify(inst: Instance) -> tuple[Optional[Instance], LiftTrace]:
     """
     cur = inst.copy()
     trace: LiftTrace = []
-    while True:
-        # 0/1/2-color variables first; cheapest and enable the rest.
-        low = None
-        for v in cur.variables():
-            k = len(cur.colors[v])
-            if k == 0:
-                return None, trace
-            if k <= 2:
-                low = v
-                break
-        if low is not None:
-            k = len(cur.colors[low])
-            if k == 1:
-                (c,) = cur.colors[low]
-                trace.append(cur.assign((low, c)))
-            else:
-                trace.append(eliminate_two_color(cur, low))
-            continue
-        for lemma in _LEMMAS:
-            hit = lemma(cur)
-            if hit is not None:
-                cur, step = hit
-                trace.append(step)
-                break
-        else:
+    while eliminate_low_colors(cur, trace):
+        step = _lemma_step(cur)
+        if step is None:
             return cur, trace
+        trace.append(step)
+    return None, trace
 
 
 def is_reduced(inst: Instance) -> bool:
-    if any(len(cs) != 3 and len(cs) != 4 for cs in inst.colors.values()):
-        return False
-    if apply_unconstrained(inst) or apply_dead_color(inst):
-        return False
-    if apply_free_pair(inst) or apply_dominance(inst):
-        return False
-    return True
+    """Only 3- and 4-color variables, and simplify finds nothing to do."""
+    return all(len(cs) in (3, 4) for cs in inst.colors.values()) and not simplify(inst)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional
 
-from .analysis import EPSILON, LAMBDA, work_factor
+from .analysis import LAMBDA, work_factor
 from .graphalg import bipartite_matching
 from .instance import (
     Assignment,
@@ -30,29 +30,9 @@ from .instance import (
     Pair,
     check,
     lift,
+    measure,
     simplify,
 )
-
-# ---------------------------------------------------------------------------
-# Size bookkeeping
-
-
-def contrib(k: int) -> float:
-    """Share of the size measure from a variable with k colors left.
-
-    Variables at two or fewer colors are free: simplification removes
-    them without branching.
-    """
-    if k <= 2:
-        return 0.0
-    if k == 3:
-        return 1.0
-    return 2 - EPSILON
-
-
-def contrib_measure(inst: Instance) -> float:
-    return sum(contrib(len(cs)) for cs in inst.colors.values())
-
 
 # ---------------------------------------------------------------------------
 # Child construction
@@ -61,9 +41,9 @@ def contrib_measure(inst: Instance) -> float:
 class ChildBuilder:
     """One branch child: a copy of the parent plus use/avoid/merge edits.
 
-    The claimed size decrease is the drop in contribution measure caused
-    by the edits; simplification can only shrink the child further, so
-    the claim is a guaranteed lower bound on the real decrease.
+    The claimed size decrease is the drop in measure caused by the
+    edits; simplification can only shrink the child further, so the
+    claim is a guaranteed lower bound on the real decrease.
     """
 
     __slots__ = ("inst", "trace", "dead", "base")
@@ -72,17 +52,14 @@ class ChildBuilder:
         self.inst = parent.copy()
         self.trace: LiftTrace = []
         self.dead = False
-        self.base = contrib_measure(parent)
+        self.base = measure(parent)
 
     def use(self, p: Pair) -> "ChildBuilder":
         if self.dead:
             return self
         v, c = p
-        if v not in self.inst.colors:
-            # Variable vanished through an earlier edit of this child.
-            self.dead = True
-            return self
-        if c not in self.inst.colors[v]:
+        if c not in self.inst.colors.get(v, ()):
+            # The variable or color vanished through an earlier edit.
             self.dead = True
             return self
         self.trace.append(self.inst.assign(p))
@@ -124,7 +101,7 @@ class ChildBuilder:
 
     @property
     def claimed(self) -> float:
-        return self.base - contrib_measure(self.inst)
+        return self.base - measure(self.inst)
 
 
 Branching = tuple[str, list[ChildBuilder]]
@@ -587,16 +564,13 @@ def choose_rule(red: Instance, stats: "SearchStats") -> Optional[Branching]:
         got = rule(red)
         if got is not None:
             return got
-    for rule in (_rule_three_with_four, _rule_three_with_two):
+    for rule in (
+        _rule_three_with_four, _rule_three_with_two,
+        _rule_three_components, _rule_two_components,
+    ):
         got = rule(red, stats)
         if got is not None:
             return got
-    got = _rule_three_components(red, stats)
-    if got is not None:
-        return got
-    got = _rule_two_components(red, stats)
-    if got is not None:
-        return got
     # Leftovers must decompose into cliques of mutually exclusive pairs.
     for comp in pair_components(red):
         vars_in = [p[0] for p in comp]
@@ -761,11 +735,8 @@ def _random_walk(inst: Instance, rng: random.Random) -> Optional[Assignment]:
     while True:
         if red.n == 0:
             return lift({}, trace)
+        # A reduced instance has no unconstrained pair, so cons is non-empty.
         cons = red.constraints()
-        if not cons:
-            for v in red.variables():
-                trace.append(red.assign((v, min(red.colors[v]))))
-            return lift({}, trace)
         con = cons[rng.randrange(len(cons))]
         pick = rng.randrange(4)
         restricted = two_color_restrictions(red, con)[pick]

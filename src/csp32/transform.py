@@ -16,7 +16,7 @@ from .instance import (
     Instance,
     LiftTrace,
     Pair,
-    eliminate_two_color,
+    eliminate_low_colors,
     lift,
 )
 from .oracle import Clause
@@ -159,7 +159,7 @@ def binary_instance(csp: GeneralCSP) -> Optional[Instance]:
                 inst.add_constraint(con[0], con[1])
         else:
             raise ValueError(f"constraint {con} has arity {len(con)} > 2")
-    if inst.has_empty_variable():
+    if any(not cs for cs in inst.colors.values()):
         return None
     return inst
 
@@ -205,24 +205,9 @@ def sat_to_csp(nvars: int, clauses: list[Clause]) -> tuple[Optional[Instance], S
     dual, dmap = dualize(cnf_to_general(nvars, clauses))
     inst = binary_instance(dual)
     smap = SatMap(nvars, dmap, [])
-    if inst is None:
+    if inst is None or not eliminate_low_colors(inst, smap.trace):
         return None, smap
-    while True:
-        low = None
-        for v in inst.variables():
-            if len(inst.colors[v]) <= 2:
-                low = v
-                break
-        if low is None:
-            return inst, smap
-        k = len(inst.colors[low])
-        if k == 0:
-            return None, smap
-        if k == 1:
-            (c,) = inst.colors[low]
-            smap.trace.append(inst.assign((low, c)))
-        else:
-            smap.trace.append(eliminate_two_color(inst, low))
+    return inst, smap
 
 
 # ---------------------------------------------------------------------------

@@ -293,9 +293,11 @@ def branch_degree3_cycle(g: MultiGraph) -> Optional[list[tuple[MultiGraph, list]
         children.append((b, b_steps))
     c = g.copy()
     c_steps = []
-    if c.merge(outs[0], outs[1]) and c.merge(outs[0], outs[2]) and c.merge(
-        cyc[0], cyc[2]
-    ):
+    ok = c.merge(outs[0], outs[1])
+    if ok:
+        third = outs[2] if outs[2] in c.adj else outs[0]
+        ok = c.merge(outs[0], third) and c.merge(cyc[0], cyc[2])
+    if ok:
         _remove_greedy(c, c_steps, cyc[1])
         children.append((c, c_steps))
     return children

@@ -8,14 +8,13 @@ family of fuzz inputs for that rule.
 
 import random
 
-from csp32.instance import Instance, simplify
+from csp32.instance import Instance, measure, simplify
 from csp32.analysis import work_factor
 from csp32.oracle import brute_csp
 from csp32.solver import (
     SearchStats,
     choose_rule,
     claim_cap,
-    contrib_measure,
     live_vector,
     matching_solve,
 )
@@ -188,11 +187,11 @@ def walk_rules(inst, tally, node_cap=300, brute_cap=11):
             want = brute_csp(red.copy()) is not None
             have = any(brute_csp(b.inst.copy()) is not None for b in live)
             assert have == want, name
-        base = contrib_measure(red)
+        base = measure(red)
         for b in live:
             sub, _ = simplify(b.inst.copy())
             if sub is not None:
-                drop = base - contrib_measure(sub)
+                drop = base - measure(sub)
                 assert drop >= b.claimed - 1e-9, (name, drop, b.claimed)
             pending.append(b.inst)
     return nodes

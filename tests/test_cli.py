@@ -6,6 +6,8 @@ import pytest
 
 from csp32 import cli
 from csp32.cli import EXIT_LIMIT, EXIT_SAT, EXIT_UNSAT, EXIT_USAGE, main
+from csp32.edgecolor import EdgeColorStats
+from csp32.vertexcolor import ColorResult, ColorStats
 
 
 def write(tmp_path, name, text):
@@ -109,6 +111,37 @@ def test_edge_color_exit_codes(tmp_path, capsys):
 
     star = write(tmp_path, "star.col", STAR4_COL)
     assert main(["edge-color", star]) == EXIT_UNSAT
+    capsys.readouterr()
+
+    assert main(["edge-color", k4, "--node-limit", "0"]) == EXIT_LIMIT
+    assert capsys.readouterr().out.splitlines()[0] == "limit"
+
+
+def test_verify_rejects_bad_solutions(tmp_path, capsys, monkeypatch):
+    tri = write(tmp_path, "tri.col", TRIANGLE_COL)
+    monkeypatch.setattr(
+        cli, "color_graph",
+        lambda n, edges, cfg: ColorResult(True, {v: 0 for v in range(n)}, ColorStats()),
+    )
+    assert main(["color", tri, "--verify"]) == EXIT_USAGE
+    assert "solution failed verification" in capsys.readouterr().err
+
+    monkeypatch.setattr(
+        cli, "edge_color", lambda n, edges, cfg: ({e: 0 for e in edges}, EdgeColorStats())
+    )
+    assert main(["edge-color", tri, "--verify"]) == EXIT_USAGE
+    assert "solution failed verification" in capsys.readouterr().err
+
+    real_sat_to_csp = cli.sat_to_csp
+
+    def all_false_model(nvars, clauses):
+        inst, smap = real_sat_to_csp(nvars, clauses)
+        smap.decode = lambda asg: {x: False for x in range(1, nvars + 1)}
+        return inst, smap
+
+    monkeypatch.setattr(cli, "sat_to_csp", all_false_model)
+    assert main(["sat", write(tmp_path, "f.cnf", SAT_CNF), "--verify"]) == EXIT_USAGE
+    assert "solution failed verification" in capsys.readouterr().err
 
 
 def test_sat_exit_codes(tmp_path, capsys):

@@ -1,0 +1,52 @@
+"""Pinned search-node counts on fixed-seed instances.
+
+`test_stats_are_deterministic` only compares two runs of the same code,
+so a change to the lemma order or a rule's tie-breaking would still pass
+it.  These counts were recorded before the in-place simplification
+rewrite; a refactor that claims identical search must keep them.
+"""
+
+import random
+
+import pytest
+
+from csp32.oracle import planted_3colorable, random_3cnf, structured_csp
+from csp32.solver import solve
+from csp32.transform import sat_to_csp
+from csp32.vertexcolor import color_graph
+
+# (seed, n) -> (satisfiable, nodes, rule_counts)
+STRUCTURED = {
+    (1, 20): (True, 6, {"dangling": 4, "implication": 1}),
+    (2, 24): (True, 5, {"dangling": 4}),
+    (4, 36): (True, 10, {"dangling": 9}),
+}
+
+SAT = {
+    (12, 12): (True, 4, {"high-degree": 2}),
+    (16, 12): (False, 5, {"high-degree": 1, "implication": 1}),
+    (17, 12): (False, 7, {"high-degree": 2, "implication": 1}),
+}
+
+
+@pytest.mark.parametrize("seed,n", sorted(STRUCTURED))
+def test_structured_csp_node_counts(seed, n):
+    rng = random.Random(seed)
+    inst = structured_csp(rng, [rng.choice((3, 4)) for _ in range(n)], four_vars=n // 4)
+    res = solve(inst)
+    assert (res.satisfiable, res.stats.nodes, dict(res.stats.rule_counts)) == STRUCTURED[(seed, n)]
+
+
+@pytest.mark.parametrize("seed,n", sorted(SAT))
+def test_sat_node_counts(seed, n):
+    rng = random.Random(seed)
+    inst, _smap = sat_to_csp(n, random_3cnf(rng, n, round(4.26 * n)))
+    res = solve(inst)
+    assert (res.satisfiable, res.stats.nodes, dict(res.stats.rule_counts)) == SAT[(seed, n)]
+
+
+def test_color_graph_node_count():
+    n, edges = planted_3colorable(random.Random(0), 60, 5 / 60)
+    res = color_graph(n, edges)
+    assert res.colorable
+    assert res.stats.nodes + res.stats.csp_nodes == 246

@@ -10,8 +10,6 @@ from csp32.oracle import brute_csp, planted_csp, random_csp, structured_csp
 from csp32.solver import (
     SolverConfig,
     claim_cap,
-    contrib,
-    contrib_measure,
     matching_solve,
     solve,
     solve_randomized_32,
@@ -23,10 +21,13 @@ from helpers import build_instance
 
 
 def test_contrib_weights():
-    assert contrib(1) == 0.0
-    assert contrib(2) == 0.0
-    assert contrib(3) == 1.0
-    assert contrib(4) == pytest.approx(2 - 0.095543)
+    def weight(k):
+        return measure(Instance.build({0: range(k)}))
+
+    assert weight(1) == 0.0
+    assert weight(2) == 0.0
+    assert weight(3) == 1.0
+    assert weight(4) == pytest.approx(2 - 0.095543)
 
 
 def test_solve_rejects_wide_variables():

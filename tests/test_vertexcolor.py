@@ -201,3 +201,11 @@ def test_color_graph_node_limit():
     n, edges = planted_3colorable(rng, 25)
     res = color_graph(n, edges, ColorConfig(node_limit=0))
     assert res.colorable is None
+
+
+def test_odd_cycle_third_child_with_repeated_outside_neighbor():
+    # An odd degree-3 cycle whose second and third outside neighbors are
+    # the same vertex: the third child must not merge it a second time.
+    n, edges = planted_3colorable(random.Random("109:469:planted-color:36"), 36, 7 / 36)
+    res = color_graph(n, edges)
+    assert res.colorable and proper(edges, res.coloring)
