@@ -14,7 +14,7 @@ the original one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from typing import Iterable, Optional
 
 from .analysis import EPSILON
@@ -311,16 +311,29 @@ def eliminate_low_colors(inst: Instance, trace: LiftTrace) -> bool:
 
 def find_free_pair(inst: Instance) -> Optional[tuple[Pair, Pair]]:
     """Two pairs on distinct variables constrained only against each other's
-    variable, and never against each other: both can be used outright."""
-    for p in inst.pairs():
+    variable, and never against each other: both can be used outright.
+
+    Returns the first match (p, q) with p's variable below q's, p and q
+    each taken in sorted pair order.  Every constraint of a constrained p
+    must hit the variable w of its partner, so only the d pairs of w are
+    tried (a pair of w that p hits fails the test on its own side): the
+    pairs are sorted once and each p costs O(d) plus the degrees it
+    reads, O(P*d) in all.  An unconstrained p scans the later variables'
+    pairs, stopping at the first fit.
+    """
+    pairs = inst.pairs()
+    for i, p in enumerate(pairs):
         v, x = p
-        for q in inst.pairs():
-            w, y = q
-            if w <= v:
+        hit = inst.adj[p]
+        if hit:
+            w = next(iter(hit))[0]
+            if w <= v or any(t[0] != w for t in hit):
                 continue
-            if all(t[0] == w and t[1] != y for t in inst.adj[p]) and all(
-                t[0] == v and t[1] != x for t in inst.adj[q]
-            ):
+            partners = ((w, y) for y in sorted(inst.colors[w]))
+        else:
+            partners = (q for q in islice(pairs, i + 1, None) if q[0] > v)
+        for q in partners:
+            if all(t[0] == v and t[1] != x for t in inst.adj[q]):
                 return p, q
     return None
 

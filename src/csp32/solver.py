@@ -586,6 +586,17 @@ def choose_rule(red: Instance, stats: "SearchStats") -> Optional[Branching]:
 # Matching endgame
 
 
+def _verified(inst: Instance, asg: Assignment) -> Assignment:
+    """asg itself, once check confirms it solves inst.
+
+    Raises RuntimeError otherwise: a plain check, not an assert, so the
+    verification holds under python -O too.
+    """
+    if not check(inst, asg):
+        raise RuntimeError("solution failed verification against the instance")
+    return asg
+
+
 def matching_solve(red: Instance) -> Optional[Assignment]:
     """Solve an instance whose constraint components are all cliques.
 
@@ -606,8 +617,7 @@ def matching_solve(red: Instance) -> Optional[Assignment]:
     for (v, i) in match:
         (p,) = [p for p in comps[i] if p[0] == v]
         asg[v] = p[1]
-    assert check(red, asg)
-    return asg
+    return _verified(red, asg)
 
 
 # ---------------------------------------------------------------------------
@@ -699,8 +709,7 @@ def solve(inst: Instance, config: Optional[SolverConfig] = None) -> SolveResult:
     except NodeLimitReached:
         return SolveResult(None, None, stats)
     if asg is not None:
-        assert check(inst, asg)
-        return SolveResult(True, asg, stats)
+        return SolveResult(True, _verified(inst, asg), stats)
     return SolveResult(False, None, stats)
 
 
@@ -763,8 +772,7 @@ def solve_randomized_32(
     for trial in range(1, budget + 1):
         asg = _random_walk(inst, rng)
         if asg is not None:
-            assert check(inst, asg)
-            return asg, trial
+            return _verified(inst, asg), trial
     return None, budget
 
 
@@ -792,6 +800,5 @@ def solve_randomized_d2(
                     r.remove_color(v, c)
         result = solve(r)
         if result.satisfiable:
-            assert check(inst, result.assignment)
-            return result.assignment, trial
+            return _verified(inst, result.assignment), trial
     return None, budget

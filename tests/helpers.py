@@ -134,6 +134,22 @@ RULE_BASES = {
 }
 
 
+def brute_free_pair(inst):
+    """Reference for instance.find_free_pair: the plain O(P^2) scan over
+    every ordered couple of pairs, in the same first-match order."""
+    for p in inst.pairs():
+        v, x = p
+        for q in inst.pairs():
+            w, y = q
+            if w <= v:
+                continue
+            if all(t[0] == w and t[1] != y for t in inst.adj[p]) and all(
+                t[0] == v and t[1] != x for t in inst.adj[q]
+            ):
+                return p, q
+    return None
+
+
 def relabel(rng, inst):
     """Random isomorphic copy: permute variable ids and per-variable colors."""
     vs = inst.variables()

@@ -3,7 +3,9 @@
 `test_stats_are_deterministic` only compares two runs of the same code,
 so a change to the lemma order or a rule's tie-breaking would still pass
 it.  These counts were recorded before the in-place simplification
-rewrite; a refactor that claims identical search must keep them.
+rewrite; a refactor that claims identical search must keep them.  The
+two benchmark-scale entries (structured n=50, 3-SAT n=35) were recorded
+before the partner-indexed free-pair search replaced the O(P^2) scan.
 """
 
 import random
@@ -20,12 +22,14 @@ STRUCTURED = {
     (1, 20): (True, 6, {"dangling": 4, "implication": 1}),
     (2, 24): (True, 5, {"dangling": 4}),
     (4, 36): (True, 10, {"dangling": 9}),
+    (3, 50): (True, 14, {"dangling": 11, "isolated": 2}),
 }
 
 SAT = {
     (12, 12): (True, 4, {"high-degree": 2}),
     (16, 12): (False, 5, {"high-degree": 1, "implication": 1}),
     (17, 12): (False, 7, {"high-degree": 2, "implication": 1}),
+    (1, 35): (True, 7, {"high-degree": 1, "dangling": 2, "implication": 1}),
 }
 
 

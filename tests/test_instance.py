@@ -17,7 +17,9 @@ from csp32.instance import (
     simplify,
     validate,
 )
-from csp32.oracle import brute_csp, random_csp
+from csp32.oracle import brute_csp, random_csp, structured_csp
+
+from helpers import brute_free_pair
 
 
 def small(colors, cons=()):
@@ -83,6 +85,51 @@ def test_free_pair_detection():
         + [((1, c), (2, c)) for c in range(3)],
     )
     assert find_free_pair(inst2) is None
+
+
+def random_free_pair_instance(rng):
+    """1-7 variables with 1-4 colors each; every pair draws constraints
+    against none, one or several other variables.  Color ids reach 11,
+    so a set's iteration order is not always the sorted order."""
+    n = rng.randint(1, 7)
+    inst = Instance.build({v: rng.sample(range(12), rng.randint(1, 4)) for v in range(n)})
+    for p in inst.pairs():
+        others = [w for w in inst.colors if w != p[0]]
+        for w in rng.sample(others, min(len(others), rng.choice((0, 0, 1, 1, 2, 3)))):
+            for c in sorted(inst.colors[w]):
+                if rng.random() < 0.5:
+                    inst.add_constraint(p, (w, c))
+    return inst
+
+
+def test_free_pair_matches_brute_reference():
+    rng = random.Random(2024)
+    outcomes = {"none": 0, "constrained": 0, "unconstrained": 0}
+    for _ in range(5000):
+        inst = random_free_pair_instance(rng)
+        got = find_free_pair(inst)
+        assert got == brute_free_pair(inst), inst.constraints()
+        kind = "none" if got is None else "constrained" if inst.adj[got[0]] else "unconstrained"
+        outcomes[kind] += 1
+    # Every path of the scan is exercised, not just the easy ones.
+    assert min(outcomes.values()) >= 500, outcomes
+
+
+def test_free_pair_sorts_pairs_once(monkeypatch):
+    rng = random.Random(1)
+    inst, _ = simplify(structured_csp(rng, [rng.choice((3, 4)) for _ in range(80)], four_vars=20))
+    assert inst is not None and inst.n > 0
+    calls = 0
+    sorted_pairs = Instance.pairs
+
+    def counting_pairs(self):
+        nonlocal calls
+        calls += 1
+        return sorted_pairs(self)
+
+    monkeypatch.setattr(Instance, "pairs", counting_pairs)
+    assert find_free_pair(inst) is None
+    assert calls <= 1
 
 
 def test_dominance_detection():

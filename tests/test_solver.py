@@ -228,3 +228,12 @@ def test_claim_caps():
     assert claim_cap("dangling") == LAMBDA
     assert claim_cap("two-component-parity") > LAMBDA
     assert claim_cap("anything-fallback") > LAMBDA
+
+
+def test_solve_rejects_unverified_solution(monkeypatch):
+    # A lift that breaks the constraint must be caught by an explicit
+    # check that python -O keeps, not by an assert.
+    inst = build_instance({0: range(3), 1: range(3)}, [((0, 0), (1, 0))])
+    monkeypatch.setattr("csp32.solver.lift", lambda asg, trace: {0: 0, 1: 0})
+    with pytest.raises(RuntimeError, match="failed verification"):
+        solve(inst)
