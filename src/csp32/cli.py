@@ -21,13 +21,14 @@ from . import analysis, oracle
 from .instance import Instance, check
 from .solver import (
     NodeLimitReached,
+    SearchStats,
     SolverConfig,
     solve,
     solve_randomized_32,
     solve_randomized_d2,
 )
 from .transform import coloring_to_csp, dualize, GeneralCSP, sat_to_csp
-from .vertexcolor import ColorConfig, color_graph
+from .vertexcolor import color_graph
 from .edgecolor import edge_color
 
 try:  # pragma: no cover - metadata lookup
@@ -209,7 +210,19 @@ class RunReport:
             print(json.dumps(self.stats, sort_keys=True))
 
 
-def _exit_for(result: str) -> int:
+VERDICT = {True: "sat", False: "unsat", None: "limit"}
+
+
+def _report(args, t0: float, result: str, solution, stats, mode="det", seed=None) -> int:
+    """Print the run report and return its exit code.  A SearchStats
+    prints as the one --stats schema shared by every solver: its fields."""
+    if isinstance(stats, SearchStats):
+        stats = asdict(stats)
+        stats["rule_counts"] = dict(sorted(stats["rule_counts"].items()))
+    RunReport(
+        args.file, mode, result, solution, stats,
+        time.perf_counter() - t0, seed, VERSION,
+    ).emit(args.json, args.stats)
     return {"sat": EXIT_SAT, "unsat": EXIT_UNSAT, "not-found": EXIT_UNSAT}.get(
         result, EXIT_LIMIT
     )
@@ -220,13 +233,6 @@ def _failed_verification() -> int:
     return EXIT_USAGE
 
 
-def _stats_dict(stats) -> dict:
-    d = asdict(stats)
-    if "rule_counts" in d:
-        d["rule_counts"] = dict(sorted(d["rule_counts"].items()))
-    return d
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -234,45 +240,38 @@ def _stats_dict(stats) -> dict:
 def cmd_solve(args) -> int:
     inst, names = load_csp_json(args.file)
     t0 = time.perf_counter()
-    stats = None
+    cfg = SolverConfig(node_limit=args.node_limit)
     if args.mode == "det":
-        res = solve(inst.copy(), SolverConfig(node_limit=args.node_limit))
-        ok, asg = res.satisfiable, res.assignment
-        stats = _stats_dict(res.stats)
-        result = {True: "sat", False: "unsat", None: "limit"}[ok]
+        res = solve(inst.copy(), cfg)
+        asg, stats, result = res.assignment, res.stats, VERDICT[res.satisfiable]
     else:
         d = max((len(cs) for cs in inst.colors.values()), default=0)
         runner = solve_randomized_32 if d <= 3 else solve_randomized_d2
-        asg, trials = runner(inst.copy(), seed=args.seed)
-        result = "sat" if asg is not None else "not-found"
+        try:
+            asg, trials = runner(inst.copy(), seed=args.seed, config=cfg)
+            result = "sat" if asg is not None else "not-found"
+        except NodeLimitReached:
+            asg, trials, result = None, None, "limit"
         stats = {"trials": trials}
     solution = None
     if asg is not None:
         if args.verify and not check(inst, asg):
             return _failed_verification()
         solution = {str(v): names.get(c, c) for v, c in sorted(asg.items())}
-    RunReport(
-        args.file, args.mode, result, solution, stats,
-        time.perf_counter() - t0, args.seed, VERSION,
-    ).emit(args.json, args.stats)
-    return _exit_for(result)
+    return _report(args, t0, result, solution, stats, args.mode, args.seed)
 
 
 def cmd_color(args) -> int:
     n, edges = load_col(args.file)
     t0 = time.perf_counter()
-    res = color_graph(n, edges, ColorConfig(node_limit=args.node_limit))
-    result = {True: "sat", False: "unsat", None: "limit"}[res.colorable]
+    res = color_graph(n, edges, SolverConfig(node_limit=args.node_limit))
+    result = VERDICT[res.colorable]
     solution = None
     if res.coloring is not None:
         if args.verify and any(res.coloring[u] == res.coloring[v] for u, v in edges):
             return _failed_verification()
         solution = {str(v): res.coloring[v] for v in range(n)}
-    RunReport(
-        args.file, "det", result, solution, _stats_dict(res.stats),
-        time.perf_counter() - t0, None, VERSION,
-    ).emit(args.json, args.stats)
-    return _exit_for(result)
+    return _report(args, t0, result, solution, res.stats)
 
 
 def _proper_edge_coloring(edges, colors) -> bool:
@@ -285,20 +284,16 @@ def cmd_edge_color(args) -> int:
     n, edges = load_col(args.file)
     t0 = time.perf_counter()
     try:
-        colors, stats = edge_color(n, edges, ColorConfig(node_limit=args.node_limit))
+        colors, stats = edge_color(n, edges, SolverConfig(node_limit=args.node_limit))
         result = "sat" if colors is not None else "unsat"
-    except NodeLimitReached:
-        colors, stats, result = None, None, "limit"
+    except NodeLimitReached as exc:
+        colors, stats, result = None, exc.stats, "limit"
     solution = None
     if colors is not None:
         if args.verify and not _proper_edge_coloring(edges, colors):
             return _failed_verification()
         solution = {f"{u}-{v}": c for (u, v), c in sorted(colors.items())}
-    RunReport(
-        args.file, "det", result, solution, stats and _stats_dict(stats),
-        time.perf_counter() - t0, None, VERSION,
-    ).emit(args.json, args.stats)
-    return _exit_for(result)
+    return _report(args, t0, result, solution, stats)
 
 
 def cmd_sat(args) -> int:
@@ -307,13 +302,13 @@ def cmd_sat(args) -> int:
         raise InputError(f"{args.file}: clauses of size > 3 are not supported")
     t0 = time.perf_counter()
     inst, smap = sat_to_csp(nvars, clauses)
-    stats = None
+    stats = SearchStats()  # stays empty when sat_to_csp refutes the formula
     if inst is None:
         result, model = "unsat", None
     else:
         res = solve(inst.copy(), SolverConfig(node_limit=args.node_limit))
-        stats = _stats_dict(res.stats)
-        result = {True: "sat", False: "unsat", None: "limit"}[res.satisfiable]
+        stats = res.stats
+        result = VERDICT[res.satisfiable]
         model = smap.decode(res.assignment) if res.satisfiable else None
     solution = None
     if model is not None:
@@ -322,11 +317,7 @@ def cmd_sat(args) -> int:
         ):
             return _failed_verification()
         solution = {str(x): model[x] for x in sorted(model)}
-    RunReport(
-        args.file, "det", result, solution, stats,
-        time.perf_counter() - t0, None, VERSION,
-    ).emit(args.json, args.stats)
-    return _exit_for(result)
+    return _report(args, t0, result, solution, stats)
 
 
 def cmd_translate(args) -> int:

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .graphalg import general_matching
-from .solver import NodeLimitReached
-from .vertexcolor import ColorConfig, color_graph
+from .solver import NodeLimitReached, SearchStats, SolverConfig
+from .vertexcolor import color_graph
 
 Edge = tuple[int, int]
 
@@ -209,13 +209,6 @@ def charge_identity(ei: EdgeInstance) -> tuple[int, int, Optional[bool]]:
     return m3, m4, 5 * m3 == 6 * n - 4 * m4
 
 
-@dataclass
-class EdgeColorStats:
-    leaves: int = 0
-    splices: int = 0
-    skipped_splices: int = 0  # matched edges whose preconditions broke
-
-
 def lift_edge_coloring(coloring: dict[int, int], trace: list) -> dict[int, int]:
     """Restore colors of spliced and stripped edges, most recent first."""
     out = dict(coloring)
@@ -236,7 +229,9 @@ def lift_edge_coloring(coloring: dict[int, int], trace: list) -> dict[int, int]:
     return out
 
 
-def _line_graph_solve(ei: EdgeInstance, config) -> Optional[dict[int, int]]:
+def _line_graph_solve(
+    ei: EdgeInstance, cfg: SolverConfig, stats: SearchStats
+) -> Optional[dict[int, int]]:
     ids = sorted(ei.edges)
     index = {eid: i for i, eid in enumerate(ids)}
     lg_edges = set()
@@ -247,16 +242,17 @@ def _line_graph_solve(ei: EdgeInstance, config) -> Optional[dict[int, int]]:
     for c in ei.constraints:
         a, b = sorted(c)
         lg_edges.add((index[a], index[b]))
-    res = color_graph(len(ids), sorted(lg_edges), config)
+    res = color_graph(len(ids), sorted(lg_edges), cfg.charge(stats))
+    stats.absorb(res.stats)
     if res.colorable is None:
-        raise NodeLimitReached
+        raise NodeLimitReached(stats)
     if not res.colorable:
         return None
     return {eid: res.coloring[index[eid]] for eid in ids}
 
 
 def _splice_search(
-    ei: EdgeInstance, plan: list[int], stats: EdgeColorStats, config
+    ei: EdgeInstance, plan: list[int], stats: SearchStats, cfg: SolverConfig
 ) -> Optional[dict[int, int]]:
     if ei.unsat:
         return None
@@ -265,32 +261,35 @@ def _splice_search(
             stats.skipped_splices += 1
             continue
         stats.splices += 1
+        cfg.charge(stats)
         for child in splice(ei, eid):
-            got = _splice_search(child, plan[k + 1:], stats, config)
+            got = _splice_search(child, plan[k + 1:], stats, cfg)
             if got is not None:
                 return got
         return None
     stats.leaves += 1
-    colors = _line_graph_solve(ei, config)
+    colors = _line_graph_solve(ei, cfg, stats)
     if colors is None:
         return None
     return lift_edge_coloring(colors, ei.trace)
 
 
 def edge_color(
-    n: int, edges: list[Edge], config: Optional[ColorConfig] = None
-) -> tuple[Optional[dict[Edge, int]], EdgeColorStats]:
+    n: int, edges: list[Edge], config: Optional[SolverConfig] = None
+) -> tuple[Optional[dict[Edge, int]], SearchStats]:
     """Proper 3-edge-coloring of a simple graph, or None when impossible.
 
-    Raises NodeLimitReached when a line graph exceeds config's node limit.
+    config's node limit counts splices and every line-graph node;
+    NodeLimitReached, carrying the stats, is raised when it runs out.
     """
-    stats = EdgeColorStats()
+    cfg = config or SolverConfig()
+    stats = SearchStats()
     ei = EdgeInstance.from_graph(n, edges)
     if any(ei.degree(v) > 3 for v in range(n)):
         return None, stats
     strip_low_neighbor_edges(ei)
     plan = select_splices(ei)
-    colors = _splice_search(ei, plan, stats, config)
+    colors = _splice_search(ei, plan, stats, cfg)
     if colors is None:
         return None, stats
     out = {tuple(edges[eid]): c for eid, c in colors.items()}

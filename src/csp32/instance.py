@@ -234,8 +234,8 @@ def check(inst: Instance, asg: Assignment) -> bool:
             raise ValueError(f"assignment is missing variable {v}")
         if asg[v] not in inst.colors[v]:
             return False
-    for (a, b) in inst.constraints():
-        if asg[a[0]] == a[1] and asg[b[0]] == b[1]:
+    for (v, c), qs in inst.adj.items():
+        if asg[v] == c and any(asg[w] == d for (w, d) in qs):
             return False
     return True
 

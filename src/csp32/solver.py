@@ -293,64 +293,41 @@ def _screen(candidates, stats: "SearchStats") -> Optional[Branching]:
     return fallback[0] + "-fallback", fallback[1]
 
 
-def _rule_three_with_four(red: Instance, stats: "SearchStats") -> Optional[Branching]:
-    def candidates():
-        for p in red.pairs():
-            if red.degree(p) != 3:
+def _triple_candidates(red: Instance, name: str, fits):
+    """Branchings on a pair p with three constraints and a neighbor q that
+    fits, whose one other constraint goes to t: use one of p, q, t when t
+    is also p's neighbor, else use p, or t, or q in turn."""
+    for p in red.pairs():
+        if red.degree(p) != 3:
+            continue
+        for q in sorted(red.adj[p]):
+            if not fits(q):
                 continue
-            for q in sorted(red.adj[p]):
-                if len(red.colors[q[0]]) < 4:
-                    continue
-                # q has exactly two constraints or high-degree fires.
-                (t,) = [x for x in red.adj[q] if x != p]
-                if t in red.adj[p]:
-                    children = [
-                        ChildBuilder(red).use(p),
-                        ChildBuilder(red).use(q),
-                        ChildBuilder(red).use(t),
-                    ]
-                else:
-                    children = [
-                        ChildBuilder(red).use(p),
-                        ChildBuilder(red).avoid(p).use(t),
-                        ChildBuilder(red).avoid(p).avoid(t).use(q),
-                    ]
-                yield "triple-with-four", children
+            (t,) = [x for x in red.adj[q] if x != p]
+            if t not in red.adj[p]:
+                children = [
+                    ChildBuilder(red).use(p),
+                    ChildBuilder(red).avoid(p).use(t),
+                    ChildBuilder(red).avoid(p).avoid(t).use(q),
+                ]
+            elif red.degree(t) == 2 and len(red.colors[q[0]]) == len(red.colors[t[0]]) == 3:
+                # Avoiding p leaves q, t in an isolated constraint between
+                # three-color variables, which merge into one variable.
+                children = [ChildBuilder(red).use(p), ChildBuilder(red).avoid(p).merge(q, t)]
+            else:
+                children = [ChildBuilder(red).use(x) for x in (p, q, t)]
+            yield name, children
 
-    return _screen(candidates(), stats)
+
+def _rule_three_with_four(red: Instance, stats: "SearchStats") -> Optional[Branching]:
+    # A four-color q has exactly two constraints, or high-degree fires.
+    fits = lambda q: len(red.colors[q[0]]) >= 4
+    return _screen(_triple_candidates(red, "triple-with-four", fits), stats)
 
 
 def _rule_three_with_two(red: Instance, stats: "SearchStats") -> Optional[Branching]:
-    def candidates():
-        for p in red.pairs():
-            if red.degree(p) != 3:
-                continue
-            for q in sorted(red.adj[p]):
-                if red.degree(q) != 2:
-                    continue
-                (t,) = [x for x in red.adj[q] if x != p]
-                if t in red.adj[p]:
-                    if red.degree(t) == 2:
-                        # Avoiding p leaves q, t in an isolated constraint.
-                        children = [
-                            ChildBuilder(red).use(p),
-                            ChildBuilder(red).avoid(p).merge(q, t),
-                        ]
-                    else:
-                        children = [
-                            ChildBuilder(red).use(p),
-                            ChildBuilder(red).use(q),
-                            ChildBuilder(red).use(t),
-                        ]
-                else:
-                    children = [
-                        ChildBuilder(red).use(p),
-                        ChildBuilder(red).avoid(p).use(t),
-                        ChildBuilder(red).avoid(p).avoid(t).use(q),
-                    ]
-                yield "triple-with-two", children
-
-    return _screen(candidates(), stats)
+    fits = lambda q: red.degree(q) == 2
+    return _screen(_triple_candidates(red, "triple-with-two", fits), stats)
 
 
 def _small_three_children(red: Instance, comp: list[Pair]) -> Optional[Branching]:
@@ -624,18 +601,62 @@ def matching_solve(red: Instance) -> Optional[Assignment]:
 # Search driver
 
 
+class NodeLimitReached(Exception):
+    """The call spent more than its node limit; stats holds its counts."""
+
+    def __init__(self, stats: "SearchStats"):
+        super().__init__()
+        self.stats = stats
+
+
 @dataclass
 class SolverConfig:
+    # Bounds all a top-level call spends: SearchStats.spent over every
+    # nested solve, line graph and splice.
     node_limit: Optional[int] = None
     check_claims: bool = False  # assert branch vectors stay within LAMBDA
+
+    def charge(self, stats: "SearchStats") -> "SolverConfig":
+        """Called after counting each node: raises NodeLimitReached once
+        stats has spent more than node_limit, else returns the config
+        for a nested call, which gets what is left."""
+        if self.node_limit is None:
+            return self
+        left = self.node_limit - stats.spent
+        if left < 0:
+            raise NodeLimitReached(stats)
+        return SolverConfig(left, self.check_claims)
 
 
 @dataclass
 class SearchStats:
-    nodes: int = 0
-    leaves: int = 0
+    """Counts of one top-level call, the same fields for every front end."""
+
+    nodes: int = 0  # own search nodes: CSP in solve, graph in the colorings
+    leaves: int = 0  # own leaves; a nested call's leaves stay its own
     rule_counts: Counter = field(default_factory=Counter)
     fallbacks: int = 0
+    csp_calls: int = 0  # nested CSP solves and their nodes
+    csp_nodes: int = 0
+    splices: int = 0
+    skipped_splices: int = 0  # matched edges whose preconditions broke
+    breakdowns: list = field(default_factory=list)  # (p, q, r, s, t) per coloring leaf
+
+    @property
+    def spent(self) -> int:
+        return self.nodes + self.csp_nodes + self.splices
+
+    def absorb(self, sub: "SearchStats", csp: bool = False):
+        """Fold a nested call's counts in; a nested CSP solve (csp=True)
+        is one csp_call and its nodes are csp_nodes."""
+        self.nodes += 0 if csp else sub.nodes
+        self.csp_calls += sub.csp_calls + csp
+        self.csp_nodes += sub.csp_nodes + (sub.nodes if csp else 0)
+        self.rule_counts.update(sub.rule_counts)
+        self.fallbacks += sub.fallbacks
+        self.splices += sub.splices
+        self.skipped_splices += sub.skipped_splices
+        self.breakdowns += sub.breakdowns
 
 
 @dataclass
@@ -643,10 +664,6 @@ class SolveResult:
     satisfiable: Optional[bool]  # None when the node limit was hit
     assignment: Optional[Assignment]
     stats: SearchStats
-
-
-class NodeLimitReached(Exception):
-    pass
 
 
 # Largest branch vector work factor each rule may produce.  The parity
@@ -665,8 +682,7 @@ def claim_cap(name: str) -> float:
 
 def _search(inst: Instance, stats: SearchStats, cfg: SolverConfig) -> Optional[Assignment]:
     stats.nodes += 1
-    if cfg.node_limit is not None and stats.nodes > cfg.node_limit:
-        raise NodeLimitReached
+    cfg.charge(stats)
     red, trace = simplify(inst)
     if red is None:
         stats.leaves += 1
@@ -760,16 +776,22 @@ def solve_randomized_32(
     inst: Instance,
     seed: int = 0,
     budget_factor: float = 50.0,
+    config: Optional[SolverConfig] = None,
 ) -> tuple[Optional[Assignment], int]:
     """Monte Carlo (3,2)-CSP solver: each walk succeeds on a solvable
     instance with probability at least 2^(-n/2), so budget_factor times
     2^(n/2) walks miss with negligible probability.  Returns the solution
-    (or None) and the number of walks run."""
+    (or None) and the number of walks run.  Each walk spends one node of
+    config's node limit; NodeLimitReached is raised when it runs out."""
     if any(len(cs) > 3 for cs in inst.colors.values()):
         raise ValueError("randomized two-color descent expects a (3,2) instance")
+    cfg = config or SolverConfig()
+    stats = SearchStats()
     rng = random.Random(seed)
     budget = max(1, math.ceil(budget_factor * 2 ** (inst.n / 2)))
     for trial in range(1, budget + 1):
+        stats.nodes += 1
+        cfg.charge(stats)
         asg = _random_walk(inst, rng)
         if asg is not None:
             return _verified(inst, asg), trial
@@ -780,17 +802,19 @@ def solve_randomized_d2(
     inst: Instance,
     seed: int = 0,
     budget_factor: float = 50.0,
+    config: Optional[SolverConfig] = None,
 ) -> tuple[Optional[Assignment], int]:
     """Randomized solver for (d,2)-CSP with d > 4: restrict every variable
     to a random four-color subset and run the deterministic solver.  A
     restriction preserves a fixed solution with probability (4/d)^n per
-    variable-count n, giving expected O((d/4)^n) trials."""
+    variable-count n, giving expected O((d/4)^n) trials.  The nested
+    solves share config's node limit; NodeLimitReached is raised when it
+    runs out."""
+    cfg = config or SolverConfig()
+    stats = SearchStats()
     d = max((len(cs) for cs in inst.colors.values()), default=0)
-    if d <= 4:
-        result = solve(inst)
-        return result.assignment, 1
     rng = random.Random(seed)
-    budget = max(1, math.ceil(budget_factor * (d / 4) ** inst.n))
+    budget = 1 if d <= 4 else max(1, math.ceil(budget_factor * (d / 4) ** inst.n))
     for trial in range(1, budget + 1):
         r = inst.copy()
         for v in r.variables():
@@ -798,7 +822,10 @@ def solve_randomized_d2(
             if len(cs) > 4:
                 for c in rng.sample(cs, len(cs) - 4):
                     r.remove_color(v, c)
-        result = solve(r)
+        result = solve(r, cfg.charge(stats))
+        stats.absorb(result.stats)
+        if result.satisfiable is None:
+            raise NodeLimitReached(stats)
         if result.satisfiable:
             return _verified(inst, result.assignment), trial
     return None, budget

@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Optional
 
 from .graphalg import FlowNetwork, max_flow
-from .solver import NodeLimitReached, SolverConfig, solve
+from .solver import NodeLimitReached, SearchStats, SolverConfig, solve
 from .transform import coloring_to_csp
 
 Coloring = dict[int, int]
@@ -596,41 +596,24 @@ def _height_two_unit(tree: HeightTwoTree) -> list[Coloring]:
     return [{tree.root: c} for c in (0, 1, 2)]
 
 
-@dataclass
-class ColorConfig:
-    node_limit: Optional[int] = None  # graph nodes plus CSP nodes
-
-
-@dataclass
-class ColorStats:
-    nodes: int = 0
-    leaves: int = 0
-    csp_calls: int = 0
-    csp_nodes: int = 0
-    breakdowns: list = field(default_factory=list)  # (p, q, r, s, t) per leaf
+ColorConfig = SolverConfig  # the coloring front ends take the solver's config
 
 
 @dataclass
 class ColorResult:
     colorable: Optional[bool]  # None when the node limit was hit
     coloring: Optional[Coloring]
-    stats: ColorStats
+    stats: SearchStats
 
 
-def _leaf_breakdown(g, f, trees, x_set, y_set):
-    p = len(f.roots)
-    q = len(f.internal) - p
-    r = len(f.leaves)
-    s = len(x_set)
-    t = sum(4 for _ in trees) + len(y_set)
-    return (p, q, r, s, t)
-
-
-def _solve_leaf(g: MultiGraph, cfg: ColorConfig, stats: ColorStats):
+def _solve_leaf(g: MultiGraph, cfg: SolverConfig, stats: SearchStats):
     f = build_bushy_forest(g)
     trees, x_set, y_set = build_height_two_forest(g, f)
     stats.leaves += 1
-    stats.breakdowns.append(_leaf_breakdown(g, f, trees, x_set, y_set))
+    p = len(f.roots)
+    stats.breakdowns.append(
+        (p, len(f.internal) - p, len(f.leaves), len(x_set), 4 * len(trees) + len(y_set))
+    )
     if f.roots:
         # coverage guarantee for a maximal forest in a cycle-free residue
         assert len(g.adj) - len(f.vertices) <= 20 * len(f.leaves) / 3 + 1e-9
@@ -673,16 +656,10 @@ def _residual_solve(g, colored: Coloring, cfg, stats) -> Optional[Coloring]:
         if v in index and index[u] < index[v]
     ]
     inst = coloring_to_csp(len(rest), edges, lists)
-    limit = None
-    if cfg.node_limit is not None:
-        limit = cfg.node_limit - stats.nodes - stats.csp_nodes
-        if limit <= 0:
-            raise NodeLimitReached
-    stats.csp_calls += 1
-    res = solve(inst, SolverConfig(node_limit=limit))
-    stats.csp_nodes += res.stats.nodes
+    res = solve(inst, cfg.charge(stats))
+    stats.absorb(res.stats, csp=True)
     if res.satisfiable is None:
-        raise NodeLimitReached
+        raise NodeLimitReached(stats)
     if not res.satisfiable:
         return None
     full = dict(colored)
@@ -692,11 +669,10 @@ def _residual_solve(g, colored: Coloring, cfg, stats) -> Optional[Coloring]:
 
 
 def _color_search(
-    g: MultiGraph, steps: list, cfg: ColorConfig, stats: ColorStats
+    g: MultiGraph, steps: list, cfg: SolverConfig, stats: SearchStats
 ) -> Optional[Coloring]:
     stats.nodes += 1
-    if cfg.node_limit is not None and stats.nodes + stats.csp_nodes > cfg.node_limit:
-        raise NodeLimitReached
+    cfg.charge(stats)
     strip_low_degree(g, steps)
     if not g.adj:
         return lift_graph_coloring({}, steps)
@@ -720,11 +696,15 @@ def _color_search(
 
 
 def color_graph(
-    n: int, edges, config: Optional[ColorConfig] = None
+    n: int, edges, config: Optional[SolverConfig] = None
 ) -> ColorResult:
-    """Find a proper 3-coloring of a simple graph, or report none exists."""
-    cfg = config or ColorConfig()
-    stats = ColorStats()
+    """Find a proper 3-coloring of a simple graph, or report none exists.
+
+    config's node limit counts graph nodes and the nested CSP nodes
+    together, and its check_claims reaches the nested CSP solves.
+    """
+    cfg = config or SolverConfig()
+    stats = SearchStats()
     g = MultiGraph.from_edges(n, edges)
     try:
         coloring = _color_search(g, [], cfg, stats)

@@ -6,8 +6,8 @@ import pytest
 
 from csp32 import cli
 from csp32.cli import EXIT_LIMIT, EXIT_SAT, EXIT_UNSAT, EXIT_USAGE, main
-from csp32.edgecolor import EdgeColorStats
-from csp32.vertexcolor import ColorResult, ColorStats
+from csp32.solver import SearchStats
+from csp32.vertexcolor import ColorResult
 
 
 def write(tmp_path, name, text):
@@ -88,6 +88,43 @@ def test_solve_node_limit(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "limit"
 
 
+def test_solve_rand_mode_node_limit(tmp_path, capsys):
+    # Coloring K4: unsatisfiable, so without the limit all 200 walks run.
+    k4 = csp_json(
+        tmp_path, "k4.json",
+        [{"id": v, "colors": [0, 1, 2]} for v in range(4)],
+        [[[v, c], [w, c]] for v in range(4) for w in range(v + 1, 4) for c in range(3)],
+    )
+    assert main(["solve", k4, "--mode", "rand"]) == EXIT_UNSAT
+    assert capsys.readouterr().out.splitlines()[0] == "not-found"
+    assert main(["solve", k4, "--mode", "rand", "--node-limit", "1"]) == EXIT_LIMIT
+    assert capsys.readouterr().out.splitlines()[0] == "limit"
+
+
+def test_stats_have_one_key_set(tmp_path, capsys):
+    # sat, unsat and limit runs of every solver print the SearchStats fields.
+    keys = set(SearchStats.__dataclass_fields__)
+    k4 = write(tmp_path, "k4.col", K4_COL)
+    runs = [
+        (["solve", sat_csp(tmp_path)], EXIT_SAT),
+        (["solve", unsat_csp(tmp_path)], EXIT_UNSAT),
+        (["solve", sat_csp(tmp_path), "--node-limit", "0"], EXIT_LIMIT),
+        (["sat", write(tmp_path, "f.cnf", SAT_CNF)], EXIT_SAT),
+        (["sat", write(tmp_path, "g.cnf", UNSAT_CNF)], EXIT_UNSAT),
+        (["sat", write(tmp_path, "h.cnf", "p cnf 1 2\n1 0\n-1 0\n")], EXIT_UNSAT),
+        (["sat", write(tmp_path, "f.cnf", SAT_CNF), "--node-limit", "0"], EXIT_LIMIT),
+        (["color", write(tmp_path, "tri.col", TRIANGLE_COL)], EXIT_SAT),
+        (["color", k4], EXIT_UNSAT),
+        (["color", k4, "--node-limit", "0"], EXIT_LIMIT),
+        (["edge-color", k4], EXIT_SAT),
+        (["edge-color", write(tmp_path, "star.col", STAR4_COL)], EXIT_UNSAT),
+        (["edge-color", k4, "--node-limit", "0"], EXIT_LIMIT),
+    ]
+    for argv, code in runs:
+        assert main(argv + ["--stats", "--json"]) == code, argv
+        assert set(json.loads(capsys.readouterr().out)["stats"]) == keys, argv
+
+
 def test_color_exit_codes(tmp_path, capsys):
     tri = write(tmp_path, "tri.col", TRIANGLE_COL)
     assert main(["color", tri, "--verify"]) == EXIT_SAT
@@ -121,13 +158,13 @@ def test_verify_rejects_bad_solutions(tmp_path, capsys, monkeypatch):
     tri = write(tmp_path, "tri.col", TRIANGLE_COL)
     monkeypatch.setattr(
         cli, "color_graph",
-        lambda n, edges, cfg: ColorResult(True, {v: 0 for v in range(n)}, ColorStats()),
+        lambda n, edges, cfg: ColorResult(True, {v: 0 for v in range(n)}, SearchStats()),
     )
     assert main(["color", tri, "--verify"]) == EXIT_USAGE
     assert "solution failed verification" in capsys.readouterr().err
 
     monkeypatch.setattr(
-        cli, "edge_color", lambda n, edges, cfg: ({e: 0 for e in edges}, EdgeColorStats())
+        cli, "edge_color", lambda n, edges, cfg: ({e: 0 for e in edges}, SearchStats())
     )
     assert main(["edge-color", tri, "--verify"]) == EXIT_USAGE
     assert "solution failed verification" in capsys.readouterr().err

@@ -3,6 +3,8 @@
 import random
 from itertools import combinations
 
+import pytest
+
 from csp32.edgecolor import (
     EdgeInstance,
     charge_identity,
@@ -11,6 +13,7 @@ from csp32.edgecolor import (
     splice_candidates,
     strip_low_neighbor_edges,
 )
+from csp32.solver import NodeLimitReached, SolverConfig
 from csp32.oracle import (
     brute_edge_color,
     planted_cubic_edge_colorable,
@@ -167,3 +170,16 @@ def test_edge_color_planted_cubic():
         assert got is not None and proper_edge(graph[1], got)
         done += 1
     assert done > 3
+
+
+def test_node_limit_bounds_the_whole_call():
+    # Unlimited, this graph takes 12 splices and 10 graph+CSP nodes over
+    # three line graphs; a limit of 4 must stop the call as a whole,
+    # not give each line graph a fresh budget.
+    graph = random_cubic(random.Random(0), 16)
+    coloring, stats = edge_color(*graph)
+    assert coloring is not None
+    assert (stats.splices, stats.leaves, stats.nodes + stats.csp_nodes) == (12, 3, 10)
+    with pytest.raises(NodeLimitReached) as info:
+        edge_color(*graph, SolverConfig(node_limit=4))
+    assert info.value.stats.spent == 5

@@ -8,6 +8,8 @@ from csp32.analysis import LAMBDA
 from csp32.instance import Instance, check, measure, simplify
 from csp32.oracle import brute_csp, planted_csp, random_csp, structured_csp
 from csp32.solver import (
+    NodeLimitReached,
+    SearchStats,
     SolverConfig,
     claim_cap,
     matching_solve,
@@ -237,3 +239,31 @@ def test_solve_rejects_unverified_solution(monkeypatch):
     monkeypatch.setattr("csp32.solver.lift", lambda asg, trace: {0: 0, 1: 0})
     with pytest.raises(RuntimeError, match="failed verification"):
         solve(inst)
+
+
+def test_randomized_solvers_honour_the_node_limit():
+    # Each walk spends one node; the d2 restrictions' solves share one budget.
+    k4 = build_instance(
+        {v: range(3) for v in range(4)},
+        [((v, c), (w, c)) for v in range(4) for w in range(v + 1, 4) for c in range(3)],
+    )
+    with pytest.raises(NodeLimitReached) as info:
+        solve_randomized_32(k4, config=SolverConfig(node_limit=5))
+    assert info.value.stats.nodes == 6
+    wide = Instance.build({v: range(6) for v in range(3)})
+    with pytest.raises(NodeLimitReached):
+        solve_randomized_d2(wide, config=SolverConfig(node_limit=0))
+    asg, trials = solve_randomized_d2(wide, config=SolverConfig(node_limit=3))
+    assert check(wide, asg) and trials == 1
+
+
+def test_absorb_folds_nested_counts():
+    csp = SearchStats(nodes=3, leaves=2, rule_counts={"dangling": 1}, fallbacks=1)
+    graph = SearchStats(nodes=1, leaves=1)
+    graph.absorb(csp, csp=True)
+    assert (graph.nodes, graph.leaves, graph.csp_calls, graph.csp_nodes) == (1, 1, 1, 3)
+    assert (graph.rule_counts, graph.fallbacks, graph.spent) == ({"dangling": 1}, 1, 4)
+    edge = SearchStats(splices=2, skipped_splices=1, leaves=1)
+    edge.absorb(graph)
+    assert (edge.nodes, edge.leaves, edge.csp_calls, edge.csp_nodes) == (1, 1, 1, 3)
+    assert (edge.splices, edge.skipped_splices, edge.spent) == (2, 1, 6)

@@ -3,7 +3,10 @@
 import random
 from itertools import combinations
 
+import pytest
+
 from csp32.oracle import brute_vertex_color, planted_3colorable, random_cubic, random_graph
+from csp32.solver import SolverConfig
 from csp32.vertexcolor import (
     ColorConfig,
     MultiGraph,
@@ -209,3 +212,29 @@ def test_odd_cycle_third_child_with_repeated_outside_neighbor():
     n, edges = planted_3colorable(random.Random("109:469:planted-color:36"), 36, 7 / 36)
     res = color_graph(n, edges)
     assert res.colorable and proper(edges, res.coloring)
+
+
+def test_check_claims_reaches_the_leaf_csp(monkeypatch):
+    # Planted seed 86 has a leaf CSP that branches; with every cap at 0
+    # the claim check must fire inside color_graph's nested solve.
+    graph = planted_3colorable(random.Random(86), 20, 0.25)
+    assert color_graph(*graph, SolverConfig(check_claims=True)).colorable
+    monkeypatch.setattr("csp32.solver.claim_cap", lambda name: 0.0)
+    assert color_graph(*graph).colorable
+    with pytest.raises(AssertionError):
+        color_graph(*graph, SolverConfig(check_claims=True))
+
+
+def test_claim_checked_coloring_matches_brute_force():
+    branched = 0
+    for seed in range(100):
+        for graph in (
+            planted_3colorable(random.Random(seed), 20, 0.25),
+            random_graph(random.Random(seed), 12, 0.35),
+        ):
+            res = color_graph(*graph, SolverConfig(check_claims=True))
+            assert res.colorable == (brute_vertex_color(graph) is not None)
+            if res.colorable:
+                assert proper(graph[1], res.coloring)
+            branched += sum(res.stats.rule_counts.values()) > res.stats.rule_counts["matching"]
+    assert branched >= 2  # some leaf CSPs branched, so their claims were checked
