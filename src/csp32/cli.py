@@ -29,7 +29,7 @@ from .solver import (
 )
 from .transform import coloring_to_csp, dualize, GeneralCSP, sat_to_csp
 from .vertexcolor import color_graph
-from .edgecolor import edge_color
+from .edgecolor import edge_color, proper_edge_coloring
 
 try:  # pragma: no cover - metadata lookup
     from importlib.metadata import version as _pkg_version
@@ -274,12 +274,6 @@ def cmd_color(args) -> int:
     return _report(args, t0, result, solution, res.stats)
 
 
-def _proper_edge_coloring(edges, colors) -> bool:
-    """Every edge has a color in 0..2 and no vertex sees a color twice."""
-    ends = [(x, colors.get(e)) for e in edges for x in e]
-    return all(c in (0, 1, 2) for _x, c in ends) and len(set(ends)) == len(ends)
-
-
 def cmd_edge_color(args) -> int:
     n, edges = load_col(args.file)
     t0 = time.perf_counter()
@@ -290,7 +284,7 @@ def cmd_edge_color(args) -> int:
         colors, stats, result = None, exc.stats, "limit"
     solution = None
     if colors is not None:
-        if args.verify and not _proper_edge_coloring(edges, colors):
+        if args.verify and not proper_edge_coloring(edges, [colors.get(e) for e in edges]):
             return _failed_verification()
         solution = {f"{u}-{v}": c for (u, v), c in sorted(colors.items())}
     return _report(args, t0, result, solution, stats)

@@ -10,6 +10,7 @@ a line graph (difference constraints become extra adjacencies).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 from typing import Optional
 
 from .graphalg import general_matching
@@ -26,6 +27,8 @@ class EdgeInstance:
     Edges are tracked by integer id so parallel edges stay distinct; a
     constraint is an unordered id pair whose edges must get different
     colors.  The trace records removals for lifting colorings back.
+    `at` maps each vertex to the ascending ids of its edges; edits go
+    through add_edge and remove_edge so it always matches `edges`.
     """
 
     edges: dict[int, Edge] = field(default_factory=dict)
@@ -33,6 +36,7 @@ class EdgeInstance:
     next_id: int = 0
     trace: list = field(default_factory=list)
     unsat: bool = False
+    at: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
     @classmethod
     def from_graph(cls, n: int, edges: list[Edge]) -> "EdgeInstance":
@@ -40,37 +44,52 @@ class EdgeInstance:
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            ei.edges[ei.next_id] = (u, v)
-            ei.next_id += 1
+            ei.add_edge(u, v)
         return ei
 
     def copy(self) -> "EdgeInstance":
+        # the index holds tuples, so a shallow copy of it is independent
         return replace(
             self,
             edges=dict(self.edges),
             constraints=set(self.constraints),
             trace=list(self.trace),
+            at=dict(self.at),
         )
 
+    def add_edge(self, u: int, v: int) -> int:
+        """Add edge (u, v) under the next id, which exceeds every id so
+        far and so keeps each vertex's ids ascending."""
+        eid = self.next_id
+        self.next_id += 1
+        self.edges[eid] = (u, v)
+        for x in {u, v}:
+            self.at[x] = self.at.get(x, ()) + (eid,)
+        return eid
+
+    def remove_edge(self, eid: int) -> None:
+        for x in set(self.edges.pop(eid)):
+            rest = tuple(j for j in self.at[x] if j != eid)
+            if rest:
+                self.at[x] = rest
+            else:
+                del self.at[x]
+
     def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges.values() if v in e)
+        return len(self.at.get(v, ()))
 
     def incident(self, v: int) -> list[int]:
-        return sorted(i for i, e in self.edges.items() if v in e)
+        return list(self.at.get(v, ()))
 
     def neighbor_ids(self, eid: int) -> list[int]:
         u, v = self.edges[eid]
-        return sorted(
-            j
-            for j, e in self.edges.items()
-            if j != eid and (u in e or v in e)
-        )
+        return sorted(set(self.at[u] + self.at[v]) - {eid})
 
     def constrained(self, eid: int) -> bool:
         return any(eid in c for c in self.constraints)
 
     def vertex_count(self) -> int:
-        return len({v for e in self.edges.values() for v in e})
+        return len(self.at)
 
 
 @dataclass(frozen=True)
@@ -104,30 +123,24 @@ def strip_low_neighbor_edges(ei: EdgeInstance):
             nbrs = ei.neighbor_ids(eid)
             if len(nbrs) <= 2:
                 ei.trace.append(StrippedEdge(eid, tuple(nbrs)))
-                del ei.edges[eid]
+                ei.remove_edge(eid)
                 changed = True
+
+
+def spliceable(ei: EdgeInstance, eid: int) -> bool:
+    """Whether edge eid exists and meets every splice precondition now."""
+    if eid not in ei.edges or ei.constrained(eid):
+        return False
+    w, x = ei.edges[eid]
+    if ei.degree(w) != 3 or ei.degree(x) != 3:
+        return False
+    # the four neighbor edges must leave the pair of spliced vertices
+    return not any(set(ei.edges[j]) <= {w, x} for j in ei.neighbor_ids(eid))
 
 
 def splice_candidates(ei: EdgeInstance) -> list[int]:
     """Edge ids meeting every splice precondition right now."""
-    out = []
-    for eid in sorted(ei.edges):
-        w, x = ei.edges[eid]
-        if ei.constrained(eid):
-            continue
-        if ei.degree(w) != 3 or ei.degree(x) != 3:
-            continue
-        side_w = [j for j in ei.incident(w) if j != eid]
-        side_x = [j for j in ei.incident(x) if j != eid]
-        far = [
-            (set(ei.edges[j]) - {w, x} or {w, x}).pop()
-            for j in side_w + side_x
-        ]
-        # the four neighbor edges must leave the pair of spliced vertices
-        if any(v in (w, x) for v in far):
-            continue
-        out.append(eid)
-    return out
+    return [eid for eid in sorted(ei.edges) if spliceable(ei, eid)]
 
 
 def splice(ei: EdgeInstance, eid: int) -> list[EdgeInstance]:
@@ -136,7 +149,7 @@ def splice(ei: EdgeInstance, eid: int) -> list[EdgeInstance]:
     A pairing whose new edge would be a self-loop is still emitted but
     marked unsatisfiable.
     """
-    assert eid in splice_candidates(ei)
+    assert spliceable(ei, eid)
     w, x = ei.edges[eid]
     ew1, ew2 = (j for j in ei.incident(w) if j != eid)
     ex1, ex2 = (j for j in ei.incident(x) if j != eid)
@@ -149,12 +162,9 @@ def splice(ei: EdgeInstance, eid: int) -> list[EdgeInstance]:
     for (a, ea), (b, eb) in (((y, ex1), (z, ex2)), ((z, ex2), (y, ex1))):
         child = ei.copy()
         for j in (eid, ew1, ew2, ex1, ex2):
-            del child.edges[j]
-        first = child.next_id
-        second = child.next_id + 1
-        child.next_id += 2
-        child.edges[first] = (u, a)
-        child.edges[second] = (v, b)
+            child.remove_edge(j)
+        first = child.add_edge(u, a)
+        second = child.add_edge(v, b)
         # a removed neighbor's color lives on in its replacement, so
         # constraints naming it move to the replacement; a constraint
         # collapsing onto a single edge is unsatisfiable
@@ -209,6 +219,13 @@ def charge_identity(ei: EdgeInstance) -> tuple[int, int, Optional[bool]]:
     return m3, m4, 5 * m3 == 6 * n - 4 * m4
 
 
+def proper_edge_coloring(edges: list[Edge], colors: list) -> bool:
+    """Whether colors[i], the color of edges[i], is in 0..2 for every i
+    and no vertex sees a color twice."""
+    ends = [(x, c) for e, c in zip(edges, colors) for x in e]
+    return all(c in (0, 1, 2) for c in colors) and len(set(ends)) == len(ends)
+
+
 def lift_edge_coloring(coloring: dict[int, int], trace: list) -> dict[int, int]:
     """Restore colors of spliced and stripped edges, most recent first."""
     out = dict(coloring)
@@ -234,11 +251,12 @@ def _line_graph_solve(
 ) -> Optional[dict[int, int]]:
     ids = sorted(ei.edges)
     index = {eid: i for i, eid in enumerate(ids)}
-    lg_edges = set()
-    for i, a in enumerate(ids):
-        for b in ids[i + 1:]:
-            if set(ei.edges[a]) & set(ei.edges[b]):
-                lg_edges.add((index[a], index[b]))
+    # ids at a vertex ascend, so each pair comes out as (lower, higher)
+    lg_edges = {
+        (index[a], index[b])
+        for at_v in ei.at.values()
+        for a, b in combinations(at_v, 2)
+    }
     for c in ei.constraints:
         a, b = sorted(c)
         lg_edges.add((index[a], index[b]))
@@ -257,7 +275,7 @@ def _splice_search(
     if ei.unsat:
         return None
     for k, eid in enumerate(plan):
-        if eid not in splice_candidates(ei):
+        if not spliceable(ei, eid):
             stats.skipped_splices += 1
             continue
         stats.splices += 1
@@ -292,10 +310,6 @@ def edge_color(
     colors = _splice_search(ei, plan, stats, cfg)
     if colors is None:
         return None, stats
-    out = {tuple(edges[eid]): c for eid, c in colors.items()}
-    for i, e in enumerate(edges):
-        assert colors[i] in (0, 1, 2)
-        for j, f in enumerate(edges):
-            if i < j and set(e) & set(f):
-                assert colors[i] != colors[j]
-    return out, stats
+    if not proper_edge_coloring(edges, [colors.get(i) for i in range(len(edges))]):
+        raise RuntimeError("edge coloring failed verification against the graph")
+    return {tuple(edges[eid]): c for eid, c in colors.items()}, stats

@@ -712,6 +712,8 @@ def color_graph(
         return ColorResult(None, None, stats)
     if coloring is None:
         return ColorResult(False, None, stats)
-    assert all(coloring[u] != coloring[v] for u, v in edges)
-    assert all(coloring[v] in (0, 1, 2) for v in range(n))
+    if not all(coloring.get(v) in (0, 1, 2) for v in range(n)) or any(
+        coloring.get(u) == coloring.get(v) for u, v in edges
+    ):
+        raise RuntimeError("coloring failed verification against the graph")
     return ColorResult(True, coloring, stats)

@@ -150,6 +150,60 @@ def brute_free_pair(inst):
     return None
 
 
+def brute_splice_candidates(ei):
+    """Reference for edgecolor.splice_candidates: the full edge scans the
+    incidence index replaced, testing the same preconditions."""
+
+    def degree(v):
+        return sum(1 for e in ei.edges.values() if v in e)
+
+    def incident(v):
+        return sorted(i for i, e in ei.edges.items() if v in e)
+
+    out = []
+    for eid in sorted(ei.edges):
+        w, x = ei.edges[eid]
+        if any(eid in c for c in ei.constraints):
+            continue
+        if degree(w) != 3 or degree(x) != 3:
+            continue
+        side_w = [j for j in incident(w) if j != eid]
+        side_x = [j for j in incident(x) if j != eid]
+        far = [
+            (set(ei.edges[j]) - {w, x} or {w, x}).pop()
+            for j in side_w + side_x
+        ]
+        if any(v in (w, x) for v in far):
+            continue
+        out.append(eid)
+    return out
+
+
+def brute_line_graph_edges(ei):
+    """Reference for the line graph edgecolor._line_graph_solve colors:
+    the O(m^2) pair loop over edge ids, plus one edge per constraint."""
+    ids = sorted(ei.edges)
+    index = {eid: i for i, eid in enumerate(ids)}
+    lg_edges = set()
+    for i, a in enumerate(ids):
+        for b in ids[i + 1:]:
+            if set(ei.edges[a]) & set(ei.edges[b]):
+                lg_edges.add((index[a], index[b]))
+    for c in ei.constraints:
+        a, b = sorted(c)
+        lg_edges.add((index[a], index[b]))
+    return sorted(lg_edges)
+
+
+def scan_incidence(ei):
+    """EdgeInstance.at rebuilt from ei.edges: vertex -> ascending edge ids."""
+    at = {}
+    for eid in sorted(ei.edges):
+        for x in set(ei.edges[eid]):
+            at.setdefault(x, []).append(eid)
+    return {x: tuple(ids) for x, ids in at.items()}
+
+
 def relabel(rng, inst):
     """Random isomorphic copy: permute variable ids and per-variable colors."""
     vs = inst.variables()

@@ -1,25 +1,28 @@
 """Edge 3-coloring of degree-at-most-three graphs via vertex splicing."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
+import csp32.edgecolor as edgecolor
 from csp32.edgecolor import (
     EdgeInstance,
     charge_identity,
     edge_color,
+    spliceable,
     splice,
     splice_candidates,
     strip_low_neighbor_edges,
 )
-from csp32.solver import NodeLimitReached, SolverConfig
+from csp32.solver import NodeLimitReached, SearchStats, SolverConfig
 from csp32.oracle import (
     brute_edge_color,
     planted_cubic_edge_colorable,
     random_cubic,
     random_graph,
 )
+from helpers import brute_line_graph_edges, brute_splice_candidates, scan_incidence
 
 
 def subcubic(rng, n, p):
@@ -110,29 +113,95 @@ def test_splice_children_preserve_colorability():
 
 def _brute_constrained(ei):
     """Exhaustive 3-coloring of an edge instance honoring its constraints."""
-    import itertools
-
     ids = sorted(ei.edges)
-    for combo in itertools.product(range(3), repeat=len(ids)):
-        col = dict(zip(ids, combo))
-        ok = True
-        for eid in ids:
-            u, v = ei.edges[eid]
-            for other in ei.incident(u) + ei.incident(v):
-                if other != eid and col[other] == col[eid]:
-                    ok = False
-                    break
-            if not ok:
+    pos = {eid: i for i, eid in enumerate(ids)}
+    clash = [(pos[a], pos[b]) for a in ids for b in ei.neighbor_ids(a) if a < b]
+    clash += [tuple(pos[j] for j in con) for con in ei.constraints]
+    return any(
+        all(combo[i] != combo[j] for i, j in clash)
+        for combo in product(range(3), repeat=len(ids))
+    )
+
+
+@pytest.fixture
+def index_checked(monkeypatch):
+    """Assert after every add_edge and remove_edge that the incidence
+    index equals one rebuilt from the edges."""
+    for name in ("add_edge", "remove_edge"):
+        def checked(self, *args, _edit=getattr(EdgeInstance, name)):
+            out = _edit(self, *args)
+            assert self.at == scan_incidence(self)
+            return out
+
+        monkeypatch.setattr(EdgeInstance, name, checked)
+
+
+def _assert_matches_reference(ei):
+    want = brute_splice_candidates(ei)
+    assert splice_candidates(ei) == want
+    # plan entries can name edges an earlier splice removed
+    assert [e for e in range(ei.next_id) if spliceable(ei, e)] == want
+    assert ei.at == scan_incidence(ei)
+    for eid in ei.edges:
+        u, v = ei.edges[eid]
+        assert ei.neighbor_ids(eid) == sorted(
+            j for j, e in ei.edges.items() if j != eid and (u in e or v in e)
+        )
+
+
+def test_splice_candidates_match_brute_reference(index_checked):
+    rng = random.Random(46)
+    graphs = [subcubic(rng, rng.randint(2, 14), rng.uniform(0.2, 0.9)) for _ in range(150)]
+    graphs += [random_cubic(rng, rng.choice([4, 6, 8, 10, 12])) for _ in range(50)]
+    graphs += [planted_cubic_edge_colorable(rng, rng.choice([6, 8, 12])) for _ in range(50)]
+    found = 0
+    for graph in graphs:
+        ei = EdgeInstance.from_graph(*graph)
+        _assert_matches_reference(ei)
+        strip_low_neighbor_edges(ei)
+        _assert_matches_reference(ei)
+        found += len(splice_candidates(ei))
+    assert found > 1000
+
+
+def test_splice_paths_match_brute_reference(index_checked, monkeypatch):
+    # Random splice paths build up constraints, so `constrained` decides
+    # some candidates; every child and its line graph is compared.
+    line_graphs = []
+    real_color_graph = edgecolor.color_graph
+
+    def capture(n, edges, cfg=None):
+        line_graphs.append(edges)
+        return real_color_graph(n, edges, cfg)
+
+    monkeypatch.setattr(edgecolor, "color_graph", capture)
+    rng = random.Random(47)
+    states = constraint_decided = 0
+    for _ in range(60):
+        graph = rng.choice([random_cubic, planted_cubic_edge_colorable])(
+            rng, rng.choice([8, 10, 12, 16])
+        )
+        ei = EdgeInstance.from_graph(*graph)
+        strip_low_neighbor_edges(ei)
+        while True:
+            _assert_matches_reference(ei)
+            states += 1
+            free = ei.copy()
+            free.constraints = set()
+            constraint_decided += splice_candidates(free) != splice_candidates(ei)
+            edgecolor._line_graph_solve(ei, SolverConfig(), SearchStats())
+            assert line_graphs.pop() == brute_line_graph_edges(ei)
+            cands = splice_candidates(ei)
+            if not cands:
                 break
-        if ok:
-            for con in ei.constraints:
-                a, b = sorted(con)
-                if col[a] == col[b]:
-                    ok = False
-                    break
-        if ok:
-            return True
-    return False
+            children = splice(ei, rng.choice(cands))
+            for child in children:
+                _assert_matches_reference(child)
+            live = [ch for ch in children if not ch.unsat]
+            if not live:
+                break
+            ei = rng.choice(live)
+    assert states > 200 and constraint_decided > 100
 
 
 def test_edge_color_matches_brute_force():
@@ -170,6 +239,16 @@ def test_edge_color_planted_cubic():
         assert got is not None and proper_edge(graph[1], got)
         done += 1
     assert done > 3
+
+
+def test_edge_color_rejects_unverified_coloring(monkeypatch):
+    # A lift bug must surface as an error, also under python -O.
+    k4 = list(combinations(range(4), 2))
+    monkeypatch.setattr(
+        edgecolor, "lift_edge_coloring", lambda coloring, trace: dict.fromkeys(range(6), 0)
+    )
+    with pytest.raises(RuntimeError, match="failed verification"):
+        edge_color(4, k4)
 
 
 def test_node_limit_bounds_the_whole_call():

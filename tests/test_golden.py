@@ -6,13 +6,22 @@ it.  These counts were recorded before the in-place simplification
 rewrite; a refactor that claims identical search must keep them.  The
 two benchmark-scale entries (structured n=50, 3-SAT n=35) were recorded
 before the partner-indexed free-pair search replaced the O(P^2) scan.
+The edge-coloring entries were recorded before the incidence index
+replaced the full edge scans in the splice search.
 """
 
 import random
 
 import pytest
 
-from csp32.oracle import planted_3colorable, random_3cnf, structured_csp
+from csp32.edgecolor import edge_color
+from csp32.oracle import (
+    planted_3colorable,
+    planted_cubic_edge_colorable,
+    random_3cnf,
+    random_cubic,
+    structured_csp,
+)
 from csp32.solver import solve
 from csp32.transform import sat_to_csp
 from csp32.vertexcolor import color_graph
@@ -30,6 +39,16 @@ SAT = {
     (16, 12): (False, 5, {"high-degree": 1, "implication": 1}),
     (17, 12): (False, 7, {"high-degree": 2, "implication": 1}),
     (1, 35): (True, 7, {"high-degree": 1, "dangling": 2, "implication": 1}),
+}
+
+# (generator, seed, n) -> (colorable, splices, skipped_splices, leaves,
+# nodes + csp_nodes)
+EDGE = {
+    ("planted", 1, 24): (True, 84, 18, 5, 21),
+    ("planted", 1, 40): (True, 689, 228, 69, 333),
+    ("random", 0, 16): (True, 12, 5, 3, 10),
+    ("random", 2, 12): (False, 4, 3, 2, 8),
+    ("random", 2, 20): (False, 21, 7, 6, 36),
 }
 
 
@@ -54,3 +73,12 @@ def test_color_graph_node_count():
     res = color_graph(n, edges)
     assert res.colorable
     assert res.stats.nodes + res.stats.csp_nodes == 246
+
+
+@pytest.mark.parametrize("kind,seed,n", sorted(EDGE))
+def test_edge_color_splice_counts(kind, seed, n):
+    make = planted_cubic_edge_colorable if kind == "planted" else random_cubic
+    coloring, stats = edge_color(*make(random.Random(seed), n))
+    got = (coloring is not None, stats.splices, stats.skipped_splices, stats.leaves,
+           stats.nodes + stats.csp_nodes)
+    assert got == EDGE[(kind, seed, n)]

@@ -238,3 +238,13 @@ def test_claim_checked_coloring_matches_brute_force():
                 assert proper(graph[1], res.coloring)
             branched += sum(res.stats.rule_counts.values()) > res.stats.rule_counts["matching"]
     assert branched >= 2  # some leaf CSPs branched, so their claims were checked
+
+
+def test_color_graph_rejects_unverified_coloring(monkeypatch):
+    # A lift bug must surface as an error, also under python -O.
+    n, edges = planted_3colorable(random.Random(5), 12, 0.4)
+    monkeypatch.setattr(
+        "csp32.vertexcolor.lift_graph_coloring", lambda coloring, steps: dict.fromkeys(range(n), 0)
+    )
+    with pytest.raises(RuntimeError, match="failed verification"):
+        color_graph(n, edges)
