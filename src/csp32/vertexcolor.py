@@ -387,10 +387,16 @@ class BushyForest:
     children: dict[int, tuple] = field(default_factory=dict)
     internal: set[int] = field(default_factory=set)
     leaves: set[int] = field(default_factory=set)
+    vertices: set[int] = field(default_factory=set)  # internal | leaves
 
-    @property
-    def vertices(self) -> set[int]:
-        return self.internal | self.leaves
+    def grow(self, v: int, outside: list[int]):
+        """Make v internal with the outside vertices as its leaf children."""
+        self.leaves.discard(v)
+        self.internal.add(v)
+        self.children[v] = tuple(outside)
+        self.parent.update(dict.fromkeys(outside, v))
+        self.leaves.update(outside)
+        self.vertices.update((v, *outside))
 
 
 def build_bushy_forest(g: MultiGraph) -> BushyForest:
@@ -400,35 +406,25 @@ def build_bushy_forest(g: MultiGraph) -> BushyForest:
     while changed:
         changed = False
         for v in g.vertices():
-            if v in f.internal or v in f.leaves:
+            if v in f.vertices:
                 continue
-            outside = sorted(u for u in g.adj[v] if u not in f.vertices)
+            outside = sorted(g.adj[v] - f.vertices)
             if len(outside) >= 4:
                 f.roots.append(v)
-                f.internal.add(v)
-                f.children[v] = tuple(outside)
-                for u in outside:
-                    f.parent[u] = v
-                    f.leaves.add(u)
+                f.grow(v, outside)
                 changed = True
         for v in sorted(f.leaves):
-            outside = sorted(u for u in g.adj[v] if u not in f.vertices)
+            outside = sorted(g.adj[v] - f.vertices)
             if len(outside) >= 3:
-                f.leaves.discard(v)
-                f.internal.add(v)
-                f.children[v] = tuple(outside)
-                for u in outside:
-                    f.parent[u] = v
-                    f.leaves.add(u)
+                f.grow(v, outside)
                 changed = True
-    verts = f.vertices
     for v in f.internal:
-        assert g.adj[v] <= verts
+        assert g.adj[v] <= f.vertices
     for v in f.leaves:
-        assert len([u for u in g.adj[v] if u not in verts]) <= 2
+        assert len(g.adj[v] - f.vertices) <= 2
     for v in g.adj:
-        if v not in verts:
-            assert len([u for u in g.adj[v] if u not in verts]) <= 3
+        if v not in f.vertices:
+            assert len(g.adj[v] - f.vertices) <= 3
     return f
 
 
@@ -484,9 +480,7 @@ def build_height_two_forest(
                 break
 
     in_pack = set(used)
-    x_set = {
-        v for v in outside - in_pack if any(u in f.vertices for u in g.adj[v])
-    }
+    x_set = {v for v in outside - in_pack if not g.adj[v].isdisjoint(f.vertices)}
     y_set = outside - in_pack - x_set
 
     trees = {
@@ -633,22 +627,52 @@ def _solve_leaf(g: MultiGraph, cfg: SolverConfig, stats: SearchStats):
             return _residual_solve(g, acc, cfg, stats)
         for asg in units[i]:
             if consistent(acc, asg):
-                got = run(i + 1, {**acc, **asg})
-                if got is not None:
-                    return got
+                merged = {**acc, **asg}
+                stats.nodes += 1  # as _search counts a child simplify refutes
+                cfg.charge(stats)
+                if not _forward_refuted(g, merged):
+                    got = run(i + 1, merged)
+                    if got is not None:
+                        return got
         return None
 
     return run(0, {})
 
 
-def _residual_solve(g, colored: Coloring, cfg, stats) -> Optional[Coloring]:
-    rest = [v for v in g.vertices() if v not in colored]
-    index = {v: i for i, v in enumerate(rest)}
-    lists = {
-        index[v]: {0, 1, 2}
-        - {colored[u] for u in g.adj[v] if u in colored}
-        for v in rest
+def _residue_lists(g: MultiGraph, colored: Coloring) -> dict[int, set[int]]:
+    """Colors left to each uncolored vertex, in vertex order."""
+    return {
+        v: {0, 1, 2} - {colored[u] for u in g.adj[v] if u in colored}
+        for v in g.vertices()
+        if v not in colored
     }
+
+
+def _forward_refuted(g: MultiGraph, colored: Coloring) -> bool:
+    """Forward check: propagate every forced (singleton) color of the
+    residue lists to its neighbors; True when some list runs empty, so
+    no proper coloring extends the partial one."""
+    lists = _residue_lists(g, colored)
+    forced = [v for v, cs in lists.items() if len(cs) < 2]
+    while forced:
+        v = forced.pop()
+        if not lists[v]:
+            return True
+        (c,) = lists[v]
+        for u in g.adj[v]:
+            cs = lists.get(u, ())
+            if c in cs:
+                cs.discard(c)
+                if len(cs) < 2:
+                    forced.append(u)
+    return False
+
+
+def _residual_solve(g, colored: Coloring, cfg, stats) -> Optional[Coloring]:
+    residue = _residue_lists(g, colored)
+    rest = list(residue)
+    index = {v: i for i, v in enumerate(rest)}
+    lists = {index[v]: cs for v, cs in residue.items()}
     edges = [
         (index[u], index[v])
         for u in rest

@@ -18,6 +18,13 @@ from csp32.solver import (
     live_vector,
     matching_solve,
 )
+from csp32.vertexcolor import (
+    _bushy_unit,
+    _height_two_unit,
+    _residual_solve,
+    build_bushy_forest,
+    build_height_two_forest,
+)
 
 
 def build_instance(colors, cons):
@@ -202,6 +209,83 @@ def scan_incidence(ei):
         for x in set(ei.edges[eid]):
             at.setdefault(x, []).append(eid)
     return {x: tuple(ids) for x, ids in at.items()}
+
+
+def brute_build_bushy_forest(g):
+    """Reference for vertexcolor.build_bushy_forest: the greedy growth
+    that rebuilds the covered set internal | leaves for every neighbor
+    it tests.  Returns (roots, parent, children, internal, leaves)."""
+    roots, parent, children, internal, leaves = [], {}, {}, set(), set()
+    changed = True
+    while changed:
+        changed = False
+        for v in g.vertices():
+            if v in internal or v in leaves:
+                continue
+            outside = sorted(u for u in g.adj[v] if u not in internal | leaves)
+            if len(outside) >= 4:
+                roots.append(v)
+                internal.add(v)
+                children[v] = tuple(outside)
+                for u in outside:
+                    parent[u] = v
+                    leaves.add(u)
+                changed = True
+        for v in sorted(leaves):
+            outside = sorted(u for u in g.adj[v] if u not in internal | leaves)
+            if len(outside) >= 3:
+                leaves.discard(v)
+                internal.add(v)
+                children[v] = tuple(outside)
+                for u in outside:
+                    parent[u] = v
+                    leaves.add(u)
+                changed = True
+    return roots, parent, children, internal, leaves
+
+
+def brute_solve_leaf(g, cfg, stats):
+    """Reference for vertexcolor._solve_leaf: the product of the forest
+    units checked only for neighbor consistency, with one CSP call per
+    consistent full assignment and no forward check or node charge."""
+    f = build_bushy_forest(g)
+    trees, x_set, y_set = build_height_two_forest(g, f)
+    stats.leaves += 1
+    p = len(f.roots)
+    stats.breakdowns.append(
+        (p, len(f.internal) - p, len(f.leaves), len(x_set), 4 * len(trees) + len(y_set))
+    )
+    units = [_bushy_unit(g, f, root) for root in f.roots]
+    units += [_height_two_unit(tree) for tree in trees]
+
+    def consistent(acc, asg):
+        for v, c in asg.items():
+            for u in g.adj[v]:
+                if asg.get(u, acc.get(u)) == c and u != v:
+                    return False
+        return True
+
+    def run(i, acc):
+        if i == len(units):
+            return _residual_solve(g, acc, cfg, stats)
+        for asg in units[i]:
+            if consistent(acc, asg):
+                got = run(i + 1, {**acc, **asg})
+                if got is not None:
+                    return got
+        return None
+
+    return run(0, {})
+
+
+def extension_graph(n, edges, partial):
+    """A graph that is 3-colorable exactly when the partial coloring
+    extends to a proper coloring of (n, edges): a palette triangle
+    n, n+1, n+2, and each colored vertex joined to the two palette
+    vertices of the colors it does not have."""
+    palette = [(n, n + 1), (n, n + 2), (n + 1, n + 2)]
+    pins = [(v, n + d) for v, c in partial.items() for d in (0, 1, 2) if d != c]
+    return n + 3, list(edges) + palette + pins
 
 
 def relabel(rng, inst):

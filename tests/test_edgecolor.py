@@ -252,13 +252,15 @@ def test_edge_color_rejects_unverified_coloring(monkeypatch):
 
 
 def test_node_limit_bounds_the_whole_call():
-    # Unlimited, this graph takes 12 splices and 10 graph+CSP nodes over
-    # three line graphs; a limit of 4 must stop the call as a whole,
-    # not give each line graph a fresh budget.
+    # Unlimited, this graph takes 12 splices and 17 graph+CSP nodes over
+    # three line graphs; every smaller limit must stop the call as a
+    # whole, not give each line graph a fresh budget, including limits
+    # that run out inside a line graph's forward-checked enumeration.
     graph = random_cubic(random.Random(0), 16)
     coloring, stats = edge_color(*graph)
     assert coloring is not None
-    assert (stats.splices, stats.leaves, stats.nodes + stats.csp_nodes) == (12, 3, 10)
-    with pytest.raises(NodeLimitReached) as info:
-        edge_color(*graph, SolverConfig(node_limit=4))
-    assert info.value.stats.spent == 5
+    assert (stats.splices, stats.leaves, stats.nodes + stats.csp_nodes) == (12, 3, 17)
+    for limit in range(stats.spent):
+        with pytest.raises(NodeLimitReached) as info:
+            edge_color(*graph, SolverConfig(node_limit=limit))
+        assert info.value.stats.spent == limit + 1

@@ -7,7 +7,11 @@ rewrite; a refactor that claims identical search must keep them.  The
 two benchmark-scale entries (structured n=50, 3-SAT n=35) were recorded
 before the partner-indexed free-pair search replaced the O(P^2) scan.
 The edge-coloring entries were recorded before the incidence index
-replaced the full edge scans in the splice search.
+replaced the full edge scans in the splice search.  The coloring node
+counts (color_graph, and the last EDGE column) were rerecorded when the
+leaf enumeration gained its forward check: `nodes` now also counts each
+checked partial interior coloring, and `csp_nodes` falls with the leaf
+CSP calls the check prunes.
 """
 
 import random
@@ -44,11 +48,11 @@ SAT = {
 # (generator, seed, n) -> (colorable, splices, skipped_splices, leaves,
 # nodes + csp_nodes)
 EDGE = {
-    ("planted", 1, 24): (True, 84, 18, 5, 21),
-    ("planted", 1, 40): (True, 689, 228, 69, 333),
-    ("random", 0, 16): (True, 12, 5, 3, 10),
-    ("random", 2, 12): (False, 4, 3, 2, 8),
-    ("random", 2, 20): (False, 21, 7, 6, 36),
+    ("planted", 1, 24): (True, 84, 18, 5, 25),
+    ("planted", 1, 40): (True, 689, 228, 69, 495),
+    ("random", 0, 16): (True, 12, 5, 3, 17),
+    ("random", 2, 12): (False, 4, 3, 2, 14),
+    ("random", 2, 20): (False, 21, 7, 6, 72),
 }
 
 
@@ -72,7 +76,15 @@ def test_color_graph_node_count():
     n, edges = planted_3colorable(random.Random(0), 60, 5 / 60)
     res = color_graph(n, edges)
     assert res.colorable
-    assert res.stats.nodes + res.stats.csp_nodes == 246
+    assert (res.stats.nodes, res.stats.csp_nodes, res.stats.csp_calls) == (28, 2, 2)
+
+
+def test_planted_240_needs_one_csp_call():
+    # Before the forward check this graph hit a 200k node limit after
+    # about ten minutes of leaf CSP calls.
+    res = color_graph(*planted_3colorable(random.Random(1), 240, 7 / 240))
+    assert res.colorable
+    assert (res.stats.nodes, res.stats.csp_calls) == (33, 1)
 
 
 @pytest.mark.parametrize("kind,seed,n", sorted(EDGE))

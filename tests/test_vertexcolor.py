@@ -5,11 +5,20 @@ from itertools import combinations
 
 import pytest
 
-from csp32.oracle import brute_vertex_color, planted_3colorable, random_cubic, random_graph
+import csp32.vertexcolor as vertexcolor
+from csp32.edgecolor import edge_color
+from csp32.oracle import (
+    brute_vertex_color,
+    planted_3colorable,
+    planted_cubic_edge_colorable,
+    random_cubic,
+    random_graph,
+)
 from csp32.solver import SolverConfig
 from csp32.vertexcolor import (
     ColorConfig,
     MultiGraph,
+    _forward_refuted,
     build_bushy_forest,
     build_height_two_forest,
     branch_degree3_cycle,
@@ -19,6 +28,7 @@ from csp32.vertexcolor import (
     lift_graph_coloring,
     strip_low_degree,
 )
+from helpers import brute_build_bushy_forest, brute_solve_leaf, extension_graph
 
 
 def proper(edges, coloring):
@@ -248,3 +258,146 @@ def test_color_graph_rejects_unverified_coloring(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="failed verification"):
         color_graph(n, edges)
+
+
+def _leaf_graphs(graphs):
+    """The residues color_graph hands to its leaf stage on these graphs."""
+    seen = []
+    solve_leaf = vertexcolor._solve_leaf
+
+    def record(g, cfg, stats):
+        seen.append(g.copy())
+        return solve_leaf(g, cfg, stats)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vertexcolor, "_solve_leaf", record)
+        for graph in graphs:
+            color_graph(*graph)
+    return seen
+
+
+def _seeded_graphs(count):
+    for seed in range(count):
+        n = 20 + seed % 21
+        yield planted_3colorable(random.Random(seed), n, 7 / n)
+        yield random_graph(random.Random(seed), 12 + seed % 9, (0.3, 0.375, 0.45)[seed % 3])
+
+
+def test_forests_match_brute_reference():
+    residues = _leaf_graphs(_seeded_graphs(80))
+    rooted = adjacent = 0
+    for g in residues:
+        f = build_bushy_forest(g)
+        rooted += bool(f.roots)
+        assert (f.roots, f.parent, f.children, f.internal, f.leaves) == brute_build_bushy_forest(g)
+        assert f.vertices == f.internal | f.leaves
+        trees, x_set, y_set = build_height_two_forest(g, f)
+        outside = set(g.adj) - (f.internal | f.leaves)
+        packed = {v for t in trees for v in (t.root, *t.children)}
+        want_x = {
+            v for v in outside - packed
+            if any(u in f.internal | f.leaves for u in g.adj[v])
+        }
+        assert (x_set, y_set) == (want_x, outside - packed - want_x)
+        adjacent += bool(x_set)
+    assert rooted > 40 and adjacent > 20
+
+
+def _record_csp(monkeypatch):
+    """Patch the leaf CSP calls to log (n, edges, lists) of each one
+    that succeeds."""
+    last, solved = {}, []
+    to_csp, solve = vertexcolor.coloring_to_csp, vertexcolor.solve
+
+    def coloring_to_csp(n, edges, lists):
+        last["args"] = (n, list(edges), {v: set(cs) for v, cs in lists.items()})
+        return to_csp(n, edges, lists)
+
+    def logged_solve(inst, cfg):
+        res = solve(inst, cfg)
+        if res.satisfiable:
+            solved.append(last["args"])
+        return res
+
+    monkeypatch.setattr(vertexcolor, "coloring_to_csp", coloring_to_csp)
+    monkeypatch.setattr(vertexcolor, "solve", logged_solve)
+    return solved
+
+
+def _both_ways(monkeypatch, run):
+    """run() with the forward-checked leaf and with the brute reference:
+    (result, successful CSP arguments, stats) for each."""
+    out = []
+    for leaf in (vertexcolor._solve_leaf, brute_solve_leaf):
+        with monkeypatch.context() as mp:
+            mp.setattr(vertexcolor, "_solve_leaf", leaf)
+            solved = _record_csp(mp)
+            result, stats = run()
+            out.append((result, solved, stats))
+    return out
+
+
+def test_forward_checked_leaf_matches_brute_reference(monkeypatch):
+    def run(graph):
+        res = color_graph(*graph)
+        return (res.colorable, res.coloring), res.stats
+
+    calls = [0, 0]
+    solved = 0
+    for graph in _seeded_graphs(160):
+        (got, got_csp, got_stats), (want, want_csp, want_stats) = _both_ways(
+            monkeypatch, lambda: run(graph)
+        )
+        assert got == want and got_csp == want_csp
+        solved += len(got_csp)
+        assert (got_stats.leaves, got_stats.breakdowns) == (want_stats.leaves, want_stats.breakdowns)
+        assert got_stats.csp_calls <= want_stats.csp_calls
+        calls[0] += got_stats.csp_calls
+        calls[1] += want_stats.csp_calls
+    assert solved > 150
+    assert calls[0] < calls[1] / 2  # the check prunes most leaf CSP calls
+
+
+def test_forward_checked_line_graphs_match_brute_reference(monkeypatch):
+    graphs = [planted_cubic_edge_colorable(random.Random(s), 12 + 2 * (s % 8)) for s in range(20)]
+    graphs += [random_cubic(random.Random(s), 10 + 2 * (s % 4)) for s in range(20)]
+    leaves = solved = 0
+    for graph in graphs:
+        (got, got_csp, got_stats), (want, want_csp, want_stats) = _both_ways(
+            monkeypatch, lambda: edge_color(*graph)
+        )
+        assert got == want and got_csp == want_csp
+        assert (got_stats.splices, got_stats.leaves) == (want_stats.splices, want_stats.leaves)
+        leaves += got_stats.leaves
+        solved += len(got_csp)
+    assert leaves > 50 and solved > 20
+
+
+def test_forward_check_refutes_only_unextendable_colorings():
+    rng = random.Random(31)
+    refuted = kept = 0
+    while refuted < 150:
+        n, edges = random_graph(rng, rng.randint(3, 12), rng.uniform(0.2, 0.6))
+        g = MultiGraph.from_edges(n, edges)
+        partial = {v: rng.randrange(3) for v in range(n) if rng.random() < 0.4}
+        if any(partial.get(u, -1) == partial.get(v, -2) for u, v in edges):
+            continue  # improper partial colorings never reach the check
+        if _forward_refuted(g, partial):
+            refuted += 1
+            assert brute_vertex_color(extension_graph(n, edges, partial)) is None
+        else:
+            kept += 1
+    assert kept > 150
+
+
+def test_enumeration_node_limit_stops_before_any_csp_call():
+    # Every interior coloring of this graph's one leaf is refuted by the
+    # forward check, so the call spends its whole budget enumerating.
+    graph = random_graph(random.Random(186), 24, 0.25)
+    res = color_graph(*graph)
+    assert res.colorable is False
+    assert (res.stats.nodes, res.stats.leaves, res.stats.csp_calls) == (76, 1, 0)
+    for limit in range(res.stats.nodes):
+        res = color_graph(*graph, SolverConfig(node_limit=limit))
+        assert res.colorable is None
+        assert res.stats.csp_calls == 0 and res.stats.spent == limit + 1
