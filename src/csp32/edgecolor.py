@@ -13,8 +13,8 @@ from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Optional
 
-from .graphalg import general_matching
-from .solver import NodeLimitReached, SearchStats, SolverConfig
+from .graphalg import depth_first, general_matching
+from .solver import SearchStats, SolverConfig
 from .vertexcolor import color_graph
 
 Edge = tuple[int, int]
@@ -262,34 +262,26 @@ def _line_graph_solve(
         lg_edges.add((index[a], index[b]))
     res = color_graph(len(ids), sorted(lg_edges), cfg.charge(stats))
     stats.absorb(res.stats)
-    if res.colorable is None:
-        raise NodeLimitReached(stats)
+    cfg.charge(stats)  # raises when the nested coloring ran out
     if not res.colorable:
         return None
     return {eid: res.coloring[index[eid]] for eid in ids}
 
 
-def _splice_search(
-    ei: EdgeInstance, plan: list[int], stats: SearchStats, cfg: SolverConfig
-) -> Optional[dict[int, int]]:
+def _expand(plan: list[int], cfg: SolverConfig, stats: SearchStats, state: tuple):
+    """One splice node; a state is an instance and the plan index to go on from."""
+    ei, start = state
     if ei.unsat:
-        return None
-    for k, eid in enumerate(plan):
-        if not spliceable(ei, eid):
-            stats.skipped_splices += 1
-            continue
-        stats.splices += 1
-        cfg.charge(stats)
-        for child in splice(ei, eid):
-            got = _splice_search(child, plan[k + 1:], stats, cfg)
-            if got is not None:
-                return got
-        return None
+        return None, ()
+    for k in range(start, len(plan)):
+        if spliceable(ei, plan[k]):
+            stats.splices += 1
+            cfg.charge(stats)
+            return None, [(child, k + 1) for child in splice(ei, plan[k])]
+        stats.skipped_splices += 1
     stats.leaves += 1
     colors = _line_graph_solve(ei, cfg, stats)
-    if colors is None:
-        return None
-    return lift_edge_coloring(colors, ei.trace)
+    return (None if colors is None else lift_edge_coloring(colors, ei.trace)), ()
 
 
 def edge_color(
@@ -307,7 +299,7 @@ def edge_color(
         return None, stats
     strip_low_neighbor_edges(ei)
     plan = select_splices(ei)
-    colors = _splice_search(ei, plan, stats, cfg)
+    colors = depth_first((ei, 0), lambda state: _expand(plan, cfg, stats, state))
     if colors is None:
         return None, stats
     if not proper_edge_coloring(edges, [colors.get(i) for i in range(len(edges))]):

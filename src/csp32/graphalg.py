@@ -1,12 +1,14 @@
-"""Classical graph subroutines: matchings and integer maximum flow.
+"""Classical graph subroutines: depth-first search, matchings and flow.
 
-The solver endgame needs bipartite maximum matching, the edge-coloring
-splice selection needs maximum matching in a general graph, and the
-height-two forest construction needs integer maximum flow.  All inputs
-here are tiny (O(n) nodes), so simple augmenting-path methods suffice;
-general matching delegates to networkx's blossom implementation because
-the splice-count guarantee requires a true maximum matching, not a
-maximal one.
+depth_first drives every backtracking search in the package: the
+branch-and-reduce solvers, the coloring pipelines, Kuhn's matching and
+the brute-force oracles.  The solver endgame needs bipartite maximum
+matching, the edge-coloring splice selection needs maximum matching in
+a general graph, and the height-two forest construction needs integer
+maximum flow.  All inputs here are tiny (O(n) nodes), so simple
+augmenting-path methods suffice; general matching delegates to
+networkx's blossom implementation because the splice-count guarantee
+requires a true maximum matching, not a maximal one.
 """
 
 from __future__ import annotations
@@ -15,6 +17,26 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import networkx as nx
+
+
+def depth_first(root, expand):
+    """The first solution found depth-first from root, or None.
+
+    expand(state) returns (solution, children): a solution, or None and
+    the child states to try in order, drawn one at a time.  A stack of
+    child iterators stands in for recursion, so the search depth is not
+    bounded by the recursion limit."""
+    stack = [iter((root,))]
+    while stack:
+        for state in stack[-1]:
+            solution, children = expand(state)
+            if solution is not None:
+                return solution
+            stack.append(iter(children))
+            break
+        else:
+            stack.pop()
+    return None
 
 
 def bipartite_matching(
@@ -36,19 +58,27 @@ def bipartite_matching(
         adj[u] = sorted(set(adj[u]))
 
     match_of_right: dict = {}
+    seen: set = set()
+    free = object()  # the left vertex past an unmatched right vertex
 
-    def try_augment(u, seen: set) -> bool:
+    def expand(state):
+        # a left vertex and the alternating path to it, as nested
+        # ((right, left), rest) pairs; a path ending at free augments
+        u, path = state
+        return (path, ()) if u is free else (None, reach(u, path))
+
+    def reach(u, path):
         for v in adj[u]:
-            if v in seen:
-                continue
-            seen.add(v)
-            if v not in match_of_right or try_augment(match_of_right[v], seen):
-                match_of_right[v] = u
-                return True
-        return False
+            if v not in seen:  # tested lazily: searching a sibling grows seen
+                seen.add(v)
+                yield match_of_right.get(v, free), ((v, u), path)
 
     for u in left:
-        try_augment(u, set())
+        seen.clear()
+        path = depth_first((u, None), expand)
+        while path is not None:
+            (v, w), path = path
+            match_of_right[v] = w
     return {(u, v) for v, u in match_of_right.items()}
 
 

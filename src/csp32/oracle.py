@@ -12,6 +12,7 @@ import random
 from itertools import combinations, product
 from typing import Optional
 
+from .graphalg import depth_first
 from .instance import Assignment, Instance, check
 
 Graph = tuple[int, list[tuple[int, int]]]  # (vertex count, sorted edge list)
@@ -24,30 +25,20 @@ Graph = tuple[int, list[tuple[int, int]]]  # (vertex count, sorted edge list)
 def brute_csp(inst: Instance) -> Optional[Assignment]:
     """Exhaustive backtracking over all colorings, pruning on conflicts."""
     order = inst.variables()
-    asg: Assignment = {}
 
-    def ok(v: int, c: int) -> bool:
-        for q in inst.adj[(v, c)]:
-            if asg.get(q[0]) == q[1]:
-                return False
-        return True
+    def expand(asg: Assignment):
+        if len(asg) == len(order):
+            return asg, ()
+        v = order[len(asg)]
+        return None, (
+            {**asg, v: c}
+            for c in sorted(inst.colors[v])
+            if all(asg.get(w) != d for w, d in inst.adj[(v, c)])
+        )
 
-    def rec(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        for c in sorted(inst.colors[v]):
-            if ok(v, c):
-                asg[v] = c
-                if rec(i + 1):
-                    return True
-                del asg[v]
-        return False
-
-    if rec(0):
-        assert check(inst, asg)
-        return asg
-    return None
+    asg = depth_first({}, expand)
+    assert asg is None or check(inst, asg)
+    return asg
 
 
 def brute_csp_product(inst: Instance) -> Optional[Assignment]:
@@ -69,40 +60,35 @@ def brute_vertex_color(graph: Graph, k: int = 3) -> Optional[dict[int, int]]:
     for u, v in edges:
         nbrs[u].add(v)
         nbrs[v].add(u)
-    coloring: dict[int, int] = {}
 
-    def rec(v: int) -> bool:
+    def expand(coloring: dict[int, int]):
+        v = len(coloring)
         if v == n:
-            return True
-        for c in range(k):
-            if all(coloring.get(w) != c for w in nbrs[v]):
-                coloring[v] = c
-                if rec(v + 1):
-                    return True
-                del coloring[v]
-        return False
+            return coloring, ()
+        return None, (
+            {**coloring, v: c} for c in range(k) if all(coloring.get(w) != c for w in nbrs[v])
+        )
 
-    return coloring if rec(0) else None
+    return depth_first({}, expand)
 
 
 def brute_edge_color(graph: Graph, k: int = 3) -> Optional[dict[tuple[int, int], int]]:
     """Proper k-edge-coloring (edges sharing an endpoint differ), or None."""
     _n, edges = graph
-    coloring: dict[tuple[int, int], int] = {}
+    # the earlier edges that share an endpoint with each edge
+    prior = [[e for e in edges[:i] if u in e or v in e] for i, (u, v) in enumerate(edges)]
 
-    def rec(i: int) -> bool:
+    def expand(state: tuple[int, dict[tuple[int, int], int]]):
+        i, coloring = state
         if i == len(edges):
-            return True
-        u, v = edges[i]
-        for c in range(k):
-            if all(coloring[e] != c for e in edges[:i] if u in e or v in e):
-                coloring[edges[i]] = c
-                if rec(i + 1):
-                    return True
-                del coloring[edges[i]]
-        return False
+            return coloring, ()
+        return None, (
+            (i + 1, {**coloring, edges[i]: c})
+            for c in range(k)
+            if all(coloring[e] != c for e in prior[i])
+        )
 
-    return coloring if rec(0) else None
+    return depth_first((0, {}), expand)
 
 
 Clause = tuple[int, ...]  # nonzero DIMACS-style literals
@@ -110,9 +96,8 @@ Clause = tuple[int, ...]  # nonzero DIMACS-style literals
 
 def brute_sat(nvars: int, clauses: list[Clause]) -> Optional[dict[int, bool]]:
     """Exhaustive SAT over variables 1..nvars with unit clause checking."""
-    asg: dict[int, bool] = {}
 
-    def clause_ok(cl: Clause) -> bool:
+    def clause_ok(asg: dict[int, bool], cl: Clause) -> bool:
         # Satisfied or still open under the partial assignment.
         for lit in cl:
             val = asg.get(abs(lit))
@@ -120,18 +105,17 @@ def brute_sat(nvars: int, clauses: list[Clause]) -> Optional[dict[int, bool]]:
                 return True
         return False
 
-    def rec(v: int) -> bool:
+    def expand(asg: dict[int, bool]):
+        v = len(asg) + 1
         if v > nvars:
-            return True
-        for val in (False, True):
-            asg[v] = val
-            if all(clause_ok(cl) for cl in clauses):
-                if rec(v + 1):
-                    return True
-            del asg[v]
-        return False
+            return asg, ()
+        return None, (
+            new
+            for new in ({**asg, v: False}, {**asg, v: True})
+            if all(clause_ok(new, cl) for cl in clauses)
+        )
 
-    return asg if rec(1) else None
+    return depth_first({}, expand)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from itertools import product
 from typing import Optional
 
 from .analysis import LAMBDA, work_factor
-from .graphalg import bipartite_matching
+from .graphalg import bipartite_matching, depth_first
 from .instance import (
     Assignment,
     Instance,
@@ -640,7 +640,7 @@ class SearchStats:
     csp_nodes: int = 0
     splices: int = 0
     skipped_splices: int = 0  # matched edges whose preconditions broke
-    breakdowns: list = field(default_factory=list)  # (p, q, r, s, t) per coloring leaf
+    breakdowns: tuple = (0, 0, 0, 0, 0)  # max (p, q, r, s, t) split over coloring leaves
 
     @property
     def spent(self) -> int:
@@ -656,7 +656,7 @@ class SearchStats:
         self.fallbacks += sub.fallbacks
         self.splices += sub.splices
         self.skipped_splices += sub.skipped_splices
-        self.breakdowns += sub.breakdowns
+        self.breakdowns = tuple(map(max, self.breakdowns, sub.breakdowns))
 
 
 @dataclass
@@ -680,38 +680,36 @@ def claim_cap(name: str) -> float:
     return CLAIM_CAPS.get(name, LAMBDA)
 
 
-def _search(inst: Instance, stats: SearchStats, cfg: SolverConfig) -> Optional[Assignment]:
+def _expand(cfg: SolverConfig, stats: SearchStats, state: tuple[Instance, LiftTrace]):
+    """One CSP node; a state is an instance and its lift path from the input."""
+    inst, path = state
     stats.nodes += 1
     cfg.charge(stats)
     red, trace = simplify(inst)
     if red is None:
         stats.leaves += 1
-        return None
+        return None, ()
+    path = path + trace
     if red.n == 0:
         stats.leaves += 1
-        return lift({}, trace)
+        return lift({}, path), ()
     got = choose_rule(red, stats)
     if got is None:
         stats.leaves += 1
         stats.rule_counts["matching"] += 1
         sol = matching_solve(red)
-        return lift(sol, trace) if sol is not None else None
+        return (lift(sol, path) if sol is not None else None), ()
     name, children = got
     stats.rule_counts[name] += 1
     if cfg.check_claims:
         vec = live_vector(children)
-        if len(vec) > 1:
-            assert min(vec) > 0, (name, vec)
-            assert work_factor(*vec) <= claim_cap(name) + 1e-6, (name, vec)
-    live = [b for b in children if not b.dead]
+        # raised, not asserted, so the check also runs under python -O
+        if len(vec) > 1 and (min(vec) <= 0 or work_factor(*vec) > claim_cap(name) + 1e-6):
+            raise AssertionError((name, vec))
+    live = [(b.inst, path + b.trace) for b in children if not b.dead]
     if not live:
         stats.leaves += 1
-        return None
-    for b in live:
-        sub = _search(b.inst, stats, cfg)
-        if sub is not None:
-            return lift(lift(sub, b.trace), trace)
-    return None
+    return None, live
 
 
 def solve(inst: Instance, config: Optional[SolverConfig] = None) -> SolveResult:
@@ -721,7 +719,7 @@ def solve(inst: Instance, config: Optional[SolverConfig] = None) -> SolveResult:
     cfg = config or SolverConfig()
     stats = SearchStats()
     try:
-        asg = _search(inst, stats, cfg)
+        asg = depth_first((inst, []), lambda state: _expand(cfg, stats, state))
     except NodeLimitReached:
         return SolveResult(None, None, stats)
     if asg is not None:
@@ -824,8 +822,7 @@ def solve_randomized_d2(
                     r.remove_color(v, c)
         result = solve(r, cfg.charge(stats))
         stats.absorb(result.stats)
-        if result.satisfiable is None:
-            raise NodeLimitReached(stats)
+        cfg.charge(stats)  # raises when the nested solve ran out
         if result.satisfiable:
             return _verified(inst, result.assignment), trial
     return None, budget

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
 
-from .graphalg import FlowNetwork, max_flow
+from .graphalg import FlowNetwork, depth_first, max_flow
 from .solver import NodeLimitReached, SearchStats, SolverConfig, solve
 from .transform import coloring_to_csp
 
@@ -552,19 +552,15 @@ def _bushy_unit(g: MultiGraph, f: BushyForest, root: int) -> list[Coloring]:
         head += 1
     outs: list[Coloring] = []
 
-    def walk(i: int, acc: Coloring):
-        if i == len(order):
-            outs.append(dict(acc))
-            return
-        v = order[i]
+    def expand(acc: Coloring):
+        if len(acc) == len(order):
+            outs.append(acc)
+            return None, ()
+        v = order[len(acc)]
         used = {acc[u] for u in g.adj[v] if u in acc}
-        for c in (0, 1, 2):
-            if c not in used:
-                acc[v] = c
-                walk(i + 1, acc)
-                del acc[v]
+        return None, [{**acc, v: c} for c in (0, 1, 2) if c not in used]
 
-    walk(0, {})
+    depth_first({}, expand)
     return outs
 
 
@@ -605,9 +601,8 @@ def _solve_leaf(g: MultiGraph, cfg: SolverConfig, stats: SearchStats):
     trees, x_set, y_set = build_height_two_forest(g, f)
     stats.leaves += 1
     p = len(f.roots)
-    stats.breakdowns.append(
-        (p, len(f.internal) - p, len(f.leaves), len(x_set), 4 * len(trees) + len(y_set))
-    )
+    split = (p, len(f.internal) - p, len(f.leaves), len(x_set), 4 * len(trees) + len(y_set))
+    stats.breakdowns = tuple(map(max, stats.breakdowns, split))
     if f.roots:
         # coverage guarantee for a maximal forest in a cycle-free residue
         assert len(g.adj) - len(f.vertices) <= 20 * len(f.leaves) / 3 + 1e-9
@@ -622,21 +617,23 @@ def _solve_leaf(g: MultiGraph, cfg: SolverConfig, stats: SearchStats):
                     return False
         return True
 
-    def run(i: int, acc: Coloring) -> Optional[Coloring]:
-        if i == len(units):
-            return _residual_solve(g, acc, cfg, stats)
+    def extensions(i: int, acc: Coloring):
+        # lazy: a partial coloring is charged once its predecessor is searched
         for asg in units[i]:
             if consistent(acc, asg):
                 merged = {**acc, **asg}
-                stats.nodes += 1  # as _search counts a child simplify refutes
+                stats.nodes += 1  # as a CSP node counts a child simplify refutes
                 cfg.charge(stats)
                 if not _forward_refuted(g, merged):
-                    got = run(i + 1, merged)
-                    if got is not None:
-                        return got
-        return None
+                    yield i + 1, merged
 
-    return run(0, {})
+    def expand(state):
+        i, acc = state
+        if i == len(units):
+            return _residual_solve(g, acc, cfg, stats), ()
+        return None, extensions(i, acc)
+
+    return depth_first((0, {}), expand)
 
 
 def _residue_lists(g: MultiGraph, colored: Coloring) -> dict[int, set[int]]:
@@ -682,8 +679,7 @@ def _residual_solve(g, colored: Coloring, cfg, stats) -> Optional[Coloring]:
     inst = coloring_to_csp(len(rest), edges, lists)
     res = solve(inst, cfg.charge(stats))
     stats.absorb(res.stats, csp=True)
-    if res.satisfiable is None:
-        raise NodeLimitReached(stats)
+    cfg.charge(stats)  # raises when the nested solve ran out
     if not res.satisfiable:
         return None
     full = dict(colored)
@@ -692,31 +688,24 @@ def _residual_solve(g, colored: Coloring, cfg, stats) -> Optional[Coloring]:
     return full
 
 
-def _color_search(
-    g: MultiGraph, steps: list, cfg: SolverConfig, stats: SearchStats
-) -> Optional[Coloring]:
+def _expand(cfg: SolverConfig, stats: SearchStats, state: tuple[MultiGraph, list]):
+    """One graph node; a state is a graph and its lift steps from the input."""
+    g, steps = state
     stats.nodes += 1
     cfg.charge(stats)
     strip_low_degree(g, steps)
     if not g.adj:
-        return lift_graph_coloring({}, steps)
+        return lift_graph_coloring({}, steps), ()
     branch = branch_degree3_cycle(g)
     if branch is None:
         branch = branch_degree3_tree(g)
     if branch is not None:
-        for child, extra in branch:
-            got = _color_search(child, steps + extra, cfg, stats)
-            if got is not None:
-                return got
-        return None
+        return None, [(child, steps + extra) for child, extra in branch]
     leaf = _solve_leaf(g, cfg, stats)
     if leaf is None:
-        return None
-    expanded: Coloring = {}
-    for v, c in leaf.items():
-        for m in g.members[v]:
-            expanded[m] = c
-    return lift_graph_coloring(expanded, steps)
+        return None, ()
+    expanded = {m: c for v, c in leaf.items() for m in g.members[v]}
+    return lift_graph_coloring(expanded, steps), ()
 
 
 def color_graph(
@@ -731,7 +720,7 @@ def color_graph(
     stats = SearchStats()
     g = MultiGraph.from_edges(n, edges)
     try:
-        coloring = _color_search(g, [], cfg, stats)
+        coloring = depth_first((g, []), lambda state: _expand(cfg, stats, state))
     except NodeLimitReached:
         return ColorResult(None, None, stats)
     if coloring is None:

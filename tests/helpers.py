@@ -252,9 +252,8 @@ def brute_solve_leaf(g, cfg, stats):
     trees, x_set, y_set = build_height_two_forest(g, f)
     stats.leaves += 1
     p = len(f.roots)
-    stats.breakdowns.append(
-        (p, len(f.internal) - p, len(f.leaves), len(x_set), 4 * len(trees) + len(y_set))
-    )
+    split = (p, len(f.internal) - p, len(f.leaves), len(x_set), 4 * len(trees) + len(y_set))
+    stats.breakdowns = tuple(map(max, stats.breakdowns, split))
     units = [_bushy_unit(g, f, root) for root in f.roots]
     units += [_height_two_unit(tree) for tree in trees]
 

@@ -1,6 +1,7 @@
 """Edge 3-coloring of degree-at-most-three graphs via vertex splicing."""
 
 import random
+import sys
 from itertools import combinations, product
 
 import pytest
@@ -264,3 +265,17 @@ def test_node_limit_bounds_the_whole_call():
         with pytest.raises(NodeLimitReached) as info:
             edge_color(*graph, SolverConfig(node_limit=limit))
         assert info.value.stats.spent == limit + 1
+
+
+def test_deep_splice_plan_ends_in_a_verdict():
+    # The splice plan of planted n=400 is about 200 edges deep, deeper
+    # than this recursion limit allows any recursive search to go.
+    graph = planted_cubic_edge_colorable(random.Random(1), 400)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        with pytest.raises(NodeLimitReached) as info:
+            edge_color(*graph, SolverConfig(node_limit=300))
+    finally:
+        sys.setrecursionlimit(old)
+    assert info.value.stats.spent == 301

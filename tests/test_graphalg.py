@@ -1,11 +1,19 @@
-"""Matching and max-flow subroutines against brute-force references."""
+"""Depth-first driver, and matching and max-flow subroutines against
+brute-force references."""
 
 import random
+import sys
 from itertools import combinations
 
 import pytest
 
-from csp32.graphalg import FlowNetwork, bipartite_matching, general_matching, max_flow
+from csp32.graphalg import (
+    FlowNetwork,
+    bipartite_matching,
+    depth_first,
+    general_matching,
+    max_flow,
+)
 
 
 def brute_max_matching(nodes, edges):
@@ -102,3 +110,46 @@ def test_max_flow_matches_bipartite_matching():
             list(range(nl)), [f"r{v}" for v in range(nr)], edges
         )
         assert value == len(want), trial
+
+
+def test_bipartite_matching_deep_alternating_search():
+    # Left i sees right i-1, then right i.  Before it takes right i, each
+    # left vertex's search walks back down the whole staircase of earlier
+    # pairs, deeper than this recursion limit allows a recursive search.
+    n = 400
+    edges = [(0, 0)] + [(i, j) for i in range(1, n) for j in (i - 1, i)]
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        got = bipartite_matching(list(range(n)), list(range(n)), edges)
+    finally:
+        sys.setrecursionlimit(old)
+    assert got == {(i, i) for i in range(n)}
+
+
+def test_depth_first_follows_a_deep_chain():
+    # Each state has one child; the stack of iterators, not the call
+    # stack, grows with depth.
+    depth = 100_000
+    assert depth_first(0, lambda k: (f"leaf {k}", ()) if k == depth else (None, [k + 1])) == f"leaf {depth}"
+    assert depth_first(0, lambda k: (None, [k + 1] if k < depth else [])) is None
+
+
+def test_depth_first_stops_at_the_first_solution():
+    # Children come from generators that log every state they hand out:
+    # the search visits states in depth-first order, returns the first
+    # solution and never draws a child after it.
+    tree = {"": "ab", "a": "xy", "b": "xy", "ax": "", "ay": "", "bx": "", "by": ""}
+    solutions = {"ay", "bx"}
+    drawn = []
+
+    def children(state):
+        for c in tree[state]:
+            drawn.append(state + c)
+            yield state + c
+
+    def expand(state):
+        return (state if state in solutions else None), children(state)
+
+    assert depth_first("", expand) == "ay"
+    assert drawn == ["a", "ax", "ay"]

@@ -267,3 +267,7 @@ def test_absorb_folds_nested_counts():
     edge.absorb(graph)
     assert (edge.nodes, edge.leaves, edge.csp_calls, edge.csp_nodes) == (1, 1, 1, 3)
     assert (edge.splices, edge.skipped_splices, edge.spent) == (2, 1, 6)
+    # leaf splits fold into one componentwise max
+    edge.absorb(SearchStats(breakdowns=(1, 5, 0, 2, 0)))
+    edge.absorb(SearchStats(breakdowns=(3, 1, 0, 0, 4)))
+    assert edge.breakdowns == (3, 5, 0, 2, 4)

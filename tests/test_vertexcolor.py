@@ -1,7 +1,11 @@
 """Graph 3-coloring pipeline: reductions, forests, and end-to-end solving."""
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -156,8 +160,9 @@ def test_bushy_forest_invariants():
 
 
 def test_leaf_stage_records_breakdowns():
-    # Dense random graphs reach the forest/leaf stage; every leaf logs
-    # its vertex accounting and hands the rest to the CSP solver.
+    # Dense random graphs reach the forest/leaf stage; the stats keep the
+    # componentwise max of the leaves' vertex accounting, one 5-tuple
+    # however many leaves there are.
     rng = random.Random(23)
     saw_breakdown = False
     for _ in range(40):
@@ -165,10 +170,10 @@ def test_leaf_stage_records_breakdowns():
         res = color_graph(n, edges)
         want = brute_vertex_color((n, edges))
         assert res.colorable == (want is not None)
-        if res.stats.breakdowns:
-            saw_breakdown = True
-            for br in res.stats.breakdowns:
-                assert len(br) == 5 and all(v >= 0 for v in br)
+        br = res.stats.breakdowns
+        assert len(br) == 5 and all(0 <= v <= n for v in br)
+        assert any(br) == (res.stats.leaves > 0)
+        saw_breakdown |= any(br)
     assert saw_breakdown
 
 
@@ -233,6 +238,26 @@ def test_check_claims_reaches_the_leaf_csp(monkeypatch):
     assert color_graph(*graph).colorable
     with pytest.raises(AssertionError):
         color_graph(*graph, SolverConfig(check_claims=True))
+
+
+def test_check_claims_survives_python_O():
+    # The same check in a python -O subprocess, which drops assert
+    # statements: the claim check must still raise.
+    code = (
+        "import random\n"
+        "from csp32 import solver\n"
+        "from csp32.oracle import planted_3colorable\n"
+        "from csp32.vertexcolor import color_graph\n"
+        "solver.claim_cap = lambda name: 0.0\n"
+        "graph = planted_3colorable(random.Random(86), 20, 0.25)\n"
+        "color_graph(*graph, solver.SolverConfig(check_claims=True))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(vertexcolor.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 1
+    assert "AssertionError: ('dangling', [" in run.stderr
 
 
 def test_claim_checked_coloring_matches_brute_force():
