@@ -6,15 +6,14 @@ T(n) = sum T(n - r_i), whose solution is lambda^n where lambda is the
 largest zero of f(x) = 1 - sum x^(-r_i).  Everything here evaluates such
 work factors and the composed time bounds for the coloring pipelines.
 The solver never consumes these values at runtime; they exist as an
-independent cross-check of the branching design.
+independent cross-check of the branching design.  worst_case_breakdown,
+the one user of scipy, imports it itself, so the package loads no scipy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.optimize import linprog
 
 #: Size weight deficit of a four-color variable: a variable with four
 #: colors counts 2 - EPSILON toward instance size, a three-color variable
@@ -190,6 +189,8 @@ def worst_case_breakdown() -> dict[str, float]:
     maximizer must sit at s = 2r, s + t = 20r/3, p = 0, r = 2q, and the
     optimum must equal the closed-form vertex bound.
     """
+    from scipy.optimize import linprog
+
     lam = LAMBDA
     # Variables p, q, r, s, t; maximize c.x => minimize -c.x.
     c = [math.log(3), math.log(2), 0.0, math.log(lam), math.log(3 * lam**3) / 7]

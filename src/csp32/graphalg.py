@@ -8,15 +8,14 @@ a general graph, and the height-two forest construction needs integer
 maximum flow.  All inputs here are tiny (O(n) nodes), so simple
 augmenting-path methods suffice; general matching delegates to
 networkx's blossom implementation because the splice-count guarantee
-requires a true maximum matching, not a maximal one.
+requires a true maximum matching, not a maximal one.  general_matching
+imports networkx itself, so only edge_color's splice selection loads it.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-
-import networkx as nx
 
 
 def depth_first(root, expand):
@@ -84,6 +83,8 @@ def bipartite_matching(
 
 def general_matching(nodes: list, edges: list[tuple]) -> set[tuple]:
     """Maximum-cardinality matching in a general graph (blossom algorithm)."""
+    import networkx as nx
+
     g = nx.Graph()
     g.add_nodes_from(sorted(nodes))
     g.add_edges_from(sorted(tuple(sorted(e)) for e in edges))

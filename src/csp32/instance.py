@@ -14,7 +14,7 @@ the original one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import islice
 from typing import Iterable, Optional
 
 from .analysis import EPSILON
@@ -279,13 +279,20 @@ def eliminate_two_color(inst: Instance, v: int) -> TwoColorEliminated:
     if len(cs) != 2:
         raise ValueError(f"variable {v} has {len(cs)} colors, expected 2")
     r, g = cs
-    conflict_r = sorted(inst.adj[(v, r)])
-    conflict_g = sorted(inst.adj[(v, g)])
+    adj = inst.adj
+    conflict_r = sorted(adj[(v, r)])
+    conflict_g = sorted(adj[(v, g)])
     inst.remove_variable(v)
-    for a, b in product(conflict_r, conflict_g):
-        # Pairs may have vanished if a prior product removed a color.
-        if a in inst.adj and b in inst.adj:
-            inst.add_constraint(a, b)
+    # add_constraint inlined: a pair in both lists is removed, then skipped.
+    for a in conflict_r:
+        hit = adj[a]
+        for b in conflict_g:
+            if b == a:
+                inst.remove_color(*a)
+                break
+            if b[0] != a[0] and b in adj:
+                hit.add(b)
+                adj[b].add(a)
     return TwoColorEliminated(v, r, g, tuple(conflict_r), tuple(conflict_g))
 
 
@@ -351,14 +358,15 @@ def find_dominated(inst: Instance) -> Optional[tuple[int, int, int]]:
 
 
 def find_dead_color(inst: Instance) -> Optional[Pair]:
-    """A pair constrained against every available color of another variable
-    can never be used."""
+    """A pair that hits as many colors of another variable as it has, so all
+    of them (its hits are available pairs), can never be used."""
+    colors = inst.colors
     for p in inst.pairs():
-        by_var: dict[int, set[int]] = {}
-        for (w, c) in inst.adj[p]:
-            by_var.setdefault(w, set()).add(c)
-        for w, hit in by_var.items():
-            if hit == inst.colors[w]:
+        hits: dict[int, int] = {}
+        for w, _c in inst.adj[p]:
+            hits[w] = hits.get(w, 0) + 1
+        for w, k in hits.items():
+            if k == len(colors[w]):
                 return p
     return None
 

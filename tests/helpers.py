@@ -7,8 +7,9 @@ family of fuzz inputs for that rule.
 """
 
 import random
+from itertools import product
 
-from csp32.instance import Instance, measure, simplify
+from csp32.instance import Instance, TwoColorEliminated, measure, simplify
 from csp32.analysis import work_factor
 from csp32.oracle import brute_csp
 from csp32.solver import (
@@ -154,6 +155,33 @@ def brute_free_pair(inst):
                 t[0] == v and t[1] != x for t in inst.adj[q]
             ):
                 return p, q
+    return None
+
+
+def brute_eliminate_two_color(inst, v):
+    """Reference for instance.eliminate_two_color: one add_constraint call
+    per product of a conflict of R with a conflict of G, in product order."""
+    r, g = sorted(inst.colors[v])
+    conflict_r = sorted(inst.adj[(v, r)])
+    conflict_g = sorted(inst.adj[(v, g)])
+    inst.remove_variable(v)
+    for a, b in product(conflict_r, conflict_g):
+        # Pairs may have vanished if a prior product removed a color.
+        if a in inst.adj and b in inst.adj:
+            inst.add_constraint(a, b)
+    return TwoColorEliminated(v, r, g, tuple(conflict_r), tuple(conflict_g))
+
+
+def brute_dead_color(inst):
+    """Reference for instance.find_dead_color: the set of colors each pair
+    hits per variable, compared with that variable's colors."""
+    for p in inst.pairs():
+        by_var = {}
+        for (w, c) in inst.adj[p]:
+            by_var.setdefault(w, set()).add(c)
+        for w, hit in by_var.items():
+            if hit == inst.colors[w]:
+                return p
     return None
 
 

@@ -19,7 +19,7 @@ from csp32.instance import (
 )
 from csp32.oracle import brute_csp, random_csp, structured_csp
 
-from helpers import brute_free_pair
+from helpers import brute_dead_color, brute_eliminate_two_color, brute_free_pair
 
 
 def small(colors, cons=()):
@@ -151,6 +151,39 @@ def test_dead_color_detection():
         [((0, 0), (1, 0)), ((0, 0), (1, 1))],
     )
     assert find_dead_color(inst) == (0, 0)
+
+
+def test_dead_color_matches_brute_reference():
+    rng = random.Random(7)
+    found = 0
+    for _ in range(3000):
+        inst = random_free_pair_instance(rng)
+        got = find_dead_color(inst)
+        assert got == brute_dead_color(inst), inst.constraints()
+        found += got is not None
+    assert min(found, 3000 - found) >= 300, found
+
+
+def test_two_color_elimination_matches_brute_reference():
+    rng = random.Random(11)
+    removed = same_var = 0
+    for _ in range(3000):
+        inst = random_free_pair_instance(rng)
+        for v in [v for v, cs in inst.colors.items() if len(cs) == 2]:
+            fast, slow = inst.copy(), inst.copy()
+            step = eliminate_two_color(fast, v)
+            assert step == brute_eliminate_two_color(slow, v)
+            assert fast.colors == slow.colors
+            # Same sets built by the same insertions: same iteration order.
+            assert {p: list(qs) for p, qs in fast.adj.items()} == {
+                p: list(qs) for p, qs in slow.adj.items()
+            }
+            removed += bool(set(step.conflict_r) & set(step.conflict_g))
+            same_var += any(
+                a[0] == b[0] and a != b for a in step.conflict_r for b in step.conflict_g
+            )
+    # Both of add_constraint's degenerate forms come up, not just plain products.
+    assert min(removed, same_var) >= 200, (removed, same_var)
 
 
 def test_two_color_elimination_products_conflicts():
