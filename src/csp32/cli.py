@@ -4,7 +4,8 @@ File formats: CSP instances as JSON ({"variables": [{"id": 0, "colors":
 ["R", "G", "B"]}, ...], "constraints": [[[0, "R"], [1, "R"]], ...]}),
 graphs as DIMACS .col (p edge N M / e U V lines, 1-indexed), CNF as
 DIMACS .cnf.  Exit codes: 0 solved/satisfiable, 1 unsatisfiable or no
-solution found, 2 usage or input error, 3 resource limit reached.
+solution found, 2 usage or input error, or a solution that failed the
+library's verification, 3 resource limit reached.
 """
 
 from __future__ import annotations
@@ -14,14 +15,14 @@ import json
 import random
 import sys
 import time
-from dataclasses import asdict, dataclass
 from typing import Optional
 
 from . import analysis, oracle
-from .instance import Instance, check
+from .instance import Instance
 from .solver import (
     NodeLimitReached,
     SearchStats,
+    SolveResult,
     SolverConfig,
     solve,
     solve_randomized_32,
@@ -29,7 +30,7 @@ from .solver import (
 )
 from .transform import coloring_to_csp, dualize, GeneralCSP, sat_to_csp
 from .vertexcolor import color_graph
-from .edgecolor import edge_color, proper_edge_coloring
+from .edgecolor import edge_color
 
 try:  # pragma: no cover - metadata lookup
     from importlib.metadata import version as _pkg_version
@@ -54,7 +55,8 @@ class InputError(Exception):
 
 def load_csp_json(path: str) -> tuple[Instance, dict[int, object]]:
     """Read the JSON instance format; returns the instance and a map from
-    internal color ints back to the file's color tokens."""
+    internal color ints back to the file's color tokens.  Errors name the
+    offending entry (variables[i], constraints[i])."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -62,28 +64,33 @@ def load_csp_json(path: str) -> tuple[Instance, dict[int, object]]:
         raise InputError(str(exc))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
-    if not isinstance(data, dict) or "variables" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("variables"), list):
         raise InputError(f"{path}: top-level object needs a 'variables' list")
-    tokens = set()
+    constraints = data.get("constraints", [])
+    if not isinstance(constraints, list):
+        raise InputError(f"{path}: 'constraints' is not a list")
     domains: dict[int, list] = {}
     for i, var in enumerate(data["variables"]):
         if not isinstance(var, dict) or "id" not in var or "colors" not in var:
             raise InputError(f"{path}: variables[{i}] needs 'id' and 'colors'")
-        if var["id"] in domains:
-            raise InputError(f"{path}: variables[{i}]: duplicate id {var['id']}")
-        domains[var["id"]] = list(var["colors"])
-        tokens.update(var["colors"])
-    to_int = {tok: i for i, tok in enumerate(sorted(tokens, key=str))}
-    inst = Instance.build(
-        {v: {to_int[c] for c in cs} for v, cs in domains.items()}
-    )
-    for i, con in enumerate(data.get("constraints", [])):
+        vid, colors = var["id"], var["colors"]
+        if type(vid) is not int:
+            raise InputError(f"{path}: variables[{i}]: id {vid!r} is not an integer")
+        if not isinstance(colors, list) or any(isinstance(c, (list, dict)) for c in colors):
+            raise InputError(f"{path}: variables[{i}]: 'colors' is not a list of scalars")
+        if vid in domains:
+            raise InputError(f"{path}: variables[{i}]: duplicate id {vid}")
+        domains[vid] = colors
+    tokens = sorted({c for cs in domains.values() for c in cs}, key=str)
+    to_int = {tok: i for i, tok in enumerate(tokens)}
+    inst = Instance.build({v: {to_int[c] for c in cs} for v, cs in domains.items()})
+    for i, con in enumerate(constraints):
         try:
             (va, ca), (vb, cb) = con
         except (TypeError, ValueError):
             raise InputError(f"{path}: constraints[{i}] is not a pair of pairs")
         for v, c in ((va, ca), (vb, cb)):
-            if v not in domains or c not in to_int or to_int[c] not in inst.colors.get(v, ()):
+            if not isinstance(v, int) or v not in domains or c not in domains[v]:
                 raise InputError(
                     f"{path}: constraints[{i}]: unknown pair ({v!r}, {c!r})"
                 )
@@ -109,75 +116,68 @@ def emit_csp_json(inst: Instance, names: Optional[dict[int, object]] = None) -> 
     }
 
 
-def load_col(path: str) -> tuple[int, list[tuple[int, int]]]:
-    n = None
-    edges = []
+def _read_dimacs(path: str, fmt: str, counts: str) -> tuple[int, list]:
+    """The first count on a DIMACS file's 'p FMT ...' line (counts names
+    its fields in messages) and the data lines after it as (file:line,
+    fields); comment and blank lines are skipped."""
     try:
         with open(path) as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise InputError(str(exc))
+    count, body = None, []
     for no, line in enumerate(lines, 1):
-        parts = line.split()
+        parts, where = line.split(), f"{path}:{no}"
         if not parts or parts[0] == "c":
             continue
         if parts[0] == "p":
-            if len(parts) != 4 or parts[1] != "edge":
-                raise InputError(f"{path}:{no}: expected 'p edge N M'")
-            n = int(parts[2])
-        elif parts[0] == "e":
-            if n is None:
-                raise InputError(f"{path}:{no}: edge before the 'p' line")
-            try:
-                u, v = int(parts[1]) - 1, int(parts[2]) - 1
-            except (IndexError, ValueError):
-                raise InputError(f"{path}:{no}: expected 'e U V'")
-            if not (0 <= u < n and 0 <= v < n) or u == v:
-                raise InputError(f"{path}:{no}: bad edge {parts[1]} {parts[2]}")
-            edges.append(tuple(sorted((u, v))))
+            if len(parts) != 4 or parts[1] != fmt or not (parts[2] + parts[3]).isdecimal():
+                raise InputError(f"{where}: expected 'p {fmt} {counts}'")
+            count = int(parts[2])
+        elif count is None:
+            raise InputError(f"{where}: data before the 'p' line")
         else:
-            raise InputError(f"{path}:{no}: unrecognized line {parts[0]!r}")
-    if n is None:
-        raise InputError(f"{path}: missing 'p edge' line")
-    return n, sorted(set(edges))
+            body.append((where, parts))
+    if count is None:
+        raise InputError(f"{path}: missing 'p {fmt}' line")
+    return count, body
+
+
+def load_col(path: str) -> tuple[int, list[tuple[int, int]]]:
+    n, body = _read_dimacs(path, "edge", "N M")
+    edges = set()
+    for where, parts in body:
+        if parts[0] != "e":
+            raise InputError(f"{where}: unrecognized line {parts[0]!r}")
+        try:
+            u, v = int(parts[1]) - 1, int(parts[2]) - 1
+        except (IndexError, ValueError):
+            raise InputError(f"{where}: expected 'e U V'")
+        if not (0 <= u < n and 0 <= v < n) or u == v:
+            raise InputError(f"{where}: bad edge {parts[1]} {parts[2]}")
+        edges.add((min(u, v), max(u, v)))
+    return n, sorted(edges)
 
 
 def load_cnf(path: str) -> tuple[int, list[tuple[int, ...]]]:
-    nvars = None
+    nvars, body = _read_dimacs(path, "cnf", "V C")
     clauses: list[tuple[int, ...]] = []
     lits: list[int] = []
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise InputError(str(exc))
-    for no, line in enumerate(lines, 1):
-        parts = line.split()
-        if not parts or parts[0] == "c":
-            continue
-        if parts[0] == "p":
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise InputError(f"{path}:{no}: expected 'p cnf V C'")
-            nvars = int(parts[2])
-            continue
-        if nvars is None:
-            raise InputError(f"{path}:{no}: clause before the 'p' line")
+    for where, parts in body:
         for tokn in parts:
             try:
                 lit = int(tokn)
             except ValueError:
-                raise InputError(f"{path}:{no}: bad literal {tokn!r}")
+                raise InputError(f"{where}: bad literal {tokn!r}")
             if lit == 0:
                 clauses.append(tuple(lits))
                 lits = []
             elif 1 <= abs(lit) <= nvars:
                 lits.append(lit)
             else:
-                raise InputError(f"{path}:{no}: literal {lit} out of range")
+                raise InputError(f"{where}: literal {lit} out of range")
     if lits:
         clauses.append(tuple(lits))
-    if nvars is None:
-        raise InputError(f"{path}: missing 'p cnf' line")
     return nvars, clauses
 
 
@@ -185,52 +185,45 @@ def load_cnf(path: str) -> tuple[int, list[tuple[int, ...]]]:
 # Reporting
 
 
-@dataclass
-class RunReport:
-    input: str
-    mode: str
-    result: str  # sat | unsat | not-found | limit
-    solution: Optional[dict]
-    stats: Optional[dict]
-    wall_time_s: float
-    seed: Optional[int]
-    version: str
-
-    def emit(self, as_json: bool, show_stats: bool):
-        if as_json:
-            payload = asdict(self)
-            if not show_stats:
-                payload.pop("stats")
-            print(json.dumps(payload, sort_keys=True))
-            return
-        print(f"{self.result}")
-        if self.solution is not None:
-            print(json.dumps(self.solution, sort_keys=True))
-        if show_stats and self.stats is not None:
-            print(json.dumps(self.stats, sort_keys=True))
-
-
 VERDICT = {True: "sat", False: "unsat", None: "limit"}
+EXIT_CODE = {
+    "sat": EXIT_SAT, "unsat": EXIT_UNSAT, "not-found": EXIT_UNSAT, "limit": EXIT_LIMIT,
+}
 
 
-def _report(args, t0: float, result: str, solution, stats, mode="det", seed=None) -> int:
-    """Print the run report and return its exit code.  A SearchStats
-    prints as the one --stats schema shared by every solver: its fields."""
-    if isinstance(stats, SearchStats):
-        stats = asdict(stats)
-        stats["rule_counts"] = dict(sorted(stats["rule_counts"].items()))
-    RunReport(
-        args.file, mode, result, solution, stats,
-        time.perf_counter() - t0, seed, VERSION,
-    ).emit(args.json, args.stats)
-    return {"sat": EXIT_SAT, "unsat": EXIT_UNSAT, "not-found": EXIT_UNSAT}.get(
-        result, EXIT_LIMIT
-    )
+def _limited(run, miss: str):
+    """Call a solver that returns (solution, SearchStats) and raises
+    NodeLimitReached; returns (solution, stats, verdict), where miss is
+    the verdict when it finds no solution."""
+    try:
+        solution, stats = run()
+    except NodeLimitReached as exc:
+        return None, exc.stats, "limit"
+    return solution, stats, "sat" if solution is not None else miss
 
 
-def _failed_verification() -> int:
-    print("solution failed verification", file=sys.stderr)
-    return EXIT_USAGE
+def _report(args, t0: float, result: str, solution, stats: SearchStats) -> int:
+    """Print the run report and return its exit code.  --stats prints the
+    one schema shared by every solver: the SearchStats fields."""
+    # not asdict, which rebuilds the rule_counts Counter from (rule, count) pairs
+    stats = dict(vars(stats), rule_counts=dict(sorted(stats.rule_counts.items())))
+    if args.json:
+        report = {
+            "input": args.file, "mode": getattr(args, "mode", "det"),
+            "result": result, "solution": solution,
+            "wall_time_s": time.perf_counter() - t0,
+            "seed": getattr(args, "seed", None), "version": VERSION,
+        }
+        if args.stats:
+            report["stats"] = stats
+        print(json.dumps(report, sort_keys=True))
+    else:
+        print(result)
+        if solution is not None:
+            print(json.dumps(solution, sort_keys=True))
+        if args.stats:
+            print(json.dumps(stats, sort_keys=True))
+    return EXIT_CODE[result]
 
 
 # ---------------------------------------------------------------------------
@@ -242,51 +235,36 @@ def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     cfg = SolverConfig(node_limit=args.node_limit)
     if args.mode == "det":
-        res = solve(inst.copy(), cfg)
+        res = solve(inst, cfg)
         asg, stats, result = res.assignment, res.stats, VERDICT[res.satisfiable]
     else:
         d = max((len(cs) for cs in inst.colors.values()), default=0)
         runner = solve_randomized_32 if d <= 3 else solve_randomized_d2
-        try:
-            asg, trials = runner(inst.copy(), seed=args.seed, config=cfg)
-            result = "sat" if asg is not None else "not-found"
-        except NodeLimitReached:
-            asg, trials, result = None, None, "limit"
-        stats = {"trials": trials}
-    solution = None
-    if asg is not None:
-        if args.verify and not check(inst, asg):
-            return _failed_verification()
-        solution = {str(v): names.get(c, c) for v, c in sorted(asg.items())}
-    return _report(args, t0, result, solution, stats, args.mode, args.seed)
+        asg, stats, result = _limited(
+            lambda: runner(inst, seed=args.seed, config=cfg), "not-found"
+        )
+    solution = None if asg is None else {
+        str(v): names.get(c, c) for v, c in sorted(asg.items())
+    }
+    return _report(args, t0, result, solution, stats)
 
 
 def cmd_color(args) -> int:
     n, edges = load_col(args.file)
     t0 = time.perf_counter()
     res = color_graph(n, edges, SolverConfig(node_limit=args.node_limit))
-    result = VERDICT[res.colorable]
-    solution = None
-    if res.coloring is not None:
-        if args.verify and any(res.coloring[u] == res.coloring[v] for u, v in edges):
-            return _failed_verification()
-        solution = {str(v): res.coloring[v] for v in range(n)}
-    return _report(args, t0, result, solution, res.stats)
+    solution = None if res.coloring is None else {str(v): res.coloring[v] for v in range(n)}
+    return _report(args, t0, VERDICT[res.colorable], solution, res.stats)
 
 
 def cmd_edge_color(args) -> int:
     n, edges = load_col(args.file)
     t0 = time.perf_counter()
-    try:
-        colors, stats = edge_color(n, edges, SolverConfig(node_limit=args.node_limit))
-        result = "sat" if colors is not None else "unsat"
-    except NodeLimitReached as exc:
-        colors, stats, result = None, exc.stats, "limit"
-    solution = None
-    if colors is not None:
-        if args.verify and not proper_edge_coloring(edges, [colors.get(e) for e in edges]):
-            return _failed_verification()
-        solution = {f"{u}-{v}": c for (u, v), c in sorted(colors.items())}
+    cfg = SolverConfig(node_limit=args.node_limit)
+    colors, stats, result = _limited(lambda: edge_color(n, edges, cfg), "unsat")
+    solution = None if colors is None else {
+        f"{u}-{v}": c for (u, v), c in sorted(colors.items())
+    }
     return _report(args, t0, result, solution, stats)
 
 
@@ -296,22 +274,18 @@ def cmd_sat(args) -> int:
         raise InputError(f"{args.file}: clauses of size > 3 are not supported")
     t0 = time.perf_counter()
     inst, smap = sat_to_csp(nvars, clauses)
-    stats = SearchStats()  # stays empty when sat_to_csp refutes the formula
-    if inst is None:
-        result, model = "unsat", None
+    if inst is None:  # refuted by sat_to_csp itself, with no search
+        res = SolveResult(False, None, SearchStats())
     else:
-        res = solve(inst.copy(), SolverConfig(node_limit=args.node_limit))
-        stats = res.stats
-        result = VERDICT[res.satisfiable]
-        model = smap.decode(res.assignment) if res.satisfiable else None
+        res = solve(inst, SolverConfig(node_limit=args.node_limit))
     solution = None
-    if model is not None:
-        if args.verify and not all(
-            any(model[abs(l)] == (l > 0) for l in cl) for cl in clauses
-        ):
-            return _failed_verification()
+    if res.satisfiable:
+        model = smap.decode(res.assignment)
+        # solve checked the CSP solution; this checks its decoding
+        if not all(any(model[abs(l)] == (l > 0) for l in cl) for cl in clauses):
+            raise RuntimeError("model failed verification against the formula")
         solution = {str(x): model[x] for x in sorted(model)}
-    return _report(args, t0, result, solution, stats)
+    return _report(args, t0, VERDICT[res.satisfiable], solution, res.stats)
 
 
 def cmd_translate(args) -> int:
@@ -379,7 +353,7 @@ def _fuzz_one(kind: str, seed: int, size: int) -> bool:
     if kind == "random-csp":
         inst = oracle.random_csp(rng, size, 3, 0.25)
         ref = oracle.brute_csp(inst.copy()) is not None
-        got = solve(inst.copy()).satisfiable
+        got = solve(inst).satisfiable
         return got == ref
     if kind == "random-graph":
         g = oracle.random_graph(rng, size, 0.4)
@@ -410,34 +384,6 @@ def cmd_fuzz(args) -> int:
     return EXIT_SAT if bad == 0 else EXIT_UNSAT
 
 
-def cmd_bench(args) -> int:
-    rows = []
-    for i in range(args.count):
-        rng = random.Random(args.seed + i)
-        if args.kind == "planted-3-colorable":
-            g = oracle.planted_3colorable(rng, args.size, 0.3)
-            t0 = time.perf_counter()
-            res = color_graph(*g)
-            rows.append(
-                {"seed": args.seed + i, "result": res.colorable,
-                 "wall_time_s": time.perf_counter() - t0,
-                 "nodes": res.stats.nodes + res.stats.csp_nodes}
-            )
-        elif args.kind == "random-csp":
-            inst, _hidden = oracle.planted_csp(rng, args.size, 3, 0.3)
-            t0 = time.perf_counter()
-            res = solve(inst)
-            rows.append(
-                {"seed": args.seed + i, "result": res.satisfiable,
-                 "wall_time_s": time.perf_counter() - t0,
-                 "nodes": res.stats.nodes}
-            )
-        else:
-            raise InputError(f"unsupported bench kind {args.kind!r}")
-    print(json.dumps(rows))
-    return EXIT_SAT
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -449,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, seedable=False):
         p.add_argument("--node-limit", type=int, default=None)
         p.add_argument("--stats", action="store_true")
-        p.add_argument("--verify", action="store_true")
         p.add_argument("--json", action="store_true")
         if seedable:
             p.add_argument("--seed", type=int, default=0)
@@ -497,25 +442,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_fuzz)
 
-    p = sub.add_parser("bench", help="time solves on generated instances")
-    p.add_argument("kind")
-    p.add_argument("--count", type=int, default=5)
-    p.add_argument("--size", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_bench)
-
     return top
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    args = build_parser().parse_args(argv)
     try:
-        args = parser.parse_args(argv)
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (InputError, ValueError, RuntimeError) as exc:
+        # RuntimeError: a solution failed the library's own verification
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

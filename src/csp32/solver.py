@@ -283,7 +283,7 @@ def _screen(candidates, stats: "SearchStats") -> Optional[Branching]:
         vec = live_vector(children)
         if not vec:
             return name, children  # every branch refuted: instance unsolvable
-        if len(vec) == 1 or work_factor(*vec) <= CLAIM_CAPS.get(name, LAMBDA) + 1e-9:
+        if len(vec) == 1 or work_factor(*vec) <= claim_cap(name) + 1e-9:
             return name, children
         if fallback is None:
             fallback = (name, children)
@@ -775,25 +775,26 @@ def solve_randomized_32(
     seed: int = 0,
     budget_factor: float = 50.0,
     config: Optional[SolverConfig] = None,
-) -> tuple[Optional[Assignment], int]:
+) -> tuple[Optional[Assignment], SearchStats]:
     """Monte Carlo (3,2)-CSP solver: each walk succeeds on a solvable
     instance with probability at least 2^(-n/2), so budget_factor times
     2^(n/2) walks miss with negligible probability.  Returns the solution
-    (or None) and the number of walks run.  Each walk spends one node of
-    config's node limit; NodeLimitReached is raised when it runs out."""
+    (or None) and the stats, whose nodes count the walks run.  Each walk
+    spends one node of config's node limit; NodeLimitReached is raised
+    when it runs out."""
     if any(len(cs) > 3 for cs in inst.colors.values()):
         raise ValueError("randomized two-color descent expects a (3,2) instance")
     cfg = config or SolverConfig()
     stats = SearchStats()
     rng = random.Random(seed)
     budget = max(1, math.ceil(budget_factor * 2 ** (inst.n / 2)))
-    for trial in range(1, budget + 1):
+    for _ in range(budget):
         stats.nodes += 1
         cfg.charge(stats)
         asg = _random_walk(inst, rng)
         if asg is not None:
-            return _verified(inst, asg), trial
-    return None, budget
+            return _verified(inst, asg), stats
+    return None, stats
 
 
 def solve_randomized_d2(
@@ -801,19 +802,20 @@ def solve_randomized_d2(
     seed: int = 0,
     budget_factor: float = 50.0,
     config: Optional[SolverConfig] = None,
-) -> tuple[Optional[Assignment], int]:
+) -> tuple[Optional[Assignment], SearchStats]:
     """Randomized solver for (d,2)-CSP with d > 4: restrict every variable
     to a random four-color subset and run the deterministic solver.  A
     restriction preserves a fixed solution with probability (4/d)^n per
-    variable-count n, giving expected O((d/4)^n) trials.  The nested
-    solves share config's node limit; NodeLimitReached is raised when it
-    runs out."""
+    variable-count n, giving expected O((d/4)^n) trials.  Returns the
+    solution (or None) and the stats, where each trial's solve is one
+    csp_call.  The nested solves share config's node limit;
+    NodeLimitReached is raised when it runs out."""
     cfg = config or SolverConfig()
     stats = SearchStats()
     d = max((len(cs) for cs in inst.colors.values()), default=0)
     rng = random.Random(seed)
     budget = 1 if d <= 4 else max(1, math.ceil(budget_factor * (d / 4) ** inst.n))
-    for trial in range(1, budget + 1):
+    for _ in range(budget):
         r = inst.copy()
         for v in r.variables():
             cs = sorted(r.colors[v])
@@ -821,8 +823,8 @@ def solve_randomized_d2(
                 for c in rng.sample(cs, len(cs) - 4):
                     r.remove_color(v, c)
         result = solve(r, cfg.charge(stats))
-        stats.absorb(result.stats)
+        stats.absorb(result.stats, csp=True)
         cfg.charge(stats)  # raises when the nested solve ran out
         if result.satisfiable:
-            return _verified(inst, result.assignment), trial
-    return None, budget
+            return _verified(inst, result.assignment), stats
+    return None, stats

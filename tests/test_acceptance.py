@@ -257,7 +257,7 @@ def test_criterion_10_randomized():
         rng = random.Random(101_000 + i)
         n = rng.randint(8, 16)
         inst, _hidden = planted_csp(rng, n, 3, 0.25)
-        asg, trials = solve_randomized_32(inst.copy(), seed=i)
+        asg, _ = solve_randomized_32(inst.copy(), seed=i)
         if asg is not None and check(inst, asg):
             hits += 1
     ok = ok and hits >= 99

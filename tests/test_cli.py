@@ -7,7 +7,6 @@ import pytest
 from csp32 import cli
 from csp32.cli import EXIT_LIMIT, EXIT_SAT, EXIT_UNSAT, EXIT_USAGE, main
 from csp32.solver import SearchStats
-from csp32.vertexcolor import ColorResult
 
 
 def write(tmp_path, name, text):
@@ -50,8 +49,17 @@ def unsat_csp(tmp_path):
     )
 
 
+def k4_csp(tmp_path):
+    # coloring K4: unsatisfiable, so a randomized run uses its whole budget
+    return csp_json(
+        tmp_path, "k4.json",
+        [{"id": v, "colors": [0, 1, 2]} for v in range(4)],
+        [[[v, c], [w, c]] for v in range(4) for w in range(v + 1, 4) for c in range(3)],
+    )
+
+
 def test_solve_sat_and_unsat(tmp_path, capsys):
-    assert main(["solve", sat_csp(tmp_path), "--verify"]) == EXIT_SAT
+    assert main(["solve", sat_csp(tmp_path)]) == EXIT_SAT
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "sat"
     sol = json.loads(out[1])
@@ -74,11 +82,11 @@ def test_solve_json_report(tmp_path, capsys):
 def test_solve_rand_mode(tmp_path, capsys):
     assert main(
         ["solve", sat_csp(tmp_path), "--mode", "rand", "--seed", "7",
-         "--verify", "--json", "--stats"]
+         "--json", "--stats"]
     ) == EXIT_SAT
     payload = json.loads(capsys.readouterr().out)
     assert payload["result"] == "sat"
-    assert payload["stats"]["trials"] >= 1
+    assert payload["stats"]["nodes"] >= 1  # one node per walk
 
 
 def test_solve_node_limit(tmp_path, capsys):
@@ -89,12 +97,8 @@ def test_solve_node_limit(tmp_path, capsys):
 
 
 def test_solve_rand_mode_node_limit(tmp_path, capsys):
-    # Coloring K4: unsatisfiable, so without the limit all 200 walks run.
-    k4 = csp_json(
-        tmp_path, "k4.json",
-        [{"id": v, "colors": [0, 1, 2]} for v in range(4)],
-        [[[v, c], [w, c]] for v in range(4) for w in range(v + 1, 4) for c in range(3)],
-    )
+    # Without the limit all 200 walks run.
+    k4 = k4_csp(tmp_path)
     assert main(["solve", k4, "--mode", "rand"]) == EXIT_UNSAT
     assert capsys.readouterr().out.splitlines()[0] == "not-found"
     assert main(["solve", k4, "--mode", "rand", "--node-limit", "1"]) == EXIT_LIMIT
@@ -105,10 +109,15 @@ def test_stats_have_one_key_set(tmp_path, capsys):
     # sat, unsat and limit runs of every solver print the SearchStats fields.
     keys = set(SearchStats.__dataclass_fields__)
     k4 = write(tmp_path, "k4.col", K4_COL)
+    rand = ["--mode", "rand"]
     runs = [
         (["solve", sat_csp(tmp_path)], EXIT_SAT),
         (["solve", unsat_csp(tmp_path)], EXIT_UNSAT),
+        (["solve", k4_csp(tmp_path)], EXIT_UNSAT),  # counts one rule
         (["solve", sat_csp(tmp_path), "--node-limit", "0"], EXIT_LIMIT),
+        (["solve", sat_csp(tmp_path)] + rand, EXIT_SAT),
+        (["solve", k4_csp(tmp_path)] + rand, EXIT_UNSAT),
+        (["solve", k4_csp(tmp_path), "--node-limit", "1"] + rand, EXIT_LIMIT),
         (["sat", write(tmp_path, "f.cnf", SAT_CNF)], EXIT_SAT),
         (["sat", write(tmp_path, "g.cnf", UNSAT_CNF)], EXIT_UNSAT),
         (["sat", write(tmp_path, "h.cnf", "p cnf 1 2\n1 0\n-1 0\n")], EXIT_UNSAT),
@@ -122,12 +131,14 @@ def test_stats_have_one_key_set(tmp_path, capsys):
     ]
     for argv, code in runs:
         assert main(argv + ["--stats", "--json"]) == code, argv
-        assert set(json.loads(capsys.readouterr().out)["stats"]) == keys, argv
+        stats = json.loads(capsys.readouterr().out)["stats"]
+        assert set(stats) == keys, argv
+        assert all(type(n) is int for n in stats["rule_counts"].values()), argv
 
 
 def test_color_exit_codes(tmp_path, capsys):
     tri = write(tmp_path, "tri.col", TRIANGLE_COL)
-    assert main(["color", tri, "--verify"]) == EXIT_SAT
+    assert main(["color", tri]) == EXIT_SAT
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "sat"
     sol = json.loads(out[1])
@@ -154,36 +165,32 @@ def test_edge_color_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "limit"
 
 
-def test_verify_rejects_bad_solutions(tmp_path, capsys, monkeypatch):
+def test_failed_library_verification_is_an_error(tmp_path, capsys, monkeypatch):
+    # A bad solution below the library's own check: each solver command
+    # reports the check's RuntimeError as an error (exit 2), not a traceback.
     tri = write(tmp_path, "tri.col", TRIANGLE_COL)
-    monkeypatch.setattr(
-        cli, "color_graph",
-        lambda n, edges, cfg: ColorResult(True, {v: 0 for v in range(n)}, SearchStats()),
-    )
-    assert main(["color", tri, "--verify"]) == EXIT_USAGE
-    assert "solution failed verification" in capsys.readouterr().err
-
-    monkeypatch.setattr(
-        cli, "edge_color", lambda n, edges, cfg: ({e: 0 for e in edges}, SearchStats())
-    )
-    assert main(["edge-color", tri, "--verify"]) == EXIT_USAGE
-    assert "solution failed verification" in capsys.readouterr().err
-
-    real_sat_to_csp = cli.sat_to_csp
-
-    def all_false_model(nvars, clauses):
-        inst, smap = real_sat_to_csp(nvars, clauses)
-        smap.decode = lambda asg: {x: False for x in range(1, nvars + 1)}
-        return inst, smap
-
-    monkeypatch.setattr(cli, "sat_to_csp", all_false_model)
-    assert main(["sat", write(tmp_path, "f.cnf", SAT_CNF), "--verify"]) == EXIT_USAGE
-    assert "solution failed verification" in capsys.readouterr().err
+    k4 = write(tmp_path, "k4.col", K4_COL)
+    cases = [
+        # both variables on r, the one forbidden pairing
+        ("csp32.solver.lift", lambda asg, trace: {0: 2, 1: 2}, ["solve", sat_csp(tmp_path)]),
+        ("csp32.vertexcolor.lift_graph_coloring", lambda col, steps: {0: 0, 1: 0, 2: 0},
+         ["color", tri]),
+        ("csp32.edgecolor.lift_edge_coloring", lambda col, trace: {i: 0 for i in range(6)},
+         ["edge-color", k4]),
+        ("csp32.transform.SatMap.decode", lambda smap, asg: {1: False, 2: False, 3: False},
+         ["sat", write(tmp_path, "f.cnf", SAT_CNF)]),
+    ]
+    for target, bad, argv in cases:
+        with monkeypatch.context() as m:
+            m.setattr(target, bad)
+            assert main(argv) == EXIT_USAGE, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "failed verification" in err, argv
 
 
 def test_sat_exit_codes(tmp_path, capsys):
     cnf = write(tmp_path, "f.cnf", SAT_CNF)
-    assert main(["sat", cnf, "--verify"]) == EXIT_SAT
+    assert main(["sat", cnf]) == EXIT_SAT
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "sat"
     model = json.loads(out[1])
@@ -220,6 +227,9 @@ def test_load_col_errors(tmp_path):
         ("p edge 3 1\ne 1 1\n", "bad edge"),
         ("p edge 3 1\nq 1 2\n", "unrecognized"),
         ("c nothing\n", "missing 'p edge'"),
+        ("p edge -2 0\n", ":1: expected 'p edge N M'"),
+        ("p edge x 3\n", ":1: expected 'p edge N M'"),
+        ("p edge 3 1\ne 1 y\n", ":2: expected 'e U V'"),
     ]
     for i, (text, msg) in enumerate(cases):
         path = write(tmp_path, f"bad{i}.col", text)
@@ -233,6 +243,9 @@ def test_load_cnf_errors_and_trailing_clause(tmp_path):
         ("p cnf 2 1\n1 x 0\n", "bad literal"),
         ("p cnf 2 1\n1 3 0\n", "out of range"),
         ("c only comments\n", "missing 'p cnf'"),
+        ("p cnf x 3\n1 0\n", ":1: expected 'p cnf V C'"),
+        ("p cnf -2 0\n", ":1: expected 'p cnf V C'"),
+        ("p cnf 2 1\n1 2 0\np cnf 2\n", ":3: expected 'p cnf V C'"),
     ]
     for i, (text, msg) in enumerate(cases):
         path = write(tmp_path, f"bad{i}.cnf", text)
@@ -254,6 +267,15 @@ def test_load_csp_json_errors(tmp_path):
          ' "constraints": [[[0, 1], [5, 2]]]}', "unknown pair"),
         ('{"variables": [], "constraints": [[0, 1]]}', "pair of pairs"),
         ('{"variables": [', "Expecting"),
+        ('{"variables": 5}', "'variables' list"),
+        ('{"variables": [], "constraints": 5}', "'constraints' is not a list"),
+        ('{"variables": [{"id": 0, "colors": [[1]]}]}', r"variables\[0\]: 'colors' is not"),
+        ('{"variables": [{"id": 0, "colors": "rgb"}]}', r"variables\[0\]: 'colors' is not"),
+        ('{"variables": [{"id": [0], "colors": [1]}]}', r"variables\[0\]: id \[0\] is not"),
+        ('{"variables": [{"id": 0, "colors": [1]}, {"id": "a", "colors": [1]}]}',
+         r"variables\[1\]: id 'a' is not"),
+        ('{"variables": [{"id": 0, "colors": [1]}],'
+         ' "constraints": [[[[0], 1], [0, 1]]]}', "unknown pair"),
     ]
     for i, (text, msg) in enumerate(cases):
         path = write(tmp_path, f"bad{i}.json", text)
@@ -333,13 +355,3 @@ def test_fuzz_subcommand(capsys):
     ) == EXIT_SAT
     assert "10/10 agreed" in capsys.readouterr().out
     assert main(["fuzz", "no-such-kind", "--count", "1"]) == EXIT_USAGE
-
-
-def test_bench_subcommand(capsys):
-    assert main(
-        ["bench", "random-csp", "--count", "2", "--size", "10"]
-    ) == EXIT_SAT
-    rows = json.loads(capsys.readouterr().out)
-    assert len(rows) == 2
-    assert all(row["result"] for row in rows)
-    assert all(row["wall_time_s"] >= 0 for row in rows)

@@ -182,7 +182,7 @@ def test_randomized_32_finds_planted_solutions():
     hits = 0
     for seed in range(40):
         inst, _ = planted_csp(rng, 10, density=0.35)
-        asg, trials = solve_randomized_32(inst, seed=seed)
+        asg, _ = solve_randomized_32(inst, seed=seed)
         if asg is not None:
             assert check(inst, asg)
             hits += 1
@@ -221,7 +221,7 @@ def test_randomized_d2_restriction():
                     for d in range(6):
                         if (hidden[v], hidden[w]) != (c, d) and rng.random() < 0.3:
                             inst.add_constraint((v, c), (w, d))
-        asg, trials = solve_randomized_d2(inst, seed=seed)
+        asg, _ = solve_randomized_d2(inst, seed=seed)
         assert asg is not None
         assert check(inst, asg)
 
@@ -242,7 +242,8 @@ def test_solve_rejects_unverified_solution(monkeypatch):
 
 
 def test_randomized_solvers_honour_the_node_limit():
-    # Each walk spends one node; the d2 restrictions' solves share one budget.
+    # Each walk spends one node; the d2 restrictions' solves share one
+    # budget, and each is one csp_call whose nodes are csp_nodes.
     k4 = build_instance(
         {v: range(3) for v in range(4)},
         [((v, c), (w, c)) for v in range(4) for w in range(v + 1, 4) for c in range(3)],
@@ -253,8 +254,9 @@ def test_randomized_solvers_honour_the_node_limit():
     wide = Instance.build({v: range(6) for v in range(3)})
     with pytest.raises(NodeLimitReached):
         solve_randomized_d2(wide, config=SolverConfig(node_limit=0))
-    asg, trials = solve_randomized_d2(wide, config=SolverConfig(node_limit=3))
-    assert check(wide, asg) and trials == 1
+    asg, stats = solve_randomized_d2(wide, config=SolverConfig(node_limit=3))
+    assert check(wide, asg) and stats.csp_calls == 1
+    assert stats.nodes == 0 and stats.csp_nodes == stats.spent >= 1
 
 
 def test_absorb_folds_nested_counts():
