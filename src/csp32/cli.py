@@ -55,8 +55,9 @@ class InputError(Exception):
 
 def load_csp_json(path: str) -> tuple[Instance, dict[int, object]]:
     """Read the JSON instance format; returns the instance and a map from
-    internal color ints back to the file's color tokens.  Errors name the
-    offending entry (variables[i], constraints[i])."""
+    internal color ints back to the file's color tokens.  Tokens are told
+    apart by their JSON text, so 0, false and 0.0 are three colors.
+    Errors name the offending entry (variables[i], constraints[i])."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -80,22 +81,22 @@ def load_csp_json(path: str) -> tuple[Instance, dict[int, object]]:
             raise InputError(f"{path}: variables[{i}]: 'colors' is not a list of scalars")
         if vid in domains:
             raise InputError(f"{path}: variables[{i}]: duplicate id {vid}")
-        domains[vid] = colors
-    tokens = sorted({c for cs in domains.values() for c in cs}, key=str)
-    to_int = {tok: i for i, tok in enumerate(tokens)}
-    inst = Instance.build({v: {to_int[c] for c in cs} for v, cs in domains.items()})
+        domains[vid] = {json.dumps(c): c for c in colors}
+    tokens = {k: c for cs in domains.values() for k, c in cs.items()}
+    to_int = {k: i for i, k in enumerate(sorted(tokens, key=lambda k: (str(tokens[k]), k)))}
+    inst = Instance.build({v: {to_int[k] for k in cs} for v, cs in domains.items()})
     for i, con in enumerate(constraints):
         try:
             (va, ca), (vb, cb) = con
         except (TypeError, ValueError):
             raise InputError(f"{path}: constraints[{i}] is not a pair of pairs")
         for v, c in ((va, ca), (vb, cb)):
-            if not isinstance(v, int) or v not in domains or c not in domains[v]:
+            if not isinstance(v, int) or v not in domains or json.dumps(c) not in domains[v]:
                 raise InputError(
                     f"{path}: constraints[{i}]: unknown pair ({v!r}, {c!r})"
                 )
-        inst.add_constraint((va, to_int[ca]), (vb, to_int[cb]))
-    return inst, {i: tok for tok, i in to_int.items()}
+        inst.add_constraint((va, to_int[json.dumps(ca)]), (vb, to_int[json.dumps(cb)]))
+    return inst, {i: tokens[k] for k, i in to_int.items()}
 
 
 def emit_csp_json(inst: Instance, names: Optional[dict[int, object]] = None) -> dict:
@@ -117,7 +118,7 @@ def emit_csp_json(inst: Instance, names: Optional[dict[int, object]] = None) -> 
 
 
 def _read_dimacs(path: str, fmt: str, counts: str) -> tuple[int, list]:
-    """The first count on a DIMACS file's 'p FMT ...' line (counts names
+    """The first count on a DIMACS file's one 'p FMT ...' line (counts names
     its fields in messages) and the data lines after it as (file:line,
     fields); comment and blank lines are skipped."""
     try:
@@ -133,6 +134,8 @@ def _read_dimacs(path: str, fmt: str, counts: str) -> tuple[int, list]:
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] != fmt or not (parts[2] + parts[3]).isdecimal():
                 raise InputError(f"{where}: expected 'p {fmt} {counts}'")
+            if count is not None:
+                raise InputError(f"{where}: second 'p' line")
             count = int(parts[2])
         elif count is None:
             raise InputError(f"{where}: data before the 'p' line")

@@ -14,6 +14,7 @@ from itertools import combinations
 from typing import Optional
 
 from .graphalg import depth_first, general_matching
+from .instance import lift
 from .solver import SearchStats, SolverConfig
 from .vertexcolor import color_graph
 
@@ -26,16 +27,13 @@ class EdgeInstance:
 
     Edges are tracked by integer id so parallel edges stay distinct; a
     constraint is an unordered id pair whose edges must get different
-    colors.  The trace records removals for lifting colorings back.
-    `at` maps each vertex to the ascending ids of its edges; edits go
-    through add_edge and remove_edge so it always matches `edges`.
+    colors.  `at` maps each vertex to the ascending ids of its edges;
+    add_edge and remove_edge keep it matching `edges`.
     """
 
     edges: dict[int, Edge] = field(default_factory=dict)
     constraints: set[frozenset] = field(default_factory=set)
     next_id: int = 0
-    trace: list = field(default_factory=list)
-    unsat: bool = False
     at: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
     @classmethod
@@ -53,7 +51,6 @@ class EdgeInstance:
             self,
             edges=dict(self.edges),
             constraints=set(self.constraints),
-            trace=list(self.trace),
             at=dict(self.at),
         )
 
@@ -94,8 +91,13 @@ class EdgeInstance:
 
 @dataclass(frozen=True)
 class StrippedEdge:
+    """An edge with at most two neighbors; it takes a color they leave."""
+
     eid: int
     neighbor_eids: tuple
+
+    def lift(self, out: dict[int, int]):
+        out[self.eid] = min({0, 1, 2} - {out[j] for j in self.neighbor_eids})
 
 
 @dataclass(frozen=True)
@@ -109,22 +111,33 @@ class SpliceStep:
     center: int
     merged: tuple  # ((new_eid, (old_eid, old_eid)), (new_eid, (old_eid, old_eid)))
 
+    def lift(self, out: dict[int, int]):
+        (e1, (a1, a2)), (e2, (b1, b2)) = self.merged
+        c1, c2 = out.pop(e1), out.pop(e2)
+        assert c1 != c2
+        out[a1] = out[a2] = c1
+        out[b1] = out[b2] = c2
+        out[self.center] = 3 - c1 - c2
 
-def strip_low_neighbor_edges(ei: EdgeInstance):
+
+def strip_low_neighbor_edges(ei: EdgeInstance) -> list[StrippedEdge]:
     """Remove edges with two or fewer neighbors; they always extend.
+    Returns the lift steps, in removal order.
 
     Only valid while the instance is unconstrained.
     """
     assert not ei.constraints
+    steps = []
     changed = True
     while changed:
         changed = False
         for eid in sorted(ei.edges):
             nbrs = ei.neighbor_ids(eid)
             if len(nbrs) <= 2:
-                ei.trace.append(StrippedEdge(eid, tuple(nbrs)))
+                steps.append(StrippedEdge(eid, tuple(nbrs)))
                 ei.remove_edge(eid)
                 changed = True
+    return steps
 
 
 def spliceable(ei: EdgeInstance, eid: int) -> bool:
@@ -143,11 +156,12 @@ def splice_candidates(ei: EdgeInstance) -> list[int]:
     return [eid for eid in sorted(ei.edges) if spliceable(ei, eid)]
 
 
-def splice(ei: EdgeInstance, eid: int) -> list[EdgeInstance]:
-    """The two ways to pair the four neighbors of a spliced edge.
+def splice(ei: EdgeInstance, eid: int) -> list[tuple[EdgeInstance, SpliceStep]]:
+    """The live ways to pair the four neighbors of a spliced edge, each as
+    (child, the step that lifts a coloring of the child back).
 
-    A pairing whose new edge would be a self-loop is still emitted but
-    marked unsatisfiable.
+    A pairing is dropped when its new edge would be a self-loop or it
+    collapses a constraint onto one edge: neither child has a coloring.
     """
     assert spliceable(ei, eid)
     w, x = ei.edges[eid]
@@ -160,31 +174,25 @@ def splice(ei: EdgeInstance, eid: int) -> list[EdgeInstance]:
 
     children = []
     for (a, ea), (b, eb) in (((y, ex1), (z, ex2)), ((z, ex2), (y, ex1))):
+        if u == a or v == b:
+            continue
         child = ei.copy()
         for j in (eid, ew1, ew2, ex1, ex2):
             child.remove_edge(j)
         first = child.add_edge(u, a)
         second = child.add_edge(v, b)
         # a removed neighbor's color lives on in its replacement, so
-        # constraints naming it move to the replacement; a constraint
-        # collapsing onto a single edge is unsatisfiable
+        # constraints naming it move to the replacement
         remap = {ew1: first, ea: first, ew2: second, eb: second}
-        moved = set()
-        for c in child.constraints:
-            if c & remap.keys():
-                c = frozenset(remap.get(j, j) for j in c)
-                if len(c) == 1:
-                    child.unsat = True
-                    continue
-            moved.add(c)
+        moved = {
+            frozenset(remap.get(j, j) for j in c) if c & remap.keys() else c
+            for c in child.constraints
+        }
+        if any(len(c) == 1 for c in moved):
+            continue
+        moved.add(frozenset((first, second)))
         child.constraints = moved
-        child.constraints.add(frozenset((first, second)))
-        child.trace.append(
-            SpliceStep(eid, ((first, (ew1, ea)), (second, (ew2, eb))))
-        )
-        if u == a or v == b:
-            child.unsat = True
-        children.append(child)
+        children.append((child, SpliceStep(eid, ((first, (ew1, ea)), (second, (ew2, eb))))))
     return children
 
 
@@ -226,26 +234,6 @@ def proper_edge_coloring(edges: list[Edge], colors: list) -> bool:
     return all(c in (0, 1, 2) for c in colors) and len(set(ends)) == len(ends)
 
 
-def lift_edge_coloring(coloring: dict[int, int], trace: list) -> dict[int, int]:
-    """Restore colors of spliced and stripped edges, most recent first."""
-    out = dict(coloring)
-    for step in reversed(trace):
-        if isinstance(step, SpliceStep):
-            (e1, (a1, a2)), (e2, (b1, b2)) = step.merged
-            c1 = out.pop(e1)
-            c2 = out.pop(e2)
-            assert c1 != c2
-            out[a1] = out[a2] = c1
-            out[b1] = out[b2] = c2
-            out[step.center] = 3 - c1 - c2
-        else:
-            used = {out[j] for j in step.neighbor_eids}
-            free = sorted({0, 1, 2} - used)
-            assert free
-            out[step.eid] = free[0]
-    return out
-
-
 def _line_graph_solve(
     ei: EdgeInstance, cfg: SolverConfig, stats: SearchStats
 ) -> Optional[dict[int, int]]:
@@ -269,19 +257,18 @@ def _line_graph_solve(
 
 
 def _expand(plan: list[int], cfg: SolverConfig, stats: SearchStats, state: tuple):
-    """One splice node; a state is an instance and the plan index to go on from."""
-    ei, start = state
-    if ei.unsat:
-        return None, ()
+    """One splice node; a state is an instance, the plan index to go on
+    from and its lift path from the input."""
+    ei, start, path = state
     for k in range(start, len(plan)):
         if spliceable(ei, plan[k]):
             stats.splices += 1
             cfg.charge(stats)
-            return None, [(child, k + 1) for child in splice(ei, plan[k])]
+            return None, [(child, k + 1, path + [step]) for child, step in splice(ei, plan[k])]
         stats.skipped_splices += 1
     stats.leaves += 1
     colors = _line_graph_solve(ei, cfg, stats)
-    return (None if colors is None else lift_edge_coloring(colors, ei.trace)), ()
+    return (None if colors is None else lift(colors, path)), ()
 
 
 def edge_color(
@@ -297,9 +284,9 @@ def edge_color(
     ei = EdgeInstance.from_graph(n, edges)
     if any(ei.degree(v) > 3 for v in range(n)):
         return None, stats
-    strip_low_neighbor_edges(ei)
+    steps = strip_low_neighbor_edges(ei)
     plan = select_splices(ei)
-    colors = depth_first((ei, 0), lambda state: _expand(plan, cfg, stats, state))
+    colors = depth_first((ei, 0, steps), lambda state: _expand(plan, cfg, stats, state))
     if colors is None:
         return None, stats
     if not proper_edge_coloring(edges, [colors.get(i) for i in range(len(edges))]):

@@ -39,6 +39,9 @@ class Assigned:
     var: int
     color: int
 
+    def lift(self, sol: Assignment):
+        sol[self.var] = self.color
+
 
 @dataclass(frozen=True)
 class TwoColorEliminated:
@@ -55,6 +58,16 @@ class TwoColorEliminated:
     conflict_r: tuple[Pair, ...]
     conflict_g: tuple[Pair, ...]
 
+    def lift(self, sol: Assignment):
+        for color, conflict in ((self.color_r, self.conflict_r), (self.color_g, self.conflict_g)):
+            if not any(sol.get(w) == d for w, d in conflict):
+                sol[self.var] = color
+                return
+        raise ValueError(
+            f"both colors of eliminated variable {self.var} are blocked; "
+            "assignment does not satisfy the reduced instance"
+        )
+
 
 @dataclass(frozen=True)
 class IsolatedMerge:
@@ -68,23 +81,43 @@ class IsolatedMerge:
     new_var: int
     decode: tuple[tuple[int, Pair, Pair], ...]  # (merged color, src pair, partner pair)
 
+    def lift(self, sol: Assignment):
+        if self.new_var not in sol:
+            raise ValueError(f"merged variable {self.new_var} unassigned")
+        color = sol.pop(self.new_var)
+        for merged_color, src, partner in self.decode:
+            if merged_color == color:
+                sol[src[0]] = src[1]
+                sol[partner[0]] = partner[1]
+                return
+        raise ValueError(f"merged variable {self.new_var} got unknown color {color}")
+
 
 @dataclass(frozen=True)
-class DeadColorRemoved:
+class ColorRemoved:
     var: int
     color: int
 
+    def lift(self, sol: Assignment):
+        """A removed color only narrows options: the variable stays assigned."""
 
-@dataclass(frozen=True)
-class DominatedColorRemoved:
-    var: int
-    color: int
+
+class DeadColorRemoved(ColorRemoved):
+    """A color that hits every color of another variable."""
+
+
+class DominatedColorRemoved(ColorRemoved):
+    """A color whose conflicts include those of another color."""
 
 
 @dataclass(frozen=True)
 class FreePairUsed:
     a: Pair
     b: Pair
+
+    def lift(self, sol: Assignment):
+        sol[self.a[0]] = self.a[1]
+        sol[self.b[0]] = self.b[1]
 
 
 LiftStep = object
@@ -385,7 +418,7 @@ def _lemma_step(inst: Instance) -> Optional[LiftStep]:
         v, _r, b = found
         inst.remove_color(v, b)
         return DominatedColorRemoved(v, b)
-    p = next((p for p in inst.pairs() if not inst.adj[p]), None)
+    p = min((p for p, qs in inst.adj.items() if not qs), default=None)
     if p is not None:
         return inst.assign(p)
     p = find_dead_color(inst)
@@ -427,41 +460,10 @@ def is_reduced(inst: Instance) -> bool:
 
 
 def lift(asg: Assignment, trace: LiftTrace) -> Assignment:
-    """Map a solution of the reduced instance back through recorded steps."""
+    """Map a solution of the reduced problem back through recorded steps,
+    most recent first; each step (a CSP lemma or branch edit, a graph or
+    edge reduction) undoes itself in place."""
     sol = dict(asg)
-
-    def uses(p: Pair) -> bool:
-        return sol.get(p[0]) == p[1]
-
     for step in reversed(trace):
-        if isinstance(step, Assigned):
-            sol[step.var] = step.color
-        elif isinstance(step, FreePairUsed):
-            sol[step.a[0]] = step.a[1]
-            sol[step.b[0]] = step.b[1]
-        elif isinstance(step, TwoColorEliminated):
-            if not any(uses(p) for p in step.conflict_r):
-                sol[step.var] = step.color_r
-            elif not any(uses(p) for p in step.conflict_g):
-                sol[step.var] = step.color_g
-            else:
-                raise ValueError(
-                    f"both colors of eliminated variable {step.var} are blocked; "
-                    "assignment does not satisfy the reduced instance"
-                )
-        elif isinstance(step, IsolatedMerge):
-            if step.new_var not in sol:
-                raise ValueError(f"merged variable {step.new_var} unassigned")
-            color = sol.pop(step.new_var)
-            for merged_color, src, partner in step.decode:
-                if merged_color == color:
-                    sol[src[0]] = src[1]
-                    sol[partner[0]] = partner[1]
-                    break
-            else:
-                raise ValueError(f"merged variable {step.new_var} got unknown color {color}")
-        elif isinstance(step, (DeadColorRemoved, DominatedColorRemoved)):
-            pass  # color removal only narrows options; variable stays assigned
-        else:
-            raise TypeError(f"unknown lift step {step!r}")
+        step.lift(sol)
     return sol

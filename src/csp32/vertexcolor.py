@@ -15,6 +15,7 @@ from itertools import combinations
 from typing import Optional
 
 from .graphalg import FlowNetwork, depth_first, max_flow
+from .instance import lift
 from .solver import NodeLimitReached, SearchStats, SolverConfig, solve
 from .transform import coloring_to_csp
 
@@ -103,6 +104,13 @@ class GreedyColored:
     members: tuple
     neighbor_reps: tuple
 
+    def lift(self, out: Coloring):
+        used = {out[r] for r in self.neighbor_reps}
+        free = sorted({0, 1, 2} - used)
+        assert free, "removed vertex has three distinctly colored neighbors"
+        for m in self.members:
+            out[m] = free[0]
+
 
 @dataclass(frozen=True)
 class CycleColored:
@@ -117,48 +125,30 @@ class CycleColored:
 
     entries: tuple
 
-
-def lift_graph_coloring(coloring: Coloring, steps: list) -> Coloring:
-    """Extend a coloring of the residue to the removed vertices."""
-    out = dict(coloring)
-    for step in reversed(steps):
-        if isinstance(step, GreedyColored):
-            used = {out[r] for r in step.neighbor_reps}
-            free = sorted({0, 1, 2} - used)
-            assert free, "removed vertex has three distinctly colored neighbors"
-            for m in step.members:
-                out[m] = free[0]
+    def lift(self, out: Coloring):
+        k = len(self.entries)
+        wcols = [out[w] for _, w in self.entries]
+        start = next((i for i in range(k) if wcols[i] != wcols[(i + 1) % k]), None)
+        if start is None:
+            # all outside neighbors share a color: alternate the other two
+            assert k % 2 == 0, "odd cycle with identically colored neighbors"
+            a, b = sorted({0, 1, 2} - {wcols[0]})
+            cols = {i: a if i % 2 == 0 else b for i in range(k)}
         else:
-            _lift_cycle(out, step)
-    return out
-
-
-def _lift_cycle(out: Coloring, step: CycleColored):
-    k = len(step.entries)
-    wcols = [out[w] for _, w in step.entries]
-    start = next((i for i in range(k) if wcols[i] != wcols[(i + 1) % k]), None)
-    if start is None:
-        # all outside neighbors share a color: alternate the other two
-        assert k % 2 == 0, "odd cycle with identically colored neighbors"
-        a, b = sorted({0, 1, 2} - {wcols[0]})
-        for i, (mem, _) in enumerate(step.entries):
+            # color v[start+1] like w[start], then continue around the cycle
+            cols = {(start + 1) % k: wcols[start]}
+            for off in range(2, k + 1):
+                i = (start + off) % k
+                used = {wcols[i]}
+                for j in ((i - 1) % k, (i + 1) % k):
+                    if j in cols:
+                        used.add(cols[j])
+                free = sorted({0, 1, 2} - used)
+                assert free, "cycle lift ran out of colors"
+                cols[i] = free[0]
+        for i, (mem, _) in enumerate(self.entries):
             for m in mem:
-                out[m] = a if i % 2 == 0 else b
-        return
-    # color v[start+1] like w[start], then continue around the cycle
-    cols: dict[int, int] = {(start + 1) % k: wcols[start]}
-    for off in range(2, k + 1):
-        i = (start + off) % k
-        used = {wcols[i]}
-        for j in ((i - 1) % k, (i + 1) % k):
-            if j in cols:
-                used.add(cols[j])
-        free = sorted({0, 1, 2} - used)
-        assert free, "cycle lift ran out of colors"
-        cols[i] = free[0]
-    for i, (mem, _) in enumerate(step.entries):
-        for m in mem:
-            out[m] = cols[i]
+                out[m] = cols[i]
 
 
 def _remove_greedy(g: MultiGraph, steps: list, v: int):
@@ -695,7 +685,7 @@ def _expand(cfg: SolverConfig, stats: SearchStats, state: tuple[MultiGraph, list
     cfg.charge(stats)
     strip_low_degree(g, steps)
     if not g.adj:
-        return lift_graph_coloring({}, steps), ()
+        return lift({}, steps), ()
     branch = branch_degree3_cycle(g)
     if branch is None:
         branch = branch_degree3_tree(g)
@@ -705,7 +695,7 @@ def _expand(cfg: SolverConfig, stats: SearchStats, state: tuple[MultiGraph, list
     if leaf is None:
         return None, ()
     expanded = {m: c for v, c in leaf.items() for m in g.members[v]}
-    return lift_graph_coloring(expanded, steps), ()
+    return lift(expanded, steps), ()
 
 
 def color_graph(

@@ -173,9 +173,9 @@ def test_failed_library_verification_is_an_error(tmp_path, capsys, monkeypatch):
     cases = [
         # both variables on r, the one forbidden pairing
         ("csp32.solver.lift", lambda asg, trace: {0: 2, 1: 2}, ["solve", sat_csp(tmp_path)]),
-        ("csp32.vertexcolor.lift_graph_coloring", lambda col, steps: {0: 0, 1: 0, 2: 0},
+        ("csp32.vertexcolor.lift", lambda col, steps: {0: 0, 1: 0, 2: 0},
          ["color", tri]),
-        ("csp32.edgecolor.lift_edge_coloring", lambda col, trace: {i: 0 for i in range(6)},
+        ("csp32.edgecolor.lift", lambda col, path: {i: 0 for i in range(6)},
          ["edge-color", k4]),
         ("csp32.transform.SatMap.decode", lambda smap, asg: {1: False, 2: False, 3: False},
          ["sat", write(tmp_path, "f.cnf", SAT_CNF)]),
@@ -219,6 +219,26 @@ def test_csp_json_round_trip(tmp_path):
     assert names2 == names
 
 
+def test_equal_valued_color_tokens_stay_distinct(tmp_path, capsys):
+    # 0, false and 0.0 compare equal in Python but are three JSON tokens;
+    # only variable 0 = false escapes both constraints.
+    path = csp_json(
+        tmp_path, "tokens.json",
+        [{"id": 0, "colors": [0, False]}, {"id": 1, "colors": [0, 1]}],
+        [[[0, 0], [1, 0]], [[0, 0], [1, 1]]],
+    )
+    assert main(["solve", path]) == EXIT_SAT
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "sat" and json.loads(out[1])["0"] is False
+    assert main(["oracle", "csp", path]) == EXIT_SAT
+    assert capsys.readouterr().out.splitlines() == ["sat"]
+    inst, names = cli.load_csp_json(csp_json(
+        tmp_path, "three.json", [{"id": 0, "colors": [0, False, 0.0, 1, True]}], [],
+    ))
+    assert len(inst.colors[0]) == 5
+    assert sorted(map(json.dumps, names.values())) == ["0", "0.0", "1", "false", "true"]
+
+
 def test_load_col_errors(tmp_path):
     cases = [
         ("e 1 2\n", "before the 'p' line"),
@@ -230,6 +250,7 @@ def test_load_col_errors(tmp_path):
         ("p edge -2 0\n", ":1: expected 'p edge N M'"),
         ("p edge x 3\n", ":1: expected 'p edge N M'"),
         ("p edge 3 1\ne 1 y\n", ":2: expected 'e U V'"),
+        ("p edge 3 0\np edge 5 0\ne 4 5\n", ":2: second 'p' line"),
     ]
     for i, (text, msg) in enumerate(cases):
         path = write(tmp_path, f"bad{i}.col", text)
@@ -246,6 +267,7 @@ def test_load_cnf_errors_and_trailing_clause(tmp_path):
         ("p cnf x 3\n1 0\n", ":1: expected 'p cnf V C'"),
         ("p cnf -2 0\n", ":1: expected 'p cnf V C'"),
         ("p cnf 2 1\n1 2 0\np cnf 2\n", ":3: expected 'p cnf V C'"),
+        ("p cnf 2 1\n1 2 0\np cnf 3 1\n3 0\n", ":3: second 'p' line"),
     ]
     for i, (text, msg) in enumerate(cases):
         path = write(tmp_path, f"bad{i}.cnf", text)

@@ -103,13 +103,42 @@ def test_splice_children_preserve_colorability():
             continue
         tried += 1
         children = splice(ei, cands[0])
-        assert len(children) == 2
+        assert 1 <= len(children) <= 2
         want = brute_edge_color((n, edges)) is not None
-        have = any(
-            not ch.unsat and _brute_constrained(ch) for ch in children
-        )
+        have = any(_brute_constrained(ch) for ch, _step in children)
         assert have == want, (n, edges)
     assert tried > 50
+
+
+def test_splice_returns_only_live_children():
+    # K4 spliced at edge (0, 1): pairing (0,2) with (1,2) would make the
+    # new edge a self-loop at 2, so only the crossed pairing comes back.
+    ei = EdgeInstance.from_graph(4, list(combinations(range(4), 2)))
+    ((child, step),) = splice(ei, 0)
+    assert sorted(child.edges.values()) == [(2, 3), (2, 3), (3, 2)]
+    (first, pair1), (second, pair2) = step.merged
+    assert step.center == 0 and (pair1, pair2) == ((1, 4), (2, 3))
+    assert child.constraints == {frozenset((first, second))}
+
+    rng = random.Random(48)
+    splices = dropped = 0
+    for _ in range(80):
+        graph = rng.choice([random_cubic, planted_cubic_edge_colorable])(
+            rng, rng.choice([8, 10, 12, 16])
+        )
+        ei = EdgeInstance.from_graph(*graph)
+        strip_low_neighbor_edges(ei)
+        while cands := splice_candidates(ei):
+            children = splice(ei, rng.choice(cands))
+            splices += 1
+            dropped += 2 - len(children)
+            for child, _step in children:
+                assert all(u != v for u, v in child.edges.values())
+                assert all(len(c) == 2 for c in child.constraints)
+            if not children:
+                break
+            ei = rng.choice(children)[0]
+    assert splices > 200 and dropped > 0
 
 
 def _brute_constrained(ei):
@@ -196,12 +225,11 @@ def test_splice_paths_match_brute_reference(index_checked, monkeypatch):
             if not cands:
                 break
             children = splice(ei, rng.choice(cands))
-            for child in children:
+            for child, _step in children:
                 _assert_matches_reference(child)
-            live = [ch for ch in children if not ch.unsat]
-            if not live:
+            if not children:
                 break
-            ei = rng.choice(live)
+            ei = rng.choice(children)[0]
     assert states > 200 and constraint_decided > 100
 
 
@@ -246,7 +274,7 @@ def test_edge_color_rejects_unverified_coloring(monkeypatch):
     # A lift bug must surface as an error, also under python -O.
     k4 = list(combinations(range(4), 2))
     monkeypatch.setattr(
-        edgecolor, "lift_edge_coloring", lambda coloring, trace: dict.fromkeys(range(6), 0)
+        edgecolor, "lift", lambda coloring, path: dict.fromkeys(range(6), 0)
     )
     with pytest.raises(RuntimeError, match="failed verification"):
         edge_color(4, k4)

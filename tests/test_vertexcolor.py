@@ -11,6 +11,7 @@ import pytest
 
 import csp32.vertexcolor as vertexcolor
 from csp32.edgecolor import edge_color
+from csp32.instance import lift
 from csp32.oracle import (
     brute_vertex_color,
     planted_3colorable,
@@ -29,7 +30,6 @@ from csp32.vertexcolor import (
     branch_degree3_tree,
     color_graph,
     find_degree3_cycle,
-    lift_graph_coloring,
     strip_low_degree,
 )
 from helpers import brute_build_bushy_forest, brute_solve_leaf, extension_graph
@@ -55,7 +55,7 @@ def test_strip_low_degree_removes_below_three():
     steps = []
     strip_low_degree(g, steps)
     assert not g.vertices()
-    got = lift_graph_coloring({}, steps)
+    got = lift({}, steps)
     assert proper([(0, 1), (1, 2), (2, 3), (3, 4)], got)
 
 
@@ -110,7 +110,7 @@ def test_cycle_branch_children_preserve_colorability():
             if sub is None:
                 continue
             colored = {v: sub[idx[v]] for v in reps}
-            full = lift_graph_coloring(
+            full = lift(
                 {m: colored[v] for v in reps for m in child.members[v]}, steps
             )
             assert proper(edges, full)
@@ -279,7 +279,7 @@ def test_color_graph_rejects_unverified_coloring(monkeypatch):
     # A lift bug must surface as an error, also under python -O.
     n, edges = planted_3colorable(random.Random(5), 12, 0.4)
     monkeypatch.setattr(
-        "csp32.vertexcolor.lift_graph_coloring", lambda coloring, steps: dict.fromkeys(range(n), 0)
+        "csp32.vertexcolor.lift", lambda coloring, steps: dict.fromkeys(range(n), 0)
     )
     with pytest.raises(RuntimeError, match="failed verification"):
         color_graph(n, edges)
