@@ -9,7 +9,7 @@ a line graph (difference constraints become extra adjacencies).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
 
@@ -38,20 +38,22 @@ class EdgeInstance:
 
     @classmethod
     def from_graph(cls, n: int, edges: list[Edge]) -> "EdgeInstance":
-        ei = cls()
+        ei, seen = cls(), set()
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) has a vertex outside 0..{n - 1}")
+            if frozenset((u, v)) in seen:
+                raise ValueError(f"repeated edge ({u}, {v})")
+            seen.add(frozenset((u, v)))
             ei.add_edge(u, v)
         return ei
 
     def copy(self) -> "EdgeInstance":
         # the index holds tuples, so a shallow copy of it is independent
-        return replace(
-            self,
-            edges=dict(self.edges),
-            constraints=set(self.constraints),
-            at=dict(self.at),
+        return EdgeInstance(
+            dict(self.edges), set(self.constraints), self.next_id, dict(self.at)
         )
 
     def add_edge(self, u: int, v: int) -> int:
@@ -71,12 +73,6 @@ class EdgeInstance:
                 self.at[x] = rest
             else:
                 del self.at[x]
-
-    def degree(self, v: int) -> int:
-        return len(self.at.get(v, ()))
-
-    def incident(self, v: int) -> list[int]:
-        return list(self.at.get(v, ()))
 
     def neighbor_ids(self, eid: int) -> list[int]:
         u, v = self.edges[eid]
@@ -142,13 +138,17 @@ def strip_low_neighbor_edges(ei: EdgeInstance) -> list[StrippedEdge]:
 
 def spliceable(ei: EdgeInstance, eid: int) -> bool:
     """Whether edge eid exists and meets every splice precondition now."""
-    if eid not in ei.edges or ei.constrained(eid):
+    if eid not in ei.edges:
         return False
     w, x = ei.edges[eid]
-    if ei.degree(w) != 3 or ei.degree(x) != 3:
-        return False
-    # the four neighbor edges must leave the pair of spliced vertices
-    return not any(set(ei.edges[j]) <= {w, x} for j in ei.neighbor_ids(eid))
+    at_w, at_x = ei.at[w], ei.at[x]
+    # eid is the only edge at both ends, so the four neighbor edges leave
+    # the pair of spliced vertices; the constraint scan comes last
+    return (
+        len(at_w) == len(at_x) == 3
+        and set(at_w) & set(at_x) == {eid}
+        and not ei.constrained(eid)
+    )
 
 
 def splice_candidates(ei: EdgeInstance) -> list[int]:
@@ -160,38 +160,40 @@ def splice(ei: EdgeInstance, eid: int) -> list[tuple[EdgeInstance, SpliceStep]]:
     """The live ways to pair the four neighbors of a spliced edge, each as
     (child, the step that lifts a coloring of the child back).
 
-    A pairing is dropped when its new edge would be a self-loop or it
-    collapses a constraint onto one edge: neither child has a coloring.
+    A pairing whose new edge would be a self-loop, or that collapses a
+    constraint onto one edge, has no coloring and is dropped before any
+    copy.  The five edges leave one copy of ei, the last child, and only
+    the constraints naming a removed neighbor edge are remapped.
     """
     assert spliceable(ei, eid)
     w, x = ei.edges[eid]
-    ew1, ew2 = (j for j in ei.incident(w) if j != eid)
-    ex1, ex2 = (j for j in ei.incident(x) if j != eid)
-    u = (set(ei.edges[ew1]) - {w}).pop()
-    v = (set(ei.edges[ew2]) - {w}).pop()
-    y = (set(ei.edges[ex1]) - {x}).pop()
-    z = (set(ei.edges[ex2]) - {x}).pop()
-
+    ew1, ew2 = (j for j in ei.at[w] if j != eid)
+    ex1, ex2 = (j for j in ei.at[x] if j != eid)
+    u, v = ((set(ei.edges[j]) - {w}).pop() for j in (ew1, ew2))
+    y, z = ((set(ei.edges[j]) - {x}).pop() for j in (ex1, ex2))
+    # a removed neighbor's color lives on in its replacement, so a
+    # constraint between two edges sharing a replacement collapses
+    live = [
+        ((a, ea), (b, eb))
+        for (a, ea), (b, eb) in (((y, ex1), (z, ex2)), ((z, ex2), (y, ex1)))
+        if u != a and v != b
+        and not {frozenset((ew1, ea)), frozenset((ew2, eb))} & ei.constraints
+    ]
+    if not live:
+        return []
+    touched = [c for c in ei.constraints if not c.isdisjoint((ew1, ew2, ex1, ex2))]
+    reduced = ei.copy()
+    for j in (eid, ew1, ew2, ex1, ex2):
+        reduced.remove_edge(j)
+    reduced.constraints.difference_update(touched)
     children = []
-    for (a, ea), (b, eb) in (((y, ex1), (z, ex2)), ((z, ex2), (y, ex1))):
-        if u == a or v == b:
-            continue
-        child = ei.copy()
-        for j in (eid, ew1, ew2, ex1, ex2):
-            child.remove_edge(j)
+    for (a, ea), (b, eb) in live:
+        child = reduced if len(children) == len(live) - 1 else reduced.copy()
         first = child.add_edge(u, a)
         second = child.add_edge(v, b)
-        # a removed neighbor's color lives on in its replacement, so
-        # constraints naming it move to the replacement
         remap = {ew1: first, ea: first, ew2: second, eb: second}
-        moved = {
-            frozenset(remap.get(j, j) for j in c) if c & remap.keys() else c
-            for c in child.constraints
-        }
-        if any(len(c) == 1 for c in moved):
-            continue
-        moved.add(frozenset((first, second)))
-        child.constraints = moved
+        child.constraints.update(frozenset(remap.get(j, j) for j in c) for c in touched)
+        child.constraints.add(frozenset((first, second)))
         children.append((child, SpliceStep(eid, ((first, (ew1, ea)), (second, (ew2, eb))))))
     return children
 
@@ -275,6 +277,7 @@ def edge_color(
     n: int, edges: list[Edge], config: Optional[SolverConfig] = None
 ) -> tuple[Optional[dict[Edge, int]], SearchStats]:
     """Proper 3-edge-coloring of a simple graph, or None when impossible.
+    A self-loop, a repeated edge or a vertex outside range(n) raises ValueError.
 
     config's node limit counts splices and every line-graph node;
     NodeLimitReached, carrying the stats, is raised when it runs out.
@@ -282,7 +285,7 @@ def edge_color(
     cfg = config or SolverConfig()
     stats = SearchStats()
     ei = EdgeInstance.from_graph(n, edges)
-    if any(ei.degree(v) > 3 for v in range(n)):
+    if any(len(ids) > 3 for ids in ei.at.values()):
         return None, stats
     steps = strip_low_neighbor_edges(ei)
     plan = select_splices(ei)

@@ -45,6 +45,8 @@ class MultiGraph:
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
+            if u not in g.adj or v not in g.adj:
+                raise ValueError(f"edge ({u}, {v}) has a vertex outside 0..{n - 1}")
             g.adj[u].add(v)
             g.adj[v].add(u)
         return g

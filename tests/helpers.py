@@ -6,9 +6,15 @@ Random relabelings of variables and colors turn every one of them into a
 family of fuzz inputs for that rule.
 """
 
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
+import csp32
+from csp32.edgecolor import SpliceStep
 from csp32.instance import Instance, TwoColorEliminated, measure, simplify
 from csp32.analysis import work_factor
 from csp32.oracle import brute_csp
@@ -214,6 +220,41 @@ def brute_splice_candidates(ei):
     return out
 
 
+def brute_splice(ei, eid):
+    """Reference for edgecolor.splice: for each pairing, copy the whole
+    instance, remove the five edges, add the two new ones and rebuild
+    every constraint through the remap, dropping the child when one
+    collapses onto a single edge."""
+    w, x = ei.edges[eid]
+    ew1, ew2 = sorted(j for j, e in ei.edges.items() if w in e and j != eid)
+    ex1, ex2 = sorted(j for j, e in ei.edges.items() if x in e and j != eid)
+    u = (set(ei.edges[ew1]) - {w}).pop()
+    v = (set(ei.edges[ew2]) - {w}).pop()
+    y = (set(ei.edges[ex1]) - {x}).pop()
+    z = (set(ei.edges[ex2]) - {x}).pop()
+
+    children = []
+    for (a, ea), (b, eb) in (((y, ex1), (z, ex2)), ((z, ex2), (y, ex1))):
+        if u == a or v == b:
+            continue
+        child = ei.copy()
+        for j in (eid, ew1, ew2, ex1, ex2):
+            child.remove_edge(j)
+        first = child.add_edge(u, a)
+        second = child.add_edge(v, b)
+        remap = {ew1: first, ea: first, ew2: second, eb: second}
+        moved = {
+            frozenset(remap.get(j, j) for j in c) if c & remap.keys() else c
+            for c in child.constraints
+        }
+        if any(len(c) == 1 for c in moved):
+            continue
+        moved.add(frozenset((first, second)))
+        child.constraints = moved
+        children.append((child, SpliceStep(eid, ((first, (ew1, ea)), (second, (ew2, eb))))))
+    return children
+
+
 def brute_line_graph_edges(ei):
     """Reference for the line graph edgecolor._line_graph_solve colors:
     the O(m^2) pair loop over edge ids, plus one edge per constraint."""
@@ -313,6 +354,16 @@ def extension_graph(n, edges, partial):
     palette = [(n, n + 1), (n, n + 2), (n + 1, n + 2)]
     pins = [(v, n + d) for v, c in partial.items() for d in (0, 1, 2) if d != c]
     return n + 3, list(edges) + palette + pins
+
+
+def run_fresh(code, *options):
+    """Run code in a fresh interpreter, with interpreter options such as
+    -O before -c and this csp32 on its path; returns the finished process."""
+    env = {**os.environ, "PYTHONPATH": str(Path(csp32.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, *options, "-c", code],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
 
 
 def relabel(rng, inst):

@@ -8,12 +8,8 @@ process.
 """
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
-import csp32
+from helpers import run_fresh
 
 HEAVY = ("scipy", "numpy", "networkx")
 
@@ -24,10 +20,7 @@ def loaded_after(body: str) -> set[str]:
         "\nimport json, sys\n"
         f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(csp32.__file__).parents[1])}
-    run = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
+    run = run_fresh(code)
     assert run.returncode == 0, run.stderr
     return set(json.loads(run.stdout.splitlines()[-1]))
 

@@ -1,5 +1,6 @@
 """Edge 3-coloring of degree-at-most-three graphs via vertex splicing."""
 
+import json
 import random
 import sys
 from itertools import combinations, product
@@ -23,7 +24,13 @@ from csp32.oracle import (
     random_cubic,
     random_graph,
 )
-from helpers import brute_line_graph_edges, brute_splice_candidates, scan_incidence
+from helpers import (
+    brute_line_graph_edges,
+    brute_splice,
+    brute_splice_candidates,
+    run_fresh,
+    scan_incidence,
+)
 
 
 def subcubic(rng, n, p):
@@ -57,15 +64,53 @@ def test_high_degree_is_uncolorable():
     assert got is None
 
 
+K4 = list(combinations(range(4), 2))
+PETERSEN = (
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(i + 5, ((i + 2) % 5) + 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)]
+)
+
+
 def test_known_graphs():
-    k4 = list(combinations(range(4), 2))
-    got, _ = edge_color(4, k4)
-    assert got is not None and proper_edge(k4, got)
-    petersen = [(i, (i + 1) % 5) for i in range(5)]
-    petersen += [(i + 5, ((i + 2) % 5) + 5) for i in range(5)]
-    petersen += [(i, i + 5) for i in range(5)]
-    got, _ = edge_color(10, petersen)
+    got, _ = edge_color(4, K4)
+    assert got is not None and proper_edge(K4, got)
+    got, _ = edge_color(10, PETERSEN)
     assert got is None  # the one famous class-two cubic graph
+
+
+def test_edge_color_rejects_repeated_edges():
+    # one color for both copies of an edge would be returned otherwise
+    for edges in ([(0, 1), (0, 1)], [(0, 1), (1, 0)]):
+        with pytest.raises(ValueError, match="repeated edge"):
+            edge_color(3, edges)
+
+
+def test_edge_color_rejects_vertex_out_of_range():
+    for edges in ([(0, 1), (1, 5)], [(-1, 0)]):
+        with pytest.raises(ValueError, match="outside"):
+            edge_color(3, edges)
+
+
+def test_edge_color_without_asserts():
+    # python -O drops the spliceable precondition and SpliceStep.lift's
+    # assert; the answers and edge_color's own check must not need them.
+    code = (
+        "import json, random\n"
+        "from csp32.edgecolor import edge_color\n"
+        "from csp32.oracle import planted_cubic_edge_colorable\n"
+        f"k4, _ = edge_color(4, {K4!r})\n"
+        f"petersen, _ = edge_color(10, {PETERSEN!r})\n"
+        "planted, stats = edge_color(*planted_cubic_edge_colorable(random.Random(1), 24))\n"
+        "print(json.dumps([__debug__, sorted(k4.items()), petersen, planted is not None,"
+        " stats.splices]))\n"
+    )
+    run = run_fresh(code, "-O")
+    assert run.returncode == 0, run.stderr
+    debug, k4, petersen, planted, splices = json.loads(run.stdout.splitlines()[-1])
+    assert not debug
+    assert proper_edge(K4, {tuple(e): c for e, c in k4})
+    assert petersen is None and planted and splices == 84
 
 
 def test_charge_identity_on_cubic_graphs():
@@ -113,7 +158,7 @@ def test_splice_children_preserve_colorability():
 def test_splice_returns_only_live_children():
     # K4 spliced at edge (0, 1): pairing (0,2) with (1,2) would make the
     # new edge a self-loop at 2, so only the crossed pairing comes back.
-    ei = EdgeInstance.from_graph(4, list(combinations(range(4), 2)))
+    ei = EdgeInstance.from_graph(4, K4)
     ((child, step),) = splice(ei, 0)
     assert sorted(child.edges.values()) == [(2, 3), (2, 3), (3, 2)]
     (first, pair1), (second, pair2) = step.merged
@@ -224,13 +269,55 @@ def test_splice_paths_match_brute_reference(index_checked, monkeypatch):
             cands = splice_candidates(ei)
             if not cands:
                 break
-            children = splice(ei, rng.choice(cands))
-            for child, _step in children:
+            eid = rng.choice(cands)
+            children = splice(ei, eid)
+            want = brute_splice(ei, eid)
+            assert len(children) == len(want)
+            for (child, step), (ref, ref_step) in zip(children, want):
                 _assert_matches_reference(child)
+                assert (child.edges, child.at, child.constraints, child.next_id, step) == (
+                    ref.edges, ref.at, ref.constraints, ref.next_id, ref_step
+                )
             if not children:
                 break
             ei = rng.choice(children)[0]
     assert states > 200 and constraint_decided > 100
+
+
+def test_splice_copies_once_per_child(monkeypatch):
+    # Dead pairings are dropped before any copy and the last child is the
+    # reduced copy itself, so a splice copies exactly once per child.
+    copies = []
+    real_copy = EdgeInstance.copy
+
+    def counted(self):
+        copies.append(self)
+        return real_copy(self)
+
+    monkeypatch.setattr(EdgeInstance, "copy", counted)
+
+    def copies_per_child(ei, eid):
+        del copies[:]
+        children = splice(ei, eid)
+        assert len(copies) == len(children)
+        return children
+
+    assert len(copies_per_child(EdgeInstance.from_graph(4, K4), 0)) == 1
+    rng = random.Random(49)
+    sizes = set()
+    for _ in range(60):
+        graph = rng.choice([random_cubic, planted_cubic_edge_colorable])(
+            rng, rng.choice([8, 10, 12, 16])
+        )
+        ei = EdgeInstance.from_graph(*graph)
+        strip_low_neighbor_edges(ei)
+        while cands := splice_candidates(ei):
+            children = copies_per_child(ei, rng.choice(cands))
+            sizes.add(len(children))
+            if not children:
+                break
+            ei = rng.choice(children)[0]
+    assert sizes == {0, 1, 2}
 
 
 def test_edge_color_matches_brute_force():

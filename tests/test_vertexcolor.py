@@ -1,11 +1,7 @@
 """Graph 3-coloring pipeline: reductions, forests, and end-to-end solving."""
 
-import os
 import random
-import subprocess
-import sys
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 
@@ -32,7 +28,7 @@ from csp32.vertexcolor import (
     find_degree3_cycle,
     strip_low_degree,
 )
-from helpers import brute_build_bushy_forest, brute_solve_leaf, extension_graph
+from helpers import brute_build_bushy_forest, brute_solve_leaf, extension_graph, run_fresh
 
 
 def proper(edges, coloring):
@@ -252,10 +248,7 @@ def test_check_claims_survives_python_O():
         "graph = planted_3colorable(random.Random(86), 20, 0.25)\n"
         "color_graph(*graph, solver.SolverConfig(check_claims=True))\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(vertexcolor.__file__).parents[1])}
-    run = subprocess.run(
-        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
+    run = run_fresh(code, "-O")
     assert run.returncode == 1
     assert "AssertionError: ('dangling', [" in run.stderr
 
@@ -273,6 +266,11 @@ def test_claim_checked_coloring_matches_brute_force():
                 assert proper(graph[1], res.coloring)
             branched += sum(res.stats.rule_counts.values()) > res.stats.rule_counts["matching"]
     assert branched >= 2  # some leaf CSPs branched, so their claims were checked
+
+
+def test_color_graph_rejects_vertex_out_of_range():
+    with pytest.raises(ValueError, match="outside"):
+        color_graph(2, [(5, 1)])
 
 
 def test_color_graph_rejects_unverified_coloring(monkeypatch):
