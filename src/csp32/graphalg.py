@@ -1,11 +1,14 @@
-"""Classical graph subroutines: depth-first search, matchings and flow.
+"""Classical graph subroutines: graph search, matchings and flow.
 
 depth_first drives every backtracking search in the package: the
 branch-and-reduce solvers, the coloring pipelines, Kuhn's matching and
-the brute-force oracles.  The solver endgame needs bipartite maximum
-matching, the edge-coloring splice selection needs maximum matching in
-a general graph, and the height-two forest construction needs integer
-maximum flow.  All inputs here are tiny (O(n) nodes), so simple
+the brute-force oracles.  bfs is every breadth-first traversal: the
+constraint-graph components of the solver rules, the degree-three
+cycles and trees of the coloring pipeline, and the augmenting paths of
+max_flow.  The solver endgame needs bipartite maximum matching, the
+edge-coloring splice selection needs maximum matching in a general
+graph, and the height-two forest construction needs integer maximum
+flow.  All inputs here are tiny (O(n) nodes), so simple
 augmenting-path methods suffice; general matching delegates to
 networkx's blossom implementation because the splice-count guarantee
 requires a true maximum matching, not a maximal one.  general_matching
@@ -14,7 +17,6 @@ imports networkx itself, so only edge_color's splice selection loads it.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 
@@ -36,6 +38,42 @@ def depth_first(root, expand):
         else:
             stack.pop()
     return None
+
+
+def bfs(root, neighbors):
+    """Breadth-first search from root, yielding (vertex, parent) in
+    discovery order: root first, with parent None.
+
+    neighbors(v) is called once v leaves the queue, and its neighbors
+    are discovered in the order it lists them."""
+    seen = {root}
+    queue = [root]
+    yield root, None
+    for v in queue:  # the loop reaches vertices appended while it runs
+        for u in neighbors(v):
+            if u not in seen:
+                seen.add(u)
+                queue.append(u)
+                yield u, v
+
+
+def components(vertices, neighbors) -> list[list]:
+    """Connected components of the graph that neighbors(v) spans on
+    vertices (neighbors outside vertices are ignored), each sorted, in
+    order of their least vertex."""
+    pool = set(vertices)
+
+    def inside(v):
+        return (u for u in neighbors(v) if u in pool)
+
+    seen: set = set()
+    comps = []
+    for root in sorted(pool):
+        if root not in seen:
+            comp = sorted(v for v, _ in bfs(root, inside))
+            seen.update(comp)
+            comps.append(comp)
+    return comps
 
 
 def bipartite_matching(
@@ -126,17 +164,17 @@ def max_flow(net: FlowNetwork) -> tuple[int, dict[tuple, int]]:
     for u in out_arcs:
         out_arcs[u].sort(key=repr)
 
+    def open_arcs(u):
+        return (v for v in out_arcs[u] if residual[(u, v)] > 0)
+
     value = 0
     while True:
-        parent = {net.source: None}
-        queue = deque([net.source])
-        while queue and net.sink not in parent:
-            u = queue.popleft()
-            for v in out_arcs[u]:
-                if v not in parent and residual[(u, v)] > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if net.sink not in parent:
+        parent = {}
+        for v, u in bfs(net.source, open_arcs):
+            parent[v] = u
+            if v == net.sink:
+                break
+        else:
             break
         # Bottleneck along the path.
         path = []

@@ -21,7 +21,7 @@ from itertools import product
 from typing import Optional
 
 from .analysis import LAMBDA, work_factor
-from .graphalg import bipartite_matching, depth_first
+from .graphalg import bipartite_matching, components, depth_first
 from .instance import (
     Assignment,
     Instance,
@@ -129,28 +129,6 @@ def find_implications(inst: Instance) -> dict[Pair, list[Pair]]:
                 (s,) = missing
                 out.setdefault(p, []).append((w, s))
     return out
-
-
-def pair_components(inst: Instance, pairs: Optional[list[Pair]] = None) -> list[list[Pair]]:
-    """Connected components of the constraint graph restricted to pairs."""
-    pool = set(inst.pairs() if pairs is None else pairs)
-    comps = []
-    seen = set()
-    for start in sorted(pool):
-        if start in seen:
-            continue
-        comp = []
-        stack = [start]
-        seen.add(start)
-        while stack:
-            p = stack.pop()
-            comp.append(p)
-            for q in sorted(inst.adj[p]):
-                if q in pool and q not in seen:
-                    seen.add(q)
-                    stack.append(q)
-        comps.append(sorted(comp))
-    return comps
 
 
 def cycle_order(inst: Instance, comp: list[Pair]) -> list[Pair]:
@@ -330,39 +308,40 @@ def _rule_three_with_two(red: Instance, stats: "SearchStats") -> Optional[Branch
     return _screen(_triple_candidates(red, "triple-with-two", fits), stats)
 
 
+def _free_children(red: Instance, pairs: list[Pair]):
+    """A child using each pick of one pair per variable of pairs with no
+    two picks constrained, in product order: variables ascending, each
+    variable's pairs in their order in pairs."""
+    cvars = sorted({p[0] for p in pairs})
+    for combo in product(*([p for p in pairs if p[0] == v] for v in cvars)):
+        if not any(b in red.adj[a] for i, a in enumerate(combo) for b in combo[i + 1:]):
+            child = ChildBuilder(red)
+            for pr in combo:
+                child.use(pr)
+            yield child
+
+
 def _small_three_children(red: Instance, comp: list[Pair]) -> Optional[Branching]:
-    comp_vars = sorted({p[0] for p in comp})
-    per_var = {v: [p for p in comp if p[0] == v] for v in comp_vars}
     k = len(comp)
     if k == 4:
         return None  # good component, handled by matching
-    constrained = lambda a, b: b in red.adj[a]
     if k == 12:
         # All colors of all four variables: the component is closed off
-        # from the rest of the instance and can be solved in isolation.
-        for combo in product(*(per_var[v] for v in comp_vars)):
-            if not any(
-                constrained(a, b)
-                for i, a in enumerate(combo)
-                for b in combo[i + 1:]
-            ):
-                child = ChildBuilder(red)
-                for pr in combo:
-                    child.use(pr)
-                return "small-three-component", [child]
-        return "small-three-component", []  # the whole instance is unsolvable
+        # from the rest of the instance and can be solved in isolation;
+        # with no free pick the whole instance is unsolvable.
+        child = next(_free_children(red, comp), None)
+        return "small-three-component", [] if child is None else [child]
     # k == 8 (or, defensively, anything else): branch over the maximal
     # variable subsets colorable from component pairs; uncovered
     # variables fall back to their color outside the component.  Since
     # component pairs have no constraints leaving the component, any two
     # assignments covering the same variables are interchangeable and
     # one representative per subset suffices.
+    comp_vars = sorted({p[0] for p in comp})
     by_cover: dict[frozenset, tuple] = {}
-    for combo in product(*([None] + per_var[v] for v in comp_vars)):
+    for combo in product(*([None] + [p for p in comp if p[0] == v] for v in comp_vars)):
         chosen = tuple(pr for pr in combo if pr is not None)
-        if not any(
-            constrained(a, b) for i, a in enumerate(chosen) for b in chosen[i + 1:]
-        ):
+        if not any(b in red.adj[a] for i, a in enumerate(chosen) for b in chosen[i + 1:]):
             cover = frozenset(pr[0] for pr in chosen)
             if cover not in by_cover:
                 by_cover[cover] = chosen
@@ -454,7 +433,7 @@ def _large_three_children(
 
 def _rule_three_components(red: Instance, stats: "SearchStats") -> Optional[Branching]:
     triple = [p for p in red.pairs() if red.degree(p) == 3]
-    for comp in pair_components(red, triple):
+    for comp in components(triple, red.adj.get):
         if len({p[0] for p in comp}) >= 5:
             return _large_three_children(red, comp, stats)
         got = _small_three_children(red, comp)
@@ -468,7 +447,7 @@ def _rule_three_components(red: Instance, stats: "SearchStats") -> Optional[Bran
 
 def _rule_two_components(red: Instance, stats: "SearchStats") -> Optional[Branching]:
     double = [p for p in red.pairs() if red.degree(p) == 2]
-    for comp in pair_components(red, double):
+    for comp in components(double, red.adj.get):
         if len(comp) <= 3 or any(red.degree(p) != 2 for p in comp):
             continue
         cyc = cycle_order(red, comp)
@@ -477,19 +456,9 @@ def _rule_two_components(red: Instance, stats: "SearchStats") -> Optional[Branch
         def candidates():
             # One cycle pair per variable, mutually unconstrained: the
             # whole component can be colored for free.
-            cvars = sorted({p[0] for p in cyc})
-            per_var = {v: [p for p in cyc if p[0] == v] for v in cvars}
-            if len(cvars) <= 4:
-                for combo in product(*(per_var[v] for v in cvars)):
-                    if not any(
-                        b in red.adj[a]
-                        for i, a in enumerate(combo)
-                        for b in combo[i + 1:]
-                    ):
-                        child = ChildBuilder(red)
-                        for pr in combo:
-                            child.use(pr)
-                        yield "large-two-component", [child]
+            if len({p[0] for p in cyc}) <= 4:
+                for child in _free_children(red, cyc):
+                    yield "large-two-component", [child]
             # Five consecutive distinct variables: use one of the two
             # middle pairs, or both ends (freeing the middle entirely).
             for i in range(length if length >= 5 else 0):
@@ -549,7 +518,7 @@ def choose_rule(red: Instance, stats: "SearchStats") -> Optional[Branching]:
         if got is not None:
             return got
     # Leftovers must decompose into cliques of mutually exclusive pairs.
-    for comp in pair_components(red):
+    for comp in components(red.pairs(), red.adj.get):
         vars_in = [p[0] for p in comp]
         clique = all(q in red.adj[p] for p in comp for q in comp if q != p)
         if not clique or len(set(vars_in)) != len(vars_in):
@@ -580,7 +549,7 @@ def matching_solve(red: Instance) -> Optional[Assignment]:
     A solution picks one pair per variable and at most one pair per
     clique, which is exactly a bipartite matching covering the variables.
     """
-    comps = pair_components(red)
+    comps = components(red.pairs(), red.adj.get)
     comp_of = {}
     for i, comp in enumerate(comps):
         for p in comp:
@@ -770,14 +739,27 @@ def _random_walk(inst: Instance, rng: random.Random) -> Optional[Assignment]:
         red = red2
 
 
+# The randomized solvers run BUDGET_FACTOR times the expected number of
+# trials to a first success.
+BUDGET_FACTOR = 50.0
+
+
+def _budget(base: float, exponent: float) -> float:
+    """BUDGET_FACTOR * base ** exponent trials, rounded up and at least
+    one; math.inf past 2^1000 trials, which float powers soon cannot
+    hold.  Only a solution or the node limit ends an unbounded run."""
+    if math.log2(BUDGET_FACTOR) + exponent * math.log2(base) > 1000:
+        return math.inf
+    return max(1, math.ceil(BUDGET_FACTOR * base ** exponent))
+
+
 def solve_randomized_32(
     inst: Instance,
     seed: int = 0,
-    budget_factor: float = 50.0,
     config: Optional[SolverConfig] = None,
 ) -> tuple[Optional[Assignment], SearchStats]:
     """Monte Carlo (3,2)-CSP solver: each walk succeeds on a solvable
-    instance with probability at least 2^(-n/2), so budget_factor times
+    instance with probability at least 2^(-n/2), so BUDGET_FACTOR times
     2^(n/2) walks miss with negligible probability.  Returns the solution
     (or None) and the stats, whose nodes count the walks run.  Each walk
     spends one node of config's node limit; NodeLimitReached is raised
@@ -787,8 +769,8 @@ def solve_randomized_32(
     cfg = config or SolverConfig()
     stats = SearchStats()
     rng = random.Random(seed)
-    budget = max(1, math.ceil(budget_factor * 2 ** (inst.n / 2)))
-    for _ in range(budget):
+    budget = _budget(2.0, inst.n / 2)
+    while stats.nodes < budget:
         stats.nodes += 1
         cfg.charge(stats)
         asg = _random_walk(inst, rng)
@@ -800,22 +782,22 @@ def solve_randomized_32(
 def solve_randomized_d2(
     inst: Instance,
     seed: int = 0,
-    budget_factor: float = 50.0,
     config: Optional[SolverConfig] = None,
 ) -> tuple[Optional[Assignment], SearchStats]:
     """Randomized solver for (d,2)-CSP with d > 4: restrict every variable
     to a random four-color subset and run the deterministic solver.  A
     restriction preserves a fixed solution with probability (4/d)^n per
-    variable-count n, giving expected O((d/4)^n) trials.  Returns the
-    solution (or None) and the stats, where each trial's solve is one
-    csp_call.  The nested solves share config's node limit;
-    NodeLimitReached is raised when it runs out."""
+    variable-count n, so BUDGET_FACTOR times (d/4)^n trials miss with
+    negligible probability.  Returns the solution (or None) and the
+    stats, where each trial's solve is one csp_call.  The nested solves
+    share config's node limit; NodeLimitReached is raised when it runs
+    out."""
     cfg = config or SolverConfig()
     stats = SearchStats()
     d = max((len(cs) for cs in inst.colors.values()), default=0)
     rng = random.Random(seed)
-    budget = 1 if d <= 4 else max(1, math.ceil(budget_factor * (d / 4) ** inst.n))
-    for _ in range(budget):
+    budget = 1 if d <= 4 else _budget(d / 4, inst.n)
+    while stats.csp_calls < budget:
         r = inst.copy()
         for v in r.variables():
             cs = sorted(r.colors[v])

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
 
-from .graphalg import FlowNetwork, depth_first, max_flow
+from .graphalg import FlowNetwork, bfs, components, depth_first, max_flow
 from .instance import lift
 from .solver import NodeLimitReached, SearchStats, SolverConfig, solve
 from .transform import coloring_to_csp
@@ -183,22 +183,16 @@ def find_degree3_cycle(g: MultiGraph) -> Optional[list[int]]:
     edges = sorted({tuple(sorted((u, v))) for u in sub for v in sub[u]})
     for u, v in edges:
         # shortest u-v path avoiding this edge closes a shortest cycle on it
-        parent: dict[int, Optional[int]] = {u: None}
-        queue = [u]
-        head = 0
-        while head < len(queue) and v not in parent:
-            a = queue[head]
-            head += 1
-            for b in sorted(sub[a]):
-                if b not in parent and not (a == u and b == v):
-                    parent[b] = a
-                    queue.append(b)
-        if v in parent:
-            path = [v]
-            while path[-1] != u:
-                path.append(parent[path[-1]])
-            if best is None or len(path) < len(best):
-                best = path
+        parent = {}
+        for b, a in bfs(u, lambda x: (y for y in sorted(sub[x]) if (x, y) != (u, v))):
+            parent[b] = a
+            if b == v:
+                path = [v]
+                while path[-1] != u:
+                    path.append(parent[path[-1]])
+                if best is None or len(path) < len(best):
+                    best = path
+                break
     return best
 
 
@@ -214,6 +208,24 @@ def _delete_cycle(g: MultiGraph, steps: list, cyc: list[int]):
     steps.append(CycleColored(tuple(entries)))
     for v in cyc:
         g.remove_vertex(v)
+
+
+def _child(g: MultiGraph, merges, edge, cycle, greedy) -> Optional[tuple[MultiGraph, list]]:
+    """One graph branch child and its lift steps: a copy of g with the
+    merges, then the edge, applied (None when one is impossible), then
+    the cycle deleted or the greedy vertices still present removed."""
+    child = g.copy()
+    if not all(child.merge(u, v) for u, v in merges):
+        return None
+    if edge is not None and not child.add_edge(*edge):
+        return None
+    steps: list = []
+    if cycle is not None:
+        _delete_cycle(child, steps, cycle)
+    for v in greedy:
+        if v in child.adj:
+            _remove_greedy(child, steps, v)
+    return child, steps
 
 
 def branch_degree3_cycle(g: MultiGraph) -> Optional[list[tuple[MultiGraph, list]]]:
@@ -237,10 +249,7 @@ def branch_degree3_cycle(g: MultiGraph) -> Optional[list[tuple[MultiGraph, list]
         for i in range(k)
     )
     if k % 2 == 0 or adjacent_pair:
-        child = g.copy()
-        steps: list = []
-        _delete_cycle(child, steps, cyc)
-        return [(child, steps)]
+        return [_child(g, (), None, cyc, ())]
 
     if k == 3:
         if outs[0] == outs[1] == outs[2]:
@@ -249,125 +258,51 @@ def branch_degree3_cycle(g: MultiGraph) -> Optional[list[tuple[MultiGraph, list]
         while outs[0] == outs[1]:
             cyc = cyc[1:] + cyc[:1]
             outs = outs[1:] + outs[:1]
-        children = []
-        a = g.copy()
-        a_steps: list = []
-        a.add_edge(outs[0], outs[1])
-        _delete_cycle(a, a_steps, cyc)
-        children.append((a, a_steps))
-        b = g.copy()
-        b_steps = []
-        ok = b.merge(outs[0], outs[1]) and b.merge(outs[0], cyc[2])
-        if ok:
-            _remove_greedy(b, b_steps, cyc[0])
-            _remove_greedy(b, b_steps, cyc[1])
-            children.append((b, b_steps))
-        return children
-
-    # odd cycle of length five or more: three ways the first three outside
-    # neighbors can relate (first two differ / first two equal, third
-    # differs / all three equal)
-    children = []
-    if outs[0] != outs[1]:
-        a = g.copy()
-        a_steps = []
-        a.add_edge(outs[0], outs[1])
-        _delete_cycle(a, a_steps, cyc)
-        children.append((a, a_steps))
-    b = g.copy()
-    b_steps = []
-    ok = b.merge(outs[0], outs[1])
-    if ok:
-        third = outs[2] if outs[2] in b.adj else outs[0]
-        ok = b.add_edge(outs[0], third)
-    if ok:
-        _delete_cycle(b, b_steps, cyc)
-        children.append((b, b_steps))
-    c = g.copy()
-    c_steps = []
-    ok = c.merge(outs[0], outs[1])
-    if ok:
-        third = outs[2] if outs[2] in c.adj else outs[0]
-        ok = c.merge(outs[0], third) and c.merge(cyc[0], cyc[2])
-    if ok:
-        _remove_greedy(c, c_steps, cyc[1])
-        children.append((c, c_steps))
-    return children
-
-
-def _degree3_components(g: MultiGraph) -> list[list[int]]:
-    sub = _degree3_subgraph(g)
-    seen: set[int] = set()
-    comps = []
-    for v in sorted(sub):
-        if v in seen:
-            continue
-        comp = [v]
-        seen.add(v)
-        head = 0
-        while head < len(comp):
-            for u in sorted(sub[comp[head]]):
-                if u not in seen:
-                    seen.add(u)
-                    comp.append(u)
-            head += 1
-        comps.append(sorted(comp))
-    return comps
+        same = [_child(g, ((outs[0], outs[1]), (outs[0], cyc[2])), None, None, cyc[:2])]
+    else:
+        # odd cycle of length five or more: three ways the first three
+        # outside neighbors can relate (first two differ / first two
+        # equal, third differs / all three equal); third is what is left
+        # of outs[2] once outs[1] is merged into outs[0]
+        third = outs[0] if outs[2] == outs[1] else outs[2]
+        merged = (outs[0], outs[1])
+        same = [
+            _child(g, (merged,), (outs[0], third), cyc, ()),
+            _child(g, (merged, (outs[0], third), (cyc[0], cyc[2])), None, None, cyc[1:2]),
+        ]
+    differ = [_child(g, (), (outs[0], outs[1]), cyc, ())] if outs[0] != outs[1] else []
+    return [c for c in differ + same if c is not None]
 
 
 def branch_degree3_tree(g: MultiGraph) -> Optional[list[tuple[MultiGraph, list]]]:
     """Branch set shrinking a tree of eight or more degree-three vertices."""
     sub = _degree3_subgraph(g)
-    comp = next((c for c in _degree3_components(g) if len(c) >= 8), None)
+    comp = next((c for c in components(sub, sub.get) if len(c) >= 8), None)
     if comp is None:
         return None
-    comp_set = set(comp)
-    centroid = min(
-        comp, key=lambda v: (max(
-            (len(t) for t in _subtrees(sub, comp_set, v)), default=0), v)
-    )
-    k = len(comp)
-    assert max(
-        (len(t) for t in _subtrees(sub, comp_set, centroid)), default=0
-    ) <= k // 2
+
+    def branches(v) -> dict[int, list[int]]:
+        # each tree neighbor u of v, with the vertices behind u in
+        # breadth-first order from u
+        return {
+            u: [w for w, _ in bfs(u, lambda x: (y for y in sorted(sub[x]) if y != v))]
+            for u in sorted(sub[v])
+        }
+
+    def heaviest(v) -> int:
+        return max(map(len, branches(v).values()), default=0)
+
+    centroid = min(comp, key=lambda v: (heaviest(v), v))
+    assert heaviest(centroid) <= len(comp) // 2
 
     nbrs = sorted(g.adj[centroid])
     assert len(nbrs) == 3
+    behind = branches(centroid)
     children = []
     for third in nbrs:
         a, b = (u for u in nbrs if u != third)
-        child = g.copy()
-        steps: list = []
-        if not child.merge(a, b):
-            continue
-        _remove_greedy(child, steps, centroid)
-        if third in comp_set:
-            for v in _subtree_order(sub, comp_set, centroid, third):
-                if v in child.adj:
-                    _remove_greedy(child, steps, v)
-        children.append((child, steps))
-    return children
-
-
-def _subtrees(sub, comp_set, v) -> list[list[int]]:
-    return [
-        _subtree_order(sub, comp_set, v, u)
-        for u in sorted(sub[v])
-        if u in comp_set
-    ]
-
-
-def _subtree_order(sub, comp_set, banned, root) -> list[int]:
-    order = [root]
-    seen = {banned, root}
-    head = 0
-    while head < len(order):
-        for u in sorted(sub[order[head]]):
-            if u in comp_set and u not in seen:
-                seen.add(u)
-                order.append(u)
-        head += 1
-    return order
+        children.append(_child(g, ((a, b),), None, None, (centroid, *behind.get(third, ()))))
+    return [c for c in children if c is not None]
 
 
 @dataclass
@@ -535,13 +470,9 @@ def _two_disjoint_stars(out_adj, avail: set[int]):
 
 def _bushy_unit(g: MultiGraph, f: BushyForest, root: int) -> list[Coloring]:
     """Proper colorings of one bushy tree's internal vertices."""
-    order = [root]
-    head = 0
-    while head < len(order):
-        order.extend(
-            u for u in f.children.get(order[head], ()) if u in f.internal
-        )
-        head += 1
+    order = [
+        v for v, _ in bfs(root, lambda v: (u for u in f.children.get(v, ()) if u in f.internal))
+    ]
     outs: list[Coloring] = []
 
     def expand(acc: Coloring):

@@ -1,0 +1,127 @@
+"""One SHA-256 over the answers and search counts of a fixed seeded batch.
+
+Run as `PYTHONPATH=src python tests/fingerprint.py`.  The batch calls
+solve, sat_to_csp + solve, color_graph and edge_color on seeded random
+inputs, some under a node limit, and hashes every verdict, solution and
+SearchStats field.  A refactor that claims an identical search prints
+the same digest as its parent commit.  The file name keeps pytest from
+collecting it.
+"""
+
+import hashlib
+import json
+import random
+
+from csp32.edgecolor import edge_color
+from csp32.oracle import (
+    planted_3colorable,
+    planted_csp,
+    planted_cubic_edge_colorable,
+    random_3cnf,
+    random_csp,
+    random_cubic,
+    random_graph,
+    structured_csp,
+)
+from csp32.solver import NodeLimitReached, SolverConfig, solve
+from csp32.transform import sat_to_csp
+from csp32.vertexcolor import color_graph
+
+LIMITS = (None, 4, 25)  # node limits each input runs under
+
+
+def _stats(stats) -> dict:
+    return dict(vars(stats), rule_counts=sorted(stats.rule_counts.items()))
+
+
+def _csp_inputs():
+    for seed in range(60):
+        rng = random.Random(seed)
+        yield "random", random_csp(rng, rng.randint(6, 12), rng.choice((3, 4)), 0.2)
+        yield "planted", planted_csp(rng, rng.randint(8, 14), rng.choice((3, 4)), 0.35)[0]
+        inst = structured_csp(rng, [rng.choice((3, 4)) for _ in range(24)], four_vars=seed % 5)
+        if inst is not None:
+            yield "structured", inst
+
+
+def _sat_inputs():
+    for seed in range(60):
+        rng = random.Random(1000 + seed)
+        nvars = rng.randint(8, 20)
+        yield nvars, random_3cnf(rng, nvars, round(4.26 * nvars))
+
+
+def _graphs():
+    for seed in range(80):
+        rng = random.Random(2000 + seed)
+        n = rng.randint(10, 40)
+        yield "gnp", random_graph(rng, n, 4.6 / n)
+        yield "planted", planted_3colorable(rng, n, 7 / n)
+        yield "cubic", random_cubic(rng, 2 * rng.randint(4, 10))
+
+
+def _tree_graphs():
+    # A random tree of degree-three vertices hooked into an octahedron
+    # (every core vertex has degree four or more), so that color_graph
+    # reaches its tree branching, which the random graphs above seldom do.
+    for seed in range(20):
+        rng = random.Random(4000 + seed)
+        m = rng.randint(8, 14)
+        edges = []
+        for v in range(1, m):
+            edges.append((rng.choice([u for u in range(v) if sum(u in e for e in edges) < 3]), v))
+        core = range(m, m + 6)
+        edges += [(a, b) for a in core for b in core if a < b and b - a != 3]
+        for v in range(m):
+            edges += [(v, c) for c in rng.sample(core, 3 - sum(v in e for e in edges))]
+        yield "tree", (m + 6, edges)
+
+
+def _cubic_graphs():
+    for seed in range(40):
+        rng = random.Random(3000 + seed)
+        yield "planted", planted_cubic_edge_colorable(rng, 2 * rng.randint(4, 10))
+        yield "random", random_cubic(rng, 2 * rng.randint(4, 8))
+
+
+def records():
+    """(call, input label, node limit, verdict, solution, stats) per call."""
+    for limit in LIMITS:
+        cfg = SolverConfig(node_limit=limit)
+        for label, inst in _csp_inputs():
+            res = solve(inst, cfg)
+            yield ("solve", label, limit, res.satisfiable,
+                   sorted(res.assignment.items()) if res.assignment else None, _stats(res.stats))
+        for nvars, clauses in _sat_inputs():
+            inst, _smap = sat_to_csp(nvars, clauses)
+            if inst is None:
+                yield "sat", nvars, limit, False, None, None
+                continue
+            res = solve(inst, cfg)
+            yield ("sat", nvars, limit, res.satisfiable,
+                   sorted(res.assignment.items()) if res.assignment else None, _stats(res.stats))
+        for label, graph in (*_graphs(), *_tree_graphs()):
+            res = color_graph(*graph, cfg)
+            yield ("color", label, limit, res.colorable,
+                   sorted(res.coloring.items()) if res.coloring else None, _stats(res.stats))
+        for label, graph in _cubic_graphs():
+            try:
+                colors, stats = edge_color(*graph, cfg)
+                verdict = colors is not None
+            except NodeLimitReached as exc:
+                colors, stats, verdict = None, exc.stats, None
+            yield ("edge", label, limit, verdict,
+                   sorted(colors.items()) if colors else None, _stats(stats))
+
+
+def main():
+    digest = hashlib.sha256()
+    calls = 0
+    for rec in records():
+        digest.update(json.dumps(rec, sort_keys=True).encode() + b"\n")
+        calls += 1
+    print(f"{digest.hexdigest()}  {calls} calls")
+
+
+if __name__ == "__main__":
+    main()

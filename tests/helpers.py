@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from itertools import product
 from pathlib import Path
 
@@ -27,7 +28,10 @@ from csp32.solver import (
 )
 from csp32.vertexcolor import (
     _bushy_unit,
+    _degree3_subgraph,
+    _delete_cycle,
     _height_two_unit,
+    _remove_greedy,
     _residual_solve,
     build_bushy_forest,
     build_height_two_forest,
@@ -311,6 +315,169 @@ def brute_build_bushy_forest(g):
                     leaves.add(u)
                 changed = True
     return roots, parent, children, internal, leaves
+
+
+def brute_find_degree3_cycle(g):
+    """Reference for vertexcolor.find_degree3_cycle: one hand-written
+    queue per degree-three edge, searching until the far end is found."""
+    sub = _degree3_subgraph(g)
+    best = None
+    edges = sorted({tuple(sorted((u, v))) for u in sub for v in sub[u]})
+    for u, v in edges:
+        parent = {u: None}
+        queue = [u]
+        head = 0
+        while head < len(queue) and v not in parent:
+            a = queue[head]
+            head += 1
+            for b in sorted(sub[a]):
+                if b not in parent and not (a == u and b == v):
+                    parent[b] = a
+                    queue.append(b)
+        if v in parent:
+            path = [v]
+            while path[-1] != u:
+                path.append(parent[path[-1]])
+            if best is None or len(path) < len(best):
+                best = path
+    return best
+
+
+def brute_branch_degree3_cycle(g, shapes=None):
+    """Reference for vertexcolor.branch_degree3_cycle: every child copied
+    and edited by hand, the odd cycle's third outside neighbor looked up
+    after the merge.  Each child's branch shape is tallied in the
+    shapes Counter when one is given."""
+    shapes = Counter() if shapes is None else shapes
+    cyc = brute_find_degree3_cycle(g)
+    if cyc is None:
+        return None
+    k = len(cyc)
+    outs = []
+    for i, v in enumerate(cyc):
+        others = g.adj[v] - {cyc[i - 1], cyc[(i + 1) % k]}
+        outs.append(min(others))
+    adjacent_pair = any(
+        outs[i] != outs[(i + 1) % k] and outs[(i + 1) % k] in g.adj[outs[i]]
+        for i in range(k)
+    )
+    if k % 2 == 0 or adjacent_pair:
+        child = g.copy()
+        steps = []
+        _delete_cycle(child, steps, cyc)
+        shapes["even-or-adjacent"] += 1
+        return [(child, steps)]
+    if k == 3:
+        if outs[0] == outs[1] == outs[2]:
+            return []
+        while outs[0] == outs[1]:
+            cyc = cyc[1:] + cyc[:1]
+            outs = outs[1:] + outs[:1]
+        children = []
+        a = g.copy()
+        a_steps = []
+        a.add_edge(outs[0], outs[1])
+        _delete_cycle(a, a_steps, cyc)
+        children.append((a, a_steps))
+        shapes["k3-differ"] += 1
+        b = g.copy()
+        b_steps = []
+        if b.merge(outs[0], outs[1]) and b.merge(outs[0], cyc[2]):
+            _remove_greedy(b, b_steps, cyc[0])
+            _remove_greedy(b, b_steps, cyc[1])
+            children.append((b, b_steps))
+            shapes["k3-same"] += 1
+        return children
+    children = []
+    if outs[0] != outs[1]:
+        a = g.copy()
+        a_steps = []
+        a.add_edge(outs[0], outs[1])
+        _delete_cycle(a, a_steps, cyc)
+        children.append((a, a_steps))
+        shapes["odd-differ"] += 1
+    if outs[0] != outs[1] == outs[2]:
+        shapes["odd-third-merged"] += 1  # outs[2] is merged away below
+    b = g.copy()
+    b_steps = []
+    ok = b.merge(outs[0], outs[1])
+    if ok:
+        third = outs[2] if outs[2] in b.adj else outs[0]
+        ok = b.add_edge(outs[0], third)
+    if ok:
+        _delete_cycle(b, b_steps, cyc)
+        children.append((b, b_steps))
+        shapes["odd-same-edge"] += 1
+    c = g.copy()
+    c_steps = []
+    ok = c.merge(outs[0], outs[1])
+    if ok:
+        third = outs[2] if outs[2] in c.adj else outs[0]
+        ok = c.merge(outs[0], third) and c.merge(cyc[0], cyc[2])
+    if ok:
+        _remove_greedy(c, c_steps, cyc[1])
+        children.append((c, c_steps))
+        shapes["odd-same-merge"] += 1
+    return children
+
+
+def _brute_subtree_order(sub, comp_set, banned, root):
+    order = [root]
+    seen = {banned, root}
+    head = 0
+    while head < len(order):
+        for u in sorted(sub[order[head]]):
+            if u in comp_set and u not in seen:
+                seen.add(u)
+                order.append(u)
+        head += 1
+    return order
+
+
+def brute_branch_degree3_tree(g):
+    """Reference for vertexcolor.branch_degree3_tree: hand-written queues
+    for the degree-three components and for every subtree, and every
+    child copied and edited by hand."""
+    sub = _degree3_subgraph(g)
+    comps, seen = [], set()
+    for v in sorted(sub):
+        if v in seen:
+            continue
+        comp = [v]
+        seen.add(v)
+        head = 0
+        while head < len(comp):
+            for u in sorted(sub[comp[head]]):
+                if u not in seen:
+                    seen.add(u)
+                    comp.append(u)
+            head += 1
+        comps.append(sorted(comp))
+    comp = next((c for c in comps if len(c) >= 8), None)
+    if comp is None:
+        return None
+    comp_set = set(comp)
+
+    def heaviest(v):
+        sizes = [len(_brute_subtree_order(sub, comp_set, v, u)) for u in sub[v] if u in comp_set]
+        return max(sizes, default=0)
+
+    centroid = min(comp, key=lambda v: (heaviest(v), v))
+    nbrs = sorted(g.adj[centroid])
+    children = []
+    for third in nbrs:
+        a, b = (u for u in nbrs if u != third)
+        child = g.copy()
+        steps = []
+        if not child.merge(a, b):
+            continue
+        _remove_greedy(child, steps, centroid)
+        if third in comp_set:
+            for v in _brute_subtree_order(sub, comp_set, centroid, third):
+                if v in child.adj:
+                    _remove_greedy(child, steps, v)
+        children.append((child, steps))
+    return children
 
 
 def brute_solve_leaf(g, cfg, stats):

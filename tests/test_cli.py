@@ -105,6 +105,17 @@ def test_solve_rand_mode_node_limit(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "limit"
 
 
+@pytest.mark.parametrize("n,d", [(2048, 3), (310, 40)])
+def test_solve_rand_mode_budget_past_float_range(tmp_path, capsys, n, d):
+    # 50 * 2^(n/2) walks for three colors and 50 * (d/4)^n restrictions
+    # for forty are past float range; the budget must not overflow.
+    variables = [{"id": v, "colors": list(range(d))} for v in range(n)]
+    path = csp_json(tmp_path, "wide.json", variables, [])
+    assert main(["solve", path, "--mode", "rand", "--node-limit", "5"]) == EXIT_SAT
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == "sat" and err == ""
+
+
 def test_stats_have_one_key_set(tmp_path, capsys):
     # sat, unsat and limit runs of every solver print the SearchStats fields.
     keys = set(SearchStats.__dataclass_fields__)

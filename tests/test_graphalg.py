@@ -1,5 +1,5 @@
-"""Depth-first driver, and matching and max-flow subroutines against
-brute-force references."""
+"""Depth-first driver, breadth-first traversal and components, and
+matching and max-flow subroutines against brute-force references."""
 
 import random
 import sys
@@ -9,7 +9,9 @@ import pytest
 
 from csp32.graphalg import (
     FlowNetwork,
+    bfs,
     bipartite_matching,
+    components,
     depth_first,
     general_matching,
     max_flow,
@@ -153,3 +155,56 @@ def test_depth_first_stops_at_the_first_solution():
 
     assert depth_first("", expand) == "ay"
     assert drawn == ["a", "ax", "ay"]
+
+
+def random_adjacency(rng, n, p):
+    adj = {v: set() for v in range(n)}
+    for u, v in combinations(range(n), 2):
+        if rng.random() < p:
+            adj[u].add(v)
+            adj[v].add(u)
+    return adj
+
+
+def test_bfs_parent_chains_are_shortest_paths():
+    import networkx as nx
+
+    rng = random.Random(20)
+    for trial in range(60):
+        adj = random_adjacency(rng, rng.randint(1, 12), 0.25)
+        root = rng.randrange(len(adj))
+        got = list(bfs(root, lambda v: sorted(adj[v])))
+        parent = dict(got)
+        assert len(parent) == len(got) and got[0] == (root, None)
+        dist = nx.single_source_shortest_path_length(nx.Graph(adj), root)
+        assert set(parent) == set(dist), trial
+        for v, p in got[1:]:
+            assert v in adj[p] and dist[v] == dist[p] + 1, trial
+        # discovery order: nondecreasing distance, and a vertex's parent
+        # is the earliest discovered of its neighbors one step closer
+        order = [v for v, _ in got]
+        assert [dist[v] for v in order] == sorted(dist[v] for v in order)
+        for v, p in got[1:]:
+            closer = [u for u in adj[v] if dist[u] == dist[v] - 1]
+            assert p == min(closer, key=order.index), trial
+
+
+def test_bfs_discovery_order_follows_neighbor_order():
+    # A 0-1-2-3 path plus a 0-3 chord: 3 is found from 0, never from 2,
+    # and the neighbor lists are read in the order they are given.
+    adj = {0: [3, 1], 1: [0, 2], 2: [1, 3], 3: [0, 2]}
+    assert list(bfs(0, adj.__getitem__)) == [(0, None), (3, 0), (1, 0), (2, 3)]
+    assert list(bfs(2, adj.__getitem__)) == [(2, None), (1, 2), (3, 2), (0, 1)]
+    assert list(bfs(0, lambda v: ())) == [(0, None)]
+
+
+def test_components_match_networkx():
+    import networkx as nx
+
+    rng = random.Random(21)
+    for trial in range(80):
+        adj = random_adjacency(rng, rng.randint(0, 15), rng.choice((0.05, 0.15, 0.3)))
+        pool = [v for v in adj if rng.random() < 0.7]
+        got = components(pool, adj.__getitem__)
+        want = nx.connected_components(nx.Graph(adj).subgraph(pool))
+        assert got == sorted(sorted(c) for c in want), trial

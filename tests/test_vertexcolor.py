@@ -1,6 +1,7 @@
 """Graph 3-coloring pipeline: reductions, forests, and end-to-end solving."""
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -28,7 +29,15 @@ from csp32.vertexcolor import (
     find_degree3_cycle,
     strip_low_degree,
 )
-from helpers import brute_build_bushy_forest, brute_solve_leaf, extension_graph, run_fresh
+from helpers import (
+    brute_branch_degree3_cycle,
+    brute_branch_degree3_tree,
+    brute_build_bushy_forest,
+    brute_find_degree3_cycle,
+    brute_solve_leaf,
+    extension_graph,
+    run_fresh,
+)
 
 
 def proper(edges, coloring):
@@ -115,23 +124,58 @@ def test_cycle_branch_children_preserve_colorability():
     assert tried > 30
 
 
-def test_tree_branch_on_degree3_forest():
-    # Path 0..7 at degree exactly three, anchored in a K5 whose vertices
-    # have degree above three, so the degree-3 forest is one 8-vertex tree.
-    from itertools import combinations as combos
+# Path 0..7 at degree exactly three, anchored in a K5 whose vertices
+# have degree above three, so the degree-3 forest is one 8-vertex tree.
+TREE8 = (13, [(i, i + 1) for i in range(7)] + list(combinations(range(8, 13), 2))
+         + [(0, 8), (0, 9), (1, 10), (2, 11), (3, 12), (4, 8), (5, 9), (6, 10), (7, 11), (7, 12)])
 
-    edges = [(i, i + 1) for i in range(7)]
-    anchor = list(combos(range(8, 13), 2))
-    hooks = [(0, 8), (0, 9), (1, 10), (2, 11), (3, 12),
-             (4, 8), (5, 9), (6, 10), (7, 11), (7, 12)]
-    n = 13
-    all_edges = edges + anchor + hooks
-    g = MultiGraph.from_edges(n, all_edges)
+# A planted graph with an odd degree-3 cycle whose second and third
+# outside neighbors are the same vertex.
+REPEATED_OUTSIDE = planted_3colorable(random.Random("109:469:planted-color:36"), 36, 7 / 36)
+
+
+def test_tree_branch_on_degree3_forest():
+    g = MultiGraph.from_edges(*TREE8)
     steps = []
     strip_low_degree(g, steps)
     assert branch_degree3_cycle(g) is None
     children = branch_degree3_tree(g)
     assert children is not None and len(children) == 3
+
+
+def test_branch_children_match_brute_reference():
+    # Walk the graph branching of seeded graphs depth-first: every cycle,
+    # every branching and every child (graph, members, lift steps) must
+    # equal the hand-written references.  The seeds rarely reach a tree
+    # or a repeated outside neighbor, so two fixed graphs add those.
+    rng = random.Random(23)
+    graphs = [TREE8, REPEATED_OUTSIDE]
+    for _ in range(100):
+        n = rng.randint(10, 30)
+        graphs += [random_graph(rng, n, 4.6 / n), planted_3colorable(rng, n, 7 / n),
+                   random_cubic(rng, 2 * rng.randint(5, 15))]
+    shapes = Counter()
+    for graph in graphs:
+        pending = [MultiGraph.from_edges(*graph)]
+        for _node in range(40):
+            if not pending:
+                break
+            g = pending.pop()
+            strip_low_degree(g, [])
+            assert find_degree3_cycle(g) == brute_find_degree3_cycle(g)
+            got, want = branch_degree3_cycle(g), brute_branch_degree3_cycle(g, shapes)
+            if got is None:
+                got, want = branch_degree3_tree(g), brute_branch_degree3_tree(g)
+                shapes["tree"] += got is not None
+            assert (got is None) == (want is None)
+            for (child, steps), (ref, ref_steps) in zip(got or [], want or [], strict=True):
+                assert (child.adj, child.members, steps) == (ref.adj, ref.members, ref_steps)
+                pending.append(child)
+    reached = {shape for shape, count in shapes.items() if count}
+    assert reached == {
+        "even-or-adjacent", "k3-differ", "k3-same", "odd-differ",
+        "odd-same-edge", "odd-same-merge", "odd-third-merged", "tree",
+    }, shapes
 
 
 def test_bushy_forest_invariants():
@@ -218,9 +262,9 @@ def test_color_graph_node_limit():
 
 
 def test_odd_cycle_third_child_with_repeated_outside_neighbor():
-    # An odd degree-3 cycle whose second and third outside neighbors are
-    # the same vertex: the third child must not merge it a second time.
-    n, edges = planted_3colorable(random.Random("109:469:planted-color:36"), 36, 7 / 36)
+    # The third child must not merge the repeated outside neighbor a
+    # second time.
+    n, edges = REPEATED_OUTSIDE
     res = color_graph(n, edges)
     assert res.colorable and proper(edges, res.coloring)
 
