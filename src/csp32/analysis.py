@@ -38,6 +38,18 @@ class BranchVector:
         return 1.0 - sum(x ** -r for r in self.decreases)
 
 
+def _bisect(f, lo: float, hi: float, tol: float) -> float:
+    """Midpoint of the bracket [lo, hi] around the root of an increasing
+    f, once halving it has narrowed it to tol."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if f(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def work_factor(*decreases: float, tol: float = 1e-9) -> float:
     """Largest root >= 1 of 1 - sum x^(-r_i), found by bisection.
 
@@ -55,13 +67,7 @@ def work_factor(*decreases: float, tol: float = 1e-9) -> float:
     hi = max(2.0, k ** (1.0 / min(vec.decreases)))
     while vec.f(hi) <= 0:
         hi *= 2.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if vec.f(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(vec.f, lo, hi, tol)
 
 
 def optimize_epsilon(tol: float = 1e-7) -> tuple[float, float]:
@@ -82,13 +88,7 @@ def optimize_epsilon(tol: float = 1e-7) -> tuple[float, float]:
     lo, hi = 1e-6, 0.2
     if gap(lo) >= 0 or gap(hi) <= 0:
         raise RuntimeError("bisection bracket invalid for epsilon optimization")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    eps = 0.5 * (lo + hi)
+    eps = _bisect(gap, lo, hi, tol)
     lam = work_factor(1 + eps, 4)
     ref = work_factor(4, 4, 5, 5)
     if abs(lam - ref) > 1e-6 or abs(work_factor(3 - eps, 4 - eps, 4 - eps) - ref) > 1e-6:

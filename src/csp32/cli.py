@@ -99,22 +99,21 @@ def load_csp_json(path: str) -> tuple[Instance, dict[int, object]]:
     return inst, {i: tokens[k] for k, i in to_int.items()}
 
 
-def emit_csp_json(inst: Instance, names: Optional[dict[int, object]] = None) -> dict:
-    names = names or {}
-
-    def tok(c):
-        return names.get(c, c)
-
+def _csp_payload(domains: dict, constraints, tok=lambda c: c) -> dict:
+    """The JSON instance format of variables with the given domains and of
+    the constraints in the order given; tok maps a color to its token."""
     return {
         "variables": [
-            {"id": v, "colors": [tok(c) for c in sorted(inst.colors[v])]}
-            for v in sorted(inst.colors)
+            {"id": v, "colors": [tok(c) for c in sorted(domains[v])]}
+            for v in sorted(domains)
         ],
-        "constraints": [
-            [[p, tok(cp)], [q, tok(cq)]]
-            for ((p, cp), (q, cq)) in inst.constraints()
-        ],
+        "constraints": [[[v, tok(c)] for v, c in con] for con in constraints],
     }
+
+
+def emit_csp_json(inst: Instance, names: Optional[dict[int, object]] = None) -> dict:
+    names = names or {}
+    return _csp_payload(inst.colors, inst.constraints(), lambda c: names.get(c, c))
 
 
 def _read_dimacs(path: str, fmt: str, counts: str) -> tuple[int, list]:
@@ -306,15 +305,7 @@ def cmd_translate(args) -> int:
             [tuple(con) for con in inst.constraints()],
         )
         dual, _dmap = dualize(csp)
-        payload = {
-            "variables": [
-                {"id": v, "colors": sorted(dual.domains[v])}
-                for v in sorted(dual.domains)
-            ],
-            "constraints": [
-                [[v, c] for v, c in con] for con in dual.constraints
-            ],
-        }
+        payload = _csp_payload(dual.domains, dual.constraints)
     text = json.dumps(payload, sort_keys=True, indent=2)
     if args.emit:
         with open(args.emit, "w") as fh:

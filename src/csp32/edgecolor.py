@@ -81,9 +81,6 @@ class EdgeInstance:
     def constrained(self, eid: int) -> bool:
         return any(eid in c for c in self.constraints)
 
-    def vertex_count(self) -> int:
-        return len(self.at)
-
 
 @dataclass(frozen=True)
 class StrippedEdge:
@@ -216,17 +213,17 @@ def select_splices(ei: EdgeInstance) -> list[int]:
 def charge_identity(ei: EdgeInstance) -> tuple[int, int, Optional[bool]]:
     """Neighbor-count split (m3, m4) and the count identity check.
 
-    The identity m3 = 6n/5 - 4*m4/5 requires every edge to have exactly
-    three or four neighbors; when some edge does not, the counts are
-    still returned with check None.
+    The identity m3 = 6n/5 - 4*m4/5, over the n vertices that have an
+    edge, requires every edge to have exactly three or four neighbors;
+    when some edge does not, the counts are still returned with check
+    None.
     """
     counts = [len(ei.neighbor_ids(eid)) for eid in sorted(ei.edges)]
     m3 = sum(1 for c in counts if c == 3)
     m4 = sum(1 for c in counts if c == 4)
     if m3 + m4 != len(counts):
         return m3, m4, None
-    n = ei.vertex_count()
-    return m3, m4, 5 * m3 == 6 * n - 4 * m4
+    return m3, m4, 5 * m3 == 6 * len(ei.at) - 4 * m4
 
 
 def proper_edge_coloring(edges: list[Edge], colors: list) -> bool:

@@ -3,16 +3,17 @@
 depth_first drives every backtracking search in the package: the
 branch-and-reduce solvers, the coloring pipelines, Kuhn's matching and
 the brute-force oracles.  bfs is every breadth-first traversal: the
-constraint-graph components of the solver rules, the degree-three
-cycles and trees of the coloring pipeline, and the augmenting paths of
-max_flow.  The solver endgame needs bipartite maximum matching, the
-edge-coloring splice selection needs maximum matching in a general
-graph, and the height-two forest construction needs integer maximum
-flow.  All inputs here are tiny (O(n) nodes), so simple
-augmenting-path methods suffice; general matching delegates to
-networkx's blossom implementation because the splice-count guarantee
-requires a true maximum matching, not a maximal one.  general_matching
-imports networkx itself, so only edge_color's splice selection loads it.
+constraint-graph components of the solver rules and the degree-three
+trees of the coloring pipeline, and through bfs_path, its shortest
+path, the degree-three cycles and the augmenting paths of max_flow.
+The solver endgame needs bipartite maximum matching, the edge-coloring
+splice selection needs maximum matching in a general graph, and the
+height-two forest construction needs integer maximum flow.  All inputs
+here are tiny (O(n) nodes), so simple augmenting-path methods suffice;
+general matching delegates to networkx's blossom implementation because
+the splice-count guarantee requires a true maximum matching, not a
+maximal one.  general_matching imports networkx itself, so only
+edge_color's splice selection loads it.
 """
 
 from __future__ import annotations
@@ -55,6 +56,21 @@ def bfs(root, neighbors):
                 seen.add(u)
                 queue.append(u)
                 yield u, v
+
+
+def bfs_path(root, target, neighbors):
+    """A shortest path from root to target as a vertex list, root first,
+    along bfs's parent links; None when target is unreachable.  The
+    search stops once target is discovered."""
+    parent = {}
+    for v, u in bfs(root, neighbors):
+        parent[v] = u
+        if v == target:
+            path = [v]
+            while path[-1] != root:
+                path.append(parent[path[-1]])
+            return path[::-1]
+    return None
 
 
 def components(vertices, neighbors) -> list[list]:
@@ -169,19 +185,10 @@ def max_flow(net: FlowNetwork) -> tuple[int, dict[tuple, int]]:
 
     value = 0
     while True:
-        parent = {}
-        for v, u in bfs(net.source, open_arcs):
-            parent[v] = u
-            if v == net.sink:
-                break
-        else:
+        found = bfs_path(net.source, net.sink, open_arcs)
+        if found is None:
             break
-        # Bottleneck along the path.
-        path = []
-        v = net.sink
-        while parent[v] is not None:
-            path.append((parent[v], v))
-            v = parent[v]
+        path = list(zip(found, found[1:]))  # its arcs
         aug = min(residual[a] for a in path)
         for u, v in path:
             residual[(u, v)] -= aug

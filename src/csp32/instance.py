@@ -418,9 +418,6 @@ def _lemma_step(inst: Instance) -> Optional[LiftStep]:
         v, _r, b = found
         inst.remove_color(v, b)
         return DominatedColorRemoved(v, b)
-    p = min((p for p, qs in inst.adj.items() if not qs), default=None)
-    if p is not None:
-        return inst.assign(p)
     p = find_dead_color(inst)
     if p is not None:
         inst.remove_color(p[0], p[1])
@@ -434,7 +431,10 @@ def simplify(inst: Instance) -> tuple[Optional[Instance], LiftTrace]:
     inst is copied once and never edited; every lemma then edits that
     working copy in place.  Each round first clears 0/1/2-color
     variables (eliminate_low_colors), then applies the first of: free
-    pair, dominated color, unconstrained pair, dead color.
+    pair, dominated color, dead color.  An unconstrained pair needs no
+    lemma of its own: its variable has three or more colors by then,
+    and the pair's empty conflict set makes every other color of that
+    variable dominated.
 
     Returns (reduced instance, trace), or (None, trace) when some
     variable runs out of colors.  The result has only 3- and 4-color

@@ -122,6 +122,14 @@ def brute_sat(nvars: int, clauses: list[Clause]) -> Optional[dict[int, bool]]:
 # Generators
 
 
+def _random_domains(rng: random.Random, nvars: int, max_colors: int) -> Instance:
+    """An unconstrained instance whose variables get 3 colors, or 3 to
+    max_colors drawn uniformly when max_colors exceeds 3."""
+    return Instance.build(
+        {v: range(rng.randint(3, max_colors) if max_colors > 3 else 3) for v in range(nvars)}
+    )
+
+
 def random_csp(
     rng: random.Random,
     nvars: int,
@@ -131,11 +139,7 @@ def random_csp(
     """Random (max_colors,2)-CSP: each variable gets 3 or up to max_colors
     colors, each cross-variable pair of pairs becomes a constraint with
     probability density."""
-    colors = {}
-    for v in range(nvars):
-        k = rng.randint(3, max_colors) if max_colors > 3 else 3
-        colors[v] = range(k)
-    inst = Instance.build(colors)
+    inst = _random_domains(rng, nvars, max_colors)
     for (v, w) in combinations(range(nvars), 2):
         for c in sorted(inst.colors[v]):
             for d in sorted(inst.colors[w]):
@@ -152,11 +156,7 @@ def planted_csp(
 ) -> tuple[Instance, Assignment]:
     """Random CSP guaranteed satisfiable: a hidden solution is drawn first
     and no constraint touching it is emitted."""
-    colors = {}
-    for v in range(nvars):
-        k = rng.randint(3, max_colors) if max_colors > 3 else 3
-        colors[v] = range(k)
-    inst = Instance.build(colors)
+    inst = _random_domains(rng, nvars, max_colors)
     hidden = {v: rng.choice(sorted(inst.colors[v])) for v in range(nvars)}
     for (v, w) in combinations(range(nvars), 2):
         for c in sorted(inst.colors[v]):

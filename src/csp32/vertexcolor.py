@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
 
-from .graphalg import FlowNetwork, bfs, components, depth_first, max_flow
+from .graphalg import FlowNetwork, bfs, bfs_path, components, depth_first, max_flow
 from .instance import lift
 from .solver import NodeLimitReached, SearchStats, SolverConfig, solve
 from .transform import coloring_to_csp
@@ -183,15 +183,10 @@ def find_degree3_cycle(g: MultiGraph) -> Optional[list[int]]:
     edges = sorted({tuple(sorted((u, v))) for u in sub for v in sub[u]})
     for u, v in edges:
         # shortest u-v path avoiding this edge closes a shortest cycle on it
-        parent = {}
-        for b, a in bfs(u, lambda x: (y for y in sorted(sub[x]) if (x, y) != (u, v))):
-            parent[b] = a
-            if b == v:
-                path = [v]
-                while path[-1] != u:
-                    path.append(parent[path[-1]])
-                if best is None or len(path) < len(best):
-                    best = path
+        path = bfs_path(u, v, lambda x: (y for y in sorted(sub[x]) if (x, y) != (u, v)))
+        if path is not None and (best is None or len(path) < len(best)):
+            best = path[::-1]
+            if len(best) == 3:  # no cycle is shorter, so no later edge wins
                 break
     return best
 
@@ -379,17 +374,15 @@ def build_height_two_forest(
     out_adj = {v: sorted(g.adj[v] & outside) for v in outside}
     assert all(len(ns) <= 3 for ns in out_adj.values())
 
+    # one pass packs every star: free lists only shrink, and a vertex
+    # packed as a leaf before its turn has its used centre as a neighbour
     used: set[int] = set()
     packs: list[tuple[int, tuple]] = []
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(outside - used):
-            free = [u for u in out_adj[v] if u not in used]
-            if len(free) >= 3:
-                packs.append((v, tuple(free[:3])))
-                used.update((v, *free[:3]))
-                changed = True
+    for v in sorted(outside):
+        free = [u for u in out_adj[v] if u not in used]
+        if len(free) >= 3:
+            packs.append((v, tuple(free[:3])))
+            used.update((v, *free[:3]))
     # improvement pass: replace one packed star by two disjoint ones
     improved = True
     while improved:

@@ -5,7 +5,12 @@ solve, sat_to_csp + solve, color_graph and edge_color on seeded random
 inputs, some under a node limit, and hashes every verdict, solution and
 SearchStats field.  A refactor that claims an identical search prints
 the same digest as its parent commit.  The file name keeps pytest from
-collecting it.
+collecting it.  Besides the random families, the batch holds inputs
+chosen for reach: relabeled copies of every rule-trigger instance of
+tests/helpers.py, small structured CSPs whose rules (two- and
+three-component, the matching endgame, a fallback) the large ones never
+reach, and planted graphs whose coloring leaf assigns outside vertices
+to height-two trees by flow.
 """
 
 import hashlib
@@ -26,6 +31,7 @@ from csp32.oracle import (
 from csp32.solver import NodeLimitReached, SolverConfig, solve
 from csp32.transform import sat_to_csp
 from csp32.vertexcolor import color_graph
+from helpers import RULE_BASES, build_instance, relabel
 
 LIMITS = (None, 4, 25)  # node limits each input runs under
 
@@ -42,6 +48,20 @@ def _csp_inputs():
         inst = structured_csp(rng, [rng.choice((3, 4)) for _ in range(24)], four_vars=seed % 5)
         if inst is not None:
             yield "structured", inst
+    for seed in range(200):
+        # every degree two: two-component rules and the matching endgame;
+        # degree three on four or six variables: three-component rules,
+        # of which about one in forty on six variables takes a fallback
+        rng = random.Random(5000 + seed)
+        profiles = (([2] * rng.randint(8, 16), seed % 3), ([3] * (4 + seed % 2 * 2), 0))
+        for degrees, four_vars in profiles:
+            inst = structured_csp(rng, degrees, four_vars)
+            if inst is not None:
+                yield "small", inst
+    for seed in range(10):
+        rng = random.Random(6000 + seed)
+        for name, base in RULE_BASES.items():
+            yield name, relabel(rng, build_instance(*base))
 
 
 def _sat_inputs():
@@ -58,6 +78,10 @@ def _graphs():
         yield "gnp", random_graph(rng, n, 4.6 / n)
         yield "planted", planted_3colorable(rng, n, 7 / n)
         yield "cubic", random_cubic(rng, 2 * rng.randint(4, 10))
+    # the only planted graphs of seeds 0-199, n 30/40/50 and mean degree
+    # 4.6 or 5.5 whose coloring leaf has outside vertices to place by flow
+    for seed, n, degree in ((14, 40, 4.6), (64, 30, 4.6), (182, 30, 5.5)):
+        yield "flow", planted_3colorable(random.Random(seed), n, degree / n)
 
 
 def _tree_graphs():

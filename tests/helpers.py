@@ -16,7 +16,19 @@ from pathlib import Path
 
 import csp32
 from csp32.edgecolor import SpliceStep
-from csp32.instance import Instance, TwoColorEliminated, measure, simplify
+from csp32.instance import (
+    DeadColorRemoved,
+    DominatedColorRemoved,
+    FreePairUsed,
+    Instance,
+    TwoColorEliminated,
+    eliminate_low_colors,
+    find_dead_color,
+    find_dominated,
+    find_free_pair,
+    measure,
+    simplify,
+)
 from csp32.analysis import work_factor
 from csp32.oracle import brute_csp
 from csp32.solver import (
@@ -166,6 +178,47 @@ def brute_free_pair(inst):
             ):
                 return p, q
     return None
+
+
+def brute_simplify(inst, tally):
+    """Reference for instance.simplify: the fixpoint of four lemmas it
+    replaced, whose third assigns the least unconstrained pair.  Each
+    lemma applied is counted under its name in the tally Counter."""
+
+    def lemma_step(inst):
+        found = find_free_pair(inst)
+        if found is not None:
+            tally["free-pair"] += 1
+            p, q = found
+            inst.assign(p)
+            if q in inst.adj:
+                inst.assign(q)
+            return FreePairUsed(p, q)
+        found = find_dominated(inst)
+        if found is not None:
+            tally["dominated"] += 1
+            v, _r, b = found
+            inst.remove_color(v, b)
+            return DominatedColorRemoved(v, b)
+        p = min((p for p, qs in inst.adj.items() if not qs), default=None)
+        if p is not None:
+            tally["unconstrained"] += 1
+            return inst.assign(p)
+        p = find_dead_color(inst)
+        if p is not None:
+            tally["dead"] += 1
+            inst.remove_color(p[0], p[1])
+            return DeadColorRemoved(p[0], p[1])
+        return None
+
+    cur = inst.copy()
+    trace = []
+    while eliminate_low_colors(cur, trace):
+        step = lemma_step(cur)
+        if step is None:
+            return cur, trace
+        trace.append(step)
+    return None, trace
 
 
 def brute_eliminate_two_color(inst, v):

@@ -147,6 +147,13 @@ def test_stats_have_one_key_set(tmp_path, capsys):
         assert all(type(n) is int for n in stats["rule_counts"].values()), argv
 
 
+def test_stats_without_json_follow_the_solution(tmp_path, capsys):
+    assert main(["solve", sat_csp(tmp_path), "--stats"]) == EXIT_SAT
+    verdict, solution, stats = capsys.readouterr().out.splitlines()
+    assert verdict == "sat" and set(json.loads(solution)) == {"0", "1"}
+    assert set(json.loads(stats)) == set(SearchStats.__dataclass_fields__)
+
+
 def test_color_exit_codes(tmp_path, capsys):
     tri = write(tmp_path, "tri.col", TRIANGLE_COL)
     assert main(["color", tri]) == EXIT_SAT
@@ -387,4 +394,7 @@ def test_fuzz_subcommand(capsys):
         ["fuzz", "random-csp", "--count", "10", "--size", "6", "--seed", "1"]
     ) == EXIT_SAT
     assert "10/10 agreed" in capsys.readouterr().out
+    for kind in ("random-graph", "random-cubic", "planted-3-colorable", "random-3cnf"):
+        assert main(["fuzz", kind, "--count", "4", "--size", "7"]) == EXIT_SAT, kind
+        assert "4/4 agreed" in capsys.readouterr().out
     assert main(["fuzz", "no-such-kind", "--count", "1"]) == EXIT_USAGE

@@ -92,6 +92,11 @@ def test_edge_color_rejects_vertex_out_of_range():
             edge_color(3, edges)
 
 
+def test_edge_color_rejects_self_loop():
+    with pytest.raises(ValueError, match="self-loop at vertex 2"):
+        edge_color(3, [(0, 1), (2, 2)])
+
+
 def test_edge_color_without_asserts():
     # python -O drops the spliceable precondition and SpliceStep.lift's
     # assert; the answers and edge_color's own check must not need them.

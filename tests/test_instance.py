@@ -1,6 +1,7 @@
 """Instance bookkeeping, polynomial simplifications, and solution lifting."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,9 +18,24 @@ from csp32.instance import (
     simplify,
     validate,
 )
-from csp32.oracle import brute_csp, random_csp, structured_csp
+from csp32.oracle import (
+    brute_csp,
+    planted_3colorable,
+    planted_csp,
+    random_3cnf,
+    random_csp,
+    structured_csp,
+)
+from csp32.solver import solve
+from csp32.transform import sat_to_csp
+from csp32.vertexcolor import color_graph
 
-from helpers import brute_dead_color, brute_eliminate_two_color, brute_free_pair
+from helpers import (
+    brute_dead_color,
+    brute_eliminate_two_color,
+    brute_free_pair,
+    brute_simplify,
+)
 
 
 def small(colors, cons=()):
@@ -249,3 +265,42 @@ def test_lift_restores_every_variable():
             continue
         full = lift(sub, trace)
         assert set(full) == set(inst.colors)
+
+
+def test_simplify_matches_four_lemma_reference(monkeypatch):
+    # Every simplify call of the solves below, at the root and at every
+    # branch child, is compared with the four-lemma fixpoint simplify
+    # replaced; the lemma it dropped (use an unconstrained pair) must
+    # never have fired there, since a dominated color always comes first.
+    tally = Counter()
+
+    def checked(inst):
+        got, trace = simplify(inst)
+        want, want_trace = brute_simplify(inst, tally)
+        assert trace == want_trace
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert (got.colors, got.adj, got.next_id) == (want.colors, want.adj, want.next_id)
+        return got, trace
+
+    monkeypatch.setattr("csp32.solver.simplify", checked)
+    for seed in range(40):
+        rng = random.Random(seed)
+        solve(random_csp(rng, rng.randint(2, 10), rng.choice((3, 4)), rng.uniform(0.05, 0.4)))
+        solve(planted_csp(rng, rng.randint(4, 12), rng.choice((3, 4)), 0.35)[0])
+        inst = structured_csp(rng, [rng.choice((1, 2, 3)) for _ in range(10)], seed % 3)
+        if inst is not None:
+            solve(inst)
+        nvars = rng.randint(4, 12)
+        inst, _smap = sat_to_csp(nvars, random_3cnf(rng, nvars, round(4.26 * nvars)))
+        if inst is not None:
+            solve(inst)
+    reached = tally.copy()
+    # leaf residues: the list-coloring instances color_graph hands to solve
+    leaf_calls = sum(
+        color_graph(*planted_3colorable(random.Random(seed), 30, 7 / 30)).stats.csp_calls
+        for seed in range(20)
+    )
+    assert leaf_calls > 0 and tally != reached
+    assert tally["unconstrained"] == 0
+    assert min(tally[name] for name in ("free-pair", "dominated", "dead")) > 0, tally

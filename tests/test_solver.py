@@ -226,6 +226,16 @@ def test_randomized_d2_restriction():
         assert check(inst, asg)
 
 
+def test_randomized_d2_gives_up_after_its_budget():
+    # Every pairing of the two five-color variables is forbidden, so all
+    # ceil(50 * (5/4)^2) = 79 restricted solves fail.
+    inst = Instance.build(
+        {0: range(5), 1: range(5)}, [((0, c), (1, d)) for c in range(5) for d in range(5)]
+    )
+    asg, stats = solve_randomized_d2(inst, seed=3)
+    assert asg is None and stats.csp_calls == 79
+
+
 def test_claim_caps():
     assert claim_cap("dangling") == LAMBDA
     assert claim_cap("two-component-parity") > LAMBDA

@@ -19,8 +19,10 @@ from csp32.oracle import (
 from csp32.solver import SolverConfig
 from csp32.vertexcolor import (
     ColorConfig,
+    HeightTwoTree,
     MultiGraph,
     _forward_refuted,
+    _height_two_unit,
     build_bushy_forest,
     build_height_two_forest,
     branch_degree3_cycle,
@@ -317,6 +319,11 @@ def test_color_graph_rejects_vertex_out_of_range():
         color_graph(2, [(5, 1)])
 
 
+def test_color_graph_rejects_self_loop():
+    with pytest.raises(ValueError, match="self-loop at vertex 1"):
+        color_graph(3, [(0, 1), (1, 1)])
+
+
 def test_color_graph_rejects_unverified_coloring(monkeypatch):
     # A lift bug must surface as an error, also under python -O.
     n, edges = planted_3colorable(random.Random(5), 12, 0.4)
@@ -368,6 +375,32 @@ def test_forests_match_brute_reference():
         assert (x_set, y_set) == (want_x, outside - packed - want_x)
         adjacent += bool(x_set)
     assert rooted > 40 and adjacent > 20
+
+
+def test_flow_places_outside_vertices_under_adjacent_leaves():
+    # The leaf residue of this planted graph has outside vertices that
+    # are neither packed nor next to the bushy forest (the flow's Y set).
+    graph = planted_3colorable(random.Random(14), 40, 4.6 / 40)
+    (g,) = _leaf_graphs([graph])
+    trees, _x_set, y_set = build_height_two_forest(g, build_bushy_forest(g))
+    assert y_set == {6, 16}
+    for y in y_set:
+        under = [leaf for t in trees for leaf, grands in t.grands.items() if y in grands]
+        assert len(under) == 1 and under[0] in g.adj[y]
+    assert all(t.grand_count <= (5 if t.high else 3) for t in trees)
+    res = color_graph(*graph)
+    assert res.colorable and proper(graph[1], res.coloring)
+
+
+def test_height_two_unit_colors_both_forks_of_five_grandchildren():
+    tree = HeightTwoTree(0, (1, 2, 3), {1: (4, 5), 2: (6, 7), 3: (8,)}, high=True)
+    outs = _height_two_unit(tree)
+    assert sorted((asg[1], asg[2]) for asg in outs) == [(a, b) for a in range(3) for b in range(3)]
+    for asg in outs:
+        if asg[1] == asg[2]:
+            assert set(asg) == {1, 2}
+        else:
+            assert set(asg) == {0, 1, 2} and {asg[0], asg[1], asg[2]} == {0, 1, 2}
 
 
 def _record_csp(monkeypatch):
