@@ -181,7 +181,12 @@ def splice(ei: EdgeInstance, eid: int) -> list[tuple[EdgeInstance, SpliceStep]]:
     touched = [c for c in ei.constraints if not c.isdisjoint((ew1, ew2, ex1, ex2))]
     reduced = ei.copy()
     for j in (eid, ew1, ew2, ex1, ex2):
-        reduced.remove_edge(j)
+        del reduced.edges[j]
+    del reduced.at[w], reduced.at[x]  # all three edges at w and at x go
+    for o in {u, v, y, z}:
+        reduced.at[o] = tuple(j for j in reduced.at[o] if j not in (ew1, ew2, ex1, ex2))
+        if not reduced.at[o]:
+            del reduced.at[o]
     reduced.constraints.difference_update(touched)
     children = []
     for (a, ea), (b, eb) in live:

@@ -337,7 +337,7 @@ def eliminate_low_colors(inst: Instance, trace: LiftTrace) -> bool:
     soon as some variable has no color left.
     """
     while True:
-        low = next((v for v in inst.variables() if len(inst.colors[v]) <= 2), None)
+        low = min((v for v, cs in inst.colors.items() if len(cs) <= 2), default=None)
         if low is None:
             return True
         cs = inst.colors[low]

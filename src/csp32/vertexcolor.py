@@ -533,23 +533,22 @@ def _solve_leaf(g: MultiGraph, cfg: SolverConfig, stats: SearchStats):
                     return False
         return True
 
-    def extensions(i: int, acc: Coloring):
+    def extensions(i: int, acc: Coloring, masks: dict):
         # lazy: a partial coloring is charged once its predecessor is searched
         for asg in units[i]:
             if consistent(acc, asg):
-                merged = {**acc, **asg}
                 stats.nodes += 1  # as a CSP node counts a child simplify refutes
                 cfg.charge(stats)
-                if not _forward_refuted(g, merged):
-                    yield i + 1, merged
+                if (child := _forward_check(g, masks, asg)) is not None:
+                    yield i + 1, {**acc, **asg}, child
 
     def expand(state):
-        i, acc = state
+        i, acc, masks = state
         if i == len(units):
             return _residual_solve(g, acc, cfg, stats), ()
-        return None, extensions(i, acc)
+        return None, extensions(i, acc, masks)
 
-    return depth_first((0, {}), expand)
+    return depth_first((0, {}, dict.fromkeys(g.adj, 7)), expand)
 
 
 def _residue_lists(g: MultiGraph, colored: Coloring) -> dict[int, set[int]]:
@@ -561,24 +560,29 @@ def _residue_lists(g: MultiGraph, colored: Coloring) -> dict[int, set[int]]:
     }
 
 
-def _forward_refuted(g: MultiGraph, colored: Coloring) -> bool:
-    """Forward check: propagate every forced (singleton) color of the
-    residue lists to its neighbors; True when some list runs empty, so
-    no proper coloring extends the partial one."""
-    lists = _residue_lists(g, colored)
-    forced = [v for v, cs in lists.items() if len(cs) < 2]
+def _forward_check(g: MultiGraph, masks: dict, asg: Coloring) -> Optional[dict]:
+    """Forward check from the parent's masks (each uncolored vertex's colors
+    left after propagation, as 3-bit sets): color asg, then propagate every
+    forced (singleton) color.  The child's masks, or None when some vertex
+    runs out of colors, so no proper coloring extends the partial one."""
+    masks = dict(masks)
+    forced = []
+    for v, c in asg.items():
+        if not masks.pop(v) >> c & 1:
+            return None
+        forced.append((v, 1 << c))
     while forced:
-        v = forced.pop()
-        if not lists[v]:
-            return True
-        (c,) = lists[v]
+        v, bit = forced.pop()
         for u in g.adj[v]:
-            cs = lists.get(u, ())
-            if c in cs:
-                cs.discard(c)
-                if len(cs) < 2:
-                    forced.append(u)
-    return False
+            m = masks.get(u, 0)
+            if m & bit:
+                m ^= bit
+                if not m:
+                    return None
+                masks[u] = m
+                if not m & (m - 1):
+                    forced.append((u, m))
+    return masks
 
 
 def _residual_solve(g, colored: Coloring, cfg, stats) -> Optional[Coloring]:

@@ -45,6 +45,7 @@ from csp32.vertexcolor import (
     _height_two_unit,
     _remove_greedy,
     _residual_solve,
+    _residue_lists,
     build_bushy_forest,
     build_height_two_forest,
 )
@@ -564,6 +565,32 @@ def brute_solve_leaf(g, cfg, stats):
         return None
 
     return run(0, {})
+
+
+def brute_forward_lists(g, colored):
+    """Reference for vertexcolor._forward_check: rebuild every residue
+    list from scratch and propagate each forced (singleton) color to its
+    neighbors until nothing changes.  The propagated lists, or None when
+    some list runs empty."""
+    lists = _residue_lists(g, colored)
+    forced = [v for v, cs in lists.items() if len(cs) < 2]
+    while forced:
+        v = forced.pop()
+        if not lists[v]:
+            return None
+        (c,) = lists[v]
+        for u in g.adj[v]:
+            cs = lists.get(u, ())
+            if c in cs:
+                cs.discard(c)
+                if len(cs) < 2:
+                    forced.append(u)
+    return lists
+
+
+def brute_forward_refuted(g, colored):
+    """Whether the from-scratch forward check refutes a partial coloring."""
+    return brute_forward_lists(g, colored) is None
 
 
 def extension_graph(n, edges, partial):

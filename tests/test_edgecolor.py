@@ -205,8 +205,9 @@ def _brute_constrained(ei):
 
 @pytest.fixture
 def index_checked(monkeypatch):
-    """Assert after every add_edge and remove_edge that the incidence
-    index equals one rebuilt from the edges."""
+    """Assert after every add_edge, remove_edge and edgecolor.splice that
+    the incidence index equals one rebuilt from the edges (splice drops
+    its five edges without remove_edge)."""
     for name in ("add_edge", "remove_edge"):
         def checked(self, *args, _edit=getattr(EdgeInstance, name)):
             out = _edit(self, *args)
@@ -214,6 +215,14 @@ def index_checked(monkeypatch):
             return out
 
         monkeypatch.setattr(EdgeInstance, name, checked)
+
+    def checked_splice(ei, eid, _splice=edgecolor.splice):
+        children = _splice(ei, eid)
+        for child, _step in children:
+            assert child.at == scan_incidence(child)
+        return children
+
+    monkeypatch.setattr(edgecolor, "splice", checked_splice)
 
 
 def _assert_matches_reference(ei):
@@ -275,7 +284,7 @@ def test_splice_paths_match_brute_reference(index_checked, monkeypatch):
             if not cands:
                 break
             eid = rng.choice(cands)
-            children = splice(ei, eid)
+            children = edgecolor.splice(ei, eid)
             want = brute_splice(ei, eid)
             assert len(children) == len(want)
             for (child, step), (ref, ref_step) in zip(children, want):
@@ -336,7 +345,7 @@ def test_edge_color_matches_brute_force():
             assert proper_edge(edges, got), trial
 
 
-def test_edge_color_cubic_fuzz():
+def test_edge_color_cubic_fuzz(index_checked):
     rng = random.Random(44)
     for _ in range(60):
         graph = random_cubic(rng, rng.choice([6, 8, 10]))

@@ -26,7 +26,7 @@ from csp32.oracle import (
     random_cubic,
     structured_csp,
 )
-from csp32.solver import solve
+from csp32.solver import SolverConfig, solve
 from csp32.transform import sat_to_csp
 from csp32.vertexcolor import color_graph
 
@@ -85,6 +85,16 @@ def test_planted_240_needs_one_csp_call():
     res = color_graph(*planted_3colorable(random.Random(1), 240, 7 / 240))
     assert res.colorable
     assert (res.stats.nodes, res.stats.csp_calls) == (33, 1)
+
+
+def test_planted_300_seed_2_enumerates_to_the_limit():
+    # One leaf with 33 bushy trees: the forward check refutes every
+    # interior coloring it reaches, so the budget runs out before any
+    # CSP call.  The count predates the incremental forward check.
+    res = color_graph(*planted_3colorable(random.Random(2), 300, 7 / 300),
+                      SolverConfig(node_limit=20000))
+    assert res.colorable is None
+    assert (res.stats.nodes, res.stats.csp_calls) == (20001, 0)
 
 
 @pytest.mark.parametrize("kind,seed,n", sorted(EDGE))

@@ -21,7 +21,7 @@ from csp32.vertexcolor import (
     ColorConfig,
     HeightTwoTree,
     MultiGraph,
-    _forward_refuted,
+    _forward_check,
     _height_two_unit,
     build_bushy_forest,
     build_height_two_forest,
@@ -36,6 +36,8 @@ from helpers import (
     brute_branch_degree3_tree,
     brute_build_bushy_forest,
     brute_find_degree3_cycle,
+    brute_forward_lists,
+    brute_forward_refuted,
     brute_solve_leaf,
     extension_graph,
     run_fresh,
@@ -473,6 +475,48 @@ def test_forward_checked_line_graphs_match_brute_reference(monkeypatch):
     assert leaves > 50 and solved > 20
 
 
+def test_incremental_forward_check_matches_brute_reference(monkeypatch):
+    # At every enumeration step of seeded color-planted, G(n, p) and
+    # line-graph leaves, the masks carried down from the parent give the
+    # from-scratch check's verdict, and a kept child's masks are the
+    # lists that check propagates.
+    forward_check = vertexcolor._forward_check
+    colored = {}  # id of a child's masks -> (those masks, its coloring)
+    checks = refuted = 0
+
+    def checked(g, masks, asg):
+        nonlocal checks, refuted
+        if id(masks) in colored:
+            acc = colored[id(masks)][1]
+        else:
+            assert masks == dict.fromkeys(g.adj, 7)  # a leaf's root
+            acc = {}
+        child = forward_check(g, masks, asg)
+        merged = {**acc, **asg}
+        assert (child is None) == brute_forward_refuted(g, merged)
+        checks += 1
+        if child is None:
+            refuted += 1
+        else:
+            want = brute_forward_lists(g, merged)
+            assert child == {v: sum(1 << c for c in cs) for v, cs in want.items()}
+            colored[id(child)] = (child, merged)
+        return child
+
+    monkeypatch.setattr(vertexcolor, "_forward_check", checked)
+    for graph in _seeded_graphs(200):
+        color_graph(*graph)
+        colored.clear()
+    assert checks > 3000 and refuted > 1000
+    before = checks, refuted
+    for s in range(20):
+        edge_color(*planted_cubic_edge_colorable(random.Random(s), 12 + 2 * (s % 8)))
+        colored.clear()
+        edge_color(*random_cubic(random.Random(s), 10 + 2 * (s % 4)))
+        colored.clear()
+    assert checks - before[0] > 200 and refuted - before[1] > 50  # line graphs
+
+
 def test_forward_check_refutes_only_unextendable_colorings():
     rng = random.Random(31)
     refuted = kept = 0
@@ -482,7 +526,7 @@ def test_forward_check_refutes_only_unextendable_colorings():
         partial = {v: rng.randrange(3) for v in range(n) if rng.random() < 0.4}
         if any(partial.get(u, -1) == partial.get(v, -2) for u, v in edges):
             continue  # improper partial colorings never reach the check
-        if _forward_refuted(g, partial):
+        if _forward_check(g, dict.fromkeys(g.adj, 7), partial) is None:
             refuted += 1
             assert brute_vertex_color(extension_graph(n, edges, partial)) is None
         else:
