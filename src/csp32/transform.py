@@ -229,9 +229,12 @@ def coloring_to_csp(
     else:
         colors = {v: set(lists[v]) for v in range(n)}
     inst = Instance.build(colors)
+    adj = inst.adj
     for (u, v) in edges:
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
+        # add_constraint inlined: both pairs exist and name distinct variables
         for c in sorted(colors[u] & colors[v]):
-            inst.add_constraint((u, c), (v, c))
+            adj[(u, c)].add((v, c))
+            adj[(v, c)].add((u, c))
     return inst

@@ -3,9 +3,10 @@
 The pipeline strips low-degree vertices, branches away cycles and large
 trees of degree-three vertices, grows a bushy forest plus a height-two
 forest over what is left, enumerates proper colorings of the forest
-interiors, and hands each residue to the CSP solver as a list-coloring
-instance.  Every success is lifted back to a proper coloring of the
-original graph and verified.
+interiors with a forward check, and hands the vertices still undecided
+after propagation, with the colors they have left, to the CSP solver as
+a list-coloring instance.  Every success is lifted back to a proper
+coloring of the original graph and verified.
 """
 
 from __future__ import annotations
@@ -545,19 +546,10 @@ def _solve_leaf(g: MultiGraph, cfg: SolverConfig, stats: SearchStats):
     def expand(state):
         i, acc, masks = state
         if i == len(units):
-            return _residual_solve(g, acc, cfg, stats), ()
+            return _residual_solve(g, acc, masks, cfg, stats), ()
         return None, extensions(i, acc, masks)
 
     return depth_first((0, {}, dict.fromkeys(g.adj, 7)), expand)
-
-
-def _residue_lists(g: MultiGraph, colored: Coloring) -> dict[int, set[int]]:
-    """Colors left to each uncolored vertex, in vertex order."""
-    return {
-        v: {0, 1, 2} - {colored[u] for u in g.adj[v] if u in colored}
-        for v in g.vertices()
-        if v not in colored
-    }
 
 
 def _forward_check(g: MultiGraph, masks: dict, asg: Coloring) -> Optional[dict]:
@@ -585,24 +577,29 @@ def _forward_check(g: MultiGraph, masks: dict, asg: Coloring) -> Optional[dict]:
     return masks
 
 
-def _residual_solve(g, colored: Coloring, cfg, stats) -> Optional[Coloring]:
-    residue = _residue_lists(g, colored)
-    rest = list(residue)
+def _residual_solve(g, colored: Coloring, masks: dict, cfg, stats) -> Optional[Coloring]:
+    """The leaf's CSP call on a forward-checked full interior coloring.
+
+    A vertex whose mask holds one color takes it: propagation cleared it
+    from every uncolored neighbour.  The undecided vertices, in vertex
+    order, go to the CSP with their masks' colors as lists."""
+    full = dict(colored)
+    rest = []
+    for v in sorted(masks):
+        m = masks[v]
+        if m & (m - 1):
+            rest.append(v)
+        else:
+            full[v] = m.bit_length() - 1
     index = {v: i for i, v in enumerate(rest)}
-    lists = {index[v]: cs for v, cs in residue.items()}
-    edges = [
-        (index[u], index[v])
-        for u in rest
-        for v in g.adj[u]
-        if v in index and index[u] < index[v]
-    ]
+    lists = {i: [c for c in (0, 1, 2) if masks[v] >> c & 1] for i, v in enumerate(rest)}
+    edges = [(index[u], index[v]) for u in rest for v in g.adj[u] if index.get(v, -1) > index[u]]
     inst = coloring_to_csp(len(rest), edges, lists)
     res = solve(inst, cfg.charge(stats))
     stats.absorb(res.stats, csp=True)
     cfg.charge(stats)  # raises when the nested solve ran out
     if not res.satisfiable:
         return None
-    full = dict(colored)
     for i, v in enumerate(rest):
         full[v] = res.assignment[i]
     return full

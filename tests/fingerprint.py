@@ -1,10 +1,12 @@
-"""One SHA-256 over the answers and search counts of a fixed seeded batch.
+"""Two SHA-256 digests over the answers and search counts of a fixed seeded batch.
 
 Run as `PYTHONPATH=src python tests/fingerprint.py`.  The batch calls
 solve, sat_to_csp + solve, color_graph and edge_color on seeded random
-inputs, some under a node limit, and hashes every verdict, solution and
-SearchStats field.  A refactor that claims an identical search prints
-the same digest as its parent commit.  The file name keeps pytest from
+inputs, some under a node limit.  The first digest hashes every verdict,
+solution and SearchStats field; the second leaves the solutions out.  A
+refactor that claims an identical search prints the same first digest as
+its parent commit.  A change that alters only which valid solution comes
+back prints the same second digest.  The file name keeps pytest from
 collecting it.  Besides the random families, the batch holds inputs
 chosen for reach: relabeled copies of every rule-trigger instance of
 tests/helpers.py, small structured CSPs whose rules (two- and
@@ -139,12 +141,14 @@ def records():
 
 
 def main():
-    digest = hashlib.sha256()
+    full, counts = hashlib.sha256(), hashlib.sha256()
     calls = 0
     for rec in records():
-        digest.update(json.dumps(rec, sort_keys=True).encode() + b"\n")
+        full.update(json.dumps(rec, sort_keys=True).encode() + b"\n")
+        counts.update(json.dumps(rec[:4] + rec[5:], sort_keys=True).encode() + b"\n")
         calls += 1
-    print(f"{digest.hexdigest()}  {calls} calls")
+    print(f"{full.hexdigest()}  {calls} calls")
+    print(f"{counts.hexdigest()}  {calls} calls, counts only")
 
 
 if __name__ == "__main__":

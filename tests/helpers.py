@@ -37,7 +37,9 @@ from csp32.solver import (
     claim_cap,
     live_vector,
     matching_solve,
+    solve,
 )
+from csp32.transform import coloring_to_csp
 from csp32.vertexcolor import (
     _bushy_unit,
     _degree3_subgraph,
@@ -45,7 +47,6 @@ from csp32.vertexcolor import (
     _height_two_unit,
     _remove_greedy,
     _residual_solve,
-    _residue_lists,
     build_bushy_forest,
     build_height_two_forest,
 )
@@ -537,7 +538,10 @@ def brute_branch_degree3_tree(g):
 def brute_solve_leaf(g, cfg, stats):
     """Reference for vertexcolor._solve_leaf: the product of the forest
     units checked only for neighbor consistency, with one CSP call per
-    consistent full assignment and no forward check or node charge."""
+    consistent full assignment and no forward check or node charge.  A
+    full assignment the from-scratch forward check keeps gets the leaf's
+    own call on the propagated lists; one it refutes gets a call on the
+    unpropagated residue, which must refute it too."""
     f = build_bushy_forest(g)
     trees, x_set, y_set = build_height_two_forest(g, f)
     stats.leaves += 1
@@ -556,7 +560,12 @@ def brute_solve_leaf(g, cfg, stats):
 
     def run(i, acc):
         if i == len(units):
-            return _residual_solve(g, acc, cfg, stats)
+            lists = brute_forward_lists(g, acc)
+            if lists is None:
+                assert not brute_residue_satisfiable(g, acc, cfg, stats)
+                return None
+            masks = {v: sum(1 << c for c in cs) for v, cs in lists.items()}
+            return _residual_solve(g, acc, masks, cfg, stats)
         for asg in units[i]:
             if consistent(acc, asg):
                 got = run(i + 1, {**acc, **asg})
@@ -567,12 +576,36 @@ def brute_solve_leaf(g, cfg, stats):
     return run(0, {})
 
 
+def residue_lists(g, colored):
+    """Colors left to each uncolored vertex by its colored neighbors
+    alone, with no propagation, in vertex order."""
+    return {
+        v: {0, 1, 2} - {colored[u] for u in g.adj[v] if u in colored}
+        for v in g.vertices()
+        if v not in colored
+    }
+
+
+def brute_residue_satisfiable(g, colored, cfg, stats):
+    """One leaf CSP call on the unpropagated residue of every uncolored
+    vertex, counted in stats: whether the residue is list-colorable."""
+    residue = residue_lists(g, colored)
+    rest = list(residue)
+    index = {v: i for i, v in enumerate(rest)}
+    edges = [(index[u], index[v]) for u in rest for v in g.adj[u] if index.get(v, -1) > index[u]]
+    inst = coloring_to_csp(len(rest), edges, dict(enumerate(residue.values())))
+    res = solve(inst, cfg.charge(stats))
+    stats.absorb(res.stats, csp=True)
+    cfg.charge(stats)
+    return res.satisfiable
+
+
 def brute_forward_lists(g, colored):
     """Reference for vertexcolor._forward_check: rebuild every residue
     list from scratch and propagate each forced (singleton) color to its
     neighbors until nothing changes.  The propagated lists, or None when
     some list runs empty."""
-    lists = _residue_lists(g, colored)
+    lists = residue_lists(g, colored)
     forced = [v for v, cs in lists.items() if len(cs) < 2]
     while forced:
         v = forced.pop()

@@ -16,7 +16,7 @@ from csp32.oracle import (
     random_cubic,
     random_graph,
 )
-from csp32.solver import SolverConfig
+from csp32.solver import SearchStats, SolverConfig
 from csp32.vertexcolor import (
     ColorConfig,
     HeightTwoTree,
@@ -515,6 +515,55 @@ def test_incremental_forward_check_matches_brute_reference(monkeypatch):
         edge_color(*random_cubic(random.Random(s), 10 + 2 * (s % 4)))
         colored.clear()
     assert checks - before[0] > 200 and refuted - before[1] > 50  # line graphs
+
+
+def test_leaf_csp_gets_only_undecided_vertices(monkeypatch):
+    # At every leaf CSP call of seeded color-planted, G(n, p) and
+    # line-graph leaves, the CSP holds the vertices with two or three
+    # colors left, in vertex order, with their masks as lists, and a
+    # vertex left one color takes it.
+    residual_solve, to_csp = vertexcolor._residual_solve, vertexcolor.coloring_to_csp
+    leaf = {}  # masks and undecided vertices of the call in progress
+    sizes = Counter()
+
+    def coloring_to_csp(n, edges, lists):
+        masks, undecided = leaf["masks"], leaf["undecided"]
+        assert n == len(undecided) and set(lists) == set(range(n))
+        for i, v in enumerate(undecided):
+            assert sorted(lists[i]) == [c for c in (0, 1, 2) if masks[v] >> c & 1]
+            sizes[len(lists[i])] += 1
+        return to_csp(n, edges, lists)
+
+    def checked(g, colored, masks, cfg, stats):
+        leaf["masks"] = masks
+        leaf["undecided"] = sorted(v for v, m in masks.items() if m & (m - 1))
+        full = residual_solve(g, colored, masks, cfg, stats)
+        forced = {v: m.bit_length() - 1 for v, m in masks.items() if not m & (m - 1)}
+        sizes[1] += len(forced)
+        if full is not None:
+            assert full.items() >= {**colored, **forced}.items()
+        return full
+
+    monkeypatch.setattr(vertexcolor, "coloring_to_csp", coloring_to_csp)
+    monkeypatch.setattr(vertexcolor, "_residual_solve", checked)
+    for graph in _seeded_graphs(120):
+        color_graph(*graph)
+    for s in range(20):
+        edge_color(*planted_cubic_edge_colorable(random.Random(s), 12 + 2 * (s % 8)))
+    assert sizes[1] > 1000 and sizes[2] > 3000 and sizes[3] > 300
+
+    # A hand-built leaf: the bushy tree 0 -> 1 has interior {0, 1}, and
+    # its first coloring forces 2, 3 and 4 (adjacent to both) and then 5,
+    # 6 and 7 (adjacent to 1 and 2), so its one CSP call has no variable.
+    edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7),
+             (2, 5), (2, 6), (2, 7)]
+    g = MultiGraph.from_edges(8, edges)
+    f = build_bushy_forest(g)
+    assert (f.roots, f.internal, f.vertices) == ([0], {0, 1}, set(range(8)))
+    before, stats = Counter(sizes), SearchStats()
+    coloring = vertexcolor._solve_leaf(g, SolverConfig(), stats)
+    assert sizes - before == Counter({1: 6}) and stats.csp_calls == 1
+    assert sorted(coloring) == list(range(8)) and proper(edges, coloring)
 
 
 def test_forward_check_refutes_only_unextendable_colorings():
