@@ -201,10 +201,14 @@ def splice(ei: EdgeInstance, eid: int) -> list[tuple[EdgeInstance, SpliceStep]]:
 
 
 def select_splices(ei: EdgeInstance) -> list[int]:
-    """A maximum matching among edges with four neighbors.
+    """A maximum matching among edges with four neighbors, as edge ids.
 
     On a 3-edge-colorable instance the matching has at least a third of
-    those edges, and matched splices are pairwise independent.
+    those edges, and matched splices are pairwise independent.  It is
+    general_matching's maximum matching, whose tie-break among maximum
+    matchings is fixed (networkx's, on sorted vertices and edges): the
+    plan decides the splice search, so another maximum matching would
+    change splice and leaf counts.
     """
     four = [
         eid for eid in sorted(ei.edges) if len(ei.neighbor_ids(eid)) == 4

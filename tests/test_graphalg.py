@@ -1,5 +1,9 @@
 """Depth-first driver, breadth-first traversal and components, and
-matching and max-flow subroutines against brute-force references."""
+matching and max-flow subroutines against brute-force references.
+
+networkx is a test-only reference here: general_matching must return
+exactly the matching its max_weight_matching returns, so it is imported
+inside the tests that compare with it."""
 
 import random
 import sys
@@ -7,6 +11,7 @@ from itertools import combinations
 
 import pytest
 
+from csp32 import edgecolor
 from csp32.graphalg import (
     FlowNetwork,
     bfs,
@@ -16,6 +21,7 @@ from csp32.graphalg import (
     general_matching,
     max_flow,
 )
+from csp32.oracle import planted_cubic_edge_colorable, random_cubic
 
 
 def brute_max_matching(nodes, edges):
@@ -72,6 +78,81 @@ def test_general_matching_odd_cycle():
     # A 5-cycle needs the blossom handling to find its 2-edge maximum.
     edges = [(i, (i + 1) % 5) for i in range(5)]
     assert len(general_matching(list(range(5)), edges)) == 2
+
+
+def networkx_matching(nodes, edges):
+    """networkx's maximum-cardinality matching, nodes and edges added sorted."""
+    import networkx as nx
+
+    g = nx.Graph()
+    g.add_nodes_from(sorted(nodes))
+    g.add_edges_from(sorted(tuple(sorted(e)) for e in edges))
+    return {tuple(sorted(e)) for e in nx.max_weight_matching(g, maxcardinality=True)}
+
+
+def test_general_matching_equals_networkx_on_random_graphs():
+    # Exactly networkx's matching, not just one of the same size: the
+    # splice plan, and so every splice and leaf count, depends on which
+    # maximum matching comes back.  Sparse draws are often disconnected;
+    # some edge lists repeat edges, carry self-loops or list v before u.
+    rng = random.Random(22)
+    disconnected = 0
+    for p in (0.15, 0.3, 0.6):
+        for trial in range(300):
+            n = rng.randint(0, 16)
+            edges = [e for e in combinations(range(n), 2) if rng.random() < p]
+            adj = {v: [u for e in edges for u in e if v in e and u != v] for v in range(n)}
+            disconnected += len(components(range(n), adj.__getitem__)) > 1
+            if edges and trial % 3 == 0:
+                edges += rng.sample(edges, min(3, len(edges)))
+            if n and trial % 4 == 0:
+                v = rng.randrange(n)
+                edges.append((v, v))
+            edges = [e[::-1] if rng.random() < 0.5 else e for e in edges]
+            rng.shuffle(edges)
+            got = general_matching(list(range(n)), edges)
+            assert got == networkx_matching(range(n), edges), (p, trial)
+    assert disconnected > 100
+
+
+def test_general_matching_equals_networkx_on_splice_selections(monkeypatch):
+    # The graphs select_splices hands over: the edges with four neighbors
+    # of seeded planted and random cubic instances.
+    calls = []
+
+    def record(nodes, edges):
+        calls.append((nodes, edges))
+        return general_matching(nodes, edges)
+
+    monkeypatch.setattr(edgecolor, "general_matching", record)
+    for seed in range(15):
+        for gen, n in ((planted_cubic_edge_colorable, 24),
+                       (planted_cubic_edge_colorable, 40), (random_cubic, 16)):
+            edgecolor.select_splices(edgecolor.EdgeInstance.from_graph(*gen(random.Random(seed), n)))
+    assert len(calls) == 45
+    for nodes, edges in calls:
+        assert general_matching(nodes, edges) == networkx_matching(nodes, edges)
+
+
+def test_general_matching_equals_networkx_on_a_large_cubic_graph():
+    n, edges = planted_cubic_edge_colorable(random.Random(3), 1000)
+    got = general_matching(list(range(n)), edges)
+    assert len(got) == n // 2
+    assert got == networkx_matching(range(n), edges)
+
+
+def test_general_matching_input_contract():
+    # Self-loops are ignored and a repeated edge counts once, in either
+    # orientation; pairs come back sorted.
+    assert general_matching([0, 1, 2], [(1, 1), (2, 2)]) == set()
+    assert general_matching([0, 1], [(1, 0), (0, 1), (1, 0), (0, 0)]) == {(0, 1)}
+    assert general_matching(["b", "a", "c"], [("c", "b")]) == {("b", "c")}
+    assert general_matching([], []) == set()
+    # An endpoint outside nodes is an error, not a new vertex.
+    with pytest.raises(ValueError):
+        general_matching([0, 1], [(0, 2)])
+    with pytest.raises(ValueError):
+        general_matching([0, 1], [(5, 5)])
 
 
 def test_max_flow_simple_network():
