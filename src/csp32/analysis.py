@@ -13,29 +13,12 @@ the one user of scipy, imports it itself, so the package loads no scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 #: Size weight deficit of a four-color variable: a variable with four
 #: colors counts 2 - EPSILON toward instance size, a three-color variable
 #: counts 1.  The value balances the two worst branching configurations;
 #: optimize_epsilon() recomputes it from scratch.
 EPSILON = 0.095543
-
-
-@dataclass(frozen=True)
-class BranchVector:
-    """Positive size decreases (r_1, ..., r_k) of one branching step."""
-
-    decreases: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.decreases:
-            raise ValueError("a branch vector needs at least one entry")
-        if any(r <= 0 for r in self.decreases):
-            raise ValueError(f"size decreases must be positive: {self.decreases}")
-
-    def f(self, x: float) -> float:
-        return 1.0 - sum(x ** -r for r in self.decreases)
 
 
 def _bisect(f, lo: float, hi: float, tol: float) -> float:
@@ -50,32 +33,36 @@ def _bisect(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def work_factor(*decreases: float, tol: float = 1e-9) -> float:
-    """Largest root >= 1 of 1 - sum x^(-r_i), found by bisection.
+def work_factor(*decreases: float) -> float:
+    """Largest root >= 1 of f(x) = 1 - sum x^(-r_i), found by bisection
+    to within 1e-9.
 
     f is strictly increasing on (0, inf) for positive r_i, so the root is
-    unique.  Accepts either work_factor(2, 5, 6) or a BranchVector.
+    unique.  Raises ValueError unless at least one decrease is given and
+    every decrease is positive.
     """
-    if len(decreases) == 1 and isinstance(decreases[0], BranchVector):
-        vec = decreases[0]
-    else:
-        vec = BranchVector(tuple(float(r) for r in decreases))
-    k = len(vec.decreases)
-    if k == 1:
+    if not decreases:
+        raise ValueError("a branch vector needs at least one entry")
+    if any(r <= 0 for r in decreases):
+        raise ValueError(f"size decreases must be positive: {decreases}")
+    if len(decreases) == 1:
         return 1.0
-    lo = 1.0
-    hi = max(2.0, k ** (1.0 / min(vec.decreases)))
-    while vec.f(hi) <= 0:
+
+    def f(x: float) -> float:
+        return 1.0 - sum(x ** -r for r in decreases)
+
+    hi = max(2.0, len(decreases) ** (1.0 / min(decreases)))
+    while f(hi) <= 0:
         hi *= 2.0
-    return _bisect(vec.f, lo, hi, tol)
+    return _bisect(f, 1.0, hi, 1e-9)
 
 
-def optimize_epsilon(tol: float = 1e-7) -> tuple[float, float]:
+def optimize_epsilon() -> tuple[float, float]:
     """Find the size weight that balances the two dominant branch configurations.
 
     Solves work_factor(3-e, 4-e, 4-e) == work_factor(1+e, 4) for e by
-    bisection on (0, 0.2) and returns (e, Lambda) where Lambda is the
-    common work factor.  At the optimum both sides also equal
+    bisection on (0, 0.2), to within 1e-7, and returns (e, Lambda) where
+    Lambda is the common work factor.  At the optimum both sides also equal
     work_factor(4, 4, 5, 5): composing a (1+e, 4) split with a
     (3-e, 4-e, 4-e) split of its first child yields exactly the
     (4, 4, 5, 5) four-way split, and a composition of two equal work
@@ -88,7 +75,7 @@ def optimize_epsilon(tol: float = 1e-7) -> tuple[float, float]:
     lo, hi = 1e-6, 0.2
     if gap(lo) >= 0 or gap(hi) <= 0:
         raise RuntimeError("bisection bracket invalid for epsilon optimization")
-    eps = _bisect(gap, lo, hi, tol)
+    eps = _bisect(gap, lo, hi, 1e-7)
     lam = work_factor(1 + eps, 4)
     ref = work_factor(4, 4, 5, 5)
     if abs(lam - ref) > 1e-6 or abs(work_factor(3 - eps, 4 - eps, 4 - eps) - ref) > 1e-6:
@@ -100,7 +87,7 @@ def optimize_epsilon(tol: float = 1e-7) -> tuple[float, float]:
 LAMBDA = work_factor(4, 4, 5, 5)
 
 
-def lemma_table(eps: float = EPSILON) -> list[tuple[str, float]]:
+def lemma_table() -> list[tuple[str, float]]:
     """Work factor of every branching configuration, at the fixed size weight.
 
     All entries sit at or below the base lambda(4,4,5,5) except the
@@ -110,7 +97,7 @@ def lemma_table(eps: float = EPSILON) -> list[tuple[str, float]]:
     discarded in favor of the next candidate, or of a plain two-way
     split whose factor is capped by lambda(1,3).
     """
-    e = eps
+    e = EPSILON
     rows = [
         ("isolated 3&4", work_factor(2 - e, 3 - e)),
         ("isolated 4&4", work_factor(3 - 2 * e, 3 - 2 * e)),
@@ -142,9 +129,9 @@ def lemma_table(eps: float = EPSILON) -> list[tuple[str, float]]:
     return rows
 
 
-def bound_report(eps: float = EPSILON) -> dict[str, float]:
+def bound_report() -> dict[str, float]:
     """All composed time-bound constants for the coloring pipelines."""
-    lam = LAMBDA
+    lam, eps = LAMBDA, EPSILON
     out = {
         "epsilon": eps,
         "lambda_4455": lam,

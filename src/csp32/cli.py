@@ -91,7 +91,7 @@ def load_csp_json(path: str) -> tuple[Instance, dict[int, object]]:
         except (TypeError, ValueError):
             raise InputError(f"{path}: constraints[{i}] is not a pair of pairs")
         for v, c in ((va, ca), (vb, cb)):
-            if not isinstance(v, int) or v not in domains or json.dumps(c) not in domains[v]:
+            if type(v) is not int or v not in domains or json.dumps(c) not in domains[v]:
                 raise InputError(
                     f"{path}: constraints[{i}]: unknown pair ({v!r}, {c!r})"
                 )

@@ -210,12 +210,13 @@ def select_splices(ei: EdgeInstance) -> list[int]:
     plan decides the splice search, so another maximum matching would
     change splice and leaf counts.
     """
-    four = [
-        eid for eid in sorted(ei.edges) if len(ei.neighbor_ids(eid)) == 4
-    ]
-    nodes = sorted({v for eid in four for v in ei.edges[eid]})
-    chosen = general_matching(nodes, [ei.edges[eid] for eid in four])
-    by_pair = {tuple(sorted(ei.edges[eid])): eid for eid in four}
+    by_pair = {}  # the edges with four neighbors, by sorted endpoints
+    for eid in sorted(ei.edges):
+        u, v = ei.edges[eid]
+        if len(set(ei.at[u] + ei.at[v])) == 5:  # eid and its four neighbors
+            by_pair[(u, v) if u < v else (v, u)] = eid
+    nodes = sorted({v for p in by_pair for v in p})
+    chosen = general_matching(nodes, list(by_pair))
     return sorted(by_pair[p] for p in chosen)
 
 

@@ -1,15 +1,16 @@
 """Classical graph subroutines: graph search, matchings and flow.
 
 depth_first drives every backtracking search in the package: the
-branch-and-reduce solvers, the coloring pipelines, Kuhn's matching and
-the brute-force oracles.  bfs is every breadth-first traversal: the
-constraint-graph components of the solver rules and the degree-three
-trees of the coloring pipeline, and through bfs_path, its shortest
-path, the degree-three cycles and the augmenting paths of max_flow.
-The solver endgame needs bipartite maximum matching, the edge-coloring
-splice selection needs maximum matching in a general graph, and the
-height-two forest construction needs integer maximum flow.  All inputs
-here are tiny (O(n) nodes), so simple augmenting-path methods suffice.
+branch-and-reduce solvers, the coloring pipelines and the brute-force
+oracles.  bfs is every breadth-first traversal: the constraint-graph
+components of the solver rules and the degree-three trees of the
+coloring pipeline, and through bfs_path, its shortest path, the
+degree-three cycles and the augmenting paths of max_flow.
+general_matching is the one maximum-matching search: the edge-coloring
+splice selection calls it, and so does the solver endgame through
+bipartite_matching.  The height-two forest construction needs integer
+maximum flow.  All inputs here are tiny (O(n) nodes), so simple
+augmenting-path methods suffice.
 
 general_matching is Edmonds' blossom search (Edmonds, "Paths, trees,
 and flowers", 1965).  Which maximum matching it returns decides
@@ -101,44 +102,17 @@ def components(vertices, neighbors) -> list[list]:
 def bipartite_matching(
     left: list, right: list, edges: list[tuple]
 ) -> set[tuple]:
-    """Maximum-cardinality matching of a bipartite graph, as (left, right) pairs.
-
-    Kuhn's augmenting-path algorithm; deterministic for a fixed input
-    order (vertices and adjacency are processed sorted).
-    """
-    left = sorted(left)
-    right_set = set(right)
-    adj = {u: [] for u in left}
+    """Maximum-cardinality matching of a bipartite graph, as (left, right)
+    pairs: general_matching on the sides tagged (0, u) and (1, v), where
+    no blossom ever forms.  An edge outside the bipartition raises
+    ValueError."""
+    left_set, right_set = set(left), set(right)
     for u, v in edges:
-        if u not in adj or v not in right_set:
+        if u not in left_set or v not in right_set:
             raise ValueError(f"edge {(u, v)} not within the given bipartition")
-        adj[u].append(v)
-    for u in adj:
-        adj[u] = sorted(set(adj[u]))
-
-    match_of_right: dict = {}
-    seen: set = set()
-    free = object()  # the left vertex past an unmatched right vertex
-
-    def expand(state):
-        # a left vertex and the alternating path to it, as nested
-        # ((right, left), rest) pairs; a path ending at free augments
-        u, path = state
-        return (path, ()) if u is free else (None, reach(u, path))
-
-    def reach(u, path):
-        for v in adj[u]:
-            if v not in seen:  # tested lazily: searching a sibling grows seen
-                seen.add(v)
-                yield match_of_right.get(v, free), ((v, u), path)
-
-    for u in left:
-        seen.clear()
-        path = depth_first((u, None), expand)
-        while path is not None:
-            (v, w), path = path
-            match_of_right[v] = w
-    return {(u, v) for v, u in match_of_right.items()}
+    nodes = [(0, u) for u in left] + [(1, v) for v in right]
+    tagged = general_matching(nodes, [((0, u), (1, v)) for u, v in edges])
+    return {(u, v) for (_, u), (_, v) in tagged}
 
 
 def general_matching(nodes: list, edges: list[tuple]) -> set[tuple]:

@@ -53,8 +53,8 @@ def brute_csp_product(inst: Instance) -> Optional[Assignment]:
     return None
 
 
-def brute_vertex_color(graph: Graph, k: int = 3) -> Optional[dict[int, int]]:
-    """Proper k-coloring by backtracking, or None."""
+def brute_vertex_color(graph: Graph) -> Optional[dict[int, int]]:
+    """Proper 3-coloring by backtracking, or None."""
     n, edges = graph
     nbrs: dict[int, set[int]] = {v: set() for v in range(n)}
     for u, v in edges:
@@ -66,14 +66,14 @@ def brute_vertex_color(graph: Graph, k: int = 3) -> Optional[dict[int, int]]:
         if v == n:
             return coloring, ()
         return None, (
-            {**coloring, v: c} for c in range(k) if all(coloring.get(w) != c for w in nbrs[v])
+            {**coloring, v: c} for c in range(3) if all(coloring.get(w) != c for w in nbrs[v])
         )
 
     return depth_first({}, expand)
 
 
-def brute_edge_color(graph: Graph, k: int = 3) -> Optional[dict[tuple[int, int], int]]:
-    """Proper k-edge-coloring (edges sharing an endpoint differ), or None."""
+def brute_edge_color(graph: Graph) -> Optional[dict[tuple[int, int], int]]:
+    """Proper 3-edge-coloring (edges sharing an endpoint differ), or None."""
     _n, edges = graph
     # the earlier edges that share an endpoint with each edge
     prior = [[e for e in edges[:i] if u in e or v in e] for i, (u, v) in enumerate(edges)]
@@ -84,7 +84,7 @@ def brute_edge_color(graph: Graph, k: int = 3) -> Optional[dict[tuple[int, int],
             return coloring, ()
         return None, (
             (i + 1, {**coloring, edges[i]: c})
-            for c in range(k)
+            for c in range(3)
             if all(coloring[e] != c for e in prior[i])
         )
 
@@ -173,7 +173,6 @@ def structured_csp(
     rng: random.Random,
     var_degrees: list[int],
     four_vars: int = 0,
-    tries: int = 200,
 ) -> Optional[Instance]:
     """CSP whose pairs have controlled constraint counts.
 
@@ -183,10 +182,10 @@ def structured_csp(
     incident edge and never two constraints into the same variable,
     which steers solving toward the deeper branching rules.  The first
     four_vars variables get four colors.  None when the degree sequence
-    could not be realized.
+    could not be realized in 200 tries.
     """
     n = len(var_degrees)
-    for _ in range(tries):
+    for _ in range(200):
         stubs = [v for v in range(n) for _ in range(var_degrees[v])]
         if len(stubs) % 2:
             stubs.remove(rng.choice(stubs))
@@ -229,12 +228,12 @@ def planted_3colorable(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     return n, edges
 
 
-def random_cubic(rng: random.Random, n: int, tries: int = 10000) -> Graph:
+def random_cubic(rng: random.Random, n: int) -> Graph:
     """Simple 3-regular graph on n vertices (n even) by the pairing model,
-    rejecting pairings with loops or repeated edges."""
+    rejecting pairings with loops or repeated edges (10,000 tries)."""
     if n % 2 or n < 4:
         raise ValueError("cubic graphs need an even vertex count >= 4")
-    for _ in range(tries):
+    for _ in range(10000):
         stubs = [v for v in range(n) for _ in range(3)]
         rng.shuffle(stubs)
         edges = set()
@@ -250,14 +249,13 @@ def random_cubic(rng: random.Random, n: int, tries: int = 10000) -> Graph:
     raise RuntimeError(f"no simple cubic graph found on {n} vertices")
 
 
-def planted_cubic_edge_colorable(
-    rng: random.Random, n: int, tries: int = 10000
-) -> Graph:
+def planted_cubic_edge_colorable(rng: random.Random, n: int) -> Graph:
     """Cubic, simple, 3-edge-colorable graph: the union of three random
-    perfect matchings, rejected if any two matchings share an edge."""
+    perfect matchings, rejected if any two matchings share an edge
+    (10,000 tries)."""
     if n % 2 or n < 4:
         raise ValueError("need an even vertex count >= 4")
-    for _ in range(tries):
+    for _ in range(10000):
         edges = set()
         good = True
         for _m in range(3):

@@ -306,7 +306,6 @@ class BushyForest:
     """Rooted forest whose internal nodes all have tree-degree four or more."""
 
     roots: list[int] = field(default_factory=list)
-    parent: dict[int, int] = field(default_factory=dict)
     children: dict[int, tuple] = field(default_factory=dict)
     internal: set[int] = field(default_factory=set)
     leaves: set[int] = field(default_factory=set)
@@ -317,7 +316,6 @@ class BushyForest:
         self.leaves.discard(v)
         self.internal.add(v)
         self.children[v] = tuple(outside)
-        self.parent.update(dict.fromkeys(outside, v))
         self.leaves.update(outside)
         self.vertices.update((v, *outside))
 

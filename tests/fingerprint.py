@@ -6,13 +6,14 @@ inputs, some under a node limit.  The first digest hashes every verdict,
 solution and SearchStats field; the second leaves the solutions out.  A
 refactor that claims an identical search prints the same first digest as
 its parent commit.  A change that alters only which valid solution comes
-back prints the same second digest.  The file name keeps pytest from
-collecting it.  Besides the random families, the batch holds inputs
-chosen for reach: relabeled copies of every rule-trigger instance of
-tests/helpers.py, small structured CSPs whose rules (two- and
-three-component, the matching endgame, a fallback) the large ones never
-reach, and planted graphs whose coloring leaf assigns outside vertices
-to height-two trees by flow.
+back prints the same second digest, which tests/test_fingerprint.py
+pins.  The file name keeps pytest from collecting it.  Besides the
+random families, the batch holds inputs chosen for reach: relabeled
+copies of every rule-trigger instance of tests/helpers.py, small
+structured CSPs whose rules (two- and three-component, the matching
+endgame, a fallback) the large ones never reach, and planted graphs
+whose coloring leaf assigns outside vertices to height-two trees by
+flow.
 """
 
 import hashlib
@@ -140,15 +141,21 @@ def records():
                    sorted(colors.items()) if colors else None, _stats(stats))
 
 
-def main():
+def digests() -> tuple[str, str, int]:
+    """(full digest, counts-only digest, number of calls) of the batch."""
     full, counts = hashlib.sha256(), hashlib.sha256()
     calls = 0
     for rec in records():
         full.update(json.dumps(rec, sort_keys=True).encode() + b"\n")
         counts.update(json.dumps(rec[:4] + rec[5:], sort_keys=True).encode() + b"\n")
         calls += 1
-    print(f"{full.hexdigest()}  {calls} calls")
-    print(f"{counts.hexdigest()}  {calls} calls, counts only")
+    return full.hexdigest(), counts.hexdigest(), calls
+
+
+def main():
+    full, counts, calls = digests()
+    print(f"{full}  {calls} calls")
+    print(f"{counts}  {calls} calls, counts only")
 
 
 if __name__ == "__main__":

@@ -342,8 +342,8 @@ def scan_incidence(ei):
 def brute_build_bushy_forest(g):
     """Reference for vertexcolor.build_bushy_forest: the greedy growth
     that rebuilds the covered set internal | leaves for every neighbor
-    it tests.  Returns (roots, parent, children, internal, leaves)."""
-    roots, parent, children, internal, leaves = [], {}, {}, set(), set()
+    it tests.  Returns (roots, children, internal, leaves)."""
+    roots, children, internal, leaves = [], {}, set(), set()
     changed = True
     while changed:
         changed = False
@@ -355,9 +355,7 @@ def brute_build_bushy_forest(g):
                 roots.append(v)
                 internal.add(v)
                 children[v] = tuple(outside)
-                for u in outside:
-                    parent[u] = v
-                    leaves.add(u)
+                leaves.update(outside)
                 changed = True
         for v in sorted(leaves):
             outside = sorted(u for u in g.adj[v] if u not in internal | leaves)
@@ -365,11 +363,9 @@ def brute_build_bushy_forest(g):
                 leaves.discard(v)
                 internal.add(v)
                 children[v] = tuple(outside)
-                for u in outside:
-                    parent[u] = v
-                    leaves.add(u)
+                leaves.update(outside)
                 changed = True
-    return roots, parent, children, internal, leaves
+    return roots, children, internal, leaves
 
 
 def brute_find_degree3_cycle(g):

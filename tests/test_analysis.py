@@ -9,7 +9,6 @@ import pytest
 from csp32.analysis import (
     EPSILON,
     LAMBDA,
-    BranchVector,
     bound_report,
     lemma_table,
     optimize_epsilon,
@@ -29,19 +28,13 @@ def test_work_factor_closed_forms():
     assert work_factor(1, 2) == pytest.approx((1 + math.sqrt(5)) / 2, abs=1e-8)
 
 
-def test_work_factor_accepts_branch_vector():
-    assert work_factor(BranchVector((2.0, 3.0))) == pytest.approx(
-        work_factor(2, 3), abs=1e-9
-    )
-
-
 def test_branch_vector_rejects_bad_entries():
     with pytest.raises(ValueError):
-        BranchVector(())
+        work_factor()
     with pytest.raises(ValueError):
-        BranchVector((2.0, 0.0))
-    with pytest.raises(ValueError):
-        BranchVector((-1.0,))
+        work_factor(2.0, 0.0)
+    with pytest.raises(ValueError):  # checked before the one-branch shortcut
+        work_factor(-1.0)
 
 
 def test_root_satisfies_characteristic_equation():

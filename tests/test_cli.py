@@ -316,6 +316,9 @@ def test_load_csp_json_errors(tmp_path):
          r"variables\[1\]: id 'a' is not"),
         ('{"variables": [{"id": 0, "colors": [1]}],'
          ' "constraints": [[[[0], 1], [0, 1]]]}', "unknown pair"),
+        # true is not variable 1, nor false variable 0
+        ('{"variables": [{"id": 0, "colors": ["R", "G"]}, {"id": 1, "colors": ["R"]}],'
+         ' "constraints": [[[true, "R"], [0, "R"]]]}', r"constraints\[0\]: unknown pair"),
     ]
     for i, (text, msg) in enumerate(cases):
         path = write(tmp_path, f"bad{i}.json", text)
@@ -326,6 +329,11 @@ def test_load_csp_json_errors(tmp_path):
 def test_missing_file_is_usage_error(capsys):
     assert main(["solve", "/nonexistent/x.json"]) == EXIT_USAGE
     assert "error" in capsys.readouterr().err
+    # the DIMACS readers report an unreadable file the same way
+    for cmd, name in (("color", "x.col"), ("edge-color", "x.col"), ("sat", "x.cnf")):
+        assert main([cmd, f"/nonexistent/{name}"]) == EXIT_USAGE, cmd
+        err = capsys.readouterr().err
+        assert "error" in err and f"/nonexistent/{name}" in err, cmd
 
 
 def test_translate_color_and_solve(tmp_path, capsys):

@@ -42,6 +42,8 @@ def test_bipartite_matching_small_cases():
     got = bipartite_matching([0, 1], ["a", "b"], [(0, "a"), (1, "a"), (1, "b")])
     assert len(got) == 2
     assert bipartite_matching([0], ["a"], []) == set()
+    # the sides may share labels: (0, 1) is left 0 against right 1
+    assert bipartite_matching([0, 1], [0, 1], [(0, 1), (1, 1), (1, 0)]) == {(0, 1), (1, 0)}
     with pytest.raises(ValueError):
         bipartite_matching([0], ["a"], [(0, "z")])
 

@@ -234,6 +234,43 @@ def test_validate_flags_problems():
     assert validate(inst, max_colors=4)
     assert not validate(inst, max_colors=5)
 
+    def broken(edit):
+        inst = small({0: range(3), 1: range(3)}, [((0, 0), (1, 0))])
+        assert validate(inst) == []
+        edit(inst)
+        return validate(inst)
+
+    assert broken(lambda i: i.adj.pop((0, 2))) == ["pair (0, 2) missing from adjacency"]
+    assert broken(lambda i: i.colors[0].discard(2)) == [
+        "adjacency key (0, 2) refers to a removed color"
+    ]
+
+    def dangle(inst):  # (1, 0) goes, but (0, 0) still names it
+        inst.colors[1].discard(0)
+        del inst.adj[(1, 0)]
+
+    assert broken(dangle) == ["constraint ((0, 0), (1, 0)) references removed pair (1, 0)"]
+    assert broken(lambda i: i.adj[(1, 0)].discard((0, 0))) == [
+        "constraint ((0, 0), (1, 0)) not symmetric"
+    ]
+
+    def same_variable(inst):
+        inst.adj[(0, 0)].add((0, 1))
+        inst.adj[(0, 1)].add((0, 0))
+
+    assert broken(same_variable) == [
+        "constraint ((0, 0), (0, 1)) joins two colors of variable 0"
+    ] * 2
+
+
+def test_check_rejects_foreign_colors_and_needs_every_variable():
+    inst = small({0: range(3), 1: range(3)}, [((0, 0), (1, 0))])
+    assert check(inst, {0: 1, 1: 0})
+    assert not check(inst, {0: 0, 1: 0})  # the constraint
+    assert not check(inst, {0: 3, 1: 0})  # 3 is not a color of variable 0
+    with pytest.raises(ValueError, match="missing variable 1"):
+        check(inst, {0: 1})
+
 
 def test_simplify_fuzz_preserves_satisfiability():
     rng = random.Random(1234)
