@@ -381,13 +381,19 @@ def cmd_fuzz(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def non_negative_int(text: str) -> int:
+    if (limit := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {limit}")
+    return limit
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="csp32", description=__doc__)
     top.add_argument("--version", action="version", version=VERSION)
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p, seedable=False):
-        p.add_argument("--node-limit", type=int, default=None)
+        p.add_argument("--node-limit", type=non_negative_int, default=None)
         p.add_argument("--stats", action="store_true")
         p.add_argument("--json", action="store_true")
         if seedable:

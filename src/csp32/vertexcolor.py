@@ -580,8 +580,30 @@ def _residual_solve(g, colored: Coloring, masks: dict, cfg, stats) -> Optional[C
 
     A vertex whose mask holds one color takes it: propagation cleared it
     from every uncolored neighbour.  The undecided vertices, in vertex
-    order, go to the CSP with their masks' colors as lists."""
+    order, go to the CSP with their masks' colors as lists.  With no
+    three-color vertex the CSP is 2-SAT, and it is decided here instead
+    (Even, Itai & Shamir 1976): each two-color vertex commits the first
+    color the forward check keeps.  A kept try fixes every vertex it
+    touched and leaves the others' masks as they were, so the rest is a
+    sub-instance.  It counts as the one-node solve it replaces, since
+    simplify decides every (2,2)-CSP at the root."""
     full = dict(colored)
+    if 7 not in masks.values():
+        stats.csp_calls += 1
+        stats.csp_nodes += 1
+        cfg.charge(stats)
+        for v in sorted(masks):
+            m = masks[v]
+            if m & (m - 1):
+                c = (m & -m).bit_length() - 1
+                child = _forward_check(g, masks, {v: c})
+                if child is None:
+                    c = m.bit_length() - 1
+                    if (child := _forward_check(g, masks, {v: c})) is None:
+                        return None
+                masks, full[v] = child, c
+        full.update((v, m.bit_length() - 1) for v, m in masks.items())
+        return full
     rest = []
     for v in sorted(masks):
         m = masks[v]

@@ -336,6 +336,16 @@ def test_missing_file_is_usage_error(capsys):
         assert "error" in err and f"/nonexistent/{name}" in err, cmd
 
 
+def test_negative_node_limit_is_usage_error(tmp_path, capsys):
+    tri = write(tmp_path, "tri.col", TRIANGLE_COL)
+    cnf = write(tmp_path, "f.cnf", SAT_CNF)
+    for argv in (["solve", sat_csp(tmp_path)], ["color", tri], ["edge-color", tri], ["sat", cnf]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--node-limit", "-1"])
+        assert exc.value.code == EXIT_USAGE, argv
+        assert "--node-limit: must be non-negative, got -1" in capsys.readouterr().err, argv
+    assert main(["color", tri, "--node-limit", "0"]) == EXIT_LIMIT
+
 def test_translate_color_and_solve(tmp_path, capsys):
     tri = write(tmp_path, "tri.col", TRIANGLE_COL)
     out_path = str(tmp_path / "tri.json")

@@ -8,15 +8,17 @@ import pytest
 
 import csp32.vertexcolor as vertexcolor
 from csp32.edgecolor import edge_color
-from csp32.instance import lift
+from csp32.instance import Instance, lift
 from csp32.oracle import (
+    brute_csp,
     brute_vertex_color,
     planted_3colorable,
     planted_cubic_edge_colorable,
     random_cubic,
     random_graph,
 )
-from csp32.solver import SearchStats, SolverConfig
+from csp32.solver import NodeLimitReached, SearchStats, SolverConfig, solve
+from csp32.transform import coloring_to_csp
 from csp32.vertexcolor import (
     ColorConfig,
     HeightTwoTree,
@@ -31,6 +33,7 @@ from csp32.vertexcolor import (
     find_degree3_cycle,
     strip_low_degree,
 )
+import helpers
 from helpers import (
     brute_branch_degree3_cycle,
     brute_branch_degree3_tree,
@@ -407,9 +410,18 @@ def test_height_two_unit_colors_both_forks_of_five_grandchildren():
 
 def _record_csp(monkeypatch):
     """Patch the leaf CSP calls to log (n, edges, lists) of each one
-    that succeeds."""
-    last, solved = {}, []
+    that succeeds, and the leaf residue solves (CSP call or propagation,
+    in vertexcolor and in the brute reference) to log each coloring they
+    return."""
+    last, solved, decided = {}, [], []
     to_csp, solve = vertexcolor.coloring_to_csp, vertexcolor.solve
+    residual_solve = vertexcolor._residual_solve
+
+    def logged_residual_solve(*args):
+        full = residual_solve(*args)
+        if full is not None:
+            decided.append(full)
+        return full
 
     def coloring_to_csp(n, edges, lists):
         last["args"] = (n, list(edges), {v: set(cs) for v, cs in lists.items()})
@@ -423,19 +435,22 @@ def _record_csp(monkeypatch):
 
     monkeypatch.setattr(vertexcolor, "coloring_to_csp", coloring_to_csp)
     monkeypatch.setattr(vertexcolor, "solve", logged_solve)
-    return solved
+    monkeypatch.setattr(vertexcolor, "_residual_solve", logged_residual_solve)
+    monkeypatch.setattr(helpers, "_residual_solve", logged_residual_solve)
+    return solved, decided
 
 
 def _both_ways(monkeypatch, run):
     """run() with the forward-checked leaf and with the brute reference:
-    (result, successful CSP arguments, stats) for each."""
+    (result, successful CSP arguments, decided leaf colorings, stats)
+    for each."""
     out = []
     for leaf in (vertexcolor._solve_leaf, brute_solve_leaf):
         with monkeypatch.context() as mp:
             mp.setattr(vertexcolor, "_solve_leaf", leaf)
-            solved = _record_csp(mp)
+            solved, decided = _record_csp(mp)
             result, stats = run()
-            out.append((result, solved, stats))
+            out.append((result, solved, decided, stats))
     return out
 
 
@@ -445,34 +460,34 @@ def test_forward_checked_leaf_matches_brute_reference(monkeypatch):
         return (res.colorable, res.coloring), res.stats
 
     calls = [0, 0]
-    solved = 0
+    decided = 0
     for graph in _seeded_graphs(160):
-        (got, got_csp, got_stats), (want, want_csp, want_stats) = _both_ways(
+        (got, got_csp, got_leaf, got_stats), (want, want_csp, want_leaf, want_stats) = _both_ways(
             monkeypatch, lambda: run(graph)
         )
-        assert got == want and got_csp == want_csp
-        solved += len(got_csp)
+        assert got == want and got_csp == want_csp and got_leaf == want_leaf
+        decided += len(got_leaf)
         assert (got_stats.leaves, got_stats.breakdowns) == (want_stats.leaves, want_stats.breakdowns)
         assert got_stats.csp_calls <= want_stats.csp_calls
         calls[0] += got_stats.csp_calls
         calls[1] += want_stats.csp_calls
-    assert solved > 150
+    assert decided > 150  # leaves colored, by a CSP call or by propagation
     assert calls[0] < calls[1] / 2  # the check prunes most leaf CSP calls
 
 
 def test_forward_checked_line_graphs_match_brute_reference(monkeypatch):
     graphs = [planted_cubic_edge_colorable(random.Random(s), 12 + 2 * (s % 8)) for s in range(20)]
     graphs += [random_cubic(random.Random(s), 10 + 2 * (s % 4)) for s in range(20)]
-    leaves = solved = 0
+    leaves = decided = 0
     for graph in graphs:
-        (got, got_csp, got_stats), (want, want_csp, want_stats) = _both_ways(
+        (got, got_csp, got_leaf, got_stats), (want, want_csp, want_leaf, want_stats) = _both_ways(
             monkeypatch, lambda: edge_color(*graph)
         )
-        assert got == want and got_csp == want_csp
+        assert got == want and got_csp == want_csp and got_leaf == want_leaf
         assert (got_stats.splices, got_stats.leaves) == (want_stats.splices, want_stats.leaves)
         leaves += got_stats.leaves
-        solved += len(got_csp)
-    assert leaves > 50 and solved > 20
+        decided += len(got_leaf)
+    assert leaves > 50 and decided > 20
 
 
 def test_incremental_forward_check_matches_brute_reference(monkeypatch):
@@ -521,7 +536,8 @@ def test_leaf_csp_gets_only_undecided_vertices(monkeypatch):
     # At every leaf CSP call of seeded color-planted, G(n, p) and
     # line-graph leaves, the CSP holds the vertices with two or three
     # colors left, in vertex order, with their masks as lists, and a
-    # vertex left one color takes it.
+    # vertex left one color takes it.  A leaf goes to the CSP only when
+    # some vertex has three colors left; propagation decides the others.
     residual_solve, to_csp = vertexcolor._residual_solve, vertexcolor.coloring_to_csp
     leaf = {}  # masks and undecided vertices of the call in progress
     sizes = Counter()
@@ -529,6 +545,7 @@ def test_leaf_csp_gets_only_undecided_vertices(monkeypatch):
     def coloring_to_csp(n, edges, lists):
         masks, undecided = leaf["masks"], leaf["undecided"]
         assert n == len(undecided) and set(lists) == set(range(n))
+        assert 7 in masks.values()
         for i, v in enumerate(undecided):
             assert sorted(lists[i]) == [c for c in (0, 1, 2) if masks[v] >> c & 1]
             sizes[len(lists[i])] += 1
@@ -554,7 +571,8 @@ def test_leaf_csp_gets_only_undecided_vertices(monkeypatch):
 
     # A hand-built leaf: the bushy tree 0 -> 1 has interior {0, 1}, and
     # its first coloring forces 2, 3 and 4 (adjacent to both) and then 5,
-    # 6 and 7 (adjacent to 1 and 2), so its one CSP call has no variable.
+    # 6 and 7 (adjacent to 1 and 2), so no vertex is left undecided and
+    # the leaf counts as one CSP call without building one.
     edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7),
              (2, 5), (2, 6), (2, 7)]
     g = MultiGraph.from_edges(8, edges)
@@ -565,6 +583,93 @@ def test_leaf_csp_gets_only_undecided_vertices(monkeypatch):
     assert sizes - before == Counter({1: 6}) and stats.csp_calls == 1
     assert sorted(coloring) == list(range(8)) and proper(edges, coloring)
 
+
+
+def _leaf_csp(g, masks):
+    """The CSP a leaf residue made before two-list leaves were decided by
+    propagation: its undecided vertices, with their masks as lists."""
+    rest = [v for v in sorted(masks) if masks[v] & (masks[v] - 1)]
+    index = {v: i for i, v in enumerate(rest)}
+    lists = {i: [c for c in (0, 1, 2) if masks[v] >> c & 1] for i, v in enumerate(rest)}
+    edges = [(index[u], index[v]) for u in rest for v in g.adj[u] if index.get(v, -1) > index[u]]
+    return coloring_to_csp(len(rest), edges, lists)
+
+
+def test_solve_decides_two_color_csps_at_the_root():
+    # simplify decides every (2,2)-CSP, so solve spends one node and
+    # fires no rule: what a two-list leaf decided by propagation charges
+    rng = random.Random(7)
+    verdicts = Counter()
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        inst = Instance.build({v: rng.sample(range(4), 2) for v in range(n)})
+        for v, w in combinations(range(n), 2):
+            for c in sorted(inst.colors[v]):
+                for d in sorted(inst.colors[w]):
+                    if rng.random() < 0.12:
+                        inst.add_constraint((v, c), (w, d))
+        res = solve(inst)
+        assert (res.stats.nodes, res.stats.rule_counts) == (1, Counter())
+        assert res.satisfiable == (brute_csp(inst) is not None)
+        verdicts[res.satisfiable] += 1
+    assert verdicts[True] > 50 and verdicts[False] > 50
+
+
+def test_two_list_leaves_are_decided_by_propagation(monkeypatch):
+    # At every leaf of seeded color-planted, G(n, p) and line-graph
+    # leaves with no three-color vertex, the CSP the leaf no longer
+    # builds takes one node and fires no rule, its verdict is the
+    # propagation's, and a coloring that comes back is proper and lies
+    # inside the masks.
+    residual_solve = vertexcolor._residual_solve
+    verdicts = Counter()
+
+    def checked(g, colored, masks, cfg, stats):
+        full = residual_solve(g, colored, masks, cfg, stats)
+        if 7 in masks.values():
+            return full
+        res = solve(_leaf_csp(g, masks))
+        assert (res.stats.nodes, res.stats.rule_counts) == (1, Counter())
+        assert (full is not None) == res.satisfiable
+        verdicts[res.satisfiable] += 1
+        if full is not None:
+            assert set(full) == set(g.adj) and full.items() >= colored.items()
+            assert all(masks[v] >> full[v] & 1 for v in masks)
+            assert all(full[u] != full[v] for u in g.adj for v in g.adj[u])
+        return full
+
+    monkeypatch.setattr(vertexcolor, "_residual_solve", checked)
+    for graph in _seeded_graphs(120):
+        color_graph(*graph)
+    before = +verdicts
+    for s in range(20):
+        edge_color(*planted_cubic_edge_colorable(random.Random(s), 12 + 2 * (s % 8)))
+        edge_color(*random_cubic(random.Random(s), 10 + 2 * (s % 4)))
+    assert verdicts[True] > 80 and verdicts[False] > 80
+    assert sum((verdicts - before).values()) > 60  # line graphs
+
+
+def test_two_list_leaf_hand_built_cases():
+    # An odd cycle with lists {0, 1} is refuted, and counted as the
+    # one-node CSP solve it replaces.
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    stats = SearchStats()
+    cycle = MultiGraph.from_edges(5, edges)
+    assert vertexcolor._residual_solve(cycle, {}, dict.fromkeys(range(5), 0b011),
+                                       SolverConfig(), stats) is None
+    assert (stats.csp_calls, stats.csp_nodes, stats.spent) == (1, 1, 1)
+    assert solve(coloring_to_csp(5, edges, dict.fromkeys(range(5), (0, 1)))).satisfiable is False
+
+    # Vertex 0 fails its first color (color 0 forces 1 to 1 and 2 to 2,
+    # which leaves 3 nothing) and succeeds with its second.
+    g = MultiGraph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    masks = {0: 0b011, 1: 0b011, 2: 0b101, 3: 0b110}
+    assert _forward_check(g, masks, {0: 0}) is None
+    full = vertexcolor._residual_solve(g, {}, masks, SolverConfig(), SearchStats())
+    assert full == {0: 1, 1: 0, 2: 0, 3: 1}
+    # its one node trips a spent budget, as the nested solve's did
+    with pytest.raises(NodeLimitReached):
+        vertexcolor._residual_solve(g, {}, masks, SolverConfig(node_limit=0), SearchStats())
 
 def test_forward_check_refutes_only_unextendable_colorings():
     rng = random.Random(31)
