@@ -5,7 +5,8 @@ trees of degree-three vertices, grows a bushy forest plus a height-two
 forest over what is left, enumerates proper colorings of the forest
 interiors with a forward check, and hands the vertices still undecided
 after propagation, with the colors they have left, to the CSP solver as
-a list-coloring instance.  Every success is lifted back to a proper
+a list-coloring instance, unless none has three colors left (2-SAT,
+which propagation decides).  Every success is lifted back to a proper
 coloring of the original graph and verified.
 """
 
@@ -595,12 +596,11 @@ def _residual_solve(g, colored: Coloring, masks: dict, cfg, stats) -> Optional[C
         for v in sorted(masks):
             m = masks[v]
             if m & (m - 1):
-                c = (m & -m).bit_length() - 1
-                child = _forward_check(g, masks, {v: c})
-                if child is None:
-                    c = m.bit_length() - 1
-                    if (child := _forward_check(g, masks, {v: c})) is None:
-                        return None
+                for c in (m & -m).bit_length() - 1, m.bit_length() - 1:
+                    if (child := _forward_check(g, masks, {v: c})) is not None:
+                        break
+                else:
+                    return None
                 masks, full[v] = child, c
         full.update((v, m.bit_length() - 1) for v, m in masks.items())
         return full

@@ -346,6 +346,7 @@ def test_negative_node_limit_is_usage_error(tmp_path, capsys):
         assert "--node-limit: must be non-negative, got -1" in capsys.readouterr().err, argv
     assert main(["color", tri, "--node-limit", "0"]) == EXIT_LIMIT
 
+
 def test_translate_color_and_solve(tmp_path, capsys):
     tri = write(tmp_path, "tri.col", TRIANGLE_COL)
     out_path = str(tmp_path / "tri.json")

@@ -584,7 +584,6 @@ def test_leaf_csp_gets_only_undecided_vertices(monkeypatch):
     assert sorted(coloring) == list(range(8)) and proper(edges, coloring)
 
 
-
 def _leaf_csp(g, masks):
     """The CSP a leaf residue made before two-list leaves were decided by
     propagation: its undecided vertices, with their masks as lists."""
@@ -670,6 +669,7 @@ def test_two_list_leaf_hand_built_cases():
     # its one node trips a spent budget, as the nested solve's did
     with pytest.raises(NodeLimitReached):
         vertexcolor._residual_solve(g, {}, masks, SolverConfig(node_limit=0), SearchStats())
+
 
 def test_forward_check_refutes_only_unextendable_colorings():
     rng = random.Random(31)
