@@ -5,9 +5,10 @@ trees of degree-three vertices, grows a bushy forest plus a height-two
 forest over what is left, enumerates proper colorings of the forest
 interiors with a forward check, and hands the vertices still undecided
 after propagation, with the colors they have left, to the CSP solver as
-a list-coloring instance, unless none has three colors left (2-SAT,
-which propagation decides).  Every success is lifted back to a proper
-coloring of the original graph and verified.
+a list-coloring instance, unless at most two have three colors left
+(then it tries their colors and decides the 2-SAT rest by propagation).
+Every success is lifted back to a proper coloring of the original graph
+and verified.
 """
 
 from __future__ import annotations
@@ -322,24 +323,24 @@ class BushyForest:
 
 
 def build_bushy_forest(g: MultiGraph) -> BushyForest:
-    """Grow a maximal bushy forest greedily and assert its maximality."""
+    """Grow a maximal bushy forest greedily and assert its maximality.
+
+    Outside sets only shrink, so every root is found in one pass over the
+    vertices, and a leaf that cannot grow never can: each later pass
+    tries only the leaves the pass before it added, in vertex order."""
     f = BushyForest()
-    changed = True
-    while changed:
-        changed = False
-        for v in g.vertices():
-            if v in f.vertices:
-                continue
-            outside = sorted(g.adj[v] - f.vertices)
-            if len(outside) >= 4:
-                f.roots.append(v)
+    for v in g.vertices():
+        if v not in f.vertices and len(outside := sorted(g.adj[v] - f.vertices)) >= 4:
+            f.roots.append(v)
+            f.grow(v, outside)
+    fresh = set(f.leaves)
+    while fresh:
+        added: set[int] = set()
+        for v in sorted(fresh):
+            if len(outside := sorted(g.adj[v] - f.vertices)) >= 3:
                 f.grow(v, outside)
-                changed = True
-        for v in sorted(f.leaves):
-            outside = sorted(g.adj[v] - f.vertices)
-            if len(outside) >= 3:
-                f.grow(v, outside)
-                changed = True
+                added.update(outside)
+        fresh = added
     for v in f.internal:
         assert g.adj[v] <= f.vertices
     for v in f.leaves:
@@ -580,30 +581,47 @@ def _residual_solve(g, colored: Coloring, masks: dict, cfg, stats) -> Optional[C
     """The leaf's CSP call on a forward-checked full interior coloring.
 
     A vertex whose mask holds one color takes it: propagation cleared it
-    from every uncolored neighbour.  The undecided vertices, in vertex
-    order, go to the CSP with their masks' colors as lists.  With no
-    three-color vertex the CSP is 2-SAT, and it is decided here instead
-    (Even, Itai & Shamir 1976): each two-color vertex commits the first
-    color the forward check keeps.  A kept try fixes every vertex it
-    touched and leaves the others' masks as they were, so the rest is a
-    sub-instance.  It counts as the one-node solve it replaces, since
-    simplify decides every (2,2)-CSP at the root."""
-    full = dict(colored)
-    if 7 not in masks.values():
+    from every uncolored neighbour.  With three or more vertices left
+    three colors, the undecided vertices, in vertex order, go to the CSP
+    with their masks' colors as lists.  With at most two, simplify would
+    decide that CSP at the root: eliminating the two-color variables
+    leaves at most two three-color ones, and no reduced instance has one
+    or two variables.  So it is decided here, as the one-node solve it replaces.
+    Each three-color vertex, in vertex order, tries its colors in
+    ascending order through the forward check, backtracking on failure;
+    what survives is 2-SAT (Even, Itai & Shamir 1976), and each
+    two-color vertex commits the first color the forward check keeps.  A
+    kept try fixes every vertex it touched and leaves the others' masks
+    as they were, so the rest is a sub-instance."""
+    threes = [v for v in sorted(masks) if masks[v] == 7]
+    if len(threes) <= 2:
         stats.csp_calls += 1
         stats.csp_nodes += 1
         cfg.charge(stats)
-        for v in sorted(masks):
-            m = masks[v]
-            if m & (m - 1):
-                for c in (m & -m).bit_length() - 1, m.bit_length() - 1:
-                    if (child := _forward_check(g, masks, {v: c})) is not None:
-                        break
-                else:
-                    return None
-                masks, full[v] = child, c
-        full.update((v, m.bit_length() - 1) for v, m in masks.items())
-        return full
+
+        def expand(state):
+            i, full, masks = state
+            if i < len(threes):
+                v = threes[i]
+                return None, (
+                    (i + 1, {**full, v: c}, child)
+                    for c in (0, 1, 2)
+                    if masks[v] >> c & 1 and (child := _forward_check(g, masks, {v: c})) is not None
+                )
+            for v in sorted(masks):
+                m = masks[v]
+                if m & (m - 1):
+                    for c in (m & -m).bit_length() - 1, m.bit_length() - 1:
+                        if (child := _forward_check(g, masks, {v: c})) is not None:
+                            break
+                    else:
+                        return None, ()
+                    masks, full[v] = child, c
+            full.update((v, m.bit_length() - 1) for v, m in masks.items())
+            return full, ()
+
+        return depth_first((0, dict(colored), masks), expand)
+    full = dict(colored)
     rest = []
     for v in sorted(masks):
         m = masks[v]

@@ -334,9 +334,11 @@ def test_simplify_matches_four_lemma_reference(monkeypatch):
             solve(inst)
     reached = tally.copy()
     # leaf residues: the list-coloring instances color_graph hands to solve
+    # (only leaves with three or more three-color vertices build one)
     leaf_calls = sum(
-        color_graph(*planted_3colorable(random.Random(seed), 30, 7 / 30)).stats.csp_calls
-        for seed in range(20)
+        color_graph(*planted_3colorable(random.Random(seed), n, 7 / n)).stats.csp_calls
+        for n, seeds in ((30, 20), (36, 200))
+        for seed in range(seeds)
     )
     assert leaf_calls > 0 and tally != reached
     assert tally["unconstrained"] == 0

@@ -2,7 +2,7 @@
 
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
@@ -362,8 +362,16 @@ def _seeded_graphs(count):
         yield random_graph(random.Random(seed), 12 + seed % 9, (0.3, 0.375, 0.45)[seed % 3])
 
 
+def _planted_graphs(count):
+    """Planted 3-colorable graphs at n = 36, mean degree 7 (the
+    color-planted benchmark's family), whose leaves often keep three or
+    more three-color vertices."""
+    for seed in range(count):
+        yield planted_3colorable(random.Random(seed), 36, 7 / 36)
+
+
 def test_forests_match_brute_reference():
-    residues = _leaf_graphs(_seeded_graphs(80))
+    residues = _leaf_graphs(chain(_seeded_graphs(80), _planted_graphs(300)))
     rooted = adjacent = 0
     for g in residues:
         f = build_bushy_forest(g)
@@ -537,7 +545,8 @@ def test_leaf_csp_gets_only_undecided_vertices(monkeypatch):
     # line-graph leaves, the CSP holds the vertices with two or three
     # colors left, in vertex order, with their masks as lists, and a
     # vertex left one color takes it.  A leaf goes to the CSP only when
-    # some vertex has three colors left; propagation decides the others.
+    # three or more vertices have three colors left; propagation decides
+    # the others.
     residual_solve, to_csp = vertexcolor._residual_solve, vertexcolor.coloring_to_csp
     leaf = {}  # masks and undecided vertices of the call in progress
     sizes = Counter()
@@ -545,7 +554,7 @@ def test_leaf_csp_gets_only_undecided_vertices(monkeypatch):
     def coloring_to_csp(n, edges, lists):
         masks, undecided = leaf["masks"], leaf["undecided"]
         assert n == len(undecided) and set(lists) == set(range(n))
-        assert 7 in masks.values()
+        assert sum(m == 7 for m in masks.values()) >= 3
         for i, v in enumerate(undecided):
             assert sorted(lists[i]) == [c for c in (0, 1, 2) if masks[v] >> c & 1]
             sizes[len(lists[i])] += 1
@@ -564,6 +573,8 @@ def test_leaf_csp_gets_only_undecided_vertices(monkeypatch):
     monkeypatch.setattr(vertexcolor, "coloring_to_csp", coloring_to_csp)
     monkeypatch.setattr(vertexcolor, "_residual_solve", checked)
     for graph in _seeded_graphs(120):
+        color_graph(*graph)
+    for graph in _planted_graphs(400):
         color_graph(*graph)
     for s in range(20):
         edge_color(*planted_cubic_edge_colorable(random.Random(s), 12 + 2 * (s % 8)))
@@ -585,8 +596,9 @@ def test_leaf_csp_gets_only_undecided_vertices(monkeypatch):
 
 
 def _leaf_csp(g, masks):
-    """The CSP a leaf residue made before two-list leaves were decided by
-    propagation: its undecided vertices, with their masks as lists."""
+    """The CSP a leaf residue made before leaves with at most two
+    three-color vertices were decided by propagation: its undecided
+    vertices, with their masks as lists."""
     rest = [v for v in sorted(masks) if masks[v] & (masks[v] - 1)]
     index = {v: i for i, v in enumerate(rest)}
     lists = {i: [c for c in (0, 1, 2) if masks[v] >> c & 1] for i, v in enumerate(rest)}
@@ -595,13 +607,19 @@ def _leaf_csp(g, masks):
 
 
 def test_solve_decides_two_color_csps_at_the_root():
-    # simplify decides every (2,2)-CSP, so solve spends one node and
-    # fires no rule: what a two-list leaf decided by propagation charges
+    # simplify decides every (3,2)-CSP with at most two three-color
+    # variables: eliminating the others leaves at most two, and no
+    # reduced instance has one or two variables (with no free pair, every pair
+    # of the lower one hits all three colors of the other, so it is
+    # dead).  So solve spends one node and fires no rule: what a leaf
+    # decided by propagation charges.
     rng = random.Random(7)
     verdicts = Counter()
-    for _ in range(300):
+    for trial in range(900):
         n = rng.randint(1, 12)
-        inst = Instance.build({v: rng.sample(range(4), 2) for v in range(n)})
+        threes = set(rng.sample(range(n), min(n, trial % 3)))
+        sizes = {v: 3 if v in threes else rng.choice((1, 2, 2, 2)) for v in range(n)}
+        inst = Instance.build({v: rng.sample(range(4), k) for v, k in sizes.items()})
         for v, w in combinations(range(n), 2):
             for c in sorted(inst.colors[v]):
                 for d in sorted(inst.colors[w]):
@@ -610,27 +628,29 @@ def test_solve_decides_two_color_csps_at_the_root():
         res = solve(inst)
         assert (res.stats.nodes, res.stats.rule_counts) == (1, Counter())
         assert res.satisfiable == (brute_csp(inst) is not None)
-        verdicts[res.satisfiable] += 1
-    assert verdicts[True] > 50 and verdicts[False] > 50
+        verdicts[len(threes), res.satisfiable] += 1
+    assert min(verdicts[k, sat] for k in (0, 1, 2) for sat in (True, False)) > 50, verdicts
 
 
 def test_two_list_leaves_are_decided_by_propagation(monkeypatch):
     # At every leaf of seeded color-planted, G(n, p) and line-graph
-    # leaves with no three-color vertex, the CSP the leaf no longer
-    # builds takes one node and fires no rule, its verdict is the
+    # leaves with at most two three-color vertices, the CSP the leaf no
+    # longer builds takes one node and fires no rule, its verdict is the
     # propagation's, and a coloring that comes back is proper and lies
     # inside the masks.
     residual_solve = vertexcolor._residual_solve
-    verdicts = Counter()
+    verdicts, threes = Counter(), Counter()
 
     def checked(g, colored, masks, cfg, stats):
         full = residual_solve(g, colored, masks, cfg, stats)
-        if 7 in masks.values():
+        k = sum(m == 7 for m in masks.values())
+        if k > 2:
             return full
         res = solve(_leaf_csp(g, masks))
         assert (res.stats.nodes, res.stats.rule_counts) == (1, Counter())
         assert (full is not None) == res.satisfiable
         verdicts[res.satisfiable] += 1
+        threes[k] += 1
         if full is not None:
             assert set(full) == set(g.adj) and full.items() >= colored.items()
             assert all(masks[v] >> full[v] & 1 for v in masks)
@@ -646,9 +666,10 @@ def test_two_list_leaves_are_decided_by_propagation(monkeypatch):
         edge_color(*random_cubic(random.Random(s), 10 + 2 * (s % 4)))
     assert verdicts[True] > 80 and verdicts[False] > 80
     assert sum((verdicts - before).values()) > 60  # line graphs
+    assert threes[1] > 50 and threes[2] > 50
 
 
-def test_two_list_leaf_hand_built_cases():
+def test_two_list_leaf_hand_built_cases(monkeypatch):
     # An odd cycle with lists {0, 1} is refuted, and counted as the
     # one-node CSP solve it replaces.
     edges = [(i, (i + 1) % 5) for i in range(5)]
@@ -669,6 +690,51 @@ def test_two_list_leaf_hand_built_cases():
     # its one node trips a spent budget, as the nested solve's did
     with pytest.raises(NodeLimitReached):
         vertexcolor._residual_solve(g, {}, masks, SolverConfig(node_limit=0), SearchStats())
+
+    # Leaves with one or two three-color vertices build no CSP either:
+    # each is decided by propagation and charged as the one-node solve
+    # it replaces, which the direct CSP confirms.
+    def no_csp(*args):
+        raise AssertionError("a leaf with at most two three-color vertices built a CSP")
+
+    def decide(g, masks):
+        stats = SearchStats()
+        with monkeypatch.context() as mp:
+            mp.setattr(vertexcolor, "coloring_to_csp", no_csp)
+            full = vertexcolor._residual_solve(g, {}, masks, SolverConfig(), stats)
+        assert (stats.csp_calls, stats.csp_nodes, stats.spent) == (1, 1, 1)
+        res = solve(_leaf_csp(g, masks))
+        assert (res.stats.nodes, res.satisfiable) == (1, full is not None)
+        if full is not None:
+            assert all(masks[v] >> full[v] & 1 for v in masks)
+            assert all(full[u] != full[v] for u in g.adj for v in g.adj[u])
+        return full
+
+    # Two adjacent three-color vertices and a two-color vertex next to
+    # both: 0 takes 0, which forces 2 to 1 and then 1 to 2.
+    g = MultiGraph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+    assert decide(g, {0: 7, 1: 7, 2: 0b011}) == {0: 0, 1: 2, 2: 1}
+
+    # Vertex 1 closes the odd cycle 1-2-3-4-5 whose other vertices have
+    # lists {1, 2}.  Vertex 0's first color keeps the forward check but
+    # leaves 1 with {1, 2}, and both refute the cycle, so 0 backtracks to
+    # its second color, which lets 1 take 0.
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]
+    g = MultiGraph.from_edges(6, edges)
+    masks = {0: 7, 1: 7, 2: 0b110, 3: 0b110, 4: 0b110, 5: 0b110}
+    assert _forward_check(g, masks, {0: 0}) is not None
+    assert decide(g, masks) == {0: 1, 1: 0, 2: 1, 3: 2, 4: 1, 5: 2}
+
+    # K4 with two three-color vertices: every try fails.
+    g = MultiGraph.from_edges(4, list(combinations(range(4), 2)))
+    assert decide(g, {0: 7, 1: 7, 2: 0b011, 3: 0b110}) is None
+
+    # The one node trips a spent budget, as the nested solve's did.
+    g, stats = MultiGraph.from_edges(3, [(0, 1), (0, 2), (1, 2)]), SearchStats()
+    with pytest.raises(NodeLimitReached):
+        vertexcolor._residual_solve(g, {}, {0: 7, 1: 7, 2: 0b011},
+                                    SolverConfig(node_limit=0), stats)
+    assert (stats.csp_calls, stats.csp_nodes, stats.spent) == (1, 1, 1)
 
 
 def test_forward_check_refutes_only_unextendable_colorings():
