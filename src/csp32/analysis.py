@@ -7,7 +7,8 @@ largest zero of f(x) = 1 - sum x^(-r_i).  Everything here evaluates such
 work factors and the composed time bounds for the coloring pipelines.
 The solver never consumes these values at runtime; they exist as an
 independent cross-check of the branching design.  worst_case_breakdown,
-the one user of scipy, imports it itself, so the package loads no scipy.
+the one user of scipy, imports it itself, so the package loads no scipy;
+scipy is in the test extra, not a dependency of the package.
 """
 
 from __future__ import annotations

@@ -5,11 +5,11 @@ branch-and-reduce solvers, the coloring pipelines and the brute-force
 oracles.  bfs is every breadth-first traversal: the constraint-graph
 components of the solver rules and the degree-three trees of the
 coloring pipeline, and through bfs_path, its shortest path, the
-degree-three cycles and the augmenting paths of max_flow.
-general_matching is the one maximum-matching search: the edge-coloring
-splice selection calls it, and so does the solver endgame through
-bipartite_matching.  The height-two forest construction needs integer
-maximum flow.  All inputs here are tiny (O(n) nodes), so simple
+degree-three cycle search.  general_matching is the one maximum-matching
+search: the edge-coloring splice selection calls it, and so do the
+solver endgame through bipartite_matching and the height-two forest
+construction through max_flow, whose placement flow is a matching into
+capacity slots.  All inputs here are tiny (O(n) nodes), so simple
 augmenting-path methods suffice.
 
 general_matching is Edmonds' blossom search (Edmonds, "Paths, trees,
@@ -24,8 +24,6 @@ steps, the optimum check) drops out and only its search order remains.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 
 def depth_first(root, expand):
@@ -273,67 +271,16 @@ def _augment_stage(adj: list[list[int]], mate: list) -> bool:
     return False
 
 
-@dataclass
-class FlowNetwork:
-    """Directed network with nonnegative integer capacities."""
-
-    source: object
-    sink: object
-    capacity: dict[tuple, int] = field(default_factory=dict)
-
-    def add_arc(self, u, v, cap: int):
-        if cap < 0:
-            raise ValueError("capacities must be nonnegative")
-        if v == self.source or u == self.sink:
-            raise ValueError("no arcs into the source or out of the sink")
-        self.capacity[(u, v)] = self.capacity.get((u, v), 0) + cap
-
-
-def max_flow(net: FlowNetwork) -> tuple[int, dict[tuple, int]]:
-    """Integer maximum flow by BFS augmenting paths (Edmonds-Karp).
-
-    Returns (value, per-arc flow).  Flow conservation and capacity
-    respect are asserted before returning.
-    """
-    residual: dict = {}
-    nodes = {net.source, net.sink}
-    for (u, v), cap in net.capacity.items():
-        residual[(u, v)] = residual.get((u, v), 0) + cap
-        residual.setdefault((v, u), 0)
-        nodes.update((u, v))
-    out_arcs: dict = {n: [] for n in nodes}
-    for u, v in residual:
-        out_arcs[u].append(v)
-    for u in out_arcs:
-        out_arcs[u].sort(key=repr)
-
-    def open_arcs(u):
-        return (v for v in out_arcs[u] if residual[(u, v)] > 0)
-
-    value = 0
-    while True:
-        found = bfs_path(net.source, net.sink, open_arcs)
-        if found is None:
-            break
-        path = list(zip(found, found[1:]))  # its arcs
-        aug = min(residual[a] for a in path)
-        for u, v in path:
-            residual[(u, v)] -= aug
-            residual[(v, u)] += aug
-        value += aug
-
-    flow = {}
-    for (u, v), cap in net.capacity.items():
-        f = cap - residual[(u, v)]
-        if f > 0:
-            flow[(u, v)] = f
-    # Sanity: capacities and conservation.
-    for arc, f in flow.items():
-        assert 0 <= f <= net.capacity[arc]
-    for n in nodes:
-        if n in (net.source, net.sink):
-            continue
-        inflow = sum(f for (u, v), f in flow.items() if v == n)
-        outflow = sum(f for (u, v), f in flow.items() if u == n)
-        assert inflow == outflow, f"conservation violated at {n!r}"
-    return value, flow
+def max_flow(capacity: dict, edges: list[tuple]) -> dict:
+    """Integer maximum flow of a placement network, as item -> owner for
+    every item that gets flow.  The network runs source -> owner with
+    capacity capacity[owner], owner -> item 1 for each (owner, item) in
+    edges, and item -> sink 1, so its flow is a matching into capacity
+    slots: bipartite_matching of the items against the slots (owner, k),
+    k < capacity[owner].  Every owner in edges needs a capacity."""
+    if not edges:  # almost every coloring leaf: no matching to set up
+        return {}
+    items = list({y for _, y in edges})
+    slots = [(c, k) for c, cap in capacity.items() for k in range(cap)]
+    pairs = [(y, (c, k)) for c, y in edges for k in range(capacity[c])]
+    return {y: c for y, (c, _) in bipartite_matching(items, slots, pairs)}

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
 
-from .graphalg import FlowNetwork, bfs, bfs_path, components, depth_first, max_flow
+from .graphalg import bfs, bfs_path, components, depth_first, max_flow
 from .instance import lift
 from .solver import NodeLimitReached, SearchStats, SolverConfig, solve
 from .transform import coloring_to_csp
@@ -415,25 +415,16 @@ def build_height_two_forest(
     }
     leaf_tree = {u: c for c, ls in packs for u in ls}
 
-    net = FlowNetwork(source="s", sink="t")
-    for c, tree in trees.items():
-        net.add_arc("s", ("tree", c), 5 if tree.high else 3)
+    edges = []
     for y in sorted(y_set):
         assert g.degree(y) == 3
         owners = sorted({leaf_tree[u] for u in g.adj[y] if u in leaf_tree})
         assert owners, "uncovered vertex with no packed neighbor"
-        for c in owners:
-            net.add_arc(("tree", c), ("v", y), 1)
-        net.add_arc(("v", y), "t", 1)
-    value, flow = max_flow(net)
-    assert value == len(y_set), "flow failed to cover all outside vertices"
+        edges += [(c, y) for c in owners]
+    placed = max_flow({c: 5 if tree.high else 3 for c, tree in trees.items()}, edges)
+    assert len(placed) == len(y_set), "flow failed to cover all outside vertices"
 
-    for y in sorted(y_set):
-        c = next(
-            c
-            for c in trees
-            if flow.get((("tree", c), ("v", y)), 0) == 1
-        )
+    for y, c in sorted(placed.items()):
         tree = trees[c]
         leaf = min(u for u in g.adj[y] if leaf_tree.get(u) == c)
         tree.grands[leaf] = tree.grands[leaf] + (y,)

@@ -2,8 +2,9 @@
 matching and max-flow subroutines against brute-force references.
 
 networkx is a test-only reference here: general_matching must return
-exactly the matching its max_weight_matching returns, so it is imported
-inside the tests that compare with it."""
+exactly the matching its max_weight_matching returns, and max_flow must
+place as many items as its maximum_flow_value, so it is imported inside
+the tests that compare with it."""
 
 import random
 import sys
@@ -13,7 +14,6 @@ import pytest
 
 from csp32 import edgecolor
 from csp32.graphalg import (
-    FlowNetwork,
     bfs,
     bipartite_matching,
     components,
@@ -157,44 +157,33 @@ def test_general_matching_input_contract():
         general_matching([0, 1], [(5, 5)])
 
 
-def test_max_flow_simple_network():
-    net = FlowNetwork("s", "t")
-    net.add_arc("s", "a", 3)
-    net.add_arc("s", "b", 2)
-    net.add_arc("a", "t", 2)
-    net.add_arc("b", "t", 3)
-    net.add_arc("a", "b", 5)
-    value, flow = max_flow(net)
-    assert value == 5
-    assert sum(f for (u, _), f in flow.items() if u == "s") == 5
+def test_max_flow_places_items_as_networkx_max_flow():
+    # Placement networks: owners with 3 or 5 slots, items with 0-3
+    # allowed owners, so some items have none and some cannot all fit.
+    import networkx as nx
 
-
-def test_max_flow_rejects_bad_arcs():
-    net = FlowNetwork("s", "t")
-    with pytest.raises(ValueError):
-        net.add_arc("a", "s", 1)
-    with pytest.raises(ValueError):
-        net.add_arc("s", "a", -1)
-
-
-def test_max_flow_matches_bipartite_matching():
     rng = random.Random(19)
-    for trial in range(60):
-        nl, nr = rng.randint(1, 5), rng.randint(1, 5)
-        edges = [(u, f"r{v}") for u in range(nl) for v in range(nr)
-                 if rng.random() < 0.4]
-        net = FlowNetwork("s", "t")
-        for u in range(nl):
-            net.add_arc("s", ("L", u), 1)
-        for v in range(nr):
-            net.add_arc(("R", f"r{v}"), "t", 1)
-        for u, v in edges:
-            net.add_arc(("L", u), ("R", v), 1)
-        value, _ = max_flow(net)
-        want = bipartite_matching(
-            list(range(nl)), [f"r{v}" for v in range(nr)], edges
-        )
-        assert value == len(want), trial
+    for trial in range(300):
+        capacity = {c: rng.choice((3, 5)) for c in range(rng.randint(0, 4))}
+        edges = [
+            (c, y)
+            for y in range(rng.randint(0, 16))
+            for c in rng.sample(sorted(capacity), min(rng.randint(0, 3), len(capacity)))
+        ]
+        placed = max_flow(capacity, edges)
+        net = nx.DiGraph()
+        net.add_nodes_from(["s", "t"])
+        for c, cap in capacity.items():
+            net.add_edge("s", ("owner", c), capacity=cap)
+        for c, y in edges:
+            net.add_edge(("owner", c), ("item", y), capacity=1)
+            net.add_edge(("item", y), "t", capacity=1)
+        assert len(placed) == nx.maximum_flow_value(net, "s", "t"), trial
+        assert all((c, y) in edges for y, c in placed.items()), trial
+        for c, cap in capacity.items():
+            assert sum(o == c for o in placed.values()) <= cap, trial
+    assert max_flow({0: 3}, []) == {}
+    assert max_flow({}, []) == {}
 
 
 def test_bipartite_matching_deep_alternating_search():

@@ -386,8 +386,20 @@ def test_forests_match_brute_reference():
             if any(u in f.internal | f.leaves for u in g.adj[v])
         }
         assert (x_set, y_set) == (want_x, outside - packed - want_x)
+        _assert_placed(g, trees, y_set)
         adjacent += bool(x_set)
     assert rooted > 40 and adjacent > 20
+
+
+def _assert_placed(g, trees, y_set):
+    """Each Y vertex sits under exactly one leaf, adjacent to it, and no
+    tree or leaf holds more grandchildren than it may."""
+    for y in y_set:
+        under = [leaf for t in trees for leaf, grands in t.grands.items() if y in grands]
+        assert len(under) == 1 and under[0] in g.adj[y]
+    assert sorted(y for t in trees for grands in t.grands.values() for y in grands) == sorted(y_set)
+    assert all(t.grand_count <= (5 if t.high else 3) for t in trees)
+    assert all(len(grands) <= 2 for t in trees for grands in t.grands.values())
 
 
 def test_flow_places_outside_vertices_under_adjacent_leaves():
@@ -397,10 +409,7 @@ def test_flow_places_outside_vertices_under_adjacent_leaves():
     (g,) = _leaf_graphs([graph])
     trees, _x_set, y_set = build_height_two_forest(g, build_bushy_forest(g))
     assert y_set == {6, 16}
-    for y in y_set:
-        under = [leaf for t in trees for leaf, grands in t.grands.items() if y in grands]
-        assert len(under) == 1 and under[0] in g.adj[y]
-    assert all(t.grand_count <= (5 if t.high else 3) for t in trees)
+    _assert_placed(g, trees, y_set)
     res = color_graph(*graph)
     assert res.colorable and proper(graph[1], res.coloring)
 
