@@ -220,22 +220,6 @@ def select_splices(ei: EdgeInstance) -> list[int]:
     return sorted(by_pair[p] for p in chosen)
 
 
-def charge_identity(ei: EdgeInstance) -> tuple[int, int, Optional[bool]]:
-    """Neighbor-count split (m3, m4) and the count identity check.
-
-    The identity m3 = 6n/5 - 4*m4/5, over the n vertices that have an
-    edge, requires every edge to have exactly three or four neighbors;
-    when some edge does not, the counts are still returned with check
-    None.
-    """
-    counts = [len(ei.neighbor_ids(eid)) for eid in sorted(ei.edges)]
-    m3 = sum(1 for c in counts if c == 3)
-    m4 = sum(1 for c in counts if c == 4)
-    if m3 + m4 != len(counts):
-        return m3, m4, None
-    return m3, m4, 5 * m3 == 6 * len(ei.at) - 4 * m4
-
-
 def proper_edge_coloring(edges: list[Edge], colors: list) -> bool:
     """Whether colors[i], the color of edges[i], is in 0..2 for every i
     and no vertex sees a color twice."""

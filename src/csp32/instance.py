@@ -1,10 +1,16 @@
 """Binary CSP instances, the polynomial simplifications, and solution lifting.
 
-An instance holds variables with lists of available colors and a set of
-constraints, each forbidding one (variable,color) pair from occurring
-together with another.  Color ids are stable small integers: removing a
-color from a variable never renumbers the rest, so constraints stay
-valid across reductions.
+An instance holds variables with lists of available colors and
+constraints, each forbidding one (variable, color) pair from occurring
+together with another; a color is any integer (a SAT variable number
+under sat_to_csp).  A PairTable, shared by an instance and every copy and
+branch child made from it, numbers the pairs: build in sorted order, and
+a variable added later (above every variable of its instance) after all
+pairs in the table, unless a sibling branch numbered it first.  So
+ascending id order is sorted pair order in every instance, and a mask's
+lowest set bit is its first pair in sorted order.  An instance is two
+dicts of int masks, each variable's live pairs and each pair's conflicts
+(bitwise arc consistency: Lecoutre & Vion, CP Letters 2, 2008).
 
 Every reduction records a lift step; replaying the steps most recent
 first over a solution of the reduced instance reconstructs a solution of
@@ -13,8 +19,8 @@ the original one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import islice
+from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Iterable, Optional
 
 from .analysis import EPSILON
@@ -25,9 +31,15 @@ Pair = tuple[int, int]
 Assignment = dict[int, int]
 
 
-def canon(a: Pair, b: Pair) -> tuple[Pair, Pair]:
-    """Canonical (unordered) form of a constraint."""
-    return (a, b) if a <= b else (b, a)
+def bits(mask: int) -> list[int]:
+    """The positions of mask's set bits, ascending."""
+    out = []
+    while mask:
+        top = mask.bit_length() - 1
+        out.append(top)
+        mask ^= 1 << top
+    out.reverse()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -128,14 +140,27 @@ LiftTrace = list
 # Instance
 
 
-class Instance:
-    """A (d,2)-CSP instance with an incrementally maintained adjacency index."""
+@dataclass
+class PairTable:
+    """Append-only pair numbering shared by an instance, its copies and its
+    branch children; a variable's pairs get consecutive ids."""
 
-    __slots__ = ("colors", "adj", "next_id")
+    ids: dict[Pair, int] = field(default_factory=dict)
+    pairs: list[Pair] = field(default_factory=list)  # id -> pair
+
+
+class Instance:
+    """A (d,2)-CSP instance: live maps each variable to the mask of its
+    live pairs, conf each live pair's id to the mask of the pairs it is
+    constrained against.  Both iterate in ascending key order: build
+    inserts sorted keys, and a new variable and its pairs come last."""
+
+    __slots__ = ("table", "live", "conf", "next_id")
 
     def __init__(self):
-        self.colors: dict[int, set[int]] = {}
-        self.adj: dict[Pair, set[Pair]] = {}
+        self.table = PairTable()
+        self.live: dict[int, int] = {}
+        self.conf: dict[int, int] = {}
         self.next_id = 0
 
     # -- construction -------------------------------------------------------
@@ -147,19 +172,23 @@ class Instance:
         constraints: Iterable[tuple[Pair, Pair]] = (),
     ) -> "Instance":
         inst = cls()
-        for v, cs in colors.items():
-            inst.colors[v] = set(cs)
-            for c in inst.colors[v]:
-                inst.adj[(v, c)] = set()
-        inst.next_id = max(inst.colors, default=-1) + 1
+        table = inst.table
+        for v in sorted(colors):
+            cs = sorted(set(colors[v]))
+            inst.live[v] = ((1 << len(cs)) - 1) << len(table.pairs)
+            table.pairs += [(v, c) for c in cs]
+        table.ids = {p: i for i, p in enumerate(table.pairs)}
+        inst.conf = dict.fromkeys(range(len(table.pairs)), 0)
+        inst.next_id = max(inst.live, default=-1) + 1
         for a, b in constraints:
             inst.add_constraint(tuple(a), tuple(b))
         return inst
 
     def copy(self) -> "Instance":
         inst = Instance.__new__(Instance)
-        inst.colors = {v: set(cs) for v, cs in self.colors.items()}
-        inst.adj = {p: set(q) for p, q in self.adj.items()}
+        inst.table = self.table
+        inst.live = self.live.copy()
+        inst.conf = self.conf.copy()
         inst.next_id = self.next_id
         return inst
 
@@ -167,33 +196,60 @@ class Instance:
 
     @property
     def n(self) -> int:
-        return len(self.colors)
+        return len(self.live)
+
+    @property
+    def colors(self) -> dict[int, frozenset[int]]:
+        """Each variable's colors, decoded into a snapshot."""
+        return {v: frozenset(self.colors_of(v)) for v in self.live}
+
+    def colors_of(self, v: int) -> list[int]:
+        """v's colors, ascending."""
+        pairs = self.table.pairs
+        return [pairs[i][1] for i in bits(self.live[v])]
 
     def constraints(self) -> list[tuple[Pair, Pair]]:
         """All constraints in canonical sorted order."""
-        out = set()
-        for p, qs in self.adj.items():
-            for q in qs:
-                out.add(canon(p, q))
-        return sorted(out)
+        pairs = self.table.pairs
+        return [(pairs[i], pairs[i + k]) for i, m in self.conf.items() for k in bits(m >> i)]
 
     def pairs(self) -> list[Pair]:
-        return sorted(self.adj)
+        pairs = self.table.pairs
+        return [pairs[i] for i in self.conf]
+
+    def has(self, p: Pair) -> bool:
+        return self.table.ids.get(p) in self.conf
 
     def degree(self, p: Pair) -> int:
-        return len(self.adj[p])
+        return self.conf[self.table.ids[p]].bit_count()
+
+    def nbrs(self, p: Pair) -> list[Pair]:
+        """The pairs p is constrained against, sorted."""
+        pairs = self.table.pairs
+        return [pairs[j] for j in bits(self.conf[self.table.ids[p]])]
+
+    def linked(self, a: Pair, b: Pair) -> bool:
+        """Whether live pairs a and b are constrained against each other."""
+        return bool(self.conf[self.table.ids[a]] >> self.table.ids[b] & 1)
 
     def variables(self) -> list[int]:
-        return sorted(self.colors)
+        return list(self.live)
 
     # -- mutation -----------------------------------------------------------
 
     def add_variable(self, colors: Iterable[int]) -> int:
-        """Add a variable under a fresh id and return the id."""
+        """Add a variable under a fresh id and return the id.  Its pairs
+        are numbered after every pair in the table, unless a sibling
+        branch added the same variable first."""
         v = self.next_id
-        self.colors[v] = set(colors)
-        for c in self.colors[v]:
-            self.adj[(v, c)] = set()
+        ids, pairs = self.table.ids, self.table.pairs
+        keys = [(v, c) for c in sorted(set(colors))]
+        if not any(p in ids for p in keys):
+            ids.update(zip(keys, range(len(pairs), len(pairs) + len(keys))))
+            pairs += keys
+        own = [ids[p] for p in keys]  # KeyError: v was numbered without that color
+        self.live[v] = sum(1 << i for i in own)
+        self.conf.update(dict.fromkeys(own, 0))
         self.next_id = v + 1
         return v
 
@@ -204,27 +260,32 @@ class Instance:
         one between two distinct colors of the same variable can never be
         violated and is dropped.
         """
-        for p in (a, b):
-            if p not in self.adj:
-                raise ValueError(f"pair {p} not available in instance")
-        if a == b:
-            self.remove_color(a[0], a[1])
-            return
-        if a[0] == b[0]:
-            return
-        self.adj[a].add(b)
-        self.adj[b].add(a)
+        conf, i, j = self.conf, self.table.ids.get(a), self.table.ids.get(b)
+        if i not in conf or j not in conf:
+            raise ValueError(f"pair {b if i in conf else a} not available in instance")
+        if i == j:
+            self._drop(1 << i)
+        elif a[0] != b[0]:
+            conf[i] |= 1 << j
+            conf[j] |= 1 << i
+
+    def _drop(self, mask: int):
+        """Remove the live pairs of mask and every constraint on them."""
+        conf, live, pairs = self.conf, self.live, self.table.pairs
+        touched = 0
+        for i in bits(mask):
+            touched |= conf.pop(i)
+            live[pairs[i][0]] ^= 1 << i
+        keep = ~mask
+        for j in bits(touched & keep):
+            conf[j] &= keep
 
     def remove_color(self, var: int, color: int):
-        p = (var, color)
-        for q in self.adj.pop(p):
-            self.adj[q].discard(p)
-        self.colors[var].discard(color)
+        self._drop(1 << self.table.ids[(var, color)])
 
     def remove_variable(self, var: int):
-        for c in list(self.colors[var]):
-            self.remove_color(var, c)
-        del self.colors[var]
+        self._drop(self.live[var])
+        del self.live[var]
 
     def assign(self, p: Pair) -> Assigned:
         """Use pair p: drop its variable and propagate color removals.
@@ -233,14 +294,11 @@ class Instance:
         sibling colors merely lose the constraint.  May leave variables
         with zero colors, which the caller must treat as unsatisfiable.
         """
-        var, color = p
-        if p not in self.adj:
+        if not self.has(p):
             raise ValueError(f"pair {p} not available")
-        stripped = sorted(self.adj[p])
-        self.remove_variable(var)
-        for q in stripped:
-            if q in self.adj:  # a previous strip may have removed it
-                self.remove_color(q[0], q[1])
+        var, color = p
+        self._drop(self.live[var] | self.conf[self.table.ids[p]])
+        del self.live[var]
         return Assigned(var, color)
 
 
@@ -255,46 +313,20 @@ def measure(inst: Instance) -> float:
     removes them without branching.
     """
     return sum(
-        0.0 if len(cs) <= 2 else 1.0 if len(cs) == 3 else 2 - EPSILON
-        for cs in inst.colors.values()
+        0.0 if k <= 2 else 1.0 if k == 3 else 2 - EPSILON
+        for k in map(int.bit_count, inst.live.values())
     )
 
 
 def check(inst: Instance, asg: Assignment) -> bool:
     """True iff asg is total over inst's variables and violates no constraint."""
-    for v in inst.colors:
+    for v in inst.live:
         if v not in asg:
             raise ValueError(f"assignment is missing variable {v}")
-        if asg[v] not in inst.colors[v]:
+        if not inst.has((v, asg[v])):
             return False
-    for (v, c), qs in inst.adj.items():
-        if asg[v] == c and any(asg[w] == d for (w, d) in qs):
-            return False
-    return True
-
-
-def validate(inst: Instance, max_colors: int = 4) -> list[str]:
-    """Structural invariant check; returns human-readable violations."""
-    problems = []
-    for v, cs in inst.colors.items():
-        if len(cs) > max_colors:
-            problems.append(f"variable {v} has {len(cs)} colors (max {max_colors})")
-        for c in cs:
-            if (v, c) not in inst.adj:
-                problems.append(f"pair {(v, c)} missing from adjacency")
-    for p, qs in inst.adj.items():
-        v, c = p
-        if v not in inst.colors or c not in inst.colors.get(v, ()):
-            problems.append(f"adjacency key {p} refers to a removed color")
-            continue
-        for q in qs:
-            if q not in inst.adj:
-                problems.append(f"constraint {canon(p, q)} references removed pair {q}")
-            elif p not in inst.adj[q]:
-                problems.append(f"constraint {canon(p, q)} not symmetric")
-            if q[0] == v:
-                problems.append(f"constraint {canon(p, q)} joins two colors of variable {v}")
-    return problems
+    chosen = sum(1 << inst.table.ids[(v, asg[v])] for v in inst.live)
+    return not any(inst.conf[i] & chosen for i in bits(chosen))
 
 
 # ---------------------------------------------------------------------------
@@ -305,28 +337,28 @@ def eliminate_two_color(inst: Instance, v: int) -> TwoColorEliminated:
     """Project out a variable restricted to two colors.
 
     For the two colors R and G, every combination of a conflict of R
-    with a conflict of G would leave v uncolorable, so those pairs
-    become constraints and v disappears.  In-place on inst.
+    with a conflict of G would leave v uncolorable, so those pairs become
+    constraints and v disappears: a pair in both lists goes, then |R| +
+    |G| mask ORs add the products.  In-place on inst.
     """
-    cs = sorted(inst.colors[v])
-    if len(cs) != 2:
-        raise ValueError(f"variable {v} has {len(cs)} colors, expected 2")
-    r, g = cs
-    adj = inst.adj
-    conflict_r = sorted(adj[(v, r)])
-    conflict_g = sorted(adj[(v, g)])
-    inst.remove_variable(v)
-    # add_constraint inlined: a pair in both lists is removed, then skipped.
-    for a in conflict_r:
-        hit = adj[a]
-        for b in conflict_g:
-            if b == a:
-                inst.remove_color(*a)
-                break
-            if b[0] != a[0] and b in adj:
-                hit.add(b)
-                adj[b].add(a)
-    return TwoColorEliminated(v, r, g, tuple(conflict_r), tuple(conflict_g))
+    ids = bits(inst.live[v])
+    if len(ids) != 2:
+        raise ValueError(f"variable {v} has {len(ids)} colors, expected 2")
+    conf, live, pairs = inst.conf, inst.live, inst.table.pairs
+    r, g = ids
+    cr, cg = conf[r], conf[g]
+    rs, gs = bits(cr), bits(cg)
+    both = cr & cg
+    inst._drop(live[v] | both)
+    del live[v]
+    for src, other in ((rs, cg ^ both), (gs, cr ^ both)):
+        for a in src:
+            if a in conf:  # not one of both, which are gone
+                own = live[pairs[a][0]]
+                conf[a] |= other & ~own if other & own else other
+    return TwoColorEliminated(
+        v, pairs[r][1], pairs[g][1], tuple(pairs[j] for j in rs), tuple(pairs[j] for j in gs)
+    )
 
 
 def eliminate_low_colors(inst: Instance, trace: LiftTrace) -> bool:
@@ -337,14 +369,15 @@ def eliminate_low_colors(inst: Instance, trace: LiftTrace) -> bool:
     soon as some variable has no color left.
     """
     while True:
-        low = min((v for v, cs in inst.colors.items() if len(cs) <= 2), default=None)
+        # live iterates in ascending variable order: the first is the lowest
+        low = next((v for v, m in inst.live.items() if m.bit_count() <= 2), None)
         if low is None:
             return True
-        cs = inst.colors[low]
-        if not cs:
+        ids = bits(inst.live[low])
+        if not ids:
             return False
-        if len(cs) == 1:
-            trace.append(inst.assign((low, min(cs))))
+        if len(ids) == 1:
+            trace.append(inst.assign(inst.table.pairs[ids[0]]))
         else:
             trace.append(eliminate_two_color(inst, low))
 
@@ -354,54 +387,56 @@ def find_free_pair(inst: Instance) -> Optional[tuple[Pair, Pair]]:
     variable, and never against each other: both can be used outright.
 
     Returns the first match (p, q) with p's variable below q's, p and q
-    each taken in sorted pair order.  Every constraint of a constrained p
-    must hit the variable w of its partner, so only the d pairs of w are
-    tried (a pair of w that p hits fails the test on its own side): the
-    pairs are sorted once and each p costs O(d) plus the degrees it
-    reads, O(P*d) in all.  An unconstrained p scans the later variables'
-    pairs, stopping at the first fit.
+    each in sorted pair order.  A constrained p needs all its conflicts,
+    so its lowest and highest, on one variable w (whose ids are
+    consecutive), and only w's d pairs are tried: O(P*d) mask tests.  An
+    unconstrained p scans the later variables' pairs.
     """
-    pairs = inst.pairs()
-    for i, p in enumerate(pairs):
-        v, x = p
-        hit = inst.adj[p]
+    conf, live, pairs = inst.conf, inst.live, inst.table.pairs
+    for i, hit in conf.items():
+        v = pairs[i][0]
         if hit:
-            w = next(iter(hit))[0]
-            if w <= v or any(t[0] != w for t in hit):
+            w = pairs[hit.bit_length() - 1][0]
+            if w <= v or pairs[(hit & -hit).bit_length() - 1][0] != w:
                 continue
-            partners = ((w, y) for y in sorted(inst.colors[w]))
+            partners = bits(live[w])
         else:
-            partners = (q for q in islice(pairs, i + 1, None) if q[0] > v)
-        for q in partners:
-            if all(t[0] == v and t[1] != x for t in inst.adj[q]):
-                return p, q
+            partners = (j for u, m in live.items() if u > v for j in bits(m))
+        siblings = live[v] ^ 1 << i
+        for j in partners:
+            if conf[j] | siblings == siblings:
+                return pairs[i], pairs[j]
     return None
 
 
 def find_dominated(inst: Instance) -> Optional[tuple[int, int, int]]:
     """(var, keeper color, dominated color): conflicts of the keeper are a
     subset of the dominated color's, so the dominated color is never needed."""
-    for v in inst.variables():
-        cs = sorted(inst.colors[v])
-        for r in cs:
-            for b in cs:
-                if r != b and inst.adj[(v, r)] <= inst.adj[(v, b)]:
-                    return v, r, b
+    pairs = inst.table.pairs
+    # conf iterates in id order and a variable's ids are consecutive, so
+    # grouping its items by variable gives each variable's pairs in order
+    for v, items in groupby(inst.conf.items(), lambda item: pairs[item[0]][0]):
+        group = list(items)
+        for r, cr in group:
+            for b, cb in group:
+                if r != b and cr | cb == cb:
+                    return v, pairs[r][1], pairs[b][1]
     return None
 
 
 def find_dead_color(inst: Instance) -> Optional[Pair]:
-    """A pair that hits as many colors of another variable as it has, so all
-    of them (its hits are available pairs), can never be used."""
-    colors = inst.colors
-    for p in inst.pairs():
-        hits: dict[int, int] = {}
-        for w, _c in inst.adj[p]:
-            hits[w] = hits.get(w, 0) + 1
-        for w, k in hits.items():
-            if k == len(colors[w]):
-                return p
-    return None
+    """A pair that hits every color of another variable can never be used.
+
+    The AND of a variable's conflict masks holds the pairs hitting all of
+    its colors; the lowest set bit of their union is the first dead pair
+    in sorted order."""
+    pairs, dead = inst.table.pairs, 0
+    for _v, items in groupby(inst.conf.items(), lambda item: pairs[item[0]][0]):
+        _i, hit_all = next(items)
+        for _i, hit in items:
+            hit_all &= hit
+        dead |= hit_all
+    return pairs[(dead & -dead).bit_length() - 1] if dead else None
 
 
 def _lemma_step(inst: Instance) -> Optional[LiftStep]:
@@ -410,7 +445,7 @@ def _lemma_step(inst: Instance) -> Optional[LiftStep]:
     if found is not None:
         p, q = found
         inst.assign(p)
-        if q in inst.adj:
+        if inst.has(q):
             inst.assign(q)
         return FreePairUsed(p, q)
     found = find_dominated(inst)
@@ -448,11 +483,6 @@ def simplify(inst: Instance) -> tuple[Optional[Instance], LiftTrace]:
             return cur, trace
         trace.append(step)
     return None, trace
-
-
-def is_reduced(inst: Instance) -> bool:
-    """Only 3- and 4-color variables, and simplify finds nothing to do."""
-    return all(len(cs) in (3, 4) for cs in inst.colors.values()) and not simplify(inst)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ eye.
 from __future__ import annotations
 
 import random
-from itertools import combinations, product
+from itertools import combinations
 from typing import Optional
 
 from .graphalg import depth_first
@@ -32,25 +32,13 @@ def brute_csp(inst: Instance) -> Optional[Assignment]:
         v = order[len(asg)]
         return None, (
             {**asg, v: c}
-            for c in sorted(inst.colors[v])
-            if all(asg.get(w) != d for w, d in inst.adj[(v, c)])
+            for c in inst.colors_of(v)
+            if all(asg.get(w) != d for w, d in inst.nbrs((v, c)))
         )
 
     asg = depth_first({}, expand)
     assert asg is None or check(inst, asg)
     return asg
-
-
-def brute_csp_product(inst: Instance) -> Optional[Assignment]:
-    """Flat enumeration of the full color product; second opinion for
-    brute_csp on small instances."""
-    order = inst.variables()
-    domains = [sorted(inst.colors[v]) for v in order]
-    for combo in product(*domains):
-        asg = dict(zip(order, combo))
-        if check(inst, asg):
-            return asg
-    return None
 
 
 def brute_vertex_color(graph: Graph) -> Optional[dict[int, int]]:
@@ -141,8 +129,8 @@ def random_csp(
     probability density."""
     inst = _random_domains(rng, nvars, max_colors)
     for (v, w) in combinations(range(nvars), 2):
-        for c in sorted(inst.colors[v]):
-            for d in sorted(inst.colors[w]):
+        for c in inst.colors_of(v):
+            for d in inst.colors_of(w):
                 if rng.random() < density:
                     inst.add_constraint((v, c), (w, d))
     return inst
@@ -157,10 +145,10 @@ def planted_csp(
     """Random CSP guaranteed satisfiable: a hidden solution is drawn first
     and no constraint touching it is emitted."""
     inst = _random_domains(rng, nvars, max_colors)
-    hidden = {v: rng.choice(sorted(inst.colors[v])) for v in range(nvars)}
+    hidden = {v: rng.choice(inst.colors_of(v)) for v in range(nvars)}
     for (v, w) in combinations(range(nvars), 2):
-        for c in sorted(inst.colors[v]):
-            for d in sorted(inst.colors[w]):
+        for c in inst.colors_of(v):
+            for d in inst.colors_of(w):
                 if hidden[v] == c and hidden[w] == d:
                     continue
                 if rng.random() < density:
@@ -205,8 +193,8 @@ def structured_csp(
     colors = {v: range(4 if v < four_vars else 3) for v in range(n)}
     inst = Instance.build(colors)
     for (u, v) in sorted(skeleton):
-        cu = rng.sample(sorted(inst.colors[u]), 3)
-        cv = rng.sample(sorted(inst.colors[v]), 3)
+        cu = rng.sample(inst.colors_of(u), 3)
+        cv = rng.sample(inst.colors_of(v), 3)
         for c, d in zip(cu, cv):
             inst.add_constraint((u, c), (v, d))
     return inst

@@ -28,6 +28,7 @@ from .instance import (
     IsolatedMerge,
     LiftTrace,
     Pair,
+    bits,
     check,
     lift,
     measure,
@@ -57,8 +58,7 @@ class ChildBuilder:
     def use(self, p: Pair) -> "ChildBuilder":
         if self.dead:
             return self
-        v, c = p
-        if c not in self.inst.colors.get(v, ()):
+        if not self.inst.has(p):
             # The variable or color vanished through an earlier edit.
             self.dead = True
             return self
@@ -68,9 +68,9 @@ class ChildBuilder:
     def avoid(self, p: Pair) -> "ChildBuilder":
         if self.dead:
             return self
-        if p in self.inst.adj:
+        if self.inst.has(p):
             self.inst.remove_color(p[0], p[1])
-            if not self.inst.colors[p[0]]:
+            if not self.inst.live[p[0]]:
                 self.dead = True
         return self
 
@@ -81,17 +81,17 @@ class ChildBuilder:
             return self
         inst = self.inst
         (v, rv), (w, rw) = p, q
-        assert inst.adj[p] == {q} and inst.adj[q] == {p}
-        assert len(inst.colors[v]) == 3 and len(inst.colors[w]) == 3
+        assert inst.nbrs(p) == [q] and inst.nbrs(q) == [p]
+        assert len(inst.colors_of(v)) == 3 and len(inst.colors_of(w)) == 3
         z = inst.add_variable(range(4))
         decode = []
-        sources = [((v, c), q) for c in sorted(inst.colors[v]) if c != rv]
-        sources += [((w, c), p) for c in sorted(inst.colors[w]) if c != rw]
+        sources = [((v, c), q) for c in inst.colors_of(v) if c != rv]
+        sources += [((w, c), p) for c in inst.colors_of(w) if c != rw]
         for k, (src, partner) in enumerate(sources):
             # Color k of z means: use src, give partner's variable its
             # isolated color (safe, its lone constraint is now moot).
             decode.append((k, src, (partner[0], rv if partner == p else rw)))
-            for t in sorted(inst.adj[src]):
+            for t in inst.nbrs(src):
                 if t[0] not in (v, w):
                     inst.add_constraint((z, k), t)
         self.trace.append(IsolatedMerge(z, tuple(decode)))
@@ -115,22 +115,6 @@ def live_vector(children: list[ChildBuilder]) -> list[float]:
 # Structure queries on a reduced instance
 
 
-def find_implications(inst: Instance) -> dict[Pair, list[Pair]]:
-    """p implies q when p is constrained against every other color of q's
-    variable; using p then forces q."""
-    out: dict[Pair, list[Pair]] = {}
-    for p in inst.pairs():
-        by_var: dict[int, set[int]] = {}
-        for (w, c) in inst.adj[p]:
-            by_var.setdefault(w, set()).add(c)
-        for w, hit in sorted(by_var.items()):
-            missing = inst.colors[w] - hit
-            if len(missing) == 1:
-                (s,) = missing
-                out.setdefault(p, []).append((w, s))
-    return out
-
-
 def cycle_order(inst: Instance, comp: list[Pair]) -> list[Pair]:
     """Lay out a component of doubly-constrained pairs as its cycle."""
     start = comp[0]
@@ -138,7 +122,7 @@ def cycle_order(inst: Instance, comp: list[Pair]) -> list[Pair]:
     prev = None
     cur = start
     while True:
-        nxt = min(q for q in inst.adj[cur] if q != prev)
+        nxt = next(q for q in inst.nbrs(cur) if q != prev)
         if nxt == start:
             return cyc
         cyc.append(nxt)
@@ -151,13 +135,14 @@ def cycle_order(inst: Instance, comp: list[Pair]) -> list[Pair]:
 
 
 def _rule_single_constraint(red: Instance) -> Optional[Branching]:
-    for p in red.pairs():
-        if red.degree(p) != 1:
+    conf, live, pairs = red.conf, red.live, red.table.pairs
+    for i, hit in conf.items():
+        if hit.bit_count() != 1:
             continue
-        (q,) = red.adj[p]
+        p, q = pairs[i], pairs[hit.bit_length() - 1]
         if red.degree(q) == 1:
             # Isolated constraint.
-            if len(red.colors[p[0]]) == 3 and len(red.colors[q[0]]) == 3:
+            if live[p[0]].bit_count() == 3 and live[q[0]].bit_count() == 3:
                 return "isolated", [ChildBuilder(red).merge(p, q)]
             return "isolated", [ChildBuilder(red).use(p), ChildBuilder(red).use(q)]
         # Dangling constraint: q carries further constraints.
@@ -169,15 +154,22 @@ def _rule_single_constraint(red: Instance) -> Optional[Branching]:
 
 
 def _rule_multi_adjacency(red: Instance) -> Optional[Branching]:
-    multadj = None
-    for p in red.pairs():
-        seen_vars = Counter(w for (w, _c) in red.adj[p])
-        if any(k >= 2 for k in seen_vars.values()):
-            multadj = p
-            break
-    if multadj is None:
+    # The pairs hitting two colors of one variable, over every variable.
+    conf, pairs, twice = red.conf, red.table.pairs, 0
+    for m in red.live.values():
+        once = 0
+        for i in bits(m):
+            twice |= once & conf[i]
+            once |= conf[i]
+    if not twice:
         return None
-    implies = find_implications(red)
+    # p implies q when p hits every other color of q's variable: using p forces q.
+    implies: dict[Pair, list[Pair]] = {}
+    for i, hit in conf.items():
+        for w in dict.fromkeys(pairs[j][0] for j in bits(hit)):
+            missing = red.live[w] & ~hit
+            if missing.bit_count() == 1:
+                implies.setdefault(pairs[i], []).append(pairs[missing.bit_length() - 1])
     if implies:
         sources = set(implies)
         for p in sorted(implies):
@@ -203,7 +195,7 @@ def _rule_multi_adjacency(red: Instance) -> Optional[Branching]:
         outside = False
         for i, p in enumerate(cyc):
             succ_var = cyc[(i + 1) % len(cyc)][0]
-            if any(t[0] != succ_var for t in red.adj[p]):
+            if any(t[0] != succ_var for t in red.nbrs(p)):
                 outside = True
         if len(set(cycle_vars)) < len(cycle_vars):
             # Two cycle pairs share a variable, so using the whole cycle
@@ -224,25 +216,24 @@ def _rule_multi_adjacency(red: Instance) -> Optional[Branching]:
     # Multiple adjacency without implication: the doubly-hit variable has
     # four colors, exactly two of them constrained by p.  Split on which
     # half of the palette it uses.
-    p = multadj
-    hits = Counter(w for (w, _c) in red.adj[p])
-    w = min(v for v, k in hits.items() if k >= 2)
-    constrained = sorted(c for c in red.colors[w] if (w, c) in red.adj[p])
-    free = sorted(set(red.colors[w]) - set(constrained))
+    i = (twice & -twice).bit_length() - 1
+    p, hit = pairs[i], conf[i]
+    m = next(m for m in red.live.values() if (m & hit).bit_count() >= 2)
     inside = ChildBuilder(red)
-    for c in free:
-        inside.avoid((w, c))
+    for j in bits(m & ~hit):
+        inside.avoid(pairs[j])
     inside.avoid(p)  # p conflicts with every remaining color of w
     outside = ChildBuilder(red)
-    for c in constrained:
-        outside.avoid((w, c))
+    for j in bits(m & hit):
+        outside.avoid(pairs[j])
     return "four-color-restriction", [inside, outside]
 
 
 def _rule_high_degree(red: Instance) -> Optional[Branching]:
-    for p in red.pairs():
-        d = red.degree(p)
-        if d >= 4 or (d >= 3 and len(red.colors[p[0]]) >= 4):
+    live, pairs = red.live, red.table.pairs
+    for i, hit in red.conf.items():
+        d, p = hit.bit_count(), pairs[i]
+        if d >= 4 or (d >= 3 and live[p[0]].bit_count() >= 4):
             return "high-degree", [ChildBuilder(red).use(p), ChildBuilder(red).avoid(p)]
     return None
 
@@ -271,24 +262,25 @@ def _screen(candidates, stats: "SearchStats") -> Optional[Branching]:
     return fallback[0] + "-fallback", fallback[1]
 
 
-def _triple_candidates(red: Instance, name: str, fits):
-    """Branchings on a pair p with three constraints and a neighbor q that
-    fits, whose one other constraint goes to t: use one of p, q, t when t
-    is also p's neighbor, else use p, or t, or q in turn."""
-    for p in red.pairs():
-        if red.degree(p) != 3:
+def _triple_candidates(red: Instance, name: str, fits: int):
+    """Branchings on a pair p with three constraints and a neighbor q in
+    the mask fits, whose one other constraint goes to t: use one of p, q,
+    t when t is also p's neighbor, else use p, or t, or q in turn."""
+    live, pairs = red.live, red.table.pairs
+    for i, hit in red.conf.items():
+        if hit.bit_count() != 3 or not hit & fits:
             continue
-        for q in sorted(red.adj[p]):
-            if not fits(q):
-                continue
-            (t,) = [x for x in red.adj[q] if x != p]
-            if t not in red.adj[p]:
+        p = pairs[i]
+        for j in bits(hit & fits):
+            q = pairs[j]
+            (t,) = [x for x in red.nbrs(q) if x != p]
+            if not red.linked(p, t):
                 children = [
                     ChildBuilder(red).use(p),
                     ChildBuilder(red).avoid(p).use(t),
                     ChildBuilder(red).avoid(p).avoid(t).use(q),
                 ]
-            elif red.degree(t) == 2 and len(red.colors[q[0]]) == len(red.colors[t[0]]) == 3:
+            elif red.degree(t) == 2 and live[q[0]].bit_count() == live[t[0]].bit_count() == 3:
                 # Avoiding p leaves q, t in an isolated constraint between
                 # three-color variables, which merge into one variable.
                 children = [ChildBuilder(red).use(p), ChildBuilder(red).avoid(p).merge(q, t)]
@@ -299,12 +291,12 @@ def _triple_candidates(red: Instance, name: str, fits):
 
 def _rule_three_with_four(red: Instance, stats: "SearchStats") -> Optional[Branching]:
     # A four-color q has exactly two constraints, or high-degree fires.
-    fits = lambda q: len(red.colors[q[0]]) >= 4
+    fits = sum(m for m in red.live.values() if m.bit_count() >= 4)
     return _screen(_triple_candidates(red, "triple-with-four", fits), stats)
 
 
 def _rule_three_with_two(red: Instance, stats: "SearchStats") -> Optional[Branching]:
-    fits = lambda q: red.degree(q) == 2
+    fits = sum(1 << i for i, hit in red.conf.items() if hit.bit_count() == 2)
     return _screen(_triple_candidates(red, "triple-with-two", fits), stats)
 
 
@@ -314,7 +306,7 @@ def _free_children(red: Instance, pairs: list[Pair]):
     variable's pairs in their order in pairs."""
     cvars = sorted({p[0] for p in pairs})
     for combo in product(*([p for p in pairs if p[0] == v] for v in cvars)):
-        if not any(b in red.adj[a] for i, a in enumerate(combo) for b in combo[i + 1:]):
+        if not any(red.linked(a, b) for i, a in enumerate(combo) for b in combo[i + 1:]):
             child = ChildBuilder(red)
             for pr in combo:
                 child.use(pr)
@@ -341,7 +333,7 @@ def _small_three_children(red: Instance, comp: list[Pair]) -> Optional[Branching
     by_cover: dict[frozenset, tuple] = {}
     for combo in product(*([None] + [p for p in comp if p[0] == v] for v in comp_vars)):
         chosen = tuple(pr for pr in combo if pr is not None)
-        if not any(b in red.adj[a] for i, a in enumerate(chosen) for b in chosen[i + 1:]):
+        if not any(red.linked(a, b) for i, a in enumerate(chosen) for b in chosen[i + 1:]):
             cover = frozenset(pr[0] for pr in chosen)
             if cover not in by_cover:
                 by_cover[cover] = chosen
@@ -361,7 +353,7 @@ def _small_three_children(red: Instance, comp: list[Pair]) -> Optional[Branching
 def _witness_children(
     red: Instance, v_pair: Pair, nbrs: list[Pair], z: Pair
 ) -> list[ChildBuilder]:
-    links = [t for t in nbrs if z in red.adj[t]]
+    links = [t for t in nbrs if red.linked(t, z)]
     c = len(links)
     if c == 3:
         return [ChildBuilder(red).use(z).use(v_pair), ChildBuilder(red).avoid(z)]
@@ -370,7 +362,7 @@ def _witness_children(
         used = ChildBuilder(red).use(z)
         if used.dead:
             return out
-        left = sorted(used.inst.adj.get(v_pair, ()))
+        left = used.inst.nbrs(v_pair) if used.inst.has(v_pair) else []
         if len(left) == 0:
             out.append(used.use(v_pair))
         elif len(left) == 1:
@@ -384,12 +376,12 @@ def _witness_children(
     # the triple-with-two analysis applies to it.
     w = links[0]
     children = [ChildBuilder(red).use(z)]
-    rs = [x for x in red.adj[w] if x not in (v_pair, z)]
+    rs = [x for x in red.nbrs(w) if x not in (v_pair, z)]
     if len(rs) != 1:
         children.append(ChildBuilder(red).avoid(z))
         return children
     r = rs[0]
-    if r in red.adj[v_pair]:
+    if red.linked(r, v_pair):
         children += [
             ChildBuilder(red).avoid(z).use(v_pair),
             ChildBuilder(red).avoid(z).use(w),
@@ -412,12 +404,12 @@ def _large_three_children(
 
     def candidates():
         for v_pair in comp:
-            nbrs = sorted(red.adj[v_pair])
+            nbrs = red.nbrs(v_pair)
             wvars = {v_pair[0]} | {t[0] for t in nbrs}
             if len(wvars) != 4:
                 continue
             for z in comp:
-                if z[0] in wvars or not any(z in red.adj[t] for t in nbrs):
+                if z[0] in wvars or not any(red.linked(t, z) for t in nbrs):
                     continue
                 yield "large-three-component", _witness_children(red, v_pair, nbrs, z)
         # No witness would contradict the component being large; keep the
@@ -431,9 +423,16 @@ def _large_three_children(
     return _screen(candidates(), stats)
 
 
+def _components(red: Instance, degree: Optional[int] = None) -> list[list[Pair]]:
+    """Sorted components of the constraint graph on the pairs with this
+    many constraints (all for None), in order of their least pair."""
+    conf, pairs = red.conf, red.table.pairs
+    ids = [i for i, hit in conf.items() if degree is None or hit.bit_count() == degree]
+    return [[pairs[i] for i in comp] for comp in components(ids, lambda i: bits(conf[i]))]
+
+
 def _rule_three_components(red: Instance, stats: "SearchStats") -> Optional[Branching]:
-    triple = [p for p in red.pairs() if red.degree(p) == 3]
-    for comp in components(triple, red.adj.get):
+    for comp in _components(red, 3):
         if len({p[0] for p in comp}) >= 5:
             return _large_three_children(red, comp, stats)
         got = _small_three_children(red, comp)
@@ -446,9 +445,8 @@ def _rule_three_components(red: Instance, stats: "SearchStats") -> Optional[Bran
 
 
 def _rule_two_components(red: Instance, stats: "SearchStats") -> Optional[Branching]:
-    double = [p for p in red.pairs() if red.degree(p) == 2]
-    for comp in components(double, red.adj.get):
-        if len(comp) <= 3 or any(red.degree(p) != 2 for p in comp):
+    for comp in _components(red, 2):
+        if len(comp) <= 3:
             continue
         cyc = cycle_order(red, comp)
         length = len(cyc)
@@ -518,9 +516,9 @@ def choose_rule(red: Instance, stats: "SearchStats") -> Optional[Branching]:
         if got is not None:
             return got
     # Leftovers must decompose into cliques of mutually exclusive pairs.
-    for comp in components(red.pairs(), red.adj.get):
+    for comp in _components(red):
         vars_in = [p[0] for p in comp]
-        clique = all(q in red.adj[p] for p in comp for q in comp if q != p)
+        clique = all(red.degree(p) == len(comp) - 1 for p in comp)
         if not clique or len(set(vars_in)) != len(vars_in):
             stats.fallbacks += 1
             p = comp[0]
@@ -549,14 +547,10 @@ def matching_solve(red: Instance) -> Optional[Assignment]:
     A solution picks one pair per variable and at most one pair per
     clique, which is exactly a bipartite matching covering the variables.
     """
-    comps = components(red.pairs(), red.adj.get)
-    comp_of = {}
-    for i, comp in enumerate(comps):
-        for p in comp:
-            comp_of[p] = i
+    comps = _components(red)
     variables = red.variables()
-    edges = sorted({(p[0], comp_of[p]) for p in red.pairs()})
-    match = bipartite_matching(variables, sorted(set(comp_of.values())), edges)
+    edges = sorted({(p[0], i) for i, comp in enumerate(comps) for p in comp})
+    match = bipartite_matching(variables, list(range(len(comps))), edges)
     if len(match) < len(variables):
         return None
     asg = {}
@@ -683,7 +677,7 @@ def _expand(cfg: SolverConfig, stats: SearchStats, state: tuple[Instance, LiftTr
 
 def solve(inst: Instance, config: Optional[SolverConfig] = None) -> SolveResult:
     """Decide a (4,2)-CSP instance, returning a solution when one exists."""
-    if any(len(cs) > 4 for cs in inst.colors.values()):
+    if any(m.bit_count() > 4 for m in inst.live.values()):
         raise ValueError("instance has a variable with more than four colors")
     cfg = config or SolverConfig()
     stats = SearchStats()
@@ -709,10 +703,10 @@ def two_color_restrictions(inst: Instance, con: tuple[Pair, Pair]) -> list[Insta
     """
     out = []
     for (dp, kp) in (con, (con[1], con[0])):
-        for other in sorted(inst.colors[kp[0]] - {kp[1]}):
+        for other in [c for c in inst.colors_of(kp[0]) if c != kp[1]]:
             r = inst.copy()
             r.remove_color(dp[0], dp[1])
-            for c in sorted(r.colors[kp[0]] - {kp[1], other}):
+            for c in [c for c in r.colors_of(kp[0]) if c not in (kp[1], other)]:
                 r.remove_color(kp[0], c)
             out.append(r)
     return out
@@ -764,7 +758,7 @@ def solve_randomized_32(
     (or None) and the stats, whose nodes count the walks run.  Each walk
     spends one node of config's node limit; NodeLimitReached is raised
     when it runs out."""
-    if any(len(cs) > 3 for cs in inst.colors.values()):
+    if any(m.bit_count() > 3 for m in inst.live.values()):
         raise ValueError("randomized two-color descent expects a (3,2) instance")
     cfg = config or SolverConfig()
     stats = SearchStats()
@@ -794,13 +788,13 @@ def solve_randomized_d2(
     out."""
     cfg = config or SolverConfig()
     stats = SearchStats()
-    d = max((len(cs) for cs in inst.colors.values()), default=0)
+    d = max((m.bit_count() for m in inst.live.values()), default=0)
     rng = random.Random(seed)
     budget = 1 if d <= 4 else _budget(d / 4, inst.n)
     while stats.csp_calls < budget:
         r = inst.copy()
         for v in r.variables():
-            cs = sorted(r.colors[v])
+            cs = r.colors_of(v)
             if len(cs) > 4:
                 for c in rng.sample(cs, len(cs) - 4):
                     r.remove_color(v, c)

@@ -152,14 +152,14 @@ def binary_instance(csp: GeneralCSP) -> Optional[Instance]:
             return None
         if len(con) == 1:
             (v, c) = con[0]
-            if (v, c) in inst.adj:
+            if inst.has((v, c)):
                 inst.remove_color(v, c)
         elif len(con) == 2:
-            if con[0] in inst.adj and con[1] in inst.adj:
+            if inst.has(con[0]) and inst.has(con[1]):
                 inst.add_constraint(con[0], con[1])
         else:
             raise ValueError(f"constraint {con} has arity {len(con)} > 2")
-    if any(not cs for cs in inst.colors.values()):
+    if not all(inst.live.values()):
         return None
     return inst
 
@@ -229,12 +229,13 @@ def coloring_to_csp(
     else:
         colors = {v: set(lists[v]) for v in range(n)}
     inst = Instance.build(colors)
-    adj = inst.adj
+    conf, ids = inst.conf, inst.table.ids
     for (u, v) in edges:
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
         # add_constraint inlined: both pairs exist and name distinct variables
-        for c in sorted(colors[u] & colors[v]):
-            adj[(u, c)].add((v, c))
-            adj[(v, c)].add((u, c))
+        for c in colors[u] & colors[v]:
+            i, j = ids[(u, c)], ids[(v, c)]
+            conf[i] |= 1 << j
+            conf[j] |= 1 << i
     return inst

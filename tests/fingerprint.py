@@ -6,8 +6,8 @@ inputs, some under a node limit.  The first digest hashes every verdict,
 solution and SearchStats field; the second leaves the solutions out.  A
 refactor that claims an identical search prints the same first digest as
 its parent commit.  A change that alters only which valid solution comes
-back prints the same second digest, which tests/test_fingerprint.py
-pins.  The file name keeps pytest from collecting it.  Besides the
+back prints the same second digest.  tests/test_fingerprint.py pins
+both.  The file name keeps pytest from collecting it.  Besides the
 random families, the batch holds inputs chosen for reach: relabeled
 copies of every rule-trigger instance of tests/helpers.py, small
 structured CSPs whose rules (two- and three-component, the matching

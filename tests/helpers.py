@@ -17,11 +17,14 @@ from pathlib import Path
 import csp32
 from csp32.edgecolor import SpliceStep
 from csp32.instance import (
+    Assigned,
     DeadColorRemoved,
     DominatedColorRemoved,
     FreePairUsed,
     Instance,
     TwoColorEliminated,
+    bits,
+    check,
     eliminate_low_colors,
     find_dead_color,
     find_dominated,
@@ -166,17 +169,159 @@ RULE_BASES = {
 }
 
 
+class SetInstance:
+    """The set form of instance.Instance, the reference its masks are
+    tested against: colors maps each variable to a set of colors, and adj
+    each live pair to the set of pairs it is constrained against.  The
+    edits keep the mask form's semantics."""
+
+    def __init__(self, colors, constraints=(), next_id=None):
+        self.colors = {v: set(cs) for v, cs in colors.items()}
+        self.adj = {(v, c): set() for v, cs in self.colors.items() for c in cs}
+        self.next_id = max(self.colors, default=-1) + 1 if next_id is None else next_id
+        for a, b in constraints:
+            self.add_constraint(a, b)
+
+    @classmethod
+    def of(cls, inst):
+        return cls(inst.colors, inst.constraints(), inst.next_id)
+
+    def copy(self):
+        return SetInstance(self.colors, self.constraints(), self.next_id)
+
+    def constraints(self):
+        return sorted({(p, q) if p <= q else (q, p) for p, qs in self.adj.items() for q in qs})
+
+    def add_variable(self, colors):
+        v = self.next_id
+        self.colors[v] = set(colors)
+        self.adj.update({(v, c): set() for c in colors})
+        self.next_id = v + 1
+        return v
+
+    def add_constraint(self, a, b):
+        if a not in self.adj or b not in self.adj:
+            raise ValueError(f"pair {a if a not in self.adj else b} not available in instance")
+        if a == b:
+            self.remove_color(*a)
+        elif a[0] != b[0]:
+            self.adj[a].add(b)
+            self.adj[b].add(a)
+
+    def remove_color(self, var, color):
+        for q in self.adj.pop((var, color)):
+            self.adj[q].discard((var, color))
+        self.colors[var].discard(color)
+
+    def remove_variable(self, var):
+        for c in list(self.colors[var]):
+            self.remove_color(var, c)
+        del self.colors[var]
+
+    def assign(self, p):
+        stripped = sorted(self.adj[p])
+        self.remove_variable(p[0])
+        for q in stripped:
+            if q in self.adj:
+                self.remove_color(*q)
+        return Assigned(*p)
+
+    def merge(self, p, q):
+        """ChildBuilder.merge's edit: a four-color variable z replaces the
+        isolated constraint p-q between two three-color variables."""
+        (v, rv), (w, rw) = p, q
+        z = self.add_variable(range(4))
+        sources = [(v, c) for c in sorted(self.colors[v]) if c != rv]
+        sources += [(w, c) for c in sorted(self.colors[w]) if c != rw]
+        for k, src in enumerate(sources):
+            for t in sorted(self.adj[src]):
+                if t[0] not in (v, w):
+                    self.add_constraint((z, k), t)
+        self.remove_variable(v)
+        self.remove_variable(w)
+
+
+def same_instance(inst, ref):
+    """Whether a mask Instance and a SetInstance hold the same variables,
+    colors and constraints."""
+    return (
+        {v: set(cs) for v, cs in inst.colors.items()} == ref.colors
+        and inst.constraints() == ref.constraints()
+        and inst.next_id == ref.next_id
+    )
+
+
+def pair_order_problems(inst):
+    """Where inst breaks the order its scans rely on: live and conf iterate
+    in ascending key order, and ascending pair id is sorted pair order."""
+    ids = sorted(inst.conf)
+    problems = []
+    if list(inst.live) != sorted(inst.live):
+        problems.append("variables out of order")
+    if list(inst.conf) != ids:
+        problems.append("pair ids out of order")
+    if [inst.table.pairs[i] for i in ids] != sorted(inst.table.pairs[i] for i in ids):
+        problems.append("pair id order is not sorted pair order")
+    return problems
+
+
+def validate(inst, max_colors=4):
+    """Structural invariant check of an Instance's masks; returns
+    human-readable violations."""
+    pairs, conf = inst.table.pairs, inst.conf
+    problems = []
+    for v, m in inst.live.items():
+        if m.bit_count() > max_colors:
+            problems.append(f"variable {v} has {m.bit_count()} colors (max {max_colors})")
+        for i in bits(m):
+            if i not in conf:
+                problems.append(f"pair {pairs[i]} missing from conflict masks")
+    for i, hit in conf.items():
+        p = pairs[i]
+        if not inst.live.get(p[0], 0) >> i & 1:
+            problems.append(f"conflict mask of {p} refers to a removed color")
+            continue
+        for j in bits(hit):
+            q = pairs[j]
+            con = (p, q) if p <= q else (q, p)
+            if j not in conf:
+                problems.append(f"constraint {con} references removed pair {q}")
+            elif not conf[j] >> i & 1:
+                problems.append(f"constraint {con} not symmetric")
+            if q[0] == p[0]:
+                problems.append(f"constraint {con} joins two colors of variable {p[0]}")
+    return problems
+
+
+def is_reduced(inst):
+    """Only 3- and 4-color variables, and simplify finds nothing to do."""
+    return all(m.bit_count() in (3, 4) for m in inst.live.values()) and not simplify(inst)[1]
+
+
+def brute_csp_product(inst):
+    """Flat enumeration of the full color product; second opinion for
+    brute_csp on small instances."""
+    order = inst.variables()
+    for combo in product(*(sorted(inst.colors[v]) for v in order)):
+        asg = dict(zip(order, combo))
+        if check(inst, asg):
+            return asg
+    return None
+
+
 def brute_free_pair(inst):
     """Reference for instance.find_free_pair: the plain O(P^2) scan over
-    every ordered couple of pairs, in the same first-match order."""
-    for p in inst.pairs():
+    every ordered couple of pairs of the set form, in the same first-match
+    order."""
+    ref = SetInstance.of(inst)
+    for p in sorted(ref.adj):
         v, x = p
-        for q in inst.pairs():
+        for q in sorted(ref.adj):
             w, y = q
             if w <= v:
                 continue
-            if all(t[0] == w and t[1] != y for t in inst.adj[p]) and all(
-                t[0] == v and t[1] != x for t in inst.adj[q]
+            if all(t[0] == w and t[1] != y for t in ref.adj[p]) and all(
+                t[0] == v and t[1] != x for t in ref.adj[q]
             ):
                 return p, q
     return None
@@ -193,7 +338,7 @@ def brute_simplify(inst, tally):
             tally["free-pair"] += 1
             p, q = found
             inst.assign(p)
-            if q in inst.adj:
+            if inst.has(q):
                 inst.assign(q)
             return FreePairUsed(p, q)
         found = find_dominated(inst)
@@ -202,7 +347,7 @@ def brute_simplify(inst, tally):
             v, _r, b = found
             inst.remove_color(v, b)
             return DominatedColorRemoved(v, b)
-        p = min((p for p, qs in inst.adj.items() if not qs), default=None)
+        p = min((p for p in inst.pairs() if not inst.degree(p)), default=None)
         if p is not None:
             tally["unconstrained"] += 1
             return inst.assign(p)
@@ -223,31 +368,50 @@ def brute_simplify(inst, tally):
     return None, trace
 
 
-def brute_eliminate_two_color(inst, v):
-    """Reference for instance.eliminate_two_color: one add_constraint call
-    per product of a conflict of R with a conflict of G, in product order."""
-    r, g = sorted(inst.colors[v])
-    conflict_r = sorted(inst.adj[(v, r)])
-    conflict_g = sorted(inst.adj[(v, g)])
-    inst.remove_variable(v)
+def brute_eliminate_two_color(ref, v):
+    """Reference for instance.eliminate_two_color on a SetInstance: one
+    add_constraint call per product of a conflict of R with a conflict of
+    G, in product order."""
+    r, g = sorted(ref.colors[v])
+    conflict_r = sorted(ref.adj[(v, r)])
+    conflict_g = sorted(ref.adj[(v, g)])
+    ref.remove_variable(v)
     for a, b in product(conflict_r, conflict_g):
         # Pairs may have vanished if a prior product removed a color.
-        if a in inst.adj and b in inst.adj:
-            inst.add_constraint(a, b)
+        if a in ref.adj and b in ref.adj:
+            ref.add_constraint(a, b)
     return TwoColorEliminated(v, r, g, tuple(conflict_r), tuple(conflict_g))
 
 
 def brute_dead_color(inst):
     """Reference for instance.find_dead_color: the set of colors each pair
-    hits per variable, compared with that variable's colors."""
-    for p in inst.pairs():
+    hits per variable of the set form, compared with that variable's
+    colors."""
+    ref = SetInstance.of(inst)
+    for p in sorted(ref.adj):
         by_var = {}
-        for (w, c) in inst.adj[p]:
+        for (w, c) in ref.adj[p]:
             by_var.setdefault(w, set()).add(c)
         for w, hit in by_var.items():
-            if hit == inst.colors[w]:
+            if hit == ref.colors[w]:
                 return p
     return None
+
+
+def charge_identity(ei):
+    """Neighbor-count split (m3, m4) and the count identity check.
+
+    The identity m3 = 6n/5 - 4*m4/5, over the n vertices that have an
+    edge, requires every edge to have exactly three or four neighbors;
+    when some edge does not, the counts are still returned with check
+    None.
+    """
+    counts = [len(ei.neighbor_ids(eid)) for eid in sorted(ei.edges)]
+    m3 = sum(1 for c in counts if c == 3)
+    m4 = sum(1 for c in counts if c == 4)
+    if m3 + m4 != len(counts):
+        return m3, m4, None
+    return m3, m4, 5 * m3 == 6 * len(ei.at) - 4 * m4
 
 
 def brute_splice_candidates(ei):

@@ -10,7 +10,6 @@ import pytest
 import csp32.edgecolor as edgecolor
 from csp32.edgecolor import (
     EdgeInstance,
-    charge_identity,
     edge_color,
     spliceable,
     splice,
@@ -25,6 +24,7 @@ from csp32.oracle import (
     random_graph,
 )
 from helpers import (
+    charge_identity,
     brute_line_graph_edges,
     brute_splice,
     brute_splice_candidates,

@@ -12,11 +12,9 @@ from csp32.instance import (
     find_dead_color,
     find_dominated,
     find_free_pair,
-    is_reduced,
     lift,
     measure,
     simplify,
-    validate,
 )
 from csp32.oracle import (
     brute_csp,
@@ -26,15 +24,20 @@ from csp32.oracle import (
     random_csp,
     structured_csp,
 )
-from csp32.solver import solve
+from csp32.solver import ChildBuilder, solve
 from csp32.transform import sat_to_csp
 from csp32.vertexcolor import color_graph
 
 from helpers import (
+    SetInstance,
     brute_dead_color,
     brute_eliminate_two_color,
     brute_free_pair,
     brute_simplify,
+    is_reduced,
+    pair_order_problems,
+    same_instance,
+    validate,
 )
 
 
@@ -77,12 +80,118 @@ def test_assign_strips_neighbors():
     assert inst.colors[2] == {0, 1}
 
 
+def _assert_matches(inst, ref):
+    assert same_instance(inst, ref), (inst.constraints(), ref.constraints())
+    assert validate(inst) == [] and pair_order_problems(inst) == []
+
+
+def _isolate(rng, inst, ref):
+    """An isolated constraint p-q between two three-color variables, made
+    from two unconstrained pairs when there is none; None if neither."""
+    three = [v for v, cs in ref.colors.items() if len(cs) == 3]
+    lone = [p for p in sorted(ref.adj) if p[0] in three and len(ref.adj[p]) == 1]
+    found = [(p, q) for p in lone for (q,) in [ref.adj[p]] if q > p and q in lone]
+    if found:
+        return rng.choice(found)
+    free = [p for p in sorted(ref.adj) if p[0] in three and not ref.adj[p]]
+    couples = [(p, q) for p in free for q in free if p[0] < q[0]]
+    if not couples:
+        return None
+    p, q = rng.choice(couples)
+    inst.add_constraint(p, q)
+    ref.add_constraint(p, q)
+    return p, q
+
+
+def test_mask_instance_matches_set_reference():
+    # Seeded edit sequences on a tree of copies: each step edits one node,
+    # copy adds a sibling, and merge adds a branch child with a fresh
+    # variable, so siblings and their descendants number the same fresh
+    # variables in the one shared pair table.  After every step the masks
+    # equal the set form, and ascending pair id stays sorted pair order.
+    rng = random.Random(21)
+    ops = Counter()
+    for _ in range(200):
+        colors = {v: rng.sample(range(12), rng.randint(2, 4)) for v in rng.sample(range(20), 8)}
+        inst, ref = Instance.build(colors), SetInstance(colors)
+        for _ in range(6):
+            a, b = rng.choice(sorted(ref.adj)), rng.choice(sorted(ref.adj))
+            inst.add_constraint(a, b)
+            ref.add_constraint(a, b)
+        tree = [(inst, ref)]
+        for _ in range(30):
+            inst, ref = rng.choice(tree)
+            pairs = sorted(ref.adj)
+            op = rng.choice(("add_constraint", "remove_color", "assign",
+                             "eliminate_two_color", "merge", "merge", "copy"))
+            if op == "copy":
+                inst, ref = inst.copy(), ref.copy()
+                tree.append((inst, ref))
+            elif op == "merge":
+                found = _isolate(rng, inst, ref)
+                if found is None:
+                    continue
+                inst = ChildBuilder(inst).merge(*found).inst
+                ref = ref.copy()
+                ref.merge(*found)
+                tree.append((inst, ref))
+            elif op == "eliminate_two_color":
+                two = [v for v, cs in ref.colors.items() if len(cs) == 2]
+                if not two:
+                    continue
+                v = rng.choice(two)
+                assert eliminate_two_color(inst, v) == brute_eliminate_two_color(ref, v)
+            elif not pairs:
+                continue
+            elif op == "add_constraint":
+                a, b = rng.choice(pairs), rng.choice(pairs)
+                inst.add_constraint(a, b)
+                ref.add_constraint(a, b)
+            elif op == "remove_color":
+                p = rng.choice(pairs)
+                inst.remove_color(*p)
+                ref.remove_color(*p)
+            else:
+                p = rng.choice(pairs)
+                assert inst.assign(p) == ref.assign(p)
+            ops[op] += 1
+            _assert_matches(inst, ref)
+        for inst, ref in tree:  # later branches' numbering left earlier ones intact
+            _assert_matches(inst, ref)
+    assert min(ops.values()) >= 300, ops
+
+
+def test_sibling_merges_share_the_pair_table():
+    # Two siblings merge different isolated constraints into the same
+    # fresh variable 8, then each merges another into variable 9: the
+    # second sibling reuses the first one's ids, and both orders hold.
+    colors = {v: range(3) for v in range(8)}
+    cons = [((v, 0), (v + 1, 0)) for v in range(0, 8, 2)]
+    cons += [((v, 1), (w, 2)) for v in range(8) for w in range(8) if v % 2 != w % 2 and v < w]
+    parent, ref = Instance.build(colors, cons), SetInstance(colors, cons)
+    children = []
+    for first, second in (((0, 0), (4, 0)), ((2, 0), (6, 0))):
+        child, child_ref = parent, ref
+        for v, _c in (first, second):
+            child = ChildBuilder(child).merge((v, 0), (v + 1, 0)).inst
+            child_ref = child_ref.copy()
+            child_ref.merge((v, 0), (v + 1, 0))
+            _assert_matches(child, child_ref)
+            children.append((child, child_ref))
+    assert [c.next_id for c, _ in children] == [9, 10, 9, 10]
+    (a, _), (aa, _), (b, _), (bb, _) = children
+    assert a.live[8] == b.live[8] and aa.live[9] == bb.live[9]
+    assert len(parent.table.pairs) == 24 + 8
+    for inst, inst_ref in [(parent, ref)] + children:
+        _assert_matches(inst, inst_ref)
+
+
 def test_copy_is_independent():
     inst = small({0: range(3), 1: range(3)}, [((0, 0), (1, 0))])
     dup = inst.copy()
     dup.remove_color(0, 0)
     assert 0 in inst.colors[0]
-    assert (1, 0) in inst.adj and inst.adj[(1, 0)] == {(0, 0)}
+    assert inst.has((1, 0)) and inst.nbrs((1, 0)) == [(0, 0)]
 
 
 def test_free_pair_detection():
@@ -92,7 +201,7 @@ def test_free_pair_detection():
     assert got is not None
     p, q = got
     assert p[0] != q[0]
-    assert q not in inst.adj[p]
+    assert not inst.linked(p, q)
     # A pair with an outside constraint is not free.
     inst2 = small(
         {0: range(3), 1: range(3), 2: range(3)},
@@ -125,7 +234,7 @@ def test_free_pair_matches_brute_reference():
         inst = random_free_pair_instance(rng)
         got = find_free_pair(inst)
         assert got == brute_free_pair(inst), inst.constraints()
-        kind = "none" if got is None else "constrained" if inst.adj[got[0]] else "unconstrained"
+        kind = "none" if got is None else "constrained" if inst.degree(got[0]) else "unconstrained"
         outcomes[kind] += 1
     # Every path of the scan is exercised, not just the easy ones.
     assert min(outcomes.values()) >= 500, outcomes
@@ -186,14 +295,11 @@ def test_two_color_elimination_matches_brute_reference():
     for _ in range(3000):
         inst = random_free_pair_instance(rng)
         for v in [v for v, cs in inst.colors.items() if len(cs) == 2]:
-            fast, slow = inst.copy(), inst.copy()
+            fast, slow = inst.copy(), SetInstance.of(inst)
             step = eliminate_two_color(fast, v)
             assert step == brute_eliminate_two_color(slow, v)
-            assert fast.colors == slow.colors
-            # Same sets built by the same insertions: same iteration order.
-            assert {p: list(qs) for p, qs in fast.adj.items()} == {
-                p: list(qs) for p, qs in slow.adj.items()
-            }
+            assert {w: set(cs) for w, cs in fast.colors.items()} == slow.colors
+            assert fast.constraints() == slow.constraints()
             removed += bool(set(step.conflict_r) & set(step.conflict_g))
             same_var += any(
                 a[0] == b[0] and a != b for a in step.conflict_r for b in step.conflict_g
@@ -240,23 +346,33 @@ def test_validate_flags_problems():
         edit(inst)
         return validate(inst)
 
-    assert broken(lambda i: i.adj.pop((0, 2))) == ["pair (0, 2) missing from adjacency"]
-    assert broken(lambda i: i.colors[0].discard(2)) == [
-        "adjacency key (0, 2) refers to a removed color"
+    def bit(inst, p):
+        return 1 << inst.table.ids[p]
+
+    def drop_live(inst, p):
+        inst.live[p[0]] ^= bit(inst, p)
+
+    assert broken(lambda i: i.conf.pop(i.table.ids[(0, 2)])) == [
+        "pair (0, 2) missing from conflict masks"
+    ]
+    assert broken(lambda i: drop_live(i, (0, 2))) == [
+        "conflict mask of (0, 2) refers to a removed color"
     ]
 
     def dangle(inst):  # (1, 0) goes, but (0, 0) still names it
-        inst.colors[1].discard(0)
-        del inst.adj[(1, 0)]
+        drop_live(inst, (1, 0))
+        del inst.conf[inst.table.ids[(1, 0)]]
 
     assert broken(dangle) == ["constraint ((0, 0), (1, 0)) references removed pair (1, 0)"]
-    assert broken(lambda i: i.adj[(1, 0)].discard((0, 0))) == [
-        "constraint ((0, 0), (1, 0)) not symmetric"
-    ]
+
+    def one_sided(inst):
+        inst.conf[inst.table.ids[(1, 0)]] ^= bit(inst, (0, 0))
+
+    assert broken(one_sided) == ["constraint ((0, 0), (1, 0)) not symmetric"]
 
     def same_variable(inst):
-        inst.adj[(0, 0)].add((0, 1))
-        inst.adj[(0, 1)].add((0, 0))
+        inst.conf[inst.table.ids[(0, 0)]] |= bit(inst, (0, 1))
+        inst.conf[inst.table.ids[(0, 1)]] |= bit(inst, (0, 0))
 
     assert broken(same_variable) == [
         "constraint ((0, 0), (0, 1)) joins two colors of variable 0"
@@ -317,7 +433,9 @@ def test_simplify_matches_four_lemma_reference(monkeypatch):
         assert trace == want_trace
         assert (got is None) == (want is None)
         if got is not None:
-            assert (got.colors, got.adj, got.next_id) == (want.colors, want.adj, want.next_id)
+            assert (got.colors, got.constraints(), got.next_id) == (
+                want.colors, want.constraints(), want.next_id
+            )
         return got, trace
 
     monkeypatch.setattr("csp32.solver.simplify", checked)
@@ -332,6 +450,19 @@ def test_simplify_matches_four_lemma_reference(monkeypatch):
         inst, _smap = sat_to_csp(nvars, random_3cnf(rng, nvars, round(4.26 * nvars)))
         if inst is not None:
             solve(inst)
+    # the csp-direct benchmark's families: structured n = 50, and 3-SAT
+    # whose dual colors are SAT variable numbers, here up to 20
+    high_colors = 0
+    for seed in range(6):
+        rng = random.Random(100 + seed)
+        inst = structured_csp(rng, [rng.choice((3, 4)) for _ in range(50)], four_vars=12)
+        if inst is not None:
+            solve(inst)
+        inst, _smap = sat_to_csp(20, random_3cnf(rng, 20, 85))
+        if inst is not None:
+            high_colors += max(max(cs) for cs in inst.colors.values()) > 3
+            solve(inst)
+    assert high_colors >= 3
     reached = tally.copy()
     # leaf residues: the list-coloring instances color_graph hands to solve
     # (only leaves with three or more three-color vertices build one)

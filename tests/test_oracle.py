@@ -6,7 +6,6 @@ from itertools import combinations
 from csp32.instance import check
 from csp32.oracle import (
     brute_csp,
-    brute_csp_product,
     brute_edge_color,
     brute_sat,
     brute_vertex_color,
@@ -19,6 +18,8 @@ from csp32.oracle import (
     random_graph,
     structured_csp,
 )
+
+from helpers import brute_csp_product
 
 
 def test_brute_solvers_agree():
@@ -50,7 +51,7 @@ def test_structured_csp_controls_pair_degrees():
         for p in inst.pairs():
             # One constraint per incident skeleton edge, never two into
             # the same variable.
-            partners = [q[0] for q in inst.adj[p]]
+            partners = [q[0] for q in inst.nbrs(p)]
             assert len(partners) == len(set(partners))
             assert len(partners) <= degs[p[0]]
 
