@@ -5,13 +5,18 @@ together with its four neighbor edges, replacing them by two new edges
 that must get different colors.  Splicing along a maximum matching of
 spliceable edges halves the instance before the leftover is 3-colored as
 a line graph (difference constraints become extra adjacencies).
+
+The splice search edits one EdgeInstance in place: a splice removes its
+five edges once, builds each live pairing on the same instance only when
+the search asks for it (the second after the first subtree fails) and
+puts the instance back exactly once its pairings are spent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Optional
+from typing import Iterator, Optional
 
 from .graphalg import depth_first, general_matching
 from .instance import lift
@@ -27,12 +32,14 @@ class EdgeInstance:
 
     Edges are tracked by integer id so parallel edges stay distinct; a
     constraint is an unordered id pair whose edges must get different
-    colors.  `at` maps each vertex to the ascending ids of its edges;
-    add_edge and remove_edge keep it matching `edges`.
+    colors, kept both ways in `partners`: each constrained edge maps to
+    the frozenset of ids it must differ from, and an unconstrained edge
+    has no entry.  `at` maps each vertex to the ascending ids of its
+    edges; add_edge and remove_edge keep it matching `edges`.
     """
 
     edges: dict[int, Edge] = field(default_factory=dict)
-    constraints: set[frozenset] = field(default_factory=set)
+    partners: dict[int, frozenset] = field(default_factory=dict)
     next_id: int = 0
     at: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
@@ -49,12 +56,6 @@ class EdgeInstance:
             seen.add(frozenset((u, v)))
             ei.add_edge(u, v)
         return ei
-
-    def copy(self) -> "EdgeInstance":
-        # the index holds tuples, so a shallow copy of it is independent
-        return EdgeInstance(
-            dict(self.edges), set(self.constraints), self.next_id, dict(self.at)
-        )
 
     def add_edge(self, u: int, v: int) -> int:
         """Add edge (u, v) under the next id, which exceeds every id so
@@ -79,7 +80,7 @@ class EdgeInstance:
         return sorted(set(self.at[u] + self.at[v]) - {eid})
 
     def constrained(self, eid: int) -> bool:
-        return any(eid in c for c in self.constraints)
+        return eid in self.partners
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,7 @@ def strip_low_neighbor_edges(ei: EdgeInstance) -> list[StrippedEdge]:
 
     Only valid while the instance is unconstrained.
     """
-    assert not ei.constraints
+    assert not ei.partners
     steps = []
     changed = True
     while changed:
@@ -139,11 +140,11 @@ def spliceable(ei: EdgeInstance, eid: int) -> bool:
         return False
     w, x = ei.edges[eid]
     at_w, at_x = ei.at[w], ei.at[x]
-    # eid is the only edge at both ends, so the four neighbor edges leave
-    # the pair of spliced vertices; the constraint scan comes last
+    # eid is the only edge at both ends (the two triples share only it),
+    # so the four neighbor edges leave the pair of spliced vertices
     return (
         len(at_w) == len(at_x) == 3
-        and set(at_w) & set(at_x) == {eid}
+        and len(set(at_w + at_x)) == 5
         and not ei.constrained(eid)
     )
 
@@ -153,51 +154,67 @@ def splice_candidates(ei: EdgeInstance) -> list[int]:
     return [eid for eid in sorted(ei.edges) if spliceable(ei, eid)]
 
 
-def splice(ei: EdgeInstance, eid: int) -> list[tuple[EdgeInstance, SpliceStep]]:
-    """The live ways to pair the four neighbors of a spliced edge, each as
-    (child, the step that lifts a coloring of the child back).
+def splice(ei: EdgeInstance, eid: int) -> Iterator[SpliceStep]:
+    """Edit ei into each live way to pair the four neighbors of spliced
+    edge eid, yielding the step that lifts a coloring of that child back.
 
-    A pairing whose new edge would be a self-loop, or that collapses a
-    constraint onto one edge, has no coloring and is dropped before any
-    copy.  The five edges leave one copy of ei, the last child, and only
-    the constraints naming a removed neighbor edge are remapped.
+    A generator: while it waits at a yield, ei is that child; the next
+    draw builds the next pairing in its place, and once the pairings are
+    spent ei is as it was, down to `edges`, `at`, `partners` and
+    `next_id`.  A pairing whose new edge would be a self-loop, or that
+    collapses a constraint onto one edge, is dropped before any edit.
+    The five edges go once; each pairing adds two edges under the same
+    two ids and rewrites only the constraints that name a removed
+    neighbor edge.
     """
     assert spliceable(ei, eid)
-    w, x = ei.edges[eid]
-    ew1, ew2 = (j for j in ei.at[w] if j != eid)
-    ex1, ex2 = (j for j in ei.at[x] if j != eid)
-    u, v = ((set(ei.edges[j]) - {w}).pop() for j in (ew1, ew2))
-    y, z = ((set(ei.edges[j]) - {x}).pop() for j in (ex1, ex2))
+    edges, at, partners = ei.edges, ei.at, ei.partners
+    w, x = edges[eid]
+    ew1, ew2 = [j for j in at[w] if j != eid]
+    ex1, ex2 = [j for j in at[x] if j != eid]
+    # the far end of an edge is its endpoint sum less the near end
+    u, v = sum(edges[ew1]) - w, sum(edges[ew2]) - w
+    y, z = sum(edges[ex1]) - x, sum(edges[ex2]) - x
     # a removed neighbor's color lives on in its replacement, so a
     # constraint between two edges sharing a replacement collapses
+    p1, p2 = partners.get(ew1, ()), partners.get(ew2, ())
     live = [
         ((a, ea), (b, eb))
         for (a, ea), (b, eb) in (((y, ex1), (z, ex2)), ((z, ex2), (y, ex1)))
-        if u != a and v != b
-        and not {frozenset((ew1, ea)), frozenset((ew2, eb))} & ei.constraints
+        if u != a and v != b and ea not in p1 and eb not in p2
     ]
     if not live:
-        return []
-    touched = [c for c in ei.constraints if not c.isdisjoint((ew1, ew2, ex1, ex2))]
-    reduced = ei.copy()
-    for j in (eid, ew1, ew2, ex1, ex2):
-        del reduced.edges[j]
-    del reduced.at[w], reduced.at[x]  # all three edges at w and at x go
-    for o in {u, v, y, z}:
-        reduced.at[o] = tuple(j for j in reduced.at[o] if j not in (ew1, ew2, ex1, ex2))
-        if not reduced.at[o]:
-            del reduced.at[o]
-    reduced.constraints.difference_update(touched)
-    children = []
+        return
+    gone = (eid, ew1, ew2, ex1, ex2)
+    saved_edges = [edges.pop(j) for j in gone]
+    saved_at = {o: at.pop(o) for o in {w, x, u, v, y, z}}
+    rest = {o: tuple([j for j in saved_at[o] if j not in gone]) for o in {u, v, y, z}}
+    touched = {j: partners.pop(j) for j in gone[1:] if j in partners}
+    outside = {q: partners[q] for qs in touched.values() for q in qs if q not in gone}
+    first, second = ei.next_id, ei.next_id + 1
+    ei.next_id += 2
     for (a, ea), (b, eb) in live:
-        child = reduced if len(children) == len(live) - 1 else reduced.copy()
-        first = child.add_edge(u, a)
-        second = child.add_edge(v, b)
+        # both pairings write the same keys, so the second overwrites the first
+        edges[first], edges[second] = (u, a), (v, b)
+        at.update(rest)
+        for o, j in ((u, first), (a, first), (v, second), (b, second)):
+            at[o] += (j,)  # every first before every second keeps ids ascending
         remap = {ew1: first, ea: first, ew2: second, eb: second}
-        child.constraints.update(frozenset(remap.get(j, j) for j in c) for c in touched)
-        child.constraints.add(frozenset((first, second)))
-        children.append((child, SpliceStep(eid, ((first, (ew1, ea)), (second, (ew2, eb))))))
-    return children
+        for q, qs in outside.items():
+            partners[q] = frozenset([remap.get(r, r) for r in qs])
+        for new, olds, other in ((first, (ew1, ea), second), (second, (ew2, eb), first)):
+            mates = {other}
+            for j in olds:
+                for r in touched.get(j, ()):
+                    mates.add(remap.get(r, r))
+            partners[new] = frozenset(mates)
+        yield SpliceStep(eid, ((first, (ew1, ea)), (second, (ew2, eb))))
+    del edges[first], edges[second], partners[first], partners[second]
+    ei.next_id = first
+    edges.update(zip(gone, saved_edges))
+    at.update(saved_at)
+    partners.update(touched)
+    partners.update(outside)
 
 
 def select_splices(ei: EdgeInstance) -> list[int]:
@@ -238,9 +255,8 @@ def _line_graph_solve(
         for at_v in ei.at.values()
         for a, b in combinations(at_v, 2)
     }
-    for c in ei.constraints:
-        a, b = sorted(c)
-        lg_edges.add((index[a], index[b]))
+    for a, bs in ei.partners.items():
+        lg_edges.update((index[a], index[b]) for b in bs if a < b)
     res = color_graph(len(ids), sorted(lg_edges), cfg.charge(stats))
     stats.absorb(res.stats)
     cfg.charge(stats)  # raises when the nested coloring ran out
@@ -249,15 +265,18 @@ def _line_graph_solve(
     return {eid: res.coloring[index[eid]] for eid in ids}
 
 
-def _expand(plan: list[int], cfg: SolverConfig, stats: SearchStats, state: tuple):
-    """One splice node; a state is an instance, the plan index to go on
-    from and its lift path from the input."""
-    ei, start, path = state
+def _expand(
+    ei: EdgeInstance, plan: list[int], cfg: SolverConfig, stats: SearchStats, state: tuple
+):
+    """One splice node; a state is the plan index to go on from and its
+    lift path from the input, and ei is edited in place into the state's
+    instance by the splices above it."""
+    start, path = state
     for k in range(start, len(plan)):
         if spliceable(ei, plan[k]):
             stats.splices += 1
             cfg.charge(stats)
-            return None, [(child, k + 1, path + [step]) for child, step in splice(ei, plan[k])]
+            return None, ((k + 1, path + [step]) for step in splice(ei, plan[k]))
         stats.skipped_splices += 1
     stats.leaves += 1
     colors = _line_graph_solve(ei, cfg, stats)
@@ -280,7 +299,7 @@ def edge_color(
         return None, stats
     steps = strip_low_neighbor_edges(ei)
     plan = select_splices(ei)
-    colors = depth_first((ei, 0, steps), lambda state: _expand(plan, cfg, stats, state))
+    colors = depth_first((0, steps), lambda state: _expand(ei, plan, cfg, stats, state))
     if colors is None:
         return None, stats
     if not proper_edge_coloring(edges, [colors.get(i) for i in range(len(edges))]):

@@ -30,7 +30,9 @@ def depth_first(root, expand):
     """The first solution found depth-first from root, or None.
 
     expand(state) returns (solution, children): a solution, or None and
-    the child states to try in order, drawn one at a time.  A stack of
+    the child states to try in order, drawn one at a time: the next
+    child only once the last one's subtree is exhausted, so children
+    may be edits of one shared state that each undoes.  A stack of
     child iterators stands in for recursion, so the search depth is not
     bounded by the recursion limit."""
     stack = [iter((root,))]

@@ -15,7 +15,7 @@ from itertools import product
 from pathlib import Path
 
 import csp32
-from csp32.edgecolor import SpliceStep
+from csp32.edgecolor import EdgeInstance, SpliceStep
 from csp32.instance import (
     Assigned,
     DeadColorRemoved,
@@ -414,9 +414,31 @@ def charge_identity(ei):
     return m3, m4, 5 * m3 == 6 * len(ei.at) - 4 * m4
 
 
+def edge_snapshot(ei):
+    """An independent copy of an EdgeInstance, which the package itself
+    never copies (its values are tuples and frozensets)."""
+    return EdgeInstance(dict(ei.edges), dict(ei.partners), ei.next_id, dict(ei.at))
+
+
+def constraint_set(ei):
+    """The constraints of an EdgeInstance as a set of id frozensets."""
+    return {frozenset((a, b)) for a, bs in ei.partners.items() for b in bs}
+
+
+def partner_index(constraints):
+    """EdgeInstance.partners built from a set of id-pair constraints."""
+    out = {}
+    for c in constraints:
+        a, b = c
+        out.setdefault(a, set()).add(b)
+        out.setdefault(b, set()).add(a)
+    return {j: frozenset(ps) for j, ps in out.items()}
+
+
 def brute_splice_candidates(ei):
     """Reference for edgecolor.splice_candidates: the full edge scans the
-    incidence index replaced, testing the same preconditions."""
+    incidence and partner indexes replaced, testing the same
+    preconditions."""
 
     def degree(v):
         return sum(1 for e in ei.edges.values() if v in e)
@@ -424,10 +446,11 @@ def brute_splice_candidates(ei):
     def incident(v):
         return sorted(i for i, e in ei.edges.items() if v in e)
 
+    constraints = constraint_set(ei)
     out = []
     for eid in sorted(ei.edges):
         w, x = ei.edges[eid]
-        if any(eid in c for c in ei.constraints):
+        if any(eid in c for c in constraints):
             continue
         if degree(w) != 3 or degree(x) != 3:
             continue
@@ -447,7 +470,8 @@ def brute_splice(ei, eid):
     """Reference for edgecolor.splice: for each pairing, copy the whole
     instance, remove the five edges, add the two new ones and rebuild
     every constraint through the remap, dropping the child when one
-    collapses onto a single edge."""
+    collapses onto a single edge.  Returns (child, step) pairs and leaves
+    ei alone."""
     w, x = ei.edges[eid]
     ew1, ew2 = sorted(j for j, e in ei.edges.items() if w in e and j != eid)
     ex1, ex2 = sorted(j for j, e in ei.edges.items() if x in e and j != eid)
@@ -460,20 +484,17 @@ def brute_splice(ei, eid):
     for (a, ea), (b, eb) in (((y, ex1), (z, ex2)), ((z, ex2), (y, ex1))):
         if u == a or v == b:
             continue
-        child = ei.copy()
+        child = edge_snapshot(ei)
         for j in (eid, ew1, ew2, ex1, ex2):
             child.remove_edge(j)
         first = child.add_edge(u, a)
         second = child.add_edge(v, b)
         remap = {ew1: first, ea: first, ew2: second, eb: second}
-        moved = {
-            frozenset(remap.get(j, j) for j in c) if c & remap.keys() else c
-            for c in child.constraints
-        }
+        moved = {frozenset(remap.get(j, j) for j in c) for c in constraint_set(ei)}
         if any(len(c) == 1 for c in moved):
             continue
         moved.add(frozenset((first, second)))
-        child.constraints = moved
+        child.partners = partner_index(moved)
         children.append((child, SpliceStep(eid, ((first, (ew1, ea)), (second, (ew2, eb))))))
     return children
 
@@ -488,7 +509,7 @@ def brute_line_graph_edges(ei):
         for b in ids[i + 1:]:
             if set(ei.edges[a]) & set(ei.edges[b]):
                 lg_edges.add((index[a], index[b]))
-    for c in ei.constraints:
+    for c in constraint_set(ei):
         a, b = sorted(c)
         lg_edges.add((index[a], index[b]))
     return sorted(lg_edges)

@@ -28,6 +28,9 @@ from helpers import (
     brute_line_graph_edges,
     brute_splice,
     brute_splice_candidates,
+    constraint_set,
+    edge_snapshot,
+    partner_index,
     run_fresh,
     scan_incidence,
 )
@@ -152,23 +155,37 @@ def test_splice_children_preserve_colorability():
         if not cands:
             continue
         tried += 1
-        children = splice(ei, cands[0])
-        assert 1 <= len(children) <= 2
+        have = [_brute_constrained(ei) for _step in splice(ei, cands[0])]
+        assert 1 <= len(have) <= 2
         want = brute_edge_color((n, edges)) is not None
-        have = any(_brute_constrained(ch) for ch, _step in children)
-        assert have == want, (n, edges)
+        assert any(have) == want, (n, edges)
     assert tried > 50
+
+
+def _enter_child(ei, eid, rng):
+    """Leave ei edited into a random live child of splicing eid (its
+    splice generator suspended there); False when no pairing is live."""
+    live = sum(1 for _step in splice(ei, eid))
+    if not live:
+        return False
+    children = splice(ei, eid)
+    for _ in range(rng.randint(1, live)):
+        next(children)
+    return True
 
 
 def test_splice_returns_only_live_children():
     # K4 spliced at edge (0, 1): pairing (0,2) with (1,2) would make the
     # new edge a self-loop at 2, so only the crossed pairing comes back.
     ei = EdgeInstance.from_graph(4, K4)
-    ((child, step),) = splice(ei, 0)
-    assert sorted(child.edges.values()) == [(2, 3), (2, 3), (3, 2)]
+    children = splice(ei, 0)
+    step = next(children)
+    assert sorted(ei.edges.values()) == [(2, 3), (2, 3), (3, 2)]
     (first, pair1), (second, pair2) = step.merged
     assert step.center == 0 and (pair1, pair2) == ((1, 4), (2, 3))
-    assert child.constraints == {frozenset((first, second))}
+    assert constraint_set(ei) == {frozenset((first, second))}
+    assert next(children, None) is None
+    assert ei == EdgeInstance.from_graph(4, K4)
 
     rng = random.Random(48)
     splices = dropped = 0
@@ -179,15 +196,16 @@ def test_splice_returns_only_live_children():
         ei = EdgeInstance.from_graph(*graph)
         strip_low_neighbor_edges(ei)
         while cands := splice_candidates(ei):
-            children = splice(ei, rng.choice(cands))
+            eid = rng.choice(cands)
+            live = 0
+            for _step in splice(ei, eid):
+                live += 1
+                assert all(u != v for u, v in ei.edges.values())
+                assert all(len(c) == 2 for c in constraint_set(ei))
             splices += 1
-            dropped += 2 - len(children)
-            for child, _step in children:
-                assert all(u != v for u, v in child.edges.values())
-                assert all(len(c) == 2 for c in child.constraints)
-            if not children:
+            dropped += 2 - live
+            if not _enter_child(ei, eid, rng):
                 break
-            ei = rng.choice(children)[0]
     assert splices > 200 and dropped > 0
 
 
@@ -196,18 +214,27 @@ def _brute_constrained(ei):
     ids = sorted(ei.edges)
     pos = {eid: i for i, eid in enumerate(ids)}
     clash = [(pos[a], pos[b]) for a in ids for b in ei.neighbor_ids(a) if a < b]
-    clash += [tuple(pos[j] for j in con) for con in ei.constraints]
+    clash += [tuple(pos[j] for j in con) for con in constraint_set(ei)]
     return any(
         all(combo[i] != combo[j] for i, j in clash)
         for combo in product(range(3), repeat=len(ids))
     )
 
 
+def _assert_indexes(ei):
+    """The incidence and partner indexes match ones rebuilt from scratch:
+    partners symmetric, over live edges, with no empty entry."""
+    assert ei.at == scan_incidence(ei)
+    assert ei.partners == partner_index(constraint_set(ei))
+    assert ei.partners.keys() <= ei.edges.keys()
+
+
 @pytest.fixture
 def index_checked(monkeypatch):
-    """Assert after every add_edge, remove_edge and edgecolor.splice that
-    the incidence index equals one rebuilt from the edges (splice drops
-    its five edges without remove_edge)."""
+    """Assert after every add_edge and remove_edge that the incidence
+    index equals one rebuilt from the edges, and at every child
+    edgecolor.splice yields and once it is spent that both indexes do
+    (splice edits them without add_edge or remove_edge)."""
     for name in ("add_edge", "remove_edge"):
         def checked(self, *args, _edit=getattr(EdgeInstance, name)):
             out = _edit(self, *args)
@@ -217,10 +244,10 @@ def index_checked(monkeypatch):
         monkeypatch.setattr(EdgeInstance, name, checked)
 
     def checked_splice(ei, eid, _splice=edgecolor.splice):
-        children = _splice(ei, eid)
-        for child, _step in children:
-            assert child.at == scan_incidence(child)
-        return children
+        for step in _splice(ei, eid):
+            _assert_indexes(ei)
+            yield step
+        _assert_indexes(ei)
 
     monkeypatch.setattr(edgecolor, "splice", checked_splice)
 
@@ -230,12 +257,16 @@ def _assert_matches_reference(ei):
     assert splice_candidates(ei) == want
     # plan entries can name edges an earlier splice removed
     assert [e for e in range(ei.next_id) if spliceable(ei, e)] == want
-    assert ei.at == scan_incidence(ei)
+    _assert_indexes(ei)
     for eid in ei.edges:
         u, v = ei.edges[eid]
         assert ei.neighbor_ids(eid) == sorted(
             j for j, e in ei.edges.items() if j != eid and (u in e or v in e)
         )
+
+
+def _state(ei, step=None):
+    return ei.edges, ei.at, ei.partners, ei.next_id, step
 
 
 def test_splice_candidates_match_brute_reference(index_checked):
@@ -255,7 +286,10 @@ def test_splice_candidates_match_brute_reference(index_checked):
 
 def test_splice_paths_match_brute_reference(index_checked, monkeypatch):
     # Random splice paths build up constraints, so `constrained` decides
-    # some candidates; every child and its line graph is compared.
+    # some candidates.  Every child the in-place splice yields is compared
+    # with a copied reference child and its line graph, one random child
+    # is walked further, and a spent splice must leave its parent exactly
+    # as it found it.
     line_graphs = []
     real_color_graph = edgecolor.color_graph
 
@@ -265,73 +299,67 @@ def test_splice_paths_match_brute_reference(index_checked, monkeypatch):
 
     monkeypatch.setattr(edgecolor, "color_graph", capture)
     rng = random.Random(47)
-    states = constraint_decided = 0
+    seen = {"states": 0, "constraint_decided": 0, "restored": 0}
+
+    def walk(ei):
+        _assert_matches_reference(ei)
+        seen["states"] += 1
+        free = edge_snapshot(ei)
+        free.partners = {}
+        seen["constraint_decided"] += splice_candidates(free) != splice_candidates(ei)
+        edgecolor._line_graph_solve(ei, SolverConfig(), SearchStats())
+        assert line_graphs.pop() == brute_line_graph_edges(ei)
+        cands = splice_candidates(ei)
+        if not cands:
+            return
+        eid = rng.choice(cands)
+        before = edge_snapshot(ei)
+        want = brute_splice(ei, eid)
+        follow = rng.randrange(len(want)) if want else None
+        got = 0
+        for i, step in enumerate(edgecolor.splice(ei, eid)):
+            ref, ref_step = want[i]
+            assert _state(ei, step) == _state(ref, ref_step)
+            if i == follow:
+                walk(ei)
+                assert _state(ei, step) == _state(ref, ref_step)
+            else:
+                _assert_matches_reference(ei)
+            got += 1
+        assert got == len(want)
+        assert _state(ei) == _state(before)
+        seen["restored"] += 1
+
     for _ in range(60):
         graph = rng.choice([random_cubic, planted_cubic_edge_colorable])(
             rng, rng.choice([8, 10, 12, 16])
         )
         ei = EdgeInstance.from_graph(*graph)
         strip_low_neighbor_edges(ei)
-        while True:
-            _assert_matches_reference(ei)
-            states += 1
-            free = ei.copy()
-            free.constraints = set()
-            constraint_decided += splice_candidates(free) != splice_candidates(ei)
-            edgecolor._line_graph_solve(ei, SolverConfig(), SearchStats())
-            assert line_graphs.pop() == brute_line_graph_edges(ei)
-            cands = splice_candidates(ei)
-            if not cands:
-                break
-            eid = rng.choice(cands)
-            children = edgecolor.splice(ei, eid)
-            want = brute_splice(ei, eid)
-            assert len(children) == len(want)
-            for (child, step), (ref, ref_step) in zip(children, want):
-                _assert_matches_reference(child)
-                assert (child.edges, child.at, child.constraints, child.next_id, step) == (
-                    ref.edges, ref.at, ref.constraints, ref.next_id, ref_step
-                )
-            if not children:
-                break
-            ei = rng.choice(children)[0]
-    assert states > 200 and constraint_decided > 100
+        walk(ei)
+    assert seen["states"] > 200 and seen["constraint_decided"] > 100
+    assert seen["restored"] > 200
 
 
-def test_splice_copies_once_per_child(monkeypatch):
-    # Dead pairings are dropped before any copy and the last child is the
-    # reduced copy itself, so a splice copies exactly once per child.
-    copies = []
-    real_copy = EdgeInstance.copy
+def test_edge_color_builds_one_instance(monkeypatch):
+    # The splice search edits the input's instance in place: no splice,
+    # backtrack or leaf builds another one.
+    built = []
+    real_init = EdgeInstance.__init__
 
-    def counted(self):
-        copies.append(self)
-        return real_copy(self)
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
 
-    monkeypatch.setattr(EdgeInstance, "copy", counted)
-
-    def copies_per_child(ei, eid):
-        del copies[:]
-        children = splice(ei, eid)
-        assert len(copies) == len(children)
-        return children
-
-    assert len(copies_per_child(EdgeInstance.from_graph(4, K4), 0)) == 1
-    rng = random.Random(49)
-    sizes = set()
-    for _ in range(60):
-        graph = rng.choice([random_cubic, planted_cubic_edge_colorable])(
-            rng, rng.choice([8, 10, 12, 16])
-        )
-        ei = EdgeInstance.from_graph(*graph)
-        strip_low_neighbor_edges(ei)
-        while cands := splice_candidates(ei):
-            children = copies_per_child(ei, rng.choice(cands))
-            sizes.add(len(children))
-            if not children:
-                break
-            ei = rng.choice(children)[0]
-    assert sizes == {0, 1, 2}
+    monkeypatch.setattr(EdgeInstance, "__init__", counted)
+    for graph in (
+        planted_cubic_edge_colorable(random.Random(1), 40),
+        random_cubic(random.Random(2), 20),
+        (10, PETERSEN),
+    ):
+        del built[:]
+        _coloring, stats = edge_color(*graph)
+        assert len(built) == 1 and stats.splices > 0
 
 
 def test_edge_color_matches_brute_force():
@@ -408,3 +436,26 @@ def test_deep_splice_plan_ends_in_a_verdict():
     finally:
         sys.setrecursionlimit(old)
     assert info.value.stats.spent == 301
+
+
+def test_deep_splice_search_memory_stays_bounded():
+    # Edited in place, the search holds one instance and one suspended
+    # splice per level; a copy per child took this run to 344-429 MB.
+    code = (
+        "import json, random, resource\n"
+        "from csp32.edgecolor import edge_color\n"
+        "from csp32.oracle import planted_cubic_edge_colorable\n"
+        "from csp32.solver import NodeLimitReached, SolverConfig\n"
+        "graph = planted_cubic_edge_colorable(random.Random(1), 2400)\n"
+        "try:\n"
+        "    edge_color(*graph, SolverConfig(node_limit=3000))\n"
+        "    splices = None\n"
+        "except NodeLimitReached as stop:\n"
+        "    splices = stop.stats.splices\n"
+        "print(json.dumps([splices, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))\n"
+    )
+    run = run_fresh(code)
+    assert run.returncode == 0, run.stderr
+    splices, peak_kb = json.loads(run.stdout.splitlines()[-1])
+    assert splices == 3001
+    assert peak_kb < 150 * 1024

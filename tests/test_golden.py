@@ -7,7 +7,9 @@ rewrite; a refactor that claims identical search must keep them.  The
 two benchmark-scale entries (structured n=50, 3-SAT n=35) were recorded
 before the partner-indexed free-pair search replaced the O(P^2) scan.
 The edge-coloring entries were recorded before the incidence index
-replaced the full edge scans in the splice search.  The coloring node
+replaced the full edge scans in the splice search, and the deep ones
+stopped by a node limit before splices edited one instance in place.
+The coloring node
 counts (color_graph, and the last EDGE column) were rerecorded when the
 leaf enumeration gained its forward check: `nodes` now also counts each
 checked partial interior coloring, and `csp_nodes` falls with the leaf
@@ -26,7 +28,7 @@ from csp32.oracle import (
     random_cubic,
     structured_csp,
 )
-from csp32.solver import SolverConfig, solve
+from csp32.solver import NodeLimitReached, SolverConfig, solve
 from csp32.transform import sat_to_csp
 from csp32.vertexcolor import color_graph
 
@@ -53,6 +55,13 @@ EDGE = {
     ("random", 0, 16): (True, 12, 5, 3, 17),
     ("random", 2, 12): (False, 4, 3, 2, 14),
     ("random", 2, 20): (False, 21, 7, 6, 72),
+}
+
+# (seed, n, node_limit) -> (splices, skipped_splices, leaves, nodes + csp_nodes)
+# for planted cubic graphs whose splice search runs into the node limit
+EDGE_DEEP = {
+    (1, 100, 5000): (4759, 546, 17, 242),
+    (1, 200, 3000): (3001, 20, 0, 0),
 }
 
 
@@ -104,3 +113,13 @@ def test_edge_color_splice_counts(kind, seed, n):
     got = (coloring is not None, stats.splices, stats.skipped_splices, stats.leaves,
            stats.nodes + stats.csp_nodes)
     assert got == EDGE[(kind, seed, n)]
+
+
+@pytest.mark.parametrize("seed,n,limit", sorted(EDGE_DEEP))
+def test_deep_edge_search_counts(seed, n, limit):
+    graph = planted_cubic_edge_colorable(random.Random(seed), n)
+    with pytest.raises(NodeLimitReached) as info:
+        edge_color(*graph, SolverConfig(node_limit=limit))
+    stats = info.value.stats
+    got = (stats.splices, stats.skipped_splices, stats.leaves, stats.nodes + stats.csp_nodes)
+    assert got == EDGE_DEEP[(seed, n, limit)]

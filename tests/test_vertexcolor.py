@@ -8,6 +8,7 @@ import pytest
 
 import csp32.vertexcolor as vertexcolor
 from csp32.edgecolor import edge_color
+from csp32.graphalg import bfs
 from csp32.instance import Instance, lift
 from csp32.oracle import (
     brute_csp,
@@ -370,27 +371,123 @@ def _planted_graphs(count):
         yield planted_3colorable(random.Random(seed), 36, 7 / 36)
 
 
+def _assert_forests(g):
+    """Check both forests of a leaf residue against their references and
+    the placement invariants; returns (bushy forest, trees, X, Y)."""
+    f = build_bushy_forest(g)
+    assert (f.roots, f.children, f.internal, f.leaves) == brute_build_bushy_forest(g)
+    assert f.vertices == f.internal | f.leaves
+    trees, x_set, y_set = build_height_two_forest(g, f)
+    outside = set(g.adj) - (f.internal | f.leaves)
+    packed = {v for t in trees for v in (t.root, *t.children)}
+    want_x = {
+        v for v in outside - packed
+        if any(u in f.internal | f.leaves for u in g.adj[v])
+    }
+    assert (x_set, y_set) == (want_x, outside - packed - want_x)
+    _assert_placed(g, trees, y_set)
+    return f, trees, x_set, y_set
+
+
 def test_forests_match_brute_reference():
     residues = _leaf_graphs(chain(_seeded_graphs(80), _planted_graphs(300)))
     rooted = adjacent = 0
     for g in residues:
-        f = build_bushy_forest(g)
+        f, _trees, x_set, _y_set = _assert_forests(g)
         rooted += bool(f.roots)
-        assert (f.roots, f.children, f.internal, f.leaves) == brute_build_bushy_forest(g)
-        assert f.vertices == f.internal | f.leaves
-        trees, x_set, y_set = build_height_two_forest(g, f)
-        outside = set(g.adj) - (f.internal | f.leaves)
-        packed = {v for t in trees for v in (t.root, *t.children)}
-        want_x = {
-            v for v in outside - packed
-            if any(u in f.internal | f.leaves for u in g.adj[v])
-        }
-        assert (x_set, y_set) == (want_x, outside - packed - want_x)
-        _assert_placed(g, trees, y_set)
         adjacent += bool(x_set)
     assert rooted > 40 and adjacent > 20
 
 
+def planted_y_graph(rng):
+    """A graph that is its own leaf residue, with Y vertices to place.
+
+    Vertex 0 roots a bushy forest whose leaves come in adjacent pairs.
+    Two or three stars (a centre and three leaves) lie outside it, and
+    up to two vertices per star each join three star leaves and nothing
+    else; numbered after the centres, the star leaves are packed and
+    those vertices form the Y set.  A high star touches the forest from
+    every vertex and reaches degree four or more, so its tree may take
+    five grandchildren; a low star keeps degree three and takes one
+    joining vertex per leaf, so the degree-three vertices form small
+    trees and no cycle.  Each forest leaf touches exactly two star
+    vertices, so none grows.
+    """
+    stars = rng.randint(2, 3)
+    high = [rng.random() < 0.5 for _ in range(stars)]
+    high[rng.randrange(stars)] = True
+    centres = range(1, stars + 1)
+    leaves = [range(1 + stars + 3 * k, 4 + stars + 3 * k) for k in range(stars)]
+    edges = [(c, leaf) for c, ls in zip(centres, leaves) for leaf in ls]
+    room = {leaf: 2 if high[k] else 1 for k, ls in enumerate(leaves) for leaf in ls}
+    y = 1 + 4 * stars
+    for _ in range(rng.randint(1, 2 * stars)):
+        open_high = [leaf for k, ls in enumerate(leaves) if high[k] for leaf in ls if room[leaf]]
+        open_low = [leaf for k, ls in enumerate(leaves) if not high[k] for leaf in ls if room[leaf]]
+        low = rng.randint(0, 1) if open_low else 0
+        if len(open_high) < 3 - low:
+            break
+        for leaf in rng.sample(open_high, 3 - low) + rng.sample(open_low, low):
+            room[leaf] -= 1
+            edges.append((leaf, y))
+        y += 1
+    degree = Counter(v for e in edges for v in e)
+    slots = sorted(
+        v
+        for k, (c, ls) in enumerate(zip(centres, leaves))
+        for v in (c, *ls)
+        for _ in range((4 if high[k] else 3) - degree[v])
+    )
+    spare = [v for k, (c, ls) in enumerate(zip(centres, leaves)) if high[k] for v in (c, *ls)]
+    while len(slots) % 4 or len(slots) < 8:  # forest leaves pair up, four or more
+        slots.append(spare[len(slots) % len(spare)])
+    slots.sort()
+    m = len(slots) // 2
+    forest = range(y, y + m)
+    edges += [(0, a) for a in forest]
+    edges += [(a, a + 1) for a in forest[::2]]
+    # a vertex's slots are consecutive, so they reach distinct forest leaves
+    shift = rng.randrange(m)
+    edges += [(v, forest[(i + shift) % m]) for i, v in enumerate(slots)]
+    # forest leaves all see vertex 0, so an odd cycle among them refutes
+    chords = [(a, b) for a, b in combinations(forest, 2) if b != a + 1 or a % 2 != y % 2]
+    edges += rng.sample(chords, rng.randint(0, m // 2))
+    return y + m, edges
+
+
+def _bfs_numbered(n, edges):
+    """A connected graph renumbered in breadth-first order from 0, which
+    brute_vertex_color's fixed vertex order backtracks through quickly."""
+    adj = {v: set() for v in range(n)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    pos = {v: i for i, (v, _parent) in enumerate(bfs(0, lambda v: sorted(adj[v])))}
+    assert len(pos) == n
+    return n, [(pos[u], pos[v]) for u, v in edges]
+
+
+def test_height_two_placement_on_planted_y_vertices():
+    # Real leaf residues with a nonempty Y set: every one is placed with
+    # each Y vertex under one adjacent leaf, within the 3/5 tree caps and
+    # two per leaf, and color_graph's verdict matches the brute oracle.
+    rng = random.Random(50)
+    seen = Counter()
+    for _ in range(200):
+        graph = planted_y_graph(rng)
+        (g,) = _leaf_graphs([graph])
+        assert len(g.adj) == graph[0]
+        _f, trees, _x_set, y_set = _assert_forests(g)
+        assert y_set
+        seen["high over three"] += any(t.high and t.grand_count > 3 for t in trees)
+        seen["low placed"] += any(not t.high and t.grand_count for t in trees)
+        res = color_graph(*graph)
+        assert res.colorable == (brute_vertex_color(_bfs_numbered(*graph)) is not None)
+        if res.colorable:
+            assert proper(graph[1], res.coloring)
+        seen[res.colorable] += 1
+    assert seen["high over three"] > 10 and seen["low placed"] > 30
+    assert seen[True] > 50 and seen[False] > 20
 def _assert_placed(g, trees, y_set):
     """Each Y vertex sits under exactly one leaf, adjacent to it, and no
     tree or leaf holds more grandchildren than it may."""
