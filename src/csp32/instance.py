@@ -20,7 +20,6 @@ the original one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
 from typing import Iterable, Optional
 
 from .analysis import EPSILON
@@ -213,10 +212,6 @@ class Instance:
         pairs = self.table.pairs
         return [(pairs[i], pairs[i + k]) for i, m in self.conf.items() for k in bits(m >> i)]
 
-    def pairs(self) -> list[Pair]:
-        pairs = self.table.pairs
-        return [pairs[i] for i in self.conf]
-
     def has(self, p: Pair) -> bool:
         return self.table.ids.get(p) in self.conf
 
@@ -338,24 +333,26 @@ def eliminate_two_color(inst: Instance, v: int) -> TwoColorEliminated:
 
     For the two colors R and G, every combination of a conflict of R
     with a conflict of G would leave v uncolorable, so those pairs become
-    constraints and v disappears: a pair in both lists goes, then |R| +
-    |G| mask ORs add the products.  In-place on inst.
+    constraints and v disappears.  One pass, in place on inst: R and G
+    are the lowest and highest bits of v's mask, the pairs both hit are
+    dropped, and one loop over the other conflicts of R and G clears R
+    and G from each and ORs in the products (|R| + |G| mask edits).
     """
-    ids = bits(inst.live[v])
-    if len(ids) != 2:
-        raise ValueError(f"variable {v} has {len(ids)} colors, expected 2")
     conf, live, pairs = inst.conf, inst.live, inst.table.pairs
-    r, g = ids
+    m = live[v]
+    if m.bit_count() != 2:
+        raise ValueError(f"variable {v} has {m.bit_count()} colors, expected 2")
+    r, g = (m & -m).bit_length() - 1, m.bit_length() - 1
     cr, cg = conf[r], conf[g]
-    rs, gs = bits(cr), bits(cg)
-    both = cr & cg
-    inst._drop(live[v] | both)
-    del live[v]
+    rs, gs, both = bits(cr), bits(cg), cr & cg
+    if both:
+        inst._drop(both)
+    del live[v], conf[r], conf[g]
     for src, other in ((rs, cg ^ both), (gs, cr ^ both)):
         for a in src:
             if a in conf:  # not one of both, which are gone
                 own = live[pairs[a][0]]
-                conf[a] |= other & ~own if other & own else other
+                conf[a] = conf[a] & ~m | (other & ~own if other & own else other)
     return TwoColorEliminated(
         v, pairs[r][1], pairs[g][1], tuple(pairs[j] for j in rs), tuple(pairs[j] for j in gs)
     )
@@ -365,21 +362,22 @@ def eliminate_low_colors(inst: Instance, trace: LiftTrace) -> bool:
     """Clear every variable with two or fewer colors from inst, in place.
 
     One-color variables are assigned and two-color ones projected out,
-    lowest id first, appending a lift step to trace for each.  False as
-    soon as some variable has no color left.
+    lowest id first (a plain loop over live finds it, and its mask tells
+    one color from two), appending a lift step to trace for each.  False
+    as soon as some variable has no color left.
     """
     while True:
-        # live iterates in ascending variable order: the first is the lowest
-        low = next((v for v, m in inst.live.items() if m.bit_count() <= 2), None)
-        if low is None:
-            return True
-        ids = bits(inst.live[low])
-        if not ids:
-            return False
-        if len(ids) == 1:
-            trace.append(inst.assign(inst.table.pairs[ids[0]]))
+        for v, m in inst.live.items():
+            if m.bit_count() <= 2:
+                break
         else:
-            trace.append(eliminate_two_color(inst, low))
+            return True
+        if not m:
+            return False
+        if m & (m - 1):
+            trace.append(eliminate_two_color(inst, v))
+        else:
+            trace.append(inst.assign(inst.table.pairs[m.bit_length() - 1]))
 
 
 def find_free_pair(inst: Instance) -> Optional[tuple[Pair, Pair]]:
@@ -411,31 +409,47 @@ def find_free_pair(inst: Instance) -> Optional[tuple[Pair, Pair]]:
 
 def find_dominated(inst: Instance) -> Optional[tuple[int, int, int]]:
     """(var, keeper color, dominated color): conflicts of the keeper are a
-    subset of the dominated color's, so the dominated color is never needed."""
-    pairs = inst.table.pairs
-    # conf iterates in id order and a variable's ids are consecutive, so
-    # grouping its items by variable gives each variable's pairs in order
-    for v, items in groupby(inst.conf.items(), lambda item: pairs[item[0]][0]):
-        group = list(items)
-        for r, cr in group:
-            for b, cb in group:
-                if r != b and cr | cb == cb:
-                    return v, pairs[r][1], pairs[b][1]
-    return None
+    subset of the dominated color's, so the dominated color is never needed.
+
+    conf iterates a variable's pairs consecutively, so one loop tests each
+    conflict mask against the earlier ones of its variable; the first
+    variable with a nested couple is then scanned in order."""
+    conf, pairs = inst.conf, inst.table.pairs
+    masks, v, nested = [], None, False
+    for i, hit in conf.items():
+        u = pairs[i][0]
+        if u != v:
+            if nested:
+                break
+            masks, v = [], u
+        else:
+            for h in masks:
+                both = h | hit
+                if both == h or both == hit:
+                    nested = True
+        masks.append(hit)
+    if not nested:
+        return None
+    ids = bits(inst.live[v])
+    for r in ids:
+        for b in ids:
+            if r != b and conf[r] | conf[b] == conf[b]:
+                return v, pairs[r][1], pairs[b][1]
 
 
 def find_dead_color(inst: Instance) -> Optional[Pair]:
     """A pair that hits every color of another variable can never be used.
 
-    The AND of a variable's conflict masks holds the pairs hitting all of
-    its colors; the lowest set bit of their union is the first dead pair
-    in sorted order."""
-    pairs, dead = inst.table.pairs, 0
-    for _v, items in groupby(inst.conf.items(), lambda item: pairs[item[0]][0]):
-        _i, hit_all = next(items)
-        for _i, hit in items:
+    One loop over conf, which iterates a variable's pairs consecutively,
+    ANDs each variable's conflict masks; the lowest set bit of the union
+    of these is the first dead pair in sorted order."""
+    pairs, dead, hit_all, v = inst.table.pairs, 0, 0, None
+    for i, hit in inst.conf.items():
+        if pairs[i][0] == v:
             hit_all &= hit
-        dead |= hit_all
+        else:
+            dead, hit_all, v = dead | hit_all, hit, pairs[i][0]
+    dead |= hit_all
     return pairs[(dead & -dead).bit_length() - 1] if dead else None
 
 

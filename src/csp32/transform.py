@@ -37,28 +37,6 @@ class GeneralCSP:
     domains: dict[int, set[int]]
     constraints: list[tuple[Pair, ...]] = field(default_factory=list)
 
-    def arity(self) -> tuple[int, int]:
-        a = max((len(d) for d in self.domains.values()), default=0)
-        b = max((len(c) for c in self.constraints), default=0)
-        return a, b
-
-    def check(self, asg: Assignment) -> bool:
-        for v, d in self.domains.items():
-            if asg.get(v) not in d:
-                return False
-        for con in self.constraints:
-            if all(asg.get(v) == c for (v, c) in con):
-                return False
-        return True
-
-    def brute_solve(self) -> Optional[Assignment]:
-        order = sorted(self.domains)
-        for combo in product(*(sorted(self.domains[v]) for v in order)):
-            asg = dict(zip(order, combo))
-            if self.check(asg):
-                return asg
-        return None
-
 
 def normalize_constraint(con: Iterable[Pair]) -> Optional[tuple[Pair, ...]]:
     """Drop duplicate pairs and vacuous constraints.

@@ -26,8 +26,6 @@ from csp32.instance import (
     bits,
     check,
     eliminate_low_colors,
-    find_dead_color,
-    find_dominated,
     find_free_pair,
     measure,
     simplify,
@@ -241,6 +239,12 @@ class SetInstance:
         self.remove_variable(w)
 
 
+def live_pairs(inst):
+    """inst's live pairs, in sorted order."""
+    pairs = inst.table.pairs
+    return [pairs[i] for i in inst.conf]
+
+
 def same_instance(inst, ref):
     """Whether a mask Instance and a SetInstance hold the same variables,
     colors and constraints."""
@@ -309,6 +313,32 @@ def brute_csp_product(inst):
     return None
 
 
+def general_arity(csp):
+    """(a, b) of a transform.GeneralCSP: its largest domain and its
+    largest constraint."""
+    a = max((len(d) for d in csp.domains.values()), default=0)
+    b = max((len(c) for c in csp.constraints), default=0)
+    return a, b
+
+
+def general_check(csp, asg):
+    """Whether asg gives every variable of a GeneralCSP a value of its
+    domain and realizes no constraint in full."""
+    return all(asg.get(v) in d for v, d in csp.domains.items()) and not any(
+        all(asg.get(v) == c for v, c in con) for con in csp.constraints
+    )
+
+
+def brute_general(csp):
+    """The first solution of a GeneralCSP in product order, or None."""
+    order = sorted(csp.domains)
+    for combo in product(*(sorted(csp.domains[v]) for v in order)):
+        asg = dict(zip(order, combo))
+        if general_check(csp, asg):
+            return asg
+    return None
+
+
 def brute_free_pair(inst):
     """Reference for instance.find_free_pair: the plain O(P^2) scan over
     every ordered couple of pairs of the set form, in the same first-match
@@ -329,8 +359,10 @@ def brute_free_pair(inst):
 
 def brute_simplify(inst, tally):
     """Reference for instance.simplify: the fixpoint of four lemmas it
-    replaced, whose third assigns the least unconstrained pair.  Each
-    lemma applied is counted under its name in the tally Counter."""
+    replaced, whose third assigns the least unconstrained pair.  The
+    dominated and dead color lemmas are the set-form references, not the
+    mask scans under test.  Each lemma applied is counted under its name
+    in the tally Counter."""
 
     def lemma_step(inst):
         found = find_free_pair(inst)
@@ -341,17 +373,17 @@ def brute_simplify(inst, tally):
             if inst.has(q):
                 inst.assign(q)
             return FreePairUsed(p, q)
-        found = find_dominated(inst)
+        found = brute_dominated(inst)
         if found is not None:
             tally["dominated"] += 1
             v, _r, b = found
             inst.remove_color(v, b)
             return DominatedColorRemoved(v, b)
-        p = min((p for p in inst.pairs() if not inst.degree(p)), default=None)
+        p = min((p for p in live_pairs(inst) if not inst.degree(p)), default=None)
         if p is not None:
             tally["unconstrained"] += 1
             return inst.assign(p)
-        p = find_dead_color(inst)
+        p = brute_dead_color(inst)
         if p is not None:
             tally["dead"] += 1
             inst.remove_color(p[0], p[1])
@@ -381,6 +413,21 @@ def brute_eliminate_two_color(ref, v):
         if a in ref.adj and b in ref.adj:
             ref.add_constraint(a, b)
     return TwoColorEliminated(v, r, g, tuple(conflict_r), tuple(conflict_g))
+
+
+def brute_dominated(inst):
+    """Reference for instance.find_dominated: the first (variable, keeper,
+    dominated) of the set form, variables and then both colors in sorted
+    order, whose keeper's conflict set is a subset of the dominated
+    color's."""
+    ref = SetInstance.of(inst)
+    for v in sorted(ref.colors):
+        cs = sorted(ref.colors[v])
+        for r in cs:
+            for b in cs:
+                if r != b and ref.adj[(v, r)] <= ref.adj[(v, b)]:
+                    return v, r, b
+    return None
 
 
 def brute_dead_color(inst):

@@ -31,10 +31,12 @@ from csp32.vertexcolor import color_graph
 from helpers import (
     SetInstance,
     brute_dead_color,
+    brute_dominated,
     brute_eliminate_two_color,
     brute_free_pair,
     brute_simplify,
     is_reduced,
+    live_pairs,
     pair_order_problems,
     same_instance,
     validate,
@@ -218,7 +220,7 @@ def random_free_pair_instance(rng):
     so a set's iteration order is not always the sorted order."""
     n = rng.randint(1, 7)
     inst = Instance.build({v: rng.sample(range(12), rng.randint(1, 4)) for v in range(n)})
-    for p in inst.pairs():
+    for p in live_pairs(inst):
         others = [w for w in inst.colors if w != p[0]]
         for w in rng.sample(others, min(len(others), rng.choice((0, 0, 1, 1, 2, 3)))):
             for c in sorted(inst.colors[w]):
@@ -240,21 +242,17 @@ def test_free_pair_matches_brute_reference():
     assert min(outcomes.values()) >= 500, outcomes
 
 
-def test_free_pair_sorts_pairs_once(monkeypatch):
+def test_free_pair_matches_brute_reference_on_reduced_instance():
+    # A large reduced instance has no free pair, and neither have the
+    # children left by assigning one pair of its first variables.
     rng = random.Random(1)
     inst, _ = simplify(structured_csp(rng, [rng.choice((3, 4)) for _ in range(80)], four_vars=20))
     assert inst is not None and inst.n > 0
-    calls = 0
-    sorted_pairs = Instance.pairs
-
-    def counting_pairs(self):
-        nonlocal calls
-        calls += 1
-        return sorted_pairs(self)
-
-    monkeypatch.setattr(Instance, "pairs", counting_pairs)
-    assert find_free_pair(inst) is None
-    assert calls <= 1
+    assert find_free_pair(inst) == brute_free_pair(inst)
+    for v in inst.variables()[:12]:
+        child = inst.copy()
+        child.assign((v, min(inst.colors[v])))
+        assert find_free_pair(child) == brute_free_pair(child)
 
 
 def test_dominance_detection():
@@ -267,6 +265,24 @@ def test_dominance_detection():
     assert got is not None
     v, keep, drop = got
     assert (v, drop) == (0, 1)
+
+
+def test_dominated_matches_brute_reference():
+    # Each instance drops dominated colors until none is left, so every
+    # run ends in a miss and masks with removed pairs are tested too.
+    rng = random.Random(5)
+    hits = misses = 0
+    for _ in range(1000):
+        inst = random_free_pair_instance(rng)
+        while True:
+            got = find_dominated(inst)
+            assert got == brute_dominated(inst), inst.constraints()
+            if got is None:
+                break
+            inst.remove_color(got[0], got[2])
+            hits += 1
+        misses += 1
+    assert min(hits, misses) >= 300, (hits, misses)
 
 
 def test_dead_color_detection():
@@ -298,6 +314,8 @@ def test_two_color_elimination_matches_brute_reference():
             fast, slow = inst.copy(), SetInstance.of(inst)
             step = eliminate_two_color(fast, v)
             assert step == brute_eliminate_two_color(slow, v)
+            # constraints() reads only the upper half of each mask
+            assert validate(fast) == []
             assert {w: set(cs) for w, cs in fast.colors.items()} == slow.colors
             assert fast.constraints() == slow.constraints()
             removed += bool(set(step.conflict_r) & set(step.conflict_g))

@@ -19,7 +19,7 @@ from csp32.oracle import (
     structured_csp,
 )
 
-from helpers import brute_csp_product
+from helpers import brute_csp_product, live_pairs
 
 
 def test_brute_solvers_agree():
@@ -48,7 +48,7 @@ def test_structured_csp_controls_pair_degrees():
         inst = structured_csp(rng, degs)
         if inst is None:
             continue
-        for p in inst.pairs():
+        for p in live_pairs(inst):
             # One constraint per incident skeleton edge, never two into
             # the same variable.
             partners = [q[0] for q in inst.nbrs(p)]

@@ -17,6 +17,8 @@ from csp32.transform import (
     sat_to_csp,
 )
 
+from helpers import brute_general, general_arity, general_check
+
 
 def test_normalize_constraint():
     # Duplicate pairs collapse.
@@ -27,16 +29,16 @@ def test_normalize_constraint():
 
 def test_general_csp_check_and_brute():
     csp = GeneralCSP({1: {0, 1}, 2: {0, 1}}, [((1, 0), (2, 0)), ((1, 1), (2, 1))])
-    sol = csp.brute_solve()
-    assert sol is not None and csp.check(sol)
-    assert not csp.check({1: 0, 2: 0})
+    sol = brute_general(csp)
+    assert sol is not None and general_check(csp, sol)
+    assert not general_check(csp, {1: 0, 2: 0})
 
 
 def test_dualize_swaps_arity():
     # A (2,3)-CSP with three clauses becomes a (3,2)-CSP on three variables.
     csp = cnf_to_general(3, [(1, 2, 3), (-1, 2, 3), (1, -2, -3)])
     dual, dmap = dualize(csp)
-    a, b = dual.arity()
+    a, b = general_arity(dual)
     assert a <= 3 and b <= 2
     assert set(dual.domains) == {0, 1, 2}
 
@@ -49,14 +51,14 @@ def test_dual_solutions_decode_to_originals():
         clauses = random_3cnf(rng, nv, rng.randint(1, 6))
         csp = cnf_to_general(nv, clauses)
         dual, dmap = dualize(csp)
-        got = dual.brute_solve()
-        want = csp.brute_solve()
+        got = brute_general(dual)
+        want = brute_general(csp)
         # Duality preserves satisfiability exactly.
         assert (got is not None) == (want is not None), trial
         if got is not None:
             decoded = dmap.decode(got)
             full = {v: decoded.get(v, min(csp.domains[v])) for v in csp.domains}
-            assert csp.check(full), trial
+            assert general_check(csp, full), trial
             agree += 1
     assert agree > 50
 
