@@ -10,6 +10,10 @@ The splice search edits one EdgeInstance in place: a splice removes its
 five edges once, builds each live pairing on the same instance only when
 the search asks for it (the second after the first subtree fails) and
 puts the instance back exactly once its pairings are spent.
+
+The search refutes a pairing whose new edges close a K4 of conflicts
+(a K4 needs four colors).  Testing the new edges is enough: only they
+gain conflicts, and a simple subcubic graph has no such K4.
 """
 
 from __future__ import annotations
@@ -217,6 +221,36 @@ def splice(ei: EdgeInstance, eid: int) -> Iterator[SpliceStep]:
     partners.update(outside)
 
 
+def in_conflict_k4(ei: EdgeInstance, eid: int) -> bool:
+    """Whether edge eid and three other edges all conflict pairwise; two
+    edges conflict when they share an endpoint or must differ."""
+    edges, at, partners = ei.edges, ei.at, ei.partners
+    u, v = edges[eid]
+    near = {*at[u], *at[v], *partners.get(eid, ())}
+    near.discard(eid)
+    seen = {}  # each edge of near so far -> its conflicts inside near
+    for f in near:
+        x, y = edges[f]
+        mine = {*at[x], *at[y], *partners.get(f, ())}
+        mine &= near
+        mine.discard(f)
+        # a triangle inside near completes the K4; it shows at its last edge
+        for g in mine:
+            if g in seen and not mine.isdisjoint(seen[g]):
+                return True
+        seen[f] = mine
+    return False
+
+
+def _refuted(ei: EdgeInstance, step: SpliceStep, stats: SearchStats) -> bool:
+    """Whether a new edge of the pairing ei was just edited into lies in
+    a K4 of conflicts, counting each pairing so refuted."""
+    (first, _), (second, _) = step.merged
+    dead = in_conflict_k4(ei, first) or in_conflict_k4(ei, second)
+    stats.k4_refuted += dead
+    return dead
+
+
 def select_splices(ei: EdgeInstance) -> list[int]:
     """A maximum matching among edges with four neighbors, as edge ids.
 
@@ -276,7 +310,8 @@ def _expand(
         if spliceable(ei, plan[k]):
             stats.splices += 1
             cfg.charge(stats)
-            return None, ((k + 1, path + [step]) for step in splice(ei, plan[k]))
+            steps = splice(ei, plan[k])
+            return None, ((k + 1, path + [s]) for s in steps if not _refuted(ei, s, stats))
         stats.skipped_splices += 1
     stats.leaves += 1
     colors = _line_graph_solve(ei, cfg, stats)

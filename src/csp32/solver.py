@@ -603,6 +603,7 @@ class SearchStats:
     csp_nodes: int = 0
     splices: int = 0
     skipped_splices: int = 0  # matched edges whose preconditions broke
+    k4_refuted: int = 0  # splice pairings whose new edges close a K4 of conflicts
     breakdowns: tuple = (0, 0, 0, 0, 0)  # max (p, q, r, s, t) split over coloring leaves
 
     @property
@@ -619,6 +620,7 @@ class SearchStats:
         self.fallbacks += sub.fallbacks
         self.splices += sub.splices
         self.skipped_splices += sub.skipped_splices
+        self.k4_refuted += sub.k4_refuted
         self.breakdowns = tuple(map(max, self.breakdowns, sub.breakdowns))
 
 

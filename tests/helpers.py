@@ -562,6 +562,26 @@ def brute_line_graph_edges(ei):
     return sorted(lg_edges)
 
 
+def brute_conflict_k4s(ei):
+    """Every set of four edges of ei that conflict pairwise (two edges
+    conflict when they share an endpoint or are constrained to differ),
+    searched over the whole conflict graph built from scratch."""
+    ids = sorted(ei.edges)
+    constraints = constraint_set(ei)
+    near = {
+        a: {b for b in ids if b != a and (set(ei.edges[a]) & set(ei.edges[b])
+                                          or frozenset((a, b)) in constraints)}
+        for a in ids
+    }
+    return {
+        frozenset((a, b, c, d))
+        for a in ids
+        for b in near[a] if b > a
+        for c in near[a] & near[b] if c > b
+        for d in near[a] & near[b] & near[c] if d > c
+    }
+
+
 def scan_incidence(ei):
     """EdgeInstance.at rebuilt from ei.edges: vertex -> ascending edge ids."""
     at = {}

@@ -26,6 +26,11 @@ K4_COL = "p edge 4 6\n" + "".join(
     f"e {u} {v}\n" for u in range(1, 5) for v in range(u + 1, 5)
 )
 STAR4_COL = "p edge 5 4\ne 1 2\ne 1 3\ne 1 4\ne 1 5\n"
+PETERSEN_COL = "p edge 10 15\n" + "".join(
+    f"e {u + 1} {v + 1}\n"
+    for i in range(5)
+    for u, v in ((i, (i + 1) % 5), (i + 5, (i + 2) % 5 + 5), (i, i + 5))
+)
 SAT_CNF = "c tiny\np cnf 3 3\n1 2 3 0\n-1 2 0\n-2 -3 0\n"
 UNSAT_CNF = "p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n"
 
@@ -181,6 +186,15 @@ def test_edge_color_exit_codes(tmp_path, capsys):
 
     assert main(["edge-color", k4, "--node-limit", "0"]) == EXIT_LIMIT
     assert capsys.readouterr().out.splitlines()[0] == "limit"
+
+
+def test_edge_color_stats_count_k4_refutations(tmp_path, capsys):
+    # The Petersen graph is refuted before any line graph: each branch of
+    # its splice search ends in pairings that close a K4 of conflicts.
+    petersen = write(tmp_path, "petersen.col", PETERSEN_COL)
+    assert main(["edge-color", petersen, "--stats", "--json"]) == EXIT_UNSAT
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    assert (stats["splices"], stats["k4_refuted"], stats["leaves"]) == (4, 3, 0)
 
 
 def test_failed_library_verification_is_an_error(tmp_path, capsys, monkeypatch):

@@ -3,6 +3,7 @@
 import json
 import random
 import sys
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -11,6 +12,7 @@ import csp32.edgecolor as edgecolor
 from csp32.edgecolor import (
     EdgeInstance,
     edge_color,
+    in_conflict_k4,
     spliceable,
     splice,
     splice_candidates,
@@ -19,12 +21,14 @@ from csp32.edgecolor import (
 from csp32.solver import NodeLimitReached, SearchStats, SolverConfig
 from csp32.oracle import (
     brute_edge_color,
+    brute_vertex_color,
     planted_cubic_edge_colorable,
     random_cubic,
     random_graph,
 )
 from helpers import (
     charge_identity,
+    brute_conflict_k4s,
     brute_line_graph_edges,
     brute_splice,
     brute_splice_candidates,
@@ -111,14 +115,14 @@ def test_edge_color_without_asserts():
         f"petersen, _ = edge_color(10, {PETERSEN!r})\n"
         "planted, stats = edge_color(*planted_cubic_edge_colorable(random.Random(1), 24))\n"
         "print(json.dumps([__debug__, sorted(k4.items()), petersen, planted is not None,"
-        " stats.splices]))\n"
+        " [stats.splices, stats.k4_refuted]]))\n"
     )
     run = run_fresh(code, "-O")
     assert run.returncode == 0, run.stderr
-    debug, k4, petersen, planted, splices = json.loads(run.stdout.splitlines()[-1])
+    debug, k4, petersen, planted, (splices, refuted) = json.loads(run.stdout.splitlines()[-1])
     assert not debug
     assert proper_edge(K4, {tuple(e): c for e, c in k4})
-    assert petersen is None and planted and splices == 84
+    assert petersen is None and planted and (splices, refuted) == (44, 26)
 
 
 def test_charge_identity_on_cubic_graphs():
@@ -207,6 +211,69 @@ def test_splice_returns_only_live_children():
             if not _enter_child(ei, eid, rng):
                 break
     assert splices > 200 and dropped > 0
+
+
+def test_k4_refutation_is_sound():
+    # Along random splice paths, each new edge of every pairing is in a
+    # K4 of conflicts exactly when a brute search over the whole
+    # conflict graph finds one holding it, and a pairing so refuted has
+    # a line graph with no proper 3-coloring.
+    rng = random.Random(49)
+    refuted = kept = 0
+    for _ in range(150):
+        graph = rng.choice([random_cubic, planted_cubic_edge_colorable])(
+            rng, rng.choice([8, 10, 12])
+        )
+        ei = EdgeInstance.from_graph(*graph)
+        strip_low_neighbor_edges(ei)
+        while cands := splice_candidates(ei):
+            eid = rng.choice(cands)
+            for step in splice(ei, eid):
+                k4s = brute_conflict_k4s(ei)
+                news = [new for new, _olds in step.merged]
+                hit = [in_conflict_k4(ei, new) for new in news]
+                assert hit == [any(new in q for q in k4s) for new in news]
+                if any(hit):
+                    lg = brute_line_graph_edges(ei)
+                    assert brute_vertex_color((len(ei.edges), lg)) is None
+                    refuted += 1
+                else:
+                    kept += 1
+            if not _enter_child(ei, eid, rng):
+                break
+    assert refuted > 100 and kept > 100
+
+
+def test_search_states_hold_no_k4(monkeypatch):
+    # Checking the two new edges of each pairing is enough: no state the
+    # splice search keeps, and no leaf, has a K4 of conflicts anywhere,
+    # and every refuted pairing has one through a new edge.
+    real_refuted, real_leaf = edgecolor._refuted, edgecolor._line_graph_solve
+    seen = {"kept": 0, "refuted": 0, "leaves": 0}
+
+    def refuted(ei, step, stats):
+        out = real_refuted(ei, step, stats)
+        k4s = brute_conflict_k4s(ei)
+        (first, _), (second, _) = step.merged
+        if out:
+            assert any(first in q or second in q for q in k4s)
+            seen["refuted"] += 1
+        else:
+            assert not k4s
+            seen["kept"] += 1
+        return out
+
+    def leaf(ei, cfg, stats):
+        assert not brute_conflict_k4s(ei)
+        seen["leaves"] += 1
+        return real_leaf(ei, cfg, stats)
+
+    monkeypatch.setattr(edgecolor, "_refuted", refuted)
+    monkeypatch.setattr(edgecolor, "_line_graph_solve", leaf)
+    for s in range(40):
+        edge_color(*planted_cubic_edge_colorable(random.Random(s), 12 + 2 * (s % 10)))
+        edge_color(*random_cubic(random.Random(s), 8 + 2 * (s % 8)))
+    assert seen["kept"] > 500 and seen["refuted"] > 150 and seen["leaves"] > 50
 
 
 def _brute_constrained(ei):
@@ -374,16 +441,22 @@ def test_edge_color_matches_brute_force():
 
 
 def test_edge_color_cubic_fuzz(index_checked):
+    # The K4 refutation prunes only dead pairings, so verdicts match the
+    # brute edge coloring on planted and random cubic graphs alike; few
+    # random cubic graphs this small are uncolorable.
     rng = random.Random(44)
-    for _ in range(60):
-        graph = random_cubic(rng, rng.choice([6, 8, 10]))
-        if graph is None:
-            continue
+    graphs = [random_cubic(rng, rng.choice([6, 8, 10])) for _ in range(60)]
+    graphs += [planted_cubic_edge_colorable(random.Random(s), 8 + 2 * (s % 7)) for s in range(100)]
+    graphs += [random_cubic(random.Random(500 + s), 8 + 2 * (s % 7)) for s in range(400)]
+    verdicts = Counter()
+    for graph in graphs:
         got, _ = edge_color(*graph)
         want = brute_edge_color(graph)
         assert (got is not None) == (want is not None), graph
         if got is not None:
             assert proper_edge(graph[1], got)
+        verdicts[got is not None] += 1
+    assert verdicts[True] > 400 and verdicts[False] >= 4
 
 
 def test_edge_color_planted_cubic():
@@ -409,19 +482,34 @@ def test_edge_color_rejects_unverified_coloring(monkeypatch):
         edge_color(4, k4)
 
 
-def test_node_limit_bounds_the_whole_call():
-    # Unlimited, this graph takes 12 splices and 17 graph+CSP nodes over
-    # three line graphs; every smaller limit must stop the call as a
+def test_node_limit_bounds_the_whole_call(monkeypatch):
+    # Unlimited, this graph takes 12 splices and 23 graph+CSP nodes over
+    # two line graphs; every smaller limit must stop the call as a
     # whole, not give each line graph a fresh budget, including limits
     # that run out inside a line graph's forward-checked enumeration.
-    graph = random_cubic(random.Random(0), 16)
+    graph = random_cubic(random.Random(112), 20)
     coloring, stats = edge_color(*graph)
     assert coloring is not None
-    assert (stats.splices, stats.leaves, stats.nodes + stats.csp_nodes) == (12, 3, 17)
+    assert (stats.splices, stats.leaves, stats.nodes + stats.csp_nodes) == (12, 2, 23)
+    ran_out = []  # the function whose charge raised first, per limited call
+    charge = SolverConfig.charge
+
+    def traced(cfg, stats):
+        try:
+            return charge(cfg, stats)
+        except NodeLimitReached:
+            ran_out.append(sys._getframe(1).f_code.co_name)
+            raise
+
+    monkeypatch.setattr(SolverConfig, "charge", traced)
+    inside = 0
     for limit in range(stats.spent):
+        del ran_out[:]
         with pytest.raises(NodeLimitReached) as info:
             edge_color(*graph, SolverConfig(node_limit=limit))
         assert info.value.stats.spent == limit + 1
+        inside += ran_out[0] == "extensions"  # vertexcolor._solve_leaf's enumeration
+    assert inside > 5
 
 
 def test_deep_splice_plan_ends_in_a_verdict():

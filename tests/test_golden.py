@@ -6,10 +6,11 @@ it.  These counts were recorded before the in-place simplification
 rewrite; a refactor that claims identical search must keep them.  The
 two benchmark-scale entries (structured n=50, 3-SAT n=35) were recorded
 before the partner-indexed free-pair search replaced the O(P^2) scan.
-The edge-coloring entries were recorded before the incidence index
-replaced the full edge scans in the splice search, and the deep ones
-stopped by a node limit before splices edited one instance in place.
-The coloring node
+The edge-coloring entries, the deep ones stopped by a node limit
+included, were re-recorded when the splice search began refuting each
+pairing whose new edges close a K4 of conflicts: the search reaches the
+same first colored leaf through fewer splices and leaves, and the last
+column counts the refuted pairings.  The coloring node
 counts (color_graph, and the last EDGE column) were rerecorded when the
 leaf enumeration gained its forward check: `nodes` now also counts each
 checked partial interior coloring, and `csp_nodes` falls with the leaf
@@ -48,20 +49,21 @@ SAT = {
 }
 
 # (generator, seed, n) -> (colorable, splices, skipped_splices, leaves,
-# nodes + csp_nodes)
+# nodes + csp_nodes, k4_refuted)
 EDGE = {
-    ("planted", 1, 24): (True, 84, 18, 5, 25),
-    ("planted", 1, 40): (True, 689, 228, 69, 495),
-    ("random", 0, 16): (True, 12, 5, 3, 17),
-    ("random", 2, 12): (False, 4, 3, 2, 14),
-    ("random", 2, 20): (False, 21, 7, 6, 72),
+    ("planted", 1, 24): (True, 44, 4, 1, 3, 26),
+    ("planted", 1, 40): (True, 119, 8, 1, 1, 70),
+    ("planted", 1, 100): (True, 1806, 37, 1, 3, 1152),
+    ("random", 0, 16): (True, 6, 2, 1, 3, 1),
+    ("random", 2, 12): (False, 1, 0, 0, 0, 1),
+    ("random", 2, 20): (False, 3, 0, 0, 0, 1),
 }
 
-# (seed, n, node_limit) -> (splices, skipped_splices, leaves, nodes + csp_nodes)
-# for planted cubic graphs whose splice search runs into the node limit
+# (seed, n, node_limit) -> (splices, skipped_splices, leaves, nodes + csp_nodes,
+# k4_refuted) for planted cubic graphs whose splice search runs into the node limit
 EDGE_DEEP = {
-    (1, 100, 5000): (4759, 546, 17, 242),
-    (1, 200, 3000): (3001, 20, 0, 0),
+    (1, 200, 3000): (3001, 329, 0, 0, 2400),
+    (2, 200, 5000): (5001, 0, 0, 0, 4126),
 }
 
 
@@ -111,7 +113,7 @@ def test_edge_color_splice_counts(kind, seed, n):
     make = planted_cubic_edge_colorable if kind == "planted" else random_cubic
     coloring, stats = edge_color(*make(random.Random(seed), n))
     got = (coloring is not None, stats.splices, stats.skipped_splices, stats.leaves,
-           stats.nodes + stats.csp_nodes)
+           stats.nodes + stats.csp_nodes, stats.k4_refuted)
     assert got == EDGE[(kind, seed, n)]
 
 
@@ -121,5 +123,6 @@ def test_deep_edge_search_counts(seed, n, limit):
     with pytest.raises(NodeLimitReached) as info:
         edge_color(*graph, SolverConfig(node_limit=limit))
     stats = info.value.stats
-    got = (stats.splices, stats.skipped_splices, stats.leaves, stats.nodes + stats.csp_nodes)
+    got = (stats.splices, stats.skipped_splices, stats.leaves, stats.nodes + stats.csp_nodes,
+           stats.k4_refuted)
     assert got == EDGE_DEEP[(seed, n, limit)]

@@ -275,10 +275,13 @@ def test_absorb_folds_nested_counts():
     graph.absorb(csp, csp=True)
     assert (graph.nodes, graph.leaves, graph.csp_calls, graph.csp_nodes) == (1, 1, 1, 3)
     assert (graph.rule_counts, graph.fallbacks, graph.spent) == ({"dangling": 1}, 1, 4)
-    edge = SearchStats(splices=2, skipped_splices=1, leaves=1)
+    edge = SearchStats(splices=2, skipped_splices=1, k4_refuted=3, leaves=1)
     edge.absorb(graph)
     assert (edge.nodes, edge.leaves, edge.csp_calls, edge.csp_nodes) == (1, 1, 1, 3)
     assert (edge.splices, edge.skipped_splices, edge.spent) == (2, 1, 6)
+    # refuted pairings are summed but, like skipped splices, not spent
+    edge.absorb(SearchStats(k4_refuted=2))
+    assert (edge.k4_refuted, edge.spent) == (5, 6)
     # leaf splits fold into one componentwise max
     edge.absorb(SearchStats(breakdowns=(1, 5, 0, 2, 0)))
     edge.absorb(SearchStats(breakdowns=(3, 1, 0, 0, 4)))

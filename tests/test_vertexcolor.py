@@ -554,6 +554,17 @@ def _record_csp(monkeypatch):
     return solved, decided
 
 
+def _cubic_graphs():
+    """Seeded planted and random cubic graphs for edge_color.  Most are
+    colored at the splice search's first leaf, so the random ones run to
+    n = 30 to give the line-graph leaves real enumeration."""
+    for s in range(20):
+        yield planted_cubic_edge_colorable(random.Random(s), 12 + 2 * (s % 8))
+        yield random_cubic(random.Random(s), 10 + 2 * (s % 4))
+    for s in range(80):
+        yield random_cubic(random.Random(100 + s), 16 + 2 * (s % 8))
+
+
 def _both_ways(monkeypatch, run):
     """run() with the forward-checked leaf and with the brute reference:
     (result, successful CSP arguments, decided leaf colorings, stats)
@@ -590,10 +601,8 @@ def test_forward_checked_leaf_matches_brute_reference(monkeypatch):
 
 
 def test_forward_checked_line_graphs_match_brute_reference(monkeypatch):
-    graphs = [planted_cubic_edge_colorable(random.Random(s), 12 + 2 * (s % 8)) for s in range(20)]
-    graphs += [random_cubic(random.Random(s), 10 + 2 * (s % 4)) for s in range(20)]
     leaves = decided = 0
-    for graph in graphs:
+    for graph in _cubic_graphs():
         (got, got_csp, got_leaf, got_stats), (want, want_csp, want_leaf, want_stats) = _both_ways(
             monkeypatch, lambda: edge_color(*graph)
         )
@@ -638,10 +647,8 @@ def test_incremental_forward_check_matches_brute_reference(monkeypatch):
         colored.clear()
     assert checks > 3000 and refuted > 1000
     before = checks, refuted
-    for s in range(20):
-        edge_color(*planted_cubic_edge_colorable(random.Random(s), 12 + 2 * (s % 8)))
-        colored.clear()
-        edge_color(*random_cubic(random.Random(s), 10 + 2 * (s % 4)))
+    for graph in _cubic_graphs():
+        edge_color(*graph)
         colored.clear()
     assert checks - before[0] > 200 and refuted - before[1] > 50  # line graphs
 
@@ -682,9 +689,14 @@ def test_leaf_csp_gets_only_undecided_vertices(monkeypatch):
         color_graph(*graph)
     for graph in _planted_graphs(400):
         color_graph(*graph)
-    for s in range(20):
-        edge_color(*planted_cubic_edge_colorable(random.Random(s), 12 + 2 * (s % 8)))
+    before = +sizes
+    # planted cubic graphs from n = 40 up, whose first leaf's line graph
+    # more often keeps three or more three-color vertices
+    for s in range(30):
+        edge_color(*planted_cubic_edge_colorable(random.Random(s), 40 + 2 * (s % 20)))
     assert sizes[1] > 1000 and sizes[2] > 3000 and sizes[3] > 300
+    line = sizes - before
+    assert line[2] > 100 and line[3] > 30
 
     # A hand-built leaf: the bushy tree 0 -> 1 has interior {0, 1}, and
     # its first coloring forces 2, 3 and 4 (adjacent to both) and then 5,
@@ -767,9 +779,8 @@ def test_two_list_leaves_are_decided_by_propagation(monkeypatch):
     for graph in _seeded_graphs(120):
         color_graph(*graph)
     before = +verdicts
-    for s in range(20):
-        edge_color(*planted_cubic_edge_colorable(random.Random(s), 12 + 2 * (s % 8)))
-        edge_color(*random_cubic(random.Random(s), 10 + 2 * (s % 4)))
+    for graph in _cubic_graphs():
+        edge_color(*graph)
     assert verdicts[True] > 80 and verdicts[False] > 80
     assert sum((verdicts - before).values()) > 60  # line graphs
     assert threes[1] > 50 and threes[2] > 50
