@@ -341,6 +341,16 @@ def cmd_oracle(args) -> int:
     return EXIT_SAT if got is not None else EXIT_UNSAT
 
 
+# each fuzz kind and the least --size its generator accepts
+FUZZ_KINDS = {
+    "random-csp": 0,
+    "random-graph": 0,
+    "random-cubic": 3,  # rounded up to 4 vertices
+    "planted-3-colorable": 0,
+    "random-3cnf": 3,  # three distinct variables per clause
+}
+
+
 def _fuzz_one(kind: str, seed: int, size: int) -> bool:
     """One generator+solve+oracle comparison; True when they agree."""
     rng = random.Random(seed)
@@ -353,8 +363,6 @@ def _fuzz_one(kind: str, seed: int, size: int) -> bool:
         g = oracle.random_graph(rng, size, 0.4)
     elif kind == "random-cubic":
         g = oracle.random_cubic(rng, size + size % 2)
-    elif kind == "planted-3-colorable":
-        g = oracle.planted_3colorable(rng, size, 0.5)
     elif kind == "random-3cnf":
         nvars = min(size, 8)
         clauses = oracle.random_3cnf(rng, nvars, nvars + 2)
@@ -362,13 +370,19 @@ def _fuzz_one(kind: str, seed: int, size: int) -> bool:
         ref = oracle.brute_sat(nvars, clauses) is not None
         got = False if inst is None else bool(solve(inst).satisfiable)
         return got == ref
-    else:
-        raise InputError(f"unknown fuzz kind {kind!r}")
+    else:  # planted-3-colorable
+        g = oracle.planted_3colorable(rng, size, 0.5)
     ref = oracle.brute_vertex_color(g) is not None
     return color_graph(*g).colorable == ref
 
 
 def cmd_fuzz(args) -> int:
+    if args.kind not in FUZZ_KINDS:
+        raise InputError(f"unknown fuzz kind {args.kind!r}; choose from {', '.join(FUZZ_KINDS)}")
+    if args.size < FUZZ_KINDS[args.kind]:
+        raise InputError(
+            f"--size: {args.kind} needs at least {FUZZ_KINDS[args.kind]}, got {args.size}"
+        )
     bad = 0
     for i in range(args.count):
         if not _fuzz_one(args.kind, args.seed + i, args.size):
@@ -437,8 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="compare solver and oracle on random inputs")
     p.add_argument("kind")
-    p.add_argument("--count", type=int, default=50)
-    p.add_argument("--size", type=int, default=8)
+    p.add_argument("--count", type=non_negative_int, default=50)
+    p.add_argument("--size", type=non_negative_int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_fuzz)
 

@@ -19,7 +19,6 @@ gain conflicts, and a simple subcubic graph has no such K4.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterator, Optional
 
 from .graphalg import depth_first, general_matching
@@ -39,7 +38,9 @@ class EdgeInstance:
     colors, kept both ways in `partners`: each constrained edge maps to
     the frozenset of ids it must differ from, and an unconstrained edge
     has no entry.  `at` maps each vertex to the ascending ids of its
-    edges; add_edge and remove_edge keep it matching `edges`.
+    edges; add_edge and remove_edge keep it matching `edges`.  No vertex
+    has more than three edges: edge_color rejects the input otherwise,
+    and a splice keeps every degree.
     """
 
     edges: dict[int, Edge] = field(default_factory=dict)
@@ -79,17 +80,18 @@ class EdgeInstance:
             else:
                 del self.at[x]
 
-    def neighbor_ids(self, eid: int) -> list[int]:
+    def conflicts(self, eid: int) -> set[int]:
+        """The edges that share an endpoint with eid or must differ from
+        it: eid's neighbors in the conflict graph the leaf colors."""
         u, v = self.edges[eid]
-        return sorted(set(self.at[u] + self.at[v]) - {eid})
-
-    def constrained(self, eid: int) -> bool:
-        return eid in self.partners
+        out = {*self.at[u], *self.at[v], *self.partners.get(eid, ())}
+        out.discard(eid)
+        return out
 
 
 @dataclass(frozen=True)
 class StrippedEdge:
-    """An edge with at most two neighbors; it takes a color they leave."""
+    """An edge with at most two conflicts; it takes a color they leave."""
 
     eid: int
     neighbor_eids: tuple
@@ -119,7 +121,7 @@ class SpliceStep:
 
 
 def strip_low_neighbor_edges(ei: EdgeInstance) -> list[StrippedEdge]:
-    """Remove edges with two or fewer neighbors; they always extend.
+    """Remove edges with two or fewer conflicts; they always extend.
     Returns the lift steps, in removal order.
 
     Only valid while the instance is unconstrained.
@@ -130,9 +132,9 @@ def strip_low_neighbor_edges(ei: EdgeInstance) -> list[StrippedEdge]:
     while changed:
         changed = False
         for eid in sorted(ei.edges):
-            nbrs = ei.neighbor_ids(eid)
+            nbrs = ei.conflicts(eid)
             if len(nbrs) <= 2:
-                steps.append(StrippedEdge(eid, tuple(nbrs)))
+                steps.append(StrippedEdge(eid, tuple(sorted(nbrs))))
                 ei.remove_edge(eid)
                 changed = True
     return steps
@@ -140,17 +142,10 @@ def strip_low_neighbor_edges(ei: EdgeInstance) -> list[StrippedEdge]:
 
 def spliceable(ei: EdgeInstance, eid: int) -> bool:
     """Whether edge eid exists and meets every splice precondition now."""
-    if eid not in ei.edges:
-        return False
-    w, x = ei.edges[eid]
-    at_w, at_x = ei.at[w], ei.at[x]
-    # eid is the only edge at both ends (the two triples share only it),
-    # so the four neighbor edges leave the pair of spliced vertices
-    return (
-        len(at_w) == len(at_x) == 3
-        and len(set(at_w + at_x)) == 5
-        and not ei.constrained(eid)
-    )
+    # unconstrained, eid has four conflicts only when both ends have
+    # degree three and share no other edge, so the four neighbor edges
+    # leave the pair of spliced vertices
+    return eid in ei.edges and eid not in ei.partners and len(ei.conflicts(eid)) == 4
 
 
 def splice_candidates(ei: EdgeInstance) -> list[int]:
@@ -224,16 +219,11 @@ def splice(ei: EdgeInstance, eid: int) -> Iterator[SpliceStep]:
 def in_conflict_k4(ei: EdgeInstance, eid: int) -> bool:
     """Whether edge eid and three other edges all conflict pairwise; two
     edges conflict when they share an endpoint or must differ."""
-    edges, at, partners = ei.edges, ei.at, ei.partners
-    u, v = edges[eid]
-    near = {*at[u], *at[v], *partners.get(eid, ())}
-    near.discard(eid)
+    conflicts = ei.conflicts
+    near = conflicts(eid)
     seen = {}  # each edge of near so far -> its conflicts inside near
     for f in near:
-        x, y = edges[f]
-        mine = {*at[x], *at[y], *partners.get(f, ())}
-        mine &= near
-        mine.discard(f)
+        mine = conflicts(f) & near
         # a triangle inside near completes the K4; it shows at its last edge
         for g in mine:
             if g in seen and not mine.isdisjoint(seen[g]):
@@ -252,7 +242,7 @@ def _refuted(ei: EdgeInstance, step: SpliceStep, stats: SearchStats) -> bool:
 
 
 def select_splices(ei: EdgeInstance) -> list[int]:
-    """A maximum matching among edges with four neighbors, as edge ids.
+    """A maximum matching among the splice candidates, as edge ids.
 
     On a 3-edge-colorable instance the matching has at least a third of
     those edges, and matched splices are pairwise independent.  It is
@@ -261,11 +251,10 @@ def select_splices(ei: EdgeInstance) -> list[int]:
     plan decides the splice search, so another maximum matching would
     change splice and leaf counts.
     """
-    by_pair = {}  # the edges with four neighbors, by sorted endpoints
-    for eid in sorted(ei.edges):
+    by_pair = {}  # the candidates by sorted endpoints
+    for eid in splice_candidates(ei):
         u, v = ei.edges[eid]
-        if len(set(ei.at[u] + ei.at[v])) == 5:  # eid and its four neighbors
-            by_pair[(u, v) if u < v else (v, u)] = eid
+        by_pair[(u, v) if u < v else (v, u)] = eid
     nodes = sorted({v for p in by_pair for v in p})
     chosen = general_matching(nodes, list(by_pair))
     return sorted(by_pair[p] for p in chosen)
@@ -282,16 +271,9 @@ def _line_graph_solve(
     ei: EdgeInstance, cfg: SolverConfig, stats: SearchStats
 ) -> Optional[dict[int, int]]:
     ids = sorted(ei.edges)
-    index = {eid: i for i, eid in enumerate(ids)}
-    # ids at a vertex ascend, so each pair comes out as (lower, higher)
-    lg_edges = {
-        (index[a], index[b])
-        for at_v in ei.at.values()
-        for a, b in combinations(at_v, 2)
-    }
-    for a, bs in ei.partners.items():
-        lg_edges.update((index[a], index[b]) for b in bs if a < b)
-    res = color_graph(len(ids), sorted(lg_edges), cfg.charge(stats))
+    index = {eid: i for i, eid in enumerate(ids)}  # keeps the order of ids
+    lg_edges = sorted((index[a], index[b]) for a in ids for b in ei.conflicts(a) if a < b)
+    res = color_graph(len(ids), lg_edges, cfg.charge(stats))
     stats.absorb(res.stats)
     cfg.charge(stats)  # raises when the nested coloring ran out
     if not res.colorable:

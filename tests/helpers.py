@@ -446,14 +446,14 @@ def brute_dead_color(inst):
 
 
 def charge_identity(ei):
-    """Neighbor-count split (m3, m4) and the count identity check.
+    """Conflict-count split (m3, m4) and the count identity check.
 
     The identity m3 = 6n/5 - 4*m4/5, over the n vertices that have an
-    edge, requires every edge to have exactly three or four neighbors;
-    when some edge does not, the counts are still returned with check
-    None.
+    edge, holds for an unconstrained instance whose every edge has
+    exactly three or four conflicts (neighbor edges); when some edge
+    does not, the counts are still returned with check None.
     """
-    counts = [len(ei.neighbor_ids(eid)) for eid in sorted(ei.edges)]
+    counts = [len(ei.conflicts(eid)) for eid in sorted(ei.edges)]
     m3 = sum(1 for c in counts if c == 3)
     m4 = sum(1 for c in counts if c == 4)
     if m3 + m4 != len(counts):

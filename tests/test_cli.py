@@ -431,3 +431,22 @@ def test_fuzz_subcommand(capsys):
         assert main(["fuzz", kind, "--count", "4", "--size", "7"]) == EXIT_SAT, kind
         assert "4/4 agreed" in capsys.readouterr().out
     assert main(["fuzz", "no-such-kind", "--count", "1"]) == EXIT_USAGE
+
+
+def test_fuzz_rejects_bad_arguments(capsys):
+    for flag in ("--count", "--size"):
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", "random-csp", flag, "-2"])
+        assert exc.value.code == EXIT_USAGE, flag
+        assert f"{flag}: must be non-negative, got -2" in capsys.readouterr().err, flag
+    # the kind is checked before any round runs, so no count hides it
+    assert main(["fuzz", "no-such-kind", "--count", "0"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "unknown fuzz kind 'no-such-kind'" in err and "random-3cnf" in err
+    for kind in ("random-3cnf", "random-cubic"):
+        assert main(["fuzz", kind, "--count", "1", "--size", "2"]) == EXIT_USAGE, kind
+        assert f"--size: {kind} needs at least 3, got 2" in capsys.readouterr().err, kind
+        assert main(["fuzz", kind, "--count", "2", "--size", "3"]) == EXIT_SAT, kind
+        assert "2/2 agreed" in capsys.readouterr().out, kind
+    assert main(["fuzz", "random-csp", "--count", "0"]) == EXIT_SAT
+    assert "0/0 agreed" in capsys.readouterr().out

@@ -280,8 +280,7 @@ def _brute_constrained(ei):
     """Exhaustive 3-coloring of an edge instance honoring its constraints."""
     ids = sorted(ei.edges)
     pos = {eid: i for i, eid in enumerate(ids)}
-    clash = [(pos[a], pos[b]) for a in ids for b in ei.neighbor_ids(a) if a < b]
-    clash += [tuple(pos[j] for j in con) for con in constraint_set(ei)]
+    clash = [(pos[a], pos[b]) for a in ids for b in ei.conflicts(a) if a < b]
     return any(
         all(combo[i] != combo[j] for i, j in clash)
         for combo in product(range(3), repeat=len(ids))
@@ -325,11 +324,12 @@ def _assert_matches_reference(ei):
     # plan entries can name edges an earlier splice removed
     assert [e for e in range(ei.next_id) if spliceable(ei, e)] == want
     _assert_indexes(ei)
+    constraints = constraint_set(ei)
     for eid in ei.edges:
         u, v = ei.edges[eid]
-        assert ei.neighbor_ids(eid) == sorted(
-            j for j, e in ei.edges.items() if j != eid and (u in e or v in e)
-        )
+        near = {j for j, e in ei.edges.items() if j != eid and (u in e or v in e)}
+        near |= {j for c in constraints if eid in c for j in c - {eid}}
+        assert ei.conflicts(eid) == near
 
 
 def _state(ei, step=None):
@@ -352,11 +352,12 @@ def test_splice_candidates_match_brute_reference(index_checked):
 
 
 def test_splice_paths_match_brute_reference(index_checked, monkeypatch):
-    # Random splice paths build up constraints, so `constrained` decides
-    # some candidates.  Every child the in-place splice yields is compared
-    # with a copied reference child and its line graph, one random child
-    # is walked further, and a spent splice must leave its parent exactly
-    # as it found it.
+    # Random splice paths build up constraints, so a constraint on the
+    # edge decides some candidates and conflicts include partners.
+    # Every child the in-place splice yields is compared with a copied
+    # reference child and its line graph, one random child is walked
+    # further, and a spent splice must leave its parent exactly as it
+    # found it.
     line_graphs = []
     real_color_graph = edgecolor.color_graph
 
