@@ -14,6 +14,9 @@ puts the instance back exactly once its pairings are spent.
 The search refutes a pairing whose new edges close a K4 of conflicts
 (a K4 needs four colors).  Testing the new edges is enough: only they
 gain conflicts, and a simple subcubic graph has no such K4.
+
+Sets of edges are int masks, bit i for edge i (Lecoutre & Vion, CP
+Letters 2, 2008): the K4 test of an edge with d conflicts is O(d^2) ANDs.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .graphalg import depth_first, general_matching
-from .instance import lift
+from .instance import bits, lift
 from .solver import SearchStats, SolverConfig
 from .vertexcolor import color_graph
 
@@ -33,20 +36,21 @@ Edge = tuple[int, int]
 class EdgeInstance:
     """A 3-edge-coloring problem with difference constraints between edges.
 
-    Edges are tracked by integer id so parallel edges stay distinct; a
-    constraint is an unordered id pair whose edges must get different
-    colors, kept both ways in `partners`: each constrained edge maps to
-    the frozenset of ids it must differ from, and an unconstrained edge
-    has no entry.  `at` maps each vertex to the ascending ids of its
-    edges; add_edge and remove_edge keep it matching `edges`.  No vertex
-    has more than three edges: edge_color rejects the input otherwise,
-    and a splice keeps every degree.
+    Edges are tracked by integer id so parallel edges stay distinct, and
+    sets of edges are int masks with bit i for edge i.  A constraint is
+    an unordered id pair whose edges must get different colors, kept
+    both ways in `partners`: each constrained edge maps to the mask of
+    the ids it must differ from, and an unconstrained edge has no entry.
+    `at` maps each vertex to the mask of its edges; add_edge and
+    remove_edge keep it matching `edges`.  No vertex has more than three
+    edges: edge_color rejects the input otherwise, and a splice keeps
+    every degree.
     """
 
     edges: dict[int, Edge] = field(default_factory=dict)
-    partners: dict[int, frozenset] = field(default_factory=dict)
+    partners: dict[int, int] = field(default_factory=dict)
     next_id: int = 0
-    at: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    at: dict[int, int] = field(default_factory=dict)
 
     @classmethod
     def from_graph(cls, n: int, edges: list[Edge]) -> "EdgeInstance":
@@ -63,30 +67,27 @@ class EdgeInstance:
         return ei
 
     def add_edge(self, u: int, v: int) -> int:
-        """Add edge (u, v) under the next id, which exceeds every id so
-        far and so keeps each vertex's ids ascending."""
+        """Add edge (u, v) under the next id, which exceeds every id so far."""
         eid = self.next_id
         self.next_id += 1
         self.edges[eid] = (u, v)
-        for x in {u, v}:
-            self.at[x] = self.at.get(x, ()) + (eid,)
+        for x in (u, v):
+            self.at[x] = self.at.get(x, 0) | 1 << eid
         return eid
 
     def remove_edge(self, eid: int) -> None:
-        for x in set(self.edges.pop(eid)):
-            rest = tuple(j for j in self.at[x] if j != eid)
+        for x in self.edges.pop(eid):
+            rest = self.at[x] & ~(1 << eid)
             if rest:
                 self.at[x] = rest
             else:
                 del self.at[x]
 
-    def conflicts(self, eid: int) -> set[int]:
-        """The edges that share an endpoint with eid or must differ from
-        it: eid's neighbors in the conflict graph the leaf colors."""
+    def conflicts(self, eid: int) -> int:
+        """The mask of the edges that share an endpoint with eid or must
+        differ from it: eid's neighbors in the conflict graph the leaf colors."""
         u, v = self.edges[eid]
-        out = {*self.at[u], *self.at[v], *self.partners.get(eid, ())}
-        out.discard(eid)
-        return out
+        return (self.at[u] | self.at[v] | self.partners.get(eid, 0)) & ~(1 << eid)
 
 
 @dataclass(frozen=True)
@@ -133,8 +134,8 @@ def strip_low_neighbor_edges(ei: EdgeInstance) -> list[StrippedEdge]:
         changed = False
         for eid in sorted(ei.edges):
             nbrs = ei.conflicts(eid)
-            if len(nbrs) <= 2:
-                steps.append(StrippedEdge(eid, tuple(sorted(nbrs))))
+            if nbrs.bit_count() <= 2:
+                steps.append(StrippedEdge(eid, tuple(bits(nbrs))))
                 ei.remove_edge(eid)
                 changed = True
     return steps
@@ -145,7 +146,7 @@ def spliceable(ei: EdgeInstance, eid: int) -> bool:
     # unconstrained, eid has four conflicts only when both ends have
     # degree three and share no other edge, so the four neighbor edges
     # leave the pair of spliced vertices
-    return eid in ei.edges and eid not in ei.partners and len(ei.conflicts(eid)) == 4
+    return eid in ei.edges and eid not in ei.partners and ei.conflicts(eid).bit_count() == 4
 
 
 def splice_candidates(ei: EdgeInstance) -> list[int]:
@@ -169,48 +170,49 @@ def splice(ei: EdgeInstance, eid: int) -> Iterator[SpliceStep]:
     assert spliceable(ei, eid)
     edges, at, partners = ei.edges, ei.at, ei.partners
     w, x = edges[eid]
-    ew1, ew2 = [j for j in at[w] if j != eid]
-    ex1, ex2 = [j for j in at[x] if j != eid]
+    ew1, ew2 = bits(at[w] & ~(1 << eid))
+    ex1, ex2 = bits(at[x] & ~(1 << eid))
     # the far end of an edge is its endpoint sum less the near end
     u, v = sum(edges[ew1]) - w, sum(edges[ew2]) - w
     y, z = sum(edges[ex1]) - x, sum(edges[ex2]) - x
     # a removed neighbor's color lives on in its replacement, so a
     # constraint between two edges sharing a replacement collapses
-    p1, p2 = partners.get(ew1, ()), partners.get(ew2, ())
+    p1, p2 = partners.get(ew1, 0), partners.get(ew2, 0)
     live = [
         ((a, ea), (b, eb))
         for (a, ea), (b, eb) in (((y, ex1), (z, ex2)), ((z, ex2), (y, ex1)))
-        if u != a and v != b and ea not in p1 and eb not in p2
+        if u != a and v != b and not (p1 >> ea & 1 or p2 >> eb & 1)
     ]
     if not live:
         return
-    gone = (eid, ew1, ew2, ex1, ex2)
-    saved_edges = [edges.pop(j) for j in gone]
+    hit = p1 | p2 | partners.get(ex1, 0) | partners.get(ex2, 0)
+    gone_ids = (eid, ew1, ew2, ex1, ex2)
+    nbrs = 1 << ew1 | 1 << ew2 | 1 << ex1 | 1 << ex2
+    gone = nbrs | 1 << eid
+    saved_edges = [edges.pop(j) for j in gone_ids]
     saved_at = {o: at.pop(o) for o in {w, x, u, v, y, z}}
-    rest = {o: tuple([j for j in saved_at[o] if j not in gone]) for o in {u, v, y, z}}
-    touched = {j: partners.pop(j) for j in gone[1:] if j in partners}
-    outside = {q: partners[q] for qs in touched.values() for q in qs if q not in gone}
+    rest = {o: saved_at[o] & ~gone for o in {u, v, y, z}}
+    touched = {j: partners.pop(j) for j in gone_ids[1:] if j in partners}
+    get = touched.get
+    outside = {q: partners[q] for q in bits(hit & ~gone)}
     first, second = ei.next_id, ei.next_id + 1
+    fb, sb = 1 << first, 1 << second
     ei.next_id += 2
     for (a, ea), (b, eb) in live:
         # both pairings write the same keys, so the second overwrites the first
         edges[first], edges[second] = (u, a), (v, b)
         at.update(rest)
-        for o, j in ((u, first), (a, first), (v, second), (b, second)):
-            at[o] += (j,)  # every first before every second keeps ids ascending
-        remap = {ew1: first, ea: first, ew2: second, eb: second}
-        for q, qs in outside.items():
-            partners[q] = frozenset([remap.get(r, r) for r in qs])
-        for new, olds, other in ((first, (ew1, ea), second), (second, (ew2, eb), first)):
-            mates = {other}
-            for j in olds:
-                for r in touched.get(j, ()):
-                    mates.add(remap.get(r, r))
-            partners[new] = frozenset(mates)
+        for o, j in ((u, fb), (a, fb), (v, sb), (b, sb)):
+            at[o] |= j
+        to_first, to_second = 1 << ew1 | 1 << ea, 1 << ew2 | 1 << eb
+        mates = ((first, sb | get(ew1, 0) | get(ea, 0)), (second, fb | get(ew2, 0) | get(eb, 0)))
+        for q, qs in (*outside.items(), *mates):
+            # each removed neighbor edge gives way to its new edge
+            partners[q] = qs & ~nbrs | (fb if qs & to_first else 0) | (sb if qs & to_second else 0)
         yield SpliceStep(eid, ((first, (ew1, ea)), (second, (ew2, eb))))
     del edges[first], edges[second], partners[first], partners[second]
     ei.next_id = first
-    edges.update(zip(gone, saved_edges))
+    edges.update(zip(gone_ids, saved_edges))
     at.update(saved_at)
     partners.update(touched)
     partners.update(outside)
@@ -219,16 +221,21 @@ def splice(ei: EdgeInstance, eid: int) -> Iterator[SpliceStep]:
 def in_conflict_k4(ei: EdgeInstance, eid: int) -> bool:
     """Whether edge eid and three other edges all conflict pairwise; two
     edges conflict when they share an endpoint or must differ."""
-    conflicts = ei.conflicts
-    near = conflicts(eid)
-    seen = {}  # each edge of near so far -> its conflicts inside near
-    for f in near:
-        mine = conflicts(f) & near
-        # a triangle inside near completes the K4; it shows at its last edge
-        for g in mine:
-            if g in seen and not mine.isdisjoint(seen[g]):
-                return True
-        seen[f] = mine
+    edges, at, partners = ei.edges, ei.at, ei.partners
+    near = ei.conflicts(eid)
+    seen = 0  # the edges of near so far
+    prior = {}  # each edge of near so far -> its conflicts among the earlier ones
+    for f in bits(near):
+        u, v = edges[f]
+        earlier = (at[u] | at[v] | partners.get(f, 0)) & seen
+        # a triangle inside near completes the K4; it shows at its last
+        # edge f, as two conflicting edges among f's earlier conflicts
+        if earlier & (earlier - 1):
+            for g in bits(earlier):
+                if prior[g] & earlier:
+                    return True
+        prior[f] = earlier
+        seen |= 1 << f
     return False
 
 
@@ -272,7 +279,7 @@ def _line_graph_solve(
 ) -> Optional[dict[int, int]]:
     ids = sorted(ei.edges)
     index = {eid: i for i, eid in enumerate(ids)}  # keeps the order of ids
-    lg_edges = sorted((index[a], index[b]) for a in ids for b in ei.conflicts(a) if a < b)
+    lg_edges = sorted((index[a], index[b]) for a in ids for b in bits(ei.conflicts(a)) if a < b)
     res = color_graph(len(ids), lg_edges, cfg.charge(stats))
     stats.absorb(res.stats)
     cfg.charge(stats)  # raises when the nested coloring ran out
@@ -312,7 +319,7 @@ def edge_color(
     cfg = config or SolverConfig()
     stats = SearchStats()
     ei = EdgeInstance.from_graph(n, edges)
-    if any(len(ids) > 3 for ids in ei.at.values()):
+    if any(ids.bit_count() > 3 for ids in ei.at.values()):
         return None, stats
     steps = strip_low_neighbor_edges(ei)
     plan = select_splices(ei)

@@ -154,49 +154,54 @@ def _rule_single_constraint(red: Instance) -> Optional[Branching]:
 
 
 def _rule_multi_adjacency(red: Instance) -> Optional[Branching]:
-    # The pairs hitting two colors of one variable, over every variable.
+    # p implies q when p hits every other color of q's variable: using p
+    # forces q.  Every variable of a reduced instance has three or four
+    # colors, so p then hits that variable twice, and by[q], the mask of
+    # the pairs implying q, is built only for variables hit twice.
     conf, pairs, twice = red.conf, red.table.pairs, 0
+    by: dict[int, int] = {}  # ascending in q, as live is
+    sources = 0  # every pair implying some pair
     for m in red.live.values():
-        once = 0
-        for i in bits(m):
-            twice |= once & conf[i]
+        once = dbl = 0
+        ids = bits(m)
+        for i in ids:
+            dbl |= once & conf[i]
             once |= conf[i]
+        if not dbl:
+            continue
+        twice |= dbl
+        for q in ids:
+            src = dbl & ~conf[q]
+            for c in ids:
+                if c != q:
+                    src &= conf[c]
+            if src:
+                by[q] = src
+                sources |= src
     if not twice:
         return None
-    # p implies q when p hits every other color of q's variable: using p forces q.
-    implies: dict[Pair, list[Pair]] = {}
-    for i, hit in conf.items():
-        for w in dict.fromkeys(pairs[j][0] for j in bits(hit)):
-            missing = red.live[w] & ~hit
-            if missing.bit_count() == 1:
-                implies.setdefault(pairs[i], []).append(pairs[missing.bit_length() - 1])
-    if implies:
-        sources = set(implies)
-        for p in sorted(implies):
-            for q in implies[p]:
-                if q not in sources:
-                    # Target of an implication that starts no implication:
-                    # either use it, or avoid it along with all its sources.
-                    child = ChildBuilder(red).avoid(q)
-                    for src in sorted(implies):
-                        if q in implies[src]:
-                            child.avoid(src)
-                    return "implication", [ChildBuilder(red).use(q), child]
-        # Every target is a source: follow implications to a cycle.
-        cur = min(implies)
-        seen_order = []
-        index = {}
-        while cur not in index:
-            index[cur] = len(seen_order)
-            seen_order.append(cur)
-            cur = min(implies[cur])
-        cyc = seen_order[index[cur]:]
+    if by:
+        sinks = [q for q in by if not sources >> q & 1]
+        if sinks:
+            # Target of an implication that starts no implication, the first
+            # one of the first source that has one: either use it, or avoid
+            # it along with all its sources.
+            q = min(sinks, key=lambda q: (by[q] & -by[q], q))
+            child = ChildBuilder(red).avoid(pairs[q])
+            for src in bits(by[q]):
+                child.avoid(pairs[src])
+            return "implication", [ChildBuilder(red).use(pairs[q]), child]
+        # Every target is a source: from the first source, follow each
+        # pair's first target to a cycle.
+        walk = [(sources & -sources).bit_length() - 1]
+        while (cur := next(q for q, src in by.items() if src >> walk[-1] & 1)) not in walk:
+            walk.append(cur)
+        cyc_ids = walk[walk.index(cur):]
+        cyc = [pairs[i] for i in cyc_ids]
         cycle_vars = [p[0] for p in cyc]
-        outside = False
-        for i, p in enumerate(cyc):
-            succ_var = cyc[(i + 1) % len(cyc)][0]
-            if any(t[0] != succ_var for t in red.nbrs(p)):
-                outside = True
+        # whether a cycle pair conflicts off its successor's variable
+        succ_vars = cycle_vars[1:] + cycle_vars[:1]
+        outside = any(conf[i] & ~red.live[w] for i, w in zip(cyc_ids, succ_vars))
         if len(set(cycle_vars)) < len(cycle_vars):
             # Two cycle pairs share a variable, so using the whole cycle
             # is impossible and it must be avoided entirely.

@@ -33,6 +33,7 @@ from csp32.instance import (
 from csp32.analysis import work_factor
 from csp32.oracle import brute_csp
 from csp32.solver import (
+    ChildBuilder,
     SearchStats,
     choose_rule,
     claim_cap,
@@ -445,6 +446,85 @@ def brute_dead_color(inst):
     return None
 
 
+def brute_multi_adjacency(red):
+    """Reference for solver._rule_multi_adjacency: the implication graph
+    built pair by pair as lists of implied pairs, decoding every conflict
+    mask, rather than read off one mask of implying pairs per target."""
+    # The pairs hitting two colors of one variable, over every variable.
+    conf, pairs, twice = red.conf, red.table.pairs, 0
+    for m in red.live.values():
+        once = 0
+        for i in bits(m):
+            twice |= once & conf[i]
+            once |= conf[i]
+    if not twice:
+        return None
+    # p implies q when p hits every other color of q's variable: using p forces q.
+    implies = {}
+    for i, hit in conf.items():
+        for w in dict.fromkeys(pairs[j][0] for j in bits(hit)):
+            missing = red.live[w] & ~hit
+            if missing.bit_count() == 1:
+                implies.setdefault(pairs[i], []).append(pairs[missing.bit_length() - 1])
+    if implies:
+        sources = set(implies)
+        for p in sorted(implies):
+            for q in implies[p]:
+                if q not in sources:
+                    # Target of an implication that starts no implication:
+                    # either use it, or avoid it along with all its sources.
+                    child = ChildBuilder(red).avoid(q)
+                    for src in sorted(implies):
+                        if q in implies[src]:
+                            child.avoid(src)
+                    return "implication", [ChildBuilder(red).use(q), child]
+        # Every target is a source: follow implications to a cycle.
+        cur = min(implies)
+        seen_order = []
+        index = {}
+        while cur not in index:
+            index[cur] = len(seen_order)
+            seen_order.append(cur)
+            cur = min(implies[cur])
+        cyc = seen_order[index[cur]:]
+        cycle_vars = [p[0] for p in cyc]
+        outside = False
+        for i, p in enumerate(cyc):
+            succ_var = cyc[(i + 1) % len(cyc)][0]
+            if any(t[0] != succ_var for t in red.nbrs(p)):
+                outside = True
+        if len(set(cycle_vars)) < len(cycle_vars):
+            # Two cycle pairs share a variable, so using the whole cycle
+            # is impossible and it must be avoided entirely.
+            child = ChildBuilder(red)
+            for p in cyc:
+                child.avoid(p)
+            return "implication-cycle", [child]
+        use_all = ChildBuilder(red)
+        for p in cyc:
+            use_all.use(p)
+        if not outside:
+            return "implication-cycle", [use_all]
+        avoid_all = ChildBuilder(red)
+        for p in cyc:
+            avoid_all.avoid(p)
+        return "implication-cycle", [use_all, avoid_all]
+    # Multiple adjacency without implication: the doubly-hit variable has
+    # four colors, exactly two of them constrained by p.  Split on which
+    # half of the palette it uses.
+    i = (twice & -twice).bit_length() - 1
+    p, hit = pairs[i], conf[i]
+    m = next(m for m in red.live.values() if (m & hit).bit_count() >= 2)
+    inside = ChildBuilder(red)
+    for j in bits(m & ~hit):
+        inside.avoid(pairs[j])
+    inside.avoid(p)  # p conflicts with every remaining color of w
+    outside = ChildBuilder(red)
+    for j in bits(m & hit):
+        outside.avoid(pairs[j])
+    return "four-color-restriction", [inside, outside]
+
+
 def charge_identity(ei):
     """Conflict-count split (m3, m4) and the count identity check.
 
@@ -453,7 +533,7 @@ def charge_identity(ei):
     exactly three or four conflicts (neighbor edges); when some edge
     does not, the counts are still returned with check None.
     """
-    counts = [len(ei.conflicts(eid)) for eid in sorted(ei.edges)]
+    counts = [ei.conflicts(eid).bit_count() for eid in sorted(ei.edges)]
     m3 = sum(1 for c in counts if c == 3)
     m4 = sum(1 for c in counts if c == 4)
     if m3 + m4 != len(counts):
@@ -463,23 +543,24 @@ def charge_identity(ei):
 
 def edge_snapshot(ei):
     """An independent copy of an EdgeInstance, which the package itself
-    never copies (its values are tuples and frozensets)."""
+    never copies (its values are tuples and int masks)."""
     return EdgeInstance(dict(ei.edges), dict(ei.partners), ei.next_id, dict(ei.at))
 
 
 def constraint_set(ei):
     """The constraints of an EdgeInstance as a set of id frozensets."""
-    return {frozenset((a, b)) for a, bs in ei.partners.items() for b in bs}
+    return {frozenset((a, b)) for a, bs in ei.partners.items() for b in bits(bs)}
 
 
 def partner_index(constraints):
-    """EdgeInstance.partners built from a set of id-pair constraints."""
+    """EdgeInstance.partners built from a set of id-pair constraints:
+    each constrained edge -> the mask of the ids it must differ from."""
     out = {}
     for c in constraints:
         a, b = c
-        out.setdefault(a, set()).add(b)
-        out.setdefault(b, set()).add(a)
-    return {j: frozenset(ps) for j, ps in out.items()}
+        out[a] = out.get(a, 0) | 1 << b
+        out[b] = out.get(b, 0) | 1 << a
+    return out
 
 
 def brute_splice_candidates(ei):
@@ -583,12 +664,12 @@ def brute_conflict_k4s(ei):
 
 
 def scan_incidence(ei):
-    """EdgeInstance.at rebuilt from ei.edges: vertex -> ascending edge ids."""
+    """EdgeInstance.at rebuilt from ei.edges: vertex -> mask of its edge ids."""
     at = {}
-    for eid in sorted(ei.edges):
-        for x in set(ei.edges[eid]):
-            at.setdefault(x, []).append(eid)
-    return {x: tuple(ids) for x, ids in at.items()}
+    for eid, e in ei.edges.items():
+        for x in e:
+            at[x] = at.get(x, 0) | 1 << eid
+    return at
 
 
 def brute_build_bushy_forest(g):

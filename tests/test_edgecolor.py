@@ -18,6 +18,7 @@ from csp32.edgecolor import (
     splice_candidates,
     strip_low_neighbor_edges,
 )
+from csp32.instance import bits
 from csp32.solver import NodeLimitReached, SearchStats, SolverConfig
 from csp32.oracle import (
     brute_edge_color,
@@ -280,7 +281,7 @@ def _brute_constrained(ei):
     """Exhaustive 3-coloring of an edge instance honoring its constraints."""
     ids = sorted(ei.edges)
     pos = {eid: i for i, eid in enumerate(ids)}
-    clash = [(pos[a], pos[b]) for a in ids for b in ei.conflicts(a) if a < b]
+    clash = [(pos[a], pos[b]) for a in ids for b in bits(ei.conflicts(a)) if a < b]
     return any(
         all(combo[i] != combo[j] for i, j in clash)
         for combo in product(range(3), repeat=len(ids))
@@ -329,7 +330,7 @@ def _assert_matches_reference(ei):
         u, v = ei.edges[eid]
         near = {j for j, e in ei.edges.items() if j != eid and (u in e or v in e)}
         near |= {j for c in constraints if eid in c for j in c - {eid}}
-        assert ei.conflicts(eid) == near
+        assert ei.conflicts(eid) == sum(1 << j for j in near)
 
 
 def _state(ei, step=None):
@@ -396,6 +397,10 @@ def test_splice_paths_match_brute_reference(index_checked, monkeypatch):
             got += 1
         assert got == len(want)
         assert _state(ei) == _state(before)
+        # the masks the undo put back equal ones rebuilt from the edges
+        # and the constraints the splice found
+        assert ei.at == scan_incidence(ei)
+        assert ei.partners == partner_index(constraint_set(before))
         seen["restored"] += 1
 
     for _ in range(60):

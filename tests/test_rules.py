@@ -9,10 +9,11 @@ import random
 from collections import Counter
 
 from csp32.instance import simplify
-from csp32.oracle import structured_csp
-from csp32.solver import SearchStats, choose_rule
+from csp32.oracle import random_cubic, random_graph, structured_csp
+from csp32.solver import SearchStats, _rule_multi_adjacency, choose_rule
+from csp32.transform import coloring_to_csp
 
-from helpers import RULE_BASES, build_instance, relabel, walk_rules
+from helpers import RULE_BASES, brute_multi_adjacency, build_instance, relabel, walk_rules
 
 EXPECTED_RULE = {
     "isolated": "isolated",
@@ -69,3 +70,48 @@ def test_structured_walks_cover_organic_rules():
         "small-three-component",
     ):
         assert tally[name] >= 25, (name, tally)
+
+
+def _branching(got):
+    """A branching as comparable data: its name and, per child, whether
+    it is dead, its lift trace and its instance's masks."""
+    if got is None:
+        return None
+    name, children = got
+    return name, [(b.dead, b.trace, b.inst.live, b.inst.conf) for b in children]
+
+
+def _line_graph(n, edges):
+    m = len(edges)
+    return m, [(i, j) for i in range(m) for j in range(i + 1, m) if set(edges[i]) & set(edges[j])]
+
+
+def test_multi_adjacency_matches_pairwise_reference():
+    # The mask form reads the sinks, the implication cycle and the avoided
+    # sources off one mask of implying pairs per target, and must branch
+    # exactly as the pair-by-pair implication graph does on every reduced
+    # state of seeded searches over conflict-graph colorings (edge conflict
+    # graphs of cubic graphs and G(n, p)) and the relabeled implication bases.
+    rng = random.Random(910)
+    tally = Counter()
+    graphs = [_line_graph(*random_cubic(rng, rng.choice([8, 10, 14, 16]))) for _ in range(20)]
+    graphs += [random_graph(rng, rng.randint(20, 60), rng.uniform(0.04, 0.1)) for _ in range(80)]
+    starts = [coloring_to_csp(*g) for g in graphs]
+    for name in ("implication", "implication-cycle"):
+        base = build_instance(*RULE_BASES[name])
+        starts += [relabel(rng, base) for _ in range(25)]
+    for inst in starts:
+        pending, nodes = [inst], 0
+        while pending and nodes < 150:
+            nodes += 1
+            red, _ = simplify(pending.pop())
+            if red is None or red.n == 0:
+                continue
+            got = _branching(_rule_multi_adjacency(red))
+            assert got == _branching(brute_multi_adjacency(red))
+            tally[got and (got[0], len(got[1]))] += 1
+            step = choose_rule(red, SearchStats())
+            if step is not None:
+                pending += [b.inst for b in step[1] if not b.dead]
+    assert tally[("implication", 2)] >= 500, tally
+    assert tally[("implication-cycle", 2)] >= 30 and tally[("implication-cycle", 1)] >= 25, tally
