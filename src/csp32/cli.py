@@ -361,8 +361,10 @@ def _fuzz_one(kind: str, seed: int, size: int) -> bool:
         return got == ref
     if kind == "random-graph":
         g = oracle.random_graph(rng, size, 0.4)
-    elif kind == "random-cubic":
+    elif kind == "random-cubic":  # edge_color against its oracle here, color_graph below
         g = oracle.random_cubic(rng, size + size % 2)
+        if (edge_color(*g)[0] is None) != (oracle.brute_edge_color(g) is None):
+            return False
     elif kind == "random-3cnf":
         nvars = min(size, 8)
         clauses = oracle.random_3cnf(rng, nvars, nvars + 2)

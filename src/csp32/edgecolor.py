@@ -252,11 +252,9 @@ def select_splices(ei: EdgeInstance) -> list[int]:
     """A maximum matching among the splice candidates, as edge ids.
 
     On a 3-edge-colorable instance the matching has at least a third of
-    those edges, and matched splices are pairwise independent.  It is
-    general_matching's maximum matching, whose tie-break among maximum
-    matchings is fixed (networkx's, on sorted vertices and edges): the
-    plan decides the splice search, so another maximum matching would
-    change splice and leaf counts.
+    those edges, and matched splices are pairwise independent.  The plan
+    is whichever maximum matching general_matching returns, the same one
+    for the same instance; splice and leaf counts follow it.
     """
     by_pair = {}  # the candidates by sorted endpoints
     for eid in splice_candidates(ei):

@@ -13,14 +13,9 @@ capacity slots.  All inputs here are tiny (O(n) nodes), so simple
 augmenting-path methods suffice.
 
 general_matching is Edmonds' blossom search (Edmonds, "Paths, trees,
-and flowers", 1965).  Which maximum matching it returns decides
-edge_color's splice plan, and so every splice and leaf count, so its
-tie-break is part of its contract: it returns the matching networkx's
-max_weight_matching(maxcardinality=True) returns on the same graph with
-sorted nodes and edges, and the tests compare the two.  With unit weights
-every edge stays tight and every blossom dies with its stage, so
-networkx's primal-dual bookkeeping (vertex and blossom duals, delta
-steps, the optimum check) drops out and only its search order remains.
+and flowers", 1965) with a greedy warm start.  It promises a maximum
+matching, the same one every time for the same input, not any particular
+one among them.
 """
 
 from __future__ import annotations
@@ -116,11 +111,14 @@ def bipartite_matching(
 
 
 def general_matching(nodes: list, edges: list[tuple]) -> set[tuple]:
-    """Maximum-cardinality matching in a general graph, as sorted pairs:
-    the one networkx's max_weight_matching(maxcardinality=True) returns
-    on nodes and edges added in sorted order.  Self-loops are ignored, a
+    """Maximum-cardinality matching in a general graph, as sorted pairs,
+    the same one every time for the same input.  Self-loops are ignored, a
     repeated edge counts once, and an edge endpoint outside nodes raises
-    ValueError."""
+    ValueError.
+
+    A greedy pass matches each free vertex, highest first, to its lowest
+    free neighbor.  Then each vertex still free, highest first, roots one
+    augmenting-path search; a vertex that roots none now never will."""
     order = sorted(set(nodes))
     index = {v: i for i, v in enumerate(order)}
     adj = [set() for _ in order]
@@ -132,145 +130,70 @@ def general_matching(nodes: list, edges: list[tuple]) -> set[tuple]:
             adj[index[v]].add(index[u])
     adj = [sorted(a) for a in adj]
     mate: list = [None] * len(adj)
-    # While the highest free vertex has a free neighbor, a stage pops it
-    # first and matches it to the lowest one; a blossom formed on the way
-    # has it as base, so augmenting through it changes nothing else.
     for v in reversed(range(len(adj))):
         if mate[v] is None:
             w = next((w for w in adj[v] if mate[w] is None), None)
-            if w is None:
-                break
-            mate[v], mate[w] = w, v
-    while _augment_stage(adj, mate):
-        pass
+            if w is not None:
+                mate[v], mate[w] = w, v
+    for root in reversed(range(len(adj))):
+        if mate[root] is None:
+            _augment(adj, mate, root)
     return {(order[v], order[w]) for v, w in enumerate(mate) if w is not None and v < w}
 
 
-def _augment_stage(adj: list[list[int]], mate: list) -> bool:
-    """Augment mate along the first augmenting path one stage of
-    networkx's search finds, with every edge tight; False if none.
+def _augment(adj: list[list[int]], mate: list, root: int) -> None:
+    """Flip the first augmenting path that a breadth-first search from the
+    free vertex root finds, if there is one.
 
-    Free vertices are labeled outer and queued ascending, the newest is
-    scanned first and its neighbors ascending, and blossoms are found,
-    shrunk and augmented through as networkx's scanBlossom, addBlossom and
-    augmentBlossom do.  Vertices are 0..n-1; this stage's blossoms get ids
-    from n up and are dropped when it ends.  Every blossom is outer, so an
-    inner vertex is always its own outermost blossom."""
+    The search grows one alternating tree.  Outer vertices are the root
+    and the mates of inner ones; parent[x] is the outer vertex an inner x
+    was reached from.  An edge between two outer vertices closes an odd
+    cycle, which is contracted into its base, the two ends' lowest common
+    ancestor: base[v] is the base of the contracted blossom holding v, and
+    parent links run around the cycle so that a path can pass through it.
+    Every vertex of a blossom is outer (Edmonds, "Paths, trees, and
+    flowers", 1965)."""
     n = len(adj)
-    top = list(range(n))  # outermost blossom holding each vertex
-    base = list(range(n))  # base vertex of each blossom
-    parent: list = [None] * n  # blossom directly holding each blossom
-    label = [0] * n  # 0 unlabeled, 1 outer, 2 inner, 5 outer on a scan path
-    labeledge: list = [None] * n  # the edge (v, w) a label came through
-    cycle: dict = {}  # blossom -> sub-blossoms from the base, edges between
-    queue = [v for v in range(n) if mate[v] is None]
-    for v in queue:
-        label[v] = 1
-
-    def scan_blossom(v, w):
-        # climb from v and w in turn; the first blossom reached twice is
-        # the base's, and None means v and w lie in different trees
-        path, found = [], None
-        while v is not None:
-            b = top[v]
-            if label[b] & 4:
-                found = base[b]
-                break
-            path.append(b)
-            label[b] = 5
-            v = None if labeledge[b] is None else labeledge[labeledge[b][0]][0]
-            if w is not None:
-                v, w = w, v
-        for b in path:
-            label[b] = 1
-        return found
-
-    def add_blossom(bs, v, w):
-        bb, bv, bw = top[bs], top[v], top[w]
-        b = len(base)
-        base.append(bs)
-        parent.append(None)
-        label.append(1)
-        labeledge.append(labeledge[bb])
-        parent[bb] = b
-        kids, edgs = [], [(v, w)]
-        while bv != bb:
-            parent[bv] = b
-            kids.append(bv)
-            edgs.append(labeledge[bv])
-            bv = top[labeledge[bv][0]]
-        kids.append(bb)
-        kids.reverse()
-        edgs.reverse()
-        while bw != bb:
-            parent[bw] = b
-            kids.append(bw)
-            edgs.append(labeledge[bw][::-1])
-            bw = top[labeledge[bw][0]]
-        cycle[b] = kids, edgs
-        stack = kids[:]  # the leaves, in networkx's Blossom.leaves order
-        while stack:
-            x = stack.pop()
-            if x >= n:
-                stack.extend(cycle[x][0])
-                continue
-            if label[top[x]] == 2:
-                queue.append(x)
-            top[x] = b
-
-    def augment_blossom(b, v):
-        # rematch b's cycle so that v is its base, and so on down into the
-        # sub-blossoms on the way; nothing is rotated, as the stage ends
-        work = [(b, v)]
-        while work:
-            b, v = work.pop()
-            t = v
-            while parent[t] != b:
-                t = parent[t]
-            if t >= n:
-                work.append((t, v))
-            kids, edgs = cycle[b]
-            j = kids.index(t)
-            step = 1 if j & 1 else -1
-            if step == 1:
-                j -= len(kids)
-            while j != 0:
-                j += step
-                w, x = edgs[j] if step == 1 else edgs[j - 1][::-1]
-                if kids[j] >= n:
-                    work.append((kids[j], w))
-                j += step
-                if kids[j] >= n:
-                    work.append((kids[j], x))
-                mate[w], mate[x] = x, w
-
-    while queue:
-        v = queue.pop()
+    base = list(range(n))
+    parent: list = [None] * n
+    outer = [False] * n
+    outer[root] = True
+    queue = [root]
+    for v in queue:  # the loop reaches vertices appended while it runs
         for w in adj[v]:
-            bv, bw = top[v], top[w]
-            if bv == bw:
+            if base[v] == base[w]:  # an edge within one blossom
                 continue
-            if label[bw] == 0:  # w is matched: w inner, its mate outer
-                m = mate[w]
-                label[w], labeledge[w] = 2, (v, w)
-                label[m], labeledge[m] = 1, (w, m)
-                queue.append(m)
-            elif label[bw] == 1:
-                bs = scan_blossom(v, w)
-                if bs is not None:
-                    add_blossom(bs, v, w)
-                    continue
-                for s, j in ((v, w), (w, v)):  # augment along both trees
-                    while True:
-                        if top[s] >= n:
-                            augment_blossom(top[s], s)
-                        mate[s] = j
-                        if labeledge[top[s]] is None:
-                            break
-                        s, j = labeledge[labeledge[top[s]][0]]  # via an inner vertex
-                        mate[j] = s
-                return True
-    return False
+            if outer[w]:
+                a = base[v]
+                ancestors = {a}
+                while mate[a] is not None:
+                    a = base[parent[mate[a]]]
+                    ancestors.add(a)
+                a = base[w]
+                while a not in ancestors:
+                    a = base[parent[mate[a]]]
+                shrunk = set()  # bases of the blossoms the new cycle passes
+                for x, y in ((v, w), (w, v)):
+                    while base[x] != a:
+                        shrunk.update((base[x], base[mate[x]]))
+                        parent[x], y = y, mate[x]
+                        x = parent[y]
+                for u in range(n):
+                    if base[u] in shrunk:
+                        base[u] = a
+                        if not outer[u]:
+                            outer[u] = True
+                            queue.append(u)
+            elif parent[w] is None:
+                parent[w] = v
+                if mate[w] is None:  # augment back to the root
+                    while w is not None:
+                        v, nxt = parent[w], mate[parent[w]]
+                        mate[v], mate[w] = w, v
+                        w = nxt
+                    return
+                outer[mate[w]] = True
+                queue.append(mate[w])
 
 
 def max_flow(capacity: dict, edges: list[tuple]) -> dict:

@@ -1,21 +1,23 @@
-"""Two SHA-256 digests over the answers and search counts of a fixed seeded batch.
+"""Four SHA-256 digests over the answers and search counts of a fixed seeded batch.
 
 Run as `PYTHONPATH=src python tests/fingerprint.py`.  The batch calls
 solve, sat_to_csp + solve, color_graph and edge_color on seeded random
 inputs, some under a node limit.  The first digest hashes every verdict,
 solution and SearchStats field; the second leaves the solutions out; the
 third hashes only the verdicts and solutions of the calls with no node
-limit.  A refactor that claims an identical search prints the same first
-digest as its parent commit.  A change that alters only which valid
-solution comes back prints the same second digest, and one that prunes
-only dead branches prints the same third digest with smaller counts.
-tests/test_fingerprint.py pins all three.  The file name keeps pytest from collecting it.  Besides the
-random families, the batch holds inputs chosen for reach: relabeled
-copies of every rule-trigger instance of tests/helpers.py, small
-structured CSPs whose rules (two- and three-component, the matching
-endgame, a fallback) the large ones never reach, and planted graphs
-whose coloring leaf assigns outside vertices to height-two trees by
-flow.
+limit, and the fourth only their verdicts.  A refactor that claims an
+identical search prints the same first digest as its parent commit.  A
+change that alters only which valid solution comes back prints the same
+second digest, one that prunes only dead branches prints the same third
+digest with smaller counts, and one that reaches another valid solution
+by another search prints the same fourth digest.
+tests/test_fingerprint.py pins all four.  The file name keeps pytest
+from collecting it.  Besides the random families, the batch holds inputs
+chosen for reach: relabeled copies of every rule-trigger instance of
+tests/helpers.py, small structured CSPs whose rules (two- and
+three-component, the matching endgame, a fallback) the large ones never
+reach, and planted graphs whose coloring leaf assigns outside vertices
+to height-two trees by flow.
 """
 
 import hashlib
@@ -143,25 +145,27 @@ def records():
                    sorted(colors.items()) if colors else None, _stats(stats))
 
 
-def digests() -> tuple[str, str, str, int]:
-    """(full digest, counts-only digest, answers-only digest, number of
-    calls) of the batch."""
-    full, counts, answers = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+def digests() -> tuple[str, str, str, str, int]:
+    """(full digest, counts-only digest, answers-only digest,
+    verdicts-only digest, number of calls) of the batch."""
+    full, counts, answers, verdicts = (hashlib.sha256() for _ in range(4))
     calls = 0
     for rec in records():
         full.update(json.dumps(rec, sort_keys=True).encode() + b"\n")
         counts.update(json.dumps(rec[:4] + rec[5:], sort_keys=True).encode() + b"\n")
         if rec[2] is None:  # no node limit, so the verdict is final
             answers.update(json.dumps(rec[:2] + rec[3:5], sort_keys=True).encode() + b"\n")
+            verdicts.update(json.dumps(rec[:2] + rec[3:4], sort_keys=True).encode() + b"\n")
         calls += 1
-    return full.hexdigest(), counts.hexdigest(), answers.hexdigest(), calls
+    return full.hexdigest(), counts.hexdigest(), answers.hexdigest(), verdicts.hexdigest(), calls
 
 
 def main():
-    full, counts, answers, calls = digests()
+    full, counts, answers, verdicts, calls = digests()
     print(f"{full}  {calls} calls")
     print(f"{counts}  {calls} calls, counts only")
     print(f"{answers}  unlimited calls, answers only")
+    print(f"{verdicts}  unlimited calls, verdicts only")
 
 
 if __name__ == "__main__":

@@ -422,7 +422,7 @@ def test_oracle_subcommand(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_fuzz_subcommand(capsys):
+def test_fuzz_subcommand(capsys, monkeypatch):
     assert main(
         ["fuzz", "random-csp", "--count", "10", "--size", "6", "--seed", "1"]
     ) == EXIT_SAT
@@ -431,6 +431,25 @@ def test_fuzz_subcommand(capsys):
         assert main(["fuzz", kind, "--count", "4", "--size", "7"]) == EXIT_SAT, kind
         assert "4/4 agreed" in capsys.readouterr().out
     assert main(["fuzz", "no-such-kind", "--count", "1"]) == EXIT_USAGE
+    # random-cubic compares edge_color with the brute edge oracle on every
+    # graph, besides color_graph with the vertex oracle.
+    edge_color, graphs = cli.edge_color, []
+
+    def spy(n, edges):
+        graphs.append((n, edges))
+        return edge_color(n, edges)
+
+    cubic = ["fuzz", "random-cubic", "--count", "5", "--size", "9", "--seed", "3"]
+    monkeypatch.setattr(cli, "edge_color", spy)
+    assert main(cubic) == EXIT_SAT
+    assert "5/5 agreed" in capsys.readouterr().out
+    assert [n for n, _ in graphs] == [10] * 5
+    # an edge_color that calls every graph uncolorable is caught, even
+    # where color_graph and its oracle agree
+    monkeypatch.setattr(cli, "edge_color", lambda n, edges: (None, SearchStats()))
+    assert main(cubic) == EXIT_UNSAT
+    out = capsys.readouterr().out
+    assert "0/5 agreed" in out and "mismatch: kind=random-cubic seed=3" in out
 
 
 def test_fuzz_rejects_bad_arguments(capsys):

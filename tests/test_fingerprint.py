@@ -3,39 +3,48 @@
 The full digest hashes every verdict, solution and SearchStats field of
 3,159 solve, sat_to_csp, color_graph and edge_color calls; the
 counts-only digest leaves the solutions out; the answers-only digest
-keeps only the verdicts and solutions of the calls with no node limit.
-All three repeat under any PYTHONHASHSEED.  A change that claims an
-identical search keeps all three; one that means to change a solution or
-a count records the new digest here and says why.  The first two were
-re-recorded when the splice search began refuting pairings that close a
-K4 of conflicts (fewer splices and leaves, one more stats field); the
-answers-only digest is the one the parent of that change printed.
+keeps only the verdicts and solutions of the calls with no node limit,
+and the verdicts-only digest only their verdicts.  All four repeat under
+any PYTHONHASHSEED.  A change that claims an identical search keeps all
+four; one that means to change a solution or a count records the new
+digest here and says why.  The first three were re-recorded when
+general_matching stopped copying networkx's choice among maximum
+matchings: edge_color's splice plan follows the matching it returns, so
+its counts and colorings changed (only edge_color records differ).  The
+verdicts-only digest is the one the parent of that change printed.
 """
 
 from functools import cache
 
 from fingerprint import digests
 
-FULL_DIGEST = "162f35e53a044dab5a69020c90df4fe407a34f4b07aac760a67100ca04483a15"
-COUNTS_DIGEST = "7963c18797fadf8849133b5d0c19f8b3c0ffec852c7416386e4200f5a8e347ba"
-ANSWERS_DIGEST = "101a43fe72b12527533bc8c8420f415ff5ac7911919c4bd3644c10e6cf18170f"
+FULL_DIGEST = "b3684f2af57b0a3c8c8c0b2f1af099ff1f3911b8a53cf0f666fa6a4175891500"
+COUNTS_DIGEST = "a45d7c62f9382df49066911ec22f3fa3d9bbc112f4725e3f6eb543b4fc747f9d"
+ANSWERS_DIGEST = "cb42cacedf11b794bcfa002e8bdc75b2f289328b09ab57aa11f5455c0aa470b3"
+VERDICTS_DIGEST = "85aa22c0aa1612172953c2abfeda989a4a5d765071a2b374f72a984887c016dc"
 
-batch = cache(digests)  # the three tests read one run of the batch
+batch = cache(digests)  # the four tests read one run of the batch
 
 
 def test_fingerprint_counts_are_pinned():
-    _full, counts, _answers, calls = batch()
+    _full, counts, _answers, _verdicts, calls = batch()
     assert calls == 3159
     assert counts == COUNTS_DIGEST
 
 
 def test_fingerprint_solutions_are_pinned():
-    full, _counts, _answers, calls = batch()
+    full, _counts, _answers, _verdicts, calls = batch()
     assert calls == 3159
     assert full == FULL_DIGEST
 
 
 def test_fingerprint_answers_are_pinned():
-    _full, _counts, answers, calls = batch()
+    _full, _counts, answers, _verdicts, calls = batch()
     assert calls == 3159
     assert answers == ANSWERS_DIGEST
+
+
+def test_fingerprint_verdicts_are_pinned():
+    _full, _counts, _answers, verdicts, calls = batch()
+    assert calls == 3159
+    assert verdicts == VERDICTS_DIGEST

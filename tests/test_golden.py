@@ -10,8 +10,11 @@ The edge-coloring entries, the deep ones stopped by a node limit
 included, were re-recorded when the splice search began refuting each
 pairing whose new edges close a K4 of conflicts: the search reaches the
 same first colored leaf through fewer splices and leaves, and the last
-column counts the refuted pairings.  The coloring node
-counts (color_graph, and the last EDGE column) were rerecorded when the
+column counts the refuted pairings.  They were re-recorded again when
+general_matching stopped copying networkx's choice among maximum
+matchings: the splice plan is another maximum matching, so the search
+takes another path; the colorability column is unchanged.  The coloring
+node counts (color_graph, and EDGE's nodes + csp_nodes) were rerecorded when the
 leaf enumeration gained its forward check: `nodes` now also counts each
 checked partial interior coloring, and `csp_nodes` falls with the leaf
 CSP calls the check prunes.
@@ -52,8 +55,8 @@ SAT = {
 # nodes + csp_nodes, k4_refuted)
 EDGE = {
     ("planted", 1, 24): (True, 44, 4, 1, 3, 26),
-    ("planted", 1, 40): (True, 119, 8, 1, 1, 70),
-    ("planted", 1, 100): (True, 1806, 37, 1, 3, 1152),
+    ("planted", 1, 40): (True, 93, 4, 1, 3, 53),
+    ("planted", 1, 100): (True, 15700, 338, 1, 3, 11788),
     ("random", 0, 16): (True, 6, 2, 1, 3, 1),
     ("random", 2, 12): (False, 1, 0, 0, 0, 1),
     ("random", 2, 20): (False, 3, 0, 0, 0, 1),
@@ -62,8 +65,8 @@ EDGE = {
 # (seed, n, node_limit) -> (splices, skipped_splices, leaves, nodes + csp_nodes,
 # k4_refuted) for planted cubic graphs whose splice search runs into the node limit
 EDGE_DEEP = {
-    (1, 200, 3000): (3001, 329, 0, 0, 2400),
-    (2, 200, 5000): (5001, 0, 0, 0, 4126),
+    (1, 200, 3000): (3001, 0, 0, 0, 1948),
+    (2, 200, 5000): (5001, 68, 0, 0, 3564),
 }
 
 

@@ -1,10 +1,10 @@
 """Depth-first driver, breadth-first traversal and components, and
 matching and max-flow subroutines against brute-force references.
 
-networkx is a test-only reference here: general_matching must return
-exactly the matching its max_weight_matching returns, and max_flow must
-place as many items as its maximum_flow_value, so it is imported inside
-the tests that compare with it."""
+networkx is a test-only reference here: general_matching must return a
+matching as large as its max_weight_matching, and max_flow must place as
+many items as its maximum_flow_value, so it is imported inside the tests
+that compare with it."""
 
 import random
 import sys
@@ -36,6 +36,16 @@ def brute_max_matching(nodes, edges):
                 best = max(best, k)
                 break
     return best
+
+
+def matching_size(got, edges):
+    """len(got), once got is checked to be a matching of edges: sorted
+    pairs of distinct vertices, each an edge in either orientation, no
+    vertex used twice."""
+    used = [v for e in got for v in e]
+    assert len(used) == len(set(used))
+    assert all(u < v and ((u, v) in edges or (v, u) in edges) for u, v in got)
+    return len(got)
 
 
 def test_bipartite_matching_small_cases():
@@ -70,16 +80,50 @@ def test_general_matching_fuzz_maximum():
         n = rng.randint(2, 7)
         edges = [e for e in combinations(range(n), 2) if rng.random() < 0.4]
         got = general_matching(list(range(n)), edges)
-        used = [v for e in got for v in e]
-        assert len(used) == len(set(used))
-        assert all(tuple(sorted(e)) in {tuple(sorted(x)) for x in edges} for e in got)
-        assert len(got) == brute_max_matching(list(range(n)), edges), trial
+        assert matching_size(got, edges) == brute_max_matching(list(range(n)), edges), trial
 
 
 def test_general_matching_odd_cycle():
-    # A 5-cycle needs the blossom handling to find its 2-edge maximum.
+    # A 5-cycle has a 2-edge maximum, which the greedy pass already finds.
     edges = [(i, (i + 1) % 5) for i in range(5)]
     assert len(general_matching(list(range(5)), edges)) == 2
+
+
+def test_general_matching_petersen_graph():
+    # Outer 5-cycle, inner pentagram and five spokes: every alternating
+    # cycle is odd somewhere, and the maximum is perfect.
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)] + [(i, 5 + i) for i in range(5)]
+    got = general_matching(list(range(10)), edges)
+    assert matching_size(got, edges) == brute_max_matching(list(range(10)), edges) == 5
+
+
+def test_general_matching_triangles_joined_by_a_path():
+    # Triangles 0-1-2 and 3-4-5 joined by the path 2-6-7-3: the perfect
+    # matching needs each triangle's path vertex matched along the path.
+    edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 6), (6, 7), (7, 3)]
+    got = general_matching(list(range(8)), edges)
+    assert matching_size(got, edges) == brute_max_matching(list(range(8)), edges) == 4
+    assert got == {(0, 1), (2, 6), (3, 7), (4, 5)}
+
+
+@pytest.mark.parametrize("edges,want", [
+    # stem 2-0=5, triangle 5-3=4 on base 5, exit 3-1 off the inner vertex 3
+    ([(0, 2), (0, 5), (5, 3), (5, 4), (3, 4), (3, 1)], {(0, 2), (4, 5), (1, 3)}),
+    # stem 1-2=3, pentagon 3-4=6-7=5-3 on base 3, exit 4-0 off the inner vertex 4
+    ([(1, 2), (2, 3), (3, 4), (4, 6), (6, 7), (7, 5), (5, 3), (4, 0)],
+     {(1, 2), (0, 4), (6, 7), (3, 5)}),
+])
+def test_general_matching_augments_across_a_blossom(edges, want):
+    # The greedy pass matches the stem's middle edge and the cycle's
+    # chords and leaves the stem's end and the exit free.  The search
+    # from the stem's end reaches the exit vertex only as inner, so the
+    # one augmenting path runs around the cycle after it is contracted;
+    # the perfect matching is unique.
+    n = 1 + max(v for e in edges for v in e)
+    got = general_matching(list(range(n)), edges)
+    assert matching_size(got, edges) == brute_max_matching(list(range(n)), edges) == n // 2
+    assert got == want
 
 
 def networkx_matching(nodes, edges):
@@ -93,10 +137,9 @@ def networkx_matching(nodes, edges):
 
 
 def test_general_matching_equals_networkx_on_random_graphs():
-    # Exactly networkx's matching, not just one of the same size: the
-    # splice plan, and so every splice and leaf count, depends on which
-    # maximum matching comes back.  Sparse draws are often disconnected;
-    # some edge lists repeat edges, carry self-loops or list v before u.
+    # A valid matching as large as networkx's.  Sparse draws are often
+    # disconnected; some edge lists repeat edges, carry self-loops or
+    # list v before u.
     rng = random.Random(22)
     disconnected = 0
     for p in (0.15, 0.3, 0.6):
@@ -113,7 +156,7 @@ def test_general_matching_equals_networkx_on_random_graphs():
             edges = [e[::-1] if rng.random() < 0.5 else e for e in edges]
             rng.shuffle(edges)
             got = general_matching(list(range(n)), edges)
-            assert got == networkx_matching(range(n), edges), (p, trial)
+            assert matching_size(got, edges) == len(networkx_matching(range(n), edges)), (p, trial)
     assert disconnected > 100
 
 
@@ -133,14 +176,14 @@ def test_general_matching_equals_networkx_on_splice_selections(monkeypatch):
             edgecolor.select_splices(edgecolor.EdgeInstance.from_graph(*gen(random.Random(seed), n)))
     assert len(calls) == 45
     for nodes, edges in calls:
-        assert general_matching(nodes, edges) == networkx_matching(nodes, edges)
+        got = general_matching(nodes, edges)
+        assert matching_size(got, edges) == len(networkx_matching(nodes, edges))
 
 
 def test_general_matching_equals_networkx_on_a_large_cubic_graph():
     n, edges = planted_cubic_edge_colorable(random.Random(3), 1000)
     got = general_matching(list(range(n)), edges)
-    assert len(got) == n // 2
-    assert got == networkx_matching(range(n), edges)
+    assert matching_size(got, edges) == len(networkx_matching(range(n), edges)) == n // 2
 
 
 def test_general_matching_input_contract():

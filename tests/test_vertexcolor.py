@@ -565,6 +565,14 @@ def _cubic_graphs():
         yield random_cubic(random.Random(100 + s), 16 + 2 * (s % 8))
 
 
+def _planted_cubic_graphs(count):
+    """Seeded planted cubic graphs from n = 40 up.  Their line-graph
+    leaves more often keep vertices that propagation leaves undecided:
+    refuted forward checks, and leaf CSPs with three-color vertices."""
+    for s in range(count):
+        yield planted_cubic_edge_colorable(random.Random(s), 40 + 2 * (s % 20))
+
+
 def _both_ways(monkeypatch, run):
     """run() with the forward-checked leaf and with the brute reference:
     (result, successful CSP arguments, decided leaf colorings, stats)
@@ -647,7 +655,7 @@ def test_incremental_forward_check_matches_brute_reference(monkeypatch):
         colored.clear()
     assert checks > 3000 and refuted > 1000
     before = checks, refuted
-    for graph in _cubic_graphs():
+    for graph in (*_cubic_graphs(), *_planted_cubic_graphs(30)):
         edge_color(*graph)
         colored.clear()
     assert checks - before[0] > 200 and refuted - before[1] > 50  # line graphs
@@ -690,10 +698,8 @@ def test_leaf_csp_gets_only_undecided_vertices(monkeypatch):
     for graph in _planted_graphs(400):
         color_graph(*graph)
     before = +sizes
-    # planted cubic graphs from n = 40 up, whose first leaf's line graph
-    # more often keeps three or more three-color vertices
-    for s in range(30):
-        edge_color(*planted_cubic_edge_colorable(random.Random(s), 40 + 2 * (s % 20)))
+    for graph in _planted_cubic_graphs(60):
+        edge_color(*graph)
     assert sizes[1] > 1000 and sizes[2] > 3000 and sizes[3] > 300
     line = sizes - before
     assert line[2] > 100 and line[3] > 30
