@@ -27,7 +27,7 @@ from typing import Iterator, Optional
 from .graphalg import depth_first, general_matching
 from .instance import bits, lift
 from .solver import SearchStats, SolverConfig
-from .vertexcolor import color_graph
+from .vertexcolor import MultiGraph, color_graph, strip_low_degree
 
 Edge = tuple[int, int]
 
@@ -91,17 +91,6 @@ class EdgeInstance:
 
 
 @dataclass(frozen=True)
-class StrippedEdge:
-    """An edge with at most two conflicts; it takes a color they leave."""
-
-    eid: int
-    neighbor_eids: tuple
-
-    def lift(self, out: dict[int, int]):
-        out[self.eid] = min({0, 1, 2} - {out[j] for j in self.neighbor_eids})
-
-
-@dataclass(frozen=True)
 class SpliceStep:
     """Five edges replaced by two difference-constrained edges.
 
@@ -121,23 +110,25 @@ class SpliceStep:
         out[self.center] = 3 - c1 - c2
 
 
-def strip_low_neighbor_edges(ei: EdgeInstance) -> list[StrippedEdge]:
-    """Remove edges with two or fewer conflicts; they always extend.
-    Returns the lift steps, in removal order.
+def conflict_graph(ei: EdgeInstance) -> MultiGraph:
+    """The conflict graph on the edge ids: each edge is adjacent to its conflicts."""
+    g = MultiGraph()
+    for eid in ei.edges:
+        g.adj[eid] = set(bits(ei.conflicts(eid)))
+        g.members[eid] = (eid,)
+    return g
 
-    Only valid while the instance is unconstrained.
-    """
-    assert not ei.partners
-    steps = []
-    changed = True
-    while changed:
-        changed = False
-        for eid in sorted(ei.edges):
-            nbrs = ei.conflicts(eid)
-            if nbrs.bit_count() <= 2:
-                steps.append(StrippedEdge(eid, tuple(bits(nbrs))))
-                ei.remove_edge(eid)
-                changed = True
+
+def strip_low_neighbor_edges(ei: EdgeInstance) -> list:
+    """Remove edges with two or fewer conflicts, as strip_low_degree
+    does on the conflict graph; they always extend.  Returns the lift
+    steps, in removal order."""
+    steps: list = []
+    # the conflict graph costs more than this scan, and a cubic input strips nothing
+    if any(ei.conflicts(eid).bit_count() <= 2 for eid in ei.edges):
+        strip_low_degree(conflict_graph(ei), steps)
+    for step in steps:
+        ei.remove_edge(*step.members)
     return steps
 
 
