@@ -14,6 +14,7 @@ from typing import Optional
 
 from .graphalg import depth_first
 from .instance import Assignment, Instance, check
+from .transform import Clause
 
 Graph = tuple[int, list[tuple[int, int]]]  # (vertex count, sorted edge list)
 
@@ -77,9 +78,6 @@ def brute_edge_color(graph: Graph) -> Optional[dict[tuple[int, int], int]]:
         )
 
     return depth_first((0, {}), expand)
-
-
-Clause = tuple[int, ...]  # nonzero DIMACS-style literals
 
 
 def brute_sat(nvars: int, clauses: list[Clause]) -> Optional[dict[int, bool]]:

@@ -19,7 +19,8 @@ from .instance import (
     eliminate_low_colors,
     lift,
 )
-from .oracle import Clause
+
+Clause = tuple[int, ...]  # nonzero DIMACS-style literals
 
 # ---------------------------------------------------------------------------
 # General (a,b)-CSP

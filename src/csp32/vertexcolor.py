@@ -518,46 +518,43 @@ def _solve_leaf(g: MultiGraph, cfg: SolverConfig, stats: SearchStats):
     units = [_bushy_unit(g, f, root) for root in f.roots]
     units += [_height_two_unit(tree) for tree in trees]
 
-    def consistent(acc: Coloring, asg: Coloring) -> bool:
-        for v, c in asg.items():
-            for u in g.adj[v]:
-                if asg.get(u, acc.get(u)) == c and u != v:
-                    return False
-        return True
-
-    def extensions(i: int, acc: Coloring, masks: dict):
-        # lazy: a partial coloring is charged once its predecessor is searched
+    def extensions(i: int, masks: dict):
+        # lazy: a partial coloring is charged once its predecessor is
+        # searched, and only when every vertex still has its color
         for asg in units[i]:
-            if consistent(acc, asg):
+            if all(masks[v] >> c & 1 for v, c in asg.items()):
                 stats.nodes += 1  # as a CSP node counts a child simplify refutes
                 cfg.charge(stats)
                 if (child := _forward_check(g, masks, asg)) is not None:
-                    yield i + 1, {**acc, **asg}, child
+                    yield i + 1, child
 
     def expand(state):
-        i, acc, masks = state
+        i, masks = state
         if i == len(units):
-            return _residual_solve(g, acc, masks, cfg, stats), ()
-        return None, extensions(i, acc, masks)
+            return _residual_solve(g, masks, cfg, stats), ()
+        return None, extensions(i, masks)
 
-    return depth_first((0, {}, dict.fromkeys(g.adj, 7)), expand)
+    return depth_first((0, dict.fromkeys(g.adj, 7)), expand)
 
 
 def _forward_check(g: MultiGraph, masks: dict, asg: Coloring) -> Optional[dict]:
-    """Forward check from the parent's masks (each uncolored vertex's colors
-    left after propagation, as 3-bit sets): color asg, then propagate every
-    forced (singleton) color.  The child's masks, or None when some vertex
-    runs out of colors, so no proper coloring extends the partial one."""
+    """Forward check from the parent's masks (each vertex's colors left
+    after propagation, as 3-bit sets; a colored or forced vertex has one):
+    color asg, then propagate every forced (singleton) color.  The child's
+    masks, or None when some vertex runs out of colors, so no proper
+    coloring extends the partial one; two adjacent vertices of asg with
+    one color empty each other's masks."""
     masks = dict(masks)
     forced = []
     for v, c in asg.items():
-        if not masks.pop(v) >> c & 1:
+        if not masks[v] >> c & 1:
             return None
+        masks[v] = 1 << c
         forced.append((v, 1 << c))
     while forced:
         v, bit = forced.pop()
         for u in g.adj[v]:
-            m = masks.get(u, 0)
+            m = masks[u]
             if m & bit:
                 m ^= bit
                 if not m:
@@ -568,16 +565,17 @@ def _forward_check(g: MultiGraph, masks: dict, asg: Coloring) -> Optional[dict]:
     return masks
 
 
-def _residual_solve(g, colored: Coloring, masks: dict, cfg, stats) -> Optional[Coloring]:
-    """The leaf's CSP call on a forward-checked full interior coloring.
+def _residual_solve(g, masks: dict, cfg, stats) -> Optional[Coloring]:
+    """The leaf's CSP call on the forward-checked masks of a full interior
+    coloring.
 
     A vertex whose mask holds one color takes it: propagation cleared it
-    from every uncolored neighbour.  With three or more vertices left
-    three colors, the undecided vertices, in vertex order, go to the CSP
-    with their masks' colors as lists.  With at most two, simplify would
-    decide that CSP at the root: eliminating the two-color variables
-    leaves at most two three-color ones, and no reduced instance has one
-    or two variables.  So it is decided here, as the one-node solve it replaces.
+    from every neighbour.  With three or more vertices left three colors,
+    the undecided vertices, in vertex order, go to the CSP with their
+    masks' colors as lists.  With at most two, simplify would decide that
+    CSP at the root: eliminating the two-color variables leaves at most
+    two three-color ones, and no reduced instance has one or two
+    variables.  So it is decided here, as the one-node solve it replaces.
     Each three-color vertex, in vertex order, tries its colors in
     ascending order through the forward check, backtracking on failure;
     what survives is 2-SAT (Even, Itai & Shamir 1976), and each
@@ -591,13 +589,12 @@ def _residual_solve(g, colored: Coloring, masks: dict, cfg, stats) -> Optional[C
         cfg.charge(stats)
 
         def expand(state):
-            i, full, masks = state
+            i, masks = state
             if i < len(threes):
-                v = threes[i]
                 return None, (
-                    (i + 1, {**full, v: c}, child)
+                    (i + 1, child)
                     for c in (0, 1, 2)
-                    if masks[v] >> c & 1 and (child := _forward_check(g, masks, {v: c})) is not None
+                    if (child := _forward_check(g, masks, {threes[i]: c})) is not None
                 )
             for v in sorted(masks):
                 m = masks[v]
@@ -607,19 +604,11 @@ def _residual_solve(g, colored: Coloring, masks: dict, cfg, stats) -> Optional[C
                             break
                     else:
                         return None, ()
-                    masks, full[v] = child, c
-            full.update((v, m.bit_length() - 1) for v, m in masks.items())
-            return full, ()
+                    masks = child
+            return {v: m.bit_length() - 1 for v, m in masks.items()}, ()
 
-        return depth_first((0, dict(colored), masks), expand)
-    full = dict(colored)
-    rest = []
-    for v in sorted(masks):
-        m = masks[v]
-        if m & (m - 1):
-            rest.append(v)
-        else:
-            full[v] = m.bit_length() - 1
+        return depth_first((0, masks), expand)
+    rest = [v for v in sorted(masks) if masks[v] & (masks[v] - 1)]
     index = {v: i for i, v in enumerate(rest)}
     lists = {i: [c for c in (0, 1, 2) if masks[v] >> c & 1] for i, v in enumerate(rest)}
     edges = [(index[u], index[v]) for u in rest for v in g.adj[u] if index.get(v, -1) > index[u]]
@@ -629,8 +618,8 @@ def _residual_solve(g, colored: Coloring, masks: dict, cfg, stats) -> Optional[C
     cfg.charge(stats)  # raises when the nested solve ran out
     if not res.satisfiable:
         return None
-    for i, v in enumerate(rest):
-        full[v] = res.assignment[i]
+    full = {v: m.bit_length() - 1 for v, m in masks.items()}
+    full.update((v, res.assignment[i]) for i, v in enumerate(rest))
     return full
 
 

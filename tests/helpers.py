@@ -869,7 +869,8 @@ def brute_solve_leaf(g, cfg, stats):
     units checked only for neighbor consistency, with one CSP call per
     consistent full assignment and no forward check or node charge.  A
     full assignment the from-scratch forward check keeps gets the leaf's
-    own call on the propagated lists; one it refutes gets a call on the
+    own call on the propagated lists, where each colored vertex keeps its
+    color as a one-color list; one it refutes gets a call on the
     unpropagated residue, which must refute it too."""
     f = build_bushy_forest(g)
     trees, x_set, y_set = build_height_two_forest(g, f)
@@ -894,7 +895,7 @@ def brute_solve_leaf(g, cfg, stats):
                 assert not brute_residue_satisfiable(g, acc, cfg, stats)
                 return None
             masks = {v: sum(1 << c for c in cs) for v, cs in lists.items()}
-            return _residual_solve(g, acc, masks, cfg, stats)
+            return _residual_solve(g, masks, cfg, stats)
         for asg in units[i]:
             if consistent(acc, asg):
                 got = run(i + 1, {**acc, **asg})
@@ -931,10 +932,13 @@ def brute_residue_satisfiable(g, colored, cfg, stats):
 
 def brute_forward_lists(g, colored):
     """Reference for vertexcolor._forward_check: rebuild every residue
-    list from scratch and propagate each forced (singleton) color to its
-    neighbors until nothing changes.  The propagated lists, or None when
-    some list runs empty."""
+    list from scratch, give each colored vertex the list of its color,
+    and propagate each forced (singleton) color to its neighbors until
+    nothing changes.  The propagated lists of every vertex, or None when
+    some list runs empty (two adjacent colored vertices with one color
+    empty each other's)."""
     lists = residue_lists(g, colored)
+    lists.update((v, {c}) for v, c in colored.items())
     forced = [v for v, cs in lists.items() if len(cs) < 2]
     while forced:
         v = forced.pop()

@@ -1,5 +1,5 @@
-"""Start-up cost: scipy and numpy load only where they are called, and
-networkx never.
+"""Start-up cost: scipy and numpy load only where they are called,
+networkx never, and the brute-force oracle module only when asked for.
 
 analysis.worst_case_breakdown is the one user of scipy, so importing the
 package and running the solvers loads none of them; networkx is only a
@@ -49,3 +49,11 @@ def test_edge_color_loads_no_heavy_module():
         "assert csp32.edge_color(*graph)[0] is not None\n"
     )
     assert loaded_after(body) == set()
+
+
+def test_importing_the_package_leaves_the_oracle_unloaded():
+    # the solvers reach nothing in csp32.oracle; the tests and the CLI's
+    # fuzz command import it themselves
+    run = run_fresh("import sys, csp32\nprint('csp32.oracle' in sys.modules)")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False"]

@@ -681,14 +681,14 @@ def test_leaf_csp_gets_only_undecided_vertices(monkeypatch):
             sizes[len(lists[i])] += 1
         return to_csp(n, edges, lists)
 
-    def checked(g, colored, masks, cfg, stats):
+    def checked(g, masks, cfg, stats):
         leaf["masks"] = masks
         leaf["undecided"] = sorted(v for v, m in masks.items() if m & (m - 1))
-        full = residual_solve(g, colored, masks, cfg, stats)
+        full = residual_solve(g, masks, cfg, stats)
         forced = {v: m.bit_length() - 1 for v, m in masks.items() if not m & (m - 1)}
-        sizes[1] += len(forced)
+        sizes[1] += len(forced)  # colored vertices and the ones propagation forced
         if full is not None:
-            assert full.items() >= {**colored, **forced}.items()
+            assert full.items() >= forced.items()
         return full
 
     monkeypatch.setattr(vertexcolor, "coloring_to_csp", coloring_to_csp)
@@ -706,8 +706,9 @@ def test_leaf_csp_gets_only_undecided_vertices(monkeypatch):
 
     # A hand-built leaf: the bushy tree 0 -> 1 has interior {0, 1}, and
     # its first coloring forces 2, 3 and 4 (adjacent to both) and then 5,
-    # 6 and 7 (adjacent to 1 and 2), so no vertex is left undecided and
-    # the leaf counts as one CSP call without building one.
+    # 6 and 7 (adjacent to 1 and 2), so all eight masks hold one color,
+    # no vertex is left undecided and the leaf counts as one CSP call
+    # without building one.
     edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7),
              (2, 5), (2, 6), (2, 7)]
     g = MultiGraph.from_edges(8, edges)
@@ -715,7 +716,7 @@ def test_leaf_csp_gets_only_undecided_vertices(monkeypatch):
     assert (f.roots, f.internal, f.vertices) == ([0], {0, 1}, set(range(8)))
     before, stats = Counter(sizes), SearchStats()
     coloring = vertexcolor._solve_leaf(g, SolverConfig(), stats)
-    assert sizes - before == Counter({1: 6}) and stats.csp_calls == 1
+    assert sizes - before == Counter({1: 8}) and stats.csp_calls == 1
     assert sorted(coloring) == list(range(8)) and proper(edges, coloring)
 
 
@@ -765,8 +766,8 @@ def test_two_list_leaves_are_decided_by_propagation(monkeypatch):
     residual_solve = vertexcolor._residual_solve
     verdicts, threes = Counter(), Counter()
 
-    def checked(g, colored, masks, cfg, stats):
-        full = residual_solve(g, colored, masks, cfg, stats)
+    def checked(g, masks, cfg, stats):
+        full = residual_solve(g, masks, cfg, stats)
         k = sum(m == 7 for m in masks.values())
         if k > 2:
             return full
@@ -776,7 +777,7 @@ def test_two_list_leaves_are_decided_by_propagation(monkeypatch):
         verdicts[res.satisfiable] += 1
         threes[k] += 1
         if full is not None:
-            assert set(full) == set(g.adj) and full.items() >= colored.items()
+            assert set(full) == set(g.adj)
             assert all(masks[v] >> full[v] & 1 for v in masks)
             assert all(full[u] != full[v] for u in g.adj for v in g.adj[u])
         return full
@@ -798,7 +799,7 @@ def test_two_list_leaf_hand_built_cases(monkeypatch):
     edges = [(i, (i + 1) % 5) for i in range(5)]
     stats = SearchStats()
     cycle = MultiGraph.from_edges(5, edges)
-    assert vertexcolor._residual_solve(cycle, {}, dict.fromkeys(range(5), 0b011),
+    assert vertexcolor._residual_solve(cycle, dict.fromkeys(range(5), 0b011),
                                        SolverConfig(), stats) is None
     assert (stats.csp_calls, stats.csp_nodes, stats.spent) == (1, 1, 1)
     assert solve(coloring_to_csp(5, edges, dict.fromkeys(range(5), (0, 1)))).satisfiable is False
@@ -808,11 +809,11 @@ def test_two_list_leaf_hand_built_cases(monkeypatch):
     g = MultiGraph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
     masks = {0: 0b011, 1: 0b011, 2: 0b101, 3: 0b110}
     assert _forward_check(g, masks, {0: 0}) is None
-    full = vertexcolor._residual_solve(g, {}, masks, SolverConfig(), SearchStats())
+    full = vertexcolor._residual_solve(g, masks, SolverConfig(), SearchStats())
     assert full == {0: 1, 1: 0, 2: 0, 3: 1}
     # its one node trips a spent budget, as the nested solve's did
     with pytest.raises(NodeLimitReached):
-        vertexcolor._residual_solve(g, {}, masks, SolverConfig(node_limit=0), SearchStats())
+        vertexcolor._residual_solve(g, masks, SolverConfig(node_limit=0), SearchStats())
 
     # Leaves with one or two three-color vertices build no CSP either:
     # each is decided by propagation and charged as the one-node solve
@@ -824,7 +825,7 @@ def test_two_list_leaf_hand_built_cases(monkeypatch):
         stats = SearchStats()
         with monkeypatch.context() as mp:
             mp.setattr(vertexcolor, "coloring_to_csp", no_csp)
-            full = vertexcolor._residual_solve(g, {}, masks, SolverConfig(), stats)
+            full = vertexcolor._residual_solve(g, masks, SolverConfig(), stats)
         assert (stats.csp_calls, stats.csp_nodes, stats.spent) == (1, 1, 1)
         res = solve(_leaf_csp(g, masks))
         assert (res.stats.nodes, res.satisfiable) == (1, full is not None)
@@ -855,7 +856,7 @@ def test_two_list_leaf_hand_built_cases(monkeypatch):
     # The one node trips a spent budget, as the nested solve's did.
     g, stats = MultiGraph.from_edges(3, [(0, 1), (0, 2), (1, 2)]), SearchStats()
     with pytest.raises(NodeLimitReached):
-        vertexcolor._residual_solve(g, {}, {0: 7, 1: 7, 2: 0b011},
+        vertexcolor._residual_solve(g, {0: 7, 1: 7, 2: 0b011},
                                     SolverConfig(node_limit=0), stats)
     assert (stats.csp_calls, stats.csp_nodes, stats.spent) == (1, 1, 1)
 
@@ -875,6 +876,41 @@ def test_forward_check_refutes_only_unextendable_colorings():
         else:
             kept += 1
     assert kept > 150
+
+
+def test_forward_check_refutes_a_clash_inside_one_coloring():
+    # Two adjacent vertices of one unit coloring with one color: each
+    # empties the other's mask, so the check alone refutes the coloring.
+    g = MultiGraph.from_edges(3, [(0, 1), (1, 2)])
+    assert _forward_check(g, dict.fromkeys(g.adj, 7), {0: 1, 1: 1}) is None
+    assert _forward_check(g, dict.fromkeys(g.adj, 7), {0: 1, 2: 1}) is not None
+
+
+def test_forward_check_keeps_colored_vertices_as_singletons():
+    # On the path 0-1-2-3, coloring 0 and 2 forces 1; every colored or
+    # forced vertex stays in the masks with its one color.
+    g = MultiGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    child = _forward_check(g, dict.fromkeys(g.adj, 7), {0: 0, 2: 1})
+    assert child == {0: 0b001, 1: 0b100, 2: 0b010, 3: 0b101}
+    assert _forward_check(g, child, {3: 1}) is None  # 2 already has color 1
+
+
+def test_leaf_charges_no_coloring_a_propagated_color_excludes():
+    # Bushy roots 0 (interior {0, 1}) and 9.  The first coloring of 0's
+    # tree, 0 -> 0 and 1 -> 1, forces 2, 3 and 4 to 2 and then 5 to 0, so
+    # 9 loses color 0 though no colored vertex is next to it.  9's tree
+    # is charged for 9 -> 1 alone, which succeeds.
+    edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7),
+             (1, 8), (2, 5), (2, 6), (2, 7), (2, 8), (5, 9), (9, 10), (9, 11), (9, 12)]
+    g = MultiGraph.from_edges(13, edges)
+    f = build_bushy_forest(g)
+    assert (f.roots, f.internal) == ([0, 9], {0, 1, 9})
+    masks = _forward_check(g, dict.fromkeys(g.adj, 7), {0: 0, 1: 1})
+    assert (masks[5], masks[9]) == (0b001, 0b110)
+    stats = SearchStats()
+    coloring = vertexcolor._solve_leaf(g, SolverConfig(), stats)
+    assert stats.nodes == 2 and (coloring[0], coloring[1], coloring[9]) == (0, 1, 1)
+    assert sorted(coloring) == list(range(13)) and proper(edges, coloring)
 
 
 def test_enumeration_node_limit_stops_before_any_csp_call():
