@@ -17,7 +17,7 @@ import sys
 import time
 from typing import Optional
 
-from . import analysis, oracle
+from . import analysis
 from .instance import Instance
 from .solver import (
     NodeLimitReached,
@@ -327,6 +327,8 @@ def cmd_factors(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import oracle  # brute force, loaded only where it is called
+
     if args.kind == "csp":
         inst, _names = load_csp_json(args.file)
         got = oracle.brute_csp(inst)
@@ -353,6 +355,8 @@ FUZZ_KINDS = {
 
 def _fuzz_one(kind: str, seed: int, size: int) -> bool:
     """One generator+solve+oracle comparison; True when they agree."""
+    from . import oracle
+
     rng = random.Random(seed)
     if kind == "random-csp":
         inst = oracle.random_csp(rng, size, 3, 0.25)

@@ -113,9 +113,7 @@ class SpliceStep:
 def conflict_graph(ei: EdgeInstance) -> MultiGraph:
     """The conflict graph on the edge ids: each edge is adjacent to its conflicts."""
     g = MultiGraph()
-    for eid in ei.edges:
-        g.adj[eid] = set(bits(ei.conflicts(eid)))
-        g.members[eid] = (eid,)
+    g.adj = {eid: set(bits(ei.conflicts(eid))) for eid in ei.edges}
     return g
 
 
@@ -128,7 +126,7 @@ def strip_low_neighbor_edges(ei: EdgeInstance) -> list:
     if any(ei.conflicts(eid).bit_count() <= 2 for eid in ei.edges):
         strip_low_degree(conflict_graph(ei), steps)
     for step in steps:
-        ei.remove_edge(*step.members)
+        ei.remove_edge(step.vertex)
     return steps
 
 

@@ -26,25 +26,25 @@ Coloring = dict[int, int]
 
 
 class MultiGraph:
-    """Undirected simple graph supporting vertex merges with lift bookkeeping.
+    """Undirected simple graph on the input's vertex ids, supporting merges.
 
-    Each current vertex carries the tuple of original vertices merged into
-    it.  Merging two adjacent vertices is refused (their originals would
-    need equal colors across an edge).
+    It keeps only its adjacency; the branching records each merge as a
+    Merged lift step and each removal as a GreedyColored or CycleColored
+    one.  Lifting replays them most recent first, so every vertex a step
+    reads is colored by then, also one a later step merged away or
+    removed.  Merging two adjacent vertices is refused (they would need
+    equal colors across an edge).
     """
 
-    __slots__ = ("adj", "members")
+    __slots__ = ("adj",)
 
     def __init__(self):
         self.adj: dict[int, set[int]] = {}
-        self.members: dict[int, tuple[int, ...]] = {}
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "MultiGraph":
         g = cls()
-        for v in range(n):
-            g.adj[v] = set()
-            g.members[v] = (v,)
+        g.adj = {v: set() for v in range(n)}
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
@@ -57,7 +57,6 @@ class MultiGraph:
     def copy(self) -> "MultiGraph":
         g = MultiGraph()
         g.adj = {v: set(ns) for v, ns in self.adj.items()}
-        g.members = dict(self.members)
         return g
 
     def vertices(self) -> list[int]:
@@ -65,9 +64,6 @@ class MultiGraph:
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
-
-    def rep(self, v: int) -> int:
-        return self.members[v][0]
 
     def add_edge(self, u: int, v: int) -> bool:
         """Add an edge; False signals a self-loop (an impossible demand)."""
@@ -80,7 +76,6 @@ class MultiGraph:
     def remove_vertex(self, v: int):
         for u in self.adj.pop(v):
             self.adj[u].discard(v)
-        del self.members[v]
 
     def merge(self, u: int, v: int) -> bool:
         """Merge v into u; False if they are adjacent (branch is impossible)."""
@@ -88,44 +83,51 @@ class MultiGraph:
             return True
         if v in self.adj[u]:
             return False
-        self.members[u] = self.members[u] + self.members[v]
         for w in self.adj.pop(v):
             self.adj[w].discard(v)
             if w != u:
                 self.adj[w].add(u)
                 self.adj[u].add(w)
-        del self.members[v]
         return True
+
+
+@dataclass(frozen=True)
+class Merged:
+    """Vertex gone was merged into vertex kept; lifting gives gone kept's color."""
+
+    kept: int
+    gone: int
+
+    def lift(self, out: Coloring):
+        out[self.gone] = out[self.kept]
 
 
 @dataclass(frozen=True)
 class GreedyColored:
     """A vertex removed while at most two distinctly colored neighbors remain.
 
-    Lifting assigns all merged originals the smallest color unused by the
-    recorded neighbor representatives.
+    Lifting gives it the smallest color unused by the recorded neighbors.
     """
 
-    members: tuple
-    neighbor_reps: tuple
+    vertex: int
+    neighbors: tuple
 
     def lift(self, out: Coloring):
-        used = {out[r] for r in self.neighbor_reps}
+        used = {out[u] for u in self.neighbors}
         free = sorted({0, 1, 2} - used)
         assert free, "removed vertex has three distinctly colored neighbors"
-        for m in self.members:
-            out[m] = free[0]
+        out[self.vertex] = free[0]
 
 
 @dataclass(frozen=True)
 class CycleColored:
     """A deleted chordless cycle of degree-three vertices.
 
-    Entries hold, in cycle order, each cycle vertex's merged originals and
-    a representative of its single outside neighbor.  Lifting recolors the
-    cycle from the outside colors: either all outside colors agree and the
-    (necessarily even) cycle alternates the other two colors, or coloring
-    starts after a differing adjacent pair and proceeds greedily around.
+    Entries hold, in cycle order, each cycle vertex and its single outside
+    neighbor.  Lifting recolors the cycle from the outside colors: either
+    all outside colors agree and the (necessarily even) cycle alternates
+    the other two colors, or coloring starts after a differing adjacent
+    pair and proceeds greedily around.
     """
 
     entries: tuple
@@ -151,14 +153,12 @@ class CycleColored:
                 free = sorted({0, 1, 2} - used)
                 assert free, "cycle lift ran out of colors"
                 cols[i] = free[0]
-        for i, (mem, _) in enumerate(self.entries):
-            for m in mem:
-                out[m] = cols[i]
+        for i, (v, _) in enumerate(self.entries):
+            out[v] = cols[i]
 
 
 def _remove_greedy(g: MultiGraph, steps: list, v: int):
-    reps = tuple(g.rep(u) for u in sorted(g.adj[v]))
-    steps.append(GreedyColored(g.members[v], reps))
+    steps.append(GreedyColored(v, tuple(sorted(g.adj[v]))))
     g.remove_vertex(v)
 
 
@@ -202,7 +202,7 @@ def _delete_cycle(g: MultiGraph, steps: list, cyc: list[int]):
     for v in cyc:
         others = g.adj[v] - cyc_set
         assert len(others) == 1
-        entries.append((g.members[v], g.rep(min(others))))
+        entries.append((v, min(others)))
     steps.append(CycleColored(tuple(entries)))
     for v in cyc:
         g.remove_vertex(v)
@@ -217,7 +217,7 @@ def _child(g: MultiGraph, merges, edge, cycle, greedy) -> Optional[tuple[MultiGr
         return None
     if edge is not None and not child.add_edge(*edge):
         return None
-    steps: list = []
+    steps: list = [Merged(u, v) for u, v in merges if u != v]
     if cycle is not None:
         _delete_cycle(child, steps, cycle)
     for v in greedy:
@@ -637,10 +637,7 @@ def _expand(cfg: SolverConfig, stats: SearchStats, state: tuple[MultiGraph, list
     if branch is not None:
         return None, [(child, steps + extra) for child, extra in branch]
     leaf = _solve_leaf(g, cfg, stats)
-    if leaf is None:
-        return None, ()
-    expanded = {m: c for v, c in leaf.items() for m in g.members[v]}
-    return lift(expanded, steps), ()
+    return (None if leaf is None else lift(leaf, steps)), ()
 
 
 def color_graph(

@@ -43,6 +43,7 @@ from csp32.solver import (
 )
 from csp32.transform import coloring_to_csp
 from csp32.vertexcolor import (
+    Merged,
     _bushy_unit,
     _degree3_subgraph,
     _delete_cycle,
@@ -765,7 +766,7 @@ def brute_branch_degree3_cycle(g, shapes=None):
         children.append((a, a_steps))
         shapes["k3-differ"] += 1
         b = g.copy()
-        b_steps = []
+        b_steps = [Merged(outs[0], outs[1]), Merged(outs[0], cyc[2])]
         if b.merge(outs[0], outs[1]) and b.merge(outs[0], cyc[2]):
             _remove_greedy(b, b_steps, cyc[0])
             _remove_greedy(b, b_steps, cyc[1])
@@ -783,7 +784,7 @@ def brute_branch_degree3_cycle(g, shapes=None):
     if outs[0] != outs[1] == outs[2]:
         shapes["odd-third-merged"] += 1  # outs[2] is merged away below
     b = g.copy()
-    b_steps = []
+    b_steps = [Merged(outs[0], outs[1])]
     ok = b.merge(outs[0], outs[1])
     if ok:
         third = outs[2] if outs[2] in b.adj else outs[0]
@@ -793,10 +794,13 @@ def brute_branch_degree3_cycle(g, shapes=None):
         children.append((b, b_steps))
         shapes["odd-same-edge"] += 1
     c = g.copy()
-    c_steps = []
+    c_steps = [Merged(outs[0], outs[1])]
     ok = c.merge(outs[0], outs[1])
     if ok:
         third = outs[2] if outs[2] in c.adj else outs[0]
+        if third != outs[0]:
+            c_steps.append(Merged(outs[0], third))
+        c_steps.append(Merged(cyc[0], cyc[2]))
         ok = c.merge(outs[0], third) and c.merge(cyc[0], cyc[2])
     if ok:
         _remove_greedy(c, c_steps, cyc[1])
@@ -852,7 +856,7 @@ def brute_branch_degree3_tree(g):
     for third in nbrs:
         a, b = (u for u in nbrs if u != third)
         child = g.copy()
-        steps = []
+        steps = [Merged(a, b)]
         if not child.merge(a, b):
             continue
         _remove_greedy(child, steps, centroid)

@@ -7,6 +7,8 @@ import pytest
 
 from csp32.instance import (
     Instance,
+    IsolatedMerge,
+    TwoColorEliminated,
     check,
     eliminate_two_color,
     find_dead_color,
@@ -492,3 +494,27 @@ def test_simplify_matches_four_lemma_reference(monkeypatch):
     assert leaf_calls > 0 and tally != reached
     assert tally["unconstrained"] == 0
     assert min(tally[name] for name in ("free-pair", "dominated", "dead")) > 0, tally
+
+
+def test_instance_edits_reject_missing_pairs():
+    inst = Instance.build({0: range(3), 1: range(2)})
+    with pytest.raises(ValueError, match=r"pair \(1, 2\) not available"):
+        inst.add_constraint((0, 0), (1, 2))
+    with pytest.raises(ValueError, match=r"pair \(2, 0\) not available"):
+        inst.add_constraint((2, 0), (0, 1))
+    with pytest.raises(ValueError, match=r"pair \(0, 5\) not available"):
+        inst.assign((0, 5))
+    with pytest.raises(ValueError, match="variable 0 has 3 colors, expected 2"):
+        eliminate_two_color(inst, 0)
+
+
+def test_lift_steps_reject_a_solution_of_another_instance():
+    # both colors of the eliminated variable are blocked
+    step = TwoColorEliminated(0, 0, 1, ((1, 0),), ((1, 0),))
+    with pytest.raises(ValueError, match="both colors of eliminated variable 0"):
+        step.lift({1: 0})
+    merge = IsolatedMerge(5, ((0, (0, 1), (1, 2)),))
+    with pytest.raises(ValueError, match="merged variable 5 unassigned"):
+        merge.lift({0: 1})
+    with pytest.raises(ValueError, match="merged variable 5 got unknown color 3"):
+        merge.lift({5: 3})

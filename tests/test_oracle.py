@@ -3,6 +3,8 @@
 import random
 from itertools import combinations
 
+import pytest
+
 from csp32.instance import check
 from csp32.oracle import (
     brute_csp,
@@ -119,3 +121,9 @@ def test_random_3cnf_shape():
         assert len(cl) == 3
         assert len({abs(l) for l in cl}) == 3
         assert all(1 <= abs(l) <= 6 for l in cl)
+
+
+def test_cubic_generators_reject_an_odd_vertex_count():
+    for make in (random_cubic, planted_cubic_edge_colorable):
+        with pytest.raises(ValueError, match="even vertex count"):
+            make(random.Random(1), 7)

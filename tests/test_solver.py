@@ -8,9 +8,11 @@ from csp32.analysis import LAMBDA
 from csp32.instance import Instance, check, measure, simplify
 from csp32.oracle import brute_csp, planted_csp, random_csp, structured_csp
 from csp32.solver import (
+    ChildBuilder,
     NodeLimitReached,
     SearchStats,
     SolverConfig,
+    _screen,
     claim_cap,
     matching_solve,
     solve,
@@ -286,3 +288,45 @@ def test_absorb_folds_nested_counts():
     edge.absorb(SearchStats(breakdowns=(1, 5, 0, 2, 0)))
     edge.absorb(SearchStats(breakdowns=(3, 1, 0, 0, 4)))
     assert edge.breakdowns == (3, 5, 0, 2, 4)
+
+
+def test_dead_children_ignore_later_edits():
+    # using (0, 0) removes (1, 0), so using (1, 0) next finds it vanished
+    inst = build_instance({0: range(3), 1: range(3)}, [((0, 0), (1, 0))])
+    b = ChildBuilder(inst).use((0, 0))
+    assert not b.dead
+    b.use((1, 0))
+    assert b.dead and len(b.trace) == 1
+    live, trace = dict(b.inst.live), list(b.trace)
+    # a dead child takes no further use, avoid or merge
+    assert b.use((1, 1)) is b and b.avoid((1, 2)) is b and b.merge((1, 1), (1, 2)) is b
+    assert (b.inst.live, b.trace) == (live, trace)
+    # avoiding a variable's last color kills the child
+    one = Instance.build({0: [2], 1: range(3)})
+    c = ChildBuilder(one).avoid((0, 2))
+    assert c.dead and c.inst.live[0] == 0
+    assert not ChildBuilder(one).avoid((0, 1)).dead  # a missing pair changes nothing
+
+
+def test_screen_takes_a_branching_with_every_child_refuted():
+    inst = build_instance({0: range(3), 1: range(3)}, [((0, 0), (1, 0))])
+    dead = [ChildBuilder(inst).use((0, 0)).use((1, 0)) for _ in range(2)]
+    assert _screen([("high-degree", dead)], SearchStats()) == ("high-degree", dead)
+
+
+def test_a_branching_with_no_live_child_is_a_refuted_leaf(monkeypatch):
+    # K4's list coloring survives simplify, so the patched rule runs at
+    # the root; its only child is dead, and the root becomes a leaf
+    k4 = build_instance(
+        {v: range(3) for v in range(4)},
+        [((v, c), (w, c)) for v in range(4) for w in range(v + 1, 4) for c in range(3)],
+    )
+    red, _trace = simplify(k4)
+    assert red is not None and red.n == 4
+    monkeypatch.setattr(
+        "csp32.solver.choose_rule",
+        lambda red, stats: ("high-degree", [ChildBuilder(red).use((0, 0)).use((1, 0))]),
+    )
+    res = solve(k4)
+    assert res.satisfiable is False
+    assert (res.stats.nodes, res.stats.leaves, res.stats.rule_counts["high-degree"]) == (1, 1, 1)

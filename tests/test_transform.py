@@ -8,6 +8,7 @@ from csp32.instance import Instance, check
 from csp32.oracle import brute_sat, brute_vertex_color, random_3cnf, random_graph
 from csp32.solver import solve
 from csp32.transform import (
+    DualMap,
     GeneralCSP,
     binary_instance,
     cnf_to_general,
@@ -175,3 +176,15 @@ def test_coloring_respects_lists():
 def test_coloring_rejects_self_loop():
     with pytest.raises(ValueError):
         coloring_to_csp(2, [(0, 0)])
+
+
+def test_binary_instance_rejects_wide_constraints():
+    csp = GeneralCSP({v: {0, 1} for v in range(3)}, [((0, 0), (1, 0), (2, 0))])
+    with pytest.raises(ValueError, match="arity 3 > 2"):
+        binary_instance(csp)
+
+
+def test_dual_decode_rejects_a_variable_with_every_value_ruled_out():
+    # dual variable 0 picking original variable 0 rules out its only value
+    with pytest.raises(ValueError, match="all values of variable 0 were ruled out"):
+        DualMap({0: {1}}, {(0, 0): 1}).decode({0: 0})

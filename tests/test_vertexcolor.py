@@ -23,6 +23,7 @@ from csp32.transform import coloring_to_csp
 from csp32.vertexcolor import (
     ColorConfig,
     HeightTwoTree,
+    Merged,
     MultiGraph,
     _forward_check,
     _height_two_unit,
@@ -57,10 +58,12 @@ def test_multigraph_basics():
     assert g.degree(1) == 2
     assert not g.add_edge(0, 0)  # self-loops are rejected
     assert g.merge(0, 2)
-    # Merged vertex inherits both neighborhoods.
-    merged = [v for v in g.vertices() if set(g.members[v]) >= {0, 2}]
-    assert len(merged) == 1
-    assert not g.merge(merged[0], 1)  # adjacent vertices cannot merge
+    # The kept vertex inherits both neighborhoods; the other is gone.
+    assert g.vertices() == [0, 1, 3]
+    assert g.adj[0] == {1, 3}
+    assert not g.merge(0, 1)  # adjacent vertices cannot merge
+    # Lifting the merge gives the gone vertex the kept vertex's color.
+    assert lift({0: 2, 1: 0, 3: 1}, [Merged(0, 2)]) == {0: 2, 1: 0, 2: 2, 3: 1}
 
 
 def test_strip_low_degree_removes_below_three():
@@ -115,17 +118,15 @@ def test_cycle_branch_children_preserve_colorability():
         want = brute_vertex_color((n, edges)) is not None
         have = False
         for child, steps in children:
-            # Solve the child exhaustively on its representative graph.
-            reps = sorted(child.vertices())
-            idx = {v: i for i, v in enumerate(reps)}
-            ce = [(idx[u], idx[v]) for u in reps for v in child.adj[u] if u < v]
-            sub = brute_vertex_color((len(reps), ce))
+            # Solve the child exhaustively on the vertices it kept.
+            kept = sorted(child.vertices())
+            idx = {v: i for i, v in enumerate(kept)}
+            ce = [(idx[u], idx[v]) for u in kept for v in child.adj[u] if u < v]
+            sub = brute_vertex_color((len(kept), ce))
             if sub is None:
                 continue
-            colored = {v: sub[idx[v]] for v in reps}
-            full = lift(
-                {m: colored[v] for v in reps for m in child.members[v]}, steps
-            )
+            colored = {v: sub[idx[v]] for v in kept}
+            full = lift(colored, steps)
             assert proper(edges, full)
             have = True
         assert have == want, (n, edges)
@@ -153,7 +154,7 @@ def test_tree_branch_on_degree3_forest():
 
 def test_branch_children_match_brute_reference():
     # Walk the graph branching of seeded graphs depth-first: every cycle,
-    # every branching and every child (graph, members, lift steps) must
+    # every branching and every child (graph and lift steps) must
     # equal the hand-written references.  The seeds rarely reach a tree
     # or a repeated outside neighbor, so two fixed graphs add those.
     rng = random.Random(23)
@@ -177,7 +178,7 @@ def test_branch_children_match_brute_reference():
                 shapes["tree"] += got is not None
             assert (got is None) == (want is None)
             for (child, steps), (ref, ref_steps) in zip(got or [], want or [], strict=True):
-                assert (child.adj, child.members, steps) == (ref.adj, ref.members, ref_steps)
+                assert (child.adj, steps) == (ref.adj, ref_steps)
                 pending.append(child)
     reached = {shape for shape, count in shapes.items() if count}
     assert reached == {
