@@ -27,7 +27,7 @@ from typing import Iterator, Optional
 from .graphalg import depth_first, general_matching
 from .instance import bits, lift
 from .solver import SearchStats, SolverConfig
-from .vertexcolor import MultiGraph, color_graph, strip_low_degree
+from .vertexcolor import Adjacency, color_graph, strip_low_degree
 
 Edge = tuple[int, int]
 
@@ -110,11 +110,9 @@ class SpliceStep:
         out[self.center] = 3 - c1 - c2
 
 
-def conflict_graph(ei: EdgeInstance) -> MultiGraph:
+def conflict_graph(ei: EdgeInstance) -> Adjacency:
     """The conflict graph on the edge ids: each edge is adjacent to its conflicts."""
-    g = MultiGraph()
-    g.adj = {eid: set(bits(ei.conflicts(eid))) for eid in ei.edges}
-    return g
+    return {eid: set(bits(ei.conflicts(eid))) for eid in ei.edges}
 
 
 def strip_low_neighbor_edges(ei: EdgeInstance) -> list:

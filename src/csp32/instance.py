@@ -458,9 +458,8 @@ def _lemma_step(inst: Instance) -> Optional[LiftStep]:
     found = find_free_pair(inst)
     if found is not None:
         p, q = found
-        inst.assign(p)
-        if inst.has(q):
-            inst.assign(q)
+        inst.assign(p)  # q is on another variable and not p's conflict, so it stays
+        inst.assign(q)
         return FreePairUsed(p, q)
     found = find_dominated(inst)
     if found is not None:

@@ -1,14 +1,20 @@
 """Exact graph 3-coloring built on top of the binary CSP solver.
 
-The pipeline strips low-degree vertices, branches away cycles and large
-trees of degree-three vertices, grows a bushy forest plus a height-two
-forest over what is left, enumerates proper colorings of the forest
-interiors with a forward check, and hands the vertices still undecided
-after propagation, with the colors they have left, to the CSP solver as
-a list-coloring instance, unless at most two have three colors left
-(then it tries their colors and decides the 2-SAT rest by propagation).
-Every success is lifted back to a proper coloring of the original graph
-and verified.
+The graph is a plain adjacency dict (vertex -> set of neighbors) on the
+input's vertex ids.  The pipeline strips low-degree vertices, branches
+away cycles and large trees of degree-three vertices, grows a bushy
+forest plus a height-two forest over what is left, enumerates proper
+colorings of the forest interiors with a forward check, and hands the
+vertices still undecided after propagation, with the colors they have
+left, to the CSP solver as a list-coloring instance, unless at most two
+have three colors left (then it tries their colors and decides the 2-SAT
+rest by propagation).
+
+The graph changes only by vertex removals and merges, each recorded as
+a lift step (GreedyColored or CycleColored, and Merged).  Lifting
+replays them most recent first, so every vertex a step reads is colored
+by then, also one a later step merged away or removed.  Every success
+is lifted back to a proper coloring of the original graph and verified.
 """
 
 from __future__ import annotations
@@ -23,72 +29,40 @@ from .solver import NodeLimitReached, SearchStats, SolverConfig, solve
 from .transform import coloring_to_csp
 
 Coloring = dict[int, int]
+Adjacency = dict[int, set[int]]
 
 
-class MultiGraph:
-    """Undirected simple graph on the input's vertex ids, supporting merges.
-
-    It keeps only its adjacency; the branching records each merge as a
-    Merged lift step and each removal as a GreedyColored or CycleColored
-    one.  Lifting replays them most recent first, so every vertex a step
-    reads is colored by then, also one a later step merged away or
-    removed.  Merging two adjacent vertices is refused (they would need
-    equal colors across an edge).
-    """
-
-    __slots__ = ("adj",)
-
-    def __init__(self):
-        self.adj: dict[int, set[int]] = {}
-
-    @classmethod
-    def from_edges(cls, n: int, edges) -> "MultiGraph":
-        g = cls()
-        g.adj = {v: set() for v in range(n)}
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if u not in g.adj or v not in g.adj:
-                raise ValueError(f"edge ({u}, {v}) has a vertex outside 0..{n - 1}")
-            g.adj[u].add(v)
-            g.adj[v].add(u)
-        return g
-
-    def copy(self) -> "MultiGraph":
-        g = MultiGraph()
-        g.adj = {v: set(ns) for v, ns in self.adj.items()}
-        return g
-
-    def vertices(self) -> list[int]:
-        return sorted(self.adj)
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
-    def add_edge(self, u: int, v: int) -> bool:
-        """Add an edge; False signals a self-loop (an impossible demand)."""
+def adjacency(n: int, edges) -> Adjacency:
+    """The simple graph on vertices 0..n-1 with the given edges; a
+    self-loop or a vertex outside that range raises ValueError."""
+    g: Adjacency = {v: set() for v in range(n)}
+    for u, v in edges:
         if u == v:
-            return False
-        self.adj[u].add(v)
-        self.adj[v].add(u)
-        return True
+            raise ValueError(f"self-loop at vertex {u}")
+        if u not in g or v not in g:
+            raise ValueError(f"edge ({u}, {v}) has a vertex outside 0..{n - 1}")
+        g[u].add(v)
+        g[v].add(u)
+    return g
 
-    def remove_vertex(self, v: int):
-        for u in self.adj.pop(v):
-            self.adj[u].discard(v)
 
-    def merge(self, u: int, v: int) -> bool:
-        """Merge v into u; False if they are adjacent (branch is impossible)."""
-        if u == v:
-            return True
-        if v in self.adj[u]:
-            return False
-        for w in self.adj.pop(v):
-            self.adj[w].discard(v)
-            if w != u:
-                self.adj[w].add(u)
-                self.adj[u].add(w)
+def remove_vertex(g: Adjacency, v: int):
+    for u in g.pop(v):
+        g[u].discard(v)
+
+
+def merge(g: Adjacency, u: int, v: int) -> bool:
+    """Merge v into u; False if they are adjacent (they would need equal
+    colors across an edge, so the branch is impossible)."""
+    if u == v:
         return True
+    if v in g[u]:
+        return False
+    for w in g.pop(v):
+        g[w].discard(v)
+        g[w].add(u)
+        g[u].add(w)
+    return True
 
 
 @dataclass(frozen=True)
@@ -157,29 +131,29 @@ class CycleColored:
             out[v] = cols[i]
 
 
-def _remove_greedy(g: MultiGraph, steps: list, v: int):
-    steps.append(GreedyColored(v, tuple(sorted(g.adj[v]))))
-    g.remove_vertex(v)
+def _remove_greedy(g: Adjacency, steps: list, v: int):
+    steps.append(GreedyColored(v, tuple(sorted(g[v]))))
+    remove_vertex(g, v)
 
 
-def strip_low_degree(g: MultiGraph, steps: list):
+def strip_low_degree(g: Adjacency, steps: list):
     """Remove degree <= 2 vertices until none remain, recording lift steps."""
-    queue = sorted(v for v in g.adj if g.degree(v) <= 2)
+    queue = sorted(v for v, ns in g.items() if len(ns) <= 2)
     while queue:
         v = queue.pop()
-        if v not in g.adj or g.degree(v) > 2:
+        if v not in g or len(g[v]) > 2:
             continue
-        affected = sorted(g.adj[v])
+        affected = sorted(g[v])
         _remove_greedy(g, steps, v)
-        queue.extend(u for u in affected if g.degree(u) <= 2)
+        queue.extend(u for u in affected if len(g[u]) <= 2)
 
 
-def _degree3_subgraph(g: MultiGraph) -> dict[int, set[int]]:
-    low = {v for v in g.adj if g.degree(v) == 3}
-    return {v: g.adj[v] & low for v in low}
+def _degree3_subgraph(g: Adjacency) -> dict[int, set[int]]:
+    low = {v for v, ns in g.items() if len(ns) == 3}
+    return {v: g[v] & low for v in low}
 
 
-def find_degree3_cycle(g: MultiGraph) -> Optional[list[int]]:
+def find_degree3_cycle(g: Adjacency) -> Optional[list[int]]:
     """A shortest (hence chordless) cycle of degree-three vertices."""
     sub = _degree3_subgraph(g)
     best: Optional[list[int]] = None
@@ -194,39 +168,43 @@ def find_degree3_cycle(g: MultiGraph) -> Optional[list[int]]:
     return best
 
 
-def _delete_cycle(g: MultiGraph, steps: list, cyc: list[int]):
+def _delete_cycle(g: Adjacency, steps: list, cyc: list[int]):
     """Record lift data for a cycle (reading each vertex's current single
     outside neighbor) and remove its vertices."""
     cyc_set = set(cyc)
     entries = []
     for v in cyc:
-        others = g.adj[v] - cyc_set
+        others = g[v] - cyc_set
         assert len(others) == 1
         entries.append((v, min(others)))
     steps.append(CycleColored(tuple(entries)))
     for v in cyc:
-        g.remove_vertex(v)
+        remove_vertex(g, v)
 
 
-def _child(g: MultiGraph, merges, edge, cycle, greedy) -> Optional[tuple[MultiGraph, list]]:
+def _child(g: Adjacency, merges, edge, cycle, greedy) -> Optional[tuple[Adjacency, list]]:
     """One graph branch child and its lift steps: a copy of g with the
     merges, then the edge, applied (None when one is impossible), then
     the cycle deleted or the greedy vertices still present removed."""
-    child = g.copy()
-    if not all(child.merge(u, v) for u, v in merges):
+    child = {v: set(ns) for v, ns in g.items()}
+    if not all(merge(child, u, v) for u, v in merges):
         return None
-    if edge is not None and not child.add_edge(*edge):
-        return None
+    if edge is not None:
+        u, v = edge
+        if u == v:  # a self-loop: no vertex differs from itself
+            return None
+        child[u].add(v)
+        child[v].add(u)
     steps: list = [Merged(u, v) for u, v in merges if u != v]
     if cycle is not None:
         _delete_cycle(child, steps, cycle)
     for v in greedy:
-        if v in child.adj:
+        if v in child:
             _remove_greedy(child, steps, v)
     return child, steps
 
 
-def branch_degree3_cycle(g: MultiGraph) -> Optional[list[tuple[MultiGraph, list]]]:
+def branch_degree3_cycle(g: Adjacency) -> Optional[list[tuple[Adjacency, list]]]:
     """Branch set eliminating one cycle of degree-three vertices, if any.
 
     Returns None when no such cycle exists and an empty list when the
@@ -238,12 +216,12 @@ def branch_degree3_cycle(g: MultiGraph) -> Optional[list[tuple[MultiGraph, list]
     k = len(cyc)
     outs = []
     for i, v in enumerate(cyc):
-        others = g.adj[v] - {cyc[i - 1], cyc[(i + 1) % k]}
+        others = g[v] - {cyc[i - 1], cyc[(i + 1) % k]}
         assert len(others) == 1
         outs.append(min(others))
 
     adjacent_pair = any(
-        outs[i] != outs[(i + 1) % k] and outs[(i + 1) % k] in g.adj[outs[i]]
+        outs[i] != outs[(i + 1) % k] and outs[(i + 1) % k] in g[outs[i]]
         for i in range(k)
     )
     if k % 2 == 0 or adjacent_pair:
@@ -272,7 +250,7 @@ def branch_degree3_cycle(g: MultiGraph) -> Optional[list[tuple[MultiGraph, list]
     return [c for c in differ + same if c is not None]
 
 
-def branch_degree3_tree(g: MultiGraph) -> Optional[list[tuple[MultiGraph, list]]]:
+def branch_degree3_tree(g: Adjacency) -> Optional[list[tuple[Adjacency, list]]]:
     """Branch set shrinking a tree of eight or more degree-three vertices."""
     sub = _degree3_subgraph(g)
     comp = next((c for c in components(sub, sub.get) if len(c) >= 8), None)
@@ -293,7 +271,7 @@ def branch_degree3_tree(g: MultiGraph) -> Optional[list[tuple[MultiGraph, list]]
     centroid = min(comp, key=lambda v: (heaviest(v), v))
     assert heaviest(centroid) <= len(comp) // 2
 
-    nbrs = sorted(g.adj[centroid])
+    nbrs = sorted(g[centroid])
     assert len(nbrs) == 3
     behind = branches(centroid)
     children = []
@@ -322,32 +300,32 @@ class BushyForest:
         self.vertices.update((v, *outside))
 
 
-def build_bushy_forest(g: MultiGraph) -> BushyForest:
+def build_bushy_forest(g: Adjacency) -> BushyForest:
     """Grow a maximal bushy forest greedily and assert its maximality.
 
     Outside sets only shrink, so every root is found in one pass over the
     vertices, and a leaf that cannot grow never can: each later pass
     tries only the leaves the pass before it added, in vertex order."""
     f = BushyForest()
-    for v in g.vertices():
-        if v not in f.vertices and len(outside := sorted(g.adj[v] - f.vertices)) >= 4:
+    for v in sorted(g):
+        if v not in f.vertices and len(outside := sorted(g[v] - f.vertices)) >= 4:
             f.roots.append(v)
             f.grow(v, outside)
     fresh = set(f.leaves)
     while fresh:
         added: set[int] = set()
         for v in sorted(fresh):
-            if len(outside := sorted(g.adj[v] - f.vertices)) >= 3:
+            if len(outside := sorted(g[v] - f.vertices)) >= 3:
                 f.grow(v, outside)
                 added.update(outside)
         fresh = added
     for v in f.internal:
-        assert g.adj[v] <= f.vertices
+        assert g[v] <= f.vertices
     for v in f.leaves:
-        assert len(g.adj[v] - f.vertices) <= 2
-    for v in g.adj:
+        assert len(g[v] - f.vertices) <= 2
+    for v in g:
         if v not in f.vertices:
-            assert len(g.adj[v] - f.vertices) <= 3
+            assert len(g[v] - f.vertices) <= 3
     return f
 
 
@@ -364,15 +342,15 @@ class HeightTwoTree:
 
 
 def build_height_two_forest(
-    g: MultiGraph, f: BushyForest
+    g: Adjacency, f: BushyForest
 ) -> tuple[list[HeightTwoTree], set[int], set[int]]:
     """Cover the graph outside the bushy forest by short trees.
 
     Returns the trees plus the split of the remaining outside vertices
     into X (adjacent to the forest) and Y (assigned to trees by flow).
     """
-    outside = set(g.adj) - f.vertices
-    out_adj = {v: sorted(g.adj[v] & outside) for v in outside}
+    outside = set(g) - f.vertices
+    out_adj = {v: sorted(g[v] & outside) for v in outside}
     assert all(len(ns) <= 3 for ns in out_adj.values())
 
     # one pass packs every star: free lists only shrink, and a vertex
@@ -401,7 +379,7 @@ def build_height_two_forest(
                 break
 
     in_pack = set(used)
-    x_set = {v for v in outside - in_pack if not g.adj[v].isdisjoint(f.vertices)}
+    x_set = {v for v in outside - in_pack if not g[v].isdisjoint(f.vertices)}
     y_set = outside - in_pack - x_set
 
     trees = {
@@ -409,7 +387,7 @@ def build_height_two_forest(
             root=c,
             children=ls,
             grands={u: () for u in ls},
-            high=any(g.degree(v) >= 4 for v in (c, *ls)),
+            high=any(len(g[v]) >= 4 for v in (c, *ls)),
         )
         for c, ls in sorted(packs)
     }
@@ -417,8 +395,8 @@ def build_height_two_forest(
 
     edges = []
     for y in sorted(y_set):
-        assert g.degree(y) == 3
-        owners = sorted({leaf_tree[u] for u in g.adj[y] if u in leaf_tree})
+        assert len(g[y]) == 3
+        owners = sorted({leaf_tree[u] for u in g[y] if u in leaf_tree})
         assert owners, "uncovered vertex with no packed neighbor"
         edges += [(c, y) for c in owners]
     placed = max_flow({c: 5 if tree.high else 3 for c, tree in trees.items()}, edges)
@@ -426,7 +404,7 @@ def build_height_two_forest(
 
     for y, c in sorted(placed.items()):
         tree = trees[c]
-        leaf = min(u for u in g.adj[y] if leaf_tree.get(u) == c)
+        leaf = min(u for u in g[y] if leaf_tree.get(u) == c)
         tree.grands[leaf] = tree.grands[leaf] + (y,)
 
     out = [trees[c] for c in sorted(trees)]
@@ -453,7 +431,7 @@ def _two_disjoint_stars(out_adj, avail: set[int]):
     return None
 
 
-def _bushy_unit(g: MultiGraph, f: BushyForest, root: int) -> list[Coloring]:
+def _bushy_unit(g: Adjacency, f: BushyForest, root: int) -> list[Coloring]:
     """Proper colorings of one bushy tree's internal vertices."""
     order = [
         v for v, _ in bfs(root, lambda v: (u for u in f.children.get(v, ()) if u in f.internal))
@@ -465,7 +443,7 @@ def _bushy_unit(g: MultiGraph, f: BushyForest, root: int) -> list[Coloring]:
             outs.append(acc)
             return None, ()
         v = order[len(acc)]
-        used = {acc[u] for u in g.adj[v] if u in acc}
+        used = {acc[u] for u in g[v] if u in acc}
         return None, [{**acc, v: c} for c in (0, 1, 2) if c not in used]
 
     depth_first({}, expand)
@@ -504,7 +482,7 @@ class ColorResult:
     stats: SearchStats
 
 
-def _solve_leaf(g: MultiGraph, cfg: SolverConfig, stats: SearchStats):
+def _solve_leaf(g: Adjacency, cfg: SolverConfig, stats: SearchStats):
     f = build_bushy_forest(g)
     trees, x_set, y_set = build_height_two_forest(g, f)
     stats.leaves += 1
@@ -513,7 +491,7 @@ def _solve_leaf(g: MultiGraph, cfg: SolverConfig, stats: SearchStats):
     stats.breakdowns = tuple(map(max, stats.breakdowns, split))
     if f.roots:
         # coverage guarantee for a maximal forest in a cycle-free residue
-        assert len(g.adj) - len(f.vertices) <= 20 * len(f.leaves) / 3 + 1e-9
+        assert len(g) - len(f.vertices) <= 20 * len(f.leaves) / 3 + 1e-9
 
     units = [_bushy_unit(g, f, root) for root in f.roots]
     units += [_height_two_unit(tree) for tree in trees]
@@ -534,10 +512,10 @@ def _solve_leaf(g: MultiGraph, cfg: SolverConfig, stats: SearchStats):
             return _residual_solve(g, masks, cfg, stats), ()
         return None, extensions(i, masks)
 
-    return depth_first((0, dict.fromkeys(g.adj, 7)), expand)
+    return depth_first((0, dict.fromkeys(g, 7)), expand)
 
 
-def _forward_check(g: MultiGraph, masks: dict, asg: Coloring) -> Optional[dict]:
+def _forward_check(g: Adjacency, masks: dict, asg: Coloring) -> Optional[dict]:
     """Forward check from the parent's masks (each vertex's colors left
     after propagation, as 3-bit sets; a colored or forced vertex has one):
     color asg, then propagate every forced (singleton) color.  The child's
@@ -553,7 +531,7 @@ def _forward_check(g: MultiGraph, masks: dict, asg: Coloring) -> Optional[dict]:
         forced.append((v, 1 << c))
     while forced:
         v, bit = forced.pop()
-        for u in g.adj[v]:
+        for u in g[v]:
             m = masks[u]
             if m & bit:
                 m ^= bit
@@ -611,7 +589,7 @@ def _residual_solve(g, masks: dict, cfg, stats) -> Optional[Coloring]:
     rest = [v for v in sorted(masks) if masks[v] & (masks[v] - 1)]
     index = {v: i for i, v in enumerate(rest)}
     lists = {i: [c for c in (0, 1, 2) if masks[v] >> c & 1] for i, v in enumerate(rest)}
-    edges = [(index[u], index[v]) for u in rest for v in g.adj[u] if index.get(v, -1) > index[u]]
+    edges = [(index[u], index[v]) for u in rest for v in g[u] if index.get(v, -1) > index[u]]
     inst = coloring_to_csp(len(rest), edges, lists)
     res = solve(inst, cfg.charge(stats))
     stats.absorb(res.stats, csp=True)
@@ -623,13 +601,13 @@ def _residual_solve(g, masks: dict, cfg, stats) -> Optional[Coloring]:
     return full
 
 
-def _expand(cfg: SolverConfig, stats: SearchStats, state: tuple[MultiGraph, list]):
+def _expand(cfg: SolverConfig, stats: SearchStats, state: tuple[Adjacency, list]):
     """One graph node; a state is a graph and its lift steps from the input."""
     g, steps = state
     stats.nodes += 1
     cfg.charge(stats)
     strip_low_degree(g, steps)
-    if not g.adj:
+    if not g:
         return lift({}, steps), ()
     branch = branch_degree3_cycle(g)
     if branch is None:
@@ -650,7 +628,7 @@ def color_graph(
     """
     cfg = config or SolverConfig()
     stats = SearchStats()
-    g = MultiGraph.from_edges(n, edges)
+    g = adjacency(n, edges)
     try:
         coloring = depth_first((g, []), lambda state: _expand(cfg, stats, state))
     except NodeLimitReached:

@@ -52,6 +52,7 @@ from csp32.vertexcolor import (
     _residual_solve,
     build_bushy_forest,
     build_height_two_forest,
+    merge,
 )
 
 
@@ -673,6 +674,20 @@ def scan_incidence(ei):
     return at
 
 
+def copy_graph(g):
+    return {v: set(ns) for v, ns in g.items()}
+
+
+def add_edge(g, u, v):
+    """Add edge (u, v) to the adjacency g; False, adding nothing, for a
+    self-loop (an impossible demand)."""
+    if u == v:
+        return False
+    g[u].add(v)
+    g[v].add(u)
+    return True
+
+
 def brute_build_bushy_forest(g):
     """Reference for vertexcolor.build_bushy_forest: the greedy growth
     that rebuilds the covered set internal | leaves for every neighbor
@@ -681,10 +696,10 @@ def brute_build_bushy_forest(g):
     changed = True
     while changed:
         changed = False
-        for v in g.vertices():
+        for v in sorted(g):
             if v in internal or v in leaves:
                 continue
-            outside = sorted(u for u in g.adj[v] if u not in internal | leaves)
+            outside = sorted(u for u in g[v] if u not in internal | leaves)
             if len(outside) >= 4:
                 roots.append(v)
                 internal.add(v)
@@ -692,7 +707,7 @@ def brute_build_bushy_forest(g):
                 leaves.update(outside)
                 changed = True
         for v in sorted(leaves):
-            outside = sorted(u for u in g.adj[v] if u not in internal | leaves)
+            outside = sorted(u for u in g[v] if u not in internal | leaves)
             if len(outside) >= 3:
                 leaves.discard(v)
                 internal.add(v)
@@ -740,14 +755,14 @@ def brute_branch_degree3_cycle(g, shapes=None):
     k = len(cyc)
     outs = []
     for i, v in enumerate(cyc):
-        others = g.adj[v] - {cyc[i - 1], cyc[(i + 1) % k]}
+        others = g[v] - {cyc[i - 1], cyc[(i + 1) % k]}
         outs.append(min(others))
     adjacent_pair = any(
-        outs[i] != outs[(i + 1) % k] and outs[(i + 1) % k] in g.adj[outs[i]]
+        outs[i] != outs[(i + 1) % k] and outs[(i + 1) % k] in g[outs[i]]
         for i in range(k)
     )
     if k % 2 == 0 or adjacent_pair:
-        child = g.copy()
+        child = copy_graph(g)
         steps = []
         _delete_cycle(child, steps, cyc)
         shapes["even-or-adjacent"] += 1
@@ -759,15 +774,15 @@ def brute_branch_degree3_cycle(g, shapes=None):
             cyc = cyc[1:] + cyc[:1]
             outs = outs[1:] + outs[:1]
         children = []
-        a = g.copy()
+        a = copy_graph(g)
         a_steps = []
-        a.add_edge(outs[0], outs[1])
+        add_edge(a, outs[0], outs[1])
         _delete_cycle(a, a_steps, cyc)
         children.append((a, a_steps))
         shapes["k3-differ"] += 1
-        b = g.copy()
+        b = copy_graph(g)
         b_steps = [Merged(outs[0], outs[1]), Merged(outs[0], cyc[2])]
-        if b.merge(outs[0], outs[1]) and b.merge(outs[0], cyc[2]):
+        if merge(b, outs[0], outs[1]) and merge(b, outs[0], cyc[2]):
             _remove_greedy(b, b_steps, cyc[0])
             _remove_greedy(b, b_steps, cyc[1])
             children.append((b, b_steps))
@@ -775,33 +790,33 @@ def brute_branch_degree3_cycle(g, shapes=None):
         return children
     children = []
     if outs[0] != outs[1]:
-        a = g.copy()
+        a = copy_graph(g)
         a_steps = []
-        a.add_edge(outs[0], outs[1])
+        add_edge(a, outs[0], outs[1])
         _delete_cycle(a, a_steps, cyc)
         children.append((a, a_steps))
         shapes["odd-differ"] += 1
     if outs[0] != outs[1] == outs[2]:
         shapes["odd-third-merged"] += 1  # outs[2] is merged away below
-    b = g.copy()
+    b = copy_graph(g)
     b_steps = [Merged(outs[0], outs[1])]
-    ok = b.merge(outs[0], outs[1])
+    ok = merge(b, outs[0], outs[1])
     if ok:
-        third = outs[2] if outs[2] in b.adj else outs[0]
-        ok = b.add_edge(outs[0], third)
+        third = outs[2] if outs[2] in b else outs[0]
+        ok = add_edge(b, outs[0], third)
     if ok:
         _delete_cycle(b, b_steps, cyc)
         children.append((b, b_steps))
         shapes["odd-same-edge"] += 1
-    c = g.copy()
+    c = copy_graph(g)
     c_steps = [Merged(outs[0], outs[1])]
-    ok = c.merge(outs[0], outs[1])
+    ok = merge(c, outs[0], outs[1])
     if ok:
-        third = outs[2] if outs[2] in c.adj else outs[0]
+        third = outs[2] if outs[2] in c else outs[0]
         if third != outs[0]:
             c_steps.append(Merged(outs[0], third))
         c_steps.append(Merged(cyc[0], cyc[2]))
-        ok = c.merge(outs[0], third) and c.merge(cyc[0], cyc[2])
+        ok = merge(c, outs[0], third) and merge(c, cyc[0], cyc[2])
     if ok:
         _remove_greedy(c, c_steps, cyc[1])
         children.append((c, c_steps))
@@ -851,18 +866,18 @@ def brute_branch_degree3_tree(g):
         return max(sizes, default=0)
 
     centroid = min(comp, key=lambda v: (heaviest(v), v))
-    nbrs = sorted(g.adj[centroid])
+    nbrs = sorted(g[centroid])
     children = []
     for third in nbrs:
         a, b = (u for u in nbrs if u != third)
-        child = g.copy()
+        child = copy_graph(g)
         steps = [Merged(a, b)]
-        if not child.merge(a, b):
+        if not merge(child, a, b):
             continue
         _remove_greedy(child, steps, centroid)
         if third in comp_set:
             for v in _brute_subtree_order(sub, comp_set, centroid, third):
-                if v in child.adj:
+                if v in child:
                     _remove_greedy(child, steps, v)
         children.append((child, steps))
     return children
@@ -887,7 +902,7 @@ def brute_solve_leaf(g, cfg, stats):
 
     def consistent(acc, asg):
         for v, c in asg.items():
-            for u in g.adj[v]:
+            for u in g[v]:
                 if asg.get(u, acc.get(u)) == c and u != v:
                     return False
         return True
@@ -914,8 +929,8 @@ def residue_lists(g, colored):
     """Colors left to each uncolored vertex by its colored neighbors
     alone, with no propagation, in vertex order."""
     return {
-        v: {0, 1, 2} - {colored[u] for u in g.adj[v] if u in colored}
-        for v in g.vertices()
+        v: {0, 1, 2} - {colored[u] for u in g[v] if u in colored}
+        for v in sorted(g)
         if v not in colored
     }
 
@@ -926,7 +941,7 @@ def brute_residue_satisfiable(g, colored, cfg, stats):
     residue = residue_lists(g, colored)
     rest = list(residue)
     index = {v: i for i, v in enumerate(rest)}
-    edges = [(index[u], index[v]) for u in rest for v in g.adj[u] if index.get(v, -1) > index[u]]
+    edges = [(index[u], index[v]) for u in rest for v in g[u] if index.get(v, -1) > index[u]]
     inst = coloring_to_csp(len(rest), edges, dict(enumerate(residue.values())))
     res = solve(inst, cfg.charge(stats))
     stats.absorb(res.stats, csp=True)
@@ -949,7 +964,7 @@ def brute_forward_lists(g, colored):
         if not lists[v]:
             return None
         (c,) = lists[v]
-        for u in g.adj[v]:
+        for u in g[v]:
             cs = lists.get(u, ())
             if c in cs:
                 cs.discard(c)

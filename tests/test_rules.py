@@ -8,9 +8,9 @@ as large as claimed, and equisatisfiability against the brute oracle.
 import random
 from collections import Counter
 
-from csp32.instance import simplify
-from csp32.oracle import random_cubic, random_graph, structured_csp
-from csp32.solver import SearchStats, _rule_multi_adjacency, choose_rule
+from csp32.instance import Assigned, simplify
+from csp32.oracle import brute_csp, random_cubic, random_graph, structured_csp
+from csp32.solver import SearchStats, SolverConfig, _rule_multi_adjacency, choose_rule, solve
 from csp32.transform import coloring_to_csp
 
 from helpers import RULE_BASES, brute_multi_adjacency, build_instance, relabel, walk_rules
@@ -115,3 +115,49 @@ def test_multi_adjacency_matches_pairwise_reference():
                 pending += [b.inst for b in step[1] if not b.dead]
     assert tally[("implication", 2)] >= 500, tally
     assert tally[("implication-cycle", 2)] >= 30 and tally[("implication-cycle", 1)] >= 25, tally
+
+
+def _cycles(*cycles):
+    """Constraints joining each pair of each cycle to the next one."""
+    return [(c[i], c[(i + 1) % len(c)]) for c in cycles for i in range(len(c))]
+
+
+def test_hand_built_implication_cycle_and_two_component_cases():
+    # Two reduced instances reach rule cases no base or seeded walk does.
+    # In the first, p implies q (p hits every other color of q's
+    # variable) around (0,0) (1,0) (2,0) (0,1) (1,1) (2,1): the cycle
+    # uses two colors of each variable, so it cannot be used whole and
+    # the one child avoids all six pairs.
+    cycle = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)]
+    shared = build_instance(
+        {v: range(3) for v in range(3)},
+        [(p, (q[0], c)) for p, q in zip(cycle, cycle[1:] + cycle[:1]) for c in range(3) if c != q[1]],
+    )
+    # In the second every pair has two constraints.  The first cycle
+    # (0,0) (1,0) (2,0) (0,1) (1,1) (2,1) (3,0) has four variables but no
+    # free pick and no five distinct consecutive variables, so the first
+    # candidate is variable 0 three steps apart: use (1,0) or (2,0).
+    ring = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1), (3, 0)]
+    three_apart = build_instance({v: range(3) for v in range(7)}, _cycles(
+        ring, [(0, 2), (1, 2), (2, 2), (4, 0), (5, 0)],
+        [(3, 1), (4, 1), (6, 0)], [(3, 2), (5, 1), (6, 1)], [(4, 2), (5, 2), (6, 2)],
+    ))
+    got = {}
+    for inst in (shared, three_apart):
+        red, trace = simplify(inst.copy())
+        assert red is not None and red.n == inst.n and not trace
+        name, children = choose_rule(red, SearchStats())
+        got[name] = [(b.dead, b.trace) for b in children]
+        if name == "implication-cycle":
+            assert not any(children[0].inst.has(p) for p in cycle)
+    assert got == {
+        "implication-cycle": [(False, [])],
+        "large-two-component": [(False, [Assigned(1, 0)]), (False, [Assigned(2, 0)])],
+    }
+    rng = random.Random(911)
+    tally = Counter()
+    for inst in (shared, three_apart):
+        for copy in [inst] + [relabel(rng, inst) for _ in range(20)]:
+            walk_rules(copy, tally)
+            res = solve(copy.copy(), SolverConfig(check_claims=True))
+            assert res.satisfiable == (brute_csp(copy.copy()) is not None)

@@ -42,6 +42,12 @@ def test_dualize_swaps_arity():
     a, b = general_arity(dual)
     assert a <= 3 and b <= 2
     assert set(dual.domains) == {0, 1, 2}
+    # A tautological clause is a vacuous constraint (variable 1 given two
+    # values): it gets no dual variable and rules out nothing.
+    csp = cnf_to_general(3, [(1, 2, 3), (1, -1, 2), (1, -2, -3)])
+    dual, dmap = dualize(csp)
+    assert set(dual.domains) == {0, 2}
+    assert {i for i, _v in dmap.ruled} == {0, 2}
 
 
 def test_dual_solutions_decode_to_originals():

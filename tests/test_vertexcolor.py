@@ -24,15 +24,17 @@ from csp32.vertexcolor import (
     ColorConfig,
     HeightTwoTree,
     Merged,
-    MultiGraph,
     _forward_check,
     _height_two_unit,
+    adjacency,
     build_bushy_forest,
     build_height_two_forest,
     branch_degree3_cycle,
     branch_degree3_tree,
     color_graph,
     find_degree3_cycle,
+    merge,
+    remove_vertex,
     strip_low_degree,
 )
 import helpers
@@ -53,24 +55,24 @@ def proper(edges, coloring):
     return all(coloring[u] != coloring[v] for (u, v) in edges)
 
 
-def test_multigraph_basics():
-    g = MultiGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    assert g.degree(1) == 2
-    assert not g.add_edge(0, 0)  # self-loops are rejected
-    assert g.merge(0, 2)
+def test_adjacency_basics():
+    g = adjacency(4, [(0, 1), (1, 2), (2, 3)])
+    assert merge(g, 0, 2)
     # The kept vertex inherits both neighborhoods; the other is gone.
-    assert g.vertices() == [0, 1, 3]
-    assert g.adj[0] == {1, 3}
-    assert not g.merge(0, 1)  # adjacent vertices cannot merge
+    assert g == {0: {1, 3}, 1: {0}, 3: {0}}
+    assert not merge(g, 0, 1)  # adjacent vertices cannot merge
+    assert vertexcolor._child(g, (), (0, 0), None, ()) is None  # nor can a self-loop be added
+    remove_vertex(g, 3)
+    assert g == {0: {1}, 1: {0}}
     # Lifting the merge gives the gone vertex the kept vertex's color.
     assert lift({0: 2, 1: 0, 3: 1}, [Merged(0, 2)]) == {0: 2, 1: 0, 2: 2, 3: 1}
 
 
 def test_strip_low_degree_removes_below_three():
-    g = MultiGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    g = adjacency(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     steps = []
     strip_low_degree(g, steps)
-    assert not g.vertices()
+    assert not g
     got = lift({}, steps)
     assert proper([(0, 1), (1, 2), (2, 3), (3, 4)], got)
 
@@ -83,7 +85,7 @@ def test_find_degree3_cycle_is_chordless():
         if graph is None:
             continue
         n, edges = graph
-        g = MultiGraph.from_edges(n, edges)
+        g = adjacency(n, edges)
         cyc = find_degree3_cycle(g)
         if cyc is None:
             continue
@@ -92,10 +94,10 @@ def test_find_degree3_cycle_is_chordless():
         assert k >= 3
         on = set(cyc)
         for i, v in enumerate(cyc):
-            assert cyc[(i + 1) % k] in g.adj[v]
+            assert cyc[(i + 1) % k] in g[v]
             # No chords: cycle neighbors inside the cycle are only the
             # two ring neighbors.
-            inside = g.adj[v] & on
+            inside = g[v] & on
             assert inside == {cyc[i - 1], cyc[(i + 1) % k]}
     assert found > 50
 
@@ -108,10 +110,10 @@ def test_cycle_branch_children_preserve_colorability():
         if graph is None:
             continue
         n, edges = graph
-        g = MultiGraph.from_edges(n, edges)
+        g = adjacency(n, edges)
         if find_degree3_cycle(g) is None:
             continue
-        children = branch_degree3_cycle(g.copy())
+        children = branch_degree3_cycle(g)
         if children is None:
             continue
         tried += 1
@@ -119,9 +121,9 @@ def test_cycle_branch_children_preserve_colorability():
         have = False
         for child, steps in children:
             # Solve the child exhaustively on the vertices it kept.
-            kept = sorted(child.vertices())
+            kept = sorted(child)
             idx = {v: i for i, v in enumerate(kept)}
-            ce = [(idx[u], idx[v]) for u in kept for v in child.adj[u] if u < v]
+            ce = [(idx[u], idx[v]) for u in kept for v in child[u] if u < v]
             sub = brute_vertex_color((len(kept), ce))
             if sub is None:
                 continue
@@ -144,7 +146,7 @@ REPEATED_OUTSIDE = planted_3colorable(random.Random("109:469:planted-color:36"),
 
 
 def test_tree_branch_on_degree3_forest():
-    g = MultiGraph.from_edges(*TREE8)
+    g = adjacency(*TREE8)
     steps = []
     strip_low_degree(g, steps)
     assert branch_degree3_cycle(g) is None
@@ -165,7 +167,7 @@ def test_branch_children_match_brute_reference():
                    random_cubic(rng, 2 * rng.randint(5, 15))]
     shapes = Counter()
     for graph in graphs:
-        pending = [MultiGraph.from_edges(*graph)]
+        pending = [adjacency(*graph)]
         for _node in range(40):
             if not pending:
                 break
@@ -178,7 +180,7 @@ def test_branch_children_match_brute_reference():
                 shapes["tree"] += got is not None
             assert (got is None) == (want is None)
             for (child, steps), (ref, ref_steps) in zip(got or [], want or [], strict=True):
-                assert (child.adj, steps) == (ref.adj, ref_steps)
+                assert (child, steps) == (ref, ref_steps)
                 pending.append(child)
     reached = {shape for shape, count in shapes.items() if count}
     assert reached == {
@@ -192,10 +194,10 @@ def test_bushy_forest_invariants():
     built = 0
     for _ in range(60):
         n, edges = random_graph(rng, rng.randint(8, 14), p=0.45)
-        g = MultiGraph.from_edges(n, edges)
+        g = adjacency(n, edges)
         steps = []
         strip_low_degree(g, steps)
-        if not g.vertices():
+        if not g:
             continue
         f = build_bushy_forest(g)
         built += 1
@@ -204,7 +206,7 @@ def test_bushy_forest_invariants():
         for v in f.internal:
             if v not in f.roots:
                 assert len(f.children[v]) >= 3
-        assert f.vertices <= set(g.vertices())
+        assert f.vertices <= set(g)
     assert built > 20
 
 
@@ -347,7 +349,7 @@ def _leaf_graphs(graphs):
     solve_leaf = vertexcolor._solve_leaf
 
     def record(g, cfg, stats):
-        seen.append(g.copy())
+        seen.append({v: set(ns) for v, ns in g.items()})
         return solve_leaf(g, cfg, stats)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -379,11 +381,11 @@ def _assert_forests(g):
     assert (f.roots, f.children, f.internal, f.leaves) == brute_build_bushy_forest(g)
     assert f.vertices == f.internal | f.leaves
     trees, x_set, y_set = build_height_two_forest(g, f)
-    outside = set(g.adj) - (f.internal | f.leaves)
+    outside = set(g) - (f.internal | f.leaves)
     packed = {v for t in trees for v in (t.root, *t.children)}
     want_x = {
         v for v in outside - packed
-        if any(u in f.internal | f.leaves for u in g.adj[v])
+        if any(u in f.internal | f.leaves for u in g[v])
     }
     assert (x_set, y_set) == (want_x, outside - packed - want_x)
     _assert_placed(g, trees, y_set)
@@ -477,7 +479,7 @@ def test_height_two_placement_on_planted_y_vertices():
     for _ in range(200):
         graph = planted_y_graph(rng)
         (g,) = _leaf_graphs([graph])
-        assert len(g.adj) == graph[0]
+        assert len(g) == graph[0]
         _f, trees, _x_set, y_set = _assert_forests(g)
         assert y_set
         seen["high over three"] += any(t.high and t.grand_count > 3 for t in trees)
@@ -494,7 +496,7 @@ def _assert_placed(g, trees, y_set):
     tree or leaf holds more grandchildren than it may."""
     for y in y_set:
         under = [leaf for t in trees for leaf, grands in t.grands.items() if y in grands]
-        assert len(under) == 1 and under[0] in g.adj[y]
+        assert len(under) == 1 and under[0] in g[y]
     assert sorted(y for t in trees for grands in t.grands.values() for y in grands) == sorted(y_set)
     assert all(t.grand_count <= (5 if t.high else 3) for t in trees)
     assert all(len(grands) <= 2 for t in trees for grands in t.grands.values())
@@ -636,7 +638,7 @@ def test_incremental_forward_check_matches_brute_reference(monkeypatch):
         if id(masks) in colored:
             acc = colored[id(masks)][1]
         else:
-            assert masks == dict.fromkeys(g.adj, 7)  # a leaf's root
+            assert masks == dict.fromkeys(g, 7)  # a leaf's root
             acc = {}
         child = forward_check(g, masks, asg)
         merged = {**acc, **asg}
@@ -712,7 +714,7 @@ def test_leaf_csp_gets_only_undecided_vertices(monkeypatch):
     # without building one.
     edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7),
              (2, 5), (2, 6), (2, 7)]
-    g = MultiGraph.from_edges(8, edges)
+    g = adjacency(8, edges)
     f = build_bushy_forest(g)
     assert (f.roots, f.internal, f.vertices) == ([0], {0, 1}, set(range(8)))
     before, stats = Counter(sizes), SearchStats()
@@ -728,7 +730,7 @@ def _leaf_csp(g, masks):
     rest = [v for v in sorted(masks) if masks[v] & (masks[v] - 1)]
     index = {v: i for i, v in enumerate(rest)}
     lists = {i: [c for c in (0, 1, 2) if masks[v] >> c & 1] for i, v in enumerate(rest)}
-    edges = [(index[u], index[v]) for u in rest for v in g.adj[u] if index.get(v, -1) > index[u]]
+    edges = [(index[u], index[v]) for u in rest for v in g[u] if index.get(v, -1) > index[u]]
     return coloring_to_csp(len(rest), edges, lists)
 
 
@@ -778,9 +780,9 @@ def test_two_list_leaves_are_decided_by_propagation(monkeypatch):
         verdicts[res.satisfiable] += 1
         threes[k] += 1
         if full is not None:
-            assert set(full) == set(g.adj)
+            assert set(full) == set(g)
             assert all(masks[v] >> full[v] & 1 for v in masks)
-            assert all(full[u] != full[v] for u in g.adj for v in g.adj[u])
+            assert all(full[u] != full[v] for u in g for v in g[u])
         return full
 
     monkeypatch.setattr(vertexcolor, "_residual_solve", checked)
@@ -799,7 +801,7 @@ def test_two_list_leaf_hand_built_cases(monkeypatch):
     # one-node CSP solve it replaces.
     edges = [(i, (i + 1) % 5) for i in range(5)]
     stats = SearchStats()
-    cycle = MultiGraph.from_edges(5, edges)
+    cycle = adjacency(5, edges)
     assert vertexcolor._residual_solve(cycle, dict.fromkeys(range(5), 0b011),
                                        SolverConfig(), stats) is None
     assert (stats.csp_calls, stats.csp_nodes, stats.spent) == (1, 1, 1)
@@ -807,7 +809,7 @@ def test_two_list_leaf_hand_built_cases(monkeypatch):
 
     # Vertex 0 fails its first color (color 0 forces 1 to 1 and 2 to 2,
     # which leaves 3 nothing) and succeeds with its second.
-    g = MultiGraph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    g = adjacency(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
     masks = {0: 0b011, 1: 0b011, 2: 0b101, 3: 0b110}
     assert _forward_check(g, masks, {0: 0}) is None
     full = vertexcolor._residual_solve(g, masks, SolverConfig(), SearchStats())
@@ -832,12 +834,12 @@ def test_two_list_leaf_hand_built_cases(monkeypatch):
         assert (res.stats.nodes, res.satisfiable) == (1, full is not None)
         if full is not None:
             assert all(masks[v] >> full[v] & 1 for v in masks)
-            assert all(full[u] != full[v] for u in g.adj for v in g.adj[u])
+            assert all(full[u] != full[v] for u in g for v in g[u])
         return full
 
     # Two adjacent three-color vertices and a two-color vertex next to
     # both: 0 takes 0, which forces 2 to 1 and then 1 to 2.
-    g = MultiGraph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+    g = adjacency(3, [(0, 1), (0, 2), (1, 2)])
     assert decide(g, {0: 7, 1: 7, 2: 0b011}) == {0: 0, 1: 2, 2: 1}
 
     # Vertex 1 closes the odd cycle 1-2-3-4-5 whose other vertices have
@@ -845,17 +847,17 @@ def test_two_list_leaf_hand_built_cases(monkeypatch):
     # leaves 1 with {1, 2}, and both refute the cycle, so 0 backtracks to
     # its second color, which lets 1 take 0.
     edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]
-    g = MultiGraph.from_edges(6, edges)
+    g = adjacency(6, edges)
     masks = {0: 7, 1: 7, 2: 0b110, 3: 0b110, 4: 0b110, 5: 0b110}
     assert _forward_check(g, masks, {0: 0}) is not None
     assert decide(g, masks) == {0: 1, 1: 0, 2: 1, 3: 2, 4: 1, 5: 2}
 
     # K4 with two three-color vertices: every try fails.
-    g = MultiGraph.from_edges(4, list(combinations(range(4), 2)))
+    g = adjacency(4, list(combinations(range(4), 2)))
     assert decide(g, {0: 7, 1: 7, 2: 0b011, 3: 0b110}) is None
 
     # The one node trips a spent budget, as the nested solve's did.
-    g, stats = MultiGraph.from_edges(3, [(0, 1), (0, 2), (1, 2)]), SearchStats()
+    g, stats = adjacency(3, [(0, 1), (0, 2), (1, 2)]), SearchStats()
     with pytest.raises(NodeLimitReached):
         vertexcolor._residual_solve(g, {0: 7, 1: 7, 2: 0b011},
                                     SolverConfig(node_limit=0), stats)
@@ -867,11 +869,11 @@ def test_forward_check_refutes_only_unextendable_colorings():
     refuted = kept = 0
     while refuted < 150:
         n, edges = random_graph(rng, rng.randint(3, 12), rng.uniform(0.2, 0.6))
-        g = MultiGraph.from_edges(n, edges)
+        g = adjacency(n, edges)
         partial = {v: rng.randrange(3) for v in range(n) if rng.random() < 0.4}
         if any(partial.get(u, -1) == partial.get(v, -2) for u, v in edges):
             continue  # improper partial colorings never reach the check
-        if _forward_check(g, dict.fromkeys(g.adj, 7), partial) is None:
+        if _forward_check(g, dict.fromkeys(g, 7), partial) is None:
             refuted += 1
             assert brute_vertex_color(extension_graph(n, edges, partial)) is None
         else:
@@ -882,16 +884,16 @@ def test_forward_check_refutes_only_unextendable_colorings():
 def test_forward_check_refutes_a_clash_inside_one_coloring():
     # Two adjacent vertices of one unit coloring with one color: each
     # empties the other's mask, so the check alone refutes the coloring.
-    g = MultiGraph.from_edges(3, [(0, 1), (1, 2)])
-    assert _forward_check(g, dict.fromkeys(g.adj, 7), {0: 1, 1: 1}) is None
-    assert _forward_check(g, dict.fromkeys(g.adj, 7), {0: 1, 2: 1}) is not None
+    g = adjacency(3, [(0, 1), (1, 2)])
+    assert _forward_check(g, dict.fromkeys(g, 7), {0: 1, 1: 1}) is None
+    assert _forward_check(g, dict.fromkeys(g, 7), {0: 1, 2: 1}) is not None
 
 
 def test_forward_check_keeps_colored_vertices_as_singletons():
     # On the path 0-1-2-3, coloring 0 and 2 forces 1; every colored or
     # forced vertex stays in the masks with its one color.
-    g = MultiGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    child = _forward_check(g, dict.fromkeys(g.adj, 7), {0: 0, 2: 1})
+    g = adjacency(4, [(0, 1), (1, 2), (2, 3)])
+    child = _forward_check(g, dict.fromkeys(g, 7), {0: 0, 2: 1})
     assert child == {0: 0b001, 1: 0b100, 2: 0b010, 3: 0b101}
     assert _forward_check(g, child, {3: 1}) is None  # 2 already has color 1
 
@@ -903,10 +905,10 @@ def test_leaf_charges_no_coloring_a_propagated_color_excludes():
     # is charged for 9 -> 1 alone, which succeeds.
     edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7),
              (1, 8), (2, 5), (2, 6), (2, 7), (2, 8), (5, 9), (9, 10), (9, 11), (9, 12)]
-    g = MultiGraph.from_edges(13, edges)
+    g = adjacency(13, edges)
     f = build_bushy_forest(g)
     assert (f.roots, f.internal) == ([0, 9], {0, 1, 9})
-    masks = _forward_check(g, dict.fromkeys(g.adj, 7), {0: 0, 1: 1})
+    masks = _forward_check(g, dict.fromkeys(g, 7), {0: 0, 1: 1})
     assert (masks[5], masks[9]) == (0b001, 0b110)
     stats = SearchStats()
     coloring = vertexcolor._solve_leaf(g, SolverConfig(), stats)
