@@ -8,7 +8,8 @@ colorings of the forest interiors with a forward check, and hands the
 vertices still undecided after propagation, with the colors they have
 left, to the CSP solver as a list-coloring instance, unless at most two
 have three colors left (then it tries their colors and decides the 2-SAT
-rest by propagation).
+rest by propagation) or the 2-SAT relaxation, the two-color vertices
+alone, is refuted by propagation.
 
 The graph changes only by vertex removals and merges, each recorded as
 a lift step (GreedyColored or CycleColored, and Merged).  Lifting
@@ -521,7 +522,8 @@ def _forward_check(g: Adjacency, masks: dict, asg: Coloring) -> Optional[dict]:
     color asg, then propagate every forced (singleton) color.  The child's
     masks, or None when some vertex runs out of colors, so no proper
     coloring extends the partial one; two adjacent vertices of asg with
-    one color empty each other's masks."""
+    one color empty each other's masks.  A 0 mask marks a vertex left out
+    of the instance: no color is cleared from it, so it never refutes."""
     masks = dict(masks)
     forced = []
     for v, c in asg.items():
@@ -543,62 +545,78 @@ def _forward_check(g: Adjacency, masks: dict, asg: Coloring) -> Optional[dict]:
     return masks
 
 
+def _commit_two_sat(g: Adjacency, masks: dict) -> Optional[dict]:
+    """Even, Itai & Shamir's (1976) commit loop: each two-color vertex, in
+    vertex order, commits the first color the forward check keeps.  A kept
+    try fixes every vertex it touched and leaves the others' masks as they
+    were, so the rest is a sub-instance.  The masks once no vertex has two
+    colors left, or None when some vertex keeps neither.  A 0 mask is left
+    out: nothing propagates into it and it is never tried."""
+    for v in sorted(masks):
+        m = masks[v]
+        if m & (m - 1):
+            for c in (m & -m).bit_length() - 1, m.bit_length() - 1:
+                if (child := _forward_check(g, masks, {v: c})) is not None:
+                    break
+            else:
+                return None
+            masks = child
+    return masks
+
+
 def _residual_solve(g, masks: dict, cfg, stats) -> Optional[Coloring]:
     """The leaf's CSP call on the forward-checked masks of a full interior
     coloring.
 
     A vertex whose mask holds one color takes it: propagation cleared it
-    from every neighbour.  With three or more vertices left three colors,
-    the undecided vertices, in vertex order, go to the CSP with their
-    masks' colors as lists.  With at most two, simplify would decide that
-    CSP at the root: eliminating the two-color variables leaves at most
-    two three-color ones, and no reduced instance has one or two
-    variables.  So it is decided here, as the one-node solve it replaces.
-    Each three-color vertex, in vertex order, tries its colors in
-    ascending order through the forward check, backtracking on failure;
-    what survives is 2-SAT (Even, Itai & Shamir 1976), and each
-    two-color vertex commits the first color the forward check keeps.  A
-    kept try fixes every vertex it touched and leaves the others' masks
-    as they were, so the rest is a sub-instance."""
+    from every neighbour.  With at most two vertices left three colors,
+    simplify would decide the leaf's CSP at the root: eliminating the
+    two-color variables leaves at most two three-color ones, and no
+    reduced instance has one or two variables.  So it is decided here, as
+    the one-node solve it replaces.  Each three-color vertex, in vertex
+    order, tries its colors in ascending order through the forward check,
+    backtracking on failure; what survives is 2-SAT, which the commit loop
+    decides.  With three or more, the commit loop first runs on the
+    two-color vertices alone, the three-color ones masked to 0 and so left
+    out with their edges; if it refutes that relaxation, no coloring of
+    the leaf exists, and the refutation is charged as the one-node solve
+    too.  Otherwise the undecided vertices, in vertex order, go to the CSP
+    with their masks' colors as lists."""
     threes = [v for v in sorted(masks) if masks[v] == 7]
-    if len(threes) <= 2:
-        stats.csp_calls += 1
-        stats.csp_nodes += 1
-        cfg.charge(stats)
-
-        def expand(state):
-            i, masks = state
-            if i < len(threes):
-                return None, (
-                    (i + 1, child)
-                    for c in (0, 1, 2)
-                    if (child := _forward_check(g, masks, {threes[i]: c})) is not None
-                )
-            for v in sorted(masks):
-                m = masks[v]
-                if m & (m - 1):
-                    for c in (m & -m).bit_length() - 1, m.bit_length() - 1:
-                        if (child := _forward_check(g, masks, {v: c})) is not None:
-                            break
-                    else:
-                        return None, ()
-                    masks = child
-            return {v: m.bit_length() - 1 for v, m in masks.items()}, ()
-
-        return depth_first((0, masks), expand)
-    rest = [v for v in sorted(masks) if masks[v] & (masks[v] - 1)]
-    index = {v: i for i, v in enumerate(rest)}
-    lists = {i: [c for c in (0, 1, 2) if masks[v] >> c & 1] for i, v in enumerate(rest)}
-    edges = [(index[u], index[v]) for u in rest for v in g[u] if index.get(v, -1) > index[u]]
-    inst = coloring_to_csp(len(rest), edges, lists)
-    res = solve(inst, cfg.charge(stats))
-    stats.absorb(res.stats, csp=True)
-    cfg.charge(stats)  # raises when the nested solve ran out
-    if not res.satisfiable:
+    relaxed = {v: 0 if m == 7 else m for v, m in masks.items()}
+    if len(threes) > 2 and _commit_two_sat(g, relaxed) is not None:
+        rest = [v for v in sorted(masks) if masks[v] & (masks[v] - 1)]
+        index = {v: i for i, v in enumerate(rest)}
+        lists = {i: [c for c in (0, 1, 2) if masks[v] >> c & 1] for i, v in enumerate(rest)}
+        edges = [(index[u], index[v]) for u in rest for v in g[u] if index.get(v, -1) > index[u]]
+        inst = coloring_to_csp(len(rest), edges, lists)
+        res = solve(inst, cfg.charge(stats))
+        stats.absorb(res.stats, csp=True)
+        cfg.charge(stats)  # raises when the nested solve ran out
+        if not res.satisfiable:
+            return None
+        full = {v: m.bit_length() - 1 for v, m in masks.items()}
+        full.update((v, res.assignment[i]) for i, v in enumerate(rest))
+        return full
+    stats.csp_calls += 1
+    stats.csp_nodes += 1
+    cfg.charge(stats)
+    if len(threes) > 2:
         return None
-    full = {v: m.bit_length() - 1 for v, m in masks.items()}
-    full.update((v, res.assignment[i]) for i, v in enumerate(rest))
-    return full
+
+    def expand(state):
+        i, masks = state
+        if i < len(threes):
+            return None, (
+                (i + 1, child)
+                for c in (0, 1, 2)
+                if (child := _forward_check(g, masks, {threes[i]: c})) is not None
+            )
+        if (masks := _commit_two_sat(g, masks)) is None:
+            return None, ()
+        return {v: m.bit_length() - 1 for v, m in masks.items()}, ()
+
+    return depth_first((0, masks), expand)
 
 
 def _expand(cfg: SolverConfig, stats: SearchStats, state: tuple[Adjacency, list]):

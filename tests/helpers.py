@@ -11,7 +11,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import csp32
@@ -672,6 +672,28 @@ def scan_incidence(ei):
         for x in e:
             at[x] = at.get(x, 0) | 1 << eid
     return at
+
+
+def flower_snark(k):
+    """Isaacs' flower snark J_k as (n, edges), n = 4k: centre a_i = 4i
+    joins b_i, c_i and d_i; the b_i form a k-cycle, and c_0 .. c_{k-1}
+    d_0 .. d_{k-1} one 2k-cycle; the edges as sorted pairs, in sorted
+    order.  Cubic; for odd k >= 5 it has no 3-edge-coloring (Isaacs,
+    Amer. Math. Monthly 82, 1975)."""
+    a, b, c, d = (lambda i, s=s: 4 * (i % k) + s for s in range(4))
+    edges = [(a(i), x(i)) for i in range(k) for x in (b, c, d)]
+    edges += [(b(i), b(i + 1)) for i in range(k)]
+    edges += [(c(i), c(i + 1)) for i in range(k - 1)] + [(c(k - 1), d(0))]
+    edges += [(d(i), d(i + 1)) for i in range(k - 1)] + [(d(k - 1), c(0))]
+    return 4 * k, sorted((min(e), max(e)) for e in edges)
+
+
+def line_graph(n, edges):
+    """The line graph of (n, edges) as (len(edges), edges): edge ids in
+    list order, two joined when they share an endpoint."""
+    return len(edges), [
+        (i, j) for i, j in combinations(range(len(edges)), 2) if set(edges[i]) & set(edges[j])
+    ]
 
 
 def copy_graph(g):

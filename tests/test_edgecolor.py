@@ -27,6 +27,7 @@ from csp32.oracle import (
     random_cubic,
     random_graph,
 )
+from csp32.vertexcolor import color_graph
 from helpers import (
     charge_identity,
     brute_conflict_k4s,
@@ -35,6 +36,8 @@ from helpers import (
     brute_splice_candidates,
     constraint_set,
     edge_snapshot,
+    flower_snark,
+    line_graph,
     partner_index,
     run_fresh,
     scan_incidence,
@@ -85,6 +88,19 @@ def test_known_graphs():
     assert got is not None and proper_edge(K4, got)
     got, _ = edge_color(10, PETERSEN)
     assert got is None  # the one famous class-two cubic graph
+
+
+def test_flower_snarks_are_not_edge_colorable():
+    # Isaacs' flower snarks J5, J7, J9 and J11: cubic graphs past Petersen
+    # with no 3-edge-coloring, each refuted by the splice search.
+    for k in (5, 7, 9, 11):
+        n, edges = flower_snark(k)
+        assert n == 4 * k and len(set(edges)) == len(edges) == 6 * k
+        assert Counter(x for e in edges for x in e) == dict.fromkeys(range(n), 3)
+        got, _ = edge_color(n, edges)
+        assert got is None, k
+    # J5 cross-checked through the vertex front end on its line graph
+    assert color_graph(*line_graph(*flower_snark(5))).colorable is False
 
 
 def test_edge_color_rejects_repeated_edges():

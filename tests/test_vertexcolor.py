@@ -47,6 +47,7 @@ from helpers import (
     brute_forward_refuted,
     brute_solve_leaf,
     extension_graph,
+    flower_snark,
     run_fresh,
 )
 
@@ -628,35 +629,49 @@ def test_incremental_forward_check_matches_brute_reference(monkeypatch):
     # At every enumeration step of seeded color-planted, G(n, p) and
     # line-graph leaves, the masks carried down from the parent give the
     # from-scratch check's verdict, and a kept child's masks are the
-    # lists that check propagates.
-    forward_check = vertexcolor._forward_check
-    colored = {}  # id of a child's masks -> (those masks, its coloring)
-    checks = refuted = 0
+    # lists that check propagates.  So does every step of a leaf's 2-SAT
+    # relaxation, checked on the graph without the three-color vertices
+    # it leaves out, whose masks stay 0.
+    forward_check, residual_solve = vertexcolor._forward_check, vertexcolor._residual_solve
+    colored = {}  # id of a child's masks -> (those masks, its coloring, its graph)
+    leaf = {}  # masks of the residue solve in progress
+    checks = refuted = relaxed = 0
+
+    def residue(g, masks, cfg, stats):
+        leaf["masks"] = masks
+        return residual_solve(g, masks, cfg, stats)
 
     def checked(g, masks, asg):
-        nonlocal checks, refuted
+        nonlocal checks, refuted, relaxed
         if id(masks) in colored:
-            acc = colored[id(masks)][1]
+            _, acc, sub = colored[id(masks)]
+        elif 0 in masks.values():  # a relaxation's root: the leaf's masks, 7 -> 0
+            assert masks == {v: 0 if m == 7 else m for v, m in leaf["masks"].items()}
+            acc = colored[id(leaf["masks"])][1]
+            out = {v for v, m in masks.items() if not m}
+            sub = {v: ns - out for v, ns in g.items() if v not in out}
         else:
             assert masks == dict.fromkeys(g, 7)  # a leaf's root
-            acc = {}
+            acc, sub = {}, g
         child = forward_check(g, masks, asg)
         merged = {**acc, **asg}
-        assert (child is None) == brute_forward_refuted(g, merged)
+        assert (child is None) == brute_forward_refuted(sub, merged)
         checks += 1
+        relaxed += sub is not g
         if child is None:
             refuted += 1
         else:
-            want = brute_forward_lists(g, merged)
-            assert child == {v: sum(1 << c for c in cs) for v, cs in want.items()}
-            colored[id(child)] = (child, merged)
+            want = brute_forward_lists(sub, merged)
+            assert child == {v: sum(1 << c for c in want.get(v, ())) for v in g}
+            colored[id(child)] = (child, merged, sub)
         return child
 
     monkeypatch.setattr(vertexcolor, "_forward_check", checked)
+    monkeypatch.setattr(vertexcolor, "_residual_solve", residue)
     for graph in _seeded_graphs(200):
         color_graph(*graph)
         colored.clear()
-    assert checks > 3000 and refuted > 1000
+    assert checks > 3000 and refuted > 1000 and relaxed > 300
     before = checks, refuted
     for graph in (*_cubic_graphs(), *_planted_cubic_graphs(30)):
         edge_color(*graph)
@@ -670,7 +685,10 @@ def test_leaf_csp_gets_only_undecided_vertices(monkeypatch):
     # colors left, in vertex order, with their masks as lists, and a
     # vertex left one color takes it.  A leaf goes to the CSP only when
     # three or more vertices have three colors left; propagation decides
-    # the others.
+    # the others.  The 2-SAT relaxation refutes most leaves with three or
+    # more before they get here, so the planted batch runs to 2,000 seeds
+    # and the flower snarks J9 and J11 give the line-graph floors most of
+    # their entries.
     residual_solve, to_csp = vertexcolor._residual_solve, vertexcolor.coloring_to_csp
     leaf = {}  # masks and undecided vertices of the call in progress
     sizes = Counter()
@@ -698,10 +716,10 @@ def test_leaf_csp_gets_only_undecided_vertices(monkeypatch):
     monkeypatch.setattr(vertexcolor, "_residual_solve", checked)
     for graph in _seeded_graphs(120):
         color_graph(*graph)
-    for graph in _planted_graphs(400):
+    for graph in _planted_graphs(2000):
         color_graph(*graph)
     before = +sizes
-    for graph in _planted_cubic_graphs(60):
+    for graph in (*_planted_cubic_graphs(60), *map(flower_snark, (5, 7, 9, 11))):
         edge_color(*graph)
     assert sizes[1] > 1000 and sizes[2] > 3000 and sizes[3] > 300
     line = sizes - before
@@ -862,6 +880,81 @@ def test_two_list_leaf_hand_built_cases(monkeypatch):
         vertexcolor._residual_solve(g, {0: 7, 1: 7, 2: 0b011},
                                     SolverConfig(node_limit=0), stats)
     assert (stats.csp_calls, stats.csp_nodes, stats.spent) == (1, 1, 1)
+
+
+def test_two_sat_relaxation_hand_built_cases(monkeypatch):
+    # The two-color vertices 0-4 form an odd cycle with lists {0, 1}, and
+    # the three-color vertices 5, 6 and 7 sit beside it.  The relaxation
+    # leaves 5-7 out and refutes the cycle, so no CSP is built, and the
+    # leaf is charged as the one-node solve it replaces.
+    built = []
+
+    def logged_to_csp(n, edges, lists):
+        built.append(n)
+        return coloring_to_csp(n, edges, lists)
+
+    monkeypatch.setattr(vertexcolor, "coloring_to_csp", logged_to_csp)
+    edges = [(i, (i + 1) % 5) for i in range(5)] + [(5, 0), (6, 2), (7, 4), (5, 6), (6, 7)]
+    g = adjacency(8, edges)
+    masks = {**dict.fromkeys(range(5), 0b011), 5: 7, 6: 7, 7: 7}
+    stats = SearchStats()
+    assert vertexcolor._residual_solve(g, masks, SolverConfig(), stats) is None
+    assert built == [] and (stats.csp_calls, stats.csp_nodes, stats.spent) == (1, 1, 1)
+    assert solve(_leaf_csp(g, masks)).satisfiable is False
+    # its one node trips a spent budget, as the nested solve's did
+    with pytest.raises(NodeLimitReached):
+        vertexcolor._residual_solve(g, masks, SolverConfig(node_limit=0), SearchStats())
+    assert built == []
+
+    # K4 whose vertex 3 has the list {0, 1}: alone, 3 is 2-SAT and takes
+    # 0, so the relaxation holds, and the CSP on all four refutes the leaf.
+    g = adjacency(4, list(combinations(range(4), 2)))
+    masks = {0: 7, 1: 7, 2: 7, 3: 0b011}
+    stats = SearchStats()
+    assert vertexcolor._residual_solve(g, masks, SolverConfig(), stats) is None
+    assert built == [4] and stats.csp_calls == 1
+    assert stats.csp_nodes == solve(_leaf_csp(g, masks)).stats.nodes
+
+
+def test_two_sat_relaxation_refutes_only_uncolorable_leaves(monkeypatch):
+    # At every leaf of seeded planted 7/n and G(n, 4.6/n) graphs with
+    # three or more three-color vertices, the relaxation's verdict is the
+    # direct CSP's on the two-color vertices alone, and a leaf it refutes
+    # builds no CSP and is confirmed unsat by solve on the whole residue.
+    residual_solve, to_csp = vertexcolor._residual_solve, vertexcolor.coloring_to_csp
+    built = []
+    verdicts = Counter()
+
+    def logged_to_csp(n, edges, lists):
+        built.append(n)
+        return to_csp(n, edges, lists)
+
+    def checked(g, masks, cfg, stats):
+        calls = len(built)
+        full = residual_solve(g, masks, cfg, stats)
+        out = {v for v, m in masks.items() if m == 7}
+        if len(out) <= 2:
+            return full
+        sub = {v: ns - out for v, ns in g.items() if v not in out}
+        two_sat = solve(_leaf_csp(sub, {v: masks[v] for v in sub})).satisfiable
+        whole = solve(_leaf_csp(g, masks)).satisfiable
+        if len(built) == calls:  # refuted by the relaxation
+            assert full is None and not two_sat and not whole
+        else:
+            assert two_sat and len(built) == calls + 1
+            assert (full is not None) == whole
+        verdicts[len(built) == calls, whole] += 1
+        return full
+
+    monkeypatch.setattr(vertexcolor, "coloring_to_csp", logged_to_csp)
+    monkeypatch.setattr(vertexcolor, "_residual_solve", checked)
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = 30 + seed % 31
+        color_graph(*planted_3colorable(rng, n, 7 / n))
+        color_graph(*random_graph(rng, n, 4.6 / n))
+    assert verdicts[True, False] > 500  # relaxation refutations
+    assert verdicts[False, False] > 30 and verdicts[False, True] > 25, verdicts
 
 
 def test_forward_check_refutes_only_unextendable_colorings():
