@@ -265,7 +265,7 @@ def _line_graph_solve(
     ids = sorted(ei.edges)
     index = {eid: i for i, eid in enumerate(ids)}  # keeps the order of ids
     lg_edges = sorted((index[a], index[b]) for a in ids for b in bits(ei.conflicts(a)) if a < b)
-    res = color_graph(len(ids), lg_edges, cfg.charge(stats))
+    res = color_graph(len(ids), lg_edges, cfg.nested(stats))
     stats.absorb(res.stats)
     cfg.charge(stats)  # raises when the nested coloring ran out
     if not res.colorable:

@@ -584,16 +584,17 @@ class SolverConfig:
     node_limit: Optional[int] = None
     check_claims: bool = False  # assert branch vectors stay within LAMBDA
 
-    def charge(self, stats: "SearchStats") -> "SolverConfig":
-        """Called after counting each node: raises NodeLimitReached once
-        stats has spent more than node_limit, else returns the config
-        for a nested call, which gets what is left."""
+    def charge(self, stats: "SearchStats"):
+        """Called after each counted node: raises NodeLimitReached once spent > node_limit."""
+        if self.node_limit is not None and stats.spent > self.node_limit:
+            raise NodeLimitReached(stats)
+
+    def nested(self, stats: "SearchStats") -> "SolverConfig":
+        """charge, then the config for a nested call, which gets what is left."""
+        self.charge(stats)
         if self.node_limit is None:
             return self
-        left = self.node_limit - stats.spent
-        if left < 0:
-            raise NodeLimitReached(stats)
-        return SolverConfig(left, self.check_claims)
+        return SolverConfig(self.node_limit - stats.spent, self.check_claims)
 
 
 @dataclass
@@ -805,7 +806,7 @@ def solve_randomized_d2(
             if len(cs) > 4:
                 for c in rng.sample(cs, len(cs) - 4):
                     r.remove_color(v, c)
-        result = solve(r, cfg.charge(stats))
+        result = solve(r, cfg.nested(stats))
         stats.absorb(result.stats, csp=True)
         cfg.charge(stats)  # raises when the nested solve ran out
         if result.satisfiable:

@@ -89,7 +89,7 @@ class GreedyColored:
 
     def lift(self, out: Coloring):
         used = {out[u] for u in self.neighbors}
-        free = sorted({0, 1, 2} - used)
+        free = [c for c in (0, 1, 2) if c not in used]
         assert free, "removed vertex has three distinctly colored neighbors"
         out[self.vertex] = free[0]
 
@@ -114,7 +114,7 @@ class CycleColored:
         if start is None:
             # all outside neighbors share a color: alternate the other two
             assert k % 2 == 0, "odd cycle with identically colored neighbors"
-            a, b = sorted({0, 1, 2} - {wcols[0]})
+            a, b = (c for c in (0, 1, 2) if c != wcols[0])
             cols = {i: a if i % 2 == 0 else b for i in range(k)}
         else:
             # color v[start+1] like w[start], then continue around the cycle
@@ -125,16 +125,18 @@ class CycleColored:
                 for j in ((i - 1) % k, (i + 1) % k):
                     if j in cols:
                         used.add(cols[j])
-                free = sorted({0, 1, 2} - used)
+                free = [c for c in (0, 1, 2) if c not in used]
                 assert free, "cycle lift ran out of colors"
                 cols[i] = free[0]
         for i, (v, _) in enumerate(self.entries):
             out[v] = cols[i]
 
 
-def _remove_greedy(g: Adjacency, steps: list, v: int):
-    steps.append(GreedyColored(v, tuple(sorted(g[v]))))
+def _remove_greedy(g: Adjacency, steps: list, v: int) -> tuple:
+    """Remove v, recording its lift step; its neighbors in vertex order."""
+    steps.append(GreedyColored(v, neighbors := tuple(sorted(g[v]))))
     remove_vertex(g, v)
+    return neighbors
 
 
 def strip_low_degree(g: Adjacency, steps: list):
@@ -144,9 +146,7 @@ def strip_low_degree(g: Adjacency, steps: list):
         v = queue.pop()
         if v not in g or len(g[v]) > 2:
             continue
-        affected = sorted(g[v])
-        _remove_greedy(g, steps, v)
-        queue.extend(u for u in affected if len(g[u]) <= 2)
+        queue.extend(u for u in _remove_greedy(g, steps, v) if len(g[u]) <= 2)
 
 
 def _degree3_subgraph(g: Adjacency) -> dict[int, set[int]]:
@@ -158,7 +158,7 @@ def find_degree3_cycle(g: Adjacency) -> Optional[list[int]]:
     """A shortest (hence chordless) cycle of degree-three vertices."""
     sub = _degree3_subgraph(g)
     best: Optional[list[int]] = None
-    edges = sorted({tuple(sorted((u, v))) for u in sub for v in sub[u]})
+    edges = sorted((u, v) for u in sub for v in sub[u] if u < v)
     for u, v in edges:
         # shortest u-v path avoiding this edge closes a shortest cycle on it
         path = bfs_path(u, v, lambda x: (y for y in sorted(sub[x]) if (x, y) != (u, v)))
@@ -254,8 +254,8 @@ def branch_degree3_cycle(g: Adjacency) -> Optional[list[tuple[Adjacency, list]]]
 def branch_degree3_tree(g: Adjacency) -> Optional[list[tuple[Adjacency, list]]]:
     """Branch set shrinking a tree of eight or more degree-three vertices."""
     sub = _degree3_subgraph(g)
-    comp = next((c for c in components(sub, sub.get) if len(c) >= 8), None)
-    if comp is None:
+    comp = len(sub) >= 8 and next((c for c in components(sub, sub.get) if len(c) >= 8), None)
+    if not comp:
         return None
 
     def branches(v) -> dict[int, list[int]]:
@@ -309,15 +309,15 @@ def build_bushy_forest(g: Adjacency) -> BushyForest:
     tries only the leaves the pass before it added, in vertex order."""
     f = BushyForest()
     for v in sorted(g):
-        if v not in f.vertices and len(outside := sorted(g[v] - f.vertices)) >= 4:
+        if v not in f.vertices and len(outside := g[v] - f.vertices) >= 4:
             f.roots.append(v)
-            f.grow(v, outside)
+            f.grow(v, sorted(outside))
     fresh = set(f.leaves)
     while fresh:
         added: set[int] = set()
         for v in sorted(fresh):
-            if len(outside := sorted(g[v] - f.vertices)) >= 3:
-                f.grow(v, outside)
+            if len(outside := g[v] - f.vertices) >= 3:
+                f.grow(v, sorted(outside))
                 added.update(outside)
         fresh = added
     for v in f.internal:
@@ -432,23 +432,39 @@ def _two_disjoint_stars(out_adj, avail: set[int]):
     return None
 
 
-def _bushy_unit(g: Adjacency, f: BushyForest, root: int) -> list[Coloring]:
-    """Proper colorings of one bushy tree's internal vertices."""
+def _bushy_unit(g: Adjacency, f: BushyForest, root: int):
+    """One bushy tree's unit: masks -> the proper colorings of its internal
+    vertices that masks allow, drawn one at a time, depth first along the
+    tree's breadth-first order with each vertex's colors ascending."""
     order = [
         v for v, _ in bfs(root, lambda v: (u for u in f.children.get(v, ()) if u in f.internal))
     ]
-    outs: list[Coloring] = []
+    earlier = [[j for j in range(i) if order[j] in g[v]] for i, v in enumerate(order)]
 
-    def expand(acc: Coloring):
-        if len(acc) == len(order):
-            outs.append(acc)
-            return None, ()
-        v = order[len(acc)]
-        used = {acc[u] for u in g[v] if u in acc}
-        return None, [{**acc, v: c} for c in (0, 1, 2) if c not in used]
+    def colorings(masks: dict):
+        cols = [0] * len(order)
+        left = [masks[order[0]]]  # colors still to try at each depth
+        while left:
+            i = len(left) - 1
+            if not (m := left[i]):
+                left.pop()
+                continue
+            left[i] = m & (m - 1)
+            cols[i] = (m & -m).bit_length() - 1
+            if i + 1 == len(order):
+                yield dict(zip(order, cols))
+            else:
+                m = masks[order[i + 1]]
+                for j in earlier[i + 1]:
+                    m &= ~(1 << cols[j])
+                left.append(m)
 
-    depth_first({}, expand)
-    return outs
+    return colorings
+
+
+def _allowed(outs: list[Coloring]):
+    """A unit over fixed colorings: masks -> those the masks allow."""
+    return lambda masks: (asg for asg in outs if all(masks[v] >> c & 1 for v, c in asg.items()))
 
 
 def _height_two_unit(tree: HeightTwoTree) -> list[Coloring]:
@@ -495,17 +511,16 @@ def _solve_leaf(g: Adjacency, cfg: SolverConfig, stats: SearchStats):
         assert len(g) - len(f.vertices) <= 20 * len(f.leaves) / 3 + 1e-9
 
     units = [_bushy_unit(g, f, root) for root in f.roots]
-    units += [_height_two_unit(tree) for tree in trees]
+    units += [_allowed(_height_two_unit(tree)) for tree in trees]
 
     def extensions(i: int, masks: dict):
-        # lazy: a partial coloring is charged once its predecessor is
-        # searched, and only when every vertex still has its color
-        for asg in units[i]:
-            if all(masks[v] >> c & 1 for v, c in asg.items()):
-                stats.nodes += 1  # as a CSP node counts a child simplify refutes
-                cfg.charge(stats)
-                if (child := _forward_check(g, masks, asg)) is not None:
-                    yield i + 1, child
+        # lazy: a partial coloring is drawn and charged once its predecessor
+        # is searched, and only when every vertex still has its color
+        for asg in units[i](masks):
+            stats.nodes += 1  # as a CSP node counts a child simplify refutes
+            cfg.charge(stats)
+            if (child := _forward_check(g, masks, asg)) is not None:
+                yield i + 1, child
 
     def expand(state):
         i, masks = state
@@ -583,14 +598,14 @@ def _residual_solve(g, masks: dict, cfg, stats) -> Optional[Coloring]:
     too.  Otherwise the undecided vertices, in vertex order, go to the CSP
     with their masks' colors as lists."""
     threes = [v for v in sorted(masks) if masks[v] == 7]
-    relaxed = {v: 0 if m == 7 else m for v, m in masks.items()}
-    if len(threes) > 2 and _commit_two_sat(g, relaxed) is not None:
+    relaxed = len(threes) > 2 and {v: 0 if m == 7 else m for v, m in masks.items()}
+    if relaxed and _commit_two_sat(g, relaxed) is not None:
         rest = [v for v in sorted(masks) if masks[v] & (masks[v] - 1)]
         index = {v: i for i, v in enumerate(rest)}
         lists = {i: [c for c in (0, 1, 2) if masks[v] >> c & 1] for i, v in enumerate(rest)}
         edges = [(index[u], index[v]) for u in rest for v in g[u] if index.get(v, -1) > index[u]]
         inst = coloring_to_csp(len(rest), edges, lists)
-        res = solve(inst, cfg.charge(stats))
+        res = solve(inst, cfg.nested(stats))
         stats.absorb(res.stats, csp=True)
         cfg.charge(stats)  # raises when the nested solve ran out
         if not res.satisfiable:
@@ -653,8 +668,7 @@ def color_graph(
         return ColorResult(None, None, stats)
     if coloring is None:
         return ColorResult(False, None, stats)
-    if not all(coloring.get(v) in (0, 1, 2) for v in range(n)) or any(
-        coloring.get(u) == coloring.get(v) for u, v in edges
-    ):
+    get = coloring.get
+    if not all(get(v) in (0, 1, 2) for v in range(n)) or any(get(u) == get(v) for u, v in edges):
         raise RuntimeError("coloring failed verification against the graph")
     return ColorResult(True, coloring, stats)

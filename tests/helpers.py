@@ -16,6 +16,7 @@ from pathlib import Path
 
 import csp32
 from csp32.edgecolor import EdgeInstance, SpliceStep
+from csp32.graphalg import bfs, depth_first
 from csp32.instance import (
     Assigned,
     DeadColorRemoved,
@@ -44,7 +45,6 @@ from csp32.solver import (
 from csp32.transform import coloring_to_csp
 from csp32.vertexcolor import (
     Merged,
-    _bushy_unit,
     _degree3_subgraph,
     _delete_cycle,
     _height_two_unit,
@@ -905,6 +905,28 @@ def brute_branch_degree3_tree(g):
     return children
 
 
+def brute_bushy_unit(g, f, root):
+    """Reference for vertexcolor._bushy_unit: every proper coloring of one
+    bushy tree's internal vertices, built up front depth first along the
+    tree's breadth-first order, each vertex's colors ascending; a coloring
+    lists its vertices in that order."""
+    order = [
+        v for v, _ in bfs(root, lambda v: (u for u in f.children.get(v, ()) if u in f.internal))
+    ]
+    outs = []
+
+    def expand(acc):
+        if len(acc) == len(order):
+            outs.append(acc)
+            return None, ()
+        v = order[len(acc)]
+        used = {acc[u] for u in g[v] if u in acc}
+        return None, [{**acc, v: c} for c in (0, 1, 2) if c not in used]
+
+    depth_first({}, expand)
+    return outs
+
+
 def brute_solve_leaf(g, cfg, stats):
     """Reference for vertexcolor._solve_leaf: the product of the forest
     units checked only for neighbor consistency, with one CSP call per
@@ -919,7 +941,7 @@ def brute_solve_leaf(g, cfg, stats):
     p = len(f.roots)
     split = (p, len(f.internal) - p, len(f.leaves), len(x_set), 4 * len(trees) + len(y_set))
     stats.breakdowns = tuple(map(max, stats.breakdowns, split))
-    units = [_bushy_unit(g, f, root) for root in f.roots]
+    units = [brute_bushy_unit(g, f, root) for root in f.roots]
     units += [_height_two_unit(tree) for tree in trees]
 
     def consistent(acc, asg):
@@ -965,7 +987,7 @@ def brute_residue_satisfiable(g, colored, cfg, stats):
     index = {v: i for i, v in enumerate(rest)}
     edges = [(index[u], index[v]) for u in rest for v in g[u] if index.get(v, -1) > index[u]]
     inst = coloring_to_csp(len(rest), edges, dict(enumerate(residue.values())))
-    res = solve(inst, cfg.charge(stats))
+    res = solve(inst, cfg.nested(stats))
     stats.absorb(res.stats, csp=True)
     cfg.charge(stats)
     return res.satisfiable

@@ -1,6 +1,7 @@
 """Graph 3-coloring pipeline: reductions, forests, and end-to-end solving."""
 
 import random
+import sys
 from collections import Counter
 from itertools import chain, combinations
 
@@ -42,6 +43,7 @@ from helpers import (
     brute_branch_degree3_cycle,
     brute_branch_degree3_tree,
     brute_build_bushy_forest,
+    brute_bushy_unit,
     brute_find_degree3_cycle,
     brute_forward_lists,
     brute_forward_refuted,
@@ -577,6 +579,13 @@ def _planted_cubic_graphs(count):
         yield planted_cubic_edge_colorable(random.Random(s), 40 + 2 * (s % 20))
 
 
+def _random_cubic_graphs(count):
+    """Seeded random cubic graphs from n = 22 to 40.  A few of their
+    line-graph leaves go to the leaf CSP with two- and three-color lists."""
+    for s in range(count):
+        yield random_cubic(random.Random(s), 22 + 2 * (s % 10))
+
+
 def _both_ways(monkeypatch, run):
     """run() with the forward-checked leaf and with the brute reference:
     (result, successful CSP arguments, decided leaf colorings, stats)
@@ -623,6 +632,75 @@ def test_forward_checked_line_graphs_match_brute_reference(monkeypatch):
         leaves += got_stats.leaves
         decided += len(got_leaf)
     assert leaves > 50 and decided > 20
+
+
+def test_bushy_unit_draws_match_brute_reference(monkeypatch):
+    # At every leaf of seeded color-planted, G(n, p) and line-graph
+    # inputs, each bushy unit, given the masks the search passes it,
+    # yields the reference's colorings of its tree that those masks allow,
+    # in the reference's order and with the vertices in its order.  Each
+    # coloring the search draws from a unit is charged as one node and
+    # forward-checked before anything else is drawn or charged.  Line
+    # graphs of cubic graphs never restrict a bushy unit's masks here, so
+    # only the colored batch prunes.
+    bushy_unit, forward_check = vertexcolor._bushy_unit, vertexcolor._forward_check
+    expand, charge = vertexcolor._expand, SolverConfig.charge
+    events = []  # ("draw", id), ("charge",), ("check", id) from the enumeration
+    expands = []  # graph nodes of the call in progress
+    tally = Counter()
+
+    def unit(g, f, root):
+        colorings, want = bushy_unit(g, f, root), brute_bushy_unit(g, f, root)
+
+        def drawn(masks):
+            allowed = [asg for asg in want if all(masks[v] >> c & 1 for v, c in asg.items())]
+            assert [list(asg.items()) for asg in colorings(masks)] == [
+                list(asg.items()) for asg in allowed
+            ]
+            tally["calls"] += 1
+            tally["deep"] += len(want[0]) > 1  # a tree with two or more internal vertices
+            tally["pruned"] += len(allowed) < len(want)
+            for asg in colorings(masks):
+                events.append(("draw", id(asg)))
+                yield asg
+
+        return drawn
+
+    def charged(cfg, stats):
+        if sys._getframe(1).f_code.co_name == "extensions":
+            events.append(("charge",))
+        return charge(cfg, stats)
+
+    def checked(g, masks, asg):
+        if sys._getframe(1).f_code.co_name == "extensions":
+            events.append(("check", id(asg)))
+        return forward_check(g, masks, asg)
+
+    def counted(*args):
+        expands.append(args)
+        return expand(*args)
+
+    monkeypatch.setattr(vertexcolor, "_bushy_unit", unit)
+    monkeypatch.setattr(vertexcolor, "_forward_check", checked)
+    monkeypatch.setattr(vertexcolor, "_expand", counted)
+    monkeypatch.setattr(SolverConfig, "charge", charged)
+
+    def run(solve, graphs):
+        for graph in graphs:
+            del events[:], expands[:]
+            stats = solve(graph)
+            assert stats.nodes == len(expands) + events.count(("charge",))
+            for p, e in enumerate(events):
+                if e[0] == "draw":
+                    assert events[p + 1 : p + 3] == [("charge",), ("check", e[1])]
+                    tally["draws"] += 1
+
+    run(lambda graph: color_graph(*graph).stats, chain(_seeded_graphs(80), _planted_graphs(300)))
+    colored = +tally
+    run(lambda graph: edge_color(*graph)[1], chain(_cubic_graphs(), map(flower_snark, (9, 11))))
+    line = tally - colored
+    assert colored["calls"] > 1500 and colored["deep"] > 500 and colored["pruned"] > 400
+    assert line["calls"] > 700 and line["deep"] > 150
 
 
 def test_incremental_forward_check_matches_brute_reference(monkeypatch):
@@ -687,8 +765,8 @@ def test_leaf_csp_gets_only_undecided_vertices(monkeypatch):
     # three or more vertices have three colors left; propagation decides
     # the others.  The 2-SAT relaxation refutes most leaves with three or
     # more before they get here, so the planted batch runs to 2,000 seeds
-    # and the flower snarks J9 and J11 give the line-graph floors most of
-    # their entries.
+    # and the flower snarks J9 and J11 and four random cubic graphs give
+    # the line-graph floors their entries.
     residual_solve, to_csp = vertexcolor._residual_solve, vertexcolor.coloring_to_csp
     leaf = {}  # masks and undecided vertices of the call in progress
     sizes = Counter()
@@ -719,7 +797,7 @@ def test_leaf_csp_gets_only_undecided_vertices(monkeypatch):
     for graph in _planted_graphs(2000):
         color_graph(*graph)
     before = +sizes
-    for graph in (*_planted_cubic_graphs(60), *map(flower_snark, (5, 7, 9, 11))):
+    for graph in (*_random_cubic_graphs(200), *map(flower_snark, (5, 7, 9, 11))):
         edge_color(*graph)
     assert sizes[1] > 1000 and sizes[2] > 3000 and sizes[3] > 300
     line = sizes - before
