@@ -4,12 +4,12 @@ The graph is a plain adjacency dict (vertex -> set of neighbors) on the
 input's vertex ids.  The pipeline strips low-degree vertices, branches
 away cycles and large trees of degree-three vertices, grows a bushy
 forest plus a height-two forest over what is left, enumerates proper
-colorings of the forest interiors with a forward check, and hands the
-vertices still undecided after propagation, with the colors they have
-left, to the CSP solver as a list-coloring instance, unless at most two
-have three colors left (then it tries their colors and decides the 2-SAT
-rest by propagation) or the 2-SAT relaxation, the two-color vertices
-alone, is refuted by propagation.
+colorings of the forest interiors with a forward check, and decides
+each leaf the same way.  Even, Itai & Shamir's commit loop colors the
+leaf outright if it can; if it gets stuck, the same loop on the 2-SAT
+relaxation, the two-color vertices alone, may refute the leaf; otherwise
+the vertices still undecided after propagation, with the colors they
+have left, go to the CSP solver as a list-coloring instance.
 
 The graph changes only by vertex removals and merges, each recorded as
 a lift step (GreedyColored or CycleColored, and Merged).  Lifting
@@ -149,14 +149,13 @@ def strip_low_degree(g: Adjacency, steps: list):
         queue.extend(u for u in _remove_greedy(g, steps, v) if len(g[u]) <= 2)
 
 
-def _degree3_subgraph(g: Adjacency) -> dict[int, set[int]]:
+def _degree3_subgraph(g: Adjacency) -> Adjacency:
     low = {v for v, ns in g.items() if len(ns) == 3}
     return {v: g[v] & low for v in low}
 
 
-def find_degree3_cycle(g: Adjacency) -> Optional[list[int]]:
-    """A shortest (hence chordless) cycle of degree-three vertices."""
-    sub = _degree3_subgraph(g)
+def find_degree3_cycle(sub: Adjacency) -> Optional[list[int]]:
+    """A shortest (hence chordless) cycle of the degree-three subgraph."""
     best: Optional[list[int]] = None
     edges = sorted((u, v) for u in sub for v in sub[u] if u < v)
     for u, v in edges:
@@ -205,13 +204,14 @@ def _child(g: Adjacency, merges, edge, cycle, greedy) -> Optional[tuple[Adjacenc
     return child, steps
 
 
-def branch_degree3_cycle(g: Adjacency) -> Optional[list[tuple[Adjacency, list]]]:
-    """Branch set eliminating one cycle of degree-three vertices, if any.
+def branch_degree3_cycle(g: Adjacency, sub: Adjacency) -> Optional[list[tuple[Adjacency, list]]]:
+    """Branch set eliminating one cycle of sub, g's degree-three
+    subgraph, if any.
 
     Returns None when no such cycle exists and an empty list when the
     cycle proves the graph uncolorable.
     """
-    cyc = find_degree3_cycle(g)
+    cyc = find_degree3_cycle(sub)
     if cyc is None:
         return None
     k = len(cyc)
@@ -251,9 +251,9 @@ def branch_degree3_cycle(g: Adjacency) -> Optional[list[tuple[Adjacency, list]]]
     return [c for c in differ + same if c is not None]
 
 
-def branch_degree3_tree(g: Adjacency) -> Optional[list[tuple[Adjacency, list]]]:
-    """Branch set shrinking a tree of eight or more degree-three vertices."""
-    sub = _degree3_subgraph(g)
+def branch_degree3_tree(g: Adjacency, sub: Adjacency) -> Optional[list[tuple[Adjacency, list]]]:
+    """Branch set shrinking a tree of eight or more vertices of sub, g's
+    degree-three subgraph."""
     comp = len(sub) >= 8 and next((c for c in components(sub, sub.get) if len(c) >= 8), None)
     if not comp:
         return None
@@ -560,18 +560,22 @@ def _forward_check(g: Adjacency, masks: dict, asg: Coloring) -> Optional[dict]:
     return masks
 
 
-def _commit_two_sat(g: Adjacency, masks: dict) -> Optional[dict]:
-    """Even, Itai & Shamir's (1976) commit loop: each two-color vertex, in
-    vertex order, commits the first color the forward check keeps.  A kept
-    try fixes every vertex it touched and leaves the others' masks as they
-    were, so the rest is a sub-instance.  The masks once no vertex has two
-    colors left, or None when some vertex keeps neither.  A 0 mask is left
-    out: nothing propagates into it and it is never tried."""
+def _commit_loop(g: Adjacency, masks: dict) -> Optional[dict]:
+    """Even, Itai & Shamir's (1976) commit loop: each vertex left two or
+    three colors, in vertex order, commits the first color, ascending,
+    that the forward check keeps.  A kept try fixes every vertex it
+    touched and leaves the others' masks as they were, so the rest is a
+    sub-instance.  The masks once every vertex has one color left, or
+    None when some vertex keeps none.  On two-color masks the loop is
+    complete: None refutes them.  With a three-color vertex, the masks it
+    returns still give a proper coloring, since each committed or forced
+    color was cleared from the neighbours, but None decides nothing.  A 0
+    mask is left out: nothing propagates into it and it is never tried."""
     for v in sorted(masks):
         m = masks[v]
         if m & (m - 1):
-            for c in (m & -m).bit_length() - 1, m.bit_length() - 1:
-                if (child := _forward_check(g, masks, {v: c})) is not None:
+            for c in range(3):
+                if m >> c & 1 and (child := _forward_check(g, masks, {v: c})) is not None:
                     break
             else:
                 return None
@@ -584,54 +588,35 @@ def _residual_solve(g, masks: dict, cfg, stats) -> Optional[Coloring]:
     coloring.
 
     A vertex whose mask holds one color takes it: propagation cleared it
-    from every neighbour.  With at most two vertices left three colors,
-    simplify would decide the leaf's CSP at the root: eliminating the
-    two-color variables leaves at most two three-color ones, and no
-    reduced instance has one or two variables.  So it is decided here, as
-    the one-node solve it replaces.  Each three-color vertex, in vertex
-    order, tries its colors in ascending order through the forward check,
-    backtracking on failure; what survives is 2-SAT, which the commit loop
-    decides.  With three or more, the commit loop first runs on the
-    two-color vertices alone, the three-color ones masked to 0 and so left
-    out with their edges; if it refutes that relaxation, no coloring of
-    the leaf exists, and the refutation is charged as the one-node solve
-    too.  Otherwise the undecided vertices, in vertex order, go to the CSP
-    with their masks' colors as lists."""
-    threes = [v for v in sorted(masks) if masks[v] == 7]
-    relaxed = len(threes) > 2 and {v: 0 if m == 7 else m for v, m in masks.items()}
-    if relaxed and _commit_two_sat(g, relaxed) is not None:
-        rest = [v for v in sorted(masks) if masks[v] & (masks[v] - 1)]
-        index = {v: i for i, v in enumerate(rest)}
-        lists = {i: [c for c in (0, 1, 2) if masks[v] >> c & 1] for i, v in enumerate(rest)}
-        edges = [(index[u], index[v]) for u in rest for v in g[u] if index.get(v, -1) > index[u]]
-        inst = coloring_to_csp(len(rest), edges, lists)
-        res = solve(inst, cfg.nested(stats))
-        stats.absorb(res.stats, csp=True)
-        cfg.charge(stats)  # raises when the nested solve ran out
-        if not res.satisfiable:
-            return None
-        full = {v: m.bit_length() - 1 for v, m in masks.items()}
-        full.update((v, res.assignment[i]) for i, v in enumerate(rest))
-        return full
-    stats.csp_calls += 1
-    stats.csp_nodes += 1
-    cfg.charge(stats)
-    if len(threes) > 2:
+    from every neighbour.  The commit loop first runs on the masks
+    themselves, three-color vertices included, and a coloring it reaches
+    is the leaf's.  If it gets stuck, it runs again on the 2-SAT
+    relaxation, the two-color vertices alone, with the three-color ones
+    masked to 0 and so left out with their edges; if that is refuted, no
+    coloring of the leaf exists.  Either outcome is charged as the
+    one-node CSP solve it replaces.  Otherwise the undecided vertices, in
+    vertex order, go to the CSP with their masks' colors as lists; a CSP
+    with at most two three-color variables is decided at the root."""
+    committed = _commit_loop(g, masks)
+    relaxed = committed is None and {v: 0 if m == 7 else m for v, m in masks.items()}
+    if not relaxed or _commit_loop(g, relaxed) is None:
+        stats.csp_calls += 1
+        stats.csp_nodes += 1
+        cfg.charge(stats)
+        return committed and {v: m.bit_length() - 1 for v, m in committed.items()}
+    rest = [v for v in sorted(masks) if masks[v] & (masks[v] - 1)]
+    index = {v: i for i, v in enumerate(rest)}
+    lists = {i: [c for c in (0, 1, 2) if masks[v] >> c & 1] for i, v in enumerate(rest)}
+    edges = [(index[u], index[v]) for u in rest for v in g[u] if index.get(v, -1) > index[u]]
+    inst = coloring_to_csp(len(rest), edges, lists)
+    res = solve(inst, cfg.nested(stats))
+    stats.absorb(res.stats, csp=True)
+    cfg.charge(stats)  # raises when the nested solve ran out
+    if not res.satisfiable:
         return None
-
-    def expand(state):
-        i, masks = state
-        if i < len(threes):
-            return None, (
-                (i + 1, child)
-                for c in (0, 1, 2)
-                if (child := _forward_check(g, masks, {threes[i]: c})) is not None
-            )
-        if (masks := _commit_two_sat(g, masks)) is None:
-            return None, ()
-        return {v: m.bit_length() - 1 for v, m in masks.items()}, ()
-
-    return depth_first((0, masks), expand)
+    full = {v: m.bit_length() - 1 for v, m in masks.items()}
+    full.update((v, res.assignment[i]) for i, v in enumerate(rest))
+    return full
 
 
 def _expand(cfg: SolverConfig, stats: SearchStats, state: tuple[Adjacency, list]):
@@ -642,9 +627,10 @@ def _expand(cfg: SolverConfig, stats: SearchStats, state: tuple[Adjacency, list]
     strip_low_degree(g, steps)
     if not g:
         return lift({}, steps), ()
-    branch = branch_degree3_cycle(g)
+    sub = _degree3_subgraph(g)  # g is unchanged when no cycle branches
+    branch = branch_degree3_cycle(g, sub)
     if branch is None:
-        branch = branch_degree3_tree(g)
+        branch = branch_degree3_tree(g, sub)
     if branch is not None:
         return None, [(child, steps + extra) for child, extra in branch]
     leaf = _solve_leaf(g, cfg, stats)

@@ -45,7 +45,6 @@ from csp32.solver import (
 from csp32.transform import coloring_to_csp
 from csp32.vertexcolor import (
     Merged,
-    _degree3_subgraph,
     _delete_cycle,
     _height_two_unit,
     _remove_greedy,
@@ -739,10 +738,21 @@ def brute_build_bushy_forest(g):
     return roots, children, internal, leaves
 
 
+def brute_degree3_subgraph(g):
+    """Reference for vertexcolor._degree3_subgraph: each vertex of degree
+    exactly three, with its neighbors of degree exactly three."""
+    sub = {}
+    for v in g:
+        if len(g[v]) == 3:
+            sub[v] = {u for u in g[v] if len(g[u]) == 3}
+    return sub
+
+
 def brute_find_degree3_cycle(g):
-    """Reference for vertexcolor.find_degree3_cycle: one hand-written
-    queue per degree-three edge, searching until the far end is found."""
-    sub = _degree3_subgraph(g)
+    """Reference for vertexcolor.find_degree3_cycle on g's degree-three
+    subgraph: one hand-written queue per degree-three edge, searching
+    until the far end is found."""
+    sub = brute_degree3_subgraph(g)
     best = None
     edges = sorted({tuple(sorted((u, v))) for u in sub for v in sub[u]})
     for u, v in edges:
@@ -863,7 +873,7 @@ def brute_branch_degree3_tree(g):
     """Reference for vertexcolor.branch_degree3_tree: hand-written queues
     for the degree-three components and for every subtree, and every
     child copied and edited by hand."""
-    sub = _degree3_subgraph(g)
+    sub = brute_degree3_subgraph(g)
     comps, seen = [], set()
     for v in sorted(sub):
         if v in seen:

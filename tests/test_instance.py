@@ -24,6 +24,7 @@ from csp32.oracle import (
     planted_csp,
     random_3cnf,
     random_csp,
+    random_graph,
     structured_csp,
 )
 from csp32.solver import ChildBuilder, solve
@@ -485,11 +486,16 @@ def test_simplify_matches_four_lemma_reference(monkeypatch):
     assert high_colors >= 3
     reached = tally.copy()
     # leaf residues: the list-coloring instances color_graph hands to solve
-    # (only leaves with three or more three-color vertices build one)
+    # (only a leaf whose commit loop is stuck and whose 2-SAT relaxation
+    # holds builds one; sparse planted graphs and G(20, 0.2) build some
+    # that fire lemmas)
     leaf_calls = sum(
-        color_graph(*planted_3colorable(random.Random(seed), n, 7 / n)).stats.csp_calls
-        for n, seeds in ((30, 20), (36, 200))
-        for seed in range(seeds)
+        color_graph(*graph).stats.csp_calls
+        for seed in range(400)
+        for graph in (
+            planted_3colorable(random.Random(seed), 30, 6 / 30),
+            random_graph(random.Random(seed), 20, 0.2),
+        )
     )
     assert leaf_calls > 0 and tally != reached
     assert tally["unconstrained"] == 0

@@ -25,6 +25,7 @@ from csp32.vertexcolor import (
     ColorConfig,
     HeightTwoTree,
     Merged,
+    _degree3_subgraph,
     _forward_check,
     _height_two_unit,
     adjacency,
@@ -44,6 +45,7 @@ from helpers import (
     brute_branch_degree3_tree,
     brute_build_bushy_forest,
     brute_bushy_unit,
+    brute_degree3_subgraph,
     brute_find_degree3_cycle,
     brute_forward_lists,
     brute_forward_refuted,
@@ -89,7 +91,7 @@ def test_find_degree3_cycle_is_chordless():
             continue
         n, edges = graph
         g = adjacency(n, edges)
-        cyc = find_degree3_cycle(g)
+        cyc = find_degree3_cycle(_degree3_subgraph(g))
         if cyc is None:
             continue
         found += 1
@@ -114,9 +116,10 @@ def test_cycle_branch_children_preserve_colorability():
             continue
         n, edges = graph
         g = adjacency(n, edges)
-        if find_degree3_cycle(g) is None:
+        sub = _degree3_subgraph(g)
+        if find_degree3_cycle(sub) is None:
             continue
-        children = branch_degree3_cycle(g)
+        children = branch_degree3_cycle(g, sub)
         if children is None:
             continue
         tried += 1
@@ -148,12 +151,26 @@ TREE8 = (13, [(i, i + 1) for i in range(7)] + list(combinations(range(8, 13), 2)
 REPEATED_OUTSIDE = planted_3colorable(random.Random("109:469:planted-color:36"), 36, 7 / 36)
 
 
+# Small seeded graphs whose leaf CSP branches, from seeds 0-2999 of their
+# families: the commit loop colors most leaves and its relaxation refutes
+# most of the rest, so few leaves build a CSP, and fewer branch.  Each
+# branching has a claim to check: dangling, dangling, implication and
+# implication.
+BRANCHING_LEAVES = (
+    planted_3colorable(random.Random(387), 20, 0.25),
+    planted_3colorable(random.Random(2774), 20, 0.25),
+    planted_3colorable(random.Random(2370), 22, 0.25),
+    random_graph(random.Random(1455), 14, 0.3),
+)
+
+
 def test_tree_branch_on_degree3_forest():
     g = adjacency(*TREE8)
     steps = []
     strip_low_degree(g, steps)
-    assert branch_degree3_cycle(g) is None
-    children = branch_degree3_tree(g)
+    sub = _degree3_subgraph(g)
+    assert branch_degree3_cycle(g, sub) is None
+    children = branch_degree3_tree(g, sub)
     assert children is not None and len(children) == 3
 
 
@@ -176,10 +193,13 @@ def test_branch_children_match_brute_reference():
                 break
             g = pending.pop()
             strip_low_degree(g, [])
-            assert find_degree3_cycle(g) == brute_find_degree3_cycle(g)
-            got, want = branch_degree3_cycle(g), brute_branch_degree3_cycle(g, shapes)
+            sub = _degree3_subgraph(g)
+            assert find_degree3_cycle(sub) == brute_find_degree3_cycle(g)
+            got, want = branch_degree3_cycle(g, sub), brute_branch_degree3_cycle(g, shapes)
+            # the cycle branch edits only copies, so the tree branch may reuse sub
+            assert sub == brute_degree3_subgraph(g)
             if got is None:
-                got, want = branch_degree3_tree(g), brute_branch_degree3_tree(g)
+                got, want = branch_degree3_tree(g, sub), brute_branch_degree3_tree(g)
                 shapes["tree"] += got is not None
             assert (got is None) == (want is None)
             for (child, steps), (ref, ref_steps) in zip(got or [], want or [], strict=True):
@@ -284,9 +304,9 @@ def test_odd_cycle_third_child_with_repeated_outside_neighbor():
 
 
 def test_check_claims_reaches_the_leaf_csp(monkeypatch):
-    # Planted seed 86 has a leaf CSP that branches; with every cap at 0
-    # the claim check must fire inside color_graph's nested solve.
-    graph = planted_3colorable(random.Random(86), 20, 0.25)
+    # This graph has a leaf CSP that branches; with every cap at 0 the
+    # claim check must fire inside color_graph's nested solve.
+    graph = BRANCHING_LEAVES[0]
     assert color_graph(*graph, SolverConfig(check_claims=True)).colorable
     monkeypatch.setattr("csp32.solver.claim_cap", lambda name: 0.0)
     assert color_graph(*graph).colorable
@@ -303,7 +323,7 @@ def test_check_claims_survives_python_O():
         "from csp32.oracle import planted_3colorable\n"
         "from csp32.vertexcolor import color_graph\n"
         "solver.claim_cap = lambda name: 0.0\n"
-        "graph = planted_3colorable(random.Random(86), 20, 0.25)\n"
+        "graph = planted_3colorable(random.Random(387), 20, 0.25)\n"
         "color_graph(*graph, solver.SolverConfig(check_claims=True))\n"
     )
     run = run_fresh(code, "-O")
@@ -312,17 +332,24 @@ def test_check_claims_survives_python_O():
 
 
 def test_claim_checked_coloring_matches_brute_force():
+    def claim_checked(graph) -> bool:
+        """color_graph under the claim check agrees with brute force;
+        whether a leaf CSP branched."""
+        res = color_graph(*graph, SolverConfig(check_claims=True))
+        assert res.colorable == (brute_vertex_color(graph) is not None)
+        if res.colorable:
+            assert proper(graph[1], res.coloring)
+        return sum(res.stats.rule_counts.values()) > res.stats.rule_counts["matching"]
+
     branched = 0
     for seed in range(100):
         for graph in (
             planted_3colorable(random.Random(seed), 20, 0.25),
             random_graph(random.Random(seed), 12, 0.35),
         ):
-            res = color_graph(*graph, SolverConfig(check_claims=True))
-            assert res.colorable == (brute_vertex_color(graph) is not None)
-            if res.colorable:
-                assert proper(graph[1], res.coloring)
-            branched += sum(res.stats.rule_counts.values()) > res.stats.rule_counts["matching"]
+            branched += claim_checked(graph)
+    for graph in BRANCHING_LEAVES:
+        branched += claim_checked(graph)
     assert branched >= 2  # some leaf CSPs branched, so their claims were checked
 
 
@@ -375,6 +402,15 @@ def _planted_graphs(count):
     more three-color vertices."""
     for seed in range(count):
         yield planted_3colorable(random.Random(seed), 36, 7 / 36)
+
+
+def _sparse_planted_graphs(count):
+    """Planted 3-colorable graphs at n = 16 to 24 and mean degree 5.5.
+    More of their leaves than the benchmark family's get the commit loop
+    stuck and still have a coloring, so they build satisfiable CSPs."""
+    for seed in range(count):
+        n = 16 + seed % 9
+        yield planted_3colorable(random.Random(seed), n, 5.5 / n)
 
 
 def _assert_forests(g):
@@ -707,24 +743,25 @@ def test_incremental_forward_check_matches_brute_reference(monkeypatch):
     # At every enumeration step of seeded color-planted, G(n, p) and
     # line-graph leaves, the masks carried down from the parent give the
     # from-scratch check's verdict, and a kept child's masks are the
-    # lists that check propagates.  So does every step of a leaf's 2-SAT
+    # lists that check propagates.  So does every step of a leaf's commit
+    # loop, which starts from the leaf's masks, and of its 2-SAT
     # relaxation, checked on the graph without the three-color vertices
     # it leaves out, whose masks stay 0.
     forward_check, residual_solve = vertexcolor._forward_check, vertexcolor._residual_solve
     colored = {}  # id of a child's masks -> (those masks, its coloring, its graph)
-    leaf = {}  # masks of the residue solve in progress
+    leaf = {}  # masks of the residue solve in progress, and of its relaxation
     checks = refuted = relaxed = 0
 
     def residue(g, masks, cfg, stats):
         leaf["masks"] = masks
+        leaf["relaxed"] = {v: 0 if m == 7 else m for v, m in masks.items()}
         return residual_solve(g, masks, cfg, stats)
 
     def checked(g, masks, asg):
         nonlocal checks, refuted, relaxed
         if id(masks) in colored:
             _, acc, sub = colored[id(masks)]
-        elif 0 in masks.values():  # a relaxation's root: the leaf's masks, 7 -> 0
-            assert masks == {v: 0 if m == 7 else m for v, m in leaf["masks"].items()}
+        elif leaf and masks == leaf["relaxed"]:  # a relaxation's root
             acc = colored[id(leaf["masks"])][1]
             out = {v for v, m in masks.items() if not m}
             sub = {v: ns - out for v, ns in g.items() if v not in out}
@@ -749,11 +786,13 @@ def test_incremental_forward_check_matches_brute_reference(monkeypatch):
     for graph in _seeded_graphs(200):
         color_graph(*graph)
         colored.clear()
+        leaf.clear()
     assert checks > 3000 and refuted > 1000 and relaxed > 300
     before = checks, refuted
     for graph in (*_cubic_graphs(), *_planted_cubic_graphs(30)):
         edge_color(*graph)
         colored.clear()
+        leaf.clear()
     assert checks - before[0] > 200 and refuted - before[1] > 50  # line graphs
 
 
@@ -762,26 +801,28 @@ def test_leaf_csp_gets_only_undecided_vertices(monkeypatch):
     # line-graph leaves, the CSP holds the vertices with two or three
     # colors left, in vertex order, with their masks as lists, and a
     # vertex left one color takes it.  A leaf goes to the CSP only when
-    # three or more vertices have three colors left; propagation decides
-    # the others.  The 2-SAT relaxation refutes most leaves with three or
-    # more before they get here, so the planted batch runs to 2,000 seeds
-    # and the flower snarks J9 and J11 and four random cubic graphs give
-    # the line-graph floors their entries.
+    # the commit loop is stuck on its masks and the 2-SAT relaxation
+    # holds; the loop colors most leaves and the relaxation refutes most
+    # of the rest, so the planted batch runs to 2,000 seeds, a sparser
+    # planted batch adds 2,000, and the flower snarks and 200 random cubic
+    # graphs give the line-graph floors their entries.
     residual_solve, to_csp = vertexcolor._residual_solve, vertexcolor.coloring_to_csp
-    leaf = {}  # masks and undecided vertices of the call in progress
+    commit_loop = vertexcolor._commit_loop
+    leaf = {}  # graph, masks and undecided vertices of the call in progress
     sizes = Counter()
 
     def coloring_to_csp(n, edges, lists):
-        masks, undecided = leaf["masks"], leaf["undecided"]
+        g, masks, undecided = leaf["g"], leaf["masks"], leaf["undecided"]
         assert n == len(undecided) and set(lists) == set(range(n))
-        assert sum(m == 7 for m in masks.values()) >= 3
+        assert commit_loop(g, masks) is None
+        assert commit_loop(g, {v: 0 if m == 7 else m for v, m in masks.items()}) is not None
         for i, v in enumerate(undecided):
             assert sorted(lists[i]) == [c for c in (0, 1, 2) if masks[v] >> c & 1]
             sizes[len(lists[i])] += 1
         return to_csp(n, edges, lists)
 
     def checked(g, masks, cfg, stats):
-        leaf["masks"] = masks
+        leaf["g"], leaf["masks"] = g, masks
         leaf["undecided"] = sorted(v for v, m in masks.items() if m & (m - 1))
         full = residual_solve(g, masks, cfg, stats)
         forced = {v: m.bit_length() - 1 for v, m in masks.items() if not m & (m - 1)}
@@ -794,7 +835,7 @@ def test_leaf_csp_gets_only_undecided_vertices(monkeypatch):
     monkeypatch.setattr(vertexcolor, "_residual_solve", checked)
     for graph in _seeded_graphs(120):
         color_graph(*graph)
-    for graph in _planted_graphs(2000):
+    for graph in chain(_planted_graphs(2000), _sparse_planted_graphs(2000)):
         color_graph(*graph)
     before = +sizes
     for graph in (*_random_cubic_graphs(200), *map(flower_snark, (5, 7, 9, 11))):
@@ -820,9 +861,8 @@ def test_leaf_csp_gets_only_undecided_vertices(monkeypatch):
 
 
 def _leaf_csp(g, masks):
-    """The CSP a leaf residue made before leaves with at most two
-    three-color vertices were decided by propagation: its undecided
-    vertices, with their masks as lists."""
+    """The CSP on a leaf residue's undecided vertices, with their masks
+    as lists, whichever step of the leaf's flow decides it."""
     rest = [v for v in sorted(masks) if masks[v] & (masks[v] - 1)]
     index = {v: i for i, v in enumerate(rest)}
     lists = {i: [c for c in (0, 1, 2) if masks[v] >> c & 1] for i, v in enumerate(rest)}
@@ -836,7 +876,7 @@ def test_solve_decides_two_color_csps_at_the_root():
     # reduced instance has one or two variables (with no free pair, every pair
     # of the lower one hits all three colors of the other, so it is
     # dead).  So solve spends one node and fires no rule: what a leaf
-    # decided by propagation charges.
+    # colored by the commit loop or refuted by its relaxation charges.
     rng = random.Random(7)
     verdicts = Counter()
     for trial in range(900):
@@ -858,10 +898,11 @@ def test_solve_decides_two_color_csps_at_the_root():
 
 def test_two_list_leaves_are_decided_by_propagation(monkeypatch):
     # At every leaf of seeded color-planted, G(n, p) and line-graph
-    # leaves with at most two three-color vertices, the CSP the leaf no
-    # longer builds takes one node and fires no rule, its verdict is the
-    # propagation's, and a coloring that comes back is proper and lies
-    # inside the masks.
+    # leaves with at most two three-color vertices, the direct CSP on the
+    # residue takes one node and fires no rule, so the one node the leaf
+    # is charged is that solve's, whether the commit loop, its relaxation
+    # or the CSP decides it.  Its verdict is the leaf's, and a coloring
+    # that comes back is proper and lies inside the masks.
     residual_solve = vertexcolor._residual_solve
     verdicts, threes = Counter(), Counter()
 
@@ -893,78 +934,81 @@ def test_two_list_leaves_are_decided_by_propagation(monkeypatch):
 
 
 def test_two_list_leaf_hand_built_cases(monkeypatch):
-    # An odd cycle with lists {0, 1} is refuted, and counted as the
-    # one-node CSP solve it replaces.
-    edges = [(i, (i + 1) % 5) for i in range(5)]
-    stats = SearchStats()
-    cycle = adjacency(5, edges)
-    assert vertexcolor._residual_solve(cycle, dict.fromkeys(range(5), 0b011),
-                                       SolverConfig(), stats) is None
-    assert (stats.csp_calls, stats.csp_nodes, stats.spent) == (1, 1, 1)
-    assert solve(coloring_to_csp(5, edges, dict.fromkeys(range(5), (0, 1)))).satisfiable is False
+    # Hand-built leaves for each outcome of the leaf's one flow.  Each is
+    # charged as one CSP call of one node, which the direct CSP on the
+    # whole residue confirms, and the direct CSP's verdict is the leaf's.
+    built = []
 
-    # Vertex 0 fails its first color (color 0 forces 1 to 1 and 2 to 2,
-    # which leaves 3 nothing) and succeeds with its second.
-    g = adjacency(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-    masks = {0: 0b011, 1: 0b011, 2: 0b101, 3: 0b110}
-    assert _forward_check(g, masks, {0: 0}) is None
-    full = vertexcolor._residual_solve(g, masks, SolverConfig(), SearchStats())
-    assert full == {0: 1, 1: 0, 2: 0, 3: 1}
-    # its one node trips a spent budget, as the nested solve's did
-    with pytest.raises(NodeLimitReached):
-        vertexcolor._residual_solve(g, masks, SolverConfig(node_limit=0), SearchStats())
-
-    # Leaves with one or two three-color vertices build no CSP either:
-    # each is decided by propagation and charged as the one-node solve
-    # it replaces, which the direct CSP confirms.
-    def no_csp(*args):
-        raise AssertionError("a leaf with at most two three-color vertices built a CSP")
+    def logged_to_csp(n, edges, lists):
+        built.append(n)
+        return coloring_to_csp(n, edges, lists)
 
     def decide(g, masks):
+        del built[:]
         stats = SearchStats()
-        with monkeypatch.context() as mp:
-            mp.setattr(vertexcolor, "coloring_to_csp", no_csp)
-            full = vertexcolor._residual_solve(g, masks, SolverConfig(), stats)
+        full = vertexcolor._residual_solve(g, masks, SolverConfig(), stats)
         assert (stats.csp_calls, stats.csp_nodes, stats.spent) == (1, 1, 1)
         res = solve(_leaf_csp(g, masks))
         assert (res.stats.nodes, res.satisfiable) == (1, full is not None)
         if full is not None:
             assert all(masks[v] >> full[v] & 1 for v in masks)
             assert all(full[u] != full[v] for u in g for v in g[u])
-        return full
+        return full, list(built)
 
+    monkeypatch.setattr(vertexcolor, "coloring_to_csp", logged_to_csp)
+
+    # An odd cycle with lists {0, 1}: the loop gets stuck, the relaxation
+    # (the same masks, as no vertex has three colors) refutes it, and no
+    # CSP is built.
+    cycle = adjacency(5, [(i, (i + 1) % 5) for i in range(5)])
+    assert decide(cycle, dict.fromkeys(range(5), 0b011)) == (None, [])
+
+    # The loop colors these outright.  Here vertex 0 fails its first color
+    # (color 0 forces 1 to 1 and 2 to 2, which leaves 3 nothing) and
+    # succeeds with its second.
+    g = adjacency(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    masks = {0: 0b011, 1: 0b011, 2: 0b101, 3: 0b110}
+    assert _forward_check(g, masks, {0: 0}) is None
+    assert decide(g, masks) == ({0: 1, 1: 0, 2: 0, 3: 1}, [])
     # Two adjacent three-color vertices and a two-color vertex next to
     # both: 0 takes 0, which forces 2 to 1 and then 1 to 2.
-    g = adjacency(3, [(0, 1), (0, 2), (1, 2)])
-    assert decide(g, {0: 7, 1: 7, 2: 0b011}) == {0: 0, 1: 2, 2: 1}
+    triangle = adjacency(3, [(0, 1), (0, 2), (1, 2)])
+    assert decide(triangle, {0: 7, 1: 7, 2: 0b011}) == ({0: 0, 1: 2, 2: 1}, [])
 
     # Vertex 1 closes the odd cycle 1-2-3-4-5 whose other vertices have
-    # lists {1, 2}.  Vertex 0's first color keeps the forward check but
-    # leaves 1 with {1, 2}, and both refute the cycle, so 0 backtracks to
-    # its second color, which lets 1 take 0.
-    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]
-    g = adjacency(6, edges)
+    # lists {1, 2}.  The loop gives 0 its first color, which keeps the
+    # forward check but leaves 1 with {1, 2}, and both refute the cycle;
+    # the loop never takes a color back, so it is stuck.  The relaxation,
+    # the path 2-3-4-5, holds, so the CSP on all six vertices decides the
+    # leaf at its root: 0 takes 1 and 1 takes 0.
+    g = adjacency(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 1)])
     masks = {0: 7, 1: 7, 2: 0b110, 3: 0b110, 4: 0b110, 5: 0b110}
     assert _forward_check(g, masks, {0: 0}) is not None
-    assert decide(g, masks) == {0: 1, 1: 0, 2: 1, 3: 2, 4: 1, 5: 2}
+    assert vertexcolor._commit_loop(g, masks) is None
+    full, calls = decide(g, masks)
+    assert calls == [6] and (full[0], full[1]) == (1, 0)
 
-    # K4 with two three-color vertices: every try fails.
-    g = adjacency(4, list(combinations(range(4), 2)))
-    assert decide(g, {0: 7, 1: 7, 2: 0b011, 3: 0b110}) is None
+    # K4 with two three-color vertices: the forward check refutes each
+    # color of 0, so the loop is stuck; the relaxation (the edge 2-3)
+    # holds, and the CSP refutes the leaf at its root.
+    k4 = adjacency(4, list(combinations(range(4), 2)))
+    assert decide(k4, {0: 7, 1: 7, 2: 0b011, 3: 0b110}) == (None, [4])
 
-    # The one node trips a spent budget, as the nested solve's did.
-    g, stats = adjacency(3, [(0, 1), (0, 2), (1, 2)]), SearchStats()
-    with pytest.raises(NodeLimitReached):
-        vertexcolor._residual_solve(g, {0: 7, 1: 7, 2: 0b011},
-                                    SolverConfig(node_limit=0), stats)
-    assert (stats.csp_calls, stats.csp_nodes, stats.spent) == (1, 1, 1)
+    # The one node trips a spent budget, as the nested solve's did, also
+    # when the loop colors the leaf.
+    for g, masks in ((cycle, dict.fromkeys(range(5), 0b011)), (triangle, {0: 7, 1: 7, 2: 0b011})):
+        stats = SearchStats()
+        with pytest.raises(NodeLimitReached):
+            vertexcolor._residual_solve(g, masks, SolverConfig(node_limit=0), stats)
+        assert (stats.csp_calls, stats.csp_nodes, stats.spent) == (1, 1, 1)
 
 
 def test_two_sat_relaxation_hand_built_cases(monkeypatch):
     # The two-color vertices 0-4 form an odd cycle with lists {0, 1}, and
-    # the three-color vertices 5, 6 and 7 sit beside it.  The relaxation
-    # leaves 5-7 out and refutes the cycle, so no CSP is built, and the
-    # leaf is charged as the one-node solve it replaces.
+    # the three-color vertices 5, 6 and 7 sit beside it.  The commit loop
+    # gets stuck on the cycle; the relaxation leaves 5-7 out and refutes
+    # the cycle, so no CSP is built, and the leaf is charged as the
+    # one-node solve it replaces.
     built = []
 
     def logged_to_csp(n, edges, lists):
@@ -984,8 +1028,9 @@ def test_two_sat_relaxation_hand_built_cases(monkeypatch):
         vertexcolor._residual_solve(g, masks, SolverConfig(node_limit=0), SearchStats())
     assert built == []
 
-    # K4 whose vertex 3 has the list {0, 1}: alone, 3 is 2-SAT and takes
-    # 0, so the relaxation holds, and the CSP on all four refutes the leaf.
+    # K4 whose vertex 3 has the list {0, 1}: the commit loop gets stuck;
+    # alone, 3 is 2-SAT and takes 0, so the relaxation holds, and the CSP
+    # on all four refutes the leaf.
     g = adjacency(4, list(combinations(range(4), 2)))
     masks = {0: 7, 1: 7, 2: 7, 3: 0b011}
     stats = SearchStats()
@@ -995,35 +1040,59 @@ def test_two_sat_relaxation_hand_built_cases(monkeypatch):
 
 
 def test_two_sat_relaxation_refutes_only_uncolorable_leaves(monkeypatch):
-    # At every leaf of seeded planted 7/n and G(n, 4.6/n) graphs with
-    # three or more three-color vertices, the relaxation's verdict is the
-    # direct CSP's on the two-color vertices alone, and a leaf it refutes
-    # builds no CSP and is confirmed unsat by solve on the whole residue.
-    residual_solve, to_csp = vertexcolor._residual_solve, vertexcolor.coloring_to_csp
-    built = []
-    verdicts = Counter()
+    # Every leaf of seeded planted and G(n, 4.6/n) graphs and of line
+    # graphs takes one flow, and its verdict is solve's on its whole
+    # residue.  The commit loop runs first, on the leaf's own masks; a
+    # coloring it reaches has one color per vertex, inside the masks, is
+    # proper, and is the leaf's.  A stuck loop runs again on the 2-SAT
+    # relaxation, the masks with 7 -> 0, whose verdict is the direct
+    # CSP's on the two-color vertices alone.  A refuted relaxation builds
+    # no CSP; only a satisfiable one builds one.  The loop and the
+    # relaxation are charged as one CSP call of one node.
+    residual_solve, commit_loop = vertexcolor._residual_solve, vertexcolor._commit_loop
+    to_csp = vertexcolor.coloring_to_csp
+    loops, built = [], []  # of the leaf in progress
+    outcomes = Counter()
+
+    def logged_loop(g, masks):
+        out = commit_loop(g, masks)
+        loops.append((masks, out))
+        return out
 
     def logged_to_csp(n, edges, lists):
         built.append(n)
         return to_csp(n, edges, lists)
 
     def checked(g, masks, cfg, stats):
-        calls = len(built)
+        del loops[:], built[:]
+        calls, nodes = stats.csp_calls, stats.csp_nodes
         full = residual_solve(g, masks, cfg, stats)
-        out = {v for v, m in masks.items() if m == 7}
-        if len(out) <= 2:
-            return full
-        sub = {v: ns - out for v, ns in g.items() if v not in out}
-        two_sat = solve(_leaf_csp(sub, {v: masks[v] for v in sub})).satisfiable
         whole = solve(_leaf_csp(g, masks)).satisfiable
-        if len(built) == calls:  # refuted by the relaxation
-            assert full is None and not two_sat and not whole
+        assert (full is not None) == whole and stats.csp_calls == calls + 1
+        (first, committed), *rest = loops
+        assert first is masks
+        if committed is not None:
+            outcome = "colored"
+            assert rest == [] and built == []
+            assert all(m and not m & (m - 1) for m in committed.values())
+            assert full == {v: m.bit_length() - 1 for v, m in committed.items()}
         else:
-            assert two_sat and len(built) == calls + 1
-            assert (full is not None) == whole
-        verdicts[len(built) == calls, whole] += 1
+            ((relaxed, two_sat),) = rest
+            assert relaxed == {v: 0 if m == 7 else m for v, m in masks.items()}
+            sub = {v: ns - {u for u in ns if not relaxed[u]} for v, ns in g.items() if relaxed[v]}
+            assert (two_sat is not None) == solve(_leaf_csp(sub, relaxed)).satisfiable
+            outcome = "refuted" if two_sat is None else "csp"
+            undecided = [v for v, m in masks.items() if m & (m - 1)]
+            assert built == ([] if two_sat is None else [len(undecided)])
+        if not built:
+            assert stats.csp_nodes == nodes + 1
+        if full is not None:
+            assert set(full) == set(g) and all(masks[v] >> full[v] & 1 for v in masks)
+            assert all(full[u] != full[v] for u in g for v in g[u])
+        outcomes[outcome, whole] += 1
         return full
 
+    monkeypatch.setattr(vertexcolor, "_commit_loop", logged_loop)
     monkeypatch.setattr(vertexcolor, "coloring_to_csp", logged_to_csp)
     monkeypatch.setattr(vertexcolor, "_residual_solve", checked)
     for seed in range(300):
@@ -1031,8 +1100,14 @@ def test_two_sat_relaxation_refutes_only_uncolorable_leaves(monkeypatch):
         n = 30 + seed % 31
         color_graph(*planted_3colorable(rng, n, 7 / n))
         color_graph(*random_graph(rng, n, 4.6 / n))
-    assert verdicts[True, False] > 500  # relaxation refutations
-    assert verdicts[False, False] > 30 and verdicts[False, True] > 25, verdicts
+    for graph in _sparse_planted_graphs(2000):
+        color_graph(*graph)
+    colored = +outcomes
+    for graph in _cubic_graphs():
+        edge_color(*graph)
+    assert sum((outcomes - colored).values()) > 60  # line graphs
+    assert outcomes["colored", True] > 1000 and outcomes["refuted", False] > 500
+    assert outcomes["csp", False] > 30 and outcomes["csp", True] > 25, outcomes
 
 
 def test_forward_check_refutes_only_unextendable_colorings():
