@@ -6,7 +6,7 @@ together with another; a color is any integer (a SAT variable number
 under sat_to_csp).  A PairTable, shared by an instance and every copy and
 branch child made from it, numbers the pairs: build in sorted order, and
 a variable added later (above every variable of its instance) after all
-pairs in the table, unless a sibling branch numbered it first.  So
+pairs in the table, or at the ids another branch gave it first.  So
 ascending id order is sorted pair order in every instance, and a mask's
 lowest set bit is its first pair in sorted order.  An instance is two
 dicts of int masks, each variable's live pairs and each pair's conflicts
@@ -234,7 +234,7 @@ class Instance:
 
     def add_variable(self, colors: Iterable[int]) -> int:
         """Add a variable under a fresh id and return the id.  Its pairs
-        are numbered after every pair in the table, unless a sibling
+        are numbered after every pair in the table, unless another
         branch added the same variable first."""
         v = self.next_id
         ids, pairs = self.table.ids, self.table.pairs

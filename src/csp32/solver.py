@@ -39,47 +39,79 @@ from .instance import (
 # Child construction
 
 
-class ChildBuilder:
-    """One branch child: a copy of the parent plus use/avoid/merge edits.
+def _recorded(edit):
+    """A ChildBuilder edit: recorded while the child is unbuilt, applied
+    at once after, and ignored by a dead child."""
 
-    The claimed size decrease is the drop in measure caused by the
-    edits; simplification can only shrink the child further, so the
-    claim is a guaranteed lower bound on the real decrease.
+    def method(self, *args) -> "ChildBuilder":
+        if self._inst is None:
+            self.edits.append((edit, args))
+        elif not self._dead:
+            edit(self, *args)
+        return self
+
+    method.__doc__ = edit.__doc__
+    return method
+
+
+class ChildBuilder:
+    """One branch child: a copy of the parent plus use/avoid/merge edits,
+    built when first drawn.
+
+    The edits are recorded, and replayed on a copy of the parent only
+    when inst, trace or dead is first read; later edits apply at once.
+    The search reads a child when it draws it, so a sibling after the
+    one whose subtree holds the solution is never copied.  The claimed
+    size decrease is the drop in measure caused by the edits;
+    simplification can only shrink the child further, so the claim is a
+    guaranteed lower bound on the real decrease.
     """
 
-    __slots__ = ("inst", "trace", "dead", "base")
+    __slots__ = ("parent", "edits", "_inst", "_trace", "_dead")
 
     def __init__(self, parent: Instance):
-        self.inst = parent.copy()
-        self.trace: LiftTrace = []
-        self.dead = False
-        self.base = measure(parent)
+        self.parent = parent
+        self.edits: list = []  # (edit, args) not yet replayed
+        self._inst: Optional[Instance] = None
 
-    def use(self, p: Pair) -> "ChildBuilder":
-        if self.dead:
-            return self
-        if not self.inst.has(p):
+    def _replay(self):
+        self._inst = self.parent.copy()
+        self._trace: LiftTrace = []
+        self._dead = False
+        for edit, args in self.edits:
+            if self._dead:
+                break
+            edit(self, *args)
+        self.edits = []
+
+    def _built(self) -> "ChildBuilder":
+        if self._inst is None:
+            self._replay()
+        return self
+
+    inst = property(lambda self: self._built()._inst)
+    trace = property(lambda self: self._built()._trace)
+    dead = property(lambda self: self._built()._dead)
+
+    @_recorded
+    def use(self, p: Pair):
+        if self._inst.has(p):
+            self._trace.append(self._inst.assign(p))
+        else:
             # The variable or color vanished through an earlier edit.
-            self.dead = True
-            return self
-        self.trace.append(self.inst.assign(p))
-        return self
+            self._dead = True
 
-    def avoid(self, p: Pair) -> "ChildBuilder":
-        if self.dead:
-            return self
-        if self.inst.has(p):
-            self.inst.remove_color(p[0], p[1])
-            if not self.inst.live[p[0]]:
-                self.dead = True
-        return self
+    @_recorded
+    def avoid(self, p: Pair):
+        if self._inst.has(p):
+            self._inst.remove_color(p[0], p[1])
+            self._dead = not self._inst.live[p[0]]
 
-    def merge(self, p: Pair, q: Pair) -> "ChildBuilder":
+    @_recorded
+    def merge(self, p: Pair, q: Pair):
         """Replace an isolated constraint between three-color variables by
         one four-color variable whose colors are the surviving choices."""
-        if self.dead:
-            return self
-        inst = self.inst
+        inst = self._inst
         (v, rv), (w, rw) = p, q
         assert inst.nbrs(p) == [q] and inst.nbrs(q) == [p]
         assert len(inst.colors_of(v)) == 3 and len(inst.colors_of(w)) == 3
@@ -94,14 +126,13 @@ class ChildBuilder:
             for t in inst.nbrs(src):
                 if t[0] not in (v, w):
                     inst.add_constraint((z, k), t)
-        self.trace.append(IsolatedMerge(z, tuple(decode)))
+        self._trace.append(IsolatedMerge(z, tuple(decode)))
         inst.remove_variable(v)
         inst.remove_variable(w)
-        return self
 
     @property
     def claimed(self) -> float:
-        return self.base - measure(self.inst)
+        return measure(self.parent) - measure(self.inst)
 
 
 Branching = tuple[str, list[ChildBuilder]]
@@ -677,10 +708,20 @@ def _expand(cfg: SolverConfig, stats: SearchStats, state: tuple[Instance, LiftTr
         # raised, not asserted, so the check also runs under python -O
         if len(vec) > 1 and (min(vec) <= 0 or work_factor(*vec) > claim_cap(name) + 1e-6):
             raise AssertionError((name, vec))
-    live = [(b.inst, path + b.trace) for b in children if not b.dead]
+    return None, _drawn(children, path, stats)
+
+
+def _drawn(children: list[ChildBuilder], path: LiftTrace, stats: SearchStats):
+    """The live children's states, each built as the search draws it; a
+    branching whose children are all dead counts as a leaf once the last
+    one is found dead."""
+    live = False
+    for b in children:
+        if not b.dead:
+            live = True
+            yield b.inst, path + b.trace
     if not live:
         stats.leaves += 1
-    return None, live
 
 
 def solve(inst: Instance, config: Optional[SolverConfig] = None) -> SolveResult:
@@ -709,15 +750,26 @@ def two_color_restrictions(inst: Instance, con: tuple[Pair, Pair]) -> list[Insta
     of its remaining colors.  Any solution of the instance survives in
     exactly two of the four results.
     """
-    out = []
-    for (dp, kp) in (con, (con[1], con[0])):
-        for other in [c for c in inst.colors_of(kp[0]) if c != kp[1]]:
-            r = inst.copy()
-            r.remove_color(dp[0], dp[1])
-            for c in [c for c in r.colors_of(kp[0]) if c not in (kp[1], other)]:
-                r.remove_color(kp[0], c)
-            out.append(r)
-    return out
+    return [_restrict(inst, *cut) for cut in _restriction_cuts(inst, con)]
+
+
+def _restriction_cuts(inst: Instance, con: tuple[Pair, Pair]) -> list[tuple[Pair, Pair, int]]:
+    """Per restriction of two_color_restrictions, in its order: the pair
+    dropped, the pair kept, and the other color its variable keeps."""
+    return [
+        (dp, kp, other)
+        for dp, kp in (con, (con[1], con[0]))
+        for other in inst.colors_of(kp[0])
+        if other != kp[1]
+    ]
+
+
+def _restrict(inst: Instance, dp: Pair, kp: Pair, other: int) -> Instance:
+    r = inst.copy()
+    r.remove_color(dp[0], dp[1])
+    for c in [c for c in r.colors_of(kp[0]) if c not in (kp[1], other)]:
+        r.remove_color(kp[0], c)
+    return r
 
 
 def _random_walk(inst: Instance, rng: random.Random) -> Optional[Assignment]:
@@ -733,8 +785,7 @@ def _random_walk(inst: Instance, rng: random.Random) -> Optional[Assignment]:
         cons = red.constraints()
         con = cons[rng.randrange(len(cons))]
         pick = rng.randrange(4)
-        restricted = two_color_restrictions(red, con)[pick]
-        red2, more = simplify(restricted)
+        red2, more = simplify(_restrict(red, *_restriction_cuts(red, con)[pick]))
         trace += more
         if red2 is None:
             return None

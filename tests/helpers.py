@@ -28,6 +28,7 @@ from csp32.instance import (
     check,
     eliminate_low_colors,
     find_free_pair,
+    lift,
     measure,
     simplify,
 )
@@ -1113,3 +1114,43 @@ def walk_rules(inst, tally, node_cap=300, brute_cap=11):
                 assert drop >= b.claimed - 1e-9, (name, drop, b.claimed)
             pending.append(b.inst)
     return nodes
+
+
+def eager_solve(inst):
+    """solve with every branch child built when its rule fires, the
+    reference that children built as the search draws them must match.
+
+    Returns (assignment or None, stats, dead_ends): dead_ends counts the
+    branchings whose children were all dead.
+    """
+    stats = SearchStats()
+    dead_ends = 0
+
+    def expand(state):
+        nonlocal dead_ends
+        cur, path = state
+        stats.nodes += 1
+        red, trace = simplify(cur)
+        if red is None:
+            stats.leaves += 1
+            return None, ()
+        path = path + trace
+        if red.n == 0:
+            stats.leaves += 1
+            return lift({}, path), ()
+        got = choose_rule(red, stats)
+        if got is None:
+            stats.leaves += 1
+            stats.rule_counts["matching"] += 1
+            sol = matching_solve(red)
+            return (lift(sol, path) if sol is not None else None), ()
+        name, children = got
+        stats.rule_counts[name] += 1
+        live = [(b.inst, path + b.trace) for b in children if not b.dead]
+        if not live:
+            stats.leaves += 1
+            dead_ends += 1
+        return None, live
+
+    asg = depth_first((inst, []), expand)
+    return asg, stats, dead_ends

@@ -4,14 +4,17 @@ import random
 
 import pytest
 
+import helpers
+from csp32 import solver
 from csp32.analysis import LAMBDA
-from csp32.instance import Instance, check, measure, simplify
-from csp32.oracle import brute_csp, planted_csp, random_csp, structured_csp
+from csp32.instance import Instance, check, lift, measure, simplify
+from csp32.oracle import brute_csp, planted_csp, random_3cnf, random_csp, structured_csp
 from csp32.solver import (
     ChildBuilder,
     NodeLimitReached,
     SearchStats,
     SolverConfig,
+    _random_walk,
     _screen,
     claim_cap,
     matching_solve,
@@ -20,8 +23,9 @@ from csp32.solver import (
     solve_randomized_d2,
     two_color_restrictions,
 )
+from csp32.transform import sat_to_csp
 
-from helpers import build_instance
+from helpers import build_instance, eager_solve
 
 
 def test_contrib_weights():
@@ -330,3 +334,164 @@ def test_a_branching_with_no_live_child_is_a_refuted_leaf(monkeypatch):
     res = solve(k4)
     assert res.satisfiable is False
     assert (res.stats.nodes, res.stats.leaves, res.stats.rule_counts["high-degree"]) == (1, 1, 1)
+
+
+def test_random_walk_restricts_as_picking_one_of_four():
+    # the walk builds only the restriction it picks, from the same draws
+    def reference(inst, rng):
+        red, trace = simplify(inst)
+        while red is not None:
+            if red.n == 0:
+                return lift({}, trace)
+            cons = red.constraints()
+            con = cons[rng.randrange(len(cons))]
+            red, more = simplify(two_color_restrictions(red, con)[rng.randrange(4)])
+            trace += more
+        return None
+
+    rng = random.Random(31)
+    found = 0
+    for trial in range(80):
+        inst = random_csp(rng, rng.randint(4, 10), density=rng.uniform(0.1, 0.4))
+        ours, theirs = random.Random(trial), random.Random(trial)
+        got = _random_walk(inst, ours)
+        assert got == reference(inst, theirs), trial
+        assert ours.getstate() == theirs.getstate(), trial
+        found += got is not None
+    assert 10 <= found <= 70
+
+
+def _reference_batch():
+    """(key, make): seeded structured, 3-SAT and planted CSPs, make(rng)
+    building one from an rng seeded with key, or None."""
+    for seed in range(40):
+        yield f"structured{seed}", lambda r: structured_csp(
+            r, [r.choice((2, 3)) for _ in range(r.randrange(10, 24))], four_vars=r.randrange(3)
+        )
+        yield f"sat{seed}", lambda r: sat_to_csp(
+            n := r.randint(8, 16), random_3cnf(r, n, round(5 * n))
+        )[0]
+        yield f"planted{seed}", lambda r: planted_csp(r, r.randint(8, 16), r.choice((3, 4)), 0.3)[0]
+
+
+@pytest.mark.parametrize("kill", [False, True])
+def test_solve_matches_the_eager_reference(monkeypatch, kill):
+    # Children built as the search draws them give the verdict, solution
+    # and counts of building them all when the rule fires.  The rules
+    # leave no child dead on these instances, so kill=True wraps
+    # choose_rule, here and in the reference alike, to kill every child
+    # of each branching on a multiple of four variables: the search then
+    # meets branchings whose children are all dead mid-way.
+    if kill:
+        rule = solver.choose_rule
+
+        def killing(red, stats):
+            got = rule(red, stats)
+            if got is not None and red.n % 4 == 0:
+                p = red.table.pairs[next(iter(red.conf))]
+                for b in got[1]:
+                    b.use(p).use(p)  # p is gone by the second use
+            return got
+
+        monkeypatch.setattr(solver, "choose_rule", killing)
+        monkeypatch.setattr(helpers, "choose_rule", killing)
+    solved = unsat = dead_ends = 0
+    for key, make in _reference_batch():
+        inst = make(random.Random(key))
+        if inst is None:
+            continue
+        want, ref, dead = eager_solve(inst)
+        # a fresh instance, and one whose PairTable the reference has
+        # filled, merged variables included
+        for res in (solve(make(random.Random(key))), solve(inst)):
+            assert res.satisfiable == (want is not None), key
+            assert res.assignment == want, key
+            got = (res.stats.nodes, res.stats.leaves, res.stats.rule_counts, res.stats.fallbacks)
+            assert got == (ref.nodes, ref.leaves, ref.rule_counts, ref.fallbacks), key
+        solved += 1
+        unsat += want is None
+        dead_ends += dead
+    assert solved >= 100 and unsat >= 15
+    if kill:
+        assert dead_ends >= 40
+
+
+def _count_builds(monkeypatch):
+    """Wrap ChildBuilder's creation and replay; returns (created, built),
+    lists of the builders in the order they were made and built."""
+    created, built = [], []
+    init, replay = ChildBuilder.__init__, ChildBuilder._replay
+
+    def counted_init(b, parent):
+        init(b, parent)
+        created.append(b)
+
+    def counted_replay(b):
+        built.append(b)
+        replay(b)
+
+    monkeypatch.setattr(ChildBuilder, "__init__", counted_init)
+    monkeypatch.setattr(ChildBuilder, "_replay", counted_replay)
+    return created, built
+
+
+def _satisfiable_batch():
+    for seed in range(30):
+        rng = random.Random(700 + seed)
+        yield planted_csp(rng, rng.randint(10, 18), rng.choice((3, 4)), 0.3)[0]
+        inst = structured_csp(rng, [rng.choice((2, 3)) for _ in range(20)], four_vars=seed % 3)
+        if inst is not None:
+            yield inst
+
+
+# Rules that pick among candidate branchings by their vectors, which
+# builds every candidate's children.
+SCREENED = ("triple-with-four", "triple-with-two", "large-three-component",
+            "large-two-component", "two-component-parity")
+
+
+def test_siblings_of_a_solved_subtree_are_never_built(monkeypatch):
+    created, built = _count_builds(monkeypatch)
+    rule, branchings = solver.choose_rule, []
+
+    def recorded(red, stats):
+        got = rule(red, stats)
+        if got is not None:
+            branchings.append(got)
+        return got
+
+    monkeypatch.setattr(solver, "choose_rule", recorded)
+    for inst in _satisfiable_batch():
+        assert solve(inst).satisfiable
+    assert len(set(built)) == len(built) < len(created)
+    # Depth-first search finishes the subtree of a child that holds a
+    # solution, so once it draws such a first child it draws no sibling.
+    was_built = set(built)
+    monkeypatch.setattr(solver, "choose_rule", rule)
+    checked = 0
+    for name, children in branchings:
+        if name.startswith(SCREENED) or len(children) < 2 or children[0] not in was_built:
+            continue
+        first = children[0]
+        if not first.dead and solve(first.inst.copy()).satisfiable:
+            assert not was_built.intersection(children[1:]), name
+            checked += 1
+    assert checked >= 100
+
+
+def test_check_claims_builds_and_checks_every_child(monkeypatch):
+    created, built = _count_builds(monkeypatch)
+    for inst in _satisfiable_batch():
+        assert solve(inst, SolverConfig(check_claims=True)).satisfiable
+    assert set(built) == set(created)
+    # a second child with no edits claims no decrease: still caught
+    monkeypatch.setattr(
+        solver, "choose_rule",
+        lambda red, stats: ("high-degree", [ChildBuilder(red).use((0, 0)), ChildBuilder(red)]),
+    )
+    k4 = build_instance(
+        {v: range(3) for v in range(4)},
+        [((v, c), (w, c)) for v in range(4) for w in range(v + 1, 4) for c in range(3)],
+    )
+    with pytest.raises(AssertionError, match="high-degree"):
+        solve(k4, SolverConfig(check_claims=True))
