@@ -281,7 +281,8 @@ def _screen(candidates, stats: "SearchStats") -> Optional[Branching]:
     its usual work factor, so rules offer every way of instantiating
     their configuration and the screen keeps the discipline honest.
     When no candidate qualifies the first one is still sound and is
-    returned with a -fallback tag.
+    returned with a -fallback tag; these picks are all that
+    SearchStats.fallbacks counts.
     """
     fallback = None
     for name, children in candidates:
@@ -350,6 +351,10 @@ def _free_children(red: Instance, pairs: list[Pair]):
 
 
 def _small_three_children(red: Instance, comp: list[Pair]) -> Optional[Branching]:
+    # A degree-3 pair hits three other variables once each (twice would
+    # fire multi-adjacency), so a component under five variables spans
+    # four, each two of them joined by a perfect matching of their
+    # component pairs: k is 4, 8 or 12.
     k = len(comp)
     if k == 4:
         return None  # good component, handled by matching
@@ -359,9 +364,9 @@ def _small_three_children(red: Instance, comp: list[Pair]) -> Optional[Branching
         # with no free pick the whole instance is unsolvable.
         child = next(_free_children(red, comp), None)
         return "small-three-component", [] if child is None else [child]
-    # k == 8 (or, defensively, anything else): branch over the maximal
-    # variable subsets colorable from component pairs; uncovered
-    # variables fall back to their color outside the component.  Since
+    # k == 8: branch over the maximal variable subsets colorable from
+    # component pairs; uncovered variables fall back to their color
+    # outside the component, giving one or three children.  Since
     # component pairs have no constraints leaving the component, any two
     # assignments covering the same variables are interchangeable and
     # one representative per subset suffices.
@@ -394,29 +399,22 @@ def _witness_children(
     if c == 3:
         return [ChildBuilder(red).use(z).use(v_pair), ChildBuilder(red).avoid(z)]
     if c == 2:
-        out = [ChildBuilder(red).avoid(z)]
-        used = ChildBuilder(red).use(z)
-        if used.dead:
-            return out
-        left = used.inst.nbrs(v_pair) if used.inst.has(v_pair) else []
-        if len(left) == 0:
-            out.append(used.use(v_pair))
-        elif len(left) == 1:
-            t = left[0]
-            out.append(ChildBuilder(red).use(z).use(t))
-            out.append(ChildBuilder(red).use(z).avoid(t).use(v_pair))
-        else:
-            out.append(used)  # cascaded removals overlapped; plain use/avoid
-        return out
-    # c == 1: avoiding z drops the linked neighbor to two constraints and
-    # the triple-with-two analysis applies to it.
-    w = links[0]
+        # Using z drops its own variable's pairs and its conflicts, so of
+        # v_pair's three neighbors exactly the two linked to z go and t,
+        # the third, is left: use t, or avoid it and use v_pair.
+        (t,) = [x for x in nbrs if x not in links]
+        return [
+            ChildBuilder(red).avoid(z),
+            ChildBuilder(red).use(z).use(t),
+            ChildBuilder(red).use(z).avoid(t).use(v_pair),
+        ]
+    # c == 1: avoiding z drops the linked neighbor w to two constraints
+    # and the triple-with-two analysis applies to it.  w has three
+    # constraints (two fire triple-with-two, four high-degree), so besides
+    # v_pair and z it has one more, r.
+    (w,) = links
+    (r,) = [x for x in red.nbrs(w) if x not in (v_pair, z)]
     children = [ChildBuilder(red).use(z)]
-    rs = [x for x in red.nbrs(w) if x not in (v_pair, z)]
-    if len(rs) != 1:
-        children.append(ChildBuilder(red).avoid(z))
-        return children
-    r = rs[0]
     if red.linked(r, v_pair):
         children += [
             ChildBuilder(red).avoid(z).use(v_pair),
@@ -442,8 +440,6 @@ def _large_three_children(
         for v_pair in comp:
             nbrs = red.nbrs(v_pair)
             wvars = {v_pair[0]} | {t[0] for t in nbrs}
-            if len(wvars) != 4:
-                continue
             for z in comp:
                 if z[0] in wvars or not any(red.linked(t, z) for t in nbrs):
                     continue
@@ -473,9 +469,6 @@ def _rule_three_components(red: Instance, stats: "SearchStats") -> Optional[Bran
             return _large_three_children(red, comp, stats)
         got = _small_three_children(red, comp)
         if got is not None:
-            if len(got[1]) > 3:
-                stats.fallbacks += 1
-                return got[0] + "-fallback", got[1]
             return got
     return None
 
@@ -537,8 +530,9 @@ def _rule_two_components(red: Instance, stats: "SearchStats") -> Optional[Branch
 def choose_rule(red: Instance, stats: "SearchStats") -> Optional[Branching]:
     """Find the first applicable branching rule on a reduced instance.
 
-    Returns None when no rule applies, in which case the instance is in
-    matching form.  An empty child list means the instance was refuted.
+    Returns None when no rule applies: the instance is then in matching
+    form, which matching_solve checks.  An empty child list means the
+    instance was refuted.
     """
     for rule in (_rule_single_constraint, _rule_multi_adjacency, _rule_high_degree):
         got = rule(red)
@@ -551,14 +545,6 @@ def choose_rule(red: Instance, stats: "SearchStats") -> Optional[Branching]:
         got = rule(red, stats)
         if got is not None:
             return got
-    # Leftovers must decompose into cliques of mutually exclusive pairs.
-    for comp in _components(red):
-        vars_in = [p[0] for p in comp]
-        clique = all(red.degree(p) == len(comp) - 1 for p in comp)
-        if not clique or len(set(vars_in)) != len(vars_in):
-            stats.fallbacks += 1
-            p = comp[0]
-            return "fallback", [ChildBuilder(red).use(p), ChildBuilder(red).avoid(p)]
     return None
 
 
@@ -578,12 +564,20 @@ def _verified(inst: Instance, asg: Assignment) -> Assignment:
 
 
 def matching_solve(red: Instance) -> Optional[Assignment]:
-    """Solve an instance whose constraint components are all cliques.
+    """Solve a reduced instance on which no branching rule applies.
 
-    A solution picks one pair per variable and at most one pair per
-    clique, which is exactly a bipartite matching covering the variables.
+    Its constraint components are then cliques of mutually exclusive
+    pairs, one pair per variable each.  A solution picks one pair per
+    variable and at most one pair per clique, which is exactly a
+    bipartite matching covering the variables.  Any other component
+    raises RuntimeError: the matching could miss a solution there, a
+    wrong UNSAT that no check of the answer would catch.
     """
     comps = _components(red)
+    for comp in comps:
+        clique = all(red.degree(p) == len(comp) - 1 for p in comp)
+        if not clique or len({p[0] for p in comp}) != len(comp):
+            raise RuntimeError("matching endgame reached a component that is not a clique")
     variables = red.variables()
     edges = sorted({(p[0], i) for i, comp in enumerate(comps) for p in comp})
     match = bipartite_matching(variables, list(range(len(comps))), edges)
@@ -635,7 +629,7 @@ class SearchStats:
     nodes: int = 0  # own search nodes: CSP in solve, graph in the colorings
     leaves: int = 0  # own leaves; a nested call's leaves stay its own
     rule_counts: Counter = field(default_factory=Counter)
-    fallbacks: int = 0
+    fallbacks: int = 0  # screened rules' -fallback picks (_screen)
     csp_calls: int = 0  # nested CSP solves and their nodes
     csp_nodes: int = 0
     splices: int = 0
@@ -670,14 +664,15 @@ class SolveResult:
 
 # Largest branch vector work factor each rule may produce.  The parity
 # window on doubly-passed cycles is the one configuration that exceeds
-# lambda(4,4,5,5) by design; -fallback branchings (every candidate for a
-# rule degraded by overlapping eliminations) get a generous sanity cap.
+# lambda(4,4,5,5) by design; a screened rule's -fallback pick (every
+# candidate degraded by overlapping eliminations, see _screen) gets a
+# generous sanity cap.
 CLAIM_CAPS = {"two-component-parity": work_factor(3, 3, 4)}
 FALLBACK_CAP = work_factor(1, 3)
 
 
 def claim_cap(name: str) -> float:
-    if name.endswith("-fallback") or name == "fallback":
+    if name.endswith("-fallback"):
         return FALLBACK_CAP
     return CLAIM_CAPS.get(name, LAMBDA)
 

@@ -1154,3 +1154,49 @@ def eager_solve(inst):
 
     asg = depth_first((inst, []), expand)
     return asg, stats, dead_ends
+
+
+def brute_witness_children(red, v_pair, nbrs, z):
+    """The witness branching with its defensive cases, the reference the
+    solver's _witness_children must match child for child."""
+    links = [t for t in nbrs if red.linked(t, z)]
+    c = len(links)
+    if c == 3:
+        return [ChildBuilder(red).use(z).use(v_pair), ChildBuilder(red).avoid(z)]
+    if c == 2:
+        out = [ChildBuilder(red).avoid(z)]
+        used = ChildBuilder(red).use(z)
+        if used.dead:
+            return out
+        left = used.inst.nbrs(v_pair) if used.inst.has(v_pair) else []
+        if len(left) == 0:
+            out.append(used.use(v_pair))
+        elif len(left) == 1:
+            t = left[0]
+            out.append(ChildBuilder(red).use(z).use(t))
+            out.append(ChildBuilder(red).use(z).avoid(t).use(v_pair))
+        else:
+            out.append(used)  # cascaded removals overlapped; plain use/avoid
+        return out
+    # c == 1: avoiding z drops the linked neighbor to two constraints and
+    # the triple-with-two analysis applies to it.
+    w = links[0]
+    children = [ChildBuilder(red).use(z)]
+    rs = [x for x in red.nbrs(w) if x not in (v_pair, z)]
+    if len(rs) != 1:
+        children.append(ChildBuilder(red).avoid(z))
+        return children
+    r = rs[0]
+    if red.linked(r, v_pair):
+        children += [
+            ChildBuilder(red).avoid(z).use(v_pair),
+            ChildBuilder(red).avoid(z).use(w),
+            ChildBuilder(red).avoid(z).use(r),
+        ]
+    else:
+        children += [
+            ChildBuilder(red).avoid(z).use(v_pair),
+            ChildBuilder(red).avoid(z).avoid(v_pair).use(r),
+            ChildBuilder(red).avoid(z).avoid(v_pair).avoid(r).use(w),
+        ]
+    return children

@@ -7,13 +7,22 @@ as large as claimed, and equisatisfiability against the brute oracle.
 
 import random
 from collections import Counter
+from itertools import product
 
+from csp32 import solver
 from csp32.instance import Assigned, simplify
 from csp32.oracle import brute_csp, random_cubic, random_graph, structured_csp
 from csp32.solver import SearchStats, SolverConfig, _rule_multi_adjacency, choose_rule, solve
 from csp32.transform import coloring_to_csp
 
-from helpers import RULE_BASES, brute_multi_adjacency, build_instance, relabel, walk_rules
+from helpers import (
+    RULE_BASES,
+    brute_multi_adjacency,
+    brute_witness_children,
+    build_instance,
+    relabel,
+    walk_rules,
+)
 
 EXPECTED_RULE = {
     "isolated": "isolated",
@@ -161,3 +170,75 @@ def test_hand_built_implication_cycle_and_two_component_cases():
             walk_rules(copy, tally)
             res = solve(copy.copy(), SolverConfig(check_claims=True))
             assert res.satisfiable == (brute_csp(copy.copy()) is not None)
+
+
+def _three_component_family(nvars):
+    """The fingerprint's small degree-3 structured CSPs on nvars variables."""
+    for seed in range(400):
+        inst = structured_csp(random.Random(5000 + seed), [3] * nvars, 0)
+        if inst is not None:
+            yield inst
+
+
+def test_witness_children_match_the_defensive_reference(monkeypatch):
+    # The witness branching keeps only the case each link count c reaches
+    # on a reduced instance; the reference still carries the defensive
+    # cases.  Both must build the same children, in order, on every
+    # witness candidate the six-variable degree-3 searches reach.
+    witness, tally = solver._witness_children, Counter()
+
+    def compared(red, v_pair, nbrs, z):
+        got, want = witness(red, v_pair, nbrs, z), brute_witness_children(red, v_pair, nbrs, z)
+        assert len(got) == len(want)
+        for b, ref in zip(got, want):
+            assert (b.dead, b.inst.live, b.inst.conf, b.trace) == (
+                ref.dead, ref.inst.live, ref.inst.conf, ref.trace,
+            )
+        tally[sum(red.linked(t, z) for t in nbrs)] += 1
+        return witness(red, v_pair, nbrs, z)
+
+    monkeypatch.setattr(solver, "_witness_children", compared)
+    for inst in _three_component_family(6):
+        solve(inst)
+    assert tally[1] > 100 and tally[2] > 100 and tally[3] > 0, tally
+
+
+def test_small_three_components_give_one_or_three_children(monkeypatch):
+    # Four three-color variables whose colors 0 and 1 have three
+    # constraints each: each two variables are joined by one of the two
+    # perfect matchings of those pairs, 2^6 = 64 patterns.  The 8 whose
+    # swaps come from flipping some variables' colors split into two k = 4
+    # cliques, left to the matching; the other 56 are one k = 8 component.
+    var_pairs = [(v, w) for v in range(4) for w in range(v + 1, 4)]
+    shapes = Counter()
+    for swaps in product((0, 1), repeat=len(var_pairs)):
+        cons = [
+            ((v, c), (w, c ^ s)) for (v, w), s in zip(var_pairs, swaps) for c in (0, 1)
+        ]
+        inst = build_instance({v: range(3) for v in range(4)}, cons)
+        comps = solver._components(inst, 3)
+        if len(comps) == 2:
+            assert [solver._small_three_children(inst, comp) for comp in comps] == [None, None]
+            shapes["split"] += 1
+            continue
+        (comp,) = comps
+        name, children = solver._small_three_children(inst, comp)
+        assert name == "small-three-component" and len(children) in (1, 3), swaps
+        shapes[len(comp), len(children)] += 1
+    assert shapes == {"split": 8, (8, 1): 8, (8, 3): 48}, shapes
+    # On the seeded small family every component under five variables
+    # that the search meets has k = 4, 8 or 12.
+    small, tally = solver._small_three_children, Counter()
+
+    def counted(red, comp):
+        assert len({p[0] for p in comp}) == 4 and len(comp) in (4, 8, 12)
+        got = small(red, comp)
+        tally[len(comp), got and len(got[1])] += 1
+        return got
+
+    monkeypatch.setattr(solver, "_small_three_children", counted)
+    for nvars in (4, 6):
+        for inst in _three_component_family(nvars):
+            solve(inst)
+    assert set(tally) <= {(4, None), (8, 1), (8, 3), (12, 1)}, tally
+    assert tally[4, None] > 5 and tally[8, 1] + tally[8, 3] > 20 and tally[12, 1] > 200, tally

@@ -135,17 +135,16 @@ def test_leaf_counts_stay_under_work_factor_bound():
 
 
 def test_matching_endgame_directly():
-    # Two disjoint triangles of mutually exclusive pairs; each variable
-    # owns one pair per clique, so a perfect matching exists.
-    inst = build_instance(
-        {0: range(3), 1: range(3)},
-        [((0, c), (1, c)) for c in range(3)],
-    )
-    # This instance is not reduced (free pair), so feed matching_solve a
-    # genuinely cliquey shape instead: one variable per component.
-    inst2 = Instance.build({0: {0}, 1: {0}})
-    got = matching_solve(inst2)
-    assert got == {0: 0, 1: 0}
+    # One pair per variable and no constraint: two one-pair cliques.
+    assert matching_solve(Instance.build({0: {0}, 1: {0}})) == {0: 0, 1: 0}
+    # Three pairs in a path on three variables are no clique.  Variable 1
+    # solves it with its other color, but the matching would cover only
+    # two of the three variables with the two components and answer
+    # UNSAT, so the endgame raises instead, also under python -O.
+    path = build_instance({0: {0}, 1: {0, 1}, 2: {0}}, [((0, 0), (1, 0)), ((1, 0), (2, 0))])
+    assert brute_csp(path.copy()) == {0: 0, 1: 1, 2: 0}
+    with pytest.raises(RuntimeError, match="not a clique"):
+        matching_solve(path)
 
 
 def test_two_color_restrictions_preserve_half():
