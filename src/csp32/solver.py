@@ -36,110 +36,87 @@ from .instance import (
 )
 
 # ---------------------------------------------------------------------------
-# Child construction
+# Branch children
+#
+# A rule's child is a list of edits (edit, *pairs) on a copy of the
+# parent, made by use, avoid and merge.  build applies them when the
+# search draws the child, so a sibling after the one whose subtree holds
+# the solution is never copied; each edit function changes the copy and
+# its lift trace in place, and returns False when it finds the child
+# dead.  The claimed size decrease is the drop in measure the edits
+# cause; simplification can only shrink the child further, so the claim
+# is a guaranteed lower bound on the real decrease.
+
+Child = list[tuple]  # edits (edit, *pairs), which build applies in order
 
 
-def _recorded(edit):
-    """A ChildBuilder edit: recorded while the child is unbuilt, applied
-    at once after, and ignored by a dead child."""
-
-    def method(self, *args) -> "ChildBuilder":
-        if self._inst is None:
-            self.edits.append((edit, args))
-        elif not self._dead:
-            edit(self, *args)
-        return self
-
-    method.__doc__ = edit.__doc__
-    return method
+def use(p: Pair) -> tuple:
+    return (_use, p)
 
 
-class ChildBuilder:
-    """One branch child: a copy of the parent plus use/avoid/merge edits,
-    built when first drawn.
-
-    The edits are recorded, and replayed on a copy of the parent only
-    when inst, trace or dead is first read; later edits apply at once.
-    The search reads a child when it draws it, so a sibling after the
-    one whose subtree holds the solution is never copied.  The claimed
-    size decrease is the drop in measure caused by the edits;
-    simplification can only shrink the child further, so the claim is a
-    guaranteed lower bound on the real decrease.
-    """
-
-    __slots__ = ("parent", "edits", "_inst", "_trace", "_dead")
-
-    def __init__(self, parent: Instance):
-        self.parent = parent
-        self.edits: list = []  # (edit, args) not yet replayed
-        self._inst: Optional[Instance] = None
-
-    def _replay(self):
-        self._inst = self.parent.copy()
-        self._trace: LiftTrace = []
-        self._dead = False
-        for edit, args in self.edits:
-            if self._dead:
-                break
-            edit(self, *args)
-        self.edits = []
-
-    def _built(self) -> "ChildBuilder":
-        if self._inst is None:
-            self._replay()
-        return self
-
-    inst = property(lambda self: self._built()._inst)
-    trace = property(lambda self: self._built()._trace)
-    dead = property(lambda self: self._built()._dead)
-
-    @_recorded
-    def use(self, p: Pair):
-        if self._inst.has(p):
-            self._trace.append(self._inst.assign(p))
-        else:
-            # The variable or color vanished through an earlier edit.
-            self._dead = True
-
-    @_recorded
-    def avoid(self, p: Pair):
-        if self._inst.has(p):
-            self._inst.remove_color(p[0], p[1])
-            self._dead = not self._inst.live[p[0]]
-
-    @_recorded
-    def merge(self, p: Pair, q: Pair):
-        """Replace an isolated constraint between three-color variables by
-        one four-color variable whose colors are the surviving choices."""
-        inst = self._inst
-        (v, rv), (w, rw) = p, q
-        assert inst.nbrs(p) == [q] and inst.nbrs(q) == [p]
-        assert len(inst.colors_of(v)) == 3 and len(inst.colors_of(w)) == 3
-        z = inst.add_variable(range(4))
-        decode = []
-        sources = [((v, c), q) for c in inst.colors_of(v) if c != rv]
-        sources += [((w, c), p) for c in inst.colors_of(w) if c != rw]
-        for k, (src, partner) in enumerate(sources):
-            # Color k of z means: use src, give partner's variable its
-            # isolated color (safe, its lone constraint is now moot).
-            decode.append((k, src, (partner[0], rv if partner == p else rw)))
-            for t in inst.nbrs(src):
-                if t[0] not in (v, w):
-                    inst.add_constraint((z, k), t)
-        self._trace.append(IsolatedMerge(z, tuple(decode)))
-        inst.remove_variable(v)
-        inst.remove_variable(w)
-
-    @property
-    def claimed(self) -> float:
-        return measure(self.parent) - measure(self.inst)
+def avoid(p: Pair) -> tuple:
+    return (_avoid, p)
 
 
-Branching = tuple[str, list[ChildBuilder]]
+def merge(p: Pair, q: Pair) -> tuple:
+    return (_merge, p, q)
 
 
-def live_vector(children: list[ChildBuilder]) -> list[float]:
-    return [b.claimed for b in children if not b.dead]
+def _use(inst: Instance, trace: LiftTrace, p: Pair) -> bool:
+    # False when the variable or color vanished through an earlier edit.
+    if not inst.has(p):
+        return False
+    trace.append(inst.assign(p))
+    return True
+
+
+def _avoid(inst: Instance, trace: LiftTrace, p: Pair) -> bool:
+    if inst.has(p):
+        inst.remove_color(p[0], p[1])
+        return bool(inst.live[p[0]])
+    return True
+
+
+def _merge(inst: Instance, trace: LiftTrace, p: Pair, q: Pair) -> bool:
+    """Replace an isolated constraint between three-color variables by
+    one four-color variable whose colors are the surviving choices."""
+    (v, rv), (w, rw) = p, q
+    assert inst.nbrs(p) == [q] and inst.nbrs(q) == [p]
+    assert len(inst.colors_of(v)) == 3 and len(inst.colors_of(w)) == 3
+    z = inst.add_variable(range(4))
+    decode = []
+    sources = [((v, c), q) for c in inst.colors_of(v) if c != rv]
+    sources += [((w, c), p) for c in inst.colors_of(w) if c != rw]
+    for k, (src, partner) in enumerate(sources):
+        # Color k of z means: use src, give partner's variable its
+        # isolated color (safe, its lone constraint is now moot).
+        decode.append((k, src, (partner[0], rv if partner == p else rw)))
+        for t in inst.nbrs(src):
+            if t[0] not in (v, w):
+                inst.add_constraint((z, k), t)
+    trace.append(IsolatedMerge(z, tuple(decode)))
+    inst.remove_variable(v)
+    inst.remove_variable(w)
+    return True
+
+
+def build(parent: Instance, child: Child) -> Optional[tuple[Instance, LiftTrace]]:
+    """The child's instance and lift trace, made from a copy of parent;
+    None when an edit finds the child dead."""
+    inst, trace = parent.copy(), []
+    for edit, *pairs in child:
+        if not edit(inst, trace, *pairs):
+            return None
+    return inst, trace
+
+
+Branching = tuple[str, list[Child]]
+
+
+def live_vector(parent: Instance, children: list[Child]) -> list[float]:
+    """The claimed decreases of the live children, each built to measure it."""
+    base = measure(parent)
+    return [base - measure(built[0]) for c in children if (built := build(parent, c))]
 
 
 # ---------------------------------------------------------------------------
@@ -174,13 +151,10 @@ def _rule_single_constraint(red: Instance) -> Optional[Branching]:
         if red.degree(q) == 1:
             # Isolated constraint.
             if live[p[0]].bit_count() == 3 and live[q[0]].bit_count() == 3:
-                return "isolated", [ChildBuilder(red).merge(p, q)]
-            return "isolated", [ChildBuilder(red).use(p), ChildBuilder(red).use(q)]
+                return "isolated", [[merge(p, q)]]
+            return "isolated", [[use(p)], [use(q)]]
         # Dangling constraint: q carries further constraints.
-        return "dangling", [
-            ChildBuilder(red).use(q),
-            ChildBuilder(red).avoid(q).use(p),
-        ]
+        return "dangling", [[use(q)], [avoid(q), use(p)]]
     return None
 
 
@@ -218,10 +192,8 @@ def _rule_multi_adjacency(red: Instance) -> Optional[Branching]:
             # one of the first source that has one: either use it, or avoid
             # it along with all its sources.
             q = min(sinks, key=lambda q: (by[q] & -by[q], q))
-            child = ChildBuilder(red).avoid(pairs[q])
-            for src in bits(by[q]):
-                child.avoid(pairs[src])
-            return "implication", [ChildBuilder(red).use(pairs[q]), child]
+            child = [avoid(pairs[q])] + [avoid(pairs[src]) for src in bits(by[q])]
+            return "implication", [[use(pairs[q])], child]
         # Every target is a source: from the first source, follow each
         # pair's first target to a cycle.
         walk = [(sources & -sources).bit_length() - 1]
@@ -236,32 +208,20 @@ def _rule_multi_adjacency(red: Instance) -> Optional[Branching]:
         if len(set(cycle_vars)) < len(cycle_vars):
             # Two cycle pairs share a variable, so using the whole cycle
             # is impossible and it must be avoided entirely.
-            child = ChildBuilder(red)
-            for p in cyc:
-                child.avoid(p)
-            return "implication-cycle", [child]
-        use_all = ChildBuilder(red)
-        for p in cyc:
-            use_all.use(p)
+            return "implication-cycle", [[avoid(p) for p in cyc]]
+        use_all = [use(p) for p in cyc]
         if not outside:
             return "implication-cycle", [use_all]
-        avoid_all = ChildBuilder(red)
-        for p in cyc:
-            avoid_all.avoid(p)
-        return "implication-cycle", [use_all, avoid_all]
+        return "implication-cycle", [use_all, [avoid(p) for p in cyc]]
     # Multiple adjacency without implication: the doubly-hit variable has
     # four colors, exactly two of them constrained by p.  Split on which
     # half of the palette it uses.
     i = (twice & -twice).bit_length() - 1
     p, hit = pairs[i], conf[i]
     m = next(m for m in red.live.values() if (m & hit).bit_count() >= 2)
-    inside = ChildBuilder(red)
-    for j in bits(m & ~hit):
-        inside.avoid(pairs[j])
-    inside.avoid(p)  # p conflicts with every remaining color of w
-    outside = ChildBuilder(red)
-    for j in bits(m & hit):
-        outside.avoid(pairs[j])
+    # inside also avoids p, which conflicts with every remaining color of w
+    inside = [avoid(pairs[j]) for j in bits(m & ~hit)] + [avoid(p)]
+    outside = [avoid(pairs[j]) for j in bits(m & hit)]
     return "four-color-restriction", [inside, outside]
 
 
@@ -270,11 +230,11 @@ def _rule_high_degree(red: Instance) -> Optional[Branching]:
     for i, hit in red.conf.items():
         d, p = hit.bit_count(), pairs[i]
         if d >= 4 or (d >= 3 and live[p[0]].bit_count() >= 4):
-            return "high-degree", [ChildBuilder(red).use(p), ChildBuilder(red).avoid(p)]
+            return "high-degree", [[use(p)], [avoid(p)]]
     return None
 
 
-def _screen(candidates, stats: "SearchStats") -> Optional[Branching]:
+def _screen(red: Instance, candidates, stats: "SearchStats") -> Optional[Branching]:
     """Pick the first candidate branching whose vector meets its cap.
 
     Overlapping eliminations can degrade a particular candidate below
@@ -286,7 +246,7 @@ def _screen(candidates, stats: "SearchStats") -> Optional[Branching]:
     """
     fallback = None
     for name, children in candidates:
-        vec = live_vector(children)
+        vec = live_vector(red, children)
         if not vec:
             return name, children  # every branch refuted: instance unsolvable
         if len(vec) == 1 or work_factor(*vec) <= claim_cap(name) + 1e-9:
@@ -312,29 +272,25 @@ def _triple_candidates(red: Instance, name: str, fits: int):
             q = pairs[j]
             (t,) = [x for x in red.nbrs(q) if x != p]
             if not red.linked(p, t):
-                children = [
-                    ChildBuilder(red).use(p),
-                    ChildBuilder(red).avoid(p).use(t),
-                    ChildBuilder(red).avoid(p).avoid(t).use(q),
-                ]
+                children = [[use(p)], [avoid(p), use(t)], [avoid(p), avoid(t), use(q)]]
             elif red.degree(t) == 2 and live[q[0]].bit_count() == live[t[0]].bit_count() == 3:
                 # Avoiding p leaves q, t in an isolated constraint between
                 # three-color variables, which merge into one variable.
-                children = [ChildBuilder(red).use(p), ChildBuilder(red).avoid(p).merge(q, t)]
+                children = [[use(p)], [avoid(p), merge(q, t)]]
             else:
-                children = [ChildBuilder(red).use(x) for x in (p, q, t)]
+                children = [[use(x)] for x in (p, q, t)]
             yield name, children
 
 
 def _rule_three_with_four(red: Instance, stats: "SearchStats") -> Optional[Branching]:
     # A four-color q has exactly two constraints, or high-degree fires.
     fits = sum(m for m in red.live.values() if m.bit_count() >= 4)
-    return _screen(_triple_candidates(red, "triple-with-four", fits), stats)
+    return _screen(red, _triple_candidates(red, "triple-with-four", fits), stats)
 
 
 def _rule_three_with_two(red: Instance, stats: "SearchStats") -> Optional[Branching]:
     fits = sum(1 << i for i, hit in red.conf.items() if hit.bit_count() == 2)
-    return _screen(_triple_candidates(red, "triple-with-two", fits), stats)
+    return _screen(red, _triple_candidates(red, "triple-with-two", fits), stats)
 
 
 def _free_children(red: Instance, pairs: list[Pair]):
@@ -344,10 +300,7 @@ def _free_children(red: Instance, pairs: list[Pair]):
     cvars = sorted({p[0] for p in pairs})
     for combo in product(*([p for p in pairs if p[0] == v] for v in cvars)):
         if not any(red.linked(a, b) for i, a in enumerate(combo) for b in combo[i + 1:]):
-            child = ChildBuilder(red)
-            for pr in combo:
-                child.use(pr)
-            yield child
+            yield [use(pr) for pr in combo]
 
 
 def _small_three_children(red: Instance, comp: list[Pair]) -> Optional[Branching]:
@@ -360,10 +313,11 @@ def _small_three_children(red: Instance, comp: list[Pair]) -> Optional[Branching
         return None  # good component, handled by matching
     if k == 12:
         # All colors of all four variables: the component is closed off
-        # from the rest of the instance and can be solved in isolation;
-        # with no free pick the whole instance is unsolvable.
-        child = next(_free_children(red, comp), None)
-        return "small-three-component", [] if child is None else [child]
+        # from the rest of the instance and one free pick solves it.
+        # There always is one: each two variables are joined by a color
+        # permutation, and the only unsatisfiable pattern of permutations
+        # on K4 (up to relabeling colors) splits into three k = 4 cliques.
+        return "small-three-component", [next(_free_children(red, comp))]
     # k == 8: branch over the maximal variable subsets colorable from
     # component pairs; uncovered variables fall back to their color
     # outside the component, giving one or three children.  Since
@@ -379,53 +333,39 @@ def _small_three_children(red: Instance, comp: list[Pair]) -> Optional[Branching
             if cover not in by_cover:
                 by_cover[cover] = chosen
     maximal = [c for c in by_cover if not any(c < d for d in by_cover)]
-    children = []
-    for cover in sorted(maximal, key=sorted):
-        child = ChildBuilder(red)
-        for pr in by_cover[cover]:
-            child.use(pr)
-        for pr in comp:
-            if pr[0] not in cover:
-                child.avoid(pr)
-        children.append(child)
-    return "small-three-component", children
+    return "small-three-component", [
+        [use(pr) for pr in by_cover[cover]] + [avoid(pr) for pr in comp if pr[0] not in cover]
+        for cover in sorted(maximal, key=sorted)
+    ]
 
 
 def _witness_children(
     red: Instance, v_pair: Pair, nbrs: list[Pair], z: Pair
-) -> list[ChildBuilder]:
+) -> list[Child]:
     links = [t for t in nbrs if red.linked(t, z)]
     c = len(links)
     if c == 3:
-        return [ChildBuilder(red).use(z).use(v_pair), ChildBuilder(red).avoid(z)]
+        return [[use(z), use(v_pair)], [avoid(z)]]
     if c == 2:
         # Using z drops its own variable's pairs and its conflicts, so of
         # v_pair's three neighbors exactly the two linked to z go and t,
         # the third, is left: use t, or avoid it and use v_pair.
         (t,) = [x for x in nbrs if x not in links]
-        return [
-            ChildBuilder(red).avoid(z),
-            ChildBuilder(red).use(z).use(t),
-            ChildBuilder(red).use(z).avoid(t).use(v_pair),
-        ]
+        return [[avoid(z)], [use(z), use(t)], [use(z), avoid(t), use(v_pair)]]
     # c == 1: avoiding z drops the linked neighbor w to two constraints
     # and the triple-with-two analysis applies to it.  w has three
     # constraints (two fire triple-with-two, four high-degree), so besides
     # v_pair and z it has one more, r.
     (w,) = links
     (r,) = [x for x in red.nbrs(w) if x not in (v_pair, z)]
-    children = [ChildBuilder(red).use(z)]
+    children = [[use(z)]]
     if red.linked(r, v_pair):
-        children += [
-            ChildBuilder(red).avoid(z).use(v_pair),
-            ChildBuilder(red).avoid(z).use(w),
-            ChildBuilder(red).avoid(z).use(r),
-        ]
+        children += [[avoid(z), use(v_pair)], [avoid(z), use(w)], [avoid(z), use(r)]]
     else:
         children += [
-            ChildBuilder(red).avoid(z).use(v_pair),
-            ChildBuilder(red).avoid(z).avoid(v_pair).use(r),
-            ChildBuilder(red).avoid(z).avoid(v_pair).avoid(r).use(w),
+            [avoid(z), use(v_pair)],
+            [avoid(z), avoid(v_pair), use(r)],
+            [avoid(z), avoid(v_pair), avoid(r), use(w)],
         ]
     return children
 
@@ -447,12 +387,9 @@ def _large_three_children(
         # No witness would contradict the component being large; keep the
         # search sound with a plain two-way branch regardless.
         p = comp[0]
-        yield "large-three-component", [
-            ChildBuilder(red).use(p),
-            ChildBuilder(red).avoid(p),
-        ]
+        yield "large-three-component", [[use(p)], [avoid(p)]]
 
-    return _screen(candidates(), stats)
+    return _screen(red, candidates(), stats)
 
 
 def _components(red: Instance, degree: Optional[int] = None) -> list[list[Pair]]:
@@ -492,24 +429,18 @@ def _rule_two_components(red: Instance, stats: "SearchStats") -> Optional[Branch
                 window = [cyc[(i + j) % length] for j in range(5)]
                 if len({p[0] for p in window}) == 5:
                     v, w, x, y, _z = window
-                    yield "large-two-component", [
-                        ChildBuilder(red).use(w),
-                        ChildBuilder(red).use(x),
-                        ChildBuilder(red).use(v).use(y),
-                    ]
+                    yield "large-two-component", [[use(w)], [use(x)], [use(v), use(y)]]
             # Same variable three steps apart: one of the two pairs
             # between its occurrences can always be used.
             for i in range(length if length >= 6 else 0):
                 if cyc[i][0] == cyc[(i + 3) % length][0]:
                     yield "large-two-component", [
-                        ChildBuilder(red).use(cyc[(i + 1) % length]),
-                        ChildBuilder(red).use(cyc[(i + 2) % length]),
+                        [use(cyc[(i + 1) % length])],
+                        [use(cyc[(i + 2) % length])],
                     ]
             if length == 4:
-                yield "large-two-component", [
-                    ChildBuilder(red).use(cyc[0]).use(cyc[2]),
-                    ChildBuilder(red).use(cyc[1]).use(cyc[3]),
-                ]
+                a, b, c, d = cyc
+                yield "large-two-component", [[use(a), use(c)], [use(b), use(d)]]
             # A cycle visiting four variables twice in the same order has
             # none of the above (a parity obstruction blocks the free
             # selection), so branch on a window of four consecutive
@@ -518,12 +449,12 @@ def _rule_two_components(red: Instance, stats: "SearchStats") -> Optional[Branch
             # middle pair for it, or uses both ends.
             for i in range(length):
                 yield "two-component-parity", [
-                    ChildBuilder(red).use(cyc[(i + 1) % length]),
-                    ChildBuilder(red).use(cyc[(i + 2) % length]),
-                    ChildBuilder(red).use(cyc[i]).use(cyc[(i + 3) % length]),
+                    [use(cyc[(i + 1) % length])],
+                    [use(cyc[(i + 2) % length])],
+                    [use(cyc[i]), use(cyc[(i + 3) % length])],
                 ]
 
-        return _screen(candidates(), stats)
+        return _screen(red, candidates(), stats)
     return None
 
 
@@ -531,8 +462,7 @@ def choose_rule(red: Instance, stats: "SearchStats") -> Optional[Branching]:
     """Find the first applicable branching rule on a reduced instance.
 
     Returns None when no rule applies: the instance is then in matching
-    form, which matching_solve checks.  An empty child list means the
-    instance was refuted.
+    form, which matching_solve checks.
     """
     for rule in (_rule_single_constraint, _rule_multi_adjacency, _rule_high_degree):
         got = rule(red)
@@ -699,22 +629,23 @@ def _expand(cfg: SolverConfig, stats: SearchStats, state: tuple[Instance, LiftTr
     name, children = got
     stats.rule_counts[name] += 1
     if cfg.check_claims:
-        vec = live_vector(children)
+        vec = live_vector(red, children)
         # raised, not asserted, so the check also runs under python -O
         if len(vec) > 1 and (min(vec) <= 0 or work_factor(*vec) > claim_cap(name) + 1e-6):
             raise AssertionError((name, vec))
-    return None, _drawn(children, path, stats)
+    return None, _drawn(red, children, path, stats)
 
 
-def _drawn(children: list[ChildBuilder], path: LiftTrace, stats: SearchStats):
+def _drawn(red: Instance, children: list[Child], path: LiftTrace, stats: SearchStats):
     """The live children's states, each built as the search draws it; a
     branching whose children are all dead counts as a leaf once the last
     one is found dead."""
     live = False
-    for b in children:
-        if not b.dead:
+    for child in children:
+        built = build(red, child)
+        if built is not None:
             live = True
-            yield b.inst, path + b.trace
+            yield built[0], path + built[1]
     if not live:
         stats.leaves += 1
 

@@ -126,21 +126,15 @@ def binary_instance(csp: GeneralCSP) -> Optional[Instance]:
     and None comes back.
     """
     inst = Instance.build({v: d for v, d in csp.domains.items()})
-    conf, ids = inst.conf, inst.table.ids
     for con in csp.constraints:
         if len(con) == 0:
             return None
         if len(con) > 2:
             raise ValueError(f"constraint {con} has arity {len(con)} > 2")
-        i, j = ids.get(con[0]), ids.get(con[-1])
-        # a pair outside the domains or dropped earlier takes no part
-        if i not in conf or j not in conf:
-            continue
-        if i == j:  # arity 1, or a pair against itself: a color removal
-            inst.remove_color(*con[0])
-        elif con[0][0] != con[1][0]:  # two colors of one variable never clash
-            conf[i] |= 1 << j
-            conf[j] |= 1 << i
+        # a pair outside the domains or dropped earlier takes no part;
+        # arity 1 is a pair against itself, which add_constraint removes
+        if inst.has(con[0]) and inst.has(con[-1]):
+            inst.add_constraint(con[0], con[-1])
     if not all(inst.live.values()):
         return None
     return inst

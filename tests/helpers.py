@@ -35,13 +35,15 @@ from csp32.instance import (
 from csp32.analysis import work_factor
 from csp32.oracle import brute_csp
 from csp32.solver import (
-    ChildBuilder,
     SearchStats,
+    avoid,
+    build,
     choose_rule,
     claim_cap,
     live_vector,
     matching_solve,
     solve,
+    use,
 )
 from csp32.transform import coloring_to_csp
 from csp32.vertexcolor import (
@@ -228,7 +230,7 @@ class SetInstance:
         return Assigned(*p)
 
     def merge(self, p, q):
-        """ChildBuilder.merge's edit: a four-color variable z replaces the
+        """solver.merge's edit: a four-color variable z replaces the
         isolated constraint p-q between two three-color variables."""
         (v, rv), (w, rw) = p, q
         z = self.add_variable(range(4))
@@ -475,11 +477,11 @@ def brute_multi_adjacency(red):
                 if q not in sources:
                     # Target of an implication that starts no implication:
                     # either use it, or avoid it along with all its sources.
-                    child = ChildBuilder(red).avoid(q)
+                    child = [avoid(q)]
                     for src in sorted(implies):
                         if q in implies[src]:
-                            child.avoid(src)
-                    return "implication", [ChildBuilder(red).use(q), child]
+                            child.append(avoid(src))
+                    return "implication", [[use(q)], child]
         # Every target is a source: follow implications to a cycle.
         cur = min(implies)
         seen_order = []
@@ -498,32 +500,20 @@ def brute_multi_adjacency(red):
         if len(set(cycle_vars)) < len(cycle_vars):
             # Two cycle pairs share a variable, so using the whole cycle
             # is impossible and it must be avoided entirely.
-            child = ChildBuilder(red)
-            for p in cyc:
-                child.avoid(p)
-            return "implication-cycle", [child]
-        use_all = ChildBuilder(red)
-        for p in cyc:
-            use_all.use(p)
+            return "implication-cycle", [[avoid(p) for p in cyc]]
+        use_all = [use(p) for p in cyc]
         if not outside:
             return "implication-cycle", [use_all]
-        avoid_all = ChildBuilder(red)
-        for p in cyc:
-            avoid_all.avoid(p)
-        return "implication-cycle", [use_all, avoid_all]
+        return "implication-cycle", [use_all, [avoid(p) for p in cyc]]
     # Multiple adjacency without implication: the doubly-hit variable has
     # four colors, exactly two of them constrained by p.  Split on which
     # half of the palette it uses.
     i = (twice & -twice).bit_length() - 1
     p, hit = pairs[i], conf[i]
     m = next(m for m in red.live.values() if (m & hit).bit_count() >= 2)
-    inside = ChildBuilder(red)
-    for j in bits(m & ~hit):
-        inside.avoid(pairs[j])
-    inside.avoid(p)  # p conflicts with every remaining color of w
-    outside = ChildBuilder(red)
-    for j in bits(m & hit):
-        outside.avoid(pairs[j])
+    inside = [avoid(pairs[j]) for j in bits(m & ~hit)]
+    inside.append(avoid(p))  # p conflicts with every remaining color of w
+    outside = [avoid(pairs[j]) for j in bits(m & hit)]
     return "four-color-restriction", [inside, outside]
 
 
@@ -1097,22 +1087,22 @@ def walk_rules(inst, tally, node_cap=300, brute_cap=11):
             continue
         name, children = got
         tally[name] += 1
-        live = [b for b in children if not b.dead]
-        vec = live_vector(children)
+        live = [b[0] for c in children if (b := build(red, c))]
+        vec = live_vector(red, children)
         assert all(r > 0 for r in vec), (name, vec)
         if len(vec) > 1:
             assert work_factor(*vec) <= claim_cap(name) + 1e-9, (name, vec)
         if red.n <= brute_cap:
             want = brute_csp(red.copy()) is not None
-            have = any(brute_csp(b.inst.copy()) is not None for b in live)
+            have = any(brute_csp(inst.copy()) is not None for inst in live)
             assert have == want, name
         base = measure(red)
-        for b in live:
-            sub, _ = simplify(b.inst.copy())
+        for inst in live:
+            sub, _ = simplify(inst.copy())
             if sub is not None:
-                drop = base - measure(sub)
-                assert drop >= b.claimed - 1e-9, (name, drop, b.claimed)
-            pending.append(b.inst)
+                drop, claimed = base - measure(sub), base - measure(inst)
+                assert drop >= claimed - 1e-9, (name, drop, claimed)
+            pending.append(inst)
     return nodes
 
 
@@ -1146,7 +1136,8 @@ def eager_solve(inst):
             return (lift(sol, path) if sol is not None else None), ()
         name, children = got
         stats.rule_counts[name] += 1
-        live = [(b.inst, path + b.trace) for b in children if not b.dead]
+        built = [build(red, c) for c in children]
+        live = [(inst, path + trace) for inst, trace in filter(None, built)]
         if not live:
             stats.leaves += 1
             dead_ends += 1
@@ -1162,41 +1153,42 @@ def brute_witness_children(red, v_pair, nbrs, z):
     links = [t for t in nbrs if red.linked(t, z)]
     c = len(links)
     if c == 3:
-        return [ChildBuilder(red).use(z).use(v_pair), ChildBuilder(red).avoid(z)]
+        return [[use(z), use(v_pair)], [avoid(z)]]
     if c == 2:
-        out = [ChildBuilder(red).avoid(z)]
-        used = ChildBuilder(red).use(z)
-        if used.dead:
+        out = [[avoid(z)]]
+        used = build(red, [use(z)])
+        if used is None:
             return out
-        left = used.inst.nbrs(v_pair) if used.inst.has(v_pair) else []
+        inst = used[0]
+        left = inst.nbrs(v_pair) if inst.has(v_pair) else []
         if len(left) == 0:
-            out.append(used.use(v_pair))
+            out.append([use(z), use(v_pair)])
         elif len(left) == 1:
             t = left[0]
-            out.append(ChildBuilder(red).use(z).use(t))
-            out.append(ChildBuilder(red).use(z).avoid(t).use(v_pair))
+            out.append([use(z), use(t)])
+            out.append([use(z), avoid(t), use(v_pair)])
         else:
-            out.append(used)  # cascaded removals overlapped; plain use/avoid
+            out.append([use(z)])  # cascaded removals overlapped; plain use/avoid
         return out
     # c == 1: avoiding z drops the linked neighbor to two constraints and
     # the triple-with-two analysis applies to it.
     w = links[0]
-    children = [ChildBuilder(red).use(z)]
+    children = [[use(z)]]
     rs = [x for x in red.nbrs(w) if x not in (v_pair, z)]
     if len(rs) != 1:
-        children.append(ChildBuilder(red).avoid(z))
+        children.append([avoid(z)])
         return children
     r = rs[0]
     if red.linked(r, v_pair):
         children += [
-            ChildBuilder(red).avoid(z).use(v_pair),
-            ChildBuilder(red).avoid(z).use(w),
-            ChildBuilder(red).avoid(z).use(r),
+            [avoid(z), use(v_pair)],
+            [avoid(z), use(w)],
+            [avoid(z), use(r)],
         ]
     else:
         children += [
-            ChildBuilder(red).avoid(z).use(v_pair),
-            ChildBuilder(red).avoid(z).avoid(v_pair).use(r),
-            ChildBuilder(red).avoid(z).avoid(v_pair).avoid(r).use(w),
+            [avoid(z), use(v_pair)],
+            [avoid(z), avoid(v_pair), use(r)],
+            [avoid(z), avoid(v_pair), avoid(r), use(w)],
         ]
     return children

@@ -27,7 +27,7 @@ from csp32.oracle import (
     random_graph,
     structured_csp,
 )
-from csp32.solver import ChildBuilder, solve
+from csp32.solver import build, merge, solve
 from csp32.transform import sat_to_csp
 from csp32.vertexcolor import color_graph
 
@@ -136,7 +136,7 @@ def test_mask_instance_matches_set_reference():
                 found = _isolate(rng, inst, ref)
                 if found is None:
                     continue
-                inst = ChildBuilder(inst).merge(*found).inst
+                inst, _trace = build(inst, [merge(*found)])
                 ref = ref.copy()
                 ref.merge(*found)
                 tree.append((inst, ref))
@@ -178,7 +178,7 @@ def test_sibling_merges_share_the_pair_table():
     for first, second in (((0, 0), (4, 0)), ((2, 0), (6, 0))):
         child, child_ref = parent, ref
         for v, _c in (first, second):
-            child = ChildBuilder(child).merge((v, 0), (v + 1, 0)).inst
+            child, _trace = build(child, [merge((v, 0), (v + 1, 0))])
             child_ref = child_ref.copy()
             child_ref.merge((v, 0), (v + 1, 0))
             _assert_matches(child, child_ref)

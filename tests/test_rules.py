@@ -7,12 +7,19 @@ as large as claimed, and equisatisfiability against the brute oracle.
 
 import random
 from collections import Counter
-from itertools import product
+from itertools import permutations, product
 
 from csp32 import solver
-from csp32.instance import Assigned, simplify
+from csp32.instance import Assigned, check, lift, simplify
 from csp32.oracle import brute_csp, random_cubic, random_graph, structured_csp
-from csp32.solver import SearchStats, SolverConfig, _rule_multi_adjacency, choose_rule, solve
+from csp32.solver import (
+    SearchStats,
+    SolverConfig,
+    _rule_multi_adjacency,
+    build,
+    choose_rule,
+    solve,
+)
 from csp32.transform import coloring_to_csp
 
 from helpers import (
@@ -81,13 +88,20 @@ def test_structured_walks_cover_organic_rules():
         assert tally[name] >= 25, (name, tally)
 
 
-def _branching(got):
-    """A branching as comparable data: its name and, per child, whether
-    it is dead, its lift trace and its instance's masks."""
+def _built(red, child):
+    """A child's build as comparable data: None when it is dead, else its
+    lift trace and its instance's masks."""
+    b = build(red, child)
+    return b and (b[1], b[0].live, b[0].conf)
+
+
+def _branching(red, got):
+    """A branching of red as comparable data: its name and, per child,
+    its build."""
     if got is None:
         return None
     name, children = got
-    return name, [(b.dead, b.trace, b.inst.live, b.inst.conf) for b in children]
+    return name, [_built(red, c) for c in children]
 
 
 def _line_graph(n, edges):
@@ -116,12 +130,12 @@ def test_multi_adjacency_matches_pairwise_reference():
             red, _ = simplify(pending.pop())
             if red is None or red.n == 0:
                 continue
-            got = _branching(_rule_multi_adjacency(red))
-            assert got == _branching(brute_multi_adjacency(red))
+            got = _branching(red, _rule_multi_adjacency(red))
+            assert got == _branching(red, brute_multi_adjacency(red))
             tally[got and (got[0], len(got[1]))] += 1
             step = choose_rule(red, SearchStats())
             if step is not None:
-                pending += [b.inst for b in step[1] if not b.dead]
+                pending += [b[0] for c in step[1] if (b := build(red, c))]
     assert tally[("implication", 2)] >= 500, tally
     assert tally[("implication-cycle", 2)] >= 30 and tally[("implication-cycle", 1)] >= 25, tally
 
@@ -156,12 +170,13 @@ def test_hand_built_implication_cycle_and_two_component_cases():
         red, trace = simplify(inst.copy())
         assert red is not None and red.n == inst.n and not trace
         name, children = choose_rule(red, SearchStats())
-        got[name] = [(b.dead, b.trace) for b in children]
+        built = [build(red, c) for c in children]
+        got[name] = [b and b[1] for b in built]
         if name == "implication-cycle":
-            assert not any(children[0].inst.has(p) for p in cycle)
+            assert not any(built[0][0].has(p) for p in cycle)
     assert got == {
-        "implication-cycle": [(False, [])],
-        "large-two-component": [(False, [Assigned(1, 0)]), (False, [Assigned(2, 0)])],
+        "implication-cycle": [[]],
+        "large-two-component": [[Assigned(1, 0)], [Assigned(2, 0)]],
     }
     rng = random.Random(911)
     tally = Counter()
@@ -189,11 +204,7 @@ def test_witness_children_match_the_defensive_reference(monkeypatch):
 
     def compared(red, v_pair, nbrs, z):
         got, want = witness(red, v_pair, nbrs, z), brute_witness_children(red, v_pair, nbrs, z)
-        assert len(got) == len(want)
-        for b, ref in zip(got, want):
-            assert (b.dead, b.inst.live, b.inst.conf, b.trace) == (
-                ref.dead, ref.inst.live, ref.inst.conf, ref.trace,
-            )
+        assert [_built(red, c) for c in got] == [_built(red, c) for c in want]
         tally[sum(red.linked(t, z) for t in nbrs)] += 1
         return witness(red, v_pair, nbrs, z)
 
@@ -201,6 +212,30 @@ def test_witness_children_match_the_defensive_reference(monkeypatch):
     for inst in _three_component_family(6):
         solve(inst)
     assert tally[1] > 100 and tally[2] > 100 and tally[3] > 0, tally
+
+
+def test_twelve_pair_components_always_have_a_free_pick():
+    # Four three-color variables, each two joined by a color permutation,
+    # so every pair has three constraints.  Relabeling colors fixes the
+    # three permutations out of variable 0 to the identity, which leaves
+    # 6^3 = 216 patterns.  Each one forming a single 12-pair component
+    # has a free pick, whose one child solves the instance; the one
+    # unsatisfiable pattern splits into three 4-pair cliques.
+    shapes = Counter()
+    for chosen in product(permutations(range(3)), repeat=3):
+        perms = {(0, 1): (0, 1, 2), (0, 2): (0, 1, 2), (0, 3): (0, 1, 2)}
+        perms.update(zip([(1, 2), (1, 3), (2, 3)], chosen))
+        cons = [((v, c), (w, perm[c])) for (v, w), perm in perms.items() for c in range(3)]
+        inst = build_instance({v: range(3) for v in range(4)}, cons)
+        comps = solver._components(inst, 3)
+        satisfiable = brute_csp(inst.copy()) is not None
+        shapes[tuple(sorted(map(len, comps))), satisfiable] += 1
+        if len(comps) == 1:
+            name, (child,) = solver._small_three_children(inst, comps[0])
+            solved, trace = build(inst, child)
+            assert name == "small-three-component" and solved.n == 0
+            assert check(inst, lift({}, trace)), chosen
+    assert shapes == {((12,), True): 194, ((4, 8), True): 21, ((4, 4, 4), False): 1}, shapes
 
 
 def test_small_three_components_give_one_or_three_children(monkeypatch):

@@ -1,27 +1,31 @@
 """Branch-and-reduce solver: correctness, branch claims, and randomized variants."""
 
+import math
 import random
+from collections import Counter
 
 import pytest
 
 import helpers
 from csp32 import solver
 from csp32.analysis import LAMBDA
-from csp32.instance import Instance, check, lift, measure, simplify
+from csp32.instance import Assigned, Instance, check, lift, measure, simplify
 from csp32.oracle import brute_csp, planted_csp, random_3cnf, random_csp, structured_csp
 from csp32.solver import (
-    ChildBuilder,
     NodeLimitReached,
     SearchStats,
     SolverConfig,
     _random_walk,
     _screen,
+    avoid,
+    build,
     claim_cap,
     matching_solve,
     solve,
     solve_randomized_32,
     solve_randomized_d2,
     two_color_restrictions,
+    use,
 )
 from csp32.transform import sat_to_csp
 
@@ -241,6 +245,15 @@ def test_randomized_d2_gives_up_after_its_budget():
     assert asg is None and stats.csp_calls == 79
 
 
+def test_budget_is_unbounded_past_two_to_the_thousand():
+    # 50 * 2^e trials: log2(50) + e passes 1000 between e = 994 and 995
+    assert solver._budget(2.0, 3) == 400
+    assert solver._budget(2.0, -20) == 1
+    assert solver._budget(2.0, 994) == 50 * 2**994
+    assert solver._budget(2.0, 995) == math.inf
+    assert solver._budget(5 / 4, 4000) == math.inf
+
+
 def test_claim_caps():
     assert claim_cap("dangling") == LAMBDA
     assert claim_cap("two-component-parity") > LAMBDA
@@ -293,28 +306,32 @@ def test_absorb_folds_nested_counts():
     assert edge.breakdowns == (3, 5, 0, 2, 4)
 
 
-def test_dead_children_ignore_later_edits():
+def test_build_returns_none_for_a_dead_child():
     # using (0, 0) removes (1, 0), so using (1, 0) next finds it vanished
     inst = build_instance({0: range(3), 1: range(3)}, [((0, 0), (1, 0))])
-    b = ChildBuilder(inst).use((0, 0))
-    assert not b.dead
-    b.use((1, 0))
-    assert b.dead and len(b.trace) == 1
-    live, trace = dict(b.inst.live), list(b.trace)
-    # a dead child takes no further use, avoid or merge
-    assert b.use((1, 1)) is b and b.avoid((1, 2)) is b and b.merge((1, 1), (1, 2)) is b
-    assert (b.inst.live, b.trace) == (live, trace)
+    live, conf = dict(inst.live), dict(inst.conf)
+    child, trace = build(inst, [use((0, 0))])
+    assert trace == [Assigned(0, 0)] and not child.has((1, 0))
+    assert build(inst, [use((0, 0)), use((1, 0))]) is None
+
+    def never(inst, trace):
+        raise AssertionError("an edit after the child died was applied")
+
+    assert build(inst, [use((0, 0)), use((1, 0)), (never,)]) is None
     # avoiding a variable's last color kills the child
     one = Instance.build({0: [2], 1: range(3)})
-    c = ChildBuilder(one).avoid((0, 2))
-    assert c.dead and c.inst.live[0] == 0
-    assert not ChildBuilder(one).avoid((0, 1)).dead  # a missing pair changes nothing
+    assert build(one, [avoid((0, 2))]) is None
+    # avoiding a missing pair changes nothing
+    child, trace = build(one, [avoid((0, 1))])
+    assert (child.live, child.conf, trace) == (one.live, one.conf, [])
+    # every build edits its own copy
+    assert (inst.live, inst.conf) == (live, conf)
 
 
 def test_screen_takes_a_branching_with_every_child_refuted():
     inst = build_instance({0: range(3), 1: range(3)}, [((0, 0), (1, 0))])
-    dead = [ChildBuilder(inst).use((0, 0)).use((1, 0)) for _ in range(2)]
-    assert _screen([("high-degree", dead)], SearchStats()) == ("high-degree", dead)
+    dead = [[use((0, 0)), use((1, 0))] for _ in range(2)]
+    assert _screen(inst, [("high-degree", dead)], SearchStats()) == ("high-degree", dead)
 
 
 def test_a_branching_with_no_live_child_is_a_refuted_leaf(monkeypatch):
@@ -328,7 +345,7 @@ def test_a_branching_with_no_live_child_is_a_refuted_leaf(monkeypatch):
     assert red is not None and red.n == 4
     monkeypatch.setattr(
         "csp32.solver.choose_rule",
-        lambda red, stats: ("high-degree", [ChildBuilder(red).use((0, 0)).use((1, 0))]),
+        lambda red, stats: ("high-degree", [[use((0, 0)), use((1, 0))]]),
     )
     res = solve(k4)
     assert res.satisfiable is False
@@ -388,8 +405,8 @@ def test_solve_matches_the_eager_reference(monkeypatch, kill):
             got = rule(red, stats)
             if got is not None and red.n % 4 == 0:
                 p = red.table.pairs[next(iter(red.conf))]
-                for b in got[1]:
-                    b.use(p).use(p)  # p is gone by the second use
+                # p is gone by the second use
+                got = got[0], [child + [use(p), use(p)] for child in got[1]]
             return got
 
         monkeypatch.setattr(solver, "choose_rule", killing)
@@ -416,22 +433,34 @@ def test_solve_matches_the_eager_reference(monkeypatch, kill):
 
 
 def _count_builds(monkeypatch):
-    """Wrap ChildBuilder's creation and replay; returns (created, built),
-    lists of the builders in the order they were made and built."""
-    created, built = [], []
-    init, replay = ChildBuilder.__init__, ChildBuilder._replay
+    """Wrap build, and the screen and choose_rule to see every child a
+    rule makes.  Returns (created, built, branchings): the children made
+    and the children built, in order (children are lists, so tests
+    compare them by id; these lists keep them alive, so no two share
+    one), and each branching the search takes, with its parent."""
+    created, built, branchings = [], [], []
+    screen, rule = solver._screen, solver.choose_rule
 
-    def counted_init(b, parent):
-        init(b, parent)
-        created.append(b)
+    def counted(parent, child):
+        built.append(child)
+        return build(parent, child)
 
-    def counted_replay(b):
-        built.append(b)
-        replay(b)
+    def seen(candidates):
+        for name, children in candidates:
+            created.extend(children)
+            yield name, children
 
-    monkeypatch.setattr(ChildBuilder, "__init__", counted_init)
-    monkeypatch.setattr(ChildBuilder, "_replay", counted_replay)
-    return created, built
+    def recorded(red, stats):
+        got = rule(red, stats)
+        if got is not None:
+            created.extend(got[1])
+            branchings.append((red, *got))
+        return got
+
+    monkeypatch.setattr(solver, "build", counted)
+    monkeypatch.setattr(solver, "_screen", lambda red, cands, stats: screen(red, seen(cands), stats))
+    monkeypatch.setattr(solver, "choose_rule", recorded)
+    return created, built, branchings
 
 
 def _satisfiable_batch():
@@ -450,43 +479,38 @@ SCREENED = ("triple-with-four", "triple-with-two", "large-three-component",
 
 
 def test_siblings_of_a_solved_subtree_are_never_built(monkeypatch):
-    created, built = _count_builds(monkeypatch)
-    rule, branchings = solver.choose_rule, []
-
-    def recorded(red, stats):
-        got = rule(red, stats)
-        if got is not None:
-            branchings.append(got)
-        return got
-
-    monkeypatch.setattr(solver, "choose_rule", recorded)
+    created, built, branchings = _count_builds(monkeypatch)
     for inst in _satisfiable_batch():
         assert solve(inst).satisfiable
-    assert len(set(built)) == len(built) < len(created)
+    # A child is built once, as the search draws it; the children of a
+    # screened branching are also built before, by the screen measuring them.
+    times = Counter(map(id, built))
+    screened = {id(c) for _red, name, cs in branchings if name.startswith(SCREENED) for c in cs}
+    assert all(n == 1 or (n == 2 and i in screened) for i, n in times.items())
+    assert len(times) < len(set(map(id, created)))
     # Depth-first search finishes the subtree of a child that holds a
     # solution, so once it draws such a first child it draws no sibling.
-    was_built = set(built)
-    monkeypatch.setattr(solver, "choose_rule", rule)
+    monkeypatch.undo()
     checked = 0
-    for name, children in branchings:
-        if name.startswith(SCREENED) or len(children) < 2 or children[0] not in was_built:
+    for red, name, children in branchings:
+        if name.startswith(SCREENED) or len(children) < 2 or id(children[0]) not in times:
             continue
-        first = children[0]
-        if not first.dead and solve(first.inst.copy()).satisfiable:
-            assert not was_built.intersection(children[1:]), name
+        first = build(red, children[0])
+        if first is not None and solve(first[0]).satisfiable:
+            assert not any(id(c) in times for c in children[1:]), name
             checked += 1
     assert checked >= 100
 
 
 def test_check_claims_builds_and_checks_every_child(monkeypatch):
-    created, built = _count_builds(monkeypatch)
+    created, built, _branchings = _count_builds(monkeypatch)
     for inst in _satisfiable_batch():
         assert solve(inst, SolverConfig(check_claims=True)).satisfiable
-    assert set(built) == set(created)
+    assert set(map(id, built)) == set(map(id, created))
     # a second child with no edits claims no decrease: still caught
     monkeypatch.setattr(
         solver, "choose_rule",
-        lambda red, stats: ("high-degree", [ChildBuilder(red).use((0, 0)), ChildBuilder(red)]),
+        lambda red, stats: ("high-degree", [[use((0, 0))], []]),
     )
     k4 = build_instance(
         {v: range(3) for v in range(4)},
