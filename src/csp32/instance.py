@@ -12,9 +12,10 @@ lowest set bit is its first pair in sorted order.  An instance is two
 dicts of int masks, each variable's live pairs and each pair's conflicts
 (bitwise arc consistency: Lecoutre & Vion, CP Letters 2, 2008).
 
-Every reduction records a lift step; replaying the steps most recent
-first over a solution of the reduced instance reconstructs a solution of
-the original one.
+Every reduction a lift must undo records a lift step; replaying the
+steps most recent first over a solution of the reduced instance
+reconstructs a solution of the original one.  A removed color records
+none: a solution without it is a solution of the original instance.
 """
 
 from __future__ import annotations
@@ -104,34 +105,6 @@ class IsolatedMerge:
         raise ValueError(f"merged variable {self.new_var} got unknown color {color}")
 
 
-@dataclass(frozen=True)
-class ColorRemoved:
-    var: int
-    color: int
-
-    def lift(self, sol: Assignment):
-        """A removed color only narrows options: the variable stays assigned."""
-
-
-class DeadColorRemoved(ColorRemoved):
-    """A color that hits every color of another variable."""
-
-
-class DominatedColorRemoved(ColorRemoved):
-    """A color whose conflicts include those of another color."""
-
-
-@dataclass(frozen=True)
-class FreePairUsed:
-    a: Pair
-    b: Pair
-
-    def lift(self, sol: Assignment):
-        sol[self.a[0]] = self.a[1]
-        sol[self.b[0]] = self.b[1]
-
-
-LiftStep = object
 LiftTrace = list
 
 
@@ -385,92 +358,60 @@ def find_free_pair(inst: Instance) -> Optional[tuple[Pair, Pair]]:
     variable, and never against each other: both can be used outright.
 
     Returns the first match (p, q) with p's variable below q's, p and q
-    each in sorted pair order.  A constrained p needs all its conflicts,
-    so its lowest and highest, on one variable w (whose ids are
-    consecutive), and only w's d pairs are tried: O(P*d) mask tests.  An
-    unconstrained p scans the later variables' pairs.
+    each in sorted pair order, among constrained p.  p needs all its
+    conflicts, so its lowest and highest, on one variable w (whose ids
+    are consecutive), and only w's d pairs are tried: O(P*d) mask tests.
+    simplify never passes an unconstrained pair: it dominates its
+    siblings, which go first.
     """
     conf, live, pairs = inst.conf, inst.live, inst.table.pairs
     for i, hit in conf.items():
-        v = pairs[i][0]
-        if hit:
-            w = pairs[hit.bit_length() - 1][0]
-            if w <= v or pairs[(hit & -hit).bit_length() - 1][0] != w:
-                continue
-            partners = bits(live[w])
-        else:
-            partners = (j for u, m in live.items() if u > v for j in bits(m))
+        if not hit:
+            continue
+        v, w = pairs[i][0], pairs[hit.bit_length() - 1][0]
+        if w <= v or pairs[(hit & -hit).bit_length() - 1][0] != w:
+            continue
         siblings = live[v] ^ 1 << i
-        for j in partners:
+        for j in bits(live[w]):
             if conf[j] | siblings == siblings:
                 return pairs[i], pairs[j]
     return None
 
 
-def find_dominated(inst: Instance) -> Optional[tuple[int, int, int]]:
-    """(var, keeper color, dominated color): conflicts of the keeper are a
-    subset of the dominated color's, so the dominated color is never needed.
+def dominated_pairs(inst: Instance) -> int:
+    """The mask of every pair whose conflicts include those of another
+    pair of its variable; of pairs with equal conflicts, all but the
+    lowest id.  Any solution using one can use a pair outside the mask.
 
     conf iterates a variable's pairs consecutively, so one loop tests each
-    conflict mask against the earlier ones of its variable; the first
-    variable with a nested couple is then scanned in order."""
+    conflict mask against the earlier ones of its variable."""
     conf, pairs = inst.conf, inst.table.pairs
-    masks, v, nested = [], None, False
+    out, earlier, v = 0, [], None
     for i, hit in conf.items():
-        u = pairs[i][0]
-        if u != v:
-            if nested:
-                break
-            masks, v = [], u
-        else:
-            for h in masks:
-                both = h | hit
-                if both == h or both == hit:
-                    nested = True
-        masks.append(hit)
-    if not nested:
-        return None
-    ids = bits(inst.live[v])
-    for r in ids:
-        for b in ids:
-            if r != b and conf[r] | conf[b] == conf[b]:
-                return v, pairs[r][1], pairs[b][1]
+        if pairs[i][0] != v:
+            earlier, v = [], pairs[i][0]
+        for h, m in earlier:
+            if m | hit == hit:
+                out |= 1 << i
+            elif m | hit == m:
+                out |= 1 << h
+        earlier.append((i, hit))
+    return out
 
 
-def find_dead_color(inst: Instance) -> Optional[Pair]:
-    """A pair that hits every color of another variable can never be used.
+def dead_pairs(inst: Instance) -> int:
+    """The mask of every pair that hits every color of another variable,
+    so it can never be used.
 
     One loop over conf, which iterates a variable's pairs consecutively,
-    ANDs each variable's conflict masks; the lowest set bit of the union
-    of these is the first dead pair in sorted order."""
+    ANDs each variable's conflict masks; dead is the union of these."""
     pairs, dead, hit_all, v = inst.table.pairs, 0, 0, None
     for i, hit in inst.conf.items():
         if pairs[i][0] == v:
             hit_all &= hit
         else:
             dead, hit_all, v = dead | hit_all, hit, pairs[i][0]
-    dead |= hit_all
-    return pairs[(dead & -dead).bit_length() - 1] if dead else None
-
-
-def _lemma_step(inst: Instance) -> Optional[LiftStep]:
-    """Apply the first lemma that matches, in place; its lift step or None."""
-    found = find_free_pair(inst)
-    if found is not None:
-        p, q = found
-        inst.assign(p)  # q is on another variable and not p's conflict, so it stays
-        inst.assign(q)
-        return FreePairUsed(p, q)
-    found = find_dominated(inst)
-    if found is not None:
-        v, _r, b = found
-        inst.remove_color(v, b)
-        return DominatedColorRemoved(v, b)
-    p = find_dead_color(inst)
-    if p is not None:
-        inst.remove_color(p[0], p[1])
-        return DeadColorRemoved(p[0], p[1])
-    return None
+    return dead | hit_all
 
 
 def simplify(inst: Instance) -> tuple[Optional[Instance], LiftTrace]:
@@ -478,11 +419,16 @@ def simplify(inst: Instance) -> tuple[Optional[Instance], LiftTrace]:
 
     inst is copied once and never edited; every lemma then edits that
     working copy in place.  Each round first clears 0/1/2-color
-    variables (eliminate_low_colors), then applies the first of: free
-    pair, dominated color, dead color.  An unconstrained pair needs no
-    lemma of its own: its variable has three or more colors by then,
-    and the pair's empty conflict set makes every other color of that
-    variable dominated.
+    variables (eliminate_low_colors), then drops every dominated pair at
+    once, else every dead pair at once, else uses the first free pair.
+
+    Dropping a whole mask at once is sound.  Removing pairs only clears
+    bits, so a dead pair stays dead and a dominated pair keeps its
+    dominators, and each has one outside the mask: a minimal pair of its
+    variable (by conflict inclusion, ties to the lowest id) is never in
+    it.  So the mask is a valid sequence of single removals.  An
+    unconstrained pair dominates its siblings, so the free pair search
+    never meets one.
 
     Returns (reduced instance, trace), or (None, trace) when some
     variable runs out of colors.  The result has only 3- and 4-color
@@ -491,10 +437,15 @@ def simplify(inst: Instance) -> tuple[Optional[Instance], LiftTrace]:
     cur = inst.copy()
     trace: LiftTrace = []
     while eliminate_low_colors(cur, trace):
-        step = _lemma_step(cur)
-        if step is None:
+        drop = dominated_pairs(cur) or dead_pairs(cur)
+        if drop:
+            cur._drop(drop)
+            continue
+        found = find_free_pair(cur)
+        if found is None:
             return cur, trace
-        trace.append(step)
+        # q is on another variable and not p's conflict, so it stays
+        trace += cur.assign(found[0]), cur.assign(found[1])
     return None, trace
 
 

@@ -19,9 +19,6 @@ from csp32.edgecolor import EdgeInstance, SpliceStep
 from csp32.graphalg import bfs, depth_first
 from csp32.instance import (
     Assigned,
-    DeadColorRemoved,
-    DominatedColorRemoved,
-    FreePairUsed,
     Instance,
     TwoColorEliminated,
     bits,
@@ -363,45 +360,34 @@ def brute_free_pair(inst):
 
 
 def brute_simplify(inst, tally):
-    """Reference for instance.simplify: the fixpoint of four lemmas it
-    replaced, whose third assigns the least unconstrained pair.  The
-    dominated and dead color lemmas are the set-form references, not the
-    mask scans under test.  Each lemma applied is counted under its name
-    in the tally Counter."""
-
-    def lemma_step(inst):
-        found = find_free_pair(inst)
-        if found is not None:
-            tally["free-pair"] += 1
-            p, q = found
-            inst.assign(p)
-            if inst.has(q):
-                inst.assign(q)
-            return FreePairUsed(p, q)
-        found = brute_dominated(inst)
-        if found is not None:
-            tally["dominated"] += 1
-            v, _r, b = found
-            inst.remove_color(v, b)
-            return DominatedColorRemoved(v, b)
-        p = min((p for p in live_pairs(inst) if not inst.degree(p)), default=None)
-        if p is not None:
-            tally["unconstrained"] += 1
-            return inst.assign(p)
-        p = brute_dead_color(inst)
-        if p is not None:
-            tally["dead"] += 1
-            inst.remove_color(p[0], p[1])
-            return DeadColorRemoved(p[0], p[1])
-        return None
-
+    """Reference for instance.simplify: each round clears the 0/1/2-color
+    variables, then drops the whole set-form dominated set, else the
+    whole set-form dead set, else uses the first free pair.  Before the
+    free pair it assigns the least unconstrained pair, a lemma simplify
+    does without (it dominates its siblings, so it never survives to
+    there).  Each lemma applied is counted under its name in the tally
+    Counter."""
     cur = inst.copy()
     trace = []
     while eliminate_low_colors(cur, trace):
-        step = lemma_step(cur)
-        if step is None:
+        drop, name = brute_dominated(cur), "dominated"
+        if not drop:
+            drop, name = brute_dead_color(cur), "dead"
+        if drop:
+            tally[name] += 1
+            for p in drop:
+                cur.remove_color(*p)
+            continue
+        unconstrained = [p for p in live_pairs(cur) if not cur.degree(p)]
+        if unconstrained:
+            tally["unconstrained"] += 1
+            trace.append(cur.assign(unconstrained[0]))
+            continue
+        found = find_free_pair(cur)
+        if found is None:
             return cur, trace
-        trace.append(step)
+        tally["free-pair"] += 1
+        trace += [cur.assign(p) for p in found]
     return None, trace
 
 
@@ -421,33 +407,32 @@ def brute_eliminate_two_color(ref, v):
 
 
 def brute_dominated(inst):
-    """Reference for instance.find_dominated: the first (variable, keeper,
-    dominated) of the set form, variables and then both colors in sorted
-    order, whose keeper's conflict set is a subset of the dominated
-    color's."""
-    ref = SetInstance.of(inst)
-    for v in sorted(ref.colors):
-        cs = sorted(ref.colors[v])
-        for r in cs:
-            for b in cs:
-                if r != b and ref.adj[(v, r)] <= ref.adj[(v, b)]:
-                    return v, r, b
-    return None
+    """Reference for instance.dominated_pairs, as a set: every pair of the
+    set form whose conflict set includes another color's of its variable,
+    strictly or, if the two are equal, of a lower color."""
+    adj = SetInstance.of(inst).adj
+    return {
+        (v, b)
+        for (v, b) in adj
+        for (w, r) in adj
+        if w == v and r != b and adj[(v, r)] <= adj[(v, b)]
+        and (r < b or adj[(v, r)] != adj[(v, b)])
+    }
 
 
 def brute_dead_color(inst):
-    """Reference for instance.find_dead_color: the set of colors each pair
-    hits per variable of the set form, compared with that variable's
+    """Reference for instance.dead_pairs, as a set: every pair of the set
+    form whose hit colors on some variable are all that variable's
     colors."""
     ref = SetInstance.of(inst)
-    for p in sorted(ref.adj):
+    dead = set()
+    for p, hits in ref.adj.items():
         by_var = {}
-        for (w, c) in ref.adj[p]:
+        for (w, c) in hits:
             by_var.setdefault(w, set()).add(c)
-        for w, hit in by_var.items():
-            if hit == ref.colors[w]:
-                return p
-    return None
+        if any(hit == ref.colors[w] for w, hit in by_var.items()):
+            dead.add(p)
+    return dead
 
 
 def brute_multi_adjacency(red):

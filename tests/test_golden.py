@@ -6,7 +6,9 @@ it.  These counts were recorded before the in-place simplification
 rewrite; a refactor that claims identical search must keep them.  The
 two benchmark-scale entries (structured n=50, 3-SAT n=35) were recorded
 before the partner-indexed free-pair search replaced the O(P^2) scan.
-The edge-coloring entries, the deep ones stopped by a node limit
+The three 3-SAT n=50 entries, whose simplify calls run long lemma
+cascades, were recorded before simplify began dropping every dominated
+or dead pair of a round at once.  The edge-coloring entries, the deep ones stopped by a node limit
 included, were re-recorded when the splice search began refuting each
 pairing whose new edges close a K4 of conflicts: the search reaches the
 same first colored leaf through fewer splices and leaves, and the last
@@ -54,6 +56,9 @@ SAT = {
     (16, 12): (False, 5, {"high-degree": 1, "implication": 1}),
     (17, 12): (False, 7, {"high-degree": 2, "implication": 1}),
     (1, 35): (True, 7, {"high-degree": 1, "dangling": 2, "implication": 1}),
+    (1, 50): (False, 293, {"dangling": 58, "high-degree": 17, "implication": 71}),
+    (2, 50): (True, 12, {"dangling": 1, "high-degree": 3, "implication": 4}),
+    (3, 50): (True, 121, {"dangling": 12, "high-degree": 10, "implication": 40}),
 }
 
 # (generator, seed, n) -> (colorable, splices, skipped_splices, leaves,

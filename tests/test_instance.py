@@ -9,10 +9,11 @@ from csp32.instance import (
     Instance,
     IsolatedMerge,
     TwoColorEliminated,
+    bits,
     check,
+    dead_pairs,
+    dominated_pairs,
     eliminate_two_color,
-    find_dead_color,
-    find_dominated,
     find_free_pair,
     lift,
     measure,
@@ -51,6 +52,11 @@ def small(colors, cons=()):
     for a, b in cons:
         inst.add_constraint(tuple(a), tuple(b))
     return inst
+
+
+def pairs_in(inst, mask):
+    """The pairs of a mask, as a set."""
+    return {inst.table.pairs[i] for i in bits(mask)}
 
 
 def test_build_and_views():
@@ -232,17 +238,38 @@ def random_free_pair_instance(rng):
     return inst
 
 
-def test_free_pair_matches_brute_reference():
-    rng = random.Random(2024)
-    outcomes = {"none": 0, "constrained": 0, "unconstrained": 0}
-    for _ in range(5000):
+def random_constrained_instance(rng):
+    """random_free_pair_instance over two or more variables, with each
+    pair it left unconstrained then constrained against one random pair
+    of another variable."""
+    inst = random_free_pair_instance(rng)
+    while inst.n < 2:
         inst = random_free_pair_instance(rng)
+    for p in live_pairs(inst):
+        if not inst.degree(p):
+            w = rng.choice([w for w in inst.live if w != p[0]])
+            inst.add_constraint(p, (w, rng.choice(inst.colors_of(w))))
+    return inst
+
+
+def test_free_pair_matches_brute_reference():
+    # simplify only searches for a free pair once no pair is
+    # unconstrained, so every pair drawn here is constrained
+    rng = random.Random(2024)
+    outcomes = {"none": 0, "found": 0}
+    for _ in range(5000):
+        inst = random_constrained_instance(rng)
         got = find_free_pair(inst)
         assert got == brute_free_pair(inst), inst.constraints()
-        kind = "none" if got is None else "constrained" if inst.degree(got[0]) else "unconstrained"
-        outcomes[kind] += 1
-    # Every path of the scan is exercised, not just the easy ones.
+        outcomes["none" if got is None else "found"] += 1
     assert min(outcomes.values()) >= 500, outcomes
+
+
+def test_free_pair_skips_an_unconstrained_pair():
+    # (0, 0) has no conflict; the scan passes it rather than reading a
+    # partner variable off its empty mask
+    inst = small({0: range(3), 1: range(3)}, [((0, 1), (1, 1)), ((0, 2), (1, 2))])
+    assert find_free_pair(inst) == ((0, 1), (1, 0))
 
 
 def test_free_pair_matches_brute_reference_on_reduced_instance():
@@ -262,39 +289,46 @@ def test_dominance_detection():
     # Color 1 of variable 0 conflicts with a superset of color 0's set.
     inst = small(
         {0: range(3), 1: range(3), 2: range(3)},
-        [((0, 0), (1, 0)), ((0, 1), (1, 0)), ((0, 1), (2, 0))],
+        [((0, 0), (1, 0)), ((0, 1), (1, 0)), ((0, 1), (2, 0)), ((0, 2), (2, 1))],
     )
-    got = find_dominated(inst)
-    assert got is not None
-    v, keep, drop = got
-    assert (v, drop) == (0, 1)
+    assert pairs_in(inst, dominated_pairs(inst) & inst.live[0]) == {(0, 1)}
+    # Three equal conflict sets: all but the lowest id go.
+    inst = small({0: range(3), 1: range(3)}, [((0, c), (1, 0)) for c in range(3)])
+    assert pairs_in(inst, dominated_pairs(inst) & inst.live[0]) == {(0, 1), (0, 2)}
+    # A chain r < s < t of conflict sets, r on the highest id: s and t go.
+    inst = small(
+        {0: range(3), 1: range(3)},
+        [((0, 2), (1, 0)), ((0, 0), (1, 0)), ((0, 0), (1, 1))]
+        + [((0, 1), (1, c)) for c in range(3)],
+    )
+    assert pairs_in(inst, dominated_pairs(inst) & inst.live[0]) == {(0, 0), (0, 1)}
 
 
 def test_dominated_matches_brute_reference():
-    # Each instance drops dominated colors until none is left, so every
+    # Each instance drops its dominated mask until none is left, so every
     # run ends in a miss and masks with removed pairs are tested too.
     rng = random.Random(5)
     hits = misses = 0
     for _ in range(1000):
         inst = random_free_pair_instance(rng)
         while True:
-            got = find_dominated(inst)
-            assert got == brute_dominated(inst), inst.constraints()
-            if got is None:
+            got = dominated_pairs(inst)
+            assert pairs_in(inst, got) == brute_dominated(inst), inst.constraints()
+            if not got:
                 break
-            inst.remove_color(got[0], got[2])
+            inst._drop(got)
             hits += 1
         misses += 1
     assert min(hits, misses) >= 300, (hits, misses)
 
 
 def test_dead_color_detection():
-    # (0,0) hits every color of variable 1, so it can never be used.
+    # (0,0) and (0,1) hit every color of variable 1, so neither can be used.
     inst = small(
         {0: range(3), 1: range(2)},
-        [((0, 0), (1, 0)), ((0, 0), (1, 1))],
+        [((0, 0), (1, 0)), ((0, 0), (1, 1)), ((0, 1), (1, 0)), ((0, 1), (1, 1))],
     )
-    assert find_dead_color(inst) == (0, 0)
+    assert pairs_in(inst, dead_pairs(inst)) == {(0, 0), (0, 1)}
 
 
 def test_dead_color_matches_brute_reference():
@@ -302,10 +336,32 @@ def test_dead_color_matches_brute_reference():
     found = 0
     for _ in range(3000):
         inst = random_free_pair_instance(rng)
-        got = find_dead_color(inst)
-        assert got == brute_dead_color(inst), inst.constraints()
-        found += got is not None
+        got = dead_pairs(inst)
+        assert pairs_in(inst, got) == brute_dead_color(inst), inst.constraints()
+        found += bool(got)
     assert min(found, 3000 - found) >= 300, found
+
+
+def test_dropping_a_whole_mask_keeps_the_verdict():
+    # simplify drops each mask in one edit, so its pairs must be spare
+    # all together, not only one at a time: each dominated pair keeps a
+    # dominator outside the mask, and the oracle's verdict holds.
+    rng = random.Random(37)
+    dropped = Counter()
+    for _ in range(2000):
+        inst = random_csp(rng, rng.randint(2, 6), rng.choice((3, 4)), rng.uniform(0.1, 0.5))
+        sat = brute_csp(inst) is not None
+        dom, conf = dominated_pairs(inst), inst.conf
+        for i in bits(dom):
+            keepers = inst.live[inst.table.pairs[i][0]] & ~dom
+            assert any(conf[j] | conf[i] == conf[i] for j in bits(keepers)), inst.constraints()
+        for name, mask in (("dominated", dom), ("dead", dead_pairs(inst))):
+            if mask:
+                cut = inst.copy()
+                cut._drop(mask)
+                assert (brute_csp(cut) is not None) == sat, (name, inst.constraints())
+                dropped[name] += sat  # an unsatisfiable input stays so anyway
+    assert min(dropped["dominated"], dropped["dead"]) >= 300, dropped
 
 
 def test_two_color_elimination_matches_brute_reference():
@@ -443,9 +499,10 @@ def test_lift_restores_every_variable():
 
 def test_simplify_matches_four_lemma_reference(monkeypatch):
     # Every simplify call of the solves below, at the root and at every
-    # branch child, is compared with the four-lemma fixpoint simplify
-    # replaced; the lemma it dropped (use an unconstrained pair) must
-    # never have fired there, since a dominated color always comes first.
+    # branch child, is compared with the set-form reference of its
+    # batched rounds; the lemma simplify does without (use an
+    # unconstrained pair) must never have fired there, since its
+    # siblings are dominated and go first.
     tally = Counter()
 
     def checked(inst):
