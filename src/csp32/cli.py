@@ -272,8 +272,8 @@ def cmd_edge_color(args) -> int:
 
 def cmd_sat(args) -> int:
     nvars, clauses = load_cnf(args.file)
-    if any(len(cl) > 3 for cl in clauses):
-        raise InputError(f"{args.file}: clauses of size > 3 are not supported")
+    if any(len(set(map(abs, cl))) > 3 for cl in clauses):
+        raise InputError(f"{args.file}: clauses over more than 3 variables are not supported")
     t0 = time.perf_counter()
     inst, smap = sat_to_csp(nvars, clauses)
     if inst is None:  # refuted by sat_to_csp itself, with no search
@@ -317,7 +317,6 @@ def cmd_translate(args) -> int:
 
 def cmd_factors(args) -> int:
     report = analysis.bound_report()
-    report["lambda_4455"] = analysis.LAMBDA
     if args.json:
         print(json.dumps(report, sort_keys=True))
     else:

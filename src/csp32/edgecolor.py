@@ -214,6 +214,7 @@ def in_conflict_k4(ei: EdgeInstance, eid: int) -> bool:
     prior = {}  # each edge of near so far -> its conflicts among the earlier ones
     for f in bits(near):
         u, v = edges[f]
+        # ei.conflicts(f) inlined (& seen clears f): 1.25-1.3x faster per call
         earlier = (at[u] | at[v] | partners.get(f, 0)) & seen
         # a triangle inside near completes the K4; it shows at its last
         # edge f, as two conflicting edges among f's earlier conflicts

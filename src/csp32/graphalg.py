@@ -1,16 +1,17 @@
 """Classical graph subroutines: graph search, matchings and flow.
 
-depth_first drives every backtracking search in the package: the
-branch-and-reduce solvers, the coloring pipelines and the brute-force
-oracles.  bfs is every breadth-first traversal: the constraint-graph
-components of the solver rules and the degree-three trees of the
-coloring pipeline, and through bfs_path, its shortest path, the
-degree-three cycle search.  general_matching is the one maximum-matching
-search: the edge-coloring splice selection calls it, and so do the
-solver endgame through bipartite_matching and the height-two forest
-construction through max_flow, whose placement flow is a matching into
-capacity slots.  All inputs here are tiny (O(n) nodes), so simple
-augmenting-path methods suffice.
+depth_first drives the backtracking searches: the branch-and-reduce
+solver, the coloring graph search and leaf enumeration, the splice
+search and the oracles (a bushy tree's colorings have their own loop).
+bfs is every breadth-first traversal: the constraint-graph components of
+the solver rules and the degree-three trees of the coloring pipeline,
+and through bfs_path, its shortest path, the degree-three cycle search.
+general_matching is the one maximum-matching search: the edge-coloring
+splice selection calls it, and so do the solver endgame through
+bipartite_matching and the height-two forest construction through
+max_flow, whose placement flow is a matching into capacity slots.  All
+inputs here are tiny (O(n) nodes), so simple augmenting-path methods
+suffice.
 
 general_matching is Edmonds' blossom search (Edmonds, "Paths, trees,
 and flowers", 1965) with a greedy warm start.  It promises a maximum

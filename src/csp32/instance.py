@@ -415,12 +415,12 @@ def dead_pairs(inst: Instance) -> int:
 
 
 def simplify(inst: Instance) -> tuple[Optional[Instance], LiftTrace]:
-    """Run all polynomial simplifications to a fixpoint.
+    """Run all polynomial simplifications to a fixpoint, in place on inst.
 
-    inst is copied once and never edited; every lemma then edits that
-    working copy in place.  Each round first clears 0/1/2-color
-    variables (eliminate_low_colors), then drops every dominated pair at
-    once, else every dead pair at once, else uses the first free pair.
+    Like every lemma it edits inst; a caller that still needs the input
+    passes a copy.  Each round first clears 0/1/2-color variables
+    (eliminate_low_colors), then drops every dominated pair at once,
+    else every dead pair at once, else uses the first free pair.
 
     Dropping a whole mask at once is sound.  Removing pairs only clears
     bits, so a dead pair stays dead and a dominated pair keeps its
@@ -430,22 +430,21 @@ def simplify(inst: Instance) -> tuple[Optional[Instance], LiftTrace]:
     unconstrained pair dominates its siblings, so the free pair search
     never meets one.
 
-    Returns (reduced instance, trace), or (None, trace) when some
+    Returns (inst, trace), inst now reduced, or (None, trace) when some
     variable runs out of colors.  The result has only 3- and 4-color
     variables and none of the simplification patterns left.
     """
-    cur = inst.copy()
     trace: LiftTrace = []
-    while eliminate_low_colors(cur, trace):
-        drop = dominated_pairs(cur) or dead_pairs(cur)
+    while eliminate_low_colors(inst, trace):
+        drop = dominated_pairs(inst) or dead_pairs(inst)
         if drop:
-            cur._drop(drop)
+            inst._drop(drop)
             continue
-        found = find_free_pair(cur)
+        found = find_free_pair(inst)
         if found is None:
-            return cur, trace
+            return inst, trace
         # q is on another variable and not p's conflict, so it stays
-        trace += cur.assign(found[0]), cur.assign(found[1])
+        trace += inst.assign(found[0]), inst.assign(found[1])
     return None, trace
 
 

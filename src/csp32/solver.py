@@ -30,6 +30,7 @@ from .instance import (
     Pair,
     bits,
     check,
+    eliminate_low_colors,
     lift,
     measure,
     simplify,
@@ -608,7 +609,7 @@ def claim_cap(name: str) -> float:
 
 
 def _expand(cfg: SolverConfig, stats: SearchStats, state: tuple[Instance, LiftTrace]):
-    """One CSP node; a state is an instance and its lift path from the input."""
+    """One CSP node; a state is an instance and its lift path, both its own to edit."""
     inst, path = state
     stats.nodes += 1
     cfg.charge(stats)
@@ -616,7 +617,7 @@ def _expand(cfg: SolverConfig, stats: SearchStats, state: tuple[Instance, LiftTr
     if red is None:
         stats.leaves += 1
         return None, ()
-    path = path + trace
+    path += trace
     if red.n == 0:
         stats.leaves += 1
         return lift({}, path), ()
@@ -651,13 +652,13 @@ def _drawn(red: Instance, children: list[Child], path: LiftTrace, stats: SearchS
 
 
 def solve(inst: Instance, config: Optional[SolverConfig] = None) -> SolveResult:
-    """Decide a (4,2)-CSP instance, returning a solution when one exists."""
+    """Decide a (4,2)-CSP instance on a copy, returning a solution when one exists."""
     if any(m.bit_count() > 4 for m in inst.live.values()):
         raise ValueError("instance has a variable with more than four colors")
     cfg = config or SolverConfig()
     stats = SearchStats()
     try:
-        asg = depth_first((inst, []), lambda state: _expand(cfg, stats, state))
+        asg = depth_first((inst.copy(), []), lambda state: _expand(cfg, stats, state))
     except NodeLimitReached:
         return SolveResult(None, None, stats)
     if asg is not None:
@@ -676,7 +677,7 @@ def two_color_restrictions(inst: Instance, con: tuple[Pair, Pair]) -> list[Insta
     of its remaining colors.  Any solution of the instance survives in
     exactly two of the four results.
     """
-    return [_restrict(inst, *cut) for cut in _restriction_cuts(inst, con)]
+    return [_restrict(inst.copy(), *cut) for cut in _restriction_cuts(inst, con)]
 
 
 def _restriction_cuts(inst: Instance, con: tuple[Pair, Pair]) -> list[tuple[Pair, Pair, int]]:
@@ -691,31 +692,28 @@ def _restriction_cuts(inst: Instance, con: tuple[Pair, Pair]) -> list[tuple[Pair
 
 
 def _restrict(inst: Instance, dp: Pair, kp: Pair, other: int) -> Instance:
-    r = inst.copy()
-    r.remove_color(dp[0], dp[1])
-    for c in [c for c in r.colors_of(kp[0]) if c not in (kp[1], other)]:
-        r.remove_color(kp[0], c)
-    return r
+    """inst, restricted in place to one of two_color_restrictions."""
+    inst.remove_color(dp[0], dp[1])
+    for c in [c for c in inst.colors_of(kp[0]) if c not in (kp[1], other)]:
+        inst.remove_color(kp[0], c)
+    return inst
 
 
-def _random_walk(inst: Instance, rng: random.Random) -> Optional[Assignment]:
-    """One randomized descent: repeatedly restrict a random constraint's
-    endpoints to two colors each and eliminate them."""
-    red, trace = simplify(inst)
-    if red is None:
-        return None
-    while True:
-        if red.n == 0:
-            return lift({}, trace)
+def _random_walk(red: Instance, trace: LiftTrace, rng: random.Random) -> Optional[Assignment]:
+    """One randomized descent from a reduced instance and its lift trace,
+    on copies of both: repeatedly restrict a random constraint's
+    endpoints to two colors each and reduce the restriction."""
+    red, path = red.copy(), list(trace)
+    while red.n:
         # A reduced instance has no unconstrained pair, so cons is non-empty.
         cons = red.constraints()
         con = cons[rng.randrange(len(cons))]
         pick = rng.randrange(4)
-        red2, more = simplify(_restrict(red, *_restriction_cuts(red, con)[pick]))
-        trace += more
-        if red2 is None:
+        red, more = simplify(_restrict(red, *_restriction_cuts(red, con)[pick]))
+        path += more
+        if red is None:
             return None
-        red = red2
+    return lift({}, path)
 
 
 # The randomized solvers run BUDGET_FACTOR times the expected number of
@@ -740,19 +738,21 @@ def solve_randomized_32(
     """Monte Carlo (3,2)-CSP solver: each walk succeeds on a solvable
     instance with probability at least 2^(-n/2), so BUDGET_FACTOR times
     2^(n/2) walks miss with negligible probability.  Returns the solution
-    (or None) and the stats, whose nodes count the walks run.  Each walk
-    spends one node of config's node limit; NodeLimitReached is raised
-    when it runs out."""
+    (or None) and the stats, whose nodes count the walks run.  The walks
+    descend from one reduction of a copy of inst, and none runs if that
+    refutes inst.  Each walk spends one node of config's node limit;
+    NodeLimitReached is raised when it runs out."""
     if any(m.bit_count() > 3 for m in inst.live.values()):
         raise ValueError("randomized two-color descent expects a (3,2) instance")
     cfg = config or SolverConfig()
     stats = SearchStats()
     rng = random.Random(seed)
     budget = _budget(2.0, inst.n / 2)
-    while stats.nodes < budget:
+    red, trace = simplify(inst.copy())
+    while red is not None and stats.nodes < budget:
         stats.nodes += 1
         cfg.charge(stats)
-        asg = _random_walk(inst, rng)
+        asg = _random_walk(red, trace, rng)
         if asg is not None:
             return _verified(inst, asg), stats
     return None, stats
@@ -768,13 +768,16 @@ def solve_randomized_d2(
     restriction preserves a fixed solution with probability (4/d)^n per
     variable-count n, so BUDGET_FACTOR times (d/4)^n trials miss with
     negligible probability.  Returns the solution (or None) and the
-    stats, where each trial's solve is one csp_call.  The nested solves
+    stats, where each trial's solve is one csp_call; none runs if
+    eliminate_low_colors refutes a copy of inst.  The nested solves
     share config's node limit; NodeLimitReached is raised when it runs
     out."""
     cfg = config or SolverConfig()
     stats = SearchStats()
     d = max((m.bit_count() for m in inst.live.values()), default=0)
     rng = random.Random(seed)
+    if not eliminate_low_colors(inst.copy(), []):
+        return None, stats
     budget = 1 if d <= 4 else _budget(d / 4, inst.n)
     while stats.csp_calls < budget:
         r = inst.copy()

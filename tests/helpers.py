@@ -300,8 +300,9 @@ def validate(inst, max_colors=4):
 
 
 def is_reduced(inst):
-    """Only 3- and 4-color variables, and simplify finds nothing to do."""
-    return all(m.bit_count() in (3, 4) for m in inst.live.values()) and not simplify(inst)[1]
+    """Only 3- and 4-color variables, and simplify, run on a copy, finds
+    nothing to do."""
+    return all(m.bit_count() in (3, 4) for m in inst.live.values()) and not simplify(inst.copy())[1]
 
 
 def brute_csp_product(inst):
@@ -1128,7 +1129,7 @@ def eager_solve(inst):
             dead_ends += 1
         return None, live
 
-    asg = depth_first((inst, []), expand)
+    asg = depth_first((inst.copy(), []), expand)
     return asg, stats, dead_ends
 
 

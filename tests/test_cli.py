@@ -121,6 +121,20 @@ def test_solve_rand_mode_budget_past_float_range(tmp_path, capsys, n, d):
     assert out.splitlines()[0] == "sat" and err == ""
 
 
+@pytest.mark.parametrize("d", [3, 5])
+def test_solve_rand_mode_refuted_input_exits_at_once(tmp_path, capsys, d):
+    # the last of 41 variables has no color, so the reduction refutes the
+    # input before any walk (d = 3) or restricted solve (d = 5); the node
+    # limit turns a run that starts them into exit 3
+    variables = [{"id": v, "colors": list(range(d)) if v < 40 else []} for v in range(41)]
+    path = csp_json(tmp_path, "refuted.json", variables, [])
+    argv = ["solve", path, "--mode", "rand", "--node-limit", "100", "--json", "--stats"]
+    assert main(argv) == EXIT_UNSAT
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["result"] == "not-found"
+    assert payload["stats"]["nodes"] == payload["stats"]["csp_calls"] == 0
+
+
 def test_stats_have_one_key_set(tmp_path, capsys):
     # sat, unsat and limit runs of every solver print the SearchStats fields.
     keys = set(SearchStats.__dataclass_fields__)
@@ -236,6 +250,14 @@ def test_sat_rejects_wide_clauses(tmp_path, capsys):
     cnf = write(tmp_path, "wide.cnf", "p cnf 4 1\n1 2 3 4 0\n")
     assert main(["sat", cnf]) == EXIT_USAGE
     assert "error" in capsys.readouterr().err
+
+
+def test_sat_accepts_a_repeated_literal(tmp_path, capsys):
+    # four literals over three variables is a 3-clause
+    cnf = write(tmp_path, "rep.cnf", "p cnf 3 1\n1 1 2 3 0\n")
+    assert main(["sat", cnf]) == EXIT_SAT
+    model = json.loads(capsys.readouterr().out.splitlines()[1])
+    assert model["1"] or model["2"] or model["3"]
 
 
 def test_csp_json_round_trip(tmp_path):

@@ -407,6 +407,17 @@ def test_simplify_refutes_overconstrained():
     assert red is None
 
 
+def test_simplify_reduces_the_instance_it_is_given():
+    # variable 1 is assigned, which takes (0, 0); variable 0 is projected
+    # out, which frees variable 2, whose colors 1 and 2 are then dominated
+    inst = small({0: range(3), 1: {0}, 2: range(3)}, [((0, 0), (1, 0)), ((0, 1), (2, 1))])
+    red, trace = simplify(inst)
+    assert red is inst and inst.n == 0
+    assert [type(step).__name__ for step in trace] == [
+        "Assigned", "TwoColorEliminated", "Assigned"
+    ]
+
+
 def test_measure_weights():
     inst = small({0: range(3), 1: range(4), 2: range(4)})
     assert measure(inst) == pytest.approx(1 + 2 * (2 - 0.095543))
@@ -506,8 +517,8 @@ def test_simplify_matches_four_lemma_reference(monkeypatch):
     tally = Counter()
 
     def checked(inst):
+        want, want_trace = brute_simplify(inst.copy(), tally)
         got, trace = simplify(inst)
-        want, want_trace = brute_simplify(inst, tally)
         assert trace == want_trace
         assert (got is None) == (want is None)
         if got is not None:

@@ -245,6 +245,39 @@ def test_randomized_d2_gives_up_after_its_budget():
     assert asg is None and stats.csp_calls == 79
 
 
+@pytest.mark.parametrize("d", [3, 5])
+def test_randomized_solvers_return_at_once_on_a_refuted_input(d):
+    # the last of 41 variables has no color, so the reduction refutes the
+    # input: no 50 * 2^20.5 walks, no 50 * (5/4)^41 restricted solves (the
+    # node limit stops a solver that starts them)
+    inst = Instance.build({v: range(d) if v < 40 else () for v in range(41)})
+    run = solve_randomized_32 if d == 3 else solve_randomized_d2
+    asg, stats = run(inst, config=SolverConfig(node_limit=100))
+    assert asg is None and (stats.nodes, stats.csp_calls) == (0, 0)
+
+
+def test_solvers_leave_the_callers_instance_unchanged():
+    def unchanged(run, inst):
+        before = (dict(inst.live), dict(inst.conf))
+        run(inst)
+        return (inst.live, inst.conf) == before
+
+    rng = random.Random(404)
+    reduced = 0
+    for trial in range(40):
+        inst = random_csp(rng, rng.randint(3, 8), density=rng.uniform(0.1, 0.5))
+        reduced += bool(simplify(inst.copy())[1])
+        for run in (solve, solve_randomized_32, solve_randomized_d2):
+            assert unchanged(run, inst), (trial, run.__name__)
+    assert reduced >= 30
+    # six colors take the d2 trials; variable 3's two colors go before them
+    wide = Instance.build(
+        {0: range(6), 1: range(6), 2: range(6), 3: (0, 1)},
+        [((0, 0), (1, 0)), ((1, 1), (2, 5)), ((2, 0), (3, 1))],
+    )
+    assert unchanged(solve_randomized_d2, wide)
+
+
 def test_budget_is_unbounded_past_two_to_the_thousand():
     # 50 * 2^e trials: log2(50) + e passes 1000 between e = 994 and 995
     assert solver._budget(2.0, 3) == 400
@@ -341,7 +374,7 @@ def test_a_branching_with_no_live_child_is_a_refuted_leaf(monkeypatch):
         {v: range(3) for v in range(4)},
         [((v, c), (w, c)) for v in range(4) for w in range(v + 1, 4) for c in range(3)],
     )
-    red, _trace = simplify(k4)
+    red, _trace = simplify(k4.copy())
     assert red is not None and red.n == 4
     monkeypatch.setattr(
         "csp32.solver.choose_rule",
@@ -370,7 +403,13 @@ def test_random_walk_restricts_as_picking_one_of_four():
     for trial in range(80):
         inst = random_csp(rng, rng.randint(4, 10), density=rng.uniform(0.1, 0.4))
         ours, theirs = random.Random(trial), random.Random(trial)
-        got = _random_walk(inst, ours)
+        red, trace = simplify(inst.copy())
+        got = None
+        if red is not None:
+            root = (dict(red.live), dict(red.conf), list(trace))
+            got = _random_walk(red, trace, ours)
+            # the walk edits neither the reduced root nor its trace
+            assert (red.live, red.conf, trace) == root, trial
         assert got == reference(inst, theirs), trial
         assert ours.getstate() == theirs.getstate(), trial
         found += got is not None

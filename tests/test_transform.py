@@ -184,6 +184,19 @@ def test_coloring_rejects_self_loop():
         coloring_to_csp(2, [(0, 0)])
 
 
+def test_coloring_rejects_a_vertex_outside_the_range():
+    for edge in ((0, 5), (3, 1), (-1, 0)):
+        with pytest.raises(ValueError, match="outside 0..2"):
+            coloring_to_csp(3, [edge])
+
+
+def test_sat_translation_refuted_by_propagation():
+    # the two unit clauses leave their dual variables one color each, and
+    # assigning one empties the other
+    inst, smap = sat_to_csp(1, [(1,), (-1,)])
+    assert inst is None and smap.nvars == 1
+
+
 def test_binary_instance_rejects_wide_constraints():
     csp = GeneralCSP({v: {0, 1} for v in range(3)}, [((0, 0), (1, 0), (2, 0))])
     with pytest.raises(ValueError, match="arity 3 > 2"):
