@@ -17,6 +17,7 @@ import sys
 import time
 from typing import Optional
 
+from . import __version__ as VERSION
 from . import analysis
 from .instance import Instance
 from .solver import (
@@ -31,13 +32,6 @@ from .solver import (
 from .transform import coloring_to_csp, dualize, GeneralCSP, sat_to_csp
 from .vertexcolor import color_graph
 from .edgecolor import edge_color
-
-try:  # pragma: no cover - metadata lookup
-    from importlib.metadata import version as _pkg_version
-
-    VERSION = _pkg_version("csp32")
-except Exception:  # pragma: no cover
-    VERSION = "0.0.0"
 
 EXIT_SAT = 0
 EXIT_UNSAT = 1

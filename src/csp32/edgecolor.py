@@ -24,10 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .graphalg import depth_first, general_matching
+from .graphalg import Adjacency, adjacency, depth_first, general_matching
 from .instance import bits, lift
 from .solver import SearchStats, SolverConfig
-from .vertexcolor import Adjacency, color_graph, strip_low_degree
+from .vertexcolor import color_graph, strip_low_degree
 
 Edge = tuple[int, int]
 
@@ -54,12 +54,9 @@ class EdgeInstance:
 
     @classmethod
     def from_graph(cls, n: int, edges: list[Edge]) -> "EdgeInstance":
+        adjacency(n, edges)  # rejects a self-loop or a vertex outside 0..n-1
         ei, seen = cls(), set()
         for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) has a vertex outside 0..{n - 1}")
             if frozenset((u, v)) in seen:
                 raise ValueError(f"repeated edge ({u}, {v})")
             seen.add(frozenset((u, v)))

@@ -1,5 +1,8 @@
-"""Classical graph subroutines: graph search, matchings and flow.
+"""Classical graph subroutines: graph input, graph search, matchings and flow.
 
+adjacency is the one check of a graph given as a vertex count and an
+edge list: vertex coloring, edge coloring, the coloring CSP encoding and
+the brute-force coloring oracle all read their input through it.
 depth_first drives the backtracking searches: the branch-and-reduce
 solver, the coloring graph search and leaf enumeration, the splice
 search and the oracles (a bushy tree's colorings have their own loop).
@@ -20,6 +23,22 @@ one among them.
 """
 
 from __future__ import annotations
+
+Adjacency = dict[int, set[int]]
+
+
+def adjacency(n: int, edges) -> Adjacency:
+    """The simple graph on vertices 0..n-1 with the given edges; a
+    self-loop or a vertex outside that range raises ValueError."""
+    g: Adjacency = {v: set() for v in range(n)}
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if u not in g or v not in g:
+            raise ValueError(f"edge ({u}, {v}) has a vertex outside 0..{n - 1}")
+        g[u].add(v)
+        g[v].add(u)
+    return g
 
 
 def depth_first(root, expand):

@@ -12,7 +12,7 @@ import random
 from itertools import combinations
 from typing import Optional
 
-from .graphalg import depth_first
+from .graphalg import adjacency, depth_first
 from .instance import Assignment, Instance, check
 from .transform import Clause
 
@@ -45,10 +45,7 @@ def brute_csp(inst: Instance) -> Optional[Assignment]:
 def brute_vertex_color(graph: Graph) -> Optional[dict[int, int]]:
     """Proper 3-coloring by backtracking, or None."""
     n, edges = graph
-    nbrs: dict[int, set[int]] = {v: set() for v in range(n)}
-    for u, v in edges:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
+    nbrs = adjacency(n, edges)
 
     def expand(coloring: dict[int, int]):
         v = len(coloring)

@@ -235,15 +235,15 @@ def _rule_high_degree(red: Instance) -> Optional[Branching]:
     return None
 
 
-def _screen(red: Instance, candidates, stats: "SearchStats") -> Optional[Branching]:
+def _screen(red: Instance, candidates) -> Optional[Branching]:
     """Pick the first candidate branching whose vector meets its cap.
 
     Overlapping eliminations can degrade a particular candidate below
     its usual work factor, so rules offer every way of instantiating
     their configuration and the screen keeps the discipline honest.
     When no candidate qualifies the first one is still sound and is
-    returned with a -fallback tag; these picks are all that
-    SearchStats.fallbacks counts.
+    returned with a -fallback tag, which _expand counts in
+    SearchStats.fallbacks.
     """
     fallback = None
     for name, children in candidates:
@@ -256,7 +256,6 @@ def _screen(red: Instance, candidates, stats: "SearchStats") -> Optional[Branchi
             fallback = (name, children)
     if fallback is None:
         return None
-    stats.fallbacks += 1
     return fallback[0] + "-fallback", fallback[1]
 
 
@@ -283,15 +282,15 @@ def _triple_candidates(red: Instance, name: str, fits: int):
             yield name, children
 
 
-def _rule_three_with_four(red: Instance, stats: "SearchStats") -> Optional[Branching]:
+def _rule_three_with_four(red: Instance) -> Optional[Branching]:
     # A four-color q has exactly two constraints, or high-degree fires.
     fits = sum(m for m in red.live.values() if m.bit_count() >= 4)
-    return _screen(red, _triple_candidates(red, "triple-with-four", fits), stats)
+    return _screen(red, _triple_candidates(red, "triple-with-four", fits))
 
 
-def _rule_three_with_two(red: Instance, stats: "SearchStats") -> Optional[Branching]:
+def _rule_three_with_two(red: Instance) -> Optional[Branching]:
     fits = sum(1 << i for i, hit in red.conf.items() if hit.bit_count() == 2)
-    return _screen(red, _triple_candidates(red, "triple-with-two", fits), stats)
+    return _screen(red, _triple_candidates(red, "triple-with-two", fits))
 
 
 def _free_children(red: Instance, pairs: list[Pair]):
@@ -371,9 +370,7 @@ def _witness_children(
     return children
 
 
-def _large_three_children(
-    red: Instance, comp: list[Pair], stats: "SearchStats"
-) -> Branching:
+def _large_three_children(red: Instance, comp: list[Pair]) -> Branching:
     """Branch on a witness: a pair, its three neighbors, and a fifth pair
     on a fresh variable constrained by at least one neighbor."""
 
@@ -390,7 +387,7 @@ def _large_three_children(
         p = comp[0]
         yield "large-three-component", [[use(p)], [avoid(p)]]
 
-    return _screen(red, candidates(), stats)
+    return _screen(red, candidates())
 
 
 def _components(red: Instance, degree: Optional[int] = None) -> list[list[Pair]]:
@@ -401,17 +398,17 @@ def _components(red: Instance, degree: Optional[int] = None) -> list[list[Pair]]
     return [[pairs[i] for i in comp] for comp in components(ids, lambda i: bits(conf[i]))]
 
 
-def _rule_three_components(red: Instance, stats: "SearchStats") -> Optional[Branching]:
+def _rule_three_components(red: Instance) -> Optional[Branching]:
     for comp in _components(red, 3):
         if len({p[0] for p in comp}) >= 5:
-            return _large_three_children(red, comp, stats)
+            return _large_three_children(red, comp)
         got = _small_three_children(red, comp)
         if got is not None:
             return got
     return None
 
 
-def _rule_two_components(red: Instance, stats: "SearchStats") -> Optional[Branching]:
+def _rule_two_components(red: Instance) -> Optional[Branching]:
     for comp in _components(red, 2):
         if len(comp) <= 3:
             continue
@@ -455,25 +452,23 @@ def _rule_two_components(red: Instance, stats: "SearchStats") -> Optional[Branch
                     [use(cyc[i]), use(cyc[(i + 3) % length])],
                 ]
 
-        return _screen(red, candidates(), stats)
+        return _screen(red, candidates())
     return None
 
 
-def choose_rule(red: Instance, stats: "SearchStats") -> Optional[Branching]:
-    """Find the first applicable branching rule on a reduced instance.
+def choose_rule(red: Instance) -> Optional[Branching]:
+    """Find the first applicable branching rule on a reduced instance,
+    which it leaves unchanged.
 
     Returns None when no rule applies: the instance is then in matching
     form, which matching_solve checks.
     """
-    for rule in (_rule_single_constraint, _rule_multi_adjacency, _rule_high_degree):
-        got = rule(red)
-        if got is not None:
-            return got
     for rule in (
+        _rule_single_constraint, _rule_multi_adjacency, _rule_high_degree,
         _rule_three_with_four, _rule_three_with_two,
         _rule_three_components, _rule_two_components,
     ):
-        got = rule(red, stats)
+        got = rule(red)
         if got is not None:
             return got
     return None
@@ -560,7 +555,7 @@ class SearchStats:
     nodes: int = 0  # own search nodes: CSP in solve, graph in the colorings
     leaves: int = 0  # own leaves; a nested call's leaves stay its own
     rule_counts: Counter = field(default_factory=Counter)
-    fallbacks: int = 0  # screened rules' -fallback picks (_screen)
+    fallbacks: int = 0  # the rule_counts picks tagged -fallback (see _screen)
     csp_calls: int = 0  # nested CSP solves and their nodes
     csp_nodes: int = 0
     splices: int = 0
@@ -621,7 +616,7 @@ def _expand(cfg: SolverConfig, stats: SearchStats, state: tuple[Instance, LiftTr
     if red.n == 0:
         stats.leaves += 1
         return lift({}, path), ()
-    got = choose_rule(red, stats)
+    got = choose_rule(red)
     if got is None:
         stats.leaves += 1
         stats.rule_counts["matching"] += 1
@@ -629,6 +624,7 @@ def _expand(cfg: SolverConfig, stats: SearchStats, state: tuple[Instance, LiftTr
         return (lift(sol, path) if sol is not None else None), ()
     name, children = got
     stats.rule_counts[name] += 1
+    stats.fallbacks += name.endswith("-fallback")
     if cfg.check_claims:
         vec = live_vector(red, children)
         # raised, not asserted, so the check also runs under python -O

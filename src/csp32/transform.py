@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Optional
 
+from .graphalg import adjacency
 from .instance import (
     Assignment,
     Instance,
@@ -201,12 +202,8 @@ def coloring_to_csp(
     contributes one constraint per color shared by its endpoints.  A
     self-loop or a vertex outside range(n) raises ValueError.
     """
+    g = adjacency(n, edges)
     colors = {v: {0, 1, 2} if lists is None else set(lists[v]) for v in range(n)}
-    for (u, v) in edges:
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        if u not in colors or v not in colors:
-            raise ValueError(f"edge ({u}, {v}) has a vertex outside 0..{n - 1}")
-    return Instance.build(
-        colors, (((u, c), (v, c)) for (u, v) in edges for c in colors[u] & colors[v])
-    )
+    return Instance.build(colors, (
+        ((u, c), (v, c)) for u in g for v in g[u] if u < v for c in colors[u] & colors[v]
+    ))

@@ -24,27 +24,12 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
 
-from .graphalg import bfs, bfs_path, components, depth_first, max_flow
+from .graphalg import Adjacency, adjacency, bfs, bfs_path, components, depth_first, max_flow
 from .instance import lift
 from .solver import NodeLimitReached, SearchStats, SolverConfig, solve
 from .transform import coloring_to_csp
 
 Coloring = dict[int, int]
-Adjacency = dict[int, set[int]]
-
-
-def adjacency(n: int, edges) -> Adjacency:
-    """The simple graph on vertices 0..n-1 with the given edges; a
-    self-loop or a vertex outside that range raises ValueError."""
-    g: Adjacency = {v: set() for v in range(n)}
-    for u, v in edges:
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        if u not in g or v not in g:
-            raise ValueError(f"edge ({u}, {v}) has a vertex outside 0..{n - 1}")
-        g[u].add(v)
-        g[v].add(u)
-    return g
 
 
 def remove_vertex(g: Adjacency, v: int):

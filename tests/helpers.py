@@ -1065,7 +1065,7 @@ def walk_rules(inst, tally, node_cap=300, brute_cap=11):
         red, _ = simplify(cur.copy())
         if red is None or red.n == 0:
             continue
-        got = choose_rule(red, SearchStats())
+        got = choose_rule(red)
         if got is None:
             tally["matching"] += 1
             want = brute_csp(red.copy()) is not None
@@ -1114,7 +1114,7 @@ def eager_solve(inst):
         if red.n == 0:
             stats.leaves += 1
             return lift({}, path), ()
-        got = choose_rule(red, stats)
+        got = choose_rule(red)
         if got is None:
             stats.leaves += 1
             stats.rule_counts["matching"] += 1
@@ -1122,6 +1122,7 @@ def eager_solve(inst):
             return (lift(sol, path) if sol is not None else None), ()
         name, children = got
         stats.rule_counts[name] += 1
+        stats.fallbacks += name.endswith("-fallback")
         built = [build(red, c) for c in children]
         live = [(inst, path + trace) for inst, trace in filter(None, built)]
         if not live:

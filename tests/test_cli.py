@@ -1,9 +1,12 @@
 """Command line interface: file formats, subcommands, exit codes."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import csp32
 from csp32 import cli
 from csp32.cli import EXIT_LIMIT, EXIT_SAT, EXIT_UNSAT, EXIT_USAGE, main
 from csp32.solver import SearchStats
@@ -61,6 +64,18 @@ def k4_csp(tmp_path):
         [{"id": v, "colors": [0, 1, 2]} for v in range(4)],
         [[[v, c], [w, c]] for v in range(4) for w in range(v + 1, 4) for c in range(3)],
     )
+
+
+def test_version_is_the_package_version(capsys):
+    # a source checkout has no installed metadata, so the version is read
+    # from the package; it must match pyproject's (a regex, as Python 3.10
+    # has no tomllib)
+    with pytest.raises(SystemExit) as info:
+        main(["--version"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.strip() == csp32.__version__
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^version = "(.*)"$', pyproject, re.M).group(1) == csp32.__version__
 
 
 def test_solve_sat_and_unsat(tmp_path, capsys):

@@ -13,7 +13,6 @@ from csp32 import solver
 from csp32.instance import Assigned, check, lift, simplify
 from csp32.oracle import brute_csp, random_cubic, random_graph, structured_csp
 from csp32.solver import (
-    SearchStats,
     SolverConfig,
     _rule_multi_adjacency,
     build,
@@ -47,7 +46,7 @@ def test_bases_are_reduced_and_fire_their_rule():
         inst = build_instance(colors, cons)
         red, trace = simplify(inst.copy())
         assert red is not None and red.n == inst.n and not trace, name
-        got = choose_rule(red, SearchStats())
+        got = choose_rule(red)
         assert got is not None, name
         assert got[0] == EXPECTED_RULE[name], (name, got[0])
 
@@ -133,7 +132,7 @@ def test_multi_adjacency_matches_pairwise_reference():
             got = _branching(red, _rule_multi_adjacency(red))
             assert got == _branching(red, brute_multi_adjacency(red))
             tally[got and (got[0], len(got[1]))] += 1
-            step = choose_rule(red, SearchStats())
+            step = choose_rule(red)
             if step is not None:
                 pending += [b[0] for c in step[1] if (b := build(red, c))]
     assert tally[("implication", 2)] >= 500, tally
@@ -169,7 +168,7 @@ def test_hand_built_implication_cycle_and_two_component_cases():
     for inst in (shared, three_apart):
         red, trace = simplify(inst.copy())
         assert red is not None and red.n == inst.n and not trace
-        name, children = choose_rule(red, SearchStats())
+        name, children = choose_rule(red)
         built = [build(red, c) for c in children]
         got[name] = [b and b[1] for b in built]
         if name == "implication-cycle":

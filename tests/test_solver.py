@@ -19,6 +19,7 @@ from csp32.solver import (
     _screen,
     avoid,
     build,
+    choose_rule,
     claim_cap,
     matching_solve,
     solve,
@@ -29,7 +30,7 @@ from csp32.solver import (
 )
 from csp32.transform import sat_to_csp
 
-from helpers import build_instance, eager_solve
+from helpers import RULE_BASES, build_instance, eager_solve
 
 
 def test_contrib_weights():
@@ -364,7 +365,47 @@ def test_build_returns_none_for_a_dead_child():
 def test_screen_takes_a_branching_with_every_child_refuted():
     inst = build_instance({0: range(3), 1: range(3)}, [((0, 0), (1, 0))])
     dead = [[use((0, 0)), use((1, 0))] for _ in range(2)]
-    assert _screen(inst, [("high-degree", dead)], SearchStats()) == ("high-degree", dead)
+    assert _screen(inst, [("high-degree", dead)]) == ("high-degree", dead)
+
+
+def _six_variable_degree_three_batch():
+    """Structured CSPs whose pairs all have three constraints, on six
+    variables: a few of them take a screened rule's fallback."""
+    for seed in range(200):
+        yield structured_csp(random.Random(seed), [3] * 6, 0)
+
+
+def test_choose_rule_leaves_the_instance_unchanged():
+    starts = [build_instance(*base) for base in RULE_BASES.values()]
+    rng = random.Random(39)
+    starts += [planted_csp(rng, rng.randint(8, 14), rng.choice((3, 4)), 0.35)[0] for _ in range(20)]
+    starts += list(_six_variable_degree_three_batch())
+    seen = Counter()
+    for inst in starts:
+        pending, nodes = [inst], 0
+        while pending and nodes < 40:
+            nodes += 1
+            red, _trace = simplify(pending.pop())
+            if red is None or red.n == 0:
+                continue
+            before = (dict(red.live), dict(red.conf), red.next_id)
+            got = choose_rule(red)
+            assert (red.live, red.conf, red.next_id) == before, got and got[0]
+            if got is not None:
+                seen[got[0]] += 1
+                pending += [b[0] for c in got[1] if (b := build(red, c))]
+    # the screened rules, which build every candidate's children, ran too
+    assert sum(n for name, n in seen.items() if name.startswith(SCREENED)) >= 20, seen
+
+
+def test_fallbacks_are_the_rule_counts_tagged_fallback():
+    total = SearchStats()
+    for inst in _six_variable_degree_three_batch():
+        stats = solve(inst).stats
+        tagged = sum(n for name, n in stats.rule_counts.items() if name.endswith("-fallback"))
+        assert stats.fallbacks == tagged
+        total.absorb(stats)
+    assert total.fallbacks >= 1, total.rule_counts
 
 
 def test_a_branching_with_no_live_child_is_a_refuted_leaf(monkeypatch):
@@ -378,7 +419,7 @@ def test_a_branching_with_no_live_child_is_a_refuted_leaf(monkeypatch):
     assert red is not None and red.n == 4
     monkeypatch.setattr(
         "csp32.solver.choose_rule",
-        lambda red, stats: ("high-degree", [[use((0, 0)), use((1, 0))]]),
+        lambda red: ("high-degree", [[use((0, 0)), use((1, 0))]]),
     )
     res = solve(k4)
     assert res.satisfiable is False
@@ -440,8 +481,8 @@ def test_solve_matches_the_eager_reference(monkeypatch, kill):
     if kill:
         rule = solver.choose_rule
 
-        def killing(red, stats):
-            got = rule(red, stats)
+        def killing(red):
+            got = rule(red)
             if got is not None and red.n % 4 == 0:
                 p = red.table.pairs[next(iter(red.conf))]
                 # p is gone by the second use
@@ -489,15 +530,15 @@ def _count_builds(monkeypatch):
             created.extend(children)
             yield name, children
 
-    def recorded(red, stats):
-        got = rule(red, stats)
+    def recorded(red):
+        got = rule(red)
         if got is not None:
             created.extend(got[1])
             branchings.append((red, *got))
         return got
 
     monkeypatch.setattr(solver, "build", counted)
-    monkeypatch.setattr(solver, "_screen", lambda red, cands, stats: screen(red, seen(cands), stats))
+    monkeypatch.setattr(solver, "_screen", lambda red, cands: screen(red, seen(cands)))
     monkeypatch.setattr(solver, "choose_rule", recorded)
     return created, built, branchings
 
@@ -549,7 +590,7 @@ def test_check_claims_builds_and_checks_every_child(monkeypatch):
     # a second child with no edits claims no decrease: still caught
     monkeypatch.setattr(
         solver, "choose_rule",
-        lambda red, stats: ("high-degree", [[use((0, 0))], []]),
+        lambda red: ("high-degree", [[use((0, 0))], []]),
     )
     k4 = build_instance(
         {v: range(3) for v in range(4)},
