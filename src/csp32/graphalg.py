@@ -28,8 +28,10 @@ Adjacency = dict[int, set[int]]
 
 
 def adjacency(n: int, edges) -> Adjacency:
-    """The simple graph on vertices 0..n-1 with the given edges; a
-    self-loop or a vertex outside that range raises ValueError."""
+    """The simple graph on vertices 0..n-1 with the given edges; a negative
+    n, a self-loop or a vertex outside that range raises ValueError."""
+    if n < 0:
+        raise ValueError(f"negative vertex count {n}")
     g: Adjacency = {v: set() for v in range(n)}
     for u, v in edges:
         if u == v:

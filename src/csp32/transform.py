@@ -200,10 +200,13 @@ def coloring_to_csp(
 
     With no lists given every vertex may take colors 0, 1, 2.  Each edge
     contributes one constraint per color shared by its endpoints.  A
-    self-loop or a vertex outside range(n) raises ValueError.
+    negative n, a self-loop, a vertex outside range(n) or one without a
+    list raises ValueError.
     """
     g = adjacency(n, edges)
-    colors = {v: {0, 1, 2} if lists is None else set(lists[v]) for v in range(n)}
+    if lists is not None and (missing := set(g) - set(lists)):
+        raise ValueError(f"vertex {min(missing)} has no color list")
+    colors = {v: {0, 1, 2} if lists is None else set(lists[v]) for v in g}
     return Instance.build(colors, (
         ((u, c), (v, c)) for u in g for v in g[u] if u < v for c in colors[u] & colors[v]
     ))

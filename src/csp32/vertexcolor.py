@@ -8,8 +8,9 @@ colorings of the forest interiors with a forward check, and decides
 each leaf the same way.  Even, Itai & Shamir's commit loop colors the
 leaf outright if it can; if it gets stuck, the same loop on the 2-SAT
 relaxation, the two-color vertices alone, may refute the leaf; otherwise
-the vertices still undecided after propagation, with the colors they
-have left, go to the CSP solver as a list-coloring instance.
+the leaf goes to the CSP solver as a list-coloring instance, each vertex
+with its mask's colors (a one-color vertex is unconstrained, so the
+root reduction assigns it).
 
 The graph changes only by vertex removals and merges, each recorded as
 a lift step (GreedyColored or CycleColored, and Merged).  Lifting
@@ -25,9 +26,8 @@ from itertools import combinations
 from typing import Optional
 
 from .graphalg import Adjacency, adjacency, bfs, bfs_path, components, depth_first, max_flow
-from .instance import lift
+from .instance import Instance, bits, lift
 from .solver import NodeLimitReached, SearchStats, SolverConfig, solve
-from .transform import coloring_to_csp
 
 Coloring = dict[int, int]
 
@@ -573,16 +573,17 @@ def _residual_solve(g, masks: dict, cfg, stats) -> Optional[Coloring]:
     """The leaf's CSP call on the forward-checked masks of a full interior
     coloring.
 
-    A vertex whose mask holds one color takes it: propagation cleared it
-    from every neighbour.  The commit loop first runs on the masks
-    themselves, three-color vertices included, and a coloring it reaches
-    is the leaf's.  If it gets stuck, it runs again on the 2-SAT
-    relaxation, the two-color vertices alone, with the three-color ones
-    masked to 0 and so left out with their edges; if that is refuted, no
-    coloring of the leaf exists.  Either outcome is charged as the
-    one-node CSP solve it replaces.  Otherwise the undecided vertices, in
-    vertex order, go to the CSP with their masks' colors as lists; a CSP
-    with at most two three-color variables is decided at the root."""
+    The commit loop first runs on the masks themselves, three-color
+    vertices included, and a coloring it reaches is the leaf's.  If it
+    gets stuck, it runs again on the 2-SAT relaxation, the two-color
+    vertices alone, with the three-color ones masked to 0 and so left
+    out with their edges; if that is refuted, no coloring of the leaf
+    exists.  Either outcome is charged as the one-node CSP solve it
+    replaces.  Otherwise every leaf vertex goes to the CSP with its
+    mask's colors, one constraint per color shared across an edge.  A
+    one-color vertex is unconstrained, as propagation cleared its color
+    from every neighbour, so the root reduction assigns it; a CSP with
+    at most two three-color variables is decided at the root."""
     committed = _commit_loop(g, masks)
     relaxed = committed is None and {v: 0 if m == 7 else m for v, m in masks.items()}
     if not relaxed or _commit_loop(g, relaxed) is None:
@@ -590,19 +591,12 @@ def _residual_solve(g, masks: dict, cfg, stats) -> Optional[Coloring]:
         stats.csp_nodes += 1
         cfg.charge(stats)
         return committed and {v: m.bit_length() - 1 for v, m in committed.items()}
-    rest = [v for v in sorted(masks) if masks[v] & (masks[v] - 1)]
-    index = {v: i for i, v in enumerate(rest)}
-    lists = {i: [c for c in (0, 1, 2) if masks[v] >> c & 1] for i, v in enumerate(rest)}
-    edges = [(index[u], index[v]) for u in rest for v in g[u] if index.get(v, -1) > index[u]]
-    inst = coloring_to_csp(len(rest), edges, lists)
+    inst = Instance.build({v: bits(m) for v, m in masks.items()}, (
+        ((u, c), (v, c)) for u in g for v in g[u] if u < v for c in bits(masks[u] & masks[v])))
     res = solve(inst, cfg.nested(stats))
     stats.absorb(res.stats, csp=True)
     cfg.charge(stats)  # raises when the nested solve ran out
-    if not res.satisfiable:
-        return None
-    full = {v: m.bit_length() - 1 for v, m in masks.items()}
-    full.update((v, res.assignment[i]) for i, v in enumerate(rest))
-    return full
+    return res.assignment
 
 
 def _expand(cfg: SolverConfig, stats: SearchStats, state: tuple[Adjacency, list]):

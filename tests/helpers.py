@@ -1179,3 +1179,62 @@ def brute_witness_children(red, v_pair, nbrs, z):
             [avoid(z), avoid(v_pair), avoid(r), use(w)],
         ]
     return children
+
+
+def dpll(clauses, asg=None):
+    """Satisfying assignment (variable -> bool) of a CNF by Davis-Putnam-
+    Logemann-Loveland search (CACM 5(7), 1962), or None: unit propagation,
+    then a branch on the first literal of a shortest open clause.  A
+    variable the assignment leaves out is free."""
+    asg = dict(asg or {})
+    while True:
+        live = []
+        for cl in clauses:
+            if any(asg.get(abs(lit)) == (lit > 0) for lit in cl):
+                continue
+            if not (rest := [lit for lit in cl if abs(lit) not in asg]):
+                return None
+            live.append(rest)
+        if not live:
+            return asg
+        unit = next((cl[0] for cl in live if len(cl) == 1), None)
+        if unit is None:
+            break
+        asg[abs(unit)] = unit > 0
+    lit = min(live, key=len)[0]
+    for value in (lit > 0, lit < 0):
+        if (got := dpll(clauses, {**asg, abs(lit): value})) is not None:
+            return got
+    return None
+
+
+def dsatur_color(n, edges):
+    """Proper 3-coloring of (n, edges) by DSATUR backtracking (Brelaz,
+    CACM 22(4), 1979), or None.  The next vertex is an uncolored one
+    with the most distinct colors among its neighbours, ties to the
+    higher degree and then the lower id; it tries each color its
+    neighbours leave, up to one above the highest color used so far,
+    which breaks the symmetry of the three colors."""
+    g = {v: set() for v in range(n)}
+    for u, v in edges:
+        g[u].add(v)
+        g[v].add(u)
+    colors = {}
+
+    def used(v):
+        return {colors[u] for u in g[v] if u in colors}
+
+    def search():
+        if len(colors) == n:
+            return True
+        v = max((u for u in g if u not in colors), key=lambda u: (len(used(u)), len(g[u]), -u))
+        taken = used(v)
+        for c in range(min(3, max(colors.values(), default=-1) + 2)):
+            if c not in taken:
+                colors[v] = c
+                if search():
+                    return True
+                del colors[v]
+        return False
+
+    return dict(colors) if search() else None

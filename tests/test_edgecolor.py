@@ -114,6 +114,8 @@ def test_edge_color_rejects_vertex_out_of_range():
     for edges in ([(0, 1), (1, 5)], [(-1, 0)]):
         with pytest.raises(ValueError, match="outside"):
             edge_color(3, edges)
+    with pytest.raises(ValueError, match="negative vertex count -1"):
+        edge_color(-1, [])
 
 
 def test_edge_color_rejects_self_loop():

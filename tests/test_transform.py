@@ -188,6 +188,11 @@ def test_coloring_rejects_a_vertex_outside_the_range():
     for edge in ((0, 5), (3, 1), (-1, 0)):
         with pytest.raises(ValueError, match="outside 0..2"):
             coloring_to_csp(3, [edge])
+    with pytest.raises(ValueError, match="negative vertex count -1"):
+        coloring_to_csp(-1, [])
+    # a list for some vertices must name every vertex's
+    with pytest.raises(ValueError, match="vertex 1 has no color list"):
+        coloring_to_csp(3, [(0, 1)], {0: [0]})
 
 
 def test_sat_translation_refuted_by_propagation():

@@ -10,7 +10,7 @@ import pytest
 import csp32.vertexcolor as vertexcolor
 from csp32.edgecolor import edge_color
 from csp32.graphalg import bfs
-from csp32.instance import Instance, lift
+from csp32.instance import Instance, bits, lift
 from csp32.oracle import (
     brute_csp,
     brute_vertex_color,
@@ -356,6 +356,9 @@ def test_claim_checked_coloring_matches_brute_force():
 def test_color_graph_rejects_vertex_out_of_range():
     with pytest.raises(ValueError, match="outside"):
         color_graph(2, [(5, 1)])
+    for front_end in (color_graph, lambda n, edges: brute_vertex_color((n, edges))):
+        with pytest.raises(ValueError, match="negative vertex count -1"):
+            front_end(-1, [])
 
 
 def test_color_graph_rejects_self_loop():
@@ -565,12 +568,12 @@ def test_height_two_unit_colors_both_forks_of_five_grandchildren():
 
 
 def _record_csp(monkeypatch):
-    """Patch the leaf CSP calls to log (n, edges, lists) of each one
-    that succeeds, and the leaf residue solves (CSP call or propagation,
-    in vertexcolor and in the brute reference) to log each coloring they
-    return."""
-    last, solved, decided = {}, [], []
-    to_csp, solve = vertexcolor.coloring_to_csp, vertexcolor.solve
+    """Patch the leaf CSP calls to log the instance (colors and
+    constraints) of each one that succeeds, and the leaf residue solves
+    (CSP call or propagation, in vertexcolor and in the brute reference)
+    to log each coloring they return."""
+    solved, decided = [], []
+    solve = vertexcolor.solve
     residual_solve = vertexcolor._residual_solve
 
     def logged_residual_solve(*args):
@@ -579,17 +582,13 @@ def _record_csp(monkeypatch):
             decided.append(full)
         return full
 
-    def coloring_to_csp(n, edges, lists):
-        last["args"] = (n, list(edges), {v: set(cs) for v, cs in lists.items()})
-        return to_csp(n, edges, lists)
-
     def logged_solve(inst, cfg):
+        args = (inst.colors, inst.constraints())
         res = solve(inst, cfg)
         if res.satisfiable:
-            solved.append(last["args"])
+            solved.append(args)
         return res
 
-    monkeypatch.setattr(vertexcolor, "coloring_to_csp", coloring_to_csp)
     monkeypatch.setattr(vertexcolor, "solve", logged_solve)
     monkeypatch.setattr(vertexcolor, "_residual_solve", logged_residual_solve)
     monkeypatch.setattr(helpers, "_residual_solve", logged_residual_solve)
@@ -796,34 +795,44 @@ def test_incremental_forward_check_matches_brute_reference(monkeypatch):
     assert checks - before[0] > 200 and refuted - before[1] > 50  # line graphs
 
 
-def test_leaf_csp_gets_only_undecided_vertices(monkeypatch):
+def test_leaf_csp_holds_every_leaf_vertex_with_its_mask(monkeypatch):
     # At every leaf CSP call of seeded color-planted, G(n, p) and
-    # line-graph leaves, the CSP holds the vertices with two or three
-    # colors left, in vertex order, with their masks as lists, and a
-    # vertex left one color takes it.  A leaf goes to the CSP only when
-    # the commit loop is stuck on its masks and the 2-SAT relaxation
-    # holds; the loop colors most leaves and the relaxation refutes most
-    # of the rest, so the planted batch runs to 2,000 seeds, a sparser
-    # planted batch adds 2,000, and the flower snarks and 200 random cubic
-    # graphs give the line-graph floors their entries.
-    residual_solve, to_csp = vertexcolor._residual_solve, vertexcolor.coloring_to_csp
+    # line-graph leaves, the CSP holds every leaf vertex, on its own id,
+    # with its mask's colors, and one constraint per color shared across
+    # each leaf edge.  A vertex left one color has no constraint, as
+    # propagation cleared that color from its neighbours; dropping those
+    # vertices and renumbering the rest in vertex order gives _leaf_csp.
+    # A leaf goes to the CSP only when the commit loop is stuck on its
+    # masks and the 2-SAT relaxation holds; the loop colors most leaves
+    # and the relaxation refutes most of the rest, so the planted batch
+    # runs to 2,000 seeds, a sparser planted batch adds 2,000, and the
+    # flower snarks and 200 random cubic graphs give the line-graph
+    # floors their entries.
+    residual_solve, csp_solve = vertexcolor._residual_solve, vertexcolor.solve
     commit_loop = vertexcolor._commit_loop
-    leaf = {}  # graph, masks and undecided vertices of the call in progress
+    leaf = {}  # graph and masks of the call in progress
     sizes = Counter()
 
-    def coloring_to_csp(n, edges, lists):
-        g, masks, undecided = leaf["g"], leaf["masks"], leaf["undecided"]
-        assert n == len(undecided) and set(lists) == set(range(n))
+    def checked_solve(inst, cfg):
+        g, masks = leaf["g"], leaf["masks"]
         assert commit_loop(g, masks) is None
         assert commit_loop(g, {v: 0 if m == 7 else m for v, m in masks.items()}) is not None
-        for i, v in enumerate(undecided):
-            assert sorted(lists[i]) == [c for c in (0, 1, 2) if masks[v] >> c & 1]
-            sizes[len(lists[i])] += 1
-        return to_csp(n, edges, lists)
+        assert inst.colors == {v: frozenset(bits(m)) for v, m in masks.items()}
+        cons = inst.constraints()
+        assert cons == sorted(
+            ((u, c), (v, c)) for u in g for v in g[u] if u < v for c in bits(masks[u] & masks[v])
+        )
+        assert all(masks[v] & (masks[v] - 1) for con in cons for v, _ in con)
+        index = {v: i for i, v in enumerate(v for v in sorted(masks) if masks[v] & (masks[v] - 1))}
+        want = _leaf_csp(g, masks)
+        assert {index[v]: cs for v, cs in inst.colors.items() if v in index} == want.colors
+        assert [((index[u], c), (index[v], d)) for (u, c), (v, d) in cons] == want.constraints()
+        for v in index:
+            sizes[masks[v].bit_count()] += 1
+        return csp_solve(inst, cfg)
 
     def checked(g, masks, cfg, stats):
         leaf["g"], leaf["masks"] = g, masks
-        leaf["undecided"] = sorted(v for v, m in masks.items() if m & (m - 1))
         full = residual_solve(g, masks, cfg, stats)
         forced = {v: m.bit_length() - 1 for v, m in masks.items() if not m & (m - 1)}
         sizes[1] += len(forced)  # colored vertices and the ones propagation forced
@@ -831,7 +840,7 @@ def test_leaf_csp_gets_only_undecided_vertices(monkeypatch):
             assert full.items() >= forced.items()
         return full
 
-    monkeypatch.setattr(vertexcolor, "coloring_to_csp", coloring_to_csp)
+    monkeypatch.setattr(vertexcolor, "solve", checked_solve)
     monkeypatch.setattr(vertexcolor, "_residual_solve", checked)
     for graph in _seeded_graphs(120):
         color_graph(*graph)
@@ -848,7 +857,7 @@ def test_leaf_csp_gets_only_undecided_vertices(monkeypatch):
     # its first coloring forces 2, 3 and 4 (adjacent to both) and then 5,
     # 6 and 7 (adjacent to 1 and 2), so all eight masks hold one color,
     # no vertex is left undecided and the leaf counts as one CSP call
-    # without building one.
+    # without calling solve.
     edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7),
              (2, 5), (2, 6), (2, 7)]
     g = adjacency(8, edges)
@@ -939,9 +948,9 @@ def test_two_list_leaf_hand_built_cases(monkeypatch):
     # whole residue confirms, and the direct CSP's verdict is the leaf's.
     built = []
 
-    def logged_to_csp(n, edges, lists):
-        built.append(n)
-        return coloring_to_csp(n, edges, lists)
+    def logged_solve(inst, cfg):
+        built.append(inst.n)
+        return solve(inst, cfg)
 
     def decide(g, masks):
         del built[:]
@@ -955,7 +964,7 @@ def test_two_list_leaf_hand_built_cases(monkeypatch):
             assert all(full[u] != full[v] for u in g for v in g[u])
         return full, list(built)
 
-    monkeypatch.setattr(vertexcolor, "coloring_to_csp", logged_to_csp)
+    monkeypatch.setattr(vertexcolor, "solve", logged_solve)
 
     # An odd cycle with lists {0, 1}: the loop gets stuck, the relaxation
     # (the same masks, as no vertex has three colors) refutes it, and no
@@ -1011,11 +1020,11 @@ def test_two_sat_relaxation_hand_built_cases(monkeypatch):
     # one-node solve it replaces.
     built = []
 
-    def logged_to_csp(n, edges, lists):
-        built.append(n)
-        return coloring_to_csp(n, edges, lists)
+    def logged_solve(inst, cfg):
+        built.append(inst.n)
+        return solve(inst, cfg)
 
-    monkeypatch.setattr(vertexcolor, "coloring_to_csp", logged_to_csp)
+    monkeypatch.setattr(vertexcolor, "solve", logged_solve)
     edges = [(i, (i + 1) % 5) for i in range(5)] + [(5, 0), (6, 2), (7, 4), (5, 6), (6, 7)]
     g = adjacency(8, edges)
     masks = {**dict.fromkeys(range(5), 0b011), 5: 7, 6: 7, 7: 7}
@@ -1047,10 +1056,10 @@ def test_two_sat_relaxation_refutes_only_uncolorable_leaves(monkeypatch):
     # proper, and is the leaf's.  A stuck loop runs again on the 2-SAT
     # relaxation, the masks with 7 -> 0, whose verdict is the direct
     # CSP's on the two-color vertices alone.  A refuted relaxation builds
-    # no CSP; only a satisfiable one builds one.  The loop and the
-    # relaxation are charged as one CSP call of one node.
+    # no CSP; only a satisfiable one builds one, on every leaf vertex.
+    # The loop and the relaxation are charged as one CSP call of one node.
     residual_solve, commit_loop = vertexcolor._residual_solve, vertexcolor._commit_loop
-    to_csp = vertexcolor.coloring_to_csp
+    csp_solve = vertexcolor.solve
     loops, built = [], []  # of the leaf in progress
     outcomes = Counter()
 
@@ -1059,9 +1068,9 @@ def test_two_sat_relaxation_refutes_only_uncolorable_leaves(monkeypatch):
         loops.append((masks, out))
         return out
 
-    def logged_to_csp(n, edges, lists):
-        built.append(n)
-        return to_csp(n, edges, lists)
+    def logged_solve(inst, cfg):
+        built.append(inst.n)
+        return csp_solve(inst, cfg)
 
     def checked(g, masks, cfg, stats):
         del loops[:], built[:]
@@ -1082,8 +1091,7 @@ def test_two_sat_relaxation_refutes_only_uncolorable_leaves(monkeypatch):
             sub = {v: ns - {u for u in ns if not relaxed[u]} for v, ns in g.items() if relaxed[v]}
             assert (two_sat is not None) == solve(_leaf_csp(sub, relaxed)).satisfiable
             outcome = "refuted" if two_sat is None else "csp"
-            undecided = [v for v, m in masks.items() if m & (m - 1)]
-            assert built == ([] if two_sat is None else [len(undecided)])
+            assert built == ([] if two_sat is None else [len(masks)])
         if not built:
             assert stats.csp_nodes == nodes + 1
         if full is not None:
@@ -1093,7 +1101,7 @@ def test_two_sat_relaxation_refutes_only_uncolorable_leaves(monkeypatch):
         return full
 
     monkeypatch.setattr(vertexcolor, "_commit_loop", logged_loop)
-    monkeypatch.setattr(vertexcolor, "coloring_to_csp", logged_to_csp)
+    monkeypatch.setattr(vertexcolor, "solve", logged_solve)
     monkeypatch.setattr(vertexcolor, "_residual_solve", checked)
     for seed in range(300):
         rng = random.Random(seed)
