@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import sys
 from collections import Counter
 from itertools import combinations, product
@@ -104,9 +105,16 @@ def test_flower_snarks_are_not_edge_colorable():
 
 
 def test_edge_color_rejects_repeated_edges():
-    # one color for both copies of an edge would be returned otherwise
-    for edges in ([(0, 1), (0, 1)], [(0, 1), (1, 0)]):
-        with pytest.raises(ValueError, match="repeated edge"):
+    # one color for both copies of an edge would be returned otherwise;
+    # the error names the first edge that repeats an earlier one
+    for edges, named in (
+        ([(0, 1), (0, 1)], "(0, 1)"),
+        ([(0, 1), (1, 0)], "(1, 0)"),
+        ([(0, 1), (1, 2), (2, 0), (2, 1)], "(2, 1)"),
+        ([(0, 1), (1, 2), (1, 0)], "(1, 0)"),
+        ([(0, 1), (0, 1), (0, 1)], "(0, 1)"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"repeated edge {named}")):
             edge_color(3, edges)
 
 
