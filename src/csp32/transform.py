@@ -1,7 +1,8 @@
 """Translations between problem formats.
 
 Covers the constraint/variable duality that turns an (a,b)-CSP into a
-(b,a)-CSP, the 3-SAT front end built on it, and the direct encoding of
+(b,a)-CSP, the 3-SAT front end that builds the dual of a CNF straight
+from two conflict masks per SAT variable, and the direct encoding of
 graph coloring with color lists as a binary CSP.
 """
 
@@ -103,13 +104,13 @@ def dualize(csp: GeneralCSP) -> tuple[GeneralCSP, DualMap]:
         domains[i] = {v for (v, _c) in con}
         for (v, c) in con:
             ruled[(i, v)] = c
+    # Who can rule out each value of each variable?
+    rulers: dict[Pair, list[Pair]] = {}
+    for (i, v), c in ruled.items():
+        rulers.setdefault((v, c), []).append((i, v))
     dual_constraints: list[tuple[Pair, ...]] = []
     for v in sorted(csp.domains):
-        # Who can rule out each value of v?
-        by_value: dict[int, list[Pair]] = {c: [] for c in csp.domains[v]}
-        for (i, w), c in ruled.items():
-            if w == v:
-                by_value[c].append((i, v))
+        by_value = {c: rulers.get((v, c), []) for c in csp.domains[v]}
         if any(not ps for ps in by_value.values()):
             continue  # some value of v is always available
         for combo in product(*(sorted(by_value[c]) for c in sorted(by_value))):
@@ -117,28 +118,6 @@ def dualize(csp: GeneralCSP) -> tuple[GeneralCSP, DualMap]:
             if con is not None:
                 dual_constraints.append(con)
     return GeneralCSP(domains, dual_constraints), DualMap(dict(csp.domains), ruled)
-
-
-def binary_instance(csp: GeneralCSP) -> Optional[Instance]:
-    """Materialize a CSP with constraint arity at most 2 as an Instance.
-
-    Arity-1 constraints become color removals; an arity-0 constraint, or
-    a variable losing every color, means the instance is unsatisfiable
-    and None comes back.
-    """
-    inst = Instance.build({v: d for v, d in csp.domains.items()})
-    for con in csp.constraints:
-        if len(con) == 0:
-            return None
-        if len(con) > 2:
-            raise ValueError(f"constraint {con} has arity {len(con)} > 2")
-        # a pair outside the domains or dropped earlier takes no part;
-        # arity 1 is a pair against itself, which add_constraint removes
-        if inst.has(con[0]) and inst.has(con[-1]):
-            inst.add_constraint(con[0], con[-1])
-    if not all(inst.live.values()):
-        return None
-    return inst
 
 
 # ---------------------------------------------------------------------------
@@ -160,29 +139,43 @@ class SatMap:
         return {x: bool(values.get(x, 1)) for x in range(1, self.nvars + 1)}
 
 
-def cnf_to_general(nvars: int, clauses: list[Clause]) -> GeneralCSP:
-    """CNF as a (2,3)-CSP: values 0=false, 1=true; each clause forbids the
-    one combination falsifying all its literals."""
-    domains = {x: {0, 1} for x in range(1, nvars + 1)}
-    constraints = []
-    for cl in clauses:
-        constraints.append(tuple((abs(lit), 0 if lit > 0 else 1) for lit in cl))
-    return GeneralCSP(domains, constraints)
-
-
 def sat_to_csp(nvars: int, clauses: list[Clause]) -> tuple[Optional[Instance], SatMap]:
     """Translate a CNF with clauses of size at most 3 into a (3,2)-CSP.
 
-    Dual variables correspond to clauses.  Variables left with fewer
-    than three colors (short clauses, or casualties of unit-style
-    propagation) are eliminated on the spot, so the surviving size is
-    the number of 3-clauses.  Returns (None, map) when the propagation
-    alone refutes the formula.
+    Dual variable i is clause i, its colors the SAT variables of its
+    literals (a repeated literal counts once, a tautology gets no
+    variable), and color x rules out the value of x that falsifies the
+    literal.  A SAT variable's dual constraints form one biclique: every
+    pair ruling out false conflicts with every pair ruling out true, so
+    two masks per variable build them.  Variables left with fewer than
+    three colors (short clauses, or casualties of unit-style
+    propagation) are then eliminated, so the surviving size is the
+    number of 3-clauses.  Returns (None, map) when an empty clause or
+    the propagation refutes the formula.  A negative nvars, or a literal
+    0 or beyond ±nvars, raises ValueError.
     """
-    dual, dmap = dualize(cnf_to_general(nvars, clauses))
-    inst = binary_instance(dual)
-    smap = SatMap(nvars, dmap, [])
-    if inst is None or not eliminate_low_colors(inst, smap.trace):
+    if nvars < 0:
+        raise ValueError(f"negative variable count {nvars}")
+    colors: dict[int, set[int]] = {}
+    ruled: dict[Pair, int] = {}
+    for i, cl in enumerate(clauses):
+        lits = set(cl)
+        for lit in lits:
+            if not 0 < abs(lit) <= nvars:
+                raise ValueError(f"literal {lit} not in ±1..±{nvars}")
+        if any(-lit in lits for lit in lits):
+            continue  # satisfied by every assignment
+        colors[i] = {abs(lit) for lit in lits}
+        ruled.update(((i, abs(lit)), int(lit < 0)) for lit in lits)
+    inst = Instance.build(colors)
+    ids, conf = inst.table.ids, inst.conf
+    side: dict[Pair, int] = {}  # (x, value ruled out) -> mask of those pairs
+    for (i, x), c in ruled.items():
+        side[x, c] = side.get((x, c), 0) | 1 << ids[i, x]
+    for (i, x), c in ruled.items():
+        conf[ids[i, x]] = side.get((x, 1 - c), 0)
+    smap = SatMap(nvars, DualMap({x: {0, 1} for x in range(1, nvars + 1)}, ruled), [])
+    if not eliminate_low_colors(inst, smap.trace):
         return None, smap
     return inst, smap
 

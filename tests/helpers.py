@@ -42,7 +42,7 @@ from csp32.solver import (
     solve,
     use,
 )
-from csp32.transform import coloring_to_csp
+from csp32.transform import GeneralCSP, coloring_to_csp
 from csp32.vertexcolor import (
     Merged,
     _delete_cycle,
@@ -314,6 +314,39 @@ def brute_csp_product(inst):
         if check(inst, asg):
             return asg
     return None
+
+
+def cnf_to_general(nvars, clauses):
+    """CNF as a (2,3)-CSP: values 0=false, 1=true; each clause forbids the
+    one combination falsifying all its literals.  With transform.dualize
+    and binary_instance it is the general route to sat_to_csp's instance."""
+    domains = {x: {0, 1} for x in range(1, nvars + 1)}
+    constraints = []
+    for cl in clauses:
+        constraints.append(tuple((abs(lit), 0 if lit > 0 else 1) for lit in cl))
+    return GeneralCSP(domains, constraints)
+
+
+def binary_instance(csp):
+    """Materialize a CSP with constraint arity at most 2 as an Instance.
+
+    Arity-1 constraints become color removals; an arity-0 constraint, or
+    a variable losing every color, means the instance is unsatisfiable
+    and None comes back.
+    """
+    inst = Instance.build({v: d for v, d in csp.domains.items()})
+    for con in csp.constraints:
+        if len(con) == 0:
+            return None
+        if len(con) > 2:
+            raise ValueError(f"constraint {con} has arity {len(con)} > 2")
+        # a pair outside the domains or dropped earlier takes no part;
+        # arity 1 is a pair against itself, which add_constraint removes
+        if inst.has(con[0]) and inst.has(con[-1]):
+            inst.add_constraint(con[0], con[-1])
+    if not all(inst.live.values()):
+        return None
+    return inst
 
 
 def general_arity(csp):

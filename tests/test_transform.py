@@ -4,21 +4,21 @@ import random
 
 import pytest
 
-from csp32.instance import Instance, check
+from csp32.instance import Instance, check, eliminate_low_colors
 from csp32.oracle import brute_sat, brute_vertex_color, random_3cnf, random_graph
 from csp32.solver import solve
 from csp32.transform import (
     DualMap,
     GeneralCSP,
-    binary_instance,
-    cnf_to_general,
     coloring_to_csp,
     dualize,
     normalize_constraint,
     sat_to_csp,
 )
 
-from helpers import brute_general, general_arity, general_check
+from helpers import (
+    binary_instance, brute_general, cnf_to_general, general_arity, general_check,
+)
 
 
 def test_normalize_constraint():
@@ -153,6 +153,69 @@ def test_sat_translation_fuzz_matches_brute():
             asg = smap.decode(res.assignment)
             for cl in clauses:
                 assert any(asg[abs(l)] == (l > 0) for l in cl), trial
+
+
+def _general_sat_to_csp(nvars, clauses):
+    """sat_to_csp by the general route: the CNF as a (2,3)-CSP, dualized,
+    materialized constraint by constraint, then low colors eliminated."""
+    dual, dmap = dualize(cnf_to_general(nvars, clauses))
+    inst, trace = binary_instance(dual), []
+    if inst is None or not eliminate_low_colors(inst, trace):
+        return None, dmap, trace
+    return inst, dmap, trace
+
+
+def test_sat_to_csp_matches_the_general_dual_route():
+    # the two-mask biclique build is the same instance, bit for bit, with
+    # the same lift steps and the same refuted formulas
+    rng = random.Random(42)
+    cases = [
+        (3, [(1, 2, 3), ()]),  # an empty clause
+        (3, [(1, -1, 2), (-2, 3), (2, -3, 1)]),  # a tautology gets no variable
+        (3, [(1, 1, 2), (-1, -2, 3), (-3, 2)]),  # a repeated literal counts once
+        (2, [(1,), (-1, 2), (-2,)]),  # unit clauses refute it
+        (3, [(1,), (-2,), (1, 2, 3)]),  # unit clauses that propagation satisfies
+        (4, [(1, 2, 3), (1, -2, -3), (1, 3, 4), (-4, 2, 3)]),  # 1 used positively only
+        (9, [(1, 2, 3), (-1, -2, 3), (2, -3, 1)]),  # nvars above every literal
+        (5, []),
+    ]
+    for _ in range(240):
+        n = rng.randint(3, 40)
+        cases.append((n, random_3cnf(rng, n, round(rng.uniform(2, 6) * n))))
+    for _ in range(120):  # short clauses, repeats and tautologies: propagation refutes some
+        n = rng.randint(2, 8)
+        cases.append((n, [
+            tuple(rng.choice((-1, 1)) * rng.randint(1, n) for _ in range(rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 3 * n))
+        ]))
+    built = refuted = 0
+    for nvars, clauses in cases:
+        inst, smap = sat_to_csp(nvars, clauses)
+        want, dmap, trace = _general_sat_to_csp(nvars, clauses)
+        assert (inst is None) == (want is None), (nvars, clauses)
+        assert (smap.dual.domains, smap.dual.ruled) == (dmap.domains, dmap.ruled)
+        if inst is None:
+            refuted += 1
+            continue
+        assert (inst.table.pairs, inst.live, inst.conf, inst.next_id) == (
+            want.table.pairs, want.live, want.conf, want.next_id
+        ), (nvars, clauses)
+        assert smap.trace == trace, (nvars, clauses)
+        built += 1
+    assert built > 200 and refuted > 30
+
+
+@pytest.mark.parametrize("nvars, clauses, message", [
+    (1, [(2,), (-2,)], "literal 2 not in ±1..±1"),
+    (1, [(1,), (-2,)], "literal -2 not in ±1..±1"),
+    (2, [(0, 1)], "literal 0 not in ±1..±2"),
+    (0, [(1,)], "literal 1 not in ±1..±0"),
+    (3, [(1, -1, 4)], "literal 4 not in ±1..±3"),  # also inside a tautology
+    (-1, [], "negative variable count -1"),
+])
+def test_sat_to_csp_rejects_bad_literals_and_counts(nvars, clauses, message):
+    with pytest.raises(ValueError, match=message):
+        sat_to_csp(nvars, clauses)
 
 
 def test_coloring_encoding_matches_brute():
