@@ -30,7 +30,6 @@ from .instance import (
     Pair,
     bits,
     check,
-    eliminate_low_colors,
     lift,
     measure,
     simplify,
@@ -765,14 +764,14 @@ def solve_randomized_d2(
     variable-count n, so BUDGET_FACTOR times (d/4)^n trials miss with
     negligible probability.  Returns the solution (or None) and the
     stats, where each trial's solve is one csp_call; none runs if
-    eliminate_low_colors refutes a copy of inst.  The nested solves
+    simplify refutes a copy of inst.  The nested solves
     share config's node limit; NodeLimitReached is raised when it runs
     out."""
     cfg = config or SolverConfig()
     stats = SearchStats()
     d = max((m.bit_count() for m in inst.live.values()), default=0)
     rng = random.Random(seed)
-    if not eliminate_low_colors(inst.copy(), []):
+    if simplify(inst.copy())[0] is None:
         return None, stats
     budget = 1 if d <= 4 else _budget(d / 4, inst.n)
     while stats.csp_calls < budget:

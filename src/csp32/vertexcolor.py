@@ -427,7 +427,7 @@ def _bushy_unit(g: Adjacency, f: BushyForest, root: int):
     earlier = [[j for j in range(i) if order[j] in g[v]] for i, v in enumerate(order)]
 
     # its own loop, not depth_first, which measured 1.7-2.3x slower per unit draw
-    def colorings(masks: dict):
+    def colorings(masks: list[int]):
         cols = [0] * len(order)
         left = [masks[order[0]]]  # colors still to try at each depth
         while left:
@@ -499,7 +499,7 @@ def _solve_leaf(g: Adjacency, cfg: SolverConfig, stats: SearchStats):
     units = [_bushy_unit(g, f, root) for root in f.roots]
     units += [_allowed(_height_two_unit(tree)) for tree in trees]
 
-    def extensions(i: int, masks: dict):
+    def extensions(i: int, masks: list[int]):
         # lazy: a partial coloring is drawn and charged once its predecessor
         # is searched, and only when every vertex still has its color
         for asg in units[i](masks):
@@ -514,18 +514,20 @@ def _solve_leaf(g: Adjacency, cfg: SolverConfig, stats: SearchStats):
             return _residual_solve(g, masks, cfg, stats), ()
         return None, extensions(i, masks)
 
-    return depth_first((0, dict.fromkeys(g, 7)), expand)
+    root = [7 * (v in g) for v in range(max(g) + 1)]  # indexed by vertex id; 0 off the leaf
+    return depth_first((0, root), expand)
 
 
-def _forward_check(g: Adjacency, masks: dict, asg: Coloring) -> Optional[dict]:
+def _forward_check(g: Adjacency, masks: list[int], asg: Coloring) -> Optional[list[int]]:
     """Forward check from the parent's masks (each vertex's colors left
-    after propagation, as 3-bit sets; a colored or forced vertex has one):
-    color asg, then propagate every forced (singleton) color.  The child's
-    masks, or None when some vertex runs out of colors, so no proper
-    coloring extends the partial one; two adjacent vertices of asg with
-    one color empty each other's masks.  A 0 mask marks a vertex left out
-    of the instance: no color is cleared from it, so it never refutes."""
-    masks = dict(masks)
+    after propagation, as 3-bit sets indexed by vertex id; a colored or
+    forced vertex has one): color asg, then propagate every forced
+    (singleton) color.  The child's masks, or None when some vertex runs
+    out of colors, so no proper coloring extends the partial one; two
+    adjacent vertices of asg with one color empty each other's masks.  A
+    0 mask marks a vertex left out of the instance, or an id that is not
+    a leaf vertex: no color is cleared from it, so it never refutes."""
+    masks = masks.copy()
     forced = []
     for v, c in asg.items():
         if not masks[v] >> c & 1:
@@ -546,7 +548,7 @@ def _forward_check(g: Adjacency, masks: dict, asg: Coloring) -> Optional[dict]:
     return masks
 
 
-def _commit_loop(g: Adjacency, masks: dict) -> Optional[dict]:
+def _commit_loop(g: Adjacency, masks: list[int]) -> Optional[list[int]]:
     """Even, Itai & Shamir's (1976) commit loop: each vertex left two or
     three colors, in vertex order, commits the first color, ascending,
     that the forward check keeps.  A kept try fixes every vertex it
@@ -556,8 +558,10 @@ def _commit_loop(g: Adjacency, masks: dict) -> Optional[dict]:
     complete: None refutes them.  With a three-color vertex, the masks it
     returns still give a proper coloring, since each committed or forced
     color was cleared from the neighbours, but None decides nothing.  A 0
-    mask is left out: nothing propagates into it and it is never tried."""
-    for v in sorted(masks):
+    mask is left out: nothing propagates into it and it is never tried.
+    Each step reads its vertex's mask from the masks current at that
+    step, so a vertex an earlier commit forced is not tried."""
+    for v in range(len(masks)):
         m = masks[v]
         if m & (m - 1):
             for c in range(3):
@@ -569,9 +573,10 @@ def _commit_loop(g: Adjacency, masks: dict) -> Optional[dict]:
     return masks
 
 
-def _residual_solve(g, masks: dict, cfg, stats) -> Optional[Coloring]:
-    """The leaf's CSP call on the forward-checked masks of a full interior
-    coloring.
+def _residual_solve(g, masks: list[int], cfg, stats) -> Optional[Coloring]:
+    """The leaf's CSP call on the forward-checked masks (indexed by
+    vertex id) of a full interior coloring; the answer colors g's
+    vertices.
 
     The commit loop first runs on the masks themselves, three-color
     vertices included, and a coloring it reaches is the leaf's.  If it
@@ -585,13 +590,13 @@ def _residual_solve(g, masks: dict, cfg, stats) -> Optional[Coloring]:
     from every neighbour, so the root reduction assigns it; a CSP with
     at most two three-color variables is decided at the root."""
     committed = _commit_loop(g, masks)
-    relaxed = committed is None and {v: 0 if m == 7 else m for v, m in masks.items()}
+    relaxed = committed is None and [0 if m == 7 else m for m in masks]
     if not relaxed or _commit_loop(g, relaxed) is None:
         stats.csp_calls += 1
         stats.csp_nodes += 1
         cfg.charge(stats)
-        return committed and {v: m.bit_length() - 1 for v, m in committed.items()}
-    inst = Instance.build({v: bits(m) for v, m in masks.items()}, (
+        return committed and {v: committed[v].bit_length() - 1 for v in g}
+    inst = Instance.build({v: bits(masks[v]) for v in g}, (
         ((u, c), (v, c)) for u in g for v in g[u] if u < v for c in bits(masks[u] & masks[v])))
     res = solve(inst, cfg.nested(stats))
     stats.absorb(res.stats, csp=True)

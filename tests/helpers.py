@@ -328,25 +328,25 @@ def cnf_to_general(nvars, clauses):
 
 
 def binary_instance(csp):
-    """Materialize a CSP with constraint arity at most 2 as an Instance.
-
-    Arity-1 constraints become color removals; an arity-0 constraint, or
-    a variable losing every color, means the instance is unsatisfiable
-    and None comes back.
+    """Materialize a CSP with constraint arity at most 2 as an Instance,
+    through the checked Instance API: an arity-1 constraint removes its
+    color with remove_color, an arity-2 one goes in with add_constraint,
+    and a constraint on a pair outside the domains or dropped earlier
+    takes no part.  An arity-0 constraint, or a variable losing every
+    color, means the instance is unsatisfiable and None comes back.
     """
-    inst = Instance.build({v: d for v, d in csp.domains.items()})
+    inst = Instance.build(csp.domains)
     for con in csp.constraints:
-        if len(con) == 0:
+        if not con:
             return None
         if len(con) > 2:
             raise ValueError(f"constraint {con} has arity {len(con)} > 2")
-        # a pair outside the domains or dropped earlier takes no part;
-        # arity 1 is a pair against itself, which add_constraint removes
-        if inst.has(con[0]) and inst.has(con[-1]):
-            inst.add_constraint(con[0], con[-1])
-    if not all(inst.live.values()):
-        return None
-    return inst
+        if all(inst.has(p) for p in con):
+            if len(con) == 1:
+                inst.remove_color(*con[0])
+            else:
+                inst.add_constraint(*con)
+    return inst if all(inst.live.values()) else None
 
 
 def general_arity(csp):
@@ -977,7 +977,9 @@ def brute_solve_leaf(g, cfg, stats):
             if lists is None:
                 assert not brute_residue_satisfiable(g, acc, cfg, stats)
                 return None
-            masks = {v: sum(1 << c for c in cs) for v, cs in lists.items()}
+            masks = [0] * (max(g) + 1)
+            for v, cs in lists.items():
+                masks[v] = sum(1 << c for c in cs)
             return _residual_solve(g, masks, cfg, stats)
         for asg in units[i]:
             if consistent(acc, asg):

@@ -3,6 +3,7 @@
 import math
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -237,21 +238,33 @@ def test_randomized_d2_restriction():
 
 
 def test_randomized_d2_gives_up_after_its_budget():
-    # Every pairing of the two five-color variables is forbidden, so all
-    # ceil(50 * (5/4)^2) = 79 restricted solves fail.
+    # K6 with the colors 0-4, each color forbidden across each edge: it
+    # needs six colors, but simplify keeps all six variables, so all
+    # ceil(50 * (5/4)^6) = 191 restricted solves run and fail.
     inst = Instance.build(
-        {0: range(5), 1: range(5)}, [((0, c), (1, d)) for c in range(5) for d in range(5)]
+        {v: range(5) for v in range(6)},
+        [((v, c), (w, c)) for v, w in combinations(range(6), 2) for c in range(5)],
     )
+    red, _ = simplify(inst.copy())
+    assert red is not None and red.n == 6
     asg, stats = solve_randomized_d2(inst, seed=3)
-    assert asg is None and stats.csp_calls == 79
+    assert asg is None and stats.csp_calls == 191
 
 
-@pytest.mark.parametrize("d", [3, 5])
-def test_randomized_solvers_return_at_once_on_a_refuted_input(d):
-    # the last of 41 variables has no color, so the reduction refutes the
-    # input: no 50 * 2^20.5 walks, no 50 * (5/4)^41 restricted solves (the
-    # node limit stops a solver that starts them)
-    inst = Instance.build({v: range(d) if v < 40 else () for v in range(41)})
+@pytest.mark.parametrize("d, inst", [
+    # the last of 41 variables has no color: no 50 * 2^20.5 walks, no
+    # 50 * (5/4)^41 restricted solves (the node limit stops a solver
+    # that starts them)
+    pytest.param(3, Instance.build({v: range(3) if v < 40 else () for v in range(41)}), id="3"),
+    pytest.param(5, Instance.build({v: range(5) if v < 40 else () for v in range(41)}), id="5"),
+    # two five-color variables with every pairing forbidden: every pair
+    # is dead, which eliminate_low_colors alone does not see
+    pytest.param(5, Instance.build(
+        {0: range(5), 1: range(5)}, [((0, c), (1, d)) for c in range(5) for d in range(5)]
+    ), id="5-no-pairing"),
+])
+def test_randomized_solvers_return_at_once_on_a_refuted_input(d, inst):
+    # the root reduction refutes the input, so no walk or trial runs
     run = solve_randomized_32 if d == 3 else solve_randomized_d2
     asg, stats = run(inst, config=SolverConfig(node_limit=100))
     assert asg is None and (stats.nodes, stats.csp_calls) == (0, 0)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from csp32.instance import Instance, check, eliminate_low_colors
+from csp32.instance import eliminate_low_colors
 from csp32.oracle import brute_sat, brute_vertex_color, random_3cnf, random_graph
 from csp32.solver import solve
 from csp32.transform import (
@@ -82,47 +82,6 @@ def test_binary_instance_materialization():
     assert inst is not None
     # The unary constraint became a color removal.
     assert 1 not in inst.colors[0]
-
-
-def _binary_by_add_constraint(csp):
-    """binary_instance built through the checked Instance API: has() on
-    each pair, then remove_color or add_constraint."""
-    inst = Instance.build(csp.domains)
-    for con in csp.constraints:
-        if not con:
-            return None
-        if all(inst.has(p) for p in con):
-            if len(con) == 1:
-                inst.remove_color(*con[0])
-            else:
-                inst.add_constraint(*con)
-    return inst if all(inst.live.values()) else None
-
-
-def test_binary_instance_matches_checked_construction():
-    # The direct mask writes build the same bits as the checked API,
-    # also for a pair an earlier arity-1 constraint dropped, a pair
-    # outside the domains and two pairs of one variable.
-    rng = random.Random(51)
-    csps = [
-        dualize(cnf_to_general(8, random_3cnf(rng, 8, 34)))[0] for _ in range(40)
-    ]
-    for _ in range(400):
-        domains = {v: set(rng.sample(range(4), rng.randint(1, 3))) for v in range(5)}
-        csps.append(GeneralCSP(domains, [
-            tuple((rng.randrange(5), rng.randrange(4)) for _ in range(rng.choice((1, 2, 2))))
-            for _ in range(rng.randint(0, 14))
-        ]))
-    built = 0
-    for csp in csps:
-        got, want = binary_instance(csp), _binary_by_add_constraint(csp)
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert (got.live, got.conf, got.table, got.next_id) == (
-                want.live, want.conf, want.table, want.next_id
-            )
-            built += 1
-    assert built > 200
 
 
 def test_sat_translation_worked_example():

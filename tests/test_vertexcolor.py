@@ -753,7 +753,7 @@ def test_incremental_forward_check_matches_brute_reference(monkeypatch):
 
     def residue(g, masks, cfg, stats):
         leaf["masks"] = masks
-        leaf["relaxed"] = {v: 0 if m == 7 else m for v, m in masks.items()}
+        leaf["relaxed"] = [0 if m == 7 else m for m in masks]
         return residual_solve(g, masks, cfg, stats)
 
     def checked(g, masks, asg):
@@ -762,10 +762,10 @@ def test_incremental_forward_check_matches_brute_reference(monkeypatch):
             _, acc, sub = colored[id(masks)]
         elif leaf and masks == leaf["relaxed"]:  # a relaxation's root
             acc = colored[id(leaf["masks"])][1]
-            out = {v for v, m in masks.items() if not m}
+            out = {v for v in g if not masks[v]}
             sub = {v: ns - out for v, ns in g.items() if v not in out}
         else:
-            assert masks == dict.fromkeys(g, 7)  # a leaf's root
+            assert masks == [7 * (v in g) for v in range(max(g) + 1)]  # a leaf's root
             acc, sub = {}, g
         child = forward_check(g, masks, asg)
         merged = {**acc, **asg}
@@ -776,7 +776,7 @@ def test_incremental_forward_check_matches_brute_reference(monkeypatch):
             refuted += 1
         else:
             want = brute_forward_lists(sub, merged)
-            assert child == {v: sum(1 << c for c in want.get(v, ())) for v in g}
+            assert child == [sum(1 << c for c in want.get(v, ())) for v in range(len(masks))]
             colored[id(child)] = (child, merged, sub)
         return child
 
@@ -816,14 +816,14 @@ def test_leaf_csp_holds_every_leaf_vertex_with_its_mask(monkeypatch):
     def checked_solve(inst, cfg):
         g, masks = leaf["g"], leaf["masks"]
         assert commit_loop(g, masks) is None
-        assert commit_loop(g, {v: 0 if m == 7 else m for v, m in masks.items()}) is not None
-        assert inst.colors == {v: frozenset(bits(m)) for v, m in masks.items()}
+        assert commit_loop(g, [0 if m == 7 else m for m in masks]) is not None
+        assert inst.colors == {v: frozenset(bits(masks[v])) for v in g}
         cons = inst.constraints()
         assert cons == sorted(
             ((u, c), (v, c)) for u in g for v in g[u] if u < v for c in bits(masks[u] & masks[v])
         )
         assert all(masks[v] & (masks[v] - 1) for con in cons for v, _ in con)
-        index = {v: i for i, v in enumerate(v for v in sorted(masks) if masks[v] & (masks[v] - 1))}
+        index = {v: i for i, v in enumerate(v for v in sorted(g) if masks[v] & (masks[v] - 1))}
         want = _leaf_csp(g, masks)
         assert {index[v]: cs for v, cs in inst.colors.items() if v in index} == want.colors
         assert [((index[u], c), (index[v], d)) for (u, c), (v, d) in cons] == want.constraints()
@@ -834,7 +834,7 @@ def test_leaf_csp_holds_every_leaf_vertex_with_its_mask(monkeypatch):
     def checked(g, masks, cfg, stats):
         leaf["g"], leaf["masks"] = g, masks
         full = residual_solve(g, masks, cfg, stats)
-        forced = {v: m.bit_length() - 1 for v, m in masks.items() if not m & (m - 1)}
+        forced = {v: masks[v].bit_length() - 1 for v in g if masks[v].bit_count() == 1}
         sizes[1] += len(forced)  # colored vertices and the ones propagation forced
         if full is not None:
             assert full.items() >= forced.items()
@@ -872,7 +872,7 @@ def test_leaf_csp_holds_every_leaf_vertex_with_its_mask(monkeypatch):
 def _leaf_csp(g, masks):
     """The CSP on a leaf residue's undecided vertices, with their masks
     as lists, whichever step of the leaf's flow decides it."""
-    rest = [v for v in sorted(masks) if masks[v] & (masks[v] - 1)]
+    rest = [v for v in sorted(g) if masks[v] & (masks[v] - 1)]
     index = {v: i for i, v in enumerate(rest)}
     lists = {i: [c for c in (0, 1, 2) if masks[v] >> c & 1] for i, v in enumerate(rest)}
     edges = [(index[u], index[v]) for u in rest for v in g[u] if index.get(v, -1) > index[u]]
@@ -917,7 +917,7 @@ def test_two_list_leaves_are_decided_by_propagation(monkeypatch):
 
     def checked(g, masks, cfg, stats):
         full = residual_solve(g, masks, cfg, stats)
-        k = sum(m == 7 for m in masks.values())
+        k = masks.count(7)
         if k > 2:
             return full
         res = solve(_leaf_csp(g, masks))
@@ -927,7 +927,7 @@ def test_two_list_leaves_are_decided_by_propagation(monkeypatch):
         threes[k] += 1
         if full is not None:
             assert set(full) == set(g)
-            assert all(masks[v] >> full[v] & 1 for v in masks)
+            assert all(masks[v] >> full[v] & 1 for v in g)
             assert all(full[u] != full[v] for u in g for v in g[u])
         return full
 
@@ -960,7 +960,7 @@ def test_two_list_leaf_hand_built_cases(monkeypatch):
         res = solve(_leaf_csp(g, masks))
         assert (res.stats.nodes, res.satisfiable) == (1, full is not None)
         if full is not None:
-            assert all(masks[v] >> full[v] & 1 for v in masks)
+            assert all(masks[v] >> full[v] & 1 for v in g)
             assert all(full[u] != full[v] for u in g for v in g[u])
         return full, list(built)
 
@@ -970,19 +970,19 @@ def test_two_list_leaf_hand_built_cases(monkeypatch):
     # (the same masks, as no vertex has three colors) refutes it, and no
     # CSP is built.
     cycle = adjacency(5, [(i, (i + 1) % 5) for i in range(5)])
-    assert decide(cycle, dict.fromkeys(range(5), 0b011)) == (None, [])
+    assert decide(cycle, [0b011] * 5) == (None, [])
 
     # The loop colors these outright.  Here vertex 0 fails its first color
     # (color 0 forces 1 to 1 and 2 to 2, which leaves 3 nothing) and
     # succeeds with its second.
     g = adjacency(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-    masks = {0: 0b011, 1: 0b011, 2: 0b101, 3: 0b110}
+    masks = [0b011, 0b011, 0b101, 0b110]
     assert _forward_check(g, masks, {0: 0}) is None
     assert decide(g, masks) == ({0: 1, 1: 0, 2: 0, 3: 1}, [])
     # Two adjacent three-color vertices and a two-color vertex next to
     # both: 0 takes 0, which forces 2 to 1 and then 1 to 2.
     triangle = adjacency(3, [(0, 1), (0, 2), (1, 2)])
-    assert decide(triangle, {0: 7, 1: 7, 2: 0b011}) == ({0: 0, 1: 2, 2: 1}, [])
+    assert decide(triangle, [7, 7, 0b011]) == ({0: 0, 1: 2, 2: 1}, [])
 
     # Vertex 1 closes the odd cycle 1-2-3-4-5 whose other vertices have
     # lists {1, 2}.  The loop gives 0 its first color, which keeps the
@@ -991,7 +991,7 @@ def test_two_list_leaf_hand_built_cases(monkeypatch):
     # the path 2-3-4-5, holds, so the CSP on all six vertices decides the
     # leaf at its root: 0 takes 1 and 1 takes 0.
     g = adjacency(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 1)])
-    masks = {0: 7, 1: 7, 2: 0b110, 3: 0b110, 4: 0b110, 5: 0b110}
+    masks = [7, 7, 0b110, 0b110, 0b110, 0b110]
     assert _forward_check(g, masks, {0: 0}) is not None
     assert vertexcolor._commit_loop(g, masks) is None
     full, calls = decide(g, masks)
@@ -1001,11 +1001,11 @@ def test_two_list_leaf_hand_built_cases(monkeypatch):
     # color of 0, so the loop is stuck; the relaxation (the edge 2-3)
     # holds, and the CSP refutes the leaf at its root.
     k4 = adjacency(4, list(combinations(range(4), 2)))
-    assert decide(k4, {0: 7, 1: 7, 2: 0b011, 3: 0b110}) == (None, [4])
+    assert decide(k4, [7, 7, 0b011, 0b110]) == (None, [4])
 
     # The one node trips a spent budget, as the nested solve's did, also
     # when the loop colors the leaf.
-    for g, masks in ((cycle, dict.fromkeys(range(5), 0b011)), (triangle, {0: 7, 1: 7, 2: 0b011})):
+    for g, masks in ((cycle, [0b011] * 5), (triangle, [7, 7, 0b011])):
         stats = SearchStats()
         with pytest.raises(NodeLimitReached):
             vertexcolor._residual_solve(g, masks, SolverConfig(node_limit=0), stats)
@@ -1027,7 +1027,7 @@ def test_two_sat_relaxation_hand_built_cases(monkeypatch):
     monkeypatch.setattr(vertexcolor, "solve", logged_solve)
     edges = [(i, (i + 1) % 5) for i in range(5)] + [(5, 0), (6, 2), (7, 4), (5, 6), (6, 7)]
     g = adjacency(8, edges)
-    masks = {**dict.fromkeys(range(5), 0b011), 5: 7, 6: 7, 7: 7}
+    masks = [0b011] * 5 + [7] * 3
     stats = SearchStats()
     assert vertexcolor._residual_solve(g, masks, SolverConfig(), stats) is None
     assert built == [] and (stats.csp_calls, stats.csp_nodes, stats.spent) == (1, 1, 1)
@@ -1041,7 +1041,7 @@ def test_two_sat_relaxation_hand_built_cases(monkeypatch):
     # alone, 3 is 2-SAT and takes 0, so the relaxation holds, and the CSP
     # on all four refutes the leaf.
     g = adjacency(4, list(combinations(range(4), 2)))
-    masks = {0: 7, 1: 7, 2: 7, 3: 0b011}
+    masks = [7, 7, 7, 0b011]
     stats = SearchStats()
     assert vertexcolor._residual_solve(g, masks, SolverConfig(), stats) is None
     assert built == [4] and stats.csp_calls == 1
@@ -1083,19 +1083,19 @@ def test_two_sat_relaxation_refutes_only_uncolorable_leaves(monkeypatch):
         if committed is not None:
             outcome = "colored"
             assert rest == [] and built == []
-            assert all(m and not m & (m - 1) for m in committed.values())
-            assert full == {v: m.bit_length() - 1 for v, m in committed.items()}
+            assert all(committed[v].bit_count() == 1 for v in g)
+            assert full == {v: committed[v].bit_length() - 1 for v in g}
         else:
             ((relaxed, two_sat),) = rest
-            assert relaxed == {v: 0 if m == 7 else m for v, m in masks.items()}
+            assert relaxed == [0 if m == 7 else m for m in masks]
             sub = {v: ns - {u for u in ns if not relaxed[u]} for v, ns in g.items() if relaxed[v]}
             assert (two_sat is not None) == solve(_leaf_csp(sub, relaxed)).satisfiable
             outcome = "refuted" if two_sat is None else "csp"
-            assert built == ([] if two_sat is None else [len(masks)])
+            assert built == ([] if two_sat is None else [len(g)])
         if not built:
             assert stats.csp_nodes == nodes + 1
         if full is not None:
-            assert set(full) == set(g) and all(masks[v] >> full[v] & 1 for v in masks)
+            assert set(full) == set(g) and all(masks[v] >> full[v] & 1 for v in g)
             assert all(full[u] != full[v] for u in g for v in g[u])
         outcomes[outcome, whole] += 1
         return full
@@ -1118,6 +1118,40 @@ def test_two_sat_relaxation_refutes_only_uncolorable_leaves(monkeypatch):
     assert outcomes["csp", False] > 30 and outcomes["csp", True] > 25, outcomes
 
 
+def test_commit_loop_tries_only_open_vertices_of_the_current_leaf_masks(monkeypatch):
+    # At every leaf of seeded color-planted graphs, the commit loop tries
+    # a vertex only while the masks current at that try leave it two or
+    # three colors, each color in its mask, in vertex order.  A vertex an
+    # earlier commit forced is not tried; a loop that read each mask from
+    # the leaf's starting masks would try it, though it would keep every
+    # answer.
+    commit_loop, forward_check = vertexcolor._commit_loop, vertexcolor._forward_check
+    tried = []  # vertices the loop in progress tries
+    tally = Counter()
+
+    def checked(g, masks, asg):
+        if sys._getframe(1).f_code.co_name == "_commit_loop":
+            ((v, c),) = asg.items()
+            assert masks[v].bit_count() in (2, 3) and masks[v] >> c & 1, (v, masks[v])
+            tried.append(v)
+        return forward_check(g, masks, asg)
+
+    def logged_loop(g, masks):
+        del tried[:]
+        out = commit_loop(g, masks)
+        assert tried == sorted(tried)
+        tally["tries"] += len(tried)
+        if out is not None:  # every open vertex had its turn
+            tally["forced"] += sum(masks[v].bit_count() > 1 for v in g) - len(set(tried))
+        return out
+
+    monkeypatch.setattr(vertexcolor, "_forward_check", checked)
+    monkeypatch.setattr(vertexcolor, "_commit_loop", logged_loop)
+    for graph in _planted_graphs(200):
+        color_graph(*graph)
+    assert tally["tries"] > 700 and tally["forced"] > 600, tally
+
+
 def test_forward_check_refutes_only_unextendable_colorings():
     rng = random.Random(31)
     refuted = kept = 0
@@ -1127,7 +1161,7 @@ def test_forward_check_refutes_only_unextendable_colorings():
         partial = {v: rng.randrange(3) for v in range(n) if rng.random() < 0.4}
         if any(partial.get(u, -1) == partial.get(v, -2) for u, v in edges):
             continue  # improper partial colorings never reach the check
-        if _forward_check(g, dict.fromkeys(g, 7), partial) is None:
+        if _forward_check(g, [7] * n, partial) is None:
             refuted += 1
             assert brute_vertex_color(extension_graph(n, edges, partial)) is None
         else:
@@ -1139,16 +1173,16 @@ def test_forward_check_refutes_a_clash_inside_one_coloring():
     # Two adjacent vertices of one unit coloring with one color: each
     # empties the other's mask, so the check alone refutes the coloring.
     g = adjacency(3, [(0, 1), (1, 2)])
-    assert _forward_check(g, dict.fromkeys(g, 7), {0: 1, 1: 1}) is None
-    assert _forward_check(g, dict.fromkeys(g, 7), {0: 1, 2: 1}) is not None
+    assert _forward_check(g, [7] * 3, {0: 1, 1: 1}) is None
+    assert _forward_check(g, [7] * 3, {0: 1, 2: 1}) is not None
 
 
 def test_forward_check_keeps_colored_vertices_as_singletons():
     # On the path 0-1-2-3, coloring 0 and 2 forces 1; every colored or
     # forced vertex stays in the masks with its one color.
     g = adjacency(4, [(0, 1), (1, 2), (2, 3)])
-    child = _forward_check(g, dict.fromkeys(g, 7), {0: 0, 2: 1})
-    assert child == {0: 0b001, 1: 0b100, 2: 0b010, 3: 0b101}
+    child = _forward_check(g, [7] * 4, {0: 0, 2: 1})
+    assert child == [0b001, 0b100, 0b010, 0b101]
     assert _forward_check(g, child, {3: 1}) is None  # 2 already has color 1
 
 
@@ -1162,7 +1196,7 @@ def test_leaf_charges_no_coloring_a_propagated_color_excludes():
     g = adjacency(13, edges)
     f = build_bushy_forest(g)
     assert (f.roots, f.internal) == ([0, 9], {0, 1, 9})
-    masks = _forward_check(g, dict.fromkeys(g, 7), {0: 0, 1: 1})
+    masks = _forward_check(g, [7] * 13, {0: 0, 1: 1})
     assert (masks[5], masks[9]) == (0b001, 0b110)
     stats = SearchStats()
     coloring = vertexcolor._solve_leaf(g, SolverConfig(), stats)
