@@ -648,12 +648,19 @@ def _drawn(red: Instance, children: list[Child], path: LiftTrace, stats: SearchS
 
 def solve(inst: Instance, config: Optional[SolverConfig] = None) -> SolveResult:
     """Decide a (4,2)-CSP instance on a copy, returning a solution when one exists."""
-    if any(m.bit_count() > 4 for m in inst.live.values()):
+    return _search(inst.copy(), inst, config)
+
+
+def _search(work: Instance, inst: Instance, config: Optional[SolverConfig]) -> SolveResult:
+    """solve, run on work itself, which the search edits in place: a copy
+    of inst, or of inst with colors removed, that nothing else holds.  A
+    solution is verified against inst."""
+    if any(m.bit_count() > 4 for m in work.live.values()):
         raise ValueError("instance has a variable with more than four colors")
     cfg = config or SolverConfig()
     stats = SearchStats()
     try:
-        asg = depth_first((inst.copy(), []), lambda state: _expand(cfg, stats, state))
+        asg = depth_first((work, []), lambda state: _expand(cfg, stats, state))
     except NodeLimitReached:
         return SolveResult(None, None, stats)
     if asg is not None:
@@ -764,7 +771,8 @@ def solve_randomized_d2(
     variable-count n, so BUDGET_FACTOR times (d/4)^n trials miss with
     negligible probability.  Returns the solution (or None) and the
     stats, where each trial's solve is one csp_call; none runs if
-    simplify refutes a copy of inst.  The nested solves
+    simplify refutes a copy of inst.  A trial restricts one copy of inst
+    and the search edits that copy in place.  The nested solves
     share config's node limit; NodeLimitReached is raised when it runs
     out."""
     cfg = config or SolverConfig()
@@ -781,9 +789,9 @@ def solve_randomized_d2(
             if len(cs) > 4:
                 for c in rng.sample(cs, len(cs) - 4):
                     r.remove_color(v, c)
-        result = solve(r, cfg.nested(stats))
+        result = _search(r, inst, cfg.nested(stats))  # r is this trial's own copy
         stats.absorb(result.stats, csp=True)
         cfg.charge(stats)  # raises when the nested solve ran out
         if result.satisfiable:
-            return _verified(inst, result.assignment), stats
+            return result.assignment, stats
     return None, stats

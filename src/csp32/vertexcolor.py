@@ -1,13 +1,17 @@
 """Exact graph 3-coloring built on top of the binary CSP solver.
 
 The graph is a plain adjacency dict (vertex -> set of neighbors) on the
-input's vertex ids.  The pipeline strips low-degree vertices, branches
-away cycles and large trees of degree-three vertices, grows a bushy
-forest plus a height-two forest over what is left, enumerates proper
-colorings of the forest interiors with a forward check, and decides
-each leaf the same way.  Even, Itai & Shamir's commit loop colors the
-leaf outright if it can; if it gets stuck, the same loop on the 2-SAT
-relaxation, the two-color vertices alone, may refute the leaf; otherwise
+input's vertex ids.  At each graph node the pipeline strips low-degree
+vertices, then runs Even, Itai & Shamir's commit loop on the stripped
+graph with every vertex allowed all three colors: a coloring it reaches
+decides the node, which counts as that one graph node, with no leaf
+and no CSP call.  Only a node the loop gets stuck on branches away
+cycles and large trees of degree-three vertices, or, with none left,
+becomes a leaf: it grows a bushy forest plus a height-two forest,
+enumerates proper colorings of the forest interiors with a forward
+check, and runs the commit loop again on each full interior coloring's
+masks.  If that gets stuck, the same loop on the 2-SAT relaxation, the
+two-color vertices alone, may refute the interior coloring; otherwise
 the leaf goes to the CSP solver as a list-coloring instance, each vertex
 with its mask's colors (a one-color vertex is unconstrained, so the
 root reduction assigns it).
@@ -612,6 +616,9 @@ def _expand(cfg: SolverConfig, stats: SearchStats, state: tuple[Adjacency, list]
     strip_low_degree(g, steps)
     if not g:
         return lift({}, steps), ()
+    masks = _commit_loop(g, [7 * (v in g) for v in range(max(g) + 1)])
+    if masks is not None:  # colored outright, charged as this one graph node
+        return lift({v: masks[v].bit_length() - 1 for v in g}, steps), ()
     sub = _degree3_subgraph(g)  # g is unchanged when no cycle branches
     branch = branch_degree3_cycle(g, sub)
     if branch is None:

@@ -16,8 +16,9 @@ from collecting it.  Besides the random families, the batch holds inputs
 chosen for reach: relabeled copies of every rule-trigger instance of
 tests/helpers.py, small structured CSPs whose rules (two- and
 three-component, the matching endgame, a fallback) the large ones never
-reach, and planted graphs whose coloring leaf assigns outside vertices
-to height-two trees by flow.
+reach, and planted graphs whose coloring leaf assigned outside vertices
+to height-two trees by flow before the commit loop ran at every graph
+node (it now colors them at their root node).
 """
 
 import hashlib
@@ -86,7 +87,9 @@ def _graphs():
         yield "planted", planted_3colorable(rng, n, 7 / n)
         yield "cubic", random_cubic(rng, 2 * rng.randint(4, 10))
     # the only planted graphs of seeds 0-199, n 30/40/50 and mean degree
-    # 4.6 or 5.5 whose coloring leaf has outside vertices to place by flow
+    # 4.6 or 5.5 whose coloring leaf had outside vertices to place by
+    # flow; since the commit loop runs at every graph node, it colors all
+    # three at their root node, and they reach no leaf
     for seed, n, degree in ((14, 40, 4.6), (64, 30, 4.6), (182, 30, 5.5)):
         yield "flow", planted_3colorable(random.Random(seed), n, degree / n)
 

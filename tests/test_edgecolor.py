@@ -515,14 +515,14 @@ def test_edge_color_rejects_unverified_coloring(monkeypatch):
 
 
 def test_node_limit_bounds_the_whole_call(monkeypatch):
-    # Unlimited, this graph takes 7 splices and 19 graph+CSP nodes over
+    # Unlimited, this graph takes 7 splices and 17 graph+CSP nodes over
     # two line graphs; every smaller limit must stop the call as a
     # whole, not give each line graph a fresh budget, including limits
     # that run out inside a line graph's forward-checked enumeration.
     graph = random_cubic(random.Random(224), 20)
     coloring, stats = edge_color(*graph)
     assert coloring is not None
-    assert (stats.splices, stats.leaves, stats.nodes + stats.csp_nodes) == (7, 2, 19)
+    assert (stats.splices, stats.leaves, stats.nodes + stats.csp_nodes) == (7, 2, 17)
     ran_out = []  # the function whose charge raised first, per limited call
     charge = SolverConfig.charge
 

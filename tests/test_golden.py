@@ -24,7 +24,11 @@ forward-check masks became the leaf's only state: a unit coloring is
 charged only when each of its vertices still has its color in its mask,
 so one that a propagated (not a colored neighbor's) color excludes is no
 longer counted.  The same colorings are searched in the same order, and
-the EDGE and EDGE_DEEP entries did not move.
+the EDGE and EDGE_DEEP entries did not move.  The planted EDGE entries'
+nodes + csp_nodes fell from 3 to 1 when each graph node began with the
+commit loop on all-three-color masks: their line graphs are colored at
+the root graph node, before any forest or leaf CSP call.  Splices, skips,
+leaves and K4 refutations did not move.
 """
 
 import random
@@ -64,8 +68,8 @@ SAT = {
 # (generator, seed, n) -> (colorable, splices, skipped_splices, leaves,
 # nodes + csp_nodes, k4_refuted)
 EDGE = {
-    ("planted", 1, 24): (True, 44, 4, 1, 3, 26),
-    ("planted", 1, 40): (True, 93, 4, 1, 3, 53),
+    ("planted", 1, 24): (True, 44, 4, 1, 1, 26),
+    ("planted", 1, 40): (True, 93, 4, 1, 1, 53),
     ("planted", 1, 100): (True, 15700, 338, 1, 3, 11788),
     ("random", 0, 16): (True, 6, 2, 1, 3, 1),
     ("random", 2, 12): (False, 1, 0, 0, 0, 1),
@@ -105,10 +109,11 @@ def test_color_graph_node_count():
 
 def test_planted_240_needs_one_csp_call():
     # Before the forward check this graph hit a 200k node limit after
-    # about ten minutes of leaf CSP calls.
+    # about ten minutes of leaf CSP calls.  The commit loop at its root
+    # graph node now colors it outright: one node, no leaf, no CSP call.
     res = color_graph(*planted_3colorable(random.Random(1), 240, 7 / 240))
     assert res.colorable
-    assert (res.stats.nodes, res.stats.csp_calls) == (23, 1)
+    assert (res.stats.nodes, res.stats.csp_calls) == (1, 0)
 
 
 def test_planted_300_seed_2_enumerates_to_the_limit():

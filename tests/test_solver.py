@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from collections import Counter
 from itertools import combinations
 
@@ -249,6 +250,29 @@ def test_randomized_d2_gives_up_after_its_budget():
     assert red is not None and red.n == 6
     asg, stats = solve_randomized_d2(inst, seed=3)
     assert asg is None and stats.csp_calls == 191
+
+
+def test_randomized_d2_copies_each_trial_instance_once(monkeypatch):
+    # The K6 of the test above: each of the 191 trials copies the input
+    # once, to restrict it, and the search edits that copy in place
+    # rather than copying it again at its root; one more copy is the
+    # simplify check.  The other copies are the children the search
+    # builds.
+    inst = Instance.build(
+        {v: range(5) for v in range(6)},
+        [((v, c), (w, c)) for v, w in combinations(range(6), 2) for c in range(5)],
+    )
+    copies = Counter()
+    copy = Instance.copy
+
+    def counted(self):
+        copies[sys._getframe(1).f_code.co_name] += 1
+        return copy(self)
+
+    monkeypatch.setattr(Instance, "copy", counted)
+    asg, stats = solve_randomized_d2(inst, seed=3)
+    assert asg is None and stats.csp_calls == 191
+    assert copies == Counter({"solve_randomized_d2": 192, "build": 2049})
 
 
 @pytest.mark.parametrize("d, inst", [

@@ -73,6 +73,23 @@ def test_adjacency_basics():
     assert lift({0: 2, 1: 0, 3: 1}, [Merged(0, 2)]) == {0: 2, 1: 0, 2: 2, 3: 1}
 
 
+def test_cycle_lift_recolors_the_cycle_from_its_outside_colors():
+    # The cycle 10-11-12-13, each vertex with one outside neighbour among
+    # 0-3.  When every outside color agrees, the cycle alternates the
+    # other two colors; otherwise coloring starts after the first pair
+    # that differs and goes greedily around.  End-to-end runs seldom reach
+    # the first case: the commit loop colors most graphs before they branch.
+    step = vertexcolor.CycleColored(((10, 0), (11, 1), (12, 2), (13, 3)))
+    edges = [(10, 11), (11, 12), (12, 13), (13, 10), (10, 0), (11, 1), (12, 2), (13, 3)]
+    for outside in ({0: 1, 1: 1, 2: 1, 3: 1}, {0: 0, 1: 0, 2: 2, 3: 0}):
+        out = dict(outside)
+        step.lift(out)
+        assert proper(edges, out) and all(out[v] == c for v, c in outside.items())
+    out = {0: 1, 1: 1, 2: 1, 3: 1}
+    step.lift(out)
+    assert [out[v] for v in (10, 11, 12, 13)] == [0, 2, 0, 2]
+
+
 def test_strip_low_degree_removes_below_three():
     g = adjacency(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     steps = []
@@ -297,10 +314,29 @@ def test_color_graph_node_limit():
 
 def test_odd_cycle_third_child_with_repeated_outside_neighbor():
     # The third child must not merge the repeated outside neighbor a
-    # second time.
+    # second time.  The commit loop colors this graph at its root node,
+    # before any branching, so the root's branching is built here: its
+    # five-cycle's second and third outside neighbors are one vertex.
+    # Each colorable child lifts to a proper coloring of the graph.
     n, edges = REPEATED_OUTSIDE
     res = color_graph(n, edges)
     assert res.colorable and proper(edges, res.coloring)
+    g, steps = adjacency(n, edges), []
+    strip_low_degree(g, steps)
+    cyc = find_degree3_cycle(_degree3_subgraph(g))
+    outs = [min(g[v] - set(cyc)) for v in cyc]
+    assert len(cyc) == 5 and outs[1] == outs[2] != outs[0]
+    children = branch_degree3_cycle(g, _degree3_subgraph(g))
+    lifted = 0
+    for child, extra in children:
+        kept = sorted(child)
+        index = {v: i for i, v in enumerate(kept)}
+        sub = color_graph(len(kept), [(index[u], index[v]) for u in kept for v in child[u] if u < v])
+        if sub.colorable:
+            lifted += 1
+            assert proper(edges, lift({v: sub.coloring[index[v]] for v in kept}, steps + extra))
+    # the first same-color child would add a self-loop, so it is dropped
+    assert (len(children), lifted) == (2, 2)
 
 
 def test_check_claims_reaches_the_leaf_csp(monkeypatch):
@@ -516,23 +552,32 @@ def test_height_two_placement_on_planted_y_vertices():
     # Real leaf residues with a nonempty Y set: every one is placed with
     # each Y vertex under one adjacent leaf, within the 3/5 tree caps and
     # two per leaf, and color_graph's verdict matches the brute oracle.
+    # The commit loop colors a few of these graphs at their root graph node,
+    # so they reach no leaf; the rest reach one leaf, the whole graph.
     rng = random.Random(50)
     seen = Counter()
     for _ in range(200):
         graph = planted_y_graph(rng)
-        (g,) = _leaf_graphs([graph])
+        res = color_graph(*graph)
+        assert res.colorable == (brute_vertex_color(_bfs_numbered(*graph)) is not None)
+        if res.colorable:
+            assert proper(graph[1], res.coloring)
+        residues = _leaf_graphs([graph])
+        if not residues:
+            assert res.colorable and (res.stats.nodes, res.stats.leaves) == (1, 0)
+            seen["loop colored"] += 1
+            continue
+        (g,) = residues
         assert len(g) == graph[0]
         _f, trees, _x_set, y_set = _assert_forests(g)
         assert y_set
         seen["high over three"] += any(t.high and t.grand_count > 3 for t in trees)
         seen["low placed"] += any(not t.high and t.grand_count for t in trees)
-        res = color_graph(*graph)
-        assert res.colorable == (brute_vertex_color(_bfs_numbered(*graph)) is not None)
-        if res.colorable:
-            assert proper(graph[1], res.coloring)
         seen[res.colorable] += 1
     assert seen["high over three"] > 10 and seen["low placed"] > 30
-    assert seen[True] > 50 and seen[False] > 20
+    assert seen[True] > 50 and seen[False] > 20 and seen["loop colored"] < 40, seen
+
+
 def _assert_placed(g, trees, y_set):
     """Each Y vertex sits under exactly one leaf, adjacent to it, and no
     tree or leaf holds more grandchildren than it may."""
@@ -545,12 +590,15 @@ def _assert_placed(g, trees, y_set):
 
 
 def test_flow_places_outside_vertices_under_adjacent_leaves():
-    # The leaf residue of this planted graph has outside vertices that
-    # are neither packed nor next to the bushy forest (the flow's Y set).
-    graph = planted_3colorable(random.Random(14), 40, 4.6 / 40)
+    # The leaf residue of this planted graph has an outside vertex that
+    # is neither packed nor next to the bushy forest (the flow's Y set).
+    # Of the planted graphs of seeds 0-399, n 30/40/50 and mean degree
+    # 4.6, 5.5 or 7, only this one and seed 345 at n = 50 reach such a
+    # leaf: the commit loop colors the others at a graph node first.
+    graph = planted_3colorable(random.Random(394), 30, 4.6 / 30)
     (g,) = _leaf_graphs([graph])
     trees, _x_set, y_set = build_height_two_forest(g, build_bushy_forest(g))
-    assert y_set == {6, 16}
+    assert y_set == {25}
     _assert_placed(g, trees, y_set)
     res = color_graph(*graph)
     assert res.colorable and proper(graph[1], res.coloring)
@@ -640,9 +688,11 @@ def test_forward_checked_leaf_matches_brute_reference(monkeypatch):
         res = color_graph(*graph)
         return (res.colorable, res.coloring), res.stats
 
+    # the commit loop colors many of these graphs at their root graph
+    # node, before any leaf, so the batch runs to 320 seeds
     calls = [0, 0]
     decided = 0
-    for graph in _seeded_graphs(160):
+    for graph in _seeded_graphs(320):
         (got, got_csp, got_leaf, got_stats), (want, want_csp, want_leaf, want_stats) = _both_ways(
             monkeypatch, lambda: run(graph)
         )
@@ -677,7 +727,9 @@ def test_bushy_unit_draws_match_brute_reference(monkeypatch):
     # coloring the search draws from a unit is charged as one node and
     # forward-checked before anything else is drawn or charged.  Line
     # graphs of cubic graphs never restrict a bushy unit's masks here, so
-    # only the colored batch prunes.
+    # only the colored batch prunes.  The commit loop colors many colored
+    # inputs at their root graph node, before any leaf, so that batch
+    # runs to 160 seeded and 600 planted graphs.
     bushy_unit, forward_check = vertexcolor._bushy_unit, vertexcolor._forward_check
     expand, charge = vertexcolor._expand, SolverConfig.charge
     events = []  # ("draw", id), ("charge",), ("check", id) from the enumeration
@@ -730,7 +782,7 @@ def test_bushy_unit_draws_match_brute_reference(monkeypatch):
                     assert events[p + 1 : p + 3] == [("charge",), ("check", e[1])]
                     tally["draws"] += 1
 
-    run(lambda graph: color_graph(*graph).stats, chain(_seeded_graphs(80), _planted_graphs(300)))
+    run(lambda graph: color_graph(*graph).stats, chain(_seeded_graphs(160), _planted_graphs(600)))
     colored = +tally
     run(lambda graph: edge_color(*graph)[1], chain(_cubic_graphs(), map(flower_snark, (9, 11))))
     line = tally - colored
@@ -803,9 +855,10 @@ def test_leaf_csp_holds_every_leaf_vertex_with_its_mask(monkeypatch):
     # propagation cleared that color from its neighbours; dropping those
     # vertices and renumbering the rest in vertex order gives _leaf_csp.
     # A leaf goes to the CSP only when the commit loop is stuck on its
-    # masks and the 2-SAT relaxation holds; the loop colors most leaves
-    # and the relaxation refutes most of the rest, so the planted batch
-    # runs to 2,000 seeds, a sparser planted batch adds 2,000, and the
+    # masks and the 2-SAT relaxation holds; the loop colors most leaves,
+    # and many graphs at their root graph node before any leaf, and the
+    # relaxation refutes most of the rest, so the planted batch runs to
+    # 4,000 seeds, a sparser planted batch adds 2,000, and the
     # flower snarks and 200 random cubic graphs give the line-graph
     # floors their entries.
     residual_solve, csp_solve = vertexcolor._residual_solve, vertexcolor.solve
@@ -844,7 +897,7 @@ def test_leaf_csp_holds_every_leaf_vertex_with_its_mask(monkeypatch):
     monkeypatch.setattr(vertexcolor, "_residual_solve", checked)
     for graph in _seeded_graphs(120):
         color_graph(*graph)
-    for graph in chain(_planted_graphs(2000), _sparse_planted_graphs(2000)):
+    for graph in chain(_planted_graphs(4000), _sparse_planted_graphs(2000)):
         color_graph(*graph)
     before = +sizes
     for graph in (*_random_cubic_graphs(200), *map(flower_snark, (5, 7, 9, 11))):
@@ -911,7 +964,9 @@ def test_two_list_leaves_are_decided_by_propagation(monkeypatch):
     # residue takes one node and fires no rule, so the one node the leaf
     # is charged is that solve's, whether the commit loop, its relaxation
     # or the CSP decides it.  Its verdict is the leaf's, and a coloring
-    # that comes back is proper and lies inside the masks.
+    # that comes back is proper and lies inside the masks.  The commit
+    # loop colors many line graphs at their root graph node, before any
+    # leaf, so random cubic graphs join the line-graph batch.
     residual_solve = vertexcolor._residual_solve
     verdicts, threes = Counter(), Counter()
 
@@ -935,7 +990,7 @@ def test_two_list_leaves_are_decided_by_propagation(monkeypatch):
     for graph in _seeded_graphs(120):
         color_graph(*graph)
     before = +verdicts
-    for graph in _cubic_graphs():
+    for graph in chain(_cubic_graphs(), _random_cubic_graphs(100)):
         edge_color(*graph)
     assert verdicts[True] > 80 and verdicts[False] > 80
     assert sum((verdicts - before).values()) > 60  # line graphs
@@ -1058,6 +1113,8 @@ def test_two_sat_relaxation_refutes_only_uncolorable_leaves(monkeypatch):
     # CSP's on the two-color vertices alone.  A refuted relaxation builds
     # no CSP; only a satisfiable one builds one, on every leaf vertex.
     # The loop and the relaxation are charged as one CSP call of one node.
+    # The loop colors many graphs at their root graph node, before any
+    # leaf, so the planted batch and random cubic graphs join the inputs.
     residual_solve, commit_loop = vertexcolor._residual_solve, vertexcolor._commit_loop
     csp_solve = vertexcolor.solve
     loops, built = [], []  # of the leaf in progress
@@ -1108,10 +1165,10 @@ def test_two_sat_relaxation_refutes_only_uncolorable_leaves(monkeypatch):
         n = 30 + seed % 31
         color_graph(*planted_3colorable(rng, n, 7 / n))
         color_graph(*random_graph(rng, n, 4.6 / n))
-    for graph in _sparse_planted_graphs(2000):
+    for graph in chain(_sparse_planted_graphs(2000), _planted_graphs(2000)):
         color_graph(*graph)
     colored = +outcomes
-    for graph in _cubic_graphs():
+    for graph in chain(_cubic_graphs(), _random_cubic_graphs(100)):
         edge_color(*graph)
     assert sum((outcomes - colored).values()) > 60  # line graphs
     assert outcomes["colored", True] > 1000 and outcomes["refuted", False] > 500
@@ -1150,6 +1207,121 @@ def test_commit_loop_tries_only_open_vertices_of_the_current_leaf_masks(monkeypa
     for graph in _planted_graphs(200):
         color_graph(*graph)
     assert tally["tries"] > 700 and tally["forced"] > 600, tally
+
+
+# Colorable graphs on which the commit loop, run on all-three-color
+# masks in vertex order, gets stuck.  In every proper coloring 0 and 1
+# differ though they are not adjacent, so the loop gives both color 0
+# and then some vertex keeps no color.  In the cubic one, 2 is next to 0
+# and, through the triangle 2-3-4 whose 3 and 4 both see 1, takes 1's
+# color; 5-6-7 is a triangle that gives every vertex degree three.  The
+# other is the complete tripartite graph on the classes v % 3, less the
+# edge 0-1, whose every vertex has degree five or more.
+COMMIT_STUCK = {
+    "cubic": (8, [(0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (0, 5), (0, 6), (1, 7),
+                  (5, 6), (5, 7), (6, 7)]),
+    "tripartite": (9, [(u, v) for u, v in combinations(range(9), 2)
+                       if u % 3 != v % 3 and (u, v) != (0, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMIT_STUCK))
+def test_node_commit_loop_stuck_graphs_are_colored_by_the_search(name):
+    # Stripping keeps every vertex and the loop gets stuck at the root
+    # graph node: its first two commits (0 and 1 to color 0) pass the
+    # forward check, though no coloring extends them.  The search goes
+    # on, the cubic graph by its triangles' cycle branching and the
+    # tripartite one by its leaf, and colors the graph.
+    n, edges = COMMIT_STUCK[name]
+    g = adjacency(n, edges)
+    strip_low_degree(g, [])
+    assert len(g) == n and 1 not in g[0]
+    assert _forward_check(g, [7] * n, {0: 0, 1: 0}) is not None
+    assert brute_vertex_color(extension_graph(n, edges, {0: 0, 1: 0})) is None
+    assert vertexcolor._commit_loop(g, [7] * n) is None
+    res = color_graph(n, edges)
+    assert res.colorable and proper(edges, res.coloring) and res.coloring[0] != res.coloring[1]
+    assert res.stats.nodes > 1
+    assert res.stats.leaves == (name == "tripartite")
+
+
+def test_node_commit_loop_on_wheels():
+    # A hub joined to every vertex of a cycle: stripping keeps all of it.
+    # An odd rim needs four colors, so the loop gets stuck at the root
+    # node and the search refutes the wheel; on an even rim the loop
+    # colors the wheel at the root node, charged as that one graph node
+    # with no leaf and no CSP call.
+    for rim in range(3, 10):
+        n, edges = rim + 1, [(0, v) for v in range(1, rim + 1)]
+        edges += [(v, v % rim + 1) for v in range(1, rim + 1)]
+        g = adjacency(n, edges)
+        strip_low_degree(g, [])
+        assert len(g) == n
+        committed = vertexcolor._commit_loop(g, [7] * n)
+        res = color_graph(n, edges)
+        assert res.colorable == (rim % 2 == 0) == (committed is not None)
+        if res.colorable:
+            assert res.coloring == {v: committed[v].bit_length() - 1 for v in range(n)}
+            assert (res.stats.nodes, res.stats.leaves, res.stats.csp_calls) == (1, 0, 0)
+            assert res.stats.breakdowns == (0, 0, 0, 0, 0)
+
+
+def test_node_commit_loop_decides_nodes_before_branching_and_leaves(monkeypatch):
+    # At every graph node of seeded color-planted, G(n, p) and cubic
+    # graphs that stripping leaves nonempty, the commit loop runs once,
+    # first, on the stripped graph's all-three-color masks.  A node it
+    # colors returns the loop's coloring lifted through the node's steps,
+    # with no children, calls no branch builder, forest or leaf, and
+    # charges only its own graph node.  A node it leaves stuck goes on to
+    # branching or its leaf as before.
+    expand = vertexcolor._expand
+    calls = []  # (name, arguments, result) within the node in progress
+    tally = Counter()
+
+    def logged(name, fn):
+        def call(*args):
+            out = fn(*args)
+            if name != "_commit_loop" or sys._getframe(1).f_code.co_name == "_expand":
+                calls.append((name, args, out))
+            return out
+        return call
+
+    def node(cfg, stats, state):
+        del calls[:]
+        before = dict(vars(stats))
+        value, children = expand(cfg, stats, state)
+        g, steps = state  # stripped in place by the node
+        if not g:  # stripping colored the whole graph
+            assert (value, children, calls) == (lift({}, steps), (), [])
+            return value, children
+        (first, (loop_g, masks), committed), *rest = calls
+        assert first == "_commit_loop" and loop_g is g
+        assert masks == [7 * (v in g) for v in range(max(g) + 1)]
+        if committed is not None:
+            assert value == lift({v: committed[v].bit_length() - 1 for v in g}, steps)
+            assert children == () and rest == []
+            assert vars(stats) == dict(before, nodes=before["nodes"] + 1)
+            tally["colored"] += 1
+        else:
+            names = [name for name, _, _ in rest]
+            branched = any(out is not None for name, _, out in rest if name.startswith("branch"))
+            assert names[0] == "branch_degree3_cycle" and branched != ("_solve_leaf" in names)
+            tally["branched" if branched else "leaf"] += 1
+        return value, children
+
+    for name in ("_commit_loop", "_solve_leaf", "branch_degree3_cycle", "branch_degree3_tree",
+                 "build_bushy_forest", "build_height_two_forest"):
+        monkeypatch.setattr(vertexcolor, name, logged(name, getattr(vertexcolor, name)))
+    monkeypatch.setattr(vertexcolor, "_expand", node)
+    for graph in _planted_graphs(300):
+        res = color_graph(*graph)
+        assert res.colorable and proper(graph[1], res.coloring)
+    # the loop colors most graphs that would branch at their root node,
+    # so random cubic graphs and two hand-built ones give the branchings
+    cubic = (random_cubic(random.Random(s), 10 + 2 * (s % 8)) for s in range(300))
+    for graph in chain(_seeded_graphs(100), cubic, [TREE8, COMMIT_STUCK["cubic"]]):
+        color_graph(*graph)
+    assert tally["colored"] > 300 and tally["leaf"] > 300 and tally["branched"] > 15, tally
 
 
 def test_forward_check_refutes_only_unextendable_colorings():
