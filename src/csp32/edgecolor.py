@@ -1,5 +1,11 @@
 """Exact 3-edge-coloring via splice reductions and the vertex pipeline.
 
+After stripping edges with two or fewer conflicts, Even, Itai & Shamir's
+commit loop (vertexcolor's) runs once on the conflict graph with all
+three colors at every edge: a coloring it reaches decides the call,
+which counts as the one-node line-graph leaf it replaces, with no splice
+plan and no search.  Only a root the loop gets stuck on is spliced.
+
 A splice removes an unconstrained edge joining two degree-three vertices
 together with its four neighbor edges, replacing them by two new edges
 that must get different colors.  Splicing along a maximum matching of
@@ -27,7 +33,7 @@ from typing import Iterator, Optional
 from .graphalg import Adjacency, adjacency, depth_first, general_matching
 from .instance import bits, lift
 from .solver import SearchStats, SolverConfig
-from .vertexcolor import color_graph, strip_low_degree
+from .vertexcolor import _commit_loop, color_graph, strip_low_degree
 
 Edge = tuple[int, int]
 
@@ -326,8 +332,9 @@ def edge_color(
     A self-loop, a repeated edge, a vertex outside range(n) or a negative
     n raises ValueError.
 
-    config's node limit counts splices and every line-graph node;
-    NodeLimitReached, carrying the stats, is raised when it runs out.
+    config's node limit counts splices and every line-graph node, a
+    root the commit loop colors as one; NodeLimitReached, carrying the
+    stats, is raised when it runs out.
     """
     cfg = config or SolverConfig()
     stats = SearchStats()
@@ -335,8 +342,15 @@ def edge_color(
     if any(ids.bit_count() > 3 for ids in ei.at.values()):
         return None, stats
     steps = strip_low_neighbor_edges(ei)
-    plan = select_splices(ei)
-    colors = depth_first((0, steps), lambda state: _expand(ei, plan, cfg, stats, state))
+    masks = _commit_loop(conflict_graph(ei), [7 * (e in ei.edges) for e in range(ei.next_id)])
+    if masks is not None:  # colored outright, charged as the one-node leaf it replaces
+        stats.nodes += 1
+        stats.leaves += 1
+        cfg.charge(stats)
+        colors = lift({e: masks[e].bit_length() - 1 for e in ei.edges}, steps)
+    else:
+        plan = select_splices(ei)
+        colors = depth_first((0, steps), lambda state: _expand(ei, plan, cfg, stats, state))
     if colors is None:
         return None, stats
     if not proper_edge_coloring(edges, [colors.get(i) for i in range(len(edges))]):

@@ -15,7 +15,7 @@ from itertools import combinations, product
 from pathlib import Path
 
 import csp32
-from csp32.edgecolor import EdgeInstance, SpliceStep
+from csp32.edgecolor import EdgeInstance, SpliceStep, conflict_graph, strip_low_neighbor_edges
 from csp32.graphalg import bfs, depth_first
 from csp32.instance import (
     Assigned,
@@ -45,6 +45,7 @@ from csp32.solver import (
 from csp32.transform import GeneralCSP, coloring_to_csp
 from csp32.vertexcolor import (
     Merged,
+    _commit_loop,
     _delete_cycle,
     _height_two_unit,
     _remove_greedy,
@@ -695,6 +696,15 @@ def flower_snark(k):
     edges += [(c(i), c(i + 1)) for i in range(k - 1)] + [(c(k - 1), d(0))]
     edges += [(d(i), d(i + 1)) for i in range(k - 1)] + [(d(k - 1), c(0))]
     return 4 * k, sorted((min(e), max(e)) for e in edges)
+
+
+def edge_root_stuck(graph):
+    """Whether the commit loop gets stuck on the stripped root of graph,
+    (n, edges) with maximum degree three, so that edge_color goes on to
+    its splice search and line-graph leaves instead of coloring it there."""
+    ei = EdgeInstance.from_graph(*graph)
+    strip_low_neighbor_edges(ei)
+    return _commit_loop(conflict_graph(ei), [7 * (e in ei.edges) for e in range(ei.next_id)]) is None
 
 
 def line_graph(n, edges):

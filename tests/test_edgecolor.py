@@ -36,6 +36,7 @@ from helpers import (
     brute_splice,
     brute_splice_candidates,
     constraint_set,
+    edge_root_stuck,
     edge_snapshot,
     flower_snark,
     line_graph,
@@ -134,13 +135,14 @@ def test_edge_color_rejects_self_loop():
 def test_edge_color_without_asserts():
     # python -O drops the spliceable precondition and SpliceStep.lift's
     # assert; the answers and edge_color's own check must not need them.
+    # The commit loop gets stuck at the planted graph's root, so it splices.
     code = (
         "import json, random\n"
         "from csp32.edgecolor import edge_color\n"
         "from csp32.oracle import planted_cubic_edge_colorable\n"
         f"k4, _ = edge_color(4, {K4!r})\n"
         f"petersen, _ = edge_color(10, {PETERSEN!r})\n"
-        "planted, stats = edge_color(*planted_cubic_edge_colorable(random.Random(1), 24))\n"
+        "planted, stats = edge_color(*planted_cubic_edge_colorable(random.Random(13), 24))\n"
         "print(json.dumps([__debug__, sorted(k4.items()), petersen, planted is not None,"
         " [stats.splices, stats.k4_refuted]]))\n"
     )
@@ -149,7 +151,7 @@ def test_edge_color_without_asserts():
     debug, k4, petersen, planted, (splices, refuted) = json.loads(run.stdout.splitlines()[-1])
     assert not debug
     assert proper_edge(K4, {tuple(e): c for e, c in k4})
-    assert petersen is None and planted and (splices, refuted) == (44, 26)
+    assert petersen is None and planted and (splices, refuted) == (58, 36)
 
 
 def test_charge_identity_on_cubic_graphs():
@@ -297,7 +299,8 @@ def test_search_states_hold_no_k4(monkeypatch):
 
     monkeypatch.setattr(edgecolor, "_refuted", refuted)
     monkeypatch.setattr(edgecolor, "_line_graph_solve", leaf)
-    for s in range(40):
+    # the commit loop colors most of these at the root, before any splice
+    for s in range(120):
         edge_color(*planted_cubic_edge_colorable(random.Random(s), 12 + 2 * (s % 10)))
         edge_color(*random_cubic(random.Random(s), 8 + 2 * (s % 8)))
     assert seen["kept"] > 500 and seen["refuted"] > 150 and seen["leaves"] > 50
@@ -451,8 +454,8 @@ def test_edge_color_builds_one_instance(monkeypatch):
         real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(EdgeInstance, "__init__", counted)
-    for graph in (
-        planted_cubic_edge_colorable(random.Random(1), 40),
+    for graph in (  # each one the commit loop gets stuck on at the root
+        planted_cubic_edge_colorable(random.Random(0), 40),
         random_cubic(random.Random(2), 20),
         (10, PETERSEN),
     ):
@@ -579,3 +582,78 @@ def test_deep_splice_search_memory_stays_bounded():
     splices, peak_kb = json.loads(run.stdout.splitlines()[-1])
     assert splices == 3001
     assert peak_kb < 150 * 1024
+
+
+def _root_loop_inputs():
+    """Seeded planted and random cubic graphs, subcubic graphs (whose
+    roots strip edges before the loop runs) and the flower snarks J5-J9."""
+    rng = random.Random(50)
+    for s in range(60):
+        yield planted_cubic_edge_colorable(random.Random(s), 12 + 2 * (s % 10))
+        yield random_cubic(random.Random(s), 8 + 2 * (s % 8))
+        yield subcubic(rng, rng.randint(6, 16), rng.uniform(0.3, 0.9))
+    yield from map(flower_snark, (5, 7, 9))
+
+
+def test_root_commit_loop_colors_without_splicing(monkeypatch):
+    # A root the commit loop colors is decided there: its coloring, lifted
+    # through the strip steps, is proper, and the call is charged as the
+    # one-node line-graph leaf it replaces, with no splice plan drawn.  A
+    # root it gets stuck on goes on to plan its splices.
+    roots, plans = [], []
+    commit_loop, select = edgecolor._commit_loop, edgecolor.select_splices
+
+    def logged_loop(g, masks):
+        out = commit_loop(g, masks)
+        roots.append((masks, out))
+        return out
+
+    def logged_select(ei):
+        plans.append(ei)
+        return select(ei)
+
+    monkeypatch.setattr(edgecolor, "_commit_loop", logged_loop)
+    monkeypatch.setattr(edgecolor, "select_splices", logged_select)
+    seen = Counter()
+    for n, edges in _root_loop_inputs():
+        del roots[:], plans[:]
+        got, stats = edge_color(n, edges)
+        ((masks, out),) = roots
+        assert set(masks) <= {0, 7}
+        if out is None:
+            assert len(plans) == 1
+            seen["stuck", got is not None] += 1
+            continue
+        assert got is not None and proper_edge(edges, got)
+        assert len(got) == len(edges) and plans == []
+        assert (stats.splices, stats.nodes, stats.leaves, stats.csp_nodes) == (0, 1, 1, 0)
+        seen["colored", masks.count(0) > 0] += 1
+    assert seen["colored", False] > 60 and seen["colored", True] > 15
+    assert seen["stuck", True] > 25 and seen["stuck", False] > 20, seen
+
+
+def test_stuck_root_commit_loop_leaves_the_search_as_it_was(monkeypatch):
+    # A root the loop gets stuck on searches exactly as a call with no
+    # root loop: the same splices, skips, leaves, K4 refutations and
+    # counts, and the same coloring.
+    runs = 0
+    for graph in filter(edge_root_stuck, _root_loop_inputs()):
+        got, stats = edge_color(*graph)
+        with monkeypatch.context() as mp:
+            mp.setattr(edgecolor, "_commit_loop", lambda g, masks: None)
+            want, want_stats = edge_color(*graph)
+        assert got == want and vars(stats) == vars(want_stats)
+        runs += stats.splices > 0
+    assert runs > 50
+
+
+def test_root_commit_loop_is_charged_as_one_node():
+    # node_limit 0 stops a call the loop colors at its root, which is
+    # charged as one node; node_limit 1 lets it finish.
+    graph = planted_cubic_edge_colorable(random.Random(1), 24)
+    assert not edge_root_stuck(graph)
+    with pytest.raises(NodeLimitReached) as info:
+        edge_color(*graph, SolverConfig(node_limit=0))
+    assert (info.value.stats.spent, info.value.stats.splices) == (1, 0)
+    got, stats = edge_color(*graph, SolverConfig(node_limit=1))
+    assert got is not None and stats.spent == 1

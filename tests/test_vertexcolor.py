@@ -7,6 +7,7 @@ from itertools import chain, combinations
 
 import pytest
 
+import csp32.edgecolor as edgecolor
 import csp32.vertexcolor as vertexcolor
 from csp32.edgecolor import edge_color
 from csp32.graphalg import bfs
@@ -50,6 +51,7 @@ from helpers import (
     brute_forward_lists,
     brute_forward_refuted,
     brute_solve_leaf,
+    edge_root_stuck,
     extension_graph,
     flower_snark,
     run_fresh,
@@ -644,14 +646,19 @@ def _record_csp(monkeypatch):
 
 
 def _cubic_graphs():
-    """Seeded planted and random cubic graphs for edge_color.  Most are
-    colored at the splice search's first leaf, so the random ones run to
-    n = 30 to give the line-graph leaves real enumeration."""
-    for s in range(20):
-        yield planted_cubic_edge_colorable(random.Random(s), 12 + 2 * (s % 8))
-        yield random_cubic(random.Random(s), 10 + 2 * (s % 4))
-    for s in range(80):
-        yield random_cubic(random.Random(100 + s), 16 + 2 * (s % 8))
+    """Seeded planted and random cubic graphs for edge_color, only those
+    whose stripped root the commit loop gets stuck on: the loop colors
+    most small ones there, before any splice or line-graph leaf.  Most of
+    the rest are colored at the splice search's first leaf, so the random
+    ones run to n = 30 to give the line-graph leaves real enumeration."""
+    for s in range(100):
+        yield from filter(edge_root_stuck, (
+            planted_cubic_edge_colorable(random.Random(s), 12 + 2 * (s % 8)),
+            random_cubic(random.Random(s), 10 + 2 * (s % 4)),
+        ))
+    yield from filter(edge_root_stuck, (
+        random_cubic(random.Random(100 + s), 16 + 2 * (s % 8)) for s in range(200)
+    ))
 
 
 def _planted_cubic_graphs(count):
@@ -729,11 +736,14 @@ def test_bushy_unit_draws_match_brute_reference(monkeypatch):
     # graphs of cubic graphs never restrict a bushy unit's masks here, so
     # only the colored batch prunes.  The commit loop colors many colored
     # inputs at their root graph node, before any leaf, so that batch
-    # runs to 160 seeded and 600 planted graphs.
+    # runs to 160 seeded and 600 planted graphs.  An edge_color root the
+    # loop colors is charged as one node with no graph node under it.
     bushy_unit, forward_check = vertexcolor._bushy_unit, vertexcolor._forward_check
     expand, charge = vertexcolor._expand, SolverConfig.charge
+    root_loop = edgecolor._commit_loop
     events = []  # ("draw", id), ("charge",), ("check", id) from the enumeration
     expands = []  # graph nodes of the call in progress
+    roots = []  # edge_color's root loop outcomes, True when it colored, of that call
     tally = Counter()
 
     def unit(g, f, root):
@@ -767,16 +777,23 @@ def test_bushy_unit_draws_match_brute_reference(monkeypatch):
         expands.append(args)
         return expand(*args)
 
+    def logged_root(g, masks):
+        out = root_loop(g, masks)
+        roots.append(out is not None)
+        return out
+
     monkeypatch.setattr(vertexcolor, "_bushy_unit", unit)
     monkeypatch.setattr(vertexcolor, "_forward_check", checked)
     monkeypatch.setattr(vertexcolor, "_expand", counted)
     monkeypatch.setattr(SolverConfig, "charge", charged)
+    monkeypatch.setattr(edgecolor, "_commit_loop", logged_root)
 
     def run(solve, graphs):
         for graph in graphs:
-            del events[:], expands[:]
+            del events[:], expands[:], roots[:]
             stats = solve(graph)
-            assert stats.nodes == len(expands) + events.count(("charge",))
+            assert stats.nodes == len(expands) + events.count(("charge",)) + sum(roots)
+            tally["root colored"] += sum(roots)
             for p, e in enumerate(events):
                 if e[0] == "draw":
                     assert events[p + 1 : p + 3] == [("charge",), ("check", e[1])]
@@ -784,10 +801,12 @@ def test_bushy_unit_draws_match_brute_reference(monkeypatch):
 
     run(lambda graph: color_graph(*graph).stats, chain(_seeded_graphs(160), _planted_graphs(600)))
     colored = +tally
-    run(lambda graph: edge_color(*graph)[1], chain(_cubic_graphs(), map(flower_snark, (9, 11))))
+    planted = (planted_cubic_edge_colorable(random.Random(s), 24) for s in range(10))
+    run(lambda graph: edge_color(*graph)[1],
+        chain(_cubic_graphs(), map(flower_snark, (9, 11)), planted))
     line = tally - colored
     assert colored["calls"] > 1500 and colored["deep"] > 500 and colored["pruned"] > 400
-    assert line["calls"] > 700 and line["deep"] > 150
+    assert line["calls"] > 700 and line["deep"] > 150 and line["root colored"] > 3
 
 
 def test_incremental_forward_check_matches_brute_reference(monkeypatch):
