@@ -16,9 +16,9 @@ from collecting it.  Besides the random families, the batch holds inputs
 chosen for reach: relabeled copies of every rule-trigger instance of
 tests/helpers.py, small structured CSPs whose rules (two- and
 three-component, the matching endgame, a fallback) the large ones never
-reach, and planted graphs whose coloring leaf assigned outside vertices
-to height-two trees by flow before the commit loop ran at every graph
-node (it now colors them at their root node).
+reach, planted graphs whose coloring leaf assigns outside vertices to
+height-two trees by flow, and cubic graphs whose stripped root the
+commit loop gets stuck on, so that edge_color splices them.
 """
 
 import hashlib
@@ -39,7 +39,7 @@ from csp32.oracle import (
 from csp32.solver import NodeLimitReached, SolverConfig, solve
 from csp32.transform import sat_to_csp
 from csp32.vertexcolor import color_graph
-from helpers import RULE_BASES, build_instance, relabel
+from helpers import RULE_BASES, build_instance, flower_snark, relabel
 
 LIMITS = (None, 4, 25)  # node limits each input runs under
 
@@ -86,12 +86,11 @@ def _graphs():
         yield "gnp", random_graph(rng, n, 4.6 / n)
         yield "planted", planted_3colorable(rng, n, 7 / n)
         yield "cubic", random_cubic(rng, 2 * rng.randint(4, 10))
-    # the only planted graphs of seeds 0-199, n 30/40/50 and mean degree
-    # 4.6 or 5.5 whose coloring leaf had outside vertices to place by
-    # flow; since the commit loop runs at every graph node, it colors all
-    # three at their root node, and they reach no leaf
-    for seed, n, degree in ((14, 40, 4.6), (64, 30, 4.6), (182, 30, 5.5)):
-        yield "flow", planted_3colorable(random.Random(seed), n, degree / n)
+    # the only planted graphs of seeds 0-399, n 30/40/50 and mean degree
+    # 4.6, 5.5 or 7 whose coloring leaf has outside vertices to place by
+    # flow, with the commit loop run at every graph node first
+    for seed, n in ((394, 30), (345, 50)):
+        yield "flow", planted_3colorable(random.Random(seed), n, 4.6 / n)
 
 
 def _tree_graphs():
@@ -111,11 +110,26 @@ def _tree_graphs():
         yield "tree", (m + 6, edges)
 
 
+# planted cubic seeds of 0-39 at n = 24 and n = 40 whose stripped root
+# the commit loop gets stuck on: edge_color colors most graphs of the
+# random families above at their root, so these and the snarks are the
+# batch's splice searches
+STUCK_PLANTED = {
+    24: (0, 2, 4, 6, 7, 9, 13, 15, 16, 18, 21, 22, 23, 25, 30, 32, 39),
+    40: (0, 2, 5, 6, 8, 9, 10, 11, 12, 13, 14, 15, 17, 19, 21, 24, 25, 27, 32, 33, 37, 39),
+}
+
+
 def _cubic_graphs():
     for seed in range(40):
         rng = random.Random(3000 + seed)
         yield "planted", planted_cubic_edge_colorable(rng, 2 * rng.randint(4, 10))
         yield "random", random_cubic(rng, 2 * rng.randint(4, 8))
+    for n, seeds in STUCK_PLANTED.items():
+        for seed in seeds:
+            yield "stuck", planted_cubic_edge_colorable(random.Random(seed), n)
+    for k in (5, 7):
+        yield "snark", flower_snark(k)
 
 
 def records():
