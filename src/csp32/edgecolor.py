@@ -1,10 +1,11 @@
 """Exact 3-edge-coloring via splice reductions and the vertex pipeline.
 
 After stripping edges with two or fewer conflicts, Even, Itai & Shamir's
-commit loop (vertexcolor's) runs once on the conflict graph with all
-three colors at every edge: a coloring it reaches decides the call,
-which counts as the one-node line-graph leaf it replaces, with no splice
-plan and no search.  Only a root the loop gets stuck on is spliced.
+commit loop (vertexcolor's, two-color edges first, then the most
+conflicts) runs once on the stripped conflict graph, all three colors at
+every edge: a coloring it reaches decides the call, charged as the
+one-node line-graph leaf it replaces (no splice plan, no search).  Only
+a root the loop gets stuck on is spliced.
 
 A splice removes an unconstrained edge joining two degree-three vertices
 together with its four neighbor edges, replacing them by two new edges
@@ -122,19 +123,16 @@ def conflict_graph(ei: EdgeInstance) -> Adjacency:
     return {eid: set(bits(ei.conflicts(eid))) for eid in ei.edges}
 
 
-def strip_low_neighbor_edges(ei: EdgeInstance) -> list:
+def strip_low_neighbor_edges(ei: EdgeInstance) -> tuple[Adjacency, list]:
     """Remove edges with two or fewer conflicts, as strip_low_degree
-    does on the conflict graph; they always extend.  Returns the lift
-    steps, in removal order."""
+    does on the conflict graph; they always extend.  Returns the stripped
+    conflict graph, which is conflict_graph(ei) of the stripped instance
+    while ei has no constraints, and the lift steps, in removal order."""
     steps: list = []
-    # the conflict graph costs more than this scan, and a cubic input strips
-    # nothing; an edge with two or fewer conflicts has at most three at its ends
-    at = ei.at
-    if any((at[u] | at[v]).bit_count() <= 3 for u, v in ei.edges.values()):
-        strip_low_degree(conflict_graph(ei), steps)
+    strip_low_degree(g := conflict_graph(ei), steps)
     for step in steps:
         ei.remove_edge(step.vertex)
-    return steps
+    return g, steps
 
 
 def spliceable(ei: EdgeInstance, eid: int) -> bool:
@@ -341,8 +339,8 @@ def edge_color(
     ei = EdgeInstance.from_graph(n, edges)
     if any(ids.bit_count() > 3 for ids in ei.at.values()):
         return None, stats
-    steps = strip_low_neighbor_edges(ei)
-    masks = _commit_loop(conflict_graph(ei), [7 * (e in ei.edges) for e in range(ei.next_id)])
+    g, steps = strip_low_neighbor_edges(ei)
+    masks = _commit_loop(g, [7 * (e in ei.edges) for e in range(ei.next_id)])
     if masks is not None:  # colored outright, charged as the one-node leaf it replaces
         stats.nodes += 1
         stats.leaves += 1

@@ -2,19 +2,19 @@
 
 The graph is a plain adjacency dict (vertex -> set of neighbors) on the
 input's vertex ids.  At each graph node the pipeline strips low-degree
-vertices, then runs Even, Itai & Shamir's commit loop on the stripped
-graph with every vertex allowed all three colors: a coloring it reaches
-decides the node, which counts as that one graph node, with no leaf
-and no CSP call.  Only a node the loop gets stuck on branches away
-cycles and large trees of degree-three vertices, or, with none left,
-becomes a leaf: it grows a bushy forest plus a height-two forest,
-enumerates proper colorings of the forest interiors with a forward
-check, and runs the commit loop again on each full interior coloring's
-masks.  If that gets stuck, the same loop on the 2-SAT relaxation, the
-two-color vertices alone, may refute the interior coloring; otherwise
-the leaf goes to the CSP solver as a list-coloring instance, each vertex
-with its mask's colors (a one-color vertex is unconstrained, so the
-root reduction assigns it).
+vertices, then runs Even, Itai & Shamir's commit loop, two-color
+vertices first and then the highest degree, on the stripped graph with
+every vertex allowed all three colors: a coloring it reaches decides the
+node, charged as that one graph node (no leaf, no CSP call).  Only a
+node the loop gets stuck on branches away cycles and large trees of
+degree-three vertices, or, with none left, becomes a leaf: it grows a
+bushy forest plus a height-two forest, enumerates proper colorings of
+the forest interiors with a forward check, and runs the commit loop
+again on each full interior coloring's masks.  If that gets stuck, the
+same loop on the 2-SAT relaxation, the two-color vertices alone, may
+refute the interior coloring; otherwise the leaf goes to the CSP solver
+as a list-coloring instance, each vertex with its mask's colors (a
+one-color vertex is unconstrained, so the root reduction assigns it).
 
 The graph changes only by vertex removals and merges, each recorded as
 a lift step (GreedyColored or CycleColored, and Merged).  Lifting
@@ -553,28 +553,39 @@ def _forward_check(g: Adjacency, masks: list[int], asg: Coloring) -> Optional[li
 
 
 def _commit_loop(g: Adjacency, masks: list[int]) -> Optional[list[int]]:
-    """Even, Itai & Shamir's (1976) commit loop: each vertex left two or
-    three colors, in vertex order, commits the first color, ascending,
-    that the forward check keeps.  A kept try fixes every vertex it
-    touched and leaves the others' masks as they were, so the rest is a
-    sub-instance.  The masks once every vertex has one color left, or
-    None when some vertex keeps none.  On two-color masks the loop is
-    complete: None refutes them.  With a three-color vertex, the masks it
-    returns still give a proper coloring, since each committed or forced
-    color was cleared from the neighbours, but None decides nothing.  A 0
-    mask is left out: nothing propagates into it and it is never tried.
-    Each step reads its vertex's mask from the masks current at that
-    step, so a vertex an earlier commit forced is not tried."""
-    for v in range(len(masks)):
-        m = masks[v]
-        if m & (m - 1):
-            for c in range(3):
-                if m >> c & 1 and (child := _forward_check(g, masks, {v: c})) is not None:
+    """Even, Itai & Shamir's (1976) commit loop in Brélaz's (1979)
+    saturation order: each step takes the open vertex of g (two or three
+    colors left in the masks current at that step) with the fewest
+    colors, then the highest degree in g, then the lowest id, and commits
+    the first color, ascending, that the forward check keeps.  A kept try
+    fixes every vertex it touched and leaves the others' masks as they
+    were, so the rest is a sub-instance.  The masks once every vertex has
+    one color left, or None when some vertex keeps none.  On two-color
+    masks the loop is complete in any order: None refutes them.  With a
+    three-color vertex, the masks it returns still give a proper
+    coloring, since each committed or forced color was cleared from the
+    neighbours, but None decides nothing.  A 0 mask is left out: nothing
+    propagates into it and it is never tried."""
+    order = sorted(g, key=lambda v: (-len(g[v]), v))
+    while True:
+        first = None  # the first three-color vertex, taken when no two-color one is open
+        for v in order:
+            m = masks[v]
+            if m & (m - 1):
+                if m != 7:
                     break
-            else:
-                return None
-            masks = child
-    return masks
+                if first is None:
+                    first = v
+        else:
+            if first is None:
+                return masks
+            v, m = first, 7
+        for c in range(3):
+            if m >> c & 1 and (child := _forward_check(g, masks, {v: c})) is not None:
+                break
+        else:
+            return None
+        masks = child
 
 
 def _residual_solve(g, masks: list[int], cfg, stats) -> Optional[Coloring]:

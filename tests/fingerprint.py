@@ -86,11 +86,12 @@ def _graphs():
         yield "gnp", random_graph(rng, n, 4.6 / n)
         yield "planted", planted_3colorable(rng, n, 7 / n)
         yield "cubic", random_cubic(rng, 2 * rng.randint(4, 10))
-    # the only planted graphs of seeds 0-399, n 30/40/50 and mean degree
-    # 4.6, 5.5 or 7 whose coloring leaf has outside vertices to place by
-    # flow, with the commit loop run at every graph node first
-    for seed, n in ((394, 30), (345, 50)):
-        yield "flow", planted_3colorable(random.Random(seed), n, 4.6 / n)
+    # two of the five planted graphs of seeds 0-999, n 30/40/50/60/80 and
+    # mean degree 4.6, 5.5, 6 or 7 whose coloring leaf has outside
+    # vertices to place by flow, with the commit loop run at every graph
+    # node first
+    for seed, n, degree in ((894, 50, 4.6), (461, 50, 7)):
+        yield "flow", planted_3colorable(random.Random(seed), n, degree / n)
 
 
 def _tree_graphs():
@@ -110,13 +111,13 @@ def _tree_graphs():
         yield "tree", (m + 6, edges)
 
 
-# planted cubic seeds of 0-39 at n = 24 and n = 40 whose stripped root
-# the commit loop gets stuck on: edge_color colors most graphs of the
-# random families above at their root, so these and the snarks are the
-# batch's splice searches
+# the first 17 planted cubic seeds at n = 24 and the first 22 at n = 40
+# whose stripped root the commit loop gets stuck on: edge_color colors
+# most graphs of the random families above at their root, so these and
+# the snarks are the batch's splice searches
 STUCK_PLANTED = {
-    24: (0, 2, 4, 6, 7, 9, 13, 15, 16, 18, 21, 22, 23, 25, 30, 32, 39),
-    40: (0, 2, 5, 6, 8, 9, 10, 11, 12, 13, 14, 15, 17, 19, 21, 24, 25, 27, 32, 33, 37, 39),
+    24: (3, 4, 6, 7, 18, 20, 22, 24, 25, 32, 34, 37, 40, 45, 46, 49, 54),
+    40: (1, 2, 5, 6, 10, 14, 15, 16, 17, 18, 22, 23, 24, 27, 28, 29, 32, 33, 37, 39, 41, 43),
 }
 
 

@@ -15,7 +15,7 @@ from itertools import combinations, product
 from pathlib import Path
 
 import csp32
-from csp32.edgecolor import EdgeInstance, SpliceStep, conflict_graph, strip_low_neighbor_edges
+from csp32.edgecolor import EdgeInstance, SpliceStep, strip_low_neighbor_edges
 from csp32.graphalg import bfs, depth_first
 from csp32.instance import (
     Assigned,
@@ -50,9 +50,11 @@ from csp32.vertexcolor import (
     _height_two_unit,
     _remove_greedy,
     _residual_solve,
+    adjacency,
     build_bushy_forest,
     build_height_two_forest,
     merge,
+    strip_low_degree,
 )
 
 
@@ -703,8 +705,17 @@ def edge_root_stuck(graph):
     (n, edges) with maximum degree three, so that edge_color goes on to
     its splice search and line-graph leaves instead of coloring it there."""
     ei = EdgeInstance.from_graph(*graph)
-    strip_low_neighbor_edges(ei)
-    return _commit_loop(conflict_graph(ei), [7 * (e in ei.edges) for e in range(ei.next_id)]) is None
+    g, _ = strip_low_neighbor_edges(ei)
+    return _commit_loop(g, [7 * (e in ei.edges) for e in range(ei.next_id)]) is None
+
+
+def node_root_stuck(graph):
+    """Whether the commit loop gets stuck on the stripped root graph node
+    of graph, (n, edges), so that color_graph goes on to its branching or
+    leaf instead of coloring it there."""
+    g = adjacency(*graph)
+    strip_low_degree(g, [])
+    return bool(g) and _commit_loop(g, [7 * (v in g) for v in range(max(g) + 1)]) is None
 
 
 def line_graph(n, edges):
@@ -1052,6 +1063,27 @@ def brute_forward_lists(g, colored):
 def brute_forward_refuted(g, colored):
     """Whether the from-scratch forward check refutes a partial coloring."""
     return brute_forward_lists(g, colored) is None
+
+
+def brute_commit_loop(g, masks, forward_check):
+    """Reference for vertexcolor._commit_loop: at every step, list g's
+    open vertices (two or three colors left) in sorted order and take the
+    one with the fewest colors, then the highest degree, then the lowest
+    id; try its colors ascending with forward_check.  The tries made, as
+    (vertex, color) items, and the loop's answer."""
+    tries = []
+    while True:
+        open_ = [v for v in sorted(g) if masks[v].bit_count() > 1]
+        if not open_:
+            return tries, masks
+        v = min(open_, key=lambda v: (masks[v].bit_count(), -len(g[v]), v))
+        for c in bits(masks[v]):
+            tries.append(((v, c),))
+            if (child := forward_check(g, masks, {v: c})) is not None:
+                break
+        else:
+            return tries, None
+        masks = child
 
 
 def extension_graph(n, edges, partial):

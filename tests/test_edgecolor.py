@@ -142,7 +142,7 @@ def test_edge_color_without_asserts():
         "from csp32.oracle import planted_cubic_edge_colorable\n"
         f"k4, _ = edge_color(4, {K4!r})\n"
         f"petersen, _ = edge_color(10, {PETERSEN!r})\n"
-        "planted, stats = edge_color(*planted_cubic_edge_colorable(random.Random(13), 24))\n"
+        "planted, stats = edge_color(*planted_cubic_edge_colorable(random.Random(32), 24))\n"
         "print(json.dumps([__debug__, sorted(k4.items()), petersen, planted is not None,"
         " [stats.splices, stats.k4_refuted]]))\n"
     )
@@ -151,7 +151,7 @@ def test_edge_color_without_asserts():
     debug, k4, petersen, planted, (splices, refuted) = json.loads(run.stdout.splitlines()[-1])
     assert not debug
     assert proper_edge(K4, {tuple(e): c for e, c in k4})
-    assert petersen is None and planted and (splices, refuted) == (58, 36)
+    assert petersen is None and planted and (splices, refuted) == (30, 15)
 
 
 def test_charge_identity_on_cubic_graphs():
@@ -171,8 +171,34 @@ def test_charge_identity_on_cubic_graphs():
 def test_strip_removes_low_neighbor_edges():
     # A path's edges never have three neighbors on a side.
     ei = EdgeInstance.from_graph(4, [(0, 1), (1, 2), (2, 3)])
-    strip_low_neighbor_edges(ei)
-    assert not ei.edges
+    g, steps = strip_low_neighbor_edges(ei)
+    assert not ei.edges and g == {} and len(steps) == 3
+
+
+def test_edge_color_builds_one_conflict_graph(monkeypatch):
+    # The strip and the root commit loop share one conflict graph: the
+    # stripped one strip_low_neighbor_edges returns is the conflict graph
+    # of the stripped instance, and a whole edge_color call on a subcubic
+    # input, which strips edges, builds the conflict graph once.
+    conflict_graph, built = edgecolor.conflict_graph, []
+
+    def counted(ei):
+        built.append(ei)
+        return conflict_graph(ei)
+
+    monkeypatch.setattr(edgecolor, "conflict_graph", counted)
+    rng = random.Random(51)
+    stripped = Counter()
+    for _ in range(60):
+        graph = subcubic(rng, rng.randint(6, 16), rng.uniform(0.3, 0.9))
+        ei = EdgeInstance.from_graph(*graph)
+        g, steps = strip_low_neighbor_edges(ei)
+        assert g == conflict_graph(ei)
+        del built[:]
+        got, stats = edge_color(*graph)
+        assert len(built) == 1
+        stripped[bool(steps), stats.splices > 0] += 1
+    assert stripped[True, False] > 20 and stripped[True, True] > 5, stripped
 
 
 def test_splice_children_preserve_colorability():
@@ -455,7 +481,7 @@ def test_edge_color_builds_one_instance(monkeypatch):
 
     monkeypatch.setattr(EdgeInstance, "__init__", counted)
     for graph in (  # each one the commit loop gets stuck on at the root
-        planted_cubic_edge_colorable(random.Random(0), 40),
+        planted_cubic_edge_colorable(random.Random(5), 40),
         random_cubic(random.Random(2), 20),
         (10, PETERSEN),
     ):
@@ -518,14 +544,14 @@ def test_edge_color_rejects_unverified_coloring(monkeypatch):
 
 
 def test_node_limit_bounds_the_whole_call(monkeypatch):
-    # Unlimited, this graph takes 7 splices and 17 graph+CSP nodes over
+    # Unlimited, this graph takes 15 splices and 23 graph+CSP nodes over
     # two line graphs; every smaller limit must stop the call as a
     # whole, not give each line graph a fresh budget, including limits
     # that run out inside a line graph's forward-checked enumeration.
-    graph = random_cubic(random.Random(224), 20)
+    graph = random_cubic(random.Random(357), 22)
     coloring, stats = edge_color(*graph)
     assert coloring is not None
-    assert (stats.splices, stats.leaves, stats.nodes + stats.csp_nodes) == (7, 2, 17)
+    assert (stats.splices, stats.leaves, stats.nodes + stats.csp_nodes) == (15, 2, 23)
     ran_out = []  # the function whose charge raised first, per limited call
     charge = SolverConfig.charge
 
@@ -544,7 +570,7 @@ def test_node_limit_bounds_the_whole_call(monkeypatch):
             edge_color(*graph, SolverConfig(node_limit=limit))
         assert info.value.stats.spent == limit + 1
         inside += ran_out[0] == "extensions"  # vertexcolor._solve_leaf's enumeration
-    assert inside > 5
+    assert inside > 9
 
 
 def test_deep_splice_plan_ends_in_a_verdict():

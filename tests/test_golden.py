@@ -33,7 +33,16 @@ and random n=16 seed 0 fell to no splice and one leaf node when
 edge_color began with the commit loop on the stripped root's conflict
 graph: the loop colors them there, before the splice plan.  Planted
 n=24 seed 13 and n=40 seed 0, added then, are roots the loop gets stuck
-on, and keep the counts their splice search had before it.
+on, and keep the counts their splice search had before it.  When the
+commit loop began to take its vertices in saturation order (fewest
+colors, then highest degree, then lowest id), the loop colored planted
+n=60 seed 0 at its root graph node, planted n=24 seed 13 and n=40 seed 0
+at the edge root, and the one line graph of planted n=100 seed 1 at its
+root graph node; planted n=40 seed 1 and random n=16 seed 0 became
+stuck roots again, whose splice search is the one they had before the
+root loop, its line graph now colored at its root graph node.  Planted
+n=60 seed 145 and planted n=24 seed 3, added then, reach a coloring
+leaf and a splice search.  No colorability moved.
 """
 
 import random
@@ -74,11 +83,12 @@ SAT = {
 # nodes + csp_nodes, k4_refuted)
 EDGE = {
     ("planted", 1, 24): (True, 0, 0, 1, 1, 0),
-    ("planted", 1, 40): (True, 0, 0, 1, 1, 0),
-    ("planted", 1, 100): (True, 15700, 338, 1, 3, 11788),
-    ("planted", 13, 24): (True, 58, 2, 1, 3, 36),
-    ("planted", 0, 40): (True, 84, 9, 1, 1, 35),
-    ("random", 0, 16): (True, 0, 0, 1, 1, 0),
+    ("planted", 1, 40): (True, 93, 4, 1, 1, 53),
+    ("planted", 1, 100): (True, 15700, 338, 1, 1, 11788),
+    ("planted", 3, 24): (True, 12, 3, 1, 1, 1),
+    ("planted", 13, 24): (True, 0, 0, 1, 1, 0),
+    ("planted", 0, 40): (True, 0, 0, 1, 1, 0),
+    ("random", 0, 16): (True, 6, 2, 1, 1, 1),
     ("random", 2, 12): (False, 1, 0, 0, 0, 1),
     ("random", 2, 20): (False, 3, 0, 0, 0, 1),
 }
@@ -107,11 +117,16 @@ def test_sat_node_counts(seed, n):
     assert (res.satisfiable, res.stats.nodes, dict(res.stats.rule_counts)) == SAT[(seed, n)]
 
 
+# seed -> (nodes, csp_nodes, csp_calls) of planted n=60 at mean degree 5
+COLOR = {0: (1, 0, 0), 145: (22, 6, 6)}
+
+
 def test_color_graph_node_count():
-    n, edges = planted_3colorable(random.Random(0), 60, 5 / 60)
-    res = color_graph(n, edges)
-    assert res.colorable
-    assert (res.stats.nodes, res.stats.csp_nodes, res.stats.csp_calls) == (26, 2, 2)
+    for seed, counts in COLOR.items():
+        n, edges = planted_3colorable(random.Random(seed), 60, 5 / 60)
+        res = color_graph(n, edges)
+        assert res.colorable
+        assert (res.stats.nodes, res.stats.csp_nodes, res.stats.csp_calls) == counts
 
 
 def test_planted_240_needs_one_csp_call():

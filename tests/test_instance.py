@@ -555,17 +555,18 @@ def test_simplify_matches_four_lemma_reference(monkeypatch):
     reached = tally.copy()
     # leaf residues: the list-coloring instances color_graph hands to solve
     # (only a leaf whose commit loop is stuck and whose 2-SAT relaxation
-    # holds builds one; sparse planted graphs and G(20, 0.2) build some
-    # that fire lemmas)
+    # holds builds one, and only one with three or more three-color
+    # vertices fires a lemma; small planted graphs near mean degree 5.5
+    # build a few)
     leaf_calls = sum(
         color_graph(*graph).stats.csp_calls
-        for seed in range(400)
+        for seed in range(2000)
         for graph in (
-            planted_3colorable(random.Random(seed), 30, 6 / 30),
-            random_graph(random.Random(seed), 20, 0.2),
+            planted_3colorable(random.Random(seed), 22, 0.25),
+            planted_3colorable(random.Random(seed), 26, 0.22),
         )
     )
-    assert leaf_calls > 0 and tally != reached
+    assert leaf_calls > 80 and sum((tally - reached).values()) > 3
     assert tally["unconstrained"] == 0
     assert min(tally[name] for name in ("free-pair", "dominated", "dead")) > 0, tally
 

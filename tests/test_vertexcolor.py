@@ -3,7 +3,7 @@
 import random
 import sys
 from collections import Counter
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 import pytest
 
@@ -46,6 +46,7 @@ from helpers import (
     brute_branch_degree3_tree,
     brute_build_bushy_forest,
     brute_bushy_unit,
+    brute_commit_loop,
     brute_degree3_subgraph,
     brute_find_degree3_cycle,
     brute_forward_lists,
@@ -54,6 +55,7 @@ from helpers import (
     edge_root_stuck,
     extension_graph,
     flower_snark,
+    node_root_stuck,
     run_fresh,
 )
 
@@ -170,16 +172,17 @@ TREE8 = (13, [(i, i + 1) for i in range(7)] + list(combinations(range(8, 13), 2)
 REPEATED_OUTSIDE = planted_3colorable(random.Random("109:469:planted-color:36"), 36, 7 / 36)
 
 
-# Small seeded graphs whose leaf CSP branches, from seeds 0-2999 of their
-# families: the commit loop colors most leaves and its relaxation refutes
-# most of the rest, so few leaves build a CSP, and fewer branch.  Each
-# branching has a claim to check: dangling, dangling, implication and
-# implication.
+# Small seeded graphs whose leaf CSP branches, from seeds 0-4999 of their
+# families: the commit loop colors most graphs at a graph node and most
+# leaves, and its relaxation refutes most of the rest, so few leaves
+# build a CSP, and fewer branch.  Each branching has a claim to check:
+# dangling, then implication four times.
 BRANCHING_LEAVES = (
-    planted_3colorable(random.Random(387), 20, 0.25),
-    planted_3colorable(random.Random(2774), 20, 0.25),
+    planted_3colorable(random.Random(113), 22, 0.25),
+    planted_3colorable(random.Random(762), 22, 0.25),
     planted_3colorable(random.Random(2370), 22, 0.25),
-    random_graph(random.Random(1455), 14, 0.3),
+    planted_3colorable(random.Random(138), 26, 0.22),
+    random_graph(random.Random(3456), 12, 0.4),
 )
 
 
@@ -361,7 +364,7 @@ def test_check_claims_survives_python_O():
         "from csp32.oracle import planted_3colorable\n"
         "from csp32.vertexcolor import color_graph\n"
         "solver.claim_cap = lambda name: 0.0\n"
-        "graph = planted_3colorable(random.Random(387), 20, 0.25)\n"
+        "graph = planted_3colorable(random.Random(113), 22, 0.25)\n"
         "color_graph(*graph, solver.SolverConfig(check_claims=True))\n"
     )
     run = run_fresh(code, "-O")
@@ -445,13 +448,15 @@ def _planted_graphs(count):
         yield planted_3colorable(random.Random(seed), 36, 7 / 36)
 
 
-def _sparse_planted_graphs(count):
-    """Planted 3-colorable graphs at n = 16 to 24 and mean degree 5.5.
-    More of their leaves than the benchmark family's get the commit loop
-    stuck and still have a coloring, so they build satisfiable CSPs."""
+def _stuck_planted_graphs(count, degree):
+    """Planted 3-colorable graphs at n = 30 to 50 and the given mean
+    degree, from seeds 0 to count - 1, only those whose stripped root the
+    commit loop gets stuck on: it colors most planted graphs there, and
+    these go on to a leaf.  The sparser they are, the more three-color
+    vertices their leaves keep."""
     for seed in range(count):
-        n = 16 + seed % 9
-        yield planted_3colorable(random.Random(seed), n, 5.5 / n)
+        n = 30 + seed % 21
+        yield from filter(node_root_stuck, [planted_3colorable(random.Random(seed), n, degree / n)])
 
 
 def _assert_forests(g):
@@ -554,30 +559,31 @@ def test_height_two_placement_on_planted_y_vertices():
     # Real leaf residues with a nonempty Y set: every one is placed with
     # each Y vertex under one adjacent leaf, within the 3/5 tree caps and
     # two per leaf, and color_graph's verdict matches the brute oracle.
-    # The commit loop colors a few of these graphs at their root graph node,
-    # so they reach no leaf; the rest reach one leaf, the whole graph.
+    # The commit loop colors about three in four of these graphs at their
+    # root graph node, so they reach no leaf; the rest reach one leaf, the
+    # whole graph, and only those need the oracle.
     rng = random.Random(50)
     seen = Counter()
-    for _ in range(200):
+    for _ in range(1500):
         graph = planted_y_graph(rng)
         res = color_graph(*graph)
+        if not node_root_stuck(graph):
+            assert res.colorable and proper(graph[1], res.coloring)
+            assert (res.stats.nodes, res.stats.leaves) == (1, 0)
+            seen["loop colored"] += 1
+            continue
         assert res.colorable == (brute_vertex_color(_bfs_numbered(*graph)) is not None)
         if res.colorable:
             assert proper(graph[1], res.coloring)
-        residues = _leaf_graphs([graph])
-        if not residues:
-            assert res.colorable and (res.stats.nodes, res.stats.leaves) == (1, 0)
-            seen["loop colored"] += 1
-            continue
-        (g,) = residues
+        (g,) = _leaf_graphs([graph])
         assert len(g) == graph[0]
         _f, trees, _x_set, y_set = _assert_forests(g)
         assert y_set
         seen["high over three"] += any(t.high and t.grand_count > 3 for t in trees)
         seen["low placed"] += any(not t.high and t.grand_count for t in trees)
         seen[res.colorable] += 1
-    assert seen["high over three"] > 10 and seen["low placed"] > 30
-    assert seen[True] > 50 and seen[False] > 20 and seen["loop colored"] < 40, seen
+    assert seen["high over three"] > 38 and seen["low placed"] > 75
+    assert seen[True] > 38 and seen[False] > 260, seen
 
 
 def _assert_placed(g, trees, y_set):
@@ -594,13 +600,14 @@ def _assert_placed(g, trees, y_set):
 def test_flow_places_outside_vertices_under_adjacent_leaves():
     # The leaf residue of this planted graph has an outside vertex that
     # is neither packed nor next to the bushy forest (the flow's Y set).
-    # Of the planted graphs of seeds 0-399, n 30/40/50 and mean degree
-    # 4.6, 5.5 or 7, only this one and seed 345 at n = 50 reach such a
-    # leaf: the commit loop colors the others at a graph node first.
-    graph = planted_3colorable(random.Random(394), 30, 4.6 / 30)
+    # Of the planted graphs of seeds 0-999, n 30/40/50/60/80 and mean
+    # degree 4.6, 5.5, 6 or 7, only five reach such a leaf, this one
+    # among them: the commit loop colors the others at a graph node first
+    # or at their leaf without one.
+    graph = planted_3colorable(random.Random(461), 50, 7 / 50)
     (g,) = _leaf_graphs([graph])
     trees, _x_set, y_set = build_height_two_forest(g, build_bushy_forest(g))
-    assert y_set == {25}
+    assert y_set == {37}
     _assert_placed(g, trees, y_set)
     res = color_graph(*graph)
     assert res.colorable and proper(graph[1], res.coloring)
@@ -695,11 +702,12 @@ def test_forward_checked_leaf_matches_brute_reference(monkeypatch):
         res = color_graph(*graph)
         return (res.colorable, res.coloring), res.stats
 
-    # the commit loop colors many of these graphs at their root graph
-    # node, before any leaf, so the batch runs to 320 seeds
+    # the commit loop colors most of the seeded graphs at their root
+    # graph node, before any leaf, so planted graphs it gets stuck on
+    # join the batch
     calls = [0, 0]
     decided = 0
-    for graph in _seeded_graphs(320):
+    for graph in chain(_seeded_graphs(100), _stuck_planted_graphs(600, 7)):
         (got, got_csp, got_leaf, got_stats), (want, want_csp, want_leaf, want_stats) = _both_ways(
             monkeypatch, lambda: run(graph)
         )
@@ -709,21 +717,25 @@ def test_forward_checked_leaf_matches_brute_reference(monkeypatch):
         assert got_stats.csp_calls <= want_stats.csp_calls
         calls[0] += got_stats.csp_calls
         calls[1] += want_stats.csp_calls
-    assert decided > 150  # leaves colored, by a CSP call or by propagation
+    assert decided > 60  # leaves colored, by a CSP call or by propagation
     assert calls[0] < calls[1] / 2  # the check prunes most leaf CSP calls
 
 
 def test_forward_checked_line_graphs_match_brute_reference(monkeypatch):
-    leaves = decided = 0
-    for graph in _cubic_graphs():
+    # The commit loop colors nearly every colorable line graph at its
+    # root graph node, so the line-graph leaves that remain are mostly
+    # uncolorable and refuted; residues counts the leaf CSP calls, each
+    # one full interior coloring's residue however it is decided.
+    leaves = residues = 0
+    for graph in chain(_cubic_graphs(), _random_cubic_graphs(100), map(flower_snark, (5, 7))):
         (got, got_csp, got_leaf, got_stats), (want, want_csp, want_leaf, want_stats) = _both_ways(
             monkeypatch, lambda: edge_color(*graph)
         )
         assert got == want and got_csp == want_csp and got_leaf == want_leaf
         assert (got_stats.splices, got_stats.leaves) == (want_stats.splices, want_stats.leaves)
         leaves += got_stats.leaves
-        decided += len(got_leaf)
-    assert leaves > 50 and decided > 20
+        residues += got_stats.csp_calls
+    assert leaves > 180 and residues > 70
 
 
 def test_bushy_unit_draws_match_brute_reference(monkeypatch):
@@ -734,10 +746,10 @@ def test_bushy_unit_draws_match_brute_reference(monkeypatch):
     # coloring the search draws from a unit is charged as one node and
     # forward-checked before anything else is drawn or charged.  Line
     # graphs of cubic graphs never restrict a bushy unit's masks here, so
-    # only the colored batch prunes.  The commit loop colors many colored
+    # only the colored batch prunes.  The commit loop colors most colored
     # inputs at their root graph node, before any leaf, so that batch
-    # runs to 160 seeded and 600 planted graphs.  An edge_color root the
-    # loop colors is charged as one node with no graph node under it.
+    # adds planted graphs it gets stuck on.  An edge_color root the loop
+    # colors is charged as one node with no graph node under it.
     bushy_unit, forward_check = vertexcolor._bushy_unit, vertexcolor._forward_check
     expand, charge = vertexcolor._expand, SolverConfig.charge
     root_loop = edgecolor._commit_loop
@@ -799,14 +811,15 @@ def test_bushy_unit_draws_match_brute_reference(monkeypatch):
                     assert events[p + 1 : p + 3] == [("charge",), ("check", e[1])]
                     tally["draws"] += 1
 
-    run(lambda graph: color_graph(*graph).stats, chain(_seeded_graphs(160), _planted_graphs(600)))
+    run(lambda graph: color_graph(*graph).stats,
+        chain(_seeded_graphs(160), _stuck_planted_graphs(1200, 6.5)))
     colored = +tally
     planted = (planted_cubic_edge_colorable(random.Random(s), 24) for s in range(10))
     run(lambda graph: edge_color(*graph)[1],
         chain(_cubic_graphs(), map(flower_snark, (9, 11)), planted))
     line = tally - colored
-    assert colored["calls"] > 1500 and colored["deep"] > 500 and colored["pruned"] > 400
-    assert line["calls"] > 700 and line["deep"] > 150 and line["root colored"] > 3
+    assert colored["calls"] > 850 and colored["deep"] > 240 and colored["pruned"] > 140
+    assert line["calls"] > 550 and line["deep"] > 115 and line["root colored"] > 3
 
 
 def test_incremental_forward_check_matches_brute_reference(monkeypatch):
@@ -874,12 +887,12 @@ def test_leaf_csp_holds_every_leaf_vertex_with_its_mask(monkeypatch):
     # propagation cleared that color from its neighbours; dropping those
     # vertices and renumbering the rest in vertex order gives _leaf_csp.
     # A leaf goes to the CSP only when the commit loop is stuck on its
-    # masks and the 2-SAT relaxation holds; the loop colors most leaves,
-    # and many graphs at their root graph node before any leaf, and the
-    # relaxation refutes most of the rest, so the planted batch runs to
-    # 4,000 seeds, a sparser planted batch adds 2,000, and the
-    # flower snarks and 200 random cubic graphs give the line-graph
-    # floors their entries.
+    # masks and the 2-SAT relaxation holds; the loop colors most graphs
+    # at their root graph node before any leaf, and most leaves, and the
+    # relaxation refutes most of the rest, so the planted batch holds
+    # only graphs the loop gets stuck on at the root, from 4,000 seeds,
+    # and the flower snarks and 200 random cubic graphs give the
+    # line-graph floors their entries.
     residual_solve, csp_solve = vertexcolor._residual_solve, vertexcolor.solve
     commit_loop = vertexcolor._commit_loop
     leaf = {}  # graph and masks of the call in progress
@@ -916,14 +929,14 @@ def test_leaf_csp_holds_every_leaf_vertex_with_its_mask(monkeypatch):
     monkeypatch.setattr(vertexcolor, "_residual_solve", checked)
     for graph in _seeded_graphs(120):
         color_graph(*graph)
-    for graph in chain(_planted_graphs(4000), _sparse_planted_graphs(2000)):
+    for graph in _stuck_planted_graphs(4000, 6):
         color_graph(*graph)
     before = +sizes
     for graph in (*_random_cubic_graphs(200), *map(flower_snark, (5, 7, 9, 11))):
         edge_color(*graph)
-    assert sizes[1] > 1000 and sizes[2] > 3000 and sizes[3] > 300
     line = sizes - before
-    assert line[2] > 100 and line[3] > 30
+    assert before[1] > 7000 and before[2] > 650 and before[3] > 170
+    assert line[2] > 500 and line[3] > 190
 
     # A hand-built leaf: the bushy tree 0 -> 1 has interior {0, 1}, and
     # its first coloring forces 2, 3 and 4 (adjacent to both) and then 5,
@@ -984,8 +997,10 @@ def test_two_list_leaves_are_decided_by_propagation(monkeypatch):
     # is charged is that solve's, whether the commit loop, its relaxation
     # or the CSP decides it.  Its verdict is the leaf's, and a coloring
     # that comes back is proper and lies inside the masks.  The commit
-    # loop colors many line graphs at their root graph node, before any
-    # leaf, so random cubic graphs join the line-graph batch.
+    # loop colors most graphs and line graphs at their root graph node,
+    # before any leaf, so planted graphs it gets stuck on join the
+    # colored batch, and random cubic graphs and flower snarks the
+    # line-graph batch.
     residual_solve = vertexcolor._residual_solve
     verdicts, threes = Counter(), Counter()
 
@@ -1006,14 +1021,14 @@ def test_two_list_leaves_are_decided_by_propagation(monkeypatch):
         return full
 
     monkeypatch.setattr(vertexcolor, "_residual_solve", checked)
-    for graph in _seeded_graphs(120):
+    for graph in chain(_seeded_graphs(120), _stuck_planted_graphs(1000, 7)):
         color_graph(*graph)
     before = +verdicts
-    for graph in chain(_cubic_graphs(), _random_cubic_graphs(100)):
+    for graph in chain(_cubic_graphs(), _random_cubic_graphs(100), map(flower_snark, (5, 7, 9))):
         edge_color(*graph)
-    assert verdicts[True] > 80 and verdicts[False] > 80
-    assert sum((verdicts - before).values()) > 60  # line graphs
-    assert threes[1] > 50 and threes[2] > 50
+    assert verdicts[True] > 100 and verdicts[False] > 300
+    assert sum((verdicts - before).values()) > 170  # line graphs
+    assert threes[1] > 100 and threes[2] > 70
 
 
 def test_two_list_leaf_hand_built_cases(monkeypatch):
@@ -1054,27 +1069,31 @@ def test_two_list_leaf_hand_built_cases(monkeypatch):
     assert _forward_check(g, masks, {0: 0}) is None
     assert decide(g, masks) == ({0: 1, 1: 0, 2: 0, 3: 1}, [])
     # Two adjacent three-color vertices and a two-color vertex next to
-    # both: 0 takes 0, which forces 2 to 1 and then 1 to 2.
+    # both: the two-color vertex 2 goes first and takes 0, then 0 takes
+    # 1, which forces 1 to 2.
     triangle = adjacency(3, [(0, 1), (0, 2), (1, 2)])
-    assert decide(triangle, [7, 7, 0b011]) == ({0: 0, 1: 2, 2: 1}, [])
+    assert decide(triangle, [7, 7, 0b011]) == ({0: 1, 1: 2, 2: 0}, [])
 
-    # Vertex 1 closes the odd cycle 1-2-3-4-5 whose other vertices have
-    # lists {1, 2}.  The loop gives 0 its first color, which keeps the
-    # forward check but leaves 1 with {1, 2}, and both refute the cycle;
-    # the loop never takes a color back, so it is stuck.  The relaxation,
-    # the path 2-3-4-5, holds, so the CSP on all six vertices decides the
-    # leaf at its root: 0 takes 1 and 1 takes 0.
-    g = adjacency(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 1)])
-    masks = [7, 7, 0b110, 0b110, 0b110, 0b110]
-    assert _forward_check(g, masks, {0: 0}) is not None
+    # K4 less the edge 2-3, with lists {0, 1} at 2 and {1, 2} at 3 and
+    # three colors at 0 and 1.  The loop gives 2 its first color, 0,
+    # which keeps the forward check but leaves 0, 1 and 3 with {1, 2},
+    # and then each color of 0 forces 1 and 3 alike; the loop never takes
+    # a color back, so it is stuck.  The relaxation, 2 and 3 alone,
+    # holds, so the CSP on all four vertices decides the leaf at its
+    # root: 2 and 3 take 1.
+    g = adjacency(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    masks = [7, 7, 0b011, 0b110]
+    assert _forward_check(g, masks, {2: 0}) is not None
     assert vertexcolor._commit_loop(g, masks) is None
     full, calls = decide(g, masks)
-    assert calls == [6] and (full[0], full[1]) == (1, 0)
+    assert calls == [4] and (full[2], full[3]) == (1, 1)
 
-    # K4 with two three-color vertices: the forward check refutes each
-    # color of 0, so the loop is stuck; the relaxation (the edge 2-3)
-    # holds, and the CSP refutes the leaf at its root.
+    # The same with the edge 2-3: the loop again gives 2 the color 0,
+    # after which the forward check refutes each color of 0, so it is
+    # stuck; the relaxation (the edge 2-3) holds, and the CSP refutes the
+    # leaf at its root.
     k4 = adjacency(4, list(combinations(range(4), 2)))
+    assert _forward_check(k4, [7, 7, 0b011, 0b110], {2: 0}) is not None
     assert decide(k4, [7, 7, 0b011, 0b110]) == (None, [4])
 
     # The one node trips a spent budget, as the nested solve's did, also
@@ -1123,17 +1142,18 @@ def test_two_sat_relaxation_hand_built_cases(monkeypatch):
 
 
 def test_two_sat_relaxation_refutes_only_uncolorable_leaves(monkeypatch):
-    # Every leaf of seeded planted and G(n, 4.6/n) graphs and of line
-    # graphs takes one flow, and its verdict is solve's on its whole
-    # residue.  The commit loop runs first, on the leaf's own masks; a
-    # coloring it reaches has one color per vertex, inside the masks, is
-    # proper, and is the leaf's.  A stuck loop runs again on the 2-SAT
-    # relaxation, the masks with 7 -> 0, whose verdict is the direct
-    # CSP's on the two-color vertices alone.  A refuted relaxation builds
-    # no CSP; only a satisfiable one builds one, on every leaf vertex.
-    # The loop and the relaxation are charged as one CSP call of one node.
-    # The loop colors many graphs at their root graph node, before any
-    # leaf, so the planted batch and random cubic graphs join the inputs.
+    # Every leaf of seeded planted graphs and of line graphs takes one
+    # flow, and its verdict is solve's on its whole residue.  The commit
+    # loop runs first, on the leaf's own masks; a coloring it reaches has
+    # one color per vertex, inside the masks, is proper, and is the
+    # leaf's.  A stuck loop runs again on the 2-SAT relaxation, the masks
+    # with 7 -> 0, whose verdict is the direct CSP's on the two-color
+    # vertices alone.  A refuted relaxation builds no CSP; only a
+    # satisfiable one builds one, on every leaf vertex.  The loop and the
+    # relaxation are charged as one CSP call of one node.
+    # The loop colors most graphs at their root graph node, before any
+    # leaf, so the planted batch holds only graphs it gets stuck on there,
+    # and random cubic graphs and two flower snarks join the line graphs.
     residual_solve, commit_loop = vertexcolor._residual_solve, vertexcolor._commit_loop
     csp_solve = vertexcolor.solve
     loops, built = [], []  # of the leaf in progress
@@ -1179,28 +1199,25 @@ def test_two_sat_relaxation_refutes_only_uncolorable_leaves(monkeypatch):
     monkeypatch.setattr(vertexcolor, "_commit_loop", logged_loop)
     monkeypatch.setattr(vertexcolor, "solve", logged_solve)
     monkeypatch.setattr(vertexcolor, "_residual_solve", checked)
-    for seed in range(300):
-        rng = random.Random(seed)
-        n = 30 + seed % 31
-        color_graph(*planted_3colorable(rng, n, 7 / n))
-        color_graph(*random_graph(rng, n, 4.6 / n))
-    for graph in chain(_sparse_planted_graphs(2000), _planted_graphs(2000)):
+    for graph in _stuck_planted_graphs(6000, 6):
         color_graph(*graph)
     colored = +outcomes
-    for graph in chain(_cubic_graphs(), _random_cubic_graphs(100)):
+    for graph in chain(_cubic_graphs(), _random_cubic_graphs(100), map(flower_snark, (5, 7))):
         edge_color(*graph)
-    assert sum((outcomes - colored).values()) > 60  # line graphs
-    assert outcomes["colored", True] > 1000 and outcomes["refuted", False] > 500
-    assert outcomes["csp", False] > 30 and outcomes["csp", True] > 25, outcomes
+    assert sum((outcomes - colored).values()) > 75  # line graphs
+    assert outcomes["colored", True] > 340 and outcomes["refuted", False] > 370
+    assert outcomes["csp", False] > 50 and outcomes["csp", True] > 8, outcomes
 
 
 def test_commit_loop_tries_only_open_vertices_of_the_current_leaf_masks(monkeypatch):
-    # At every leaf of seeded color-planted graphs, the commit loop tries
-    # a vertex only while the masks current at that try leave it two or
-    # three colors, each color in its mask, in vertex order.  A vertex an
-    # earlier commit forced is not tried; a loop that read each mask from
-    # the leaf's starting masks would try it, though it would keep every
-    # answer.
+    # At every graph node and leaf of seeded color-planted graphs, the
+    # commit loop tries a vertex only while the masks current at that try
+    # leave it two or three colors, each color in its mask, and each step
+    # takes, among g's vertices still open, the one with the fewest
+    # colors, then the highest degree in g, then the lowest id.  A vertex
+    # an earlier commit forced is not tried; a loop that read each mask
+    # from the leaf's starting masks would try it, though it would keep
+    # every answer.
     commit_loop, forward_check = vertexcolor._commit_loop, vertexcolor._forward_check
     tried = []  # vertices the loop in progress tries
     tally = Counter()
@@ -1209,13 +1226,15 @@ def test_commit_loop_tries_only_open_vertices_of_the_current_leaf_masks(monkeypa
         if sys._getframe(1).f_code.co_name == "_commit_loop":
             ((v, c),) = asg.items()
             assert masks[v].bit_count() in (2, 3) and masks[v] >> c & 1, (v, masks[v])
+            open_ = [u for u in g if masks[u].bit_count() > 1]
+            assert v == min(open_, key=lambda u: (masks[u].bit_count(), -len(g[u]), u))
+            tally["two-color tries"] += masks[v] != 7
             tried.append(v)
         return forward_check(g, masks, asg)
 
     def logged_loop(g, masks):
         del tried[:]
         out = commit_loop(g, masks)
-        assert tried == sorted(tried)
         tally["tries"] += len(tried)
         if out is not None:  # every open vertex had its turn
             tally["forced"] += sum(masks[v].bit_count() > 1 for v in g) - len(set(tried))
@@ -1225,41 +1244,118 @@ def test_commit_loop_tries_only_open_vertices_of_the_current_leaf_masks(monkeypa
     monkeypatch.setattr(vertexcolor, "_commit_loop", logged_loop)
     for graph in _planted_graphs(200):
         color_graph(*graph)
-    assert tally["tries"] > 700 and tally["forced"] > 600, tally
+    assert tally["tries"] > 1200 and tally["forced"] > 3000, tally
+    assert tally["two-color tries"] > 1000, tally
+
+
+def test_commit_loop_matches_brute_force_on_seeded_masks():
+    # Seeded graphs on 3 to 9 vertices, each built twice: vertices and
+    # edges inserted in id order, and again in a shuffled order.  On
+    # two-color masks (a 0 mask leaves a vertex out) the loop is complete
+    # in its order: None exactly when no coloring inside the masks
+    # exists.  On mixed masks, forward-checked from a random partial
+    # coloring as a leaf's are, every answer is a proper coloring inside
+    # the masks.  On both builds, the loop's tries and answer are the
+    # reference's, which recomputes the rule (fewest colors, highest
+    # degree, lowest id) over sorted vertices at every step, so no
+    # tie-break follows the order of g's dict or sets.
+    rng = random.Random(46)
+    forward_check = vertexcolor._forward_check
+    tried = []
+    tally = Counter()
+
+    def logged(g, masks, asg):
+        tried.append(tuple(asg.items()))
+        return forward_check(g, masks, asg)
+
+    for trial in range(1200):
+        n = rng.randint(3, 9)
+        edges = [e for e in combinations(range(n), 2) if rng.random() < rng.choice((0.3, 0.5, 0.7))]
+        g = adjacency(n, edges)
+        shuffled = {}
+        for v in rng.sample(range(n), n):
+            shuffled[v] = set()
+        for u, v in rng.sample(edges, len(edges)):
+            shuffled[u].add(v)
+            shuffled[v].add(u)
+        two = trial % 2 == 0
+        masks = [rng.choice((0, 3, 5, 6) if two else (0, 3, 5, 6, 7, 7)) for _ in range(n)]
+        if not two:
+            live = [v for v in range(n) if masks[v]]
+            partial = {v: rng.choice(bits(masks[v])) for v in rng.sample(live, len(live) // 3)}
+            masks = _forward_check(g, masks, partial)
+            if masks is None:
+                continue
+        want_tries, want = brute_commit_loop(g, masks, forward_check)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(vertexcolor, "_forward_check", logged)
+            for graph in (g, shuffled):
+                del tried[:]
+                out = vertexcolor._commit_loop(graph, list(masks))
+                assert out == want and tried == want_tries
+        colorable = any(
+            all(c[u] != c[v] for u, v in edges if masks[u] and masks[v])
+            for c in product(*(bits(m) if m else (0,) for m in masks))
+        )
+        if out is not None:
+            assert all(out[v].bit_count() == 1 and masks[v] & out[v] for v in range(n) if masks[v])
+            assert all(out[u] != out[v] for u, v in edges if masks[u] and masks[v])
+        if two:
+            assert (out is not None) == colorable
+        tally[two, colorable, out is not None] += 1
+    assert tally[True, True, True] > 350 and tally[True, False, False] > 90, tally
+    assert tally[False, True, True] > 300, tally
 
 
 # Colorable graphs on which the commit loop, run on all-three-color
-# masks in vertex order, gets stuck.  In every proper coloring 0 and 1
-# differ though they are not adjacent, so the loop gives both color 0
-# and then some vertex keeps no color.  In the cubic one, 2 is next to 0
-# and, through the triangle 2-3-4 whose 3 and 4 both see 1, takes 1's
-# color; 5-6-7 is a triangle that gives every vertex degree three.  The
-# other is the complete tripartite graph on the classes v % 3, less the
-# edge 0-1, whose every vertex has degree five or more.
+# masks, gets stuck: each commit passes the forward check, yet no proper
+# coloring extends the commits, and then no color left to some vertex
+# passes the check.  In the cubic one (random cubic, seed 210) every vertex has
+# degree three, so 0 goes first and takes 0; 2, its two-color neighbour
+# of lowest id, takes 1, then 1 (next to 2) takes 0 and 4 (next to 2)
+# takes 0; neither color left to 3, next to 4, 6 and 7, then passes the
+# forward check.  The other is a planted 3-colorable graph (seed 236624,
+# n = 12, p = 0.7) whose every vertex has degree four or more: 2 (degree
+# six, lowest id) takes 0, its neighbour 0 (degree five) takes 1, and 6
+# (degree six, next to 0) takes 0, though 2 and 6 differ in every proper
+# coloring; neither color left to 8 then passes the forward check.
 COMMIT_STUCK = {
-    "cubic": (8, [(0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (0, 5), (0, 6), (1, 7),
-                  (5, 6), (5, 7), (6, 7)]),
-    "tripartite": (9, [(u, v) for u, v in combinations(range(9), 2)
-                       if u % 3 != v % 3 and (u, v) != (0, 1)]),
+    "cubic": ((8, [(0, 2), (0, 5), (0, 7), (1, 2), (1, 5), (1, 6), (2, 4), (3, 4), (3, 6),
+                   (3, 7), (4, 5), (6, 7)]), {0: 0, 2: 1, 1: 0, 4: 0}),
+    "tripartite": ((12, [(0, 1), (0, 2), (0, 4), (0, 6), (0, 10), (1, 5), (1, 9), (1, 10),
+                         (1, 11), (2, 3), (2, 5), (2, 7), (2, 9), (2, 10), (3, 4), (3, 6),
+                         (3, 8), (4, 5), (4, 7), (4, 9), (4, 10), (5, 6), (5, 8), (6, 8),
+                         (6, 9), (6, 11), (7, 8), (7, 11), (8, 9), (8, 11)]), {2: 0, 0: 1, 6: 0}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(COMMIT_STUCK))
-def test_node_commit_loop_stuck_graphs_are_colored_by_the_search(name):
+def test_node_commit_loop_stuck_graphs_are_colored_by_the_search(name, monkeypatch):
     # Stripping keeps every vertex and the loop gets stuck at the root
-    # graph node: its first two commits (0 and 1 to color 0) pass the
-    # forward check, though no coloring extends them.  The search goes
-    # on, the cubic graph by its triangles' cycle branching and the
-    # tripartite one by its leaf, and colors the graph.
-    n, edges = COMMIT_STUCK[name]
+    # graph node after the commits listed, which pass the forward check
+    # though no coloring extends them.  The search goes on, the cubic
+    # graph by its cycle branching and the other by its leaf, and colors
+    # the graph.
+    (n, edges), commits = COMMIT_STUCK[name]
     g = adjacency(n, edges)
     strip_low_degree(g, [])
-    assert len(g) == n and 1 not in g[0]
-    assert _forward_check(g, [7] * n, {0: 0, 1: 0}) is not None
-    assert brute_vertex_color(extension_graph(n, edges, {0: 0, 1: 0})) is None
+    assert len(g) == n
+    assert _forward_check(g, [7] * n, commits) is not None
+    assert brute_vertex_color(extension_graph(n, edges, commits)) is None
+    forward_check, kept = vertexcolor._forward_check, {}
+
+    def logged(g, masks, asg):
+        out = forward_check(g, masks, asg)
+        if out is not None:
+            kept.update(asg)
+        return out
+
+    monkeypatch.setattr(vertexcolor, "_forward_check", logged)
     assert vertexcolor._commit_loop(g, [7] * n) is None
+    assert list(kept.items()) == list(commits.items())
+    monkeypatch.undo()
     res = color_graph(n, edges)
-    assert res.colorable and proper(edges, res.coloring) and res.coloring[0] != res.coloring[1]
+    assert res.colorable and proper(edges, res.coloring)
     assert res.stats.nodes > 1
     assert res.stats.leaves == (name == "tripartite")
 
@@ -1332,15 +1428,15 @@ def test_node_commit_loop_decides_nodes_before_branching_and_leaves(monkeypatch)
                  "build_bushy_forest", "build_height_two_forest"):
         monkeypatch.setattr(vertexcolor, name, logged(name, getattr(vertexcolor, name)))
     monkeypatch.setattr(vertexcolor, "_expand", node)
-    for graph in _planted_graphs(300):
+    for graph in chain(_planted_graphs(300), _stuck_planted_graphs(1500, 7)):
         res = color_graph(*graph)
         assert res.colorable and proper(graph[1], res.coloring)
     # the loop colors most graphs that would branch at their root node,
     # so random cubic graphs and two hand-built ones give the branchings
-    cubic = (random_cubic(random.Random(s), 10 + 2 * (s % 8)) for s in range(300))
-    for graph in chain(_seeded_graphs(100), cubic, [TREE8, COMMIT_STUCK["cubic"]]):
+    cubic = (random_cubic(random.Random(s), 10 + 2 * (s % 8)) for s in range(1000))
+    for graph in chain(_seeded_graphs(100), cubic, [TREE8, COMMIT_STUCK["cubic"][0]]):
         color_graph(*graph)
-    assert tally["colored"] > 300 and tally["leaf"] > 300 and tally["branched"] > 15, tally
+    assert tally["colored"] > 1000 and tally["leaf"] > 230 and tally["branched"] > 26, tally
 
 
 def test_forward_check_refutes_only_unextendable_colorings():
