@@ -2,10 +2,12 @@
 
 After stripping edges with two or fewer conflicts, Even, Itai & Shamir's
 commit loop (vertexcolor's, two-color edges first, then the most
-conflicts) runs once on the stripped conflict graph, all three colors at
-every edge: a coloring it reaches decides the call, charged as the
-one-node line-graph leaf it replaces (no splice plan, no search).  Only
-a root the loop gets stuck on is spliced.
+conflicts, going back over its two-color commits within a budget of one
+forward check per edge) runs once on the stripped conflict graph, all
+three colors at every edge: a coloring or a refutation it reaches
+decides the call, charged as the one-node line-graph leaf it replaces
+(no splice plan, no search).  Only a root on which the budget runs out
+is spliced; the loop's polynomial work leaves the splice bound as it is.
 
 A splice removes an unconstrained edge joining two degree-three vertices
 together with its four neighbor edges, replacing them by two new edges
@@ -331,8 +333,8 @@ def edge_color(
     n raises ValueError.
 
     config's node limit counts splices and every line-graph node, a
-    root the commit loop colors as one; NodeLimitReached, carrying the
-    stats, is raised when it runs out.
+    root the commit loop colors or refutes as one; NodeLimitReached,
+    carrying the stats, is raised when it runs out.
     """
     cfg = config or SolverConfig()
     stats = SearchStats()
@@ -341,11 +343,11 @@ def edge_color(
         return None, stats
     g, steps = strip_low_neighbor_edges(ei)
     masks = _commit_loop(g, [7 * (e in ei.edges) for e in range(ei.next_id)])
-    if masks is not None:  # colored outright, charged as the one-node leaf it replaces
+    if masks is not None:  # colored or refuted outright, charged as the one-node leaf it replaces
         stats.nodes += 1
         stats.leaves += 1
         cfg.charge(stats)
-        colors = lift({e: masks[e].bit_length() - 1 for e in ei.edges}, steps)
+        colors = None if masks is False else lift({e: masks[e].bit_length() - 1 for e in g}, steps)
     else:
         plan = select_splices(ei)
         colors = depth_first((0, steps), lambda state: _expand(ei, plan, cfg, stats, state))

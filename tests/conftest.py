@@ -7,3 +7,17 @@ import pytest
 # its asserts as pytest does a test module's, so they also run under
 # python -O.
 pytest.register_assert_rewrite("helpers")
+
+
+@pytest.fixture
+def first_descent_loop(monkeypatch):
+    """Run vertexcolor's and edgecolor's commit loop without its
+    backtrack (helpers.first_descent), for the tests of the paper's
+    search: the backtrack decides most seeded inputs at their root."""
+    # imported here: the line tracer must start before csp32 is imported
+    import csp32.edgecolor as edgecolor
+    import csp32.vertexcolor as vertexcolor
+    from helpers import first_descent
+
+    for module in (vertexcolor, edgecolor):
+        monkeypatch.setattr(module, "_commit_loop", first_descent)

@@ -18,7 +18,7 @@ tests/helpers.py, small structured CSPs whose rules (two- and
 three-component, the matching endgame, a fallback) the large ones never
 reach, planted graphs whose coloring leaf assigns outside vertices to
 height-two trees by flow, and cubic graphs whose stripped root the
-commit loop gets stuck on, so that edge_color splices them.
+commit loop runs out of budget on, so that edge_color splices them.
 """
 
 import hashlib
@@ -86,11 +86,11 @@ def _graphs():
         yield "gnp", random_graph(rng, n, 4.6 / n)
         yield "planted", planted_3colorable(rng, n, 7 / n)
         yield "cubic", random_cubic(rng, 2 * rng.randint(4, 10))
-    # two of the five planted graphs of seeds 0-999, n 30/40/50/60/80 and
-    # mean degree 4.6, 5.5, 6 or 7 whose coloring leaf has outside
-    # vertices to place by flow, with the commit loop run at every graph
-    # node first
-    for seed, n, degree in ((894, 50, 4.6), (461, 50, 7)):
+    # the two planted graphs of seeds 0-320,000 (n 30/40/50/60/80 and
+    # mean degree 4.6, 5.5, 6 or 7, by seed) whose coloring leaf has
+    # outside vertices to place by flow, with the commit loop and its
+    # backtrack run at every graph node first
+    for seed, n, degree in ((303612, 50, 6), (318189, 80, 5.5)):
         yield "flow", planted_3colorable(random.Random(seed), n, degree / n)
 
 
@@ -112,12 +112,14 @@ def _tree_graphs():
 
 
 # the first 17 planted cubic seeds at n = 24 and the first 22 at n = 40
-# whose stripped root the commit loop gets stuck on: edge_color colors
-# most graphs of the random families above at their root, so these and
-# the snarks are the batch's splice searches
+# whose stripped root the commit loop runs out of budget on: edge_color
+# decides most graphs of the random families above at their root, so
+# these and the snarks are the batch's splice searches
 STUCK_PLANTED = {
-    24: (3, 4, 6, 7, 18, 20, 22, 24, 25, 32, 34, 37, 40, 45, 46, 49, 54),
-    40: (1, 2, 5, 6, 10, 14, 15, 16, 17, 18, 22, 23, 24, 27, 28, 29, 32, 33, 37, 39, 41, 43),
+    24: (149, 216, 260, 307, 323, 513, 549, 694, 847, 966, 1079, 1150, 1620, 1634, 1680, 1693,
+         1941),
+    40: (18, 32, 39, 92, 95, 112, 127, 133, 137, 145, 153, 165, 188, 198, 201, 217, 222, 238, 244,
+         257, 284, 293),
 }
 
 

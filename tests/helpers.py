@@ -15,6 +15,8 @@ from itertools import combinations, product
 from pathlib import Path
 
 import csp32
+import csp32.edgecolor as edgecolor
+import csp32.vertexcolor as vertexcolor
 from csp32.edgecolor import EdgeInstance, SpliceStep, strip_low_neighbor_edges
 from csp32.graphalg import bfs, depth_first
 from csp32.instance import (
@@ -45,7 +47,6 @@ from csp32.solver import (
 from csp32.transform import GeneralCSP, coloring_to_csp
 from csp32.vertexcolor import (
     Merged,
-    _commit_loop,
     _delete_cycle,
     _height_two_unit,
     _remove_greedy,
@@ -701,21 +702,26 @@ def flower_snark(k):
 
 
 def edge_root_stuck(graph):
-    """Whether the commit loop gets stuck on the stripped root of graph,
-    (n, edges) with maximum degree three, so that edge_color goes on to
-    its splice search and line-graph leaves instead of coloring it there."""
+    """Whether edgecolor's commit loop, the package's or one a test
+    patched in, gets no answer on the stripped root of graph, (n, edges)
+    with maximum degree three: the package's runs out of budget there,
+    so that edge_color goes on to its splice search and line-graph
+    leaves instead of deciding it at the root."""
     ei = EdgeInstance.from_graph(*graph)
     g, _ = strip_low_neighbor_edges(ei)
-    return _commit_loop(g, [7 * (e in ei.edges) for e in range(ei.next_id)]) is None
+    return edgecolor._commit_loop(g, [7 * (e in ei.edges) for e in range(ei.next_id)]) is None
 
 
 def node_root_stuck(graph):
-    """Whether the commit loop gets stuck on the stripped root graph node
-    of graph, (n, edges), so that color_graph goes on to its branching or
-    leaf instead of coloring it there."""
+    """Whether vertexcolor's commit loop, the package's or one a test
+    patched in, gets no answer on the stripped root graph node of graph,
+    (n, edges): the package's runs out of budget there, so that
+    color_graph goes on to its branching or leaf instead of deciding it
+    there."""
     g = adjacency(*graph)
     strip_low_degree(g, [])
-    return bool(g) and _commit_loop(g, [7 * (v in g) for v in range(max(g) + 1)]) is None
+    return bool(g) and vertexcolor._commit_loop(
+        g, [7 * (v in g) for v in range(max(g) + 1)]) is None
 
 
 def line_graph(n, edges):
@@ -1065,18 +1071,24 @@ def brute_forward_refuted(g, colored):
     return brute_forward_lists(g, colored) is None
 
 
+def brute_pick(g, masks):
+    """The commit loop's next vertex: list g's open vertices (two or three
+    colors left) in sorted order and take the one with the fewest
+    colors, then the highest degree, then the lowest id; None when no
+    vertex is open."""
+    open_ = [v for v in sorted(g) if masks[v].bit_count() > 1]
+    return min(open_, key=lambda v: (masks[v].bit_count(), -len(g[v]), v), default=None)
+
+
 def brute_commit_loop(g, masks, forward_check):
-    """Reference for vertexcolor._commit_loop: at every step, list g's
-    open vertices (two or three colors left) in sorted order and take the
-    one with the fewest colors, then the highest degree, then the lowest
-    id; try its colors ascending with forward_check.  The tries made, as
-    (vertex, color) items, and the loop's answer."""
+    """Reference for vertexcolor._commit_loop's first descent: at every
+    step, take brute_pick's vertex and try its colors ascending with
+    forward_check.  The tries made, as (vertex, color) items, and the
+    descent's answer: the masks, or None at its first dead end."""
     tries = []
     while True:
-        open_ = [v for v in sorted(g) if masks[v].bit_count() > 1]
-        if not open_:
+        if (v := brute_pick(g, masks)) is None:
             return tries, masks
-        v = min(open_, key=lambda v: (masks[v].bit_count(), -len(g[v]), v))
         for c in bits(masks[v]):
             tries.append(((v, c),))
             if (child := forward_check(g, masks, {v: c})) is not None:
@@ -1084,6 +1096,73 @@ def brute_commit_loop(g, masks, forward_check):
         else:
             return tries, None
         masks = child
+
+
+def first_descent(g, masks):
+    """The commit loop with no backtrack, as it ran before it had one:
+    the masks its first descent colors, or None at its first dead end.
+    On two-color masks that None still refutes them.  Tests of the
+    paper's search patch it in for vertexcolor's and edgecolor's loop
+    (the first_descent_loop fixture), so that seeded inputs reach the
+    branchings, forests, leaves and splices the backtrack now decides
+    before them."""
+    return brute_commit_loop(g, masks, vertexcolor._forward_check)[1]
+
+
+class _Refuted(Exception):
+    """A dead end below a pick made while no two-color vertex was open."""
+
+
+class _Spent(Exception):
+    """The backtrack's budget ran out."""
+
+
+def brute_backtrack_loop(g, masks, forward_check):
+    """Reference for vertexcolor._commit_loop, as a recursive search:
+    each pick is brute_pick's.  A three-color pick tries color 0
+    alone, and a dead end below it refutes the masks, whatever picks came
+    before.  A two-color pick made while some vertex of g has three
+    colors tries its other color once the first one's subtree is dead;
+    one made while none has tries no color after a kept one.  After the
+    first dead end (a pick whose colors all fail) the search may make
+    len(g) more tries.  The tries made and the answer: the masks, False,
+    or None when the budget ran out."""
+    tries, spare = [], []
+
+    def attempt(masks, v, c):
+        if spare:
+            if not spare[0]:
+                raise _Spent
+            spare[0] -= 1
+        tries.append(((v, c),))
+        return forward_check(g, masks, {v: c})
+
+    def search(masks):
+        if (v := brute_pick(g, masks)) is None:
+            return masks
+        if masks[v] == 7:
+            got = search(attempt(masks, v, 0))
+            if got is None:
+                raise _Refuted
+            return got
+        retry = any(masks[u] == 7 for u in g)
+        for c in bits(masks[v]):
+            if (child := attempt(masks, v, c)) is not None:
+                if (got := search(child)) is not None or not retry:
+                    return got
+        if not spare:  # the first dead end
+            spare.append(len(g))
+        return None
+
+    try:
+        got = search(masks)
+    except _Refuted:
+        got = False
+    except _Spent:
+        got = None
+    else:
+        got = False if got is None else got
+    return tries, got
 
 
 def extension_graph(n, edges, partial):

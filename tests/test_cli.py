@@ -1,6 +1,7 @@
 """Command line interface: file formats, subcommands, exit codes."""
 
 import json
+import random
 import re
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 import csp32
 from csp32 import cli
 from csp32.cli import EXIT_LIMIT, EXIT_SAT, EXIT_UNSAT, EXIT_USAGE, main
+from csp32.oracle import random_cubic
 from csp32.solver import SearchStats
 
 
@@ -218,12 +220,21 @@ def test_edge_color_exit_codes(tmp_path, capsys):
 
 
 def test_edge_color_stats_count_k4_refutations(tmp_path, capsys):
-    # The Petersen graph is refuted before any line graph: each branch of
-    # its splice search ends in pairings that close a K4 of conflicts.
+    # This random cubic graph (seed 48, n = 16) has no 3-edge-coloring,
+    # and the commit loop runs out of budget at its root, so it is refuted
+    # by the splice search before any line graph: each branch ends in
+    # pairings that close a K4 of conflicts.  The Petersen graph's root
+    # loop refutes it outright, charged as one leaf.
+    n, edges = random_cubic(random.Random(48), 16)
+    text = f"p edge {n} {len(edges)}\n" + "".join(f"e {u + 1} {v + 1}\n" for u, v in edges)
+    cubic = write(tmp_path, "cubic.col", text)
+    assert main(["edge-color", cubic, "--stats", "--json"]) == EXIT_UNSAT
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    assert (stats["splices"], stats["k4_refuted"], stats["leaves"]) == (6, 4, 0)
     petersen = write(tmp_path, "petersen.col", PETERSEN_COL)
     assert main(["edge-color", petersen, "--stats", "--json"]) == EXIT_UNSAT
     stats = json.loads(capsys.readouterr().out)["stats"]
-    assert (stats["splices"], stats["k4_refuted"], stats["leaves"]) == (4, 3, 0)
+    assert (stats["splices"], stats["k4_refuted"], stats["leaves"], stats["nodes"]) == (0, 0, 1, 1)
 
 
 def test_failed_library_verification_is_an_error(tmp_path, capsys, monkeypatch):

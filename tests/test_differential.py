@@ -15,7 +15,7 @@ from csp32.oracle import random_3cnf, random_cubic, random_graph
 from csp32.solver import solve
 from csp32.transform import coloring_to_csp, sat_to_csp
 from csp32.vertexcolor import color_graph
-from helpers import dpll, dsatur_color, line_graph
+from helpers import dpll, dsatur_color, first_descent, line_graph
 
 
 def test_answers_match_dpll_and_dsatur_past_brute_force_sizes(monkeypatch):
@@ -37,8 +37,11 @@ def test_answers_match_dpll_and_dsatur_past_brute_force_sizes(monkeypatch):
     assert verdicts.count(False) == 8
 
     # G(n, 4.6/n), n = 40-70, through color_graph and, for every third
-    # graph, the direct encoding: 181 of the 300 graphs are uncolorable,
-    # and 40 leaves reach the leaf CSP.
+    # graph, the direct encoding: 181 of the 300 graphs are uncolorable.
+    # The commit loop's backtrack decides nearly every one at its root,
+    # so color_graph runs again with the loop's first descent alone
+    # (helpers.first_descent), where the paper's search decides them and
+    # 40 leaves reach the leaf CSP.
     leaf_csps = []
     csp_solve = vertexcolor.solve
 
@@ -54,6 +57,9 @@ def test_answers_match_dpll_and_dsatur_past_brute_force_sizes(monkeypatch):
         graph = random_graph(rng, n, 4.6 / n)
         want = dsatur_color(*graph) is not None
         assert color_graph(*graph).colorable == want, seed
+        with monkeypatch.context() as mp:
+            mp.setattr(vertexcolor, "_commit_loop", first_descent)
+            assert color_graph(*graph).colorable == want, seed
         if seed % 3 == 0:
             assert solve(coloring_to_csp(*graph)).satisfiable == want, seed
         colorable.append(want)

@@ -1,4 +1,10 @@
-"""Edge 3-coloring of degree-at-most-three graphs via vertex splicing."""
+"""Edge 3-coloring of degree-at-most-three graphs via vertex splicing.
+
+The tests that take the first_descent_loop fixture (tests/conftest.py)
+run the commit loop without its backtrack, as it ran before it had one,
+so that their seeded inputs reach the splice search and its line-graph
+leaves, which the backtrack now decides before them.
+"""
 
 import json
 import random
@@ -135,14 +141,15 @@ def test_edge_color_rejects_self_loop():
 def test_edge_color_without_asserts():
     # python -O drops the spliceable precondition and SpliceStep.lift's
     # assert; the answers and edge_color's own check must not need them.
-    # The commit loop gets stuck at the planted graph's root, so it splices.
+    # The commit loop runs out of budget at the planted graph's root, so it
+    # splices.
     code = (
         "import json, random\n"
         "from csp32.edgecolor import edge_color\n"
         "from csp32.oracle import planted_cubic_edge_colorable\n"
         f"k4, _ = edge_color(4, {K4!r})\n"
         f"petersen, _ = edge_color(10, {PETERSEN!r})\n"
-        "planted, stats = edge_color(*planted_cubic_edge_colorable(random.Random(32), 24))\n"
+        "planted, stats = edge_color(*planted_cubic_edge_colorable(random.Random(149), 24))\n"
         "print(json.dumps([__debug__, sorted(k4.items()), petersen, planted is not None,"
         " [stats.splices, stats.k4_refuted]]))\n"
     )
@@ -151,7 +158,7 @@ def test_edge_color_without_asserts():
     debug, k4, petersen, planted, (splices, refuted) = json.loads(run.stdout.splitlines()[-1])
     assert not debug
     assert proper_edge(K4, {tuple(e): c for e, c in k4})
-    assert petersen is None and planted and (splices, refuted) == (30, 15)
+    assert petersen is None and planted and (splices, refuted) == (35, 21)
 
 
 def test_charge_identity_on_cubic_graphs():
@@ -175,7 +182,7 @@ def test_strip_removes_low_neighbor_edges():
     assert not ei.edges and g == {} and len(steps) == 3
 
 
-def test_edge_color_builds_one_conflict_graph(monkeypatch):
+def test_edge_color_builds_one_conflict_graph(monkeypatch, first_descent_loop):
     # The strip and the root commit loop share one conflict graph: the
     # stripped one strip_low_neighbor_edges returns is the conflict graph
     # of the stripped instance, and a whole edge_color call on a subcubic
@@ -299,7 +306,7 @@ def test_k4_refutation_is_sound():
     assert refuted > 100 and kept > 100
 
 
-def test_search_states_hold_no_k4(monkeypatch):
+def test_search_states_hold_no_k4(monkeypatch, first_descent_loop):
     # Checking the two new edges of each pairing is enough: no state the
     # splice search keeps, and no leaf, has a K4 of conflicts anywhere,
     # and every refuted pairing has one through a new edge.
@@ -480,10 +487,10 @@ def test_edge_color_builds_one_instance(monkeypatch):
         real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(EdgeInstance, "__init__", counted)
-    for graph in (  # each one the commit loop gets stuck on at the root
-        planted_cubic_edge_colorable(random.Random(5), 40),
-        random_cubic(random.Random(2), 20),
-        (10, PETERSEN),
+    for graph in (  # each one the commit loop runs out of budget on at the root
+        planted_cubic_edge_colorable(random.Random(18), 40),
+        random_cubic(random.Random(67), 20),
+        random_cubic(random.Random(48), 16),  # not 3-edge-colorable
     ):
         del built[:]
         _coloring, stats = edge_color(*graph)
@@ -543,7 +550,7 @@ def test_edge_color_rejects_unverified_coloring(monkeypatch):
         edge_color(4, k4)
 
 
-def test_node_limit_bounds_the_whole_call(monkeypatch):
+def test_node_limit_bounds_the_whole_call(monkeypatch, first_descent_loop):
     # Unlimited, this graph takes 15 splices and 23 graph+CSP nodes over
     # two line graphs; every smaller limit must stop the call as a
     # whole, not give each line graph a fresh budget, including limits
@@ -625,7 +632,8 @@ def test_root_commit_loop_colors_without_splicing(monkeypatch):
     # A root the commit loop colors is decided there: its coloring, lifted
     # through the strip steps, is proper, and the call is charged as the
     # one-node line-graph leaf it replaces, with no splice plan drawn.  A
-    # root it gets stuck on goes on to plan its splices.
+    # root it refutes is decided there too, charged the same, and returns
+    # None.  A root it runs out of budget on goes on to plan its splices.
     roots, plans = [], []
     commit_loop, select = edgecolor._commit_loop, edgecolor.select_splices
 
@@ -641,7 +649,7 @@ def test_root_commit_loop_colors_without_splicing(monkeypatch):
     monkeypatch.setattr(edgecolor, "_commit_loop", logged_loop)
     monkeypatch.setattr(edgecolor, "select_splices", logged_select)
     seen = Counter()
-    for n, edges in _root_loop_inputs():
+    for n, edges in _stuck_root_inputs():
         del roots[:], plans[:]
         got, stats = edge_color(n, edges)
         ((masks, out),) = roots
@@ -650,20 +658,35 @@ def test_root_commit_loop_colors_without_splicing(monkeypatch):
             assert len(plans) == 1
             seen["stuck", got is not None] += 1
             continue
-        assert got is not None and proper_edge(edges, got)
-        assert len(got) == len(edges) and plans == []
+        colored = out is not False
+        assert plans == [] and (got is not None) == colored
         assert (stats.splices, stats.nodes, stats.leaves, stats.csp_nodes) == (0, 1, 1, 0)
-        seen["colored", masks.count(0) > 0] += 1
+        if colored:
+            assert proper_edge(edges, got) and len(got) == len(edges)
+        seen["colored" if colored else "refuted", masks.count(0) > 0] += 1
     assert seen["colored", False] > 60 and seen["colored", True] > 15
-    assert seen["stuck", True] > 25 and seen["stuck", False] > 20, seen
+    assert seen["refuted", False] > 9 and seen["refuted", True] > 16
+    assert seen["stuck", True] > 25 and seen["stuck", False] > 6, seen
+
+
+def _stuck_root_inputs():
+    """_root_loop_inputs, with seeded planted cubic graphs at n = 32 and
+    40 and random cubic graphs at n = 16 to 40: the commit loop runs out
+    of budget on about one root in twenty of the first and one in forty
+    of the second, and half the random ones with no coloring."""
+    yield from _root_loop_inputs()
+    for s in range(400):
+        yield planted_cubic_edge_colorable(random.Random(s), 32 + 8 * (s % 2))
+    for s in range(2000):
+        yield random_cubic(random.Random(s), 16 + 2 * (s % 13))
 
 
 def test_stuck_root_commit_loop_leaves_the_search_as_it_was(monkeypatch):
-    # A root the loop gets stuck on searches exactly as a call with no
-    # root loop: the same splices, skips, leaves, K4 refutations and
-    # counts, and the same coloring.
+    # A root the loop runs out of budget on searches exactly as a call
+    # with no root loop: the same splices, skips, leaves, K4 refutations
+    # and counts, and the same coloring.
     runs = 0
-    for graph in filter(edge_root_stuck, _root_loop_inputs()):
+    for graph in filter(edge_root_stuck, _stuck_root_inputs()):
         got, stats = edge_color(*graph)
         with monkeypatch.context() as mp:
             mp.setattr(edgecolor, "_commit_loop", lambda g, masks: None)

@@ -76,15 +76,34 @@ verdicts-only digest holds: the "flow" graphs became planted seeds 894
 (4.6/n) and 461 (7/n) at n = 50, as 394 and 345 no longer reach a flow
 leaf, and STUCK_PLANTED the first 17 and 22 seeds whose root the loop
 now gets stuck on.
+The full, counts and answers digests were re-recorded when the commit
+loop began to go back over its two-color commits at a dead end, within
+a budget of one forward check per vertex, and to refute the masks when
+no pick is left to go back to.  Its first descent is the loop as it
+was, so a call on which the old loop never got stuck cannot move.  On
+the unchanged batch, record by record, only color and edge records
+moved, and each is a call on which the old loop got stuck at least
+once (204 color and 150 edge calls were; 3 color and 13 edge of them
+did not move): 67 unlimited color records (14 with another coloring,
+53 with counts alone) and 47 unlimited edge records (43 with another
+coloring, 4 with counts alone), every one spending fewer nodes; under
+limits, 63 color records reach their verdict at limit 4 and 19 at limit
+25 instead of the limit, and 45 edge records at limit 4 and 14 at limit
+25 do.  No unlimited verdict moved.  In the same change the batch took
+new reach inputs with the same labels and verdicts, so the
+verdicts-only digest holds: the "flow" graphs became planted seeds
+303612 (n = 50, 6/n) and 318189 (n = 80, 5.5/n), and STUCK_PLANTED the
+first 17 and 22 seeds whose root the loop runs out of budget on; 41 of
+the 121 unlimited edge records splice.
 """
 
 from functools import cache
 
 from fingerprint import digests
 
-FULL_DIGEST = "0663daff0fe99e3b097b5e37ad15e6be634e8224ffd25d6343844f122a47f900"
-COUNTS_DIGEST = "793576d5dcd83391d5df509b90c9e507f4c151ee7b4054b11ad105eacb737291"
-ANSWERS_DIGEST = "ad3ec445d3c49c6d0b9dfe22cf66310458e281946ced3552f2d4fadc3e44f976"
+FULL_DIGEST = "f70de185846ef789a20938cfbe29d6f5e6b0ebb32ea5ecf304b68dd9ad8a9c5e"
+COUNTS_DIGEST = "a893624803439b65ec7eb947676b2b0f3f4ce605cedc30a6d94969a5eb92fb7b"
+ANSWERS_DIGEST = "64a77bf1e87061e4847dfa59ec6171505e7520a97953f9cc1e695169fdadee12"
 VERDICTS_DIGEST = "222a776ed5c671c8bb3a4afa0a978f216b47800ef6536b91a593687649c4ec85"
 
 batch = cache(digests)  # the four tests read one run of the batch

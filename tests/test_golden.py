@@ -42,7 +42,17 @@ root graph node; planted n=40 seed 1 and random n=16 seed 0 became
 stuck roots again, whose splice search is the one they had before the
 root loop, its line graph now colored at its root graph node.  Planted
 n=60 seed 145 and planted n=24 seed 3, added then, reach a coloring
-leaf and a splice search.  No colorability moved.
+leaf and a splice search.  No colorability moved.  When the commit
+loop began to go back over its two-color commits, within a budget of
+one forward check per vertex after its first dead end, it colored
+planted n=40 seed 1, n=24 seed 3 and random n=16 seed 0 at the edge
+root, refuted random n=12 and n=20 seed 2 there (one leaf node each, as
+a colored root is charged), and colored planted n=60 seed 145 at its
+root graph node; each of these was a root the loop got stuck on before.
+Planted n=100 seed 1 and the EDGE_DEEP roots run the budget out, and
+keep their counts.  Planted n=24 seed 149, random n=16 seed 48 and
+planted n=135 seed 35 (mean degree 7), added then, are roots that run
+it out: two splice searches and a coloring leaf.  No colorability moved.
 """
 
 import random
@@ -83,14 +93,16 @@ SAT = {
 # nodes + csp_nodes, k4_refuted)
 EDGE = {
     ("planted", 1, 24): (True, 0, 0, 1, 1, 0),
-    ("planted", 1, 40): (True, 93, 4, 1, 1, 53),
+    ("planted", 1, 40): (True, 0, 0, 1, 1, 0),
     ("planted", 1, 100): (True, 15700, 338, 1, 1, 11788),
-    ("planted", 3, 24): (True, 12, 3, 1, 1, 1),
+    ("planted", 3, 24): (True, 0, 0, 1, 1, 0),
     ("planted", 13, 24): (True, 0, 0, 1, 1, 0),
     ("planted", 0, 40): (True, 0, 0, 1, 1, 0),
-    ("random", 0, 16): (True, 6, 2, 1, 1, 1),
-    ("random", 2, 12): (False, 1, 0, 0, 0, 1),
-    ("random", 2, 20): (False, 3, 0, 0, 0, 1),
+    ("planted", 149, 24): (True, 35, 2, 1, 1, 21),
+    ("random", 0, 16): (True, 0, 0, 1, 1, 0),
+    ("random", 2, 12): (False, 0, 0, 1, 1, 0),
+    ("random", 2, 20): (False, 0, 0, 1, 1, 0),
+    ("random", 48, 16): (False, 6, 0, 0, 0, 4),
 }
 
 # (seed, n, node_limit) -> (splices, skipped_splices, leaves, nodes + csp_nodes,
@@ -117,13 +129,13 @@ def test_sat_node_counts(seed, n):
     assert (res.satisfiable, res.stats.nodes, dict(res.stats.rule_counts)) == SAT[(seed, n)]
 
 
-# seed -> (nodes, csp_nodes, csp_calls) of planted n=60 at mean degree 5
-COLOR = {0: (1, 0, 0), 145: (22, 6, 6)}
+# (seed, n, mean degree) -> (nodes, csp_nodes, csp_calls) of planted graphs
+COLOR = {(0, 60, 5): (1, 0, 0), (145, 60, 5): (1, 0, 0), (35, 135, 7): (33, 1, 1)}
 
 
 def test_color_graph_node_count():
-    for seed, counts in COLOR.items():
-        n, edges = planted_3colorable(random.Random(seed), 60, 5 / 60)
+    for (seed, n, degree), counts in COLOR.items():
+        n, edges = planted_3colorable(random.Random(seed), n, degree / n)
         res = color_graph(n, edges)
         assert res.colorable
         assert (res.stats.nodes, res.stats.csp_nodes, res.stats.csp_calls) == counts

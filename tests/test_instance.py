@@ -508,7 +508,7 @@ def test_lift_restores_every_variable():
         assert set(full) == set(inst.colors)
 
 
-def test_simplify_matches_four_lemma_reference(monkeypatch):
+def test_simplify_matches_four_lemma_reference(monkeypatch, first_descent_loop):
     # Every simplify call of the solves below, at the root and at every
     # branch child, is compared with the set-form reference of its
     # batched rounds; the lemma simplify does without (use an
@@ -557,7 +557,9 @@ def test_simplify_matches_four_lemma_reference(monkeypatch):
     # (only a leaf whose commit loop is stuck and whose 2-SAT relaxation
     # holds builds one, and only one with three or more three-color
     # vertices fires a lemma; small planted graphs near mean degree 5.5
-    # build a few)
+    # build a few once the loop runs without its backtrack, which the
+    # first_descent_loop fixture does: with it, the loop decides nearly
+    # every one of them at the root)
     leaf_calls = sum(
         color_graph(*graph).stats.csp_calls
         for seed in range(2000)

@@ -1,9 +1,16 @@
-"""Graph 3-coloring pipeline: reductions, forests, and end-to-end solving."""
+"""Graph 3-coloring pipeline: reductions, forests, and end-to-end solving.
+
+The tests that take the first_descent_loop fixture (tests/conftest.py)
+run the commit loop without its backtrack, as it ran before it had one,
+so that seeded inputs reach the paper's search; where their comments
+say the loop gets stuck, they mean that first descent.
+"""
 
 import random
 import sys
 from collections import Counter
 from itertools import chain, combinations, product
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +53,7 @@ from helpers import (
     brute_branch_degree3_tree,
     brute_build_bushy_forest,
     brute_bushy_unit,
+    brute_backtrack_loop,
     brute_commit_loop,
     brute_degree3_subgraph,
     brute_find_degree3_cycle,
@@ -54,6 +62,7 @@ from helpers import (
     brute_solve_leaf,
     edge_root_stuck,
     extension_graph,
+    first_descent,
     flower_snark,
     node_root_stuck,
     run_fresh,
@@ -172,11 +181,13 @@ TREE8 = (13, [(i, i + 1) for i in range(7)] + list(combinations(range(8, 13), 2)
 REPEATED_OUTSIDE = planted_3colorable(random.Random("109:469:planted-color:36"), 36, 7 / 36)
 
 
-# Small seeded graphs whose leaf CSP branches, from seeds 0-4999 of their
-# families: the commit loop colors most graphs at a graph node and most
-# leaves, and its relaxation refutes most of the rest, so few leaves
-# build a CSP, and fewer branch.  Each branching has a claim to check:
-# dangling, then implication four times.
+# Small seeded graphs whose leaf CSP branches under the commit loop's
+# first descent (first_descent_loop), from seeds 0-4999 of their
+# families: the loop colors most graphs at a graph node and most leaves,
+# and its relaxation refutes most of the rest, so few leaves build a CSP,
+# and fewer branch.  With the backtrack, none of the planted 7/n graphs
+# of seeds 0-2999 at n = 100-150 builds one.  Each branching has a claim
+# to check: dangling, then implication four times.
 BRANCHING_LEAVES = (
     planted_3colorable(random.Random(113), 22, 0.25),
     planted_3colorable(random.Random(762), 22, 0.25),
@@ -255,7 +266,7 @@ def test_bushy_forest_invariants():
     assert built > 20
 
 
-def test_leaf_stage_records_breakdowns():
+def test_leaf_stage_records_breakdowns(first_descent_loop):
     # Dense random graphs reach the forest/leaf stage; the stats keep the
     # componentwise max of the leaves' vertex accounting, one 5-tuple
     # however many leaves there are.
@@ -344,7 +355,7 @@ def test_odd_cycle_third_child_with_repeated_outside_neighbor():
     assert (len(children), lifted) == (2, 2)
 
 
-def test_check_claims_reaches_the_leaf_csp(monkeypatch):
+def test_check_claims_reaches_the_leaf_csp(monkeypatch, first_descent_loop):
     # This graph has a leaf CSP that branches; with every cap at 0 the
     # claim check must fire inside color_graph's nested solve.
     graph = BRANCHING_LEAVES[0]
@@ -357,12 +368,17 @@ def test_check_claims_reaches_the_leaf_csp(monkeypatch):
 
 def test_check_claims_survives_python_O():
     # The same check in a python -O subprocess, which drops assert
-    # statements: the claim check must still raise.
+    # statements: the claim check must still raise.  The subprocess runs
+    # the commit loop without its backtrack, as the first_descent_loop
+    # fixture does, so that the graph reaches its branching leaf CSP.
     code = (
-        "import random\n"
-        "from csp32 import solver\n"
+        "import random, sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "from csp32 import solver, vertexcolor\n"
         "from csp32.oracle import planted_3colorable\n"
         "from csp32.vertexcolor import color_graph\n"
+        "from helpers import first_descent\n"
+        "vertexcolor._commit_loop = first_descent\n"
         "solver.claim_cap = lambda name: 0.0\n"
         "graph = planted_3colorable(random.Random(113), 22, 0.25)\n"
         "color_graph(*graph, solver.SolverConfig(check_claims=True))\n"
@@ -372,7 +388,7 @@ def test_check_claims_survives_python_O():
     assert "AssertionError: ('dangling', [" in run.stderr
 
 
-def test_claim_checked_coloring_matches_brute_force():
+def test_claim_checked_coloring_matches_brute_force(first_descent_loop):
     def claim_checked(graph) -> bool:
         """color_graph under the claim check agrees with brute force;
         whether a leaf CSP branched."""
@@ -451,8 +467,9 @@ def _planted_graphs(count):
 def _stuck_planted_graphs(count, degree):
     """Planted 3-colorable graphs at n = 30 to 50 and the given mean
     degree, from seeds 0 to count - 1, only those whose stripped root the
-    commit loop gets stuck on: it colors most planted graphs there, and
-    these go on to a leaf.  The sparser they are, the more three-color
+    commit loop in place gets no answer on (the first descent, under
+    first_descent_loop): it colors most planted graphs there, and these
+    go on to a leaf.  The sparser they are, the more three-color
     vertices their leaves keep."""
     for seed in range(count):
         n = 30 + seed % 21
@@ -477,7 +494,7 @@ def _assert_forests(g):
     return f, trees, x_set, y_set
 
 
-def test_forests_match_brute_reference():
+def test_forests_match_brute_reference(first_descent_loop):
     residues = _leaf_graphs(chain(_seeded_graphs(80), _planted_graphs(300)))
     rooted = adjacent = 0
     for g in residues:
@@ -555,7 +572,7 @@ def _bfs_numbered(n, edges):
     return n, [(pos[u], pos[v]) for u, v in edges]
 
 
-def test_height_two_placement_on_planted_y_vertices():
+def test_height_two_placement_on_planted_y_vertices(first_descent_loop):
     # Real leaf residues with a nonempty Y set: every one is placed with
     # each Y vertex under one adjacent leaf, within the 3/5 tree caps and
     # two per leaf, and color_graph's verdict matches the brute oracle.
@@ -600,14 +617,14 @@ def _assert_placed(g, trees, y_set):
 def test_flow_places_outside_vertices_under_adjacent_leaves():
     # The leaf residue of this planted graph has an outside vertex that
     # is neither packed nor next to the bushy forest (the flow's Y set).
-    # Of the planted graphs of seeds 0-999, n 30/40/50/60/80 and mean
-    # degree 4.6, 5.5, 6 or 7, only five reach such a leaf, this one
-    # among them: the commit loop colors the others at a graph node first
-    # or at their leaf without one.
-    graph = planted_3colorable(random.Random(461), 50, 7 / 50)
+    # Of the planted graphs of seeds 0-320,000, n 30/40/50/60/80 and mean
+    # degree 4.6, 5.5, 6 or 7 by seed, only two reach such a leaf, this
+    # one among them: the commit loop decides the others at a graph node
+    # first or at their leaf without one.
+    graph = planted_3colorable(random.Random(318189), 80, 5.5 / 80)
     (g,) = _leaf_graphs([graph])
     trees, _x_set, y_set = build_height_two_forest(g, build_bushy_forest(g))
-    assert y_set == {37}
+    assert y_set == {21}
     _assert_placed(g, trees, y_set)
     res = color_graph(*graph)
     assert res.colorable and proper(graph[1], res.coloring)
@@ -654,7 +671,8 @@ def _record_csp(monkeypatch):
 
 def _cubic_graphs():
     """Seeded planted and random cubic graphs for edge_color, only those
-    whose stripped root the commit loop gets stuck on: the loop colors
+    whose stripped root the commit loop in place gets no answer on (the
+    first descent, under first_descent_loop): the loop colors
     most small ones there, before any splice or line-graph leaf.  Most of
     the rest are colored at the splice search's first leaf, so the random
     ones run to n = 30 to give the line-graph leaves real enumeration."""
@@ -708,7 +726,7 @@ def _both_ways(monkeypatch, run):
     return out
 
 
-def test_forward_checked_leaf_matches_brute_reference(monkeypatch):
+def test_forward_checked_leaf_matches_brute_reference(monkeypatch, first_descent_loop):
     def run(graph):
         res = color_graph(*graph)
         return (res.colorable, res.coloring), res.stats
@@ -732,7 +750,7 @@ def test_forward_checked_leaf_matches_brute_reference(monkeypatch):
     assert calls[0] < calls[1] / 2  # the check prunes most leaf CSP calls
 
 
-def test_forward_checked_line_graphs_match_brute_reference(monkeypatch):
+def test_forward_checked_line_graphs_match_brute_reference(monkeypatch, first_descent_loop):
     # The commit loop colors nearly every colorable line graph at its
     # root graph node, so the line-graph leaves that remain are mostly
     # uncolorable and refuted; residues counts the leaf CSP calls, each
@@ -757,7 +775,7 @@ def test_forward_checked_line_graphs_match_brute_reference(monkeypatch):
     assert leaves > 180 and residues > 70 and decided > 20
 
 
-def test_bushy_unit_draws_match_brute_reference(monkeypatch):
+def test_bushy_unit_draws_match_brute_reference(monkeypatch, first_descent_loop):
     # At every leaf of seeded color-planted, G(n, p) and line-graph
     # inputs, each bushy unit, given the masks the search passes it,
     # yields the reference's colorings of its tree that those masks allow,
@@ -841,7 +859,7 @@ def test_bushy_unit_draws_match_brute_reference(monkeypatch):
     assert line["calls"] > 700 and line["deep"] > 150 and line["root colored"] > 3
 
 
-def test_incremental_forward_check_matches_brute_reference(monkeypatch):
+def test_incremental_forward_check_matches_brute_reference(monkeypatch, first_descent_loop):
     # At every enumeration step of seeded color-planted, G(n, p) and
     # line-graph leaves, the masks carried down from the parent give the
     # from-scratch check's verdict, and a kept child's masks are the
@@ -898,7 +916,7 @@ def test_incremental_forward_check_matches_brute_reference(monkeypatch):
     assert checks - before[0] > 200 and refuted - before[1] > 50  # line graphs
 
 
-def test_leaf_csp_holds_every_leaf_vertex_with_its_mask(monkeypatch):
+def test_leaf_csp_holds_every_leaf_vertex_with_its_mask(monkeypatch, first_descent_loop):
     # At every leaf CSP call of seeded color-planted, G(n, p) and
     # line-graph leaves, the CSP holds every leaf vertex, on its own id,
     # with its mask's colors, and one constraint per color shared across
@@ -1010,7 +1028,7 @@ def test_solve_decides_two_color_csps_at_the_root():
     assert min(verdicts[k, sat] for k in (0, 1, 2) for sat in (True, False)) > 50, verdicts
 
 
-def test_two_list_leaves_are_decided_by_propagation(monkeypatch):
+def test_two_list_leaves_are_decided_by_propagation(monkeypatch, first_descent_loop):
     # At every leaf of seeded color-planted, G(n, p) and line-graph
     # leaves with at most two three-color vertices, the direct CSP on the
     # residue takes one node and fires no rule, so the one node the leaf
@@ -1075,10 +1093,10 @@ def test_two_list_leaf_hand_built_cases(monkeypatch):
 
     monkeypatch.setattr(vertexcolor, "solve", logged_solve)
 
-    # An odd cycle with lists {0, 1}: the loop gets stuck, the relaxation
-    # (the same masks, as no vertex has three colors) refutes it, and no
-    # CSP is built.
+    # An odd cycle with lists {0, 1}: the loop, complete on two-color
+    # masks, refutes it at its first dead end, and no CSP is built.
     cycle = adjacency(5, [(i, (i + 1) % 5) for i in range(5)])
+    assert vertexcolor._commit_loop(cycle, [0b011] * 5) is False
     assert decide(cycle, [0b011] * 5) == (None, [])
 
     # The loop colors these outright.  Here vertex 0 fails its first color
@@ -1097,24 +1115,23 @@ def test_two_list_leaf_hand_built_cases(monkeypatch):
     # K4 less the edge 2-3, with lists {0, 1} at 2 and {1, 2} at 3 and
     # three colors at 0 and 1.  The loop gives 2 its first color, 0,
     # which keeps the forward check but leaves 0, 1 and 3 with {1, 2},
-    # and then each color of 0 forces 1 and 3 alike; the loop never takes
-    # a color back, so it is stuck.  The relaxation, 2 and 3 alone,
-    # holds, so the CSP on all four vertices decides the leaf at its
-    # root: 2 and 3 take 1.
+    # and then each color of 0 forces 1 and 3 alike: a dead end.  0 was
+    # picked with no three-color vertex open, so the loop goes back to
+    # 2, which was not, and its other color, 1, colors the leaf: 2 and 3
+    # take 1.  The first descent alone gets stuck there.
     g = adjacency(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
     masks = [7, 7, 0b011, 0b110]
     assert _forward_check(g, masks, {2: 0}) is not None
-    assert vertexcolor._commit_loop(g, masks) is None
-    full, calls = decide(g, masks)
-    assert calls == [4] and (full[2], full[3]) == (1, 1)
+    assert first_descent(g, masks) is None
+    assert decide(g, masks) == ({0: 0, 1: 2, 2: 1, 3: 1}, [])
 
-    # The same with the edge 2-3: the loop again gives 2 the color 0,
-    # after which the forward check refutes each color of 0, so it is
-    # stuck; the relaxation (the edge 2-3) holds, and the CSP refutes the
-    # leaf at its root.
+    # The same with the edge 2-3: the loop again gives 2 the color 0, and
+    # then 2 the color 1, and each meets the same dead end; with no pick
+    # left to go back to, the loop refutes the leaf, and no CSP is built.
     k4 = adjacency(4, list(combinations(range(4), 2)))
     assert _forward_check(k4, [7, 7, 0b011, 0b110], {2: 0}) is not None
-    assert decide(k4, [7, 7, 0b011, 0b110]) == (None, [4])
+    assert vertexcolor._commit_loop(k4, [7, 7, 0b011, 0b110]) is False
+    assert decide(k4, [7, 7, 0b011, 0b110]) == (None, [])
 
     # The one node trips a spent budget, as the nested solve's did, also
     # when the loop colors the leaf.
@@ -1126,11 +1143,16 @@ def test_two_list_leaf_hand_built_cases(monkeypatch):
 
 
 def test_two_sat_relaxation_hand_built_cases(monkeypatch):
-    # The two-color vertices 0-4 form an odd cycle with lists {0, 1}, and
-    # the three-color vertices 5, 6 and 7 sit beside it.  The commit loop
-    # gets stuck on the cycle; the relaxation leaves 5-7 out and refutes
-    # the cycle, so no CSP is built, and the leaf is charged as the
-    # one-node solve it replaces.
+    # A pendant gadget: two-color vertices 0 to k - 1 with lists {0, 1},
+    # each with three three-color pendants.  At degree three they go
+    # first, and each is picked while pendants still have three colors,
+    # so each keeps its other color to go back to.  Beside them, an odd
+    # cycle of two-color vertices with lists {0, 1} meets a dead end
+    # after every descent, and the loop goes back and forth over the
+    # gadget's 2^k ways until its budget, one forward check per leaf
+    # vertex, runs out.  The relaxation leaves the pendants out and
+    # refutes the cycle, so no CSP is built, and the leaf is charged as
+    # the one-node solve it replaces.
     built = []
 
     def logged_solve(inst, cfg):
@@ -1138,9 +1160,12 @@ def test_two_sat_relaxation_hand_built_cases(monkeypatch):
         return solve(inst, cfg)
 
     monkeypatch.setattr(vertexcolor, "solve", logged_solve)
-    edges = [(i, (i + 1) % 5) for i in range(5)] + [(5, 0), (6, 2), (7, 4), (5, 6), (6, 7)]
-    g = adjacency(8, edges)
-    masks = [0b011] * 5 + [7] * 3
+    k = 3  # two-color vertices 0 to k - 1, each with three three-color pendants
+    edges = [(i, k + 3 * i + j) for i in range(k) for j in range(3)]
+    edges += [(4 * k + i, 4 * k + (i + 1) % 5) for i in range(5)]
+    g = adjacency(4 * k + 5, edges)
+    masks = [0b011] * k + [7] * (3 * k) + [0b011] * 5
+    assert vertexcolor._commit_loop(g, masks) is None
     stats = SearchStats()
     assert vertexcolor._residual_solve(g, masks, SolverConfig(), stats) is None
     assert built == [] and (stats.csp_calls, stats.csp_nodes, stats.spent) == (1, 1, 1)
@@ -1150,14 +1175,20 @@ def test_two_sat_relaxation_hand_built_cases(monkeypatch):
         vertexcolor._residual_solve(g, masks, SolverConfig(node_limit=0), SearchStats())
     assert built == []
 
-    # K4 whose vertex 3 has the list {0, 1}: the commit loop gets stuck;
-    # alone, 3 is 2-SAT and takes 0, so the relaxation holds, and the CSP
-    # on all four refutes the leaf.
-    g = adjacency(4, list(combinations(range(4), 2)))
-    masks = [7, 7, 7, 0b011]
+    # K4 on 4k to 4k + 3 whose vertex 4k + 3 has the list {0, 1}, beside
+    # a pendant gadget with k = 2: again the loop runs out,
+    # going back and forth over the gadgets' picks as each descent meets
+    # the K4; the relaxation, the gadgets' and the K4's two-color
+    # vertices alone, holds, and the CSP on all of the leaf refutes it.
+    k = 2
+    edges = [(i, k + 3 * i + j) for i in range(k) for j in range(3)]
+    edges += [(4 * k + a, 4 * k + b) for a, b in combinations(range(4), 2)]
+    g = adjacency(4 * k + 4, edges)
+    masks = [0b011] * k + [7] * (3 * k) + [7, 7, 7, 0b011]
+    assert vertexcolor._commit_loop(g, masks) is None
     stats = SearchStats()
     assert vertexcolor._residual_solve(g, masks, SolverConfig(), stats) is None
-    assert built == [4] and stats.csp_calls == 1
+    assert built == [len(g)] and stats.csp_calls == 1
     assert stats.csp_nodes == solve(_leaf_csp(g, masks)).stats.nodes
 
 
@@ -1166,20 +1197,33 @@ def test_two_sat_relaxation_refutes_only_uncolorable_leaves(monkeypatch):
     # flow, and its verdict is solve's on its whole residue.  The commit
     # loop runs first, on the leaf's own masks; a coloring it reaches has
     # one color per vertex, inside the masks, is proper, and is the
-    # leaf's.  A stuck loop runs again on the 2-SAT relaxation, the masks
-    # with 7 -> 0, whose verdict is the direct CSP's on the two-color
-    # vertices alone.  A refuted relaxation builds no CSP; only a
-    # satisfiable one builds one, on every leaf vertex.  The loop and the
-    # relaxation are charged as one CSP call of one node.
-    # The loop colors most graphs at their root graph node, before any
-    # leaf, so the planted batch holds only graphs it gets stuck on there,
-    # and random cubic graphs and two flower snarks join the line graphs.
+    # leaf's, and a refutation is the leaf's.  A loop that runs out of
+    # budget runs again on the 2-SAT relaxation, the masks with 7 -> 0,
+    # where it never runs out, and whose verdict is the direct CSP's on
+    # the two-color vertices alone.  A refuted relaxation builds no CSP;
+    # only a satisfiable one builds one, on every leaf vertex.  The loop
+    # and the relaxation are charged as one CSP call of one node.
+    # The backtrack decides nearly every graph at its root, so the loop
+    # runs without it everywhere but at the leaf (as first_descent), and
+    # the batches hold graphs whose root that gets stuck on.  At the leaf
+    # it seldom runs out, so each leaf's relaxation is also decided
+    # apart, with the same verdict check, whichever way the leaf went.
     residual_solve, commit_loop = vertexcolor._residual_solve, vertexcolor._commit_loop
     csp_solve = vertexcolor.solve
     loops, built = [], []  # of the leaf in progress
-    outcomes = Counter()
+    outcomes, relaxations = Counter(), Counter()
+
+    def two_sat(g, relaxed):
+        """The loop's verdict on relaxed masks, checked against the CSP on
+        the two-color vertices alone."""
+        out = commit_loop(g, relaxed)
+        sub = {v: ns - {u for u in ns if not relaxed[u]} for v, ns in g.items() if relaxed[v]}
+        assert out is not None and bool(out) == solve(_leaf_csp(sub, relaxed)).satisfiable
+        return out
 
     def logged_loop(g, masks):
+        if sys._getframe(1).f_code.co_name != "_residual_solve":
+            return first_descent(g, masks)
         out = commit_loop(g, masks)
         loops.append((masks, out))
         return out
@@ -1197,17 +1241,18 @@ def test_two_sat_relaxation_refutes_only_uncolorable_leaves(monkeypatch):
         (first, committed), *rest = loops
         assert first is masks
         if committed is not None:
-            outcome = "colored"
-            assert rest == [] and built == []
-            assert all(committed[v].bit_count() == 1 for v in g)
-            assert full == {v: committed[v].bit_length() - 1 for v in g}
+            outcome = "colored" if committed else "loop refuted"
+            assert rest == [] and built == [] and (full is not None) == bool(committed)
+            if committed:
+                assert all(committed[v].bit_count() == 1 for v in g)
+                assert full == {v: committed[v].bit_length() - 1 for v in g}
         else:
-            ((relaxed, two_sat),) = rest
-            assert relaxed == [0 if m == 7 else m for m in masks]
-            sub = {v: ns - {u for u in ns if not relaxed[u]} for v, ns in g.items() if relaxed[v]}
-            assert (two_sat is not None) == solve(_leaf_csp(sub, relaxed)).satisfiable
-            outcome = "refuted" if two_sat is None else "csp"
-            assert built == ([] if two_sat is None else [len(g)])
+            ((relaxed, holds),) = rest
+            assert relaxed == [0 if m == 7 else m for m in masks] and bool(holds) == bool(
+                two_sat(g, relaxed))
+            outcome = "csp" if holds else "refuted"
+            assert built == ([len(g)] if holds else [])
+        relaxations[bool(two_sat(g, [0 if m == 7 else m for m in masks])), whole] += 1
         if not built:
             assert stats.csp_nodes == nodes + 1
         if full is not None:
@@ -1217,6 +1262,7 @@ def test_two_sat_relaxation_refutes_only_uncolorable_leaves(monkeypatch):
         return full
 
     monkeypatch.setattr(vertexcolor, "_commit_loop", logged_loop)
+    monkeypatch.setattr(edgecolor, "_commit_loop", first_descent)
     monkeypatch.setattr(vertexcolor, "solve", logged_solve)
     monkeypatch.setattr(vertexcolor, "_residual_solve", checked)
     for graph in _stuck_planted_graphs(18000, 6):
@@ -1225,8 +1271,11 @@ def test_two_sat_relaxation_refutes_only_uncolorable_leaves(monkeypatch):
     for graph in chain(_cubic_graphs(), _random_cubic_graphs(100), map(flower_snark, (5, 7))):
         edge_color(*graph)
     assert sum((outcomes - colored).values()) > 75  # line graphs
-    assert outcomes["colored", True] > 1000 and outcomes["refuted", False] > 500
-    assert outcomes["csp", False] > 50 and outcomes["csp", True] > 25, outcomes
+    assert outcomes["colored", True] > 1000 and outcomes["loop refuted", False] > 950, outcomes
+    # the leaves the loop runs out on, to the relaxation and the CSP, are
+    # the hand-built ones of test_two_sat_relaxation_hand_built_cases
+    assert relaxations[False, False] > 800 and relaxations[True, False] > 130, relaxations
+    assert relaxations[True, True] > 1000 and not relaxations[False, True], relaxations
 
 
 def test_commit_loop_tries_only_open_vertices_of_the_current_leaf_masks(monkeypatch):
@@ -1234,10 +1283,10 @@ def test_commit_loop_tries_only_open_vertices_of_the_current_leaf_masks(monkeypa
     # commit loop tries a vertex only while the masks current at that try
     # leave it two or three colors, each color in its mask, and its tries
     # and answer are the reference's, which takes at each step the vertex
-    # its order rule picks among those still open.  A vertex an earlier
-    # commit forced is not tried; a loop that read each mask from the
-    # leaf's starting masks would try it, though it would keep every
-    # answer.
+    # its order rule picks among those still open, and backtracks as the
+    # loop does.  A vertex an earlier commit forced is not tried; a loop
+    # that read each mask from the leaf's starting masks would try it,
+    # though it would keep every answer.
     commit_loop, forward_check = vertexcolor._commit_loop, vertexcolor._forward_check
     tried = []  # (vertex, color) tries of the loop in progress
     tally = Counter()
@@ -1252,11 +1301,12 @@ def test_commit_loop_tries_only_open_vertices_of_the_current_leaf_masks(monkeypa
 
     def logged_loop(g, masks):
         del tried[:]
-        want_tries, want = brute_commit_loop(g, masks, forward_check)
+        want_tries, want = brute_backtrack_loop(g, masks, forward_check)
         out = commit_loop(g, masks)
         assert [t for (t,) in want_tries] == tried and out == want
         tally["tries"] += len(tried)
-        if out is not None:  # every open vertex had its turn
+        tally["backtrack tries"] += len(tried) - len(brute_commit_loop(g, masks, forward_check)[0])
+        if out:  # every open vertex had its turn
             tally["forced"] += sum(masks[v].bit_count() > 1 for v in g) - len({v for v, _c in tried})
         return out
 
@@ -1265,20 +1315,24 @@ def test_commit_loop_tries_only_open_vertices_of_the_current_leaf_masks(monkeypa
     for graph in _planted_graphs(200):
         color_graph(*graph)
     assert tally["tries"] > 1200 and tally["forced"] > 3000, tally
-    assert tally["two-color tries"] > 1000, tally
+    assert tally["two-color tries"] > 1000 and tally["backtrack tries"] > 75, tally
 
 
 def test_commit_loop_matches_brute_force_on_seeded_masks():
-    # Seeded graphs on 3 to 9 vertices, each built twice: vertices and
-    # edges inserted in id order, and again in a shuffled order.  On
-    # two-color masks (a 0 mask leaves a vertex out) the loop is complete
-    # in its order: None exactly when no coloring inside the masks
-    # exists.  On mixed masks, forward-checked from a random partial
-    # coloring as a leaf's are, every answer is a proper coloring inside
-    # the masks.  On both builds, the loop's tries and answer are the
-    # reference's, which recomputes the rule (fewest colors, highest
-    # degree, lowest id) over sorted vertices at every step, so no
-    # tie-break follows the order of g's dict or sets.
+    # Seeded graphs on 3 to 12 vertices, each built twice: vertices and
+    # edges inserted in id order, and again in a shuffled order, with
+    # two-color masks (a 0 mask leaves a vertex out) or mixed masks,
+    # forward-checked from a random partial coloring as a leaf's are.
+    # On both builds the loop's tries and answer are brute_backtrack_loop's,
+    # which recomputes the order rule (fewest colors, highest degree,
+    # lowest id) over sorted vertices at every step, so no tie-break
+    # follows the order of g's dict or sets; where brute_commit_loop's
+    # first descent colors, they are its.  A coloring is proper and inside
+    # the masks, False comes exactly when no coloring inside the masks
+    # exists (a product brute force), and None, never on two-color masks,
+    # only once len(g) tries past the first descent are spent.  Stripped
+    # edge roots of planted cubic graphs at n = 100, too big for the brute
+    # force, run that budget out.
     rng = random.Random(46)
     forward_check = vertexcolor._forward_check
     tried = []
@@ -1288,8 +1342,30 @@ def test_commit_loop_matches_brute_force_on_seeded_masks():
         tried.append(tuple(asg.items()))
         return forward_check(g, masks, asg)
 
-    for trial in range(1200):
-        n = rng.randint(3, 9)
+    def check(graphs, masks):
+        """The loop's answer on each of graphs, the same graph in two
+        builds, checked against both references."""
+        g = graphs[0]
+        want_tries, want = brute_backtrack_loop(g, masks, forward_check)
+        descent_tries, descent = brute_commit_loop(g, masks, forward_check)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(vertexcolor, "_forward_check", logged)
+            for graph in graphs:
+                del tried[:]
+                out = vertexcolor._commit_loop(graph, list(masks))
+                assert out == want and tried == want_tries
+        assert want_tries[: len(descent_tries)] == descent_tries
+        if descent is not None:
+            assert (want_tries, want) == (descent_tries, descent)
+        if out is None:
+            assert len(want_tries) - len(descent_tries) == len(g)
+        if out:
+            assert all(out[v].bit_count() == 1 and masks[v] & out[v] for v in g if masks[v])
+            assert all(out[u] != out[v] for u in g for v in g[u] if masks[u] and masks[v])
+        return out
+
+    for trial in range(1800):
+        n = rng.randint(3, 9) if trial < 1200 else rng.randint(10, 12)
         edges = [e for e in combinations(range(n), 2) if rng.random() < rng.choice((0.3, 0.5, 0.7))]
         g = adjacency(n, edges)
         shuffled = {}
@@ -1306,39 +1382,73 @@ def test_commit_loop_matches_brute_force_on_seeded_masks():
             masks = _forward_check(g, masks, partial)
             if masks is None:
                 continue
-        want_tries, want = brute_commit_loop(g, masks, forward_check)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(vertexcolor, "_forward_check", logged)
-            for graph in (g, shuffled):
-                del tried[:]
-                out = vertexcolor._commit_loop(graph, list(masks))
-                assert out == want and tried == want_tries
+        out = check((g, shuffled), masks)
         colorable = any(
             all(c[u] != c[v] for u, v in edges if masks[u] and masks[v])
             for c in product(*(bits(m) if m else (0,) for m in masks))
         )
-        if out is not None:
-            assert all(out[v].bit_count() == 1 and masks[v] & out[v] for v in range(n) if masks[v])
-            assert all(out[u] != out[v] for u, v in edges if masks[u] and masks[v])
-        if two:
-            assert (out is not None) == colorable
-        tally[two, colorable, out is not None] += 1
-    assert tally[True, True, True] > 350 and tally[True, False, False] > 90, tally
-    assert tally[False, True, True] > 300, tally
+        assert out is None or bool(out) == colorable
+        assert out is not None or not two
+        tally[two, colorable, out is not None and bool(out)] += 1
+    assert tally[True, True, True] > 440 and tally[True, False, False] > 260, tally
+    assert tally[False, True, True] > 350 and tally[False, False, False] > 7, tally
+
+    # A two-color vertex beside a K4: it keeps its other color to go back
+    # to until the K4's first pick, a three-color one, forgets it, so the
+    # K4's first dead end refutes the masks after the first descent.
+    k4 = adjacency(5, list(combinations(range(4), 2)))
+    assert check((k4,), [7, 7, 7, 7, 0b011]) is False and tried == brute_commit_loop(
+        k4, [7, 7, 7, 7, 0b011], forward_check)[0]
+
+    for s in range(50):
+        ei = edgecolor.EdgeInstance.from_graph(*planted_cubic_edge_colorable(random.Random(s), 100))
+        g, _ = edgecolor.strip_low_neighbor_edges(ei)
+        shuffled = {e: g[e] for e in rng.sample(sorted(g), len(g))}
+        out = check((g, shuffled), [7 * (e in ei.edges) for e in range(ei.next_id)])
+        tally["edge root", None if out is None else bool(out)] += 1
+    assert tally["edge root", None] > 18 and tally["edge root", True] > 21, tally
 
 
-# Colorable graphs on which the commit loop, run on all-three-color
-# masks, gets stuck: each commit passes the forward check, yet no proper
-# coloring extends the commits, and then no color left to some vertex
-# passes the check.  In the cubic one (random cubic, seed 210) every vertex has
-# degree three, so 0 goes first and takes 0; 2, its two-color neighbour
-# of lowest id, takes 1, then 1 (next to 2) takes 0 and 4 (next to 2)
-# takes 0; neither color left to 3, next to 4, 6 and 7, then passes the
-# forward check.  The other is a planted 3-colorable graph (seed 236624,
-# n = 12, p = 0.7) whose every vertex has degree four or more: 2 (degree
-# six, lowest id) takes 0, its neighbour 0 (degree five) takes 1, and 6
-# (degree six, next to 0) takes 0, though 2 and 6 differ in every proper
-# coloring; neither color left to 8 then passes the forward check.
+def test_commit_loop_never_runs_out_on_two_color_masks():
+    # On two-color masks (a 0 mask leaves a vertex out) the loop is
+    # complete, so it keeps no color to go back to: its first dead end
+    # refutes the masks, and it never returns None, on graphs far past
+    # the brute force's sizes too.  The relaxation of a leaf relies on
+    # it.  Its verdict is the CSP's on the same lists.
+    rng = random.Random(47)
+    tally = Counter()
+    for _ in range(300):
+        n = rng.randint(20, 120)
+        g = adjacency(*random_graph(rng, n, rng.uniform(2, 6) / n))
+        masks = [rng.choice((0, 3, 5, 6)) for _ in range(n)]
+        out = vertexcolor._commit_loop(g, masks)
+        sub = {v: {u for u in ns if masks[u]} for v, ns in g.items() if masks[v]}
+        assert out is not None and bool(out) == solve(_leaf_csp(sub, masks)).satisfiable
+        tally[bool(out)] += 1
+    assert tally[True] > 50 and tally[False] > 50, tally
+    # Two-color vertices 0 to 2, each with two two-color pendants, go
+    # first (degree two, lowest ids) beside an odd cycle: a loop that
+    # kept their other colors to go back to would try all eight ways
+    # against the cycle and run out; this one refutes the masks at the
+    # cycle's first dead end.
+    edges = [(i, 3 + 2 * i + j) for i in range(3) for j in range(2)]
+    edges += [(9 + i, 9 + (i + 1) % 5) for i in range(5)]
+    assert vertexcolor._commit_loop(adjacency(14, edges), [0b011] * 14) is False
+
+
+# Colorable graphs on which the commit loop's first descent, run on
+# all-three-color masks, gets stuck: each commit passes the forward check,
+# yet no proper coloring extends the commits, and then no color left to
+# some vertex passes the check.  In the cubic one (random cubic, seed 210)
+# every vertex has degree three, so 0 goes first and takes 0; 2, its
+# two-color neighbour of lowest id, takes 1, then 1 (next to 2) takes 0
+# and 4 (next to 2) takes 0; neither color left to 3, next to 4, 6 and 7,
+# then passes the forward check.  The other is a planted 3-colorable graph
+# (seed 236624, n = 12, p = 0.7) whose every vertex has degree four or
+# more: 2 (degree six, lowest id) takes 0, its neighbour 0 (degree five)
+# takes 1, and 6 (degree six, next to 0) takes 0, though 2 and 6 differ
+# in every proper coloring; neither color left to 8 then passes the
+# forward check.
 COMMIT_STUCK = {
     "cubic": ((8, [(0, 2), (0, 5), (0, 7), (1, 2), (1, 5), (1, 6), (2, 4), (3, 4), (3, 6),
                    (3, 7), (4, 5), (6, 7)]), {0: 0, 2: 1, 1: 0, 4: 0}),
@@ -1351,9 +1461,11 @@ COMMIT_STUCK = {
 
 @pytest.mark.parametrize("name", sorted(COMMIT_STUCK))
 def test_node_commit_loop_stuck_graphs_are_colored_by_the_search(name, monkeypatch):
-    # Stripping keeps every vertex and the loop gets stuck at the root
-    # graph node after the commits listed, which pass the forward check
-    # though no coloring extends them.  The search goes on, the cubic
+    # Stripping keeps every vertex and the first descent gets stuck at the
+    # root graph node after the commits listed, which pass the forward
+    # check though no coloring extends them.  The loop goes back over its
+    # two-color commits and colors the graph there, charged as that one
+    # graph node.  Without the backtrack the search goes on, the cubic
     # graph by its cycle branching and the other by its leaf, and colors
     # the graph.
     (n, edges), commits = COMMIT_STUCK[name]
@@ -1371,9 +1483,14 @@ def test_node_commit_loop_stuck_graphs_are_colored_by_the_search(name, monkeypat
         return out
 
     monkeypatch.setattr(vertexcolor, "_forward_check", logged)
-    assert vertexcolor._commit_loop(g, [7] * n) is None
+    assert first_descent(g, [7] * n) is None
     assert list(kept.items()) == list(commits.items())
     monkeypatch.undo()
+    committed = vertexcolor._commit_loop(g, [7] * n)
+    res = color_graph(n, edges)
+    assert res.colorable and res.coloring == {v: committed[v].bit_length() - 1 for v in g}
+    assert (res.stats.nodes, res.stats.leaves) == (1, 0)
+    monkeypatch.setattr(vertexcolor, "_commit_loop", first_descent)
     res = color_graph(n, edges)
     assert res.colorable and proper(edges, res.coloring)
     assert res.stats.nodes > 1
@@ -1382,10 +1499,10 @@ def test_node_commit_loop_stuck_graphs_are_colored_by_the_search(name, monkeypat
 
 def test_node_commit_loop_on_wheels():
     # A hub joined to every vertex of a cycle: stripping keeps all of it.
-    # An odd rim needs four colors, so the loop gets stuck at the root
-    # node and the search refutes the wheel; on an even rim the loop
-    # colors the wheel at the root node, charged as that one graph node
-    # with no leaf and no CSP call.
+    # An odd rim needs four colors, which the loop's backtrack refutes at
+    # the root node; on an even rim the loop colors the wheel there.
+    # Either way the call is charged as that one graph node, with no leaf
+    # and no CSP call.
     for rim in range(3, 10):
         n, edges = rim + 1, [(0, v) for v in range(1, rim + 1)]
         edges += [(v, v % rim + 1) for v in range(1, rim + 1)]
@@ -1394,11 +1511,11 @@ def test_node_commit_loop_on_wheels():
         assert len(g) == n
         committed = vertexcolor._commit_loop(g, [7] * n)
         res = color_graph(n, edges)
-        assert res.colorable == (rim % 2 == 0) == (committed is not None)
+        assert res.colorable == (rim % 2 == 0) == (committed is not False)
         if res.colorable:
             assert res.coloring == {v: committed[v].bit_length() - 1 for v in range(n)}
-            assert (res.stats.nodes, res.stats.leaves, res.stats.csp_calls) == (1, 0, 0)
-            assert res.stats.breakdowns == (0, 0, 0, 0, 0)
+        assert (res.stats.nodes, res.stats.leaves, res.stats.csp_calls) == (1, 0, 0)
+        assert res.stats.breakdowns == (0, 0, 0, 0, 0)
 
 
 def test_node_commit_loop_decides_nodes_before_branching_and_leaves(monkeypatch):
@@ -1406,9 +1523,12 @@ def test_node_commit_loop_decides_nodes_before_branching_and_leaves(monkeypatch)
     # graphs that stripping leaves nonempty, the commit loop runs once,
     # first, on the stripped graph's all-three-color masks.  A node it
     # colors returns the loop's coloring lifted through the node's steps,
-    # with no children, calls no branch builder, forest or leaf, and
-    # charges only its own graph node.  A node it leaves stuck goes on to
-    # branching or its leaf as before.
+    # and a node it refutes returns None; either way with no children,
+    # calling no branch builder, forest or leaf, and charging only its
+    # own graph node.  A node it gets no answer on goes on to branching
+    # or its leaf as before.  The backtrack decides nearly every node, so
+    # the stuck nodes come from a second pass that runs the loop without
+    # it (first_descent).
     expand = vertexcolor._expand
     calls = []  # (name, arguments, result) within the node in progress
     tally = Counter()
@@ -1433,10 +1553,10 @@ def test_node_commit_loop_decides_nodes_before_branching_and_leaves(monkeypatch)
         assert first == "_commit_loop" and loop_g is g
         assert masks == [7 * (v in g) for v in range(max(g) + 1)]
         if committed is not None:
-            assert value == lift({v: committed[v].bit_length() - 1 for v in g}, steps)
-            assert children == () and rest == []
+            want = committed and lift({v: committed[v].bit_length() - 1 for v in g}, steps)
+            assert value == (want or None) and children == () and rest == []
             assert vars(stats) == dict(before, nodes=before["nodes"] + 1)
-            tally["colored"] += 1
+            tally["colored" if committed else "refuted"] += 1
         else:
             names = [name for name, _, _ in rest]
             branched = any(out is not None for name, _, out in rest if name.startswith("branch"))
@@ -1448,6 +1568,10 @@ def test_node_commit_loop_decides_nodes_before_branching_and_leaves(monkeypatch)
                  "build_bushy_forest", "build_height_two_forest"):
         monkeypatch.setattr(vertexcolor, name, logged(name, getattr(vertexcolor, name)))
     monkeypatch.setattr(vertexcolor, "_expand", node)
+    for graph in chain(_planted_graphs(300), _seeded_graphs(100)):
+        color_graph(*graph)
+    decided = +tally
+    monkeypatch.setattr(vertexcolor, "_commit_loop", logged("_commit_loop", first_descent))
     for graph in chain(_planted_graphs(300), _stuck_planted_graphs(2500, 7)):
         res = color_graph(*graph)
         assert res.colorable and proper(graph[1], res.coloring)
@@ -1456,6 +1580,7 @@ def test_node_commit_loop_decides_nodes_before_branching_and_leaves(monkeypatch)
     cubic = (random_cubic(random.Random(s), 10 + 2 * (s % 8)) for s in range(1000))
     for graph in chain(_seeded_graphs(100), cubic, [TREE8, COMMIT_STUCK["cubic"][0]]):
         color_graph(*graph)
+    assert decided["colored"] > 300 and decided["refuted"] > 65, decided
     assert tally["colored"] > 1000 and tally["leaf"] > 300 and tally["branched"] > 26, tally
 
 
@@ -1511,7 +1636,7 @@ def test_leaf_charges_no_coloring_a_propagated_color_excludes():
     assert sorted(coloring) == list(range(13)) and proper(edges, coloring)
 
 
-def test_enumeration_node_limit_stops_before_any_csp_call():
+def test_enumeration_node_limit_stops_before_any_csp_call(first_descent_loop):
     # Every interior coloring of this graph's one leaf is refuted by the
     # forward check, so the call spends its whole budget enumerating.
     graph = random_graph(random.Random(186), 24, 0.25)
