@@ -1,13 +1,13 @@
 """Exact 3-edge-coloring via splice reductions and the vertex pipeline.
 
-After stripping edges with two or fewer conflicts, Even, Itai & Shamir's
+edge_root builds the conflict graph on the edge ids from the edge list
+and strips edges with two or fewer conflicts.  Even, Itai & Shamir's
 commit loop (vertexcolor's, two-color edges first, then the most
 conflicts, going back over its two-color commits within a budget of one
-forward check per edge) runs once on the stripped conflict graph, all
-three colors at every edge: a coloring or a refutation it reaches
-decides the call, charged as the one-node line-graph leaf it replaces
-(no splice plan, no search).  Only a root on which the budget runs out
-is spliced; the loop's polynomial work leaves the splice bound as it is.
+forward check per edge) runs once on it, all three colors at every edge:
+a coloring or a refutation it reaches decides the call, charged as the
+one-node line-graph leaf it replaces.  Only a root on which the budget
+runs out builds an EdgeInstance and is spliced.
 
 A splice removes an unconstrained edge joining two degree-three vertices
 together with its four neighbor edges, replacing them by two new edges
@@ -31,7 +31,7 @@ Letters 2, 2008): the K4 test of an edge with d conflicts is O(d^2) ANDs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .graphalg import Adjacency, adjacency, depth_first, general_matching
 from .instance import bits, lift
@@ -52,8 +52,8 @@ class EdgeInstance:
     the ids it must differ from, and an unconstrained edge has no entry.
     `at` maps each vertex to the mask of its edges; add_edge and
     remove_edge keep it matching `edges`.  No vertex has more than three
-    edges: edge_color rejects the input otherwise, and a splice keeps
-    every degree.
+    edges: edge_color returns None on such input before from_graph, which
+    trusts its input, and a splice keeps every degree.
     """
 
     edges: dict[int, Edge] = field(default_factory=dict)
@@ -62,15 +62,7 @@ class EdgeInstance:
     at: dict[int, int] = field(default_factory=dict)
 
     @classmethod
-    def from_graph(cls, n: int, edges: list[Edge]) -> "EdgeInstance":
-        g = adjacency(n, edges)  # rejects a self-loop or a vertex outside 0..n-1
-        # a neighbor set holds a repeat once; only then find the first, to name it
-        if sum(map(len, g.values())) != 2 * len(edges):
-            seen = set()
-            for u, v in edges:
-                if frozenset((u, v)) in seen:
-                    raise ValueError(f"repeated edge ({u}, {v})")
-                seen.add(frozenset((u, v)))
+    def from_graph(cls, edges: list[Edge]) -> "EdgeInstance":
         ei = cls()
         for u, v in edges:
             ei.add_edge(u, v)
@@ -120,21 +112,25 @@ class SpliceStep:
         out[self.center] = 3 - c1 - c2
 
 
-def conflict_graph(ei: EdgeInstance) -> Adjacency:
-    """The conflict graph on the edge ids: each edge is adjacent to its conflicts."""
-    return {eid: set(bits(ei.conflicts(eid))) for eid in ei.edges}
-
-
-def strip_low_neighbor_edges(ei: EdgeInstance) -> tuple[Adjacency, list]:
-    """Remove edges with two or fewer conflicts, as strip_low_degree
-    does on the conflict graph; they always extend.  Returns the stripped
-    conflict graph, which is conflict_graph(ei) of the stripped instance
-    while ei has no constraints, and the lift steps, in removal order."""
-    steps: list = []
-    strip_low_degree(g := conflict_graph(ei), steps)
-    for step in steps:
-        ei.remove_edge(step.vertex)
-    return g, steps
+def edge_root(n: int, edges: list[Edge]) -> Optional[tuple[Adjacency, list]]:
+    """The conflict graph on edge ids (edge i is id i), stripped, and its lift
+    steps; None when a vertex has four edges or more.  Raises as edge_color does."""
+    g = adjacency(n, edges)  # rejects a self-loop or a vertex outside 0..n-1
+    if sum(map(len, g.values())) != 2 * len(edges):  # a neighbor set holds a repeat once
+        first: dict = {}  # each edge's first index; only now, to name the first repeat
+        u, v = next(e for i, e in enumerate(edges) if first.setdefault(frozenset(e), i) != i)
+        raise ValueError(f"repeated edge ({u}, {v})")
+    if any(len(ns) > 3 for ns in g.values()):
+        return None
+    inc: list[list[int]] = [[] for _ in range(n)]  # each vertex's edge ids
+    for eid, (u, v) in enumerate(edges):
+        inc[u].append(eid)
+        inc[v].append(eid)
+    lg: Adjacency = {eid: {*inc[u], *inc[v]} for eid, (u, v) in enumerate(edges)}
+    for eid, near in lg.items():
+        near.discard(eid)
+    strip_low_degree(lg, steps := [])
+    return lg, steps
 
 
 def spliceable(ei: EdgeInstance, eid: int) -> bool:
@@ -326,7 +322,7 @@ def _expand(
 
 
 def edge_color(
-    n: int, edges: list[Edge], config: Optional[SolverConfig] = None
+    n: int, edges: Iterable[Edge], config: Optional[SolverConfig] = None
 ) -> tuple[Optional[dict[Edge, int]], SearchStats]:
     """Proper 3-edge-coloring of a simple graph, or None when impossible.
     A self-loop, a repeated edge, a vertex outside range(n) or a negative
@@ -338,17 +334,20 @@ def edge_color(
     """
     cfg = config or SolverConfig()
     stats = SearchStats()
-    ei = EdgeInstance.from_graph(n, edges)
-    if any(ids.bit_count() > 3 for ids in ei.at.values()):
+    edges = list(edges)  # an iterator would be spent before the final check
+    if (root := edge_root(n, edges)) is None:
         return None, stats
-    g, steps = strip_low_neighbor_edges(ei)
-    masks = _commit_loop(g, [7 * (e in ei.edges) for e in range(ei.next_id)])
+    g, steps = root
+    masks = _commit_loop(g, [7 * (e in g) for e in range(len(edges))])
     if masks is not None:  # colored or refuted outright, charged as the one-node leaf it replaces
         stats.nodes += 1
         stats.leaves += 1
         cfg.charge(stats)
         colors = None if masks is False else lift({e: masks[e].bit_length() - 1 for e in g}, steps)
     else:
+        ei = EdgeInstance.from_graph(edges)
+        for step in steps:
+            ei.remove_edge(step.vertex)
         plan = select_splices(ei)
         colors = depth_first((0, steps), lambda state: _expand(ei, plan, cfg, stats, state))
     if colors is None:

@@ -676,6 +676,7 @@ def color_graph(
     """
     cfg = config or SolverConfig()
     stats = SearchStats()
+    edges = list(edges)  # an iterator would be spent before the final check
     g = adjacency(n, edges)
     try:
         coloring = depth_first((g, []), lambda state: _expand(cfg, stats, state))

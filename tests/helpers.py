@@ -17,7 +17,7 @@ from pathlib import Path
 import csp32
 import csp32.edgecolor as edgecolor
 import csp32.vertexcolor as vertexcolor
-from csp32.edgecolor import EdgeInstance, SpliceStep, strip_low_neighbor_edges
+from csp32.edgecolor import EdgeInstance, SpliceStep
 from csp32.graphalg import bfs, depth_first
 from csp32.instance import (
     Assigned,
@@ -701,15 +701,45 @@ def flower_snark(k):
     return 4 * k, sorted((min(e), max(e)) for e in edges)
 
 
+def conflict_graph(ei):
+    """Reference for edgecolor.edge_root's line graph: the adjacency dict
+    on the edge ids of ei, each edge adjacent to its conflicts
+    (EdgeInstance.conflicts, which also reads the constraints)."""
+    return {eid: set(bits(ei.conflicts(eid))) for eid in ei.edges}
+
+
+def strip_low_neighbor_edges(ei):
+    """Reference for edgecolor.edge_root's strip: remove from ei the edges
+    with two or fewer conflicts, as strip_low_degree does on
+    conflict_graph(ei).  Returns the stripped conflict graph and the lift
+    steps, in removal order."""
+    steps = []
+    strip_low_degree(g := conflict_graph(ei), steps)
+    for step in steps:
+        ei.remove_edge(step.vertex)
+    return g, steps
+
+
+def stripped_instance(graph):
+    """The EdgeInstance edge_color's splice search starts from on graph,
+    (n, edges) with maximum degree three, built as a stuck root builds
+    it: edge_root's stripped edges removed from the input's instance."""
+    _, steps = edgecolor.edge_root(*graph)
+    ei = EdgeInstance.from_graph(graph[1])
+    for step in steps:
+        ei.remove_edge(step.vertex)
+    return ei
+
+
 def edge_root_stuck(graph):
     """Whether edgecolor's commit loop, the package's or one a test
-    patched in, gets no answer on the stripped root of graph, (n, edges)
-    with maximum degree three: the package's runs out of budget there,
-    so that edge_color goes on to its splice search and line-graph
-    leaves instead of deciding it at the root."""
-    ei = EdgeInstance.from_graph(*graph)
-    g, _ = strip_low_neighbor_edges(ei)
-    return edgecolor._commit_loop(g, [7 * (e in ei.edges) for e in range(ei.next_id)]) is None
+    patched in, gets no answer on edgecolor.edge_root's stripped root of
+    graph, (n, edges) with maximum degree three: the package's runs out
+    of budget there, so that edge_color builds the splice search's
+    EdgeInstance and goes on to its splices and line-graph leaves
+    instead of deciding it at the root."""
+    g, _ = edgecolor.edge_root(*graph)
+    return edgecolor._commit_loop(g, [7 * (e in g) for e in range(len(graph[1]))]) is None
 
 
 def node_root_stuck(graph):

@@ -19,11 +19,11 @@ import csp32.edgecolor as edgecolor
 from csp32.edgecolor import (
     EdgeInstance,
     edge_color,
+    edge_root,
     in_conflict_k4,
     spliceable,
     splice,
     splice_candidates,
-    strip_low_neighbor_edges,
 )
 from csp32.instance import bits
 from csp32.solver import NodeLimitReached, SearchStats, SolverConfig
@@ -44,11 +44,14 @@ from helpers import (
     constraint_set,
     edge_root_stuck,
     edge_snapshot,
+    first_descent,
     flower_snark,
     line_graph,
     partner_index,
     run_fresh,
     scan_incidence,
+    strip_low_neighbor_edges,
+    stripped_instance,
 )
 
 
@@ -167,7 +170,7 @@ def test_charge_identity_on_cubic_graphs():
         graph = random_cubic(rng, rng.choice([6, 8, 10, 12]))
         if graph is None:
             continue
-        ei = EdgeInstance.from_graph(*graph)
+        ei = EdgeInstance.from_graph(graph[1])
         m3, m4, ok = charge_identity(ei)
         if ok is not None:
             assert ok
@@ -177,35 +180,101 @@ def test_charge_identity_on_cubic_graphs():
 
 def test_strip_removes_low_neighbor_edges():
     # A path's edges never have three neighbors on a side.
-    ei = EdgeInstance.from_graph(4, [(0, 1), (1, 2), (2, 3)])
-    g, steps = strip_low_neighbor_edges(ei)
-    assert not ei.edges and g == {} and len(steps) == 3
+    path = (4, [(0, 1), (1, 2), (2, 3)])
+    g, steps = edge_root(*path)
+    assert g == {} and len(steps) == 3
+    assert not stripped_instance(path).edges
 
 
-def test_edge_color_builds_one_conflict_graph(monkeypatch, first_descent_loop):
-    # The strip and the root commit loop share one conflict graph: the
-    # stripped one strip_low_neighbor_edges returns is the conflict graph
-    # of the stripped instance, and a whole edge_color call on a subcubic
-    # input, which strips edges, builds the conflict graph once.
-    conflict_graph, built = edgecolor.conflict_graph, []
+def _variants(rng, edges):
+    """edges as given, shuffled, with every pair reversed, and as lists."""
+    yield edges
+    yield rng.sample(edges, len(edges))
+    yield [(v, u) for u, v in edges]
+    yield [list(e) for e in rng.sample(edges, len(edges))]
 
-    def counted(ei):
-        built.append(ei)
-        return conflict_graph(ei)
 
-    monkeypatch.setattr(edgecolor, "conflict_graph", counted)
+def test_edge_root_matches_reference_conflict_graph():
+    # edge_root's line graph, built from each vertex's list of edge ids,
+    # and its strip steps are those of the reference conflict_graph of
+    # the input's EdgeInstance stripped by strip_low_neighbor_edges: the
+    # same adjacency and the same steps in the same order, whatever the
+    # order of the edges, of each pair's ends, or the type of an edge.
+    rng = random.Random(52)
+    graphs = [subcubic(rng, rng.randint(2, 16), rng.uniform(0.2, 0.9)) for _ in range(120)]
+    graphs += [random_cubic(rng, rng.choice([4, 8, 12, 16])) for _ in range(30)]
+    graphs += [planted_cubic_edge_colorable(rng, rng.choice([6, 12, 24])) for _ in range(30)]
+    graphs += [flower_snark(5)]
+    seen = Counter()
+    for n, edges in graphs:
+        for variant in _variants(rng, edges):
+            g, steps = edge_root(n, variant)
+            ei = EdgeInstance.from_graph(variant)
+            want_g, want_steps = strip_low_neighbor_edges(ei)
+            assert g == want_g and steps == want_steps
+            assert list(g) == sorted(ei.edges)
+            seen[bool(steps), bool(g)] += 1
+    assert seen[True, True] > 100 and seen[True, False] > 100 and seen[False, True] > 200, seen
+    # four edges at a vertex: no line graph, and edge_color returns None
+    assert edge_root(5, [(0, 1), (0, 2), (0, 3), (0, 4)]) is None
+
+
+def _edge_cubic_batch(seed, count=1250):
+    """perfbench's edge-cubic batch at this seed: planted cubic n = 24
+    three times in four and random cubic n = 16, instance i drawn from
+    its own seeded generator."""
+    families = [("planted-cubic", 24, planted_cubic_edge_colorable)] * 3
+    families.append(("random-cubic", 16, random_cubic))
+    for i in range(count):
+        name, n, gen = families[i % len(families)]
+        yield gen(random.Random(f"{seed}:{i}:{name}:{n}"), n)
+
+
+def test_edge_color_builds_one_conflict_graph(monkeypatch):
+    # Each edge_color call builds one root line graph, through
+    # edgecolor.edge_root, and the splice search's EdgeInstance exactly
+    # when the commit loop gets no answer on that root (edge_root_stuck),
+    # stripped of the root's stripped edges.  Subcubic inputs, which
+    # strip edges, run the first descent, so that some get stuck; on
+    # edge-cubic's seed-1 batch the real loop gets stuck on 8 of 1,250.
+    roots, built, planned = [], [], []
+    root, select = edgecolor.edge_root, edgecolor.select_splices
+    from_graph = EdgeInstance.from_graph
+
+    def counted_root(n, edges):
+        roots.append(edges)
+        return root(n, edges)
+
+    def counted_build(edges):
+        built.append(edges)
+        return from_graph(edges)
+
+    def logged_select(ei):
+        planned.append(edge_snapshot(ei))
+        return select(ei)
+
+    monkeypatch.setattr(edgecolor, "edge_root", counted_root)
+    monkeypatch.setattr(EdgeInstance, "from_graph", staticmethod(counted_build))
+    monkeypatch.setattr(edgecolor, "select_splices", logged_select)
+
+    def run(graph):
+        stuck = edge_root_stuck(graph)
+        want = [stripped_instance(graph)] if stuck else []
+        del roots[:], built[:], planned[:]
+        edge_color(*graph)
+        assert roots == [graph[1]] and built == [graph[1]] * stuck and planned == want
+        return stuck
+
     rng = random.Random(51)
     stripped = Counter()
-    for _ in range(60):
-        graph = subcubic(rng, rng.randint(6, 16), rng.uniform(0.3, 0.9))
-        ei = EdgeInstance.from_graph(*graph)
-        g, steps = strip_low_neighbor_edges(ei)
-        assert g == conflict_graph(ei)
-        del built[:]
-        got, stats = edge_color(*graph)
-        assert len(built) == 1
-        stripped[bool(steps), stats.splices > 0] += 1
+    with monkeypatch.context() as mp:
+        mp.setattr(edgecolor, "_commit_loop", first_descent)
+        for _ in range(60):
+            graph = subcubic(rng, rng.randint(6, 16), rng.uniform(0.3, 0.9))
+            stuck = run(graph)
+            stripped[bool(edge_root(*graph)[1]), stuck] += 1
     assert stripped[True, False] > 20 and stripped[True, True] > 5, stripped
+    assert sum(map(run, _edge_cubic_batch(1))) == 8
 
 
 def test_splice_children_preserve_colorability():
@@ -216,7 +285,7 @@ def test_splice_children_preserve_colorability():
         if graph is None:
             continue
         n, edges = graph
-        ei = EdgeInstance.from_graph(n, edges)
+        ei = EdgeInstance.from_graph(edges)
         cands = splice_candidates(ei)
         if not cands:
             continue
@@ -243,7 +312,7 @@ def _enter_child(ei, eid, rng):
 def test_splice_returns_only_live_children():
     # K4 spliced at edge (0, 1): pairing (0,2) with (1,2) would make the
     # new edge a self-loop at 2, so only the crossed pairing comes back.
-    ei = EdgeInstance.from_graph(4, K4)
+    ei = EdgeInstance.from_graph(K4)
     children = splice(ei, 0)
     step = next(children)
     assert sorted(ei.edges.values()) == [(2, 3), (2, 3), (3, 2)]
@@ -251,7 +320,7 @@ def test_splice_returns_only_live_children():
     assert step.center == 0 and (pair1, pair2) == ((1, 4), (2, 3))
     assert constraint_set(ei) == {frozenset((first, second))}
     assert next(children, None) is None
-    assert ei == EdgeInstance.from_graph(4, K4)
+    assert ei == EdgeInstance.from_graph(K4)
 
     rng = random.Random(48)
     splices = dropped = 0
@@ -259,8 +328,7 @@ def test_splice_returns_only_live_children():
         graph = rng.choice([random_cubic, planted_cubic_edge_colorable])(
             rng, rng.choice([8, 10, 12, 16])
         )
-        ei = EdgeInstance.from_graph(*graph)
-        strip_low_neighbor_edges(ei)
+        ei = stripped_instance(graph)
         while cands := splice_candidates(ei):
             eid = rng.choice(cands)
             live = 0
@@ -286,8 +354,7 @@ def test_k4_refutation_is_sound():
         graph = rng.choice([random_cubic, planted_cubic_edge_colorable])(
             rng, rng.choice([8, 10, 12])
         )
-        ei = EdgeInstance.from_graph(*graph)
-        strip_low_neighbor_edges(ei)
+        ei = stripped_instance(graph)
         while cands := splice_candidates(ei):
             eid = rng.choice(cands)
             for step in splice(ei, eid):
@@ -406,9 +473,8 @@ def test_splice_candidates_match_brute_reference(index_checked):
     graphs += [planted_cubic_edge_colorable(rng, rng.choice([6, 8, 12])) for _ in range(50)]
     found = 0
     for graph in graphs:
-        ei = EdgeInstance.from_graph(*graph)
-        _assert_matches_reference(ei)
-        strip_low_neighbor_edges(ei)
+        _assert_matches_reference(EdgeInstance.from_graph(graph[1]))
+        ei = stripped_instance(graph)
         _assert_matches_reference(ei)
         found += len(splice_candidates(ei))
     assert found > 1000
@@ -469,8 +535,7 @@ def test_splice_paths_match_brute_reference(index_checked, monkeypatch):
         graph = rng.choice([random_cubic, planted_cubic_edge_colorable])(
             rng, rng.choice([8, 10, 12, 16])
         )
-        ei = EdgeInstance.from_graph(*graph)
-        strip_low_neighbor_edges(ei)
+        ei = stripped_instance(graph)
         walk(ei)
     assert seen["states"] > 200 and seen["constraint_decided"] > 100
     assert seen["restored"] > 200
@@ -548,6 +613,24 @@ def test_edge_color_rejects_unverified_coloring(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="failed verification"):
         edge_color(4, k4)
+
+
+def test_edge_color_verifies_iterator_input(monkeypatch):
+    # The edges are read more than once (the input checks, the root and
+    # the final check), so an iterator or a generator is read into a list
+    # first: it gets the list's answer and errors, and a lift bug still
+    # surfaces.
+    k4 = list(combinations(range(4), 2))
+    want, _ = edge_color(4, k4)
+    assert edge_color(4, iter(k4))[0] == want and edge_color(4, (e for e in k4))[0] == want
+    with pytest.raises(ValueError, match=re.escape("repeated edge (1, 0)")):
+        edge_color(3, iter([(0, 1), (1, 0)]))
+    monkeypatch.setattr(
+        edgecolor, "lift", lambda coloring, path: dict.fromkeys(range(6), 0)
+    )
+    for edges in (iter(k4), (e for e in k4)):
+        with pytest.raises(RuntimeError, match="failed verification"):
+            edge_color(4, edges)
 
 
 def test_node_limit_bounds_the_whole_call(monkeypatch, first_descent_loop):

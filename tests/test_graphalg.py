@@ -173,7 +173,7 @@ def test_general_matching_equals_networkx_on_splice_selections(monkeypatch):
     for seed in range(15):
         for gen, n in ((planted_cubic_edge_colorable, 24),
                        (planted_cubic_edge_colorable, 40), (random_cubic, 16)):
-            edgecolor.select_splices(edgecolor.EdgeInstance.from_graph(*gen(random.Random(seed), n)))
+            edgecolor.select_splices(edgecolor.EdgeInstance.from_graph(gen(random.Random(seed), n)[1]))
     assert len(calls) == 45
     for nodes, edges in calls:
         got = general_matching(nodes, edges)

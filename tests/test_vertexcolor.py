@@ -433,6 +433,22 @@ def test_color_graph_rejects_unverified_coloring(monkeypatch):
         color_graph(n, edges)
 
 
+def test_color_graph_verifies_iterator_input(monkeypatch):
+    # The edges are read twice (the adjacency and the final check), so an
+    # iterator or a generator is read into a list first: a lift bug still
+    # surfaces, as it does for the same triangle as a list.
+    triangle = [(0, 1), (1, 2), (0, 2)]
+    for edges in (iter(triangle), (e for e in triangle)):
+        res = color_graph(3, edges)
+        assert res.colorable and sorted(res.coloring.values()) == [0, 1, 2]
+    monkeypatch.setattr(
+        "csp32.vertexcolor.lift", lambda coloring, steps: dict.fromkeys(range(3), 0)
+    )
+    for edges in (triangle, iter(triangle), (e for e in triangle)):
+        with pytest.raises(RuntimeError, match="failed verification"):
+            color_graph(3, edges)
+
+
 def _leaf_graphs(graphs):
     """The residues color_graph hands to its leaf stage on these graphs."""
     seen = []
@@ -1401,10 +1417,10 @@ def test_commit_loop_matches_brute_force_on_seeded_masks():
         k4, [7, 7, 7, 7, 0b011], forward_check)[0]
 
     for s in range(50):
-        ei = edgecolor.EdgeInstance.from_graph(*planted_cubic_edge_colorable(random.Random(s), 100))
-        g, _ = edgecolor.strip_low_neighbor_edges(ei)
+        n, edges = planted_cubic_edge_colorable(random.Random(s), 100)
+        g, _ = edgecolor.edge_root(n, edges)
         shuffled = {e: g[e] for e in rng.sample(sorted(g), len(g))}
-        out = check((g, shuffled), [7 * (e in ei.edges) for e in range(ei.next_id)])
+        out = check((g, shuffled), [7 * (e in g) for e in range(len(edges))])
         tally["edge root", None if out is None else bool(out)] += 1
     assert tally["edge root", None] > 18 and tally["edge root", True] > 21, tally
 
