@@ -226,8 +226,6 @@ def max_flow(capacity: dict, edges: list[tuple]) -> dict:
     edges, and item -> sink 1, so its flow is a matching into capacity
     slots: bipartite_matching of the items against the slots (owner, k),
     k < capacity[owner].  Every owner in edges needs a capacity."""
-    if not edges:  # almost every coloring leaf: no matching to set up
-        return {}
     items = list({y for _, y in edges})
     slots = [(c, k) for c, cap in capacity.items() for k in range(cap)]
     pairs = [(y, (c, k)) for c, y in edges for k in range(capacity[c])]

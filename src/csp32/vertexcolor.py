@@ -11,12 +11,9 @@ charged as that one graph node (no leaf, no CSP call).  Only a node on
 which the budget runs out branches away cycles and large trees of
 degree-three vertices, or, with none left, becomes a leaf: it grows a
 bushy forest plus a height-two forest, enumerates proper colorings of
-the forest interiors with a forward check, and runs the commit loop
-again on each full interior coloring's masks.  If its budget runs out,
-the same loop on the 2-SAT relaxation, the two-color vertices alone, may
-refute the interior coloring; otherwise the leaf goes to the CSP solver
-as a list-coloring instance, each vertex with its mask's colors (a
-one-color vertex is unconstrained, so the root reduction assigns it).
+the forest interiors with a forward check, and hands each full interior
+coloring to the CSP solver as a list-coloring instance, each vertex with
+the colors its forward-checked mask keeps.
 
 The graph changes only by vertex removals and merges, each recorded as
 a lift step (GreedyColored or CycleColored, and Merged).  Lifting
@@ -556,7 +553,8 @@ def _forward_check(g: Adjacency, masks: list[int], asg: Coloring) -> Optional[li
 
 def _commit_loop(g: Adjacency, masks: list[int]) -> list[int] | bool | None:
     """Even, Itai & Shamir's (1976) commit loop in Brélaz's (1979)
-    saturation order, with a bounded backtrack.  Each step takes the
+    saturation order, with a bounded backtrack, on every graph node
+    (_expand) and on edgecolor.edge_color's root.  Each step takes the
     open vertex of g (two or three colors left in the masks current at
     that step) with the fewest colors, then the highest degree in g,
     then the lowest id, and commits the first color, ascending, that the
@@ -614,27 +612,11 @@ def _commit_loop(g: Adjacency, masks: list[int]) -> list[int] | bool | None:
 def _residual_solve(g, masks: list[int], cfg, stats) -> Optional[Coloring]:
     """The leaf's CSP call on the forward-checked masks (indexed by
     vertex id) of a full interior coloring; the answer colors g's
-    vertices.
-
-    The commit loop first runs on the masks themselves, three-color
-    vertices included, and a coloring or refutation it reaches is the
-    leaf's.  If its budget runs out, it runs again on the 2-SAT
-    relaxation, the two-color vertices alone, with the three-color ones
-    masked to 0 and so left out with their edges, where it always
-    decides; if that is refuted, no coloring of the leaf exists.  Each
-    outcome is charged as the one-node CSP solve it replaces.
-    Otherwise every leaf vertex goes to the CSP with its
-    mask's colors, one constraint per color shared across an edge.  A
-    one-color vertex is unconstrained, as propagation cleared its color
-    from every neighbour, so the root reduction assigns it; a CSP with
-    at most two three-color variables is decided at the root."""
-    committed = _commit_loop(g, masks)
-    relaxed = committed is None and [0 if m == 7 else m for m in masks]
-    if not relaxed or not _commit_loop(g, relaxed):
-        stats.csp_calls += 1
-        stats.csp_nodes += 1
-        cfg.charge(stats)
-        return {v: committed[v].bit_length() - 1 for v in g} if committed else None
+    vertices.  Every leaf vertex goes to the CSP with its mask's colors,
+    one constraint per color shared across an edge.  A one-color vertex
+    is unconstrained, as propagation cleared its color from every
+    neighbour, so the root reduction assigns it; a CSP with at most two
+    three-color variables is decided at the root."""
     inst = Instance.build({v: bits(masks[v]) for v in g}, (
         ((u, c), (v, c)) for u in g for v in g[u] if u < v for c in bits(masks[u] & masks[v])))
     res = solve(inst, cfg.nested(stats))

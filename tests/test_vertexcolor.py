@@ -183,9 +183,8 @@ REPEATED_OUTSIDE = planted_3colorable(random.Random("109:469:planted-color:36"),
 
 # Small seeded graphs whose leaf CSP branches under the commit loop's
 # first descent (first_descent_loop), from seeds 0-4999 of their
-# families: the loop colors most graphs at a graph node and most leaves,
-# and its relaxation refutes most of the rest, so few leaves build a CSP,
-# and fewer branch.  With the backtrack, none of the planted 7/n graphs
+# families: the loop colors most graphs at a graph node, so few reach a
+# leaf, and fewer leaf CSPs branch.  With the backtrack, none of the planted 7/n graphs
 # of seeds 0-2999 at n = 100-150 builds one.  Each branching has a claim
 # to check: dangling, then implication four times.
 BRANCHING_LEAVES = (
@@ -660,8 +659,8 @@ def test_height_two_unit_colors_both_forks_of_five_grandchildren():
 def _record_csp(monkeypatch):
     """Patch the leaf CSP calls to log the instance (colors and
     constraints) of each one that succeeds, and the leaf residue solves
-    (CSP call or propagation, in vertexcolor and in the brute reference)
-    to log each coloring they return."""
+    (in vertexcolor and in the brute reference) to log each coloring
+    they return."""
     solved, decided = [], []
     solve = vertexcolor.solve
     residual_solve = vertexcolor._residual_solve
@@ -762,15 +761,15 @@ def test_forward_checked_leaf_matches_brute_reference(monkeypatch, first_descent
         assert got_stats.csp_calls <= want_stats.csp_calls
         calls[0] += got_stats.csp_calls
         calls[1] += want_stats.csp_calls
-    assert decided > 150  # leaves colored, by a CSP call or by propagation
+    assert decided > 150  # leaves their CSP call colored
     assert calls[0] < calls[1] / 2  # the check prunes most leaf CSP calls
 
 
 def test_forward_checked_line_graphs_match_brute_reference(monkeypatch, first_descent_loop):
     # The commit loop colors nearly every colorable line graph at its
     # root graph node, so the line-graph leaves that remain are mostly
-    # uncolorable and refuted; residues counts the leaf CSP calls, each
-    # one full interior coloring's residue however it is decided, and
+    # uncolorable and refuted; residues counts the leaf CSP calls, one
+    # per full interior coloring's residue, and
     # the COLORED_LINE_LEAVES seeds give the colored leaves.
     colored = (
         planted_cubic_edge_colorable(random.Random(s), n)
@@ -879,56 +878,39 @@ def test_incremental_forward_check_matches_brute_reference(monkeypatch, first_de
     # At every enumeration step of seeded color-planted, G(n, p) and
     # line-graph leaves, the masks carried down from the parent give the
     # from-scratch check's verdict, and a kept child's masks are the
-    # lists that check propagates.  So does every step of a leaf's commit
-    # loop, which starts from the leaf's masks, and of its 2-SAT
-    # relaxation, checked on the graph without the three-color vertices
-    # it leaves out, whose masks stay 0.
-    forward_check, residual_solve = vertexcolor._forward_check, vertexcolor._residual_solve
-    colored = {}  # id of a child's masks -> (those masks, its coloring, its graph)
-    leaf = {}  # masks of the residue solve in progress, and of its relaxation
-    checks = refuted = relaxed = 0
-
-    def residue(g, masks, cfg, stats):
-        leaf["masks"] = masks
-        leaf["relaxed"] = [0 if m == 7 else m for m in masks]
-        return residual_solve(g, masks, cfg, stats)
+    # lists that check propagates.
+    forward_check = vertexcolor._forward_check
+    colored = {}  # id of a child's masks -> (those masks, its coloring)
+    checks = refuted = 0
 
     def checked(g, masks, asg):
-        nonlocal checks, refuted, relaxed
+        nonlocal checks, refuted
         if id(masks) in colored:
-            _, acc, sub = colored[id(masks)]
-        elif leaf and masks == leaf["relaxed"]:  # a relaxation's root
-            acc = colored[id(leaf["masks"])][1]
-            out = {v for v in g if not masks[v]}
-            sub = {v: ns - out for v, ns in g.items() if v not in out}
+            _, acc = colored[id(masks)]
         else:
             assert masks == [7 * (v in g) for v in range(max(g) + 1)]  # a leaf's root
-            acc, sub = {}, g
+            acc = {}
         child = forward_check(g, masks, asg)
         merged = {**acc, **asg}
-        assert (child is None) == brute_forward_refuted(sub, merged)
+        assert (child is None) == brute_forward_refuted(g, merged)
         checks += 1
-        relaxed += sub is not g
         if child is None:
             refuted += 1
         else:
-            want = brute_forward_lists(sub, merged)
+            want = brute_forward_lists(g, merged)
             assert child == [sum(1 << c for c in want.get(v, ())) for v in range(len(masks))]
-            colored[id(child)] = (child, merged, sub)
+            colored[id(child)] = (child, merged)
         return child
 
     monkeypatch.setattr(vertexcolor, "_forward_check", checked)
-    monkeypatch.setattr(vertexcolor, "_residual_solve", residue)
     for graph in _seeded_graphs(200):
         color_graph(*graph)
         colored.clear()
-        leaf.clear()
-    assert checks > 3000 and refuted > 1000 and relaxed > 300
+    assert checks > 3000 and refuted > 1000
     before = checks, refuted
     for graph in (*_cubic_graphs(), *_planted_cubic_graphs(30)):
         edge_color(*graph)
         colored.clear()
-        leaf.clear()
     assert checks - before[0] > 200 and refuted - before[1] > 50  # line graphs
 
 
@@ -939,22 +921,17 @@ def test_leaf_csp_holds_every_leaf_vertex_with_its_mask(monkeypatch, first_desce
     # each leaf edge.  A vertex left one color has no constraint, as
     # propagation cleared that color from its neighbours; dropping those
     # vertices and renumbering the rest in vertex order gives _leaf_csp.
-    # A leaf goes to the CSP only when the commit loop is stuck on its
-    # masks and the 2-SAT relaxation holds; the loop colors most graphs
-    # at their root graph node before any leaf, and most leaves, and the
-    # relaxation refutes most of the rest, so the planted batch holds
-    # only graphs the loop gets stuck on at the root, from 4,000 seeds,
-    # and the flower snarks and 200 random cubic graphs give the
-    # line-graph floors their entries.
+    # Every full interior coloring goes to the CSP; the commit loop
+    # colors most graphs at their root graph node before any leaf, so
+    # the planted batch holds only graphs the loop gets stuck on at the
+    # root, from 4,000 seeds, and the flower snarks and 200 random cubic
+    # graphs give the line-graph floors their entries.
     residual_solve, csp_solve = vertexcolor._residual_solve, vertexcolor.solve
-    commit_loop = vertexcolor._commit_loop
     leaf = {}  # graph and masks of the call in progress
     sizes = Counter()
 
     def checked_solve(inst, cfg):
         g, masks = leaf["g"], leaf["masks"]
-        assert commit_loop(g, masks) is None
-        assert commit_loop(g, [0 if m == 7 else m for m in masks]) is not None
         assert inst.colors == {v: frozenset(bits(masks[v])) for v in g}
         cons = inst.constraints()
         assert cons == sorted(
@@ -988,15 +965,14 @@ def test_leaf_csp_holds_every_leaf_vertex_with_its_mask(monkeypatch, first_desce
     for graph in (*_random_cubic_graphs(200), *map(flower_snark, (5, 7, 9, 11, 13))):
         edge_color(*graph)
     line = sizes - before
-    assert before[1] > 7000 and before[2] > 650 and before[3] > 170
-    assert line[2] > 500 and line[3] > 190
-    assert sizes[1] > 1000 and sizes[2] > 3000 and sizes[3] > 300
+    assert before[1] > 7000 and before[2] > 9000 and before[3] > 1400
+    assert line[2] > 24000 and line[3] > 3400
+    assert sizes[1] > 1000 and sizes[2] > 32000 and sizes[3] > 4800
 
     # A hand-built leaf: the bushy tree 0 -> 1 has interior {0, 1}, and
     # its first coloring forces 2, 3 and 4 (adjacent to both) and then 5,
-    # 6 and 7 (adjacent to 1 and 2), so all eight masks hold one color,
-    # no vertex is left undecided and the leaf counts as one CSP call
-    # without calling solve.
+    # 6 and 7 (adjacent to 1 and 2), so all eight masks hold one color:
+    # the leaf's one CSP holds no constraint and no undecided vertex.
     edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7),
              (2, 5), (2, 6), (2, 7)]
     g = adjacency(8, edges)
@@ -1023,8 +999,8 @@ def test_solve_decides_two_color_csps_at_the_root():
     # variables: eliminating the others leaves at most two, and no
     # reduced instance has one or two variables (with no free pair, every pair
     # of the lower one hits all three colors of the other, so it is
-    # dead).  So solve spends one node and fires no rule: what a leaf
-    # colored by the commit loop or refuted by its relaxation charges.
+    # dead).  So solve spends one node and fires no rule: all that a
+    # leaf residue with at most two three-color vertices charges.
     rng = random.Random(7)
     verdicts = Counter()
     for trial in range(900):
@@ -1048,11 +1024,10 @@ def test_two_list_leaves_are_decided_by_propagation(monkeypatch, first_descent_l
     # At every leaf of seeded color-planted, G(n, p) and line-graph
     # leaves with at most two three-color vertices, the direct CSP on the
     # residue takes one node and fires no rule, so the one node the leaf
-    # is charged is that solve's, whether the commit loop, its relaxation
-    # or the CSP decides it.  Its verdict is the leaf's, and a coloring
-    # that comes back is proper and lies inside the masks.  The commit
-    # loop colors most graphs and line graphs at their root graph node,
-    # before any leaf, so planted graphs it gets stuck on join the
+    # is charged is that solve's.  Its verdict is the leaf's, and a
+    # coloring that comes back is proper and lies inside the masks.  The
+    # commit loop colors most graphs and line graphs at their root graph
+    # node, before any leaf, so planted graphs it gets stuck on join the
     # colored batch, and random cubic graphs and flower snarks the
     # line-graph batch.
     residual_solve = vertexcolor._residual_solve
@@ -1086,212 +1061,67 @@ def test_two_list_leaves_are_decided_by_propagation(monkeypatch, first_descent_l
 
 
 def test_two_list_leaf_hand_built_cases(monkeypatch):
-    # Hand-built leaves for each outcome of the leaf's one flow.  Each is
-    # charged as one CSP call of one node, which the direct CSP on the
-    # whole residue confirms, and the direct CSP's verdict is the leaf's.
-    built = []
+    # Hand-built leaf residues, each decided by the one CSP solve its
+    # leaf builds on every leaf vertex: that solve's nodes are the leaf's
+    # csp_nodes (one node when at most two vertices keep three colors),
+    # and its verdict is the direct CSP's on the undecided vertices alone.
+    # A coloring that comes back lies inside the masks and is proper, and
+    # a spent budget trips the nested solve.
+    built = []  # (variables, nodes) of each solve
 
     def logged_solve(inst, cfg):
-        built.append(inst.n)
-        return solve(inst, cfg)
+        res = solve(inst, cfg)
+        built.append((inst.n, res.stats.nodes))
+        return res
 
     def decide(g, masks):
         del built[:]
         stats = SearchStats()
         full = vertexcolor._residual_solve(g, masks, SolverConfig(), stats)
-        assert (stats.csp_calls, stats.csp_nodes, stats.spent) == (1, 1, 1)
-        res = solve(_leaf_csp(g, masks))
-        assert (res.stats.nodes, res.satisfiable) == (1, full is not None)
+        ((n, nodes),) = built
+        assert n == len(g) and (stats.csp_calls, stats.csp_nodes, stats.spent) == (1, nodes, nodes)
+        assert nodes == 1 or masks.count(7) > 2
+        assert (full is not None) == solve(_leaf_csp(g, masks)).satisfiable
         if full is not None:
-            assert all(masks[v] >> full[v] & 1 for v in g)
+            assert set(full) == set(g) and all(masks[v] >> full[v] & 1 for v in g)
             assert all(full[u] != full[v] for u in g for v in g[u])
-        return full, list(built)
-
-    monkeypatch.setattr(vertexcolor, "solve", logged_solve)
-
-    # An odd cycle with lists {0, 1}: the loop, complete on two-color
-    # masks, refutes it at its first dead end, and no CSP is built.
-    cycle = adjacency(5, [(i, (i + 1) % 5) for i in range(5)])
-    assert vertexcolor._commit_loop(cycle, [0b011] * 5) is False
-    assert decide(cycle, [0b011] * 5) == (None, [])
-
-    # The loop colors these outright.  Here vertex 0 fails its first color
-    # (color 0 forces 1 to 1 and 2 to 2, which leaves 3 nothing) and
-    # succeeds with its second.
-    g = adjacency(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-    masks = [0b011, 0b011, 0b101, 0b110]
-    assert _forward_check(g, masks, {0: 0}) is None
-    assert decide(g, masks) == ({0: 1, 1: 0, 2: 0, 3: 1}, [])
-    # Two adjacent three-color vertices and a two-color vertex next to
-    # both: the two-color vertex 2 goes first and takes 0, then 0 takes
-    # 1, which forces 1 to 2.
-    triangle = adjacency(3, [(0, 1), (0, 2), (1, 2)])
-    assert decide(triangle, [7, 7, 0b011]) == ({0: 1, 1: 2, 2: 0}, [])
-
-    # K4 less the edge 2-3, with lists {0, 1} at 2 and {1, 2} at 3 and
-    # three colors at 0 and 1.  The loop gives 2 its first color, 0,
-    # which keeps the forward check but leaves 0, 1 and 3 with {1, 2},
-    # and then each color of 0 forces 1 and 3 alike: a dead end.  0 was
-    # picked with no three-color vertex open, so the loop goes back to
-    # 2, which was not, and its other color, 1, colors the leaf: 2 and 3
-    # take 1.  The first descent alone gets stuck there.
-    g = adjacency(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-    masks = [7, 7, 0b011, 0b110]
-    assert _forward_check(g, masks, {2: 0}) is not None
-    assert first_descent(g, masks) is None
-    assert decide(g, masks) == ({0: 0, 1: 2, 2: 1, 3: 1}, [])
-
-    # The same with the edge 2-3: the loop again gives 2 the color 0, and
-    # then 2 the color 1, and each meets the same dead end; with no pick
-    # left to go back to, the loop refutes the leaf, and no CSP is built.
-    k4 = adjacency(4, list(combinations(range(4), 2)))
-    assert _forward_check(k4, [7, 7, 0b011, 0b110], {2: 0}) is not None
-    assert vertexcolor._commit_loop(k4, [7, 7, 0b011, 0b110]) is False
-    assert decide(k4, [7, 7, 0b011, 0b110]) == (None, [])
-
-    # The one node trips a spent budget, as the nested solve's did, also
-    # when the loop colors the leaf.
-    for g, masks in ((cycle, [0b011] * 5), (triangle, [7, 7, 0b011])):
         stats = SearchStats()
         with pytest.raises(NodeLimitReached):
             vertexcolor._residual_solve(g, masks, SolverConfig(node_limit=0), stats)
         assert (stats.csp_calls, stats.csp_nodes, stats.spent) == (1, 1, 1)
-
-
-def test_two_sat_relaxation_hand_built_cases(monkeypatch):
-    # A pendant gadget: two-color vertices 0 to k - 1 with lists {0, 1},
-    # each with three three-color pendants.  At degree three they go
-    # first, and each is picked while pendants still have three colors,
-    # so each keeps its other color to go back to.  Beside them, an odd
-    # cycle of two-color vertices with lists {0, 1} meets a dead end
-    # after every descent, and the loop goes back and forth over the
-    # gadget's 2^k ways until its budget, one forward check per leaf
-    # vertex, runs out.  The relaxation leaves the pendants out and
-    # refutes the cycle, so no CSP is built, and the leaf is charged as
-    # the one-node solve it replaces.
-    built = []
-
-    def logged_solve(inst, cfg):
-        built.append(inst.n)
-        return solve(inst, cfg)
+        return full is not None
 
     monkeypatch.setattr(vertexcolor, "solve", logged_solve)
-    k = 3  # two-color vertices 0 to k - 1, each with three three-color pendants
+
+    # An odd cycle with lists {0, 1}.
+    assert not decide(adjacency(5, [(i, (i + 1) % 5) for i in range(5)]), [0b011] * 5)
+    # A 4-cycle on which vertex 0's first color, 0, forces 1 to 1 and 2
+    # to 2, which leaves 3 nothing; its second color colors it.
+    g = adjacency(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    assert _forward_check(g, [0b011, 0b011, 0b101, 0b110], {0: 0}) is None
+    assert decide(g, [0b011, 0b011, 0b101, 0b110])
+    # Two adjacent three-color vertices and a two-color vertex next to both.
+    assert decide(adjacency(3, [(0, 1), (0, 2), (1, 2)]), [7, 7, 0b011])
+    # K4 less the edge 2-3, with lists {0, 1} at 2 and {1, 2} at 3 and
+    # three colors at 0 and 1: only 2 and 3 both taking 1 colors it.
+    g = adjacency(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    assert decide(g, [7, 7, 0b011, 0b110])
+    # The same with the edge 2-3: no coloring.
+    assert not decide(adjacency(4, list(combinations(range(4), 2))), [7, 7, 0b011, 0b110])
+
+    # A pendant gadget: two-color vertices 0 to k - 1 with lists {0, 1},
+    # each with three three-color pendants, beside an odd cycle of
+    # two-color vertices with lists {0, 1}, which has no coloring.
+    k = 3
     edges = [(i, k + 3 * i + j) for i in range(k) for j in range(3)]
     edges += [(4 * k + i, 4 * k + (i + 1) % 5) for i in range(5)]
-    g = adjacency(4 * k + 5, edges)
-    masks = [0b011] * k + [7] * (3 * k) + [0b011] * 5
-    assert vertexcolor._commit_loop(g, masks) is None
-    stats = SearchStats()
-    assert vertexcolor._residual_solve(g, masks, SolverConfig(), stats) is None
-    assert built == [] and (stats.csp_calls, stats.csp_nodes, stats.spent) == (1, 1, 1)
-    assert solve(_leaf_csp(g, masks)).satisfiable is False
-    # its one node trips a spent budget, as the nested solve's did
-    with pytest.raises(NodeLimitReached):
-        vertexcolor._residual_solve(g, masks, SolverConfig(node_limit=0), SearchStats())
-    assert built == []
-
-    # K4 on 4k to 4k + 3 whose vertex 4k + 3 has the list {0, 1}, beside
-    # a pendant gadget with k = 2: again the loop runs out,
-    # going back and forth over the gadgets' picks as each descent meets
-    # the K4; the relaxation, the gadgets' and the K4's two-color
-    # vertices alone, holds, and the CSP on all of the leaf refutes it.
+    assert not decide(adjacency(4 * k + 5, edges), [0b011] * k + [7] * (3 * k) + [0b011] * 5)
+    # The gadget with k = 2 beside a K4 whose vertex 4k + 3 has the list
+    # {0, 1}: the two-color vertices alone are colorable, the leaf is not.
     k = 2
     edges = [(i, k + 3 * i + j) for i in range(k) for j in range(3)]
     edges += [(4 * k + a, 4 * k + b) for a, b in combinations(range(4), 2)]
-    g = adjacency(4 * k + 4, edges)
-    masks = [0b011] * k + [7] * (3 * k) + [7, 7, 7, 0b011]
-    assert vertexcolor._commit_loop(g, masks) is None
-    stats = SearchStats()
-    assert vertexcolor._residual_solve(g, masks, SolverConfig(), stats) is None
-    assert built == [len(g)] and stats.csp_calls == 1
-    assert stats.csp_nodes == solve(_leaf_csp(g, masks)).stats.nodes
-
-
-def test_two_sat_relaxation_refutes_only_uncolorable_leaves(monkeypatch):
-    # Every leaf of seeded planted graphs and of line graphs takes one
-    # flow, and its verdict is solve's on its whole residue.  The commit
-    # loop runs first, on the leaf's own masks; a coloring it reaches has
-    # one color per vertex, inside the masks, is proper, and is the
-    # leaf's, and a refutation is the leaf's.  A loop that runs out of
-    # budget runs again on the 2-SAT relaxation, the masks with 7 -> 0,
-    # where it never runs out, and whose verdict is the direct CSP's on
-    # the two-color vertices alone.  A refuted relaxation builds no CSP;
-    # only a satisfiable one builds one, on every leaf vertex.  The loop
-    # and the relaxation are charged as one CSP call of one node.
-    # The backtrack decides nearly every graph at its root, so the loop
-    # runs without it everywhere but at the leaf (as first_descent), and
-    # the batches hold graphs whose root that gets stuck on.  At the leaf
-    # it seldom runs out, so each leaf's relaxation is also decided
-    # apart, with the same verdict check, whichever way the leaf went.
-    residual_solve, commit_loop = vertexcolor._residual_solve, vertexcolor._commit_loop
-    csp_solve = vertexcolor.solve
-    loops, built = [], []  # of the leaf in progress
-    outcomes, relaxations = Counter(), Counter()
-
-    def two_sat(g, relaxed):
-        """The loop's verdict on relaxed masks, checked against the CSP on
-        the two-color vertices alone."""
-        out = commit_loop(g, relaxed)
-        sub = {v: ns - {u for u in ns if not relaxed[u]} for v, ns in g.items() if relaxed[v]}
-        assert out is not None and bool(out) == solve(_leaf_csp(sub, relaxed)).satisfiable
-        return out
-
-    def logged_loop(g, masks):
-        if sys._getframe(1).f_code.co_name != "_residual_solve":
-            return first_descent(g, masks)
-        out = commit_loop(g, masks)
-        loops.append((masks, out))
-        return out
-
-    def logged_solve(inst, cfg):
-        built.append(inst.n)
-        return csp_solve(inst, cfg)
-
-    def checked(g, masks, cfg, stats):
-        del loops[:], built[:]
-        calls, nodes = stats.csp_calls, stats.csp_nodes
-        full = residual_solve(g, masks, cfg, stats)
-        whole = solve(_leaf_csp(g, masks)).satisfiable
-        assert (full is not None) == whole and stats.csp_calls == calls + 1
-        (first, committed), *rest = loops
-        assert first is masks
-        if committed is not None:
-            outcome = "colored" if committed else "loop refuted"
-            assert rest == [] and built == [] and (full is not None) == bool(committed)
-            if committed:
-                assert all(committed[v].bit_count() == 1 for v in g)
-                assert full == {v: committed[v].bit_length() - 1 for v in g}
-        else:
-            ((relaxed, holds),) = rest
-            assert relaxed == [0 if m == 7 else m for m in masks] and bool(holds) == bool(
-                two_sat(g, relaxed))
-            outcome = "csp" if holds else "refuted"
-            assert built == ([len(g)] if holds else [])
-        relaxations[bool(two_sat(g, [0 if m == 7 else m for m in masks])), whole] += 1
-        if not built:
-            assert stats.csp_nodes == nodes + 1
-        if full is not None:
-            assert set(full) == set(g) and all(masks[v] >> full[v] & 1 for v in g)
-            assert all(full[u] != full[v] for u in g for v in g[u])
-        outcomes[outcome, whole] += 1
-        return full
-
-    monkeypatch.setattr(vertexcolor, "_commit_loop", logged_loop)
-    monkeypatch.setattr(edgecolor, "_commit_loop", first_descent)
-    monkeypatch.setattr(vertexcolor, "solve", logged_solve)
-    monkeypatch.setattr(vertexcolor, "_residual_solve", checked)
-    for graph in _stuck_planted_graphs(18000, 6):
-        color_graph(*graph)
-    colored = +outcomes
-    for graph in chain(_cubic_graphs(), _random_cubic_graphs(100), map(flower_snark, (5, 7))):
-        edge_color(*graph)
-    assert sum((outcomes - colored).values()) > 75  # line graphs
-    assert outcomes["colored", True] > 1000 and outcomes["loop refuted", False] > 950, outcomes
-    # the leaves the loop runs out on, to the relaxation and the CSP, are
-    # the hand-built ones of test_two_sat_relaxation_hand_built_cases
-    assert relaxations[False, False] > 800 and relaxations[True, False] > 130, relaxations
-    assert relaxations[True, True] > 1000 and not relaxations[False, True], relaxations
+    assert not decide(adjacency(4 * k + 4, edges), [0b011] * k + [7] * (3 * k) + [7, 7, 7, 0b011])
 
 
 def test_commit_loop_tries_only_open_vertices_of_the_current_leaf_masks(monkeypatch):
@@ -1429,8 +1259,8 @@ def test_commit_loop_never_runs_out_on_two_color_masks():
     # On two-color masks (a 0 mask leaves a vertex out) the loop is
     # complete, so it keeps no color to go back to: its first dead end
     # refutes the masks, and it never returns None, on graphs far past
-    # the brute force's sizes too.  The relaxation of a leaf relies on
-    # it.  Its verdict is the CSP's on the same lists.
+    # the brute force's sizes too.  Its verdict is the CSP's on the
+    # same lists.
     rng = random.Random(47)
     tally = Counter()
     for _ in range(300):
