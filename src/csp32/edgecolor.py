@@ -2,12 +2,12 @@
 
 edge_root builds the conflict graph on the edge ids from the edge list
 and strips edges with two or fewer conflicts.  Even, Itai & Shamir's
-commit loop (vertexcolor's, two-color edges first, then the most
-conflicts, going back over its two-color commits within a budget of one
-forward check per edge) runs once on it, all three colors at every edge:
-a coloring or a refutation it reaches decides the call, charged as the
-one-node line-graph leaf it replaces.  Only a root on which the budget
-runs out builds an EdgeInstance and is spliced.
+commit loop (vertexcolor.commit_coloring, two-color edges first, then
+the most conflicts, going back over its two-color commits within a
+budget of one forward check per edge) runs once on it, all three colors
+at every edge: a coloring or a refutation it reaches decides the call,
+charged as the one-node line-graph leaf it replaces.  Only a root on
+which the budget runs out builds an EdgeInstance and is spliced.
 
 A splice removes an unconstrained edge joining two degree-three vertices
 together with its four neighbor edges, replacing them by two new edges
@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, Optional
 from .graphalg import Adjacency, adjacency, depth_first, general_matching
 from .instance import bits, lift
 from .solver import SearchStats, SolverConfig
-from .vertexcolor import _commit_loop, color_graph, strip_low_degree
+from .vertexcolor import color_graph, commit_coloring, strip_low_degree
 
 Edge = tuple[int, int]
 
@@ -338,19 +338,18 @@ def edge_color(
     if (root := edge_root(n, edges)) is None:
         return None, stats
     g, steps = root
-    masks = _commit_loop(g, [7 * (e in g) for e in range(len(edges))])
-    if masks is not None:  # colored or refuted outright, charged as the one-node leaf it replaces
+    colors = commit_coloring(g, steps)
+    if colors is not None:  # colored or refuted outright, charged as the one-node leaf it replaces
         stats.nodes += 1
         stats.leaves += 1
         cfg.charge(stats)
-        colors = None if masks is False else lift({e: masks[e].bit_length() - 1 for e in g}, steps)
     else:
         ei = EdgeInstance.from_graph(edges)
         for step in steps:
             ei.remove_edge(step.vertex)
         plan = select_splices(ei)
         colors = depth_first((0, steps), lambda state: _expand(ei, plan, cfg, stats, state))
-    if colors is None:
+    if colors is None or colors is False:
         return None, stats
     if not proper_edge_coloring(edges, [colors.get(i) for i in range(len(edges))]):
         raise RuntimeError("edge coloring failed verification against the graph")

@@ -152,6 +152,18 @@ def planted_csp(
     return inst, hidden
 
 
+def _pair_stubs(rng: random.Random, stubs: list[int]) -> Optional[set[tuple[int, int]]]:
+    """Shuffle stubs (an even count of vertex copies) and pair them off in
+    order: the edges as (low, high), or None at a loop or a repeated edge."""
+    rng.shuffle(stubs)
+    edges = set()
+    for u, v in zip(stubs[::2], stubs[1::2]):
+        if u == v or (e := (min(u, v), max(u, v))) in edges:
+            return None
+        edges.add(e)
+    return edges
+
+
 def structured_csp(
     rng: random.Random,
     var_degrees: list[int],
@@ -172,16 +184,7 @@ def structured_csp(
         stubs = [v for v in range(n) for _ in range(var_degrees[v])]
         if len(stubs) % 2:
             stubs.remove(rng.choice(stubs))
-        rng.shuffle(stubs)
-        skeleton = set()
-        ok = True
-        for i in range(0, len(stubs) - 1, 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v or (min(u, v), max(u, v)) in skeleton:
-                ok = False
-                break
-            skeleton.add((min(u, v), max(u, v)))
-        if ok:
+        if (skeleton := _pair_stubs(rng, stubs)) is not None:
             break
     else:
         return None
@@ -217,17 +220,7 @@ def random_cubic(rng: random.Random, n: int) -> Graph:
     if n % 2 or n < 4:
         raise ValueError("cubic graphs need an even vertex count >= 4")
     for _ in range(10000):
-        stubs = [v for v in range(n) for _ in range(3)]
-        rng.shuffle(stubs)
-        edges = set()
-        good = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v or (min(u, v), max(u, v)) in edges:
-                good = False
-                break
-            edges.add((min(u, v), max(u, v)))
-        if good:
+        if (edges := _pair_stubs(rng, [v for v in range(n) for _ in range(3)])) is not None:
             return n, sorted(edges)
     raise RuntimeError(f"no simple cubic graph found on {n} vertices")
 

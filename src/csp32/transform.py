@@ -3,7 +3,7 @@
 Covers the constraint/variable duality that turns an (a,b)-CSP into a
 (b,a)-CSP, the 3-SAT front end that builds the dual of a CNF straight
 from two conflict masks per SAT variable, and the direct encoding of
-graph coloring with color lists as a binary CSP.
+graph coloring with color lists as a binary CSP (list_coloring_csp).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Optional
 
-from .graphalg import adjacency
+from .graphalg import Adjacency, adjacency
 from .instance import (
     Assignment,
     Instance,
@@ -199,7 +199,11 @@ def coloring_to_csp(
     g = adjacency(n, edges)
     if lists is not None and (missing := set(g) - set(lists)):
         raise ValueError(f"vertex {min(missing)} has no color list")
-    colors = {v: {0, 1, 2} if lists is None else set(lists[v]) for v in g}
-    return Instance.build(colors, (
-        ((u, c), (v, c)) for u in g for v in g[u] if u < v for c in colors[u] & colors[v]
-    ))
+    return list_coloring_csp(g, {v: {0, 1, 2} if lists is None else set(lists[v]) for v in g})
+
+
+def list_coloring_csp(g: Adjacency, colors: dict[int, set[int]]) -> Instance:
+    """The CSP of graph g with vertex v taking a color of colors[v]: one
+    constraint per color two adjacent vertices share."""
+    return Instance.build(colors, (((u, c), (v, c)) for u in g for v in g[u] if u < v
+                                   for c in colors[u] & colors[v]))

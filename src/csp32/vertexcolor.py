@@ -2,18 +2,19 @@
 
 The graph is a plain adjacency dict (vertex -> set of neighbors) on the
 input's vertex ids.  At each graph node the pipeline strips low-degree
-vertices, then runs Even, Itai & Shamir's commit loop, two-color
-vertices first and then the highest degree, on the stripped graph with
-every vertex allowed all three colors.  The loop goes back over its
-two-color commits at a dead end, within a budget of one forward check
-per vertex: a coloring it reaches or a refutation decides the node,
-charged as that one graph node (no leaf, no CSP call).  Only a node on
-which the budget runs out branches away cycles and large trees of
-degree-three vertices, or, with none left, becomes a leaf: it grows a
+vertices, then runs Even, Itai & Shamir's commit loop (commit_coloring),
+two-color vertices first and then the highest degree, on the stripped
+graph with every vertex allowed all three colors.  The loop goes back
+over its two-color commits at a dead end, within a budget of one forward
+check per vertex: a coloring it reaches or a refutation decides the
+node, charged as that one graph node (no leaf, no CSP call).  Only a
+node on which the budget runs out branches away cycles and large trees
+of degree-three vertices, or, with none left, becomes a leaf: it grows a
 bushy forest plus a height-two forest, enumerates proper colorings of
 the forest interiors with a forward check, and hands each full interior
-coloring to the CSP solver as a list-coloring instance, each vertex with
-the colors its forward-checked mask keeps.
+coloring to the CSP solver as a list-coloring instance
+(transform.list_coloring_csp), each vertex with the colors its
+forward-checked mask keeps.
 
 The graph changes only by vertex removals and merges, each recorded as
 a lift step (GreedyColored or CycleColored, and Merged).  Lifting
@@ -29,8 +30,9 @@ from itertools import combinations
 from typing import Optional
 
 from .graphalg import Adjacency, adjacency, bfs, bfs_path, components, depth_first, max_flow
-from .instance import Instance, bits, lift
+from .instance import bits, lift
 from .solver import NodeLimitReached, SearchStats, SolverConfig, solve
+from .transform import list_coloring_csp
 
 Coloring = dict[int, int]
 
@@ -553,9 +555,9 @@ def _forward_check(g: Adjacency, masks: list[int], asg: Coloring) -> Optional[li
 
 def _commit_loop(g: Adjacency, masks: list[int]) -> list[int] | bool | None:
     """Even, Itai & Shamir's (1976) commit loop in Brélaz's (1979)
-    saturation order, with a bounded backtrack, on every graph node
-    (_expand) and on edgecolor.edge_color's root.  Each step takes the
-    open vertex of g (two or three colors left in the masks current at
+    saturation order, with a bounded backtrack, for commit_coloring (every
+    graph node, edgecolor.edge_color's root).  Each step takes the open
+    vertex of g (two or three colors left in the masks current at
     that step) with the fewest colors, then the highest degree in g,
     then the lowest id, and commits the first color, ascending, that the
     forward check keeps; a kept try fixes every vertex it touched and
@@ -609,17 +611,23 @@ def _commit_loop(g: Adjacency, masks: list[int]) -> list[int] | bool | None:
         masks = child
 
 
+def commit_coloring(g: Adjacency, steps: list) -> Coloring | bool | None:
+    """The commit loop on g, all three colors at every vertex: its coloring
+    lifted through steps, False when it refutes g, None when it runs out."""
+    masks = _commit_loop(g, [7 * (v in g) for v in range(max(g, default=-1) + 1)])
+    if masks is None or masks is False:
+        return masks
+    return lift({v: masks[v].bit_length() - 1 for v in g}, steps)
+
+
 def _residual_solve(g, masks: list[int], cfg, stats) -> Optional[Coloring]:
     """The leaf's CSP call on the forward-checked masks (indexed by
     vertex id) of a full interior coloring; the answer colors g's
-    vertices.  Every leaf vertex goes to the CSP with its mask's colors,
-    one constraint per color shared across an edge.  A one-color vertex
-    is unconstrained, as propagation cleared its color from every
-    neighbour, so the root reduction assigns it; a CSP with at most two
-    three-color variables is decided at the root."""
-    inst = Instance.build({v: bits(masks[v]) for v in g}, (
-        ((u, c), (v, c)) for u in g for v in g[u] if u < v for c in bits(masks[u] & masks[v])))
-    res = solve(inst, cfg.nested(stats))
+    vertices.  Every leaf vertex goes to the CSP with its mask's colors.
+    A one-color vertex is unconstrained, as propagation cleared its
+    color from every neighbour, so the root reduction assigns it; a CSP
+    with at most two three-color variables is decided at the root."""
+    res = solve(list_coloring_csp(g, {v: set(bits(masks[v])) for v in g}), cfg.nested(stats))
     stats.absorb(res.stats, csp=True)
     cfg.charge(stats)  # raises when the nested solve ran out
     return res.assignment
@@ -631,13 +639,8 @@ def _expand(cfg: SolverConfig, stats: SearchStats, state: tuple[Adjacency, list]
     stats.nodes += 1
     cfg.charge(stats)
     strip_low_degree(g, steps)
-    if not g:
-        return lift({}, steps), ()
-    masks = _commit_loop(g, [7 * (v in g) for v in range(max(g) + 1)])
-    if masks is False:  # refuted outright, charged as this one graph node
-        return None, ()
-    if masks is not None:  # colored outright, likewise
-        return lift({v: masks[v].bit_length() - 1 for v in g}, steps), ()
+    if (coloring := commit_coloring(g, steps)) is not None:  # charged as this one graph node
+        return (None if coloring is False else coloring), ()
     sub = _degree3_subgraph(g)  # g is unchanged when no cycle branches
     branch = branch_degree3_cycle(g, sub)
     if branch is None:

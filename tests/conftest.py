@@ -11,13 +11,12 @@ pytest.register_assert_rewrite("helpers")
 
 @pytest.fixture
 def first_descent_loop(monkeypatch):
-    """Run vertexcolor's and edgecolor's commit loop without its
-    backtrack (helpers.first_descent), for the tests of the paper's
-    search: the backtrack decides most seeded inputs at their root."""
+    """Run the commit loop without its backtrack (helpers.first_descent)
+    at every graph node and edge_color root, which both reach it through
+    vertexcolor.commit_coloring, for the tests of the paper's search:
+    the backtrack decides most seeded inputs at their root."""
     # imported here: the line tracer must start before csp32 is imported
-    import csp32.edgecolor as edgecolor
     import csp32.vertexcolor as vertexcolor
     from helpers import first_descent
 
-    for module in (vertexcolor, edgecolor):
-        monkeypatch.setattr(module, "_commit_loop", first_descent)
+    monkeypatch.setattr(vertexcolor, "_commit_loop", first_descent)

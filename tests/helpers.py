@@ -732,26 +732,41 @@ def stripped_instance(graph):
 
 
 def edge_root_stuck(graph):
-    """Whether edgecolor's commit loop, the package's or one a test
+    """Whether edgecolor's commit_coloring, the package's or one a test
     patched in, gets no answer on edgecolor.edge_root's stripped root of
-    graph, (n, edges) with maximum degree three: the package's runs out
-    of budget there, so that edge_color builds the splice search's
-    EdgeInstance and goes on to its splices and line-graph leaves
-    instead of deciding it at the root."""
-    g, _ = edgecolor.edge_root(*graph)
-    return edgecolor._commit_loop(g, [7 * (e in g) for e in range(len(graph[1]))]) is None
+    graph, (n, edges) with maximum degree three: the package's commit
+    loop runs out of budget there, so that edge_color builds the splice
+    search's EdgeInstance and goes on to its splices and line-graph
+    leaves instead of deciding it at the root."""
+    return edgecolor.commit_coloring(*edgecolor.edge_root(*graph)) is None
 
 
 def node_root_stuck(graph):
-    """Whether vertexcolor's commit loop, the package's or one a test
+    """Whether vertexcolor's commit_coloring, the package's or one a test
     patched in, gets no answer on the stripped root graph node of graph,
-    (n, edges): the package's runs out of budget there, so that
-    color_graph goes on to its branching or leaf instead of deciding it
-    there."""
+    (n, edges): the package's commit loop runs out of budget there, so
+    that color_graph goes on to its branching or leaf instead of
+    deciding it there."""
     g = adjacency(*graph)
-    strip_low_degree(g, [])
-    return bool(g) and vertexcolor._commit_loop(
-        g, [7 * (v in g) for v in range(max(g) + 1)]) is None
+    strip_low_degree(g, steps := [])
+    return vertexcolor.commit_coloring(g, steps) is None
+
+
+def commit_coloring_with(loop):
+    """vertexcolor.commit_coloring running loop in place of the package's
+    commit loop, for a test to patch in as edgecolor.commit_coloring: the
+    edge_color root then runs loop while the graph nodes of its
+    line-graph leaves keep the package's loop."""
+
+    def coloring(g, steps):
+        package = vertexcolor._commit_loop
+        vertexcolor._commit_loop = loop
+        try:
+            return vertexcolor.commit_coloring(g, steps)
+        finally:
+            vertexcolor._commit_loop = package
+
+    return coloring
 
 
 def line_graph(n, edges):
@@ -1132,8 +1147,9 @@ def first_descent(g, masks):
     """The commit loop with no backtrack, as it ran before it had one:
     the masks its first descent colors, or None at its first dead end.
     On two-color masks that None still refutes them.  Tests of the
-    paper's search patch it in for vertexcolor's and edgecolor's loop
-    (the first_descent_loop fixture), so that seeded inputs reach the
+    paper's search patch it in for vertexcolor's loop, which every graph
+    node and edge_color root reach through commit_coloring (the
+    first_descent_loop fixture), so that seeded inputs reach the
     branchings, forests, leaves and splices the backtrack now decides
     before them."""
     return brute_commit_loop(g, masks, vertexcolor._forward_check)[1]

@@ -247,7 +247,8 @@ def test_failed_library_verification_is_an_error(tmp_path, capsys, monkeypatch):
         ("csp32.solver.lift", lambda asg, trace: {0: 2, 1: 2}, ["solve", sat_csp(tmp_path)]),
         ("csp32.vertexcolor.lift", lambda col, steps: {0: 0, 1: 0, 2: 0},
          ["color", tri]),
-        ("csp32.edgecolor.lift", lambda col, path: {i: 0 for i in range(6)},
+        # the commit loop colors K4's edge root, lifted in vertexcolor
+        ("csp32.vertexcolor.lift", lambda col, steps: {i: 0 for i in range(6)},
          ["edge-color", k4]),
         ("csp32.transform.SatMap.decode", lambda smap, asg: {1: False, 2: False, 3: False},
          ["sat", write(tmp_path, "f.cnf", SAT_CNF)]),

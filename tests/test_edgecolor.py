@@ -16,6 +16,7 @@ from itertools import combinations, product
 import pytest
 
 import csp32.edgecolor as edgecolor
+import csp32.vertexcolor as vertexcolor
 from csp32.edgecolor import (
     EdgeInstance,
     edge_color,
@@ -37,6 +38,7 @@ from csp32.oracle import (
 from csp32.vertexcolor import color_graph
 from helpers import (
     charge_identity,
+    commit_coloring_with,
     brute_conflict_k4s,
     brute_line_graph_edges,
     brute_splice,
@@ -235,8 +237,9 @@ def test_edge_color_builds_one_conflict_graph(monkeypatch):
     # edgecolor.edge_root, and the splice search's EdgeInstance exactly
     # when the commit loop gets no answer on that root (edge_root_stuck),
     # stripped of the root's stripped edges.  Subcubic inputs, which
-    # strip edges, run the first descent, so that some get stuck; on
-    # edge-cubic's seed-1 batch the real loop gets stuck on 8 of 1,250.
+    # strip edges, run the first descent at their root (their line-graph
+    # leaves keep the real loop), so that some get stuck; on edge-cubic's
+    # seed-1 batch the real loop gets stuck on 8 of 1,250.
     roots, built, planned = [], [], []
     root, select = edgecolor.edge_root, edgecolor.select_splices
     from_graph = EdgeInstance.from_graph
@@ -268,7 +271,7 @@ def test_edge_color_builds_one_conflict_graph(monkeypatch):
     rng = random.Random(51)
     stripped = Counter()
     with monkeypatch.context() as mp:
-        mp.setattr(edgecolor, "_commit_loop", first_descent)
+        mp.setattr(edgecolor, "commit_coloring", commit_coloring_with(first_descent))
         for _ in range(60):
             graph = subcubic(rng, rng.randint(6, 16), rng.uniform(0.3, 0.9))
             stuck = run(graph)
@@ -592,6 +595,16 @@ def test_edge_color_cubic_fuzz(index_checked):
     assert verdicts[True] > 400 and verdicts[False] >= 4
 
 
+def test_empty_and_edgeless_graphs_are_edge_colored_at_the_root():
+    # No edge, so the root's line graph is empty: the commit loop colors
+    # it at once, and the empty coloring is the answer, charged as the
+    # one-node leaf the root replaces.
+    for n in (0, 3):
+        got, stats = edge_color(n, [])
+        assert got == {}, n
+        assert (stats.nodes, stats.leaves, stats.splices, stats.csp_nodes) == (1, 1, 0, 0), n
+
+
 def test_edge_color_planted_cubic():
     rng = random.Random(45)
     done = 0
@@ -606,10 +619,11 @@ def test_edge_color_planted_cubic():
 
 
 def test_edge_color_rejects_unverified_coloring(monkeypatch):
-    # A lift bug must surface as an error, also under python -O.
+    # A lift bug must surface as an error, also under python -O.  The
+    # commit loop colors K4's root, which vertexcolor.commit_coloring lifts.
     k4 = list(combinations(range(4), 2))
     monkeypatch.setattr(
-        edgecolor, "lift", lambda coloring, path: dict.fromkeys(range(6), 0)
+        vertexcolor, "lift", lambda coloring, steps: dict.fromkeys(range(6), 0)
     )
     with pytest.raises(RuntimeError, match="failed verification"):
         edge_color(4, k4)
@@ -618,15 +632,15 @@ def test_edge_color_rejects_unverified_coloring(monkeypatch):
 def test_edge_color_verifies_iterator_input(monkeypatch):
     # The edges are read more than once (the input checks, the root and
     # the final check), so an iterator or a generator is read into a list
-    # first: it gets the list's answer and errors, and a lift bug still
-    # surfaces.
+    # first: it gets the list's answer and errors, and a lift bug at the
+    # root, which vertexcolor.commit_coloring lifts, still surfaces.
     k4 = list(combinations(range(4), 2))
     want, _ = edge_color(4, k4)
     assert edge_color(4, iter(k4))[0] == want and edge_color(4, (e for e in k4))[0] == want
     with pytest.raises(ValueError, match=re.escape("repeated edge (1, 0)")):
         edge_color(3, iter([(0, 1), (1, 0)]))
     monkeypatch.setattr(
-        edgecolor, "lift", lambda coloring, path: dict.fromkeys(range(6), 0)
+        vertexcolor, "lift", lambda coloring, steps: dict.fromkeys(range(6), 0)
     )
     for edges in (iter(k4), (e for e in k4)):
         with pytest.raises(RuntimeError, match="failed verification"):
@@ -717,26 +731,37 @@ def test_root_commit_loop_colors_without_splicing(monkeypatch):
     # one-node line-graph leaf it replaces, with no splice plan drawn.  A
     # root it refutes is decided there too, charged the same, and returns
     # None.  A root it runs out of budget on goes on to plan its splices.
+    # The root hands vertexcolor.commit_coloring edge_root's graph and
+    # steps, and the loop gets every remaining edge with all three colors.
     roots, plans = [], []
-    commit_loop, select = edgecolor._commit_loop, edgecolor.select_splices
+    masks = []  # the masks the loop got at the root in progress
+    coloring, commit_loop = edgecolor.commit_coloring, vertexcolor._commit_loop
+    select = edgecolor.select_splices
 
-    def logged_loop(g, masks):
-        out = commit_loop(g, masks)
-        roots.append((masks, out))
+    def logged_root(g, steps):
+        del masks[:]
+        out = coloring(g, steps)
+        roots.append((g, steps, out))
         return out
+
+    def logged_loop(g, masks_in):
+        masks.append(masks_in.copy())
+        return commit_loop(g, masks_in)
 
     def logged_select(ei):
         plans.append(ei)
         return select(ei)
 
-    monkeypatch.setattr(edgecolor, "_commit_loop", logged_loop)
+    monkeypatch.setattr(edgecolor, "commit_coloring", logged_root)
+    monkeypatch.setattr(vertexcolor, "_commit_loop", logged_loop)
     monkeypatch.setattr(edgecolor, "select_splices", logged_select)
     seen = Counter()
     for n, edges in _stuck_root_inputs():
         del roots[:], plans[:]
         got, stats = edge_color(n, edges)
-        ((masks, out),) = roots
-        assert set(masks) <= {0, 7}
+        ((g, steps, out),) = roots
+        assert (g, steps) == edge_root(n, edges)
+        assert masks[:1] == [[7 * (e in g) for e in range(max(g, default=-1) + 1)]]
         if out is None:
             assert len(plans) == 1
             seen["stuck", got is not None] += 1
@@ -746,7 +771,7 @@ def test_root_commit_loop_colors_without_splicing(monkeypatch):
         assert (stats.splices, stats.nodes, stats.leaves, stats.csp_nodes) == (0, 1, 1, 0)
         if colored:
             assert proper_edge(edges, got) and len(got) == len(edges)
-        seen["colored" if colored else "refuted", masks.count(0) > 0] += 1
+        seen["colored" if colored else "refuted", len(steps) > 0] += 1
     assert seen["colored", False] > 60 and seen["colored", True] > 15
     assert seen["refuted", False] > 9 and seen["refuted", True] > 16
     assert seen["stuck", True] > 25 and seen["stuck", False] > 6, seen
@@ -772,7 +797,7 @@ def test_stuck_root_commit_loop_leaves_the_search_as_it_was(monkeypatch):
     for graph in filter(edge_root_stuck, _stuck_root_inputs()):
         got, stats = edge_color(*graph)
         with monkeypatch.context() as mp:
-            mp.setattr(edgecolor, "_commit_loop", lambda g, masks: None)
+            mp.setattr(edgecolor, "commit_coloring", lambda g, steps: None)
             want, want_stats = edge_color(*graph)
         assert got == want and vars(stats) == vars(want_stats)
         runs += stats.splices > 0

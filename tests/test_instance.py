@@ -25,7 +25,6 @@ from csp32.oracle import (
     planted_csp,
     random_3cnf,
     random_csp,
-    random_graph,
     structured_csp,
 )
 from csp32.solver import build, merge, solve

@@ -1,10 +1,12 @@
 """Format translations: duality, the 3-SAT front end, and graph encoding."""
 
 import random
+from collections import Counter
 
 import pytest
 
-from csp32.instance import eliminate_low_colors
+from csp32.graphalg import adjacency
+from csp32.instance import Instance, eliminate_low_colors
 from csp32.oracle import brute_sat, brute_vertex_color, random_3cnf, random_graph
 from csp32.solver import solve
 from csp32.transform import (
@@ -12,6 +14,7 @@ from csp32.transform import (
     GeneralCSP,
     coloring_to_csp,
     dualize,
+    list_coloring_csp,
     normalize_constraint,
     sat_to_csp,
 )
@@ -188,6 +191,27 @@ def test_coloring_encoding_matches_brute():
         if res.satisfiable:
             for (u, v) in edges:
                 assert res.assignment[u] != res.assignment[v], trial
+
+
+def test_list_coloring_csp_matches_a_brute_constraint_list():
+    # list_coloring_csp against Instance.build given, by brute force,
+    # every edge's constraint for every color both its ends have, on
+    # seeded graphs with gaps in their vertex ids and color sets that are
+    # empty, one color, two or all three: the same pair ids, live masks
+    # and conflicts.
+    rng = random.Random(50)
+    sizes = Counter()
+    for _ in range(300):
+        n, edges = random_graph(rng, rng.randint(0, 9), rng.uniform(0.2, 0.8))
+        keep = {v for v in range(n) if rng.random() < 0.8}
+        g = {v: ns & keep for v, ns in adjacency(n, edges).items() if v in keep}
+        colors = {v: set(rng.sample(range(3), rng.randint(0, 3))) for v in g}
+        sizes.update(len(cs) for cs in colors.values())
+        brute = [((u, c), (v, c)) for u, v in edges if {u, v} <= keep
+                 for c in range(3) if c in colors[u] and c in colors[v]]
+        got, want = list_coloring_csp(g, colors), Instance.build(colors, brute)
+        assert (got.live, got.conf, got.table.pairs) == (want.live, want.conf, want.table.pairs)
+    assert min(sizes[k] for k in range(4)) > 190, sizes
 
 
 def test_coloring_respects_lists():

@@ -112,6 +112,15 @@ def test_strip_low_degree_removes_below_three():
     assert proper([(0, 1), (1, 2), (2, 3), (3, 4)], got)
 
 
+def test_empty_and_edgeless_graphs_are_colored_in_one_node():
+    # Stripping empties both graphs and the commit loop returns at once
+    # on the empty graph; the empty coloring is an answer, not a refutation.
+    for n, want in ((0, {}), (3, {0: 0, 1: 0, 2: 0})):
+        res = color_graph(n, [])
+        assert (res.colorable, res.coloring) == (True, want), n
+        assert (res.stats.nodes, res.stats.leaves, res.stats.csp_calls) == (1, 0, 0), n
+
+
 def test_find_degree3_cycle_is_chordless():
     rng = random.Random(14)
     found = 0
@@ -804,7 +813,7 @@ def test_bushy_unit_draws_match_brute_reference(monkeypatch, first_descent_loop)
     # colors is charged as one node with no graph node under it.
     bushy_unit, forward_check = vertexcolor._bushy_unit, vertexcolor._forward_check
     expand, charge = vertexcolor._expand, SolverConfig.charge
-    root_loop = edgecolor._commit_loop
+    root_coloring = edgecolor.commit_coloring
     events = []  # ("draw", id), ("charge",), ("check", id) from the enumeration
     expands = []  # graph nodes of the call in progress
     roots = []  # edge_color's root loop outcomes, True when it colored, of that call
@@ -841,8 +850,8 @@ def test_bushy_unit_draws_match_brute_reference(monkeypatch, first_descent_loop)
         expands.append(args)
         return expand(*args)
 
-    def logged_root(g, masks):
-        out = root_loop(g, masks)
+    def logged_root(g, steps):
+        out = root_coloring(g, steps)
         roots.append(out is not None)
         return out
 
@@ -850,7 +859,7 @@ def test_bushy_unit_draws_match_brute_reference(monkeypatch, first_descent_loop)
     monkeypatch.setattr(vertexcolor, "_forward_check", checked)
     monkeypatch.setattr(vertexcolor, "_expand", counted)
     monkeypatch.setattr(SolverConfig, "charge", charged)
-    monkeypatch.setattr(edgecolor, "_commit_loop", logged_root)
+    monkeypatch.setattr(edgecolor, "commit_coloring", logged_root)
 
     def run(solve, graphs):
         for graph in graphs:
@@ -1366,10 +1375,13 @@ def test_node_commit_loop_on_wheels():
 
 def test_node_commit_loop_decides_nodes_before_branching_and_leaves(monkeypatch):
     # At every graph node of seeded color-planted, G(n, p) and cubic
-    # graphs that stripping leaves nonempty, the commit loop runs once,
-    # first, on the stripped graph's all-three-color masks.  A node it
-    # colors returns the loop's coloring lifted through the node's steps,
-    # and a node it refutes returns None; either way with no children,
+    # graphs, the commit loop runs once, first, on the stripped graph's
+    # all-three-color masks, through commit_coloring; on a graph that
+    # stripping empties it returns at once, and the node returns its
+    # steps' lift.  A node it colors returns the loop's coloring lifted
+    # through the node's steps, and a node it refutes returns None
+    # (tested with `is False`, as an empty coloring is an answer); either
+    # way with no children,
     # calling no branch builder, forest or leaf, and charging only its
     # own graph node.  A node it gets no answer on goes on to branching
     # or its leaf as before.  The backtrack decides nearly every node, so
@@ -1382,7 +1394,7 @@ def test_node_commit_loop_decides_nodes_before_branching_and_leaves(monkeypatch)
     def logged(name, fn):
         def call(*args):
             out = fn(*args)
-            if name != "_commit_loop" or sys._getframe(1).f_code.co_name == "_expand":
+            if name != "_commit_loop" or sys._getframe(1).f_code.co_name == "commit_coloring":
                 calls.append((name, args, out))
             return out
         return call
@@ -1392,17 +1404,15 @@ def test_node_commit_loop_decides_nodes_before_branching_and_leaves(monkeypatch)
         before = dict(vars(stats))
         value, children = expand(cfg, stats, state)
         g, steps = state  # stripped in place by the node
-        if not g:  # stripping colored the whole graph
-            assert (value, children, calls) == (lift({}, steps), (), [])
-            return value, children
         (first, (loop_g, masks), committed), *rest = calls
         assert first == "_commit_loop" and loop_g is g
-        assert masks == [7 * (v in g) for v in range(max(g) + 1)]
+        assert masks == [7 * (v in g) for v in range(max(g, default=-1) + 1)]
         if committed is not None:
-            want = committed and lift({v: committed[v].bit_length() - 1 for v in g}, steps)
-            assert value == (want or None) and children == () and rest == []
+            colored = committed is not False
+            want = lift({v: committed[v].bit_length() - 1 for v in g}, steps) if colored else None
+            assert value == want and children == () and rest == []
             assert vars(stats) == dict(before, nodes=before["nodes"] + 1)
-            tally["colored" if committed else "refuted"] += 1
+            tally["refuted" if not colored else "colored" if g else "stripped"] += 1
         else:
             names = [name for name, _, _ in rest]
             branched = any(out is not None for name, _, out in rest if name.startswith("branch"))
@@ -1426,7 +1436,7 @@ def test_node_commit_loop_decides_nodes_before_branching_and_leaves(monkeypatch)
     cubic = (random_cubic(random.Random(s), 10 + 2 * (s % 8)) for s in range(1000))
     for graph in chain(_seeded_graphs(100), cubic, [TREE8, COMMIT_STUCK["cubic"][0]]):
         color_graph(*graph)
-    assert decided["colored"] > 300 and decided["refuted"] > 65, decided
+    assert decided["colored"] > 300 and decided["refuted"] > 65 and decided["stripped"] > 5, decided
     assert tally["colored"] > 1000 and tally["leaf"] > 300 and tally["branched"] > 26, tally
 
 
