@@ -1,4 +1,4 @@
-"""Command-line front end: solving, translating, analyzing, fuzzing.
+"""Command-line front end: solving, translating, analyzing.
 
 File formats: CSP instances as JSON ({"variables": [{"id": 0, "colors":
 ["R", "G", "B"]}, ...], "constraints": [[[0, "R"], [1, "R"]], ...]}),
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
 from typing import Optional
@@ -319,78 +318,6 @@ def cmd_factors(args) -> int:
     return EXIT_SAT
 
 
-def cmd_oracle(args) -> int:
-    from . import oracle  # brute force, loaded only where it is called
-
-    if args.kind == "csp":
-        inst, _names = load_csp_json(args.file)
-        got = oracle.brute_csp(inst)
-    elif args.kind == "color":
-        got = oracle.brute_vertex_color(load_col(args.file))
-    elif args.kind == "edge-color":
-        got = oracle.brute_edge_color(load_col(args.file))
-    else:
-        nvars, clauses = load_cnf(args.file)
-        got = oracle.brute_sat(nvars, clauses)
-    print("sat" if got is not None else "unsat")
-    return EXIT_SAT if got is not None else EXIT_UNSAT
-
-
-# each fuzz kind and the least --size its generator accepts
-FUZZ_KINDS = {
-    "random-csp": 0,
-    "random-graph": 0,
-    "random-cubic": 3,  # rounded up to 4 vertices
-    "planted-3-colorable": 0,
-    "random-3cnf": 3,  # three distinct variables per clause
-}
-
-
-def _fuzz_one(kind: str, seed: int, size: int) -> bool:
-    """One generator+solve+oracle comparison; True when they agree."""
-    from . import oracle
-
-    rng = random.Random(seed)
-    if kind == "random-csp":
-        inst = oracle.random_csp(rng, size, 3, 0.25)
-        ref = oracle.brute_csp(inst.copy()) is not None
-        got = solve(inst).satisfiable
-        return got == ref
-    if kind == "random-graph":
-        g = oracle.random_graph(rng, size, 0.4)
-    elif kind == "random-cubic":  # edge_color against its oracle here, color_graph below
-        g = oracle.random_cubic(rng, size + size % 2)
-        if (edge_color(*g)[0] is None) != (oracle.brute_edge_color(g) is None):
-            return False
-    elif kind == "random-3cnf":
-        nvars = min(size, 8)
-        clauses = oracle.random_3cnf(rng, nvars, nvars + 2)
-        inst, smap = sat_to_csp(nvars, clauses)
-        ref = oracle.brute_sat(nvars, clauses) is not None
-        got = False if inst is None else bool(solve(inst).satisfiable)
-        return got == ref
-    else:  # planted-3-colorable
-        g = oracle.planted_3colorable(rng, size, 0.5)
-    ref = oracle.brute_vertex_color(g) is not None
-    return color_graph(*g).colorable == ref
-
-
-def cmd_fuzz(args) -> int:
-    if args.kind not in FUZZ_KINDS:
-        raise InputError(f"unknown fuzz kind {args.kind!r}; choose from {', '.join(FUZZ_KINDS)}")
-    if args.size < FUZZ_KINDS[args.kind]:
-        raise InputError(
-            f"--size: {args.kind} needs at least {FUZZ_KINDS[args.kind]}, got {args.size}"
-        )
-    bad = 0
-    for i in range(args.count):
-        if not _fuzz_one(args.kind, args.seed + i, args.size):
-            bad += 1
-            print(f"mismatch: kind={args.kind} seed={args.seed + i}")
-    print(f"{args.count - bad}/{args.count} agreed")
-    return EXIT_SAT if bad == 0 else EXIT_UNSAT
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -442,18 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("factors", help="print the work-factor constants")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_factors)
-
-    p = sub.add_parser("oracle", help="answer by brute force")
-    p.add_argument("kind", choices=("csp", "color", "edge-color", "sat"))
-    p.add_argument("file")
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("fuzz", help="compare solver and oracle on random inputs")
-    p.add_argument("kind")
-    p.add_argument("--count", type=non_negative_int, default=50)
-    p.add_argument("--size", type=non_negative_int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_fuzz)
 
     return top
 

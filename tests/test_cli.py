@@ -1,5 +1,6 @@
 """Command line interface: file formats, subcommands, exit codes."""
 
+import argparse
 import json
 import random
 import re
@@ -10,7 +11,7 @@ import pytest
 import csp32
 from csp32 import cli
 from csp32.cli import EXIT_LIMIT, EXIT_SAT, EXIT_UNSAT, EXIT_USAGE, main
-from csp32.oracle import random_cubic
+from csp32.oracle import brute_csp, random_cubic
 from csp32.solver import SearchStats
 
 
@@ -311,8 +312,7 @@ def test_equal_valued_color_tokens_stay_distinct(tmp_path, capsys):
     assert main(["solve", path]) == EXIT_SAT
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "sat" and json.loads(out[1])["0"] is False
-    assert main(["oracle", "csp", path]) == EXIT_SAT
-    assert capsys.readouterr().out.splitlines() == ["sat"]
+    assert brute_csp(cli.load_csp_json(path)[0]) is not None
     inst, names = cli.load_csp_json(csp_json(
         tmp_path, "three.json", [{"id": 0, "colors": [0, False, 0.0, 1, True]}], [],
     ))
@@ -400,9 +400,23 @@ def test_missing_file_is_usage_error(capsys):
 
 
 def test_negative_node_limit_is_usage_error(tmp_path, capsys):
+    # every subcommand that searches takes --node-limit and is looped over
+    # here, so a new one that searches without a limit fails this test
     tri = write(tmp_path, "tri.col", TRIANGLE_COL)
     cnf = write(tmp_path, "f.cnf", SAT_CNF)
-    for argv in (["solve", sat_csp(tmp_path)], ["color", tri], ["edge-color", tri], ["sat", cnf]):
+    runs = (["solve", sat_csp(tmp_path)], ["color", tri], ["edge-color", tri], ["sat", cnf])
+    (subparsers,) = (
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    searching = {
+        name: parser for name, parser in subparsers.choices.items()
+        if name not in ("translate", "factors")
+    }
+    assert set(searching) == {argv[0] for argv in runs}
+    for name, parser in searching.items():
+        assert "--node-limit" in parser._option_string_actions, name
+    for argv in runs:
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--node-limit", "-1"])
         assert exc.value.code == EXIT_USAGE, argv
@@ -457,64 +471,3 @@ def test_factors_output(capsys):
     assert main(["factors"]) == EXIT_SAT
     text = capsys.readouterr().out
     assert "vertex_bound" in text
-
-
-def test_oracle_subcommand(tmp_path, capsys):
-    tri = write(tmp_path, "tri.col", TRIANGLE_COL)
-    k4 = write(tmp_path, "k4.col", K4_COL)
-    assert main(["oracle", "color", tri]) == EXIT_SAT
-    assert main(["oracle", "color", k4]) == EXIT_UNSAT
-    assert main(["oracle", "edge-color", k4]) == EXIT_SAT
-    cnf = write(tmp_path, "f.cnf", SAT_CNF)
-    assert main(["oracle", "sat", cnf]) == EXIT_SAT
-    assert main(["oracle", "csp", unsat_csp(tmp_path)]) == EXIT_UNSAT
-    capsys.readouterr()
-
-
-def test_fuzz_subcommand(capsys, monkeypatch):
-    assert main(
-        ["fuzz", "random-csp", "--count", "10", "--size", "6", "--seed", "1"]
-    ) == EXIT_SAT
-    assert "10/10 agreed" in capsys.readouterr().out
-    for kind in ("random-graph", "random-cubic", "planted-3-colorable", "random-3cnf"):
-        assert main(["fuzz", kind, "--count", "4", "--size", "7"]) == EXIT_SAT, kind
-        assert "4/4 agreed" in capsys.readouterr().out
-    assert main(["fuzz", "no-such-kind", "--count", "1"]) == EXIT_USAGE
-    # random-cubic compares edge_color with the brute edge oracle on every
-    # graph, besides color_graph with the vertex oracle.
-    edge_color, graphs = cli.edge_color, []
-
-    def spy(n, edges):
-        graphs.append((n, edges))
-        return edge_color(n, edges)
-
-    cubic = ["fuzz", "random-cubic", "--count", "5", "--size", "9", "--seed", "3"]
-    monkeypatch.setattr(cli, "edge_color", spy)
-    assert main(cubic) == EXIT_SAT
-    assert "5/5 agreed" in capsys.readouterr().out
-    assert [n for n, _ in graphs] == [10] * 5
-    # an edge_color that calls every graph uncolorable is caught, even
-    # where color_graph and its oracle agree
-    monkeypatch.setattr(cli, "edge_color", lambda n, edges: (None, SearchStats()))
-    assert main(cubic) == EXIT_UNSAT
-    out = capsys.readouterr().out
-    assert "0/5 agreed" in out and "mismatch: kind=random-cubic seed=3" in out
-
-
-def test_fuzz_rejects_bad_arguments(capsys):
-    for flag in ("--count", "--size"):
-        with pytest.raises(SystemExit) as exc:
-            main(["fuzz", "random-csp", flag, "-2"])
-        assert exc.value.code == EXIT_USAGE, flag
-        assert f"{flag}: must be non-negative, got -2" in capsys.readouterr().err, flag
-    # the kind is checked before any round runs, so no count hides it
-    assert main(["fuzz", "no-such-kind", "--count", "0"]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert "unknown fuzz kind 'no-such-kind'" in err and "random-3cnf" in err
-    for kind in ("random-3cnf", "random-cubic"):
-        assert main(["fuzz", kind, "--count", "1", "--size", "2"]) == EXIT_USAGE, kind
-        assert f"--size: {kind} needs at least 3, got 2" in capsys.readouterr().err, kind
-        assert main(["fuzz", kind, "--count", "2", "--size", "3"]) == EXIT_SAT, kind
-        assert "2/2 agreed" in capsys.readouterr().out, kind
-    assert main(["fuzz", "random-csp", "--count", "0"]) == EXIT_SAT
-    assert "0/0 agreed" in capsys.readouterr().out

@@ -52,8 +52,8 @@ def test_edge_color_loads_no_heavy_module():
 
 
 def test_importing_the_package_leaves_the_oracle_unloaded():
-    # the solvers reach nothing in csp32.oracle; the tests and the CLI's
-    # oracle and fuzz commands import it themselves
+    # the solvers and the CLI reach nothing in csp32.oracle; only the
+    # tests and perfbench/ import it
     for body in (
         "import csp32",
         "import csp32.cli",
