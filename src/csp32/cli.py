@@ -265,8 +265,6 @@ def cmd_edge_color(args) -> int:
 
 def cmd_sat(args) -> int:
     nvars, clauses = load_cnf(args.file)
-    if any(len(set(map(abs, cl))) > 3 for cl in clauses):
-        raise InputError(f"{args.file}: clauses over more than 3 variables are not supported")
     t0 = time.perf_counter()
     inst, smap = sat_to_csp(nvars, clauses)
     if inst is None:  # refuted by sat_to_csp itself, with no search
@@ -301,8 +299,11 @@ def cmd_translate(args) -> int:
         payload = _csp_payload(dual.domains, dual.constraints)
     text = json.dumps(payload, sort_keys=True, indent=2)
     if args.emit:
-        with open(args.emit, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.emit, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InputError(str(exc))
     else:
         print(text)
     return EXIT_SAT

@@ -5,8 +5,8 @@ edge list: vertex coloring, edge coloring, the coloring CSP encoding and
 the brute-force coloring oracle all read their input through it.
 depth_first drives the backtracking searches: the branch-and-reduce
 solver, the coloring graph search and leaf enumeration, the splice
-search and the oracles (a bushy tree's colorings and the coloring
-commit loop's backtrack have their own loops).
+search and the oracles (the coloring commit loop's backtrack has its
+own loop).
 bfs is every breadth-first traversal: the constraint-graph components of
 the solver rules and the degree-three trees of the coloring pipeline,
 and through bfs_path, its shortest path, the degree-three cycle search.

@@ -151,8 +151,9 @@ def sat_to_csp(nvars: int, clauses: list[Clause]) -> tuple[Optional[Instance], S
     three colors (short clauses, or casualties of unit-style
     propagation) are then eliminated, so the surviving size is the
     number of 3-clauses.  Returns (None, map) when an empty clause or
-    the propagation refutes the formula.  A negative nvars, or a literal
-    0 or beyond ±nvars, raises ValueError.
+    the propagation refutes the formula.  A clause over more than three
+    variables, a negative nvars, or a literal 0 or beyond ±nvars, raises
+    ValueError.
     """
     if nvars < 0:
         raise ValueError(f"negative variable count {nvars}")
@@ -163,9 +164,11 @@ def sat_to_csp(nvars: int, clauses: list[Clause]) -> tuple[Optional[Instance], S
         for lit in lits:
             if not 0 < abs(lit) <= nvars:
                 raise ValueError(f"literal {lit} not in ±1..±{nvars}")
+        if len(xs := {abs(lit) for lit in lits}) > 3:
+            raise ValueError(f"clause {i} is over {len(xs)} variables, more than 3")
         if any(-lit in lits for lit in lits):
             continue  # satisfied by every assignment
-        colors[i] = {abs(lit) for lit in lits}
+        colors[i] = xs
         ruled.update(((i, abs(lit)), int(lit < 0)) for lit in lits)
     inst = Instance.build(colors)
     ids, conf = inst.table.ids, inst.conf

@@ -10,11 +10,11 @@ check per vertex: a coloring it reaches or a refutation decides the
 node, charged as that one graph node (no leaf, no CSP call).  Only a
 node on which the budget runs out branches away cycles and large trees
 of degree-three vertices, or, with none left, becomes a leaf: it grows a
-bushy forest plus a height-two forest, enumerates proper colorings of
-the forest interiors with a forward check, and hands each full interior
-coloring to the CSP solver as a list-coloring instance
-(transform.list_coloring_csp), each vertex with the colors its
-forward-checked mask keeps.
+bushy forest plus a height-two forest, colors the forest interiors one
+vertex at a time depth first, forward-checking each color its mask
+keeps, and hands each full interior coloring to the CSP solver as a
+list-coloring instance (transform.list_coloring_csp), each vertex with
+the colors its forward-checked mask keeps.
 
 The graph changes only by vertex removals and merges, each recorded as
 a lift step (GreedyColored or CycleColored, and Merged).  Lifting
@@ -422,64 +422,6 @@ def _two_disjoint_stars(out_adj, avail: set[int]):
     return None
 
 
-def _bushy_unit(g: Adjacency, f: BushyForest, root: int):
-    """One bushy tree's unit: masks -> the proper colorings of its internal
-    vertices that masks allow, drawn one at a time, depth first along the
-    tree's breadth-first order with each vertex's colors ascending."""
-    order = [
-        v for v, _ in bfs(root, lambda v: (u for u in f.children.get(v, ()) if u in f.internal))
-    ]
-    earlier = [[j for j in range(i) if order[j] in g[v]] for i, v in enumerate(order)]
-
-    # its own loop, not depth_first, which measured 1.7-2.3x slower per unit draw
-    def colorings(masks: list[int]):
-        cols = [0] * len(order)
-        left = [masks[order[0]]]  # colors still to try at each depth
-        while left:
-            i = len(left) - 1
-            if not (m := left[i]):
-                left.pop()
-                continue
-            left[i] = m & (m - 1)
-            cols[i] = (m & -m).bit_length() - 1
-            if i + 1 == len(order):
-                yield dict(zip(order, cols))
-            else:
-                m = masks[order[i + 1]]
-                for j in earlier[i + 1]:
-                    m &= ~(1 << cols[j])
-                left.append(m)
-
-    return colorings
-
-
-def _allowed(outs: list[Coloring]):
-    """A unit over fixed colorings: masks -> those the masks allow."""
-    return lambda masks: (asg for asg in outs if all(masks[v] >> c & 1 for v, c in asg.items()))
-
-
-def _height_two_unit(tree: HeightTwoTree) -> list[Coloring]:
-    """Colorings tried for one height-two tree.
-
-    With five grandchildren the two fork roots are colored nine ways; a
-    differing pair forces the tree root's color.  Otherwise the root
-    alone is colored three ways.
-    """
-    if tree.grand_count == 5:
-        forks = sorted(u for u in tree.children if len(tree.grands[u]) == 2)
-        assert len(forks) == 2
-        x, y = forks
-        outs = []
-        for cx in (0, 1, 2):
-            for cy in (0, 1, 2):
-                asg = {x: cx, y: cy}
-                if cx != cy:
-                    asg[tree.root] = 3 - cx - cy
-                outs.append(asg)
-        return outs
-    return [{tree.root: c} for c in (0, 1, 2)]
-
-
 ColorConfig = SolverConfig  # the coloring front ends take the solver's config
 
 
@@ -501,21 +443,30 @@ def _solve_leaf(g: Adjacency, cfg: SolverConfig, stats: SearchStats):
         # coverage guarantee for a maximal forest in a cycle-free residue
         assert len(g) - len(f.vertices) <= 20 * len(f.leaves) / 3 + 1e-9
 
-    units = [_bushy_unit(g, f, root) for root in f.roots]
-    units += [_allowed(_height_two_unit(tree)) for tree in trees]
+    # each bushy tree's internal vertices in its breadth-first order, then
+    # each height-two tree's root, or its two forks when it has five
+    # grandchildren: forks that differ force the root by propagation
+    order = [
+        v
+        for root in f.roots
+        for v, _ in bfs(root, lambda v: (u for u in f.children.get(v, ()) if u in f.internal))
+    ]
+    for tree in trees:
+        forks = sorted(u for u in tree.children if len(tree.grands[u]) == 2)
+        order += forks if tree.grand_count == 5 else [tree.root]
 
     def extensions(i: int, masks: list[int]):
-        # lazy: a partial coloring is drawn and charged once its predecessor
-        # is searched, and only when every vertex still has its color
-        for asg in units[i](masks):
+        # lazy: a color is drawn and charged once its predecessor is searched
+        v = order[i]
+        for c in bits(masks[v]):
             stats.nodes += 1  # as a CSP node counts a child simplify refutes
             cfg.charge(stats)
-            if (child := _forward_check(g, masks, asg)) is not None:
+            if (child := _forward_check(g, masks, v, c)) is not None:
                 yield i + 1, child
 
     def expand(state):
         i, masks = state
-        if i == len(units):
+        if i == len(order):
             return _residual_solve(g, masks, cfg, stats), ()
         return None, extensions(i, masks)
 
@@ -523,22 +474,20 @@ def _solve_leaf(g: Adjacency, cfg: SolverConfig, stats: SearchStats):
     return depth_first((0, root), expand)
 
 
-def _forward_check(g: Adjacency, masks: list[int], asg: Coloring) -> Optional[list[int]]:
+def _forward_check(g: Adjacency, masks: list[int], v: int, c: int) -> Optional[list[int]]:
     """Forward check from the parent's masks (each vertex's colors left
     after propagation, as 3-bit sets indexed by vertex id; a colored or
-    forced vertex has one): color asg, then propagate every forced
-    (singleton) color.  The child's masks, or None when some vertex runs
-    out of colors, so no proper coloring extends the partial one; two
-    adjacent vertices of asg with one color empty each other's masks.  A
-    0 mask marks a vertex left out of the instance, or an id that is not
-    a leaf vertex: no color is cleared from it, so it never refutes."""
+    forced vertex has one): color v with c, then propagate every forced
+    (singleton) color.  The child's masks, or None when c is not left to
+    v or some vertex runs out of colors, so no proper coloring extends
+    the partial one.  A 0 mask marks a vertex left out of the instance,
+    or an id that is not a leaf vertex: no color is cleared from it, so
+    it never refutes."""
+    if not masks[v] >> c & 1:
+        return None
     masks = masks.copy()
-    forced = []
-    for v, c in asg.items():
-        if not masks[v] >> c & 1:
-            return None
-        masks[v] = 1 << c
-        forced.append((v, 1 << c))
+    masks[v] = 1 << c
+    forced = [(v, 1 << c)]
     while forced:
         v, bit = forced.pop()
         for u in g[v]:
@@ -604,7 +553,7 @@ def _commit_loop(g: Adjacency, masks: list[int]) -> list[int] | bool | None:
                 spare -= 1
             c = (m & -m).bit_length() - 1
             m &= m - 1
-            if (child := _forward_check(g, masks, {v: c})) is not None:
+            if (child := _forward_check(g, masks, v, c)) is not None:
                 break
         if m and 7 in masks:
             picks.append((masks, v, m))

@@ -48,7 +48,6 @@ from csp32.transform import GeneralCSP, coloring_to_csp
 from csp32.vertexcolor import (
     Merged,
     _delete_cycle,
-    _height_two_unit,
     _remove_greedy,
     _residual_solve,
     adjacency,
@@ -998,10 +997,10 @@ def brute_branch_degree3_tree(g):
 
 
 def brute_bushy_unit(g, f, root):
-    """Reference for vertexcolor._bushy_unit: every proper coloring of one
-    bushy tree's internal vertices, built up front depth first along the
-    tree's breadth-first order, each vertex's colors ascending; a coloring
-    lists its vertices in that order."""
+    """Every proper coloring of one bushy tree's internal vertices, built
+    up front depth first along the tree's breadth-first order, each
+    vertex's colors ascending; a coloring lists its vertices in that
+    order."""
     order = [
         v for v, _ in bfs(root, lambda v: (u for u in f.children.get(v, ()) if u in f.internal))
     ]
@@ -1019,6 +1018,41 @@ def brute_bushy_unit(g, f, root):
     return outs
 
 
+def brute_height_two_unit(tree):
+    """Every coloring tried for one height-two tree: with five
+    grandchildren the two fork roots nine ways, a differing pair forcing
+    the tree root's color; otherwise the root alone three ways."""
+    if tree.grand_count == 5:
+        x, y = sorted(u for u in tree.children if len(tree.grands[u]) == 2)
+        return [
+            {x: cx, y: cy, **({tree.root: 3 - cx - cy} if cx != cy else {})}
+            for cx in (0, 1, 2)
+            for cy in (0, 1, 2)
+        ]
+    return [{tree.root: c} for c in (0, 1, 2)]
+
+
+def brute_leaf_order(f, trees):
+    """Reference for the order in which vertexcolor._solve_leaf colors a
+    leaf's interior vertices: each bushy tree's internal vertices level by
+    level from its root, each level in the order its parents list their
+    children, then for each height-two tree its two children with two
+    grandchildren each, ascending, when it has five grandchildren, or
+    else its root."""
+    order = []
+    for root in f.roots:
+        level = [root]
+        while level:
+            order += level
+            level = [u for v in level for u in f.children[v] if u in f.internal]
+    for tree in trees:
+        if tree.grand_count == 5:
+            order += sorted(u for u, grands in tree.grands.items() if len(grands) == 2)
+        else:
+            order.append(tree.root)
+    return order
+
+
 def brute_solve_leaf(g, cfg, stats):
     """Reference for vertexcolor._solve_leaf: the product of the forest
     units checked only for neighbor consistency, with one CSP call per
@@ -1034,7 +1068,7 @@ def brute_solve_leaf(g, cfg, stats):
     split = (p, len(f.internal) - p, len(f.leaves), len(x_set), 4 * len(trees) + len(y_set))
     stats.breakdowns = tuple(map(max, stats.breakdowns, split))
     units = [brute_bushy_unit(g, f, root) for root in f.roots]
-    units += [_height_two_unit(tree) for tree in trees]
+    units += [brute_height_two_unit(tree) for tree in trees]
 
     def consistent(acc, asg):
         for v, c in asg.items():
@@ -1128,15 +1162,15 @@ def brute_pick(g, masks):
 def brute_commit_loop(g, masks, forward_check):
     """Reference for vertexcolor._commit_loop's first descent: at every
     step, take brute_pick's vertex and try its colors ascending with
-    forward_check.  The tries made, as (vertex, color) items, and the
+    forward_check.  The tries made, as (vertex, color) pairs, and the
     descent's answer: the masks, or None at its first dead end."""
     tries = []
     while True:
         if (v := brute_pick(g, masks)) is None:
             return tries, masks
         for c in bits(masks[v]):
-            tries.append(((v, c),))
-            if (child := forward_check(g, masks, {v: c})) is not None:
+            tries.append((v, c))
+            if (child := forward_check(g, masks, v, c)) is not None:
                 break
         else:
             return tries, None
@@ -1180,8 +1214,8 @@ def brute_backtrack_loop(g, masks, forward_check):
             if not spare[0]:
                 raise _Spent
             spare[0] -= 1
-        tries.append(((v, c),))
-        return forward_check(g, masks, {v: c})
+        tries.append((v, c))
+        return forward_check(g, masks, v, c)
 
     def search(masks):
         if (v := brute_pick(g, masks)) is None:

@@ -275,9 +275,16 @@ def test_sat_exit_codes(tmp_path, capsys):
 
 
 def test_sat_rejects_wide_clauses(tmp_path, capsys):
-    cnf = write(tmp_path, "wide.cnf", "p cnf 4 1\n1 2 3 4 0\n")
-    assert main(["sat", cnf]) == EXIT_USAGE
-    assert "error" in capsys.readouterr().err
+    # sat, translate sat and the library reject a clause over four or more
+    # variables alike, a tautological one too
+    for text in ("p cnf 4 1\n1 2 3 4 0\n", "p cnf 5 2\n1 2 0\n1 -1 3 4 5 0\n"):
+        cnf = write(tmp_path, "wide.cnf", text)
+        for argv in (["sat", cnf], ["translate", "sat", cnf]):
+            assert main(argv) == EXIT_USAGE, argv
+            out = capsys.readouterr()
+            assert out.out == "" and "error: clause " in out.err, argv
+    with pytest.raises(ValueError, match="clause 1 is over 5 variables, more than 3"):
+        csp32.sat_to_csp(5, [(1, 2), (1, 2, 3, 4, 5)])
 
 
 def test_sat_accepts_a_repeated_literal(tmp_path, capsys):
@@ -441,6 +448,15 @@ def test_translate_color_and_solve(tmp_path, capsys):
         tmp_path, "k4.json", payload["variables"], payload["constraints"]
     )
     assert main(["solve", k4_json]) == EXIT_UNSAT
+
+
+def test_translate_emit_to_an_unwritable_path_is_an_input_error(tmp_path, capsys):
+    # a directory, and a file in a missing directory
+    tri = write(tmp_path, "tri.col", TRIANGLE_COL)
+    for path in (tmp_path, tmp_path / "missing" / "tri.json"):
+        assert main(["translate", "color", tri, "--emit", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "missing").exists()
 
 
 def test_translate_sat(tmp_path, capsys):

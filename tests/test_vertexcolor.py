@@ -31,11 +31,9 @@ from csp32.solver import NodeLimitReached, SearchStats, SolverConfig, solve
 from csp32.transform import coloring_to_csp
 from csp32.vertexcolor import (
     ColorConfig,
-    HeightTwoTree,
     Merged,
     _degree3_subgraph,
     _forward_check,
-    _height_two_unit,
     adjacency,
     build_bushy_forest,
     build_height_two_forest,
@@ -59,6 +57,7 @@ from helpers import (
     brute_find_degree3_cycle,
     brute_forward_lists,
     brute_forward_refuted,
+    brute_leaf_order,
     brute_solve_leaf,
     edge_root_stuck,
     extension_graph,
@@ -654,15 +653,100 @@ def test_flow_places_outside_vertices_under_adjacent_leaves():
     assert res.colorable and proper(graph[1], res.coloring)
 
 
-def test_height_two_unit_colors_both_forks_of_five_grandchildren():
-    tree = HeightTwoTree(0, (1, 2, 3), {1: (4, 5), 2: (6, 7), 3: (8,)}, high=True)
-    outs = _height_two_unit(tree)
-    assert sorted((asg[1], asg[2]) for asg in outs) == [(a, b) for a in range(3) for b in range(3)]
-    for asg in outs:
-        if asg[1] == asg[2]:
-            assert set(asg) == {1, 2}
+# Leaves with one high height-two tree of five grandchildren, which no
+# seeded input reaches: bushy root 0 with the leaves 1-4, and the tree
+# rooted at 5 (high, as 5 is also next to the forest leaf 1) with the
+# forks 6 (grandchildren 9 and 10) and 7 (11 and 12), and 8 (13).  The
+# first is colored with its forks alike.  In the second, 5 is next to 1
+# and 2 as well, adjacent vertices that take the two colors 0 leaves, so
+# 5 needs 0's color: forks that differ, one of them in 0's color, force
+# 5 onto 1's or 2's and are refuted by propagation, and alike forks in
+# 0's color fail at the CSP.  The third holds the K4 0, 2, 3, 4.
+FIVE_GRANDCHILDREN = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (5, 6), (5, 7), (5, 8), (6, 9),
+                      (6, 10), (7, 11), (7, 12), (8, 13)]
+FIVE_GRANDCHILD_LEAVES = {
+    "colored": [(2, 4), (9, 11), (9, 13), (10, 11), (10, 12), (12, 13)],
+    "forced": [(1, 2), (2, 5), (9, 11), (9, 13), (10, 11), (10, 12), (12, 13)],
+    "uncolorable": [(2, 3), (2, 4), (3, 4), (9, 11), (9, 12), (10, 12), (10, 13), (11, 13)],
+}
+
+
+def _five_grandchild_leaf(name):
+    g = adjacency(14, FIVE_GRANDCHILDREN + FIVE_GRANDCHILD_LEAVES[name])
+    f = build_bushy_forest(g)
+    trees, _x_set, _y_set = build_height_two_forest(g, f)
+    assert f.roots == [0] and f.internal == {0}
+    assert [(t.root, t.grands, t.high) for t in trees] == [
+        (5, {6: (9, 10), 7: (11, 12), 8: (13,)}, True)
+    ]
+    return g, f, trees
+
+
+@pytest.mark.parametrize("name", sorted(FIVE_GRANDCHILD_LEAVES))
+def test_leaf_colors_both_forks_of_five_grandchildren(name, monkeypatch):
+    # The leaf colors bushy root 0, then the forks 6 and 7 of the
+    # five-grandchild tree, never its root 5, each vertex's colors
+    # ascending: under each color of 0 the forks take the nine ways in
+    # order until one leads to a coloring.  In the second leaf, with 0
+    # colored 0, the pairs (0, 1), (0, 2) and (1, 0) are refuted once 7
+    # is colored, and (1, 1) leads to a coloring.
+    g, f, trees = _five_grandchild_leaf(name)
+    assert brute_leaf_order(f, trees) == [0, 6, 7]
+    forward_check, tried = vertexcolor._forward_check, []
+
+    def logged(g, masks, v, c):
+        child = forward_check(g, masks, v, c)
+        tried.append((v, c, child is not None))
+        return child
+
+    monkeypatch.setattr(vertexcolor, "_forward_check", logged)
+    vertexcolor._solve_leaf(g, SolverConfig(), SearchStats())
+    assert {v for v, _, _ in tried} == {0, 6, 7}
+    forks = []  # (6's color, 7's color, kept) of each try at 7
+    for v, c, kept in tried:
+        if v == 6:
+            a = c
+        elif v == 7:
+            forks.append((a, c, kept))
+    nine = [(a, b) for a in range(3) for b in range(3)]
+    assert [(a, b) for a, b, _ in forks] == (nine * 3 if name == "uncolorable" else nine[: len(forks)])
+    if name == "forced":
+        assert len(forks) == 5 and all(kept == (a == b) for a, b, kept in forks)
+
+
+@pytest.mark.parametrize("name", sorted(FIVE_GRANDCHILD_LEAVES))
+def test_five_grandchild_leaves_match_brute_reference(name, monkeypatch):
+    # End to end through the leaf, each answer and each leaf CSP call's
+    # masks are the brute reference's (the product of the forest units,
+    # the tree's nine fork colorings among them).  At the CSP, forks that
+    # differ have forced 5 to the third color, and alike forks leave it
+    # the other two.
+    out, cases = [], Counter()
+    for leaf in (vertexcolor._solve_leaf, brute_solve_leaf):
+        solved = []
+        residual_solve = vertexcolor._residual_solve
+
+        def logged(g, masks, cfg, stats):
+            solved.append(list(masks))
+            return residual_solve(g, masks, cfg, stats)
+
+        monkeypatch.setattr(vertexcolor, "_residual_solve", logged)
+        monkeypatch.setattr(helpers, "_residual_solve", logged)
+        g, _f, _trees = _five_grandchild_leaf(name)
+        out.append((leaf(g, SolverConfig(), SearchStats()), solved))
+        monkeypatch.undo()
+    (got, got_solved), (want, want_solved) = out
+    assert got == want and got_solved == want_solved
+    edges = FIVE_GRANDCHILDREN + FIVE_GRANDCHILD_LEAVES[name]
+    assert (got is not None) == (name != "uncolorable")
+    assert got is None or proper(edges, got)
+    for masks in got_solved:
+        if masks[6] == masks[7]:
+            assert masks[5] == 7 ^ masks[6]
         else:
-            assert set(asg) == {0, 1, 2} and {asg[0], asg[1], asg[2]} == {0, 1, 2}
+            assert masks[5] == 7 ^ masks[6] ^ masks[7]
+        cases[masks[6] == masks[7]] += 1
+    assert cases[True] and (cases[False] or name != "uncolorable")
 
 
 def _record_csp(monkeypatch):
@@ -799,52 +883,71 @@ def test_forward_checked_line_graphs_match_brute_reference(monkeypatch, first_de
     assert leaves > 180 and residues > 70 and decided > 20
 
 
-def test_bushy_unit_draws_match_brute_reference(monkeypatch, first_descent_loop):
+def test_leaf_draws_match_brute_reference(monkeypatch, first_descent_loop):
     # At every leaf of seeded color-planted, G(n, p) and line-graph
-    # inputs, each bushy unit, given the masks the search passes it,
-    # yields the reference's colorings of its tree that those masks allow,
-    # in the reference's order and with the vertices in its order.  Each
-    # coloring the search draws from a unit is charged as one node and
-    # forward-checked before anything else is drawn or charged.  Line
-    # graphs of cubic graphs never restrict a bushy unit's masks here, so
-    # only the colored batch prunes.  The commit loop colors most colored
-    # inputs at their root graph node, before any leaf, so that batch
-    # adds planted graphs it gets stuck on.  An edge_color root the loop
-    # colors is charged as one node with no graph node under it.
-    bushy_unit, forward_check = vertexcolor._bushy_unit, vertexcolor._forward_check
-    expand, charge = vertexcolor._expand, SolverConfig.charge
+    # inputs, the search colors the leaf's interior vertices in the
+    # reference's order (brute_leaf_order), one vertex per depth, and
+    # reaches the leaf CSP only once all of them are colored.  Each step
+    # tries the colors its vertex's current mask keeps, ascending; each
+    # try is charged as one node and forward-checked before anything
+    # else is tried or charged.  Each start of a bushy tree's coloring is
+    # tallied with the tree's proper colorings (brute_bushy_unit) that
+    # the masks there rule out.  Line graphs of cubic graphs never
+    # restrict a bushy tree's masks here, so only the colored batch
+    # prunes.  The commit loop colors most colored inputs at their root
+    # graph node, before any leaf, so that batch adds planted graphs it
+    # gets stuck on.  An edge_color root the loop colors is charged as
+    # one node with no graph node under it.
+    forest, forward_check = vertexcolor.build_height_two_forest, vertexcolor._forward_check
+    residual_solve, expand, charge = vertexcolor._residual_solve, vertexcolor._expand, SolverConfig.charge
     root_coloring = edgecolor.commit_coloring
-    events = []  # ("draw", id), ("charge",), ("check", id) from the enumeration
+    events = []  # ("charge",) and ("check",) from the enumeration
     expands = []  # graph nodes of the call in progress
     roots = []  # edge_color's root loop outcomes, True when it colored, of that call
+    leaf = {}  # the leaf in progress: its reference order and bushy trees
+    depths = {}  # id of a step's masks -> (its depth, those masks, the colors tried from them)
     tally = Counter()
 
-    def unit(g, f, root):
-        colorings, want = bushy_unit(g, f, root), brute_bushy_unit(g, f, root)
-
-        def drawn(masks):
-            allowed = [asg for asg in want if all(masks[v] >> c & 1 for v, c in asg.items())]
-            assert [list(asg.items()) for asg in colorings(masks)] == [
-                list(asg.items()) for asg in allowed
-            ]
-            tally["calls"] += 1
-            tally["deep"] += len(want[0]) > 1  # a tree with two or more internal vertices
-            tally["pruned"] += len(allowed) < len(want)
-            for asg in colorings(masks):
-                events.append(("draw", id(asg)))
-                yield asg
-
-        return drawn
+    def forests(g, f):
+        out = forest(g, f)
+        leaf["order"] = brute_leaf_order(f, out[0])
+        leaf["bushy"] = {
+            root: (brute_bushy_unit(g, f, root), any(u in f.internal for u in f.children[root]))
+            for root in f.roots
+        }
+        depths.clear()
+        return out
 
     def charged(cfg, stats):
         if sys._getframe(1).f_code.co_name == "extensions":
             events.append(("charge",))
         return charge(cfg, stats)
 
-    def checked(g, masks, asg):
-        if sys._getframe(1).f_code.co_name == "extensions":
-            events.append(("check", id(asg)))
-        return forward_check(g, masks, asg)
+    def checked(g, masks, v, c):
+        if sys._getframe(1).f_code.co_name != "extensions":
+            return forward_check(g, masks, v, c)
+        if id(masks) not in depths:
+            assert masks == [7 * (u in g) for u in range(max(g) + 1)]  # the leaf's root
+            depths[id(masks)] = (0, masks, [])
+        depth, _, tried = depths[id(masks)]
+        assert v == leaf["order"][depth]
+        tried.append(c)
+        assert tried == bits(masks[v])[: len(tried)]
+        if len(tried) == 1 and v in leaf["bushy"]:
+            want, deep = leaf["bushy"][v]
+            allowed = [asg for asg in want if all(masks[u] >> k & 1 for u, k in asg.items())]
+            tally["calls"] += 1
+            tally["deep"] += deep  # a tree with two or more internal vertices
+            tally["pruned"] += len(allowed) < len(want)
+        events.append(("check",))
+        child = forward_check(g, masks, v, c)
+        if child is not None:
+            depths[id(child)] = (depth + 1, child, [])
+        return child
+
+    def solved(g, masks, cfg, stats):
+        assert depths[id(masks)][0] == len(leaf["order"])
+        return residual_solve(g, masks, cfg, stats)
 
     def counted(*args):
         expands.append(args)
@@ -855,8 +958,9 @@ def test_bushy_unit_draws_match_brute_reference(monkeypatch, first_descent_loop)
         roots.append(out is not None)
         return out
 
-    monkeypatch.setattr(vertexcolor, "_bushy_unit", unit)
+    monkeypatch.setattr(vertexcolor, "build_height_two_forest", forests)
     monkeypatch.setattr(vertexcolor, "_forward_check", checked)
+    monkeypatch.setattr(vertexcolor, "_residual_solve", solved)
     monkeypatch.setattr(vertexcolor, "_expand", counted)
     monkeypatch.setattr(SolverConfig, "charge", charged)
     monkeypatch.setattr(edgecolor, "commit_coloring", logged_root)
@@ -866,11 +970,8 @@ def test_bushy_unit_draws_match_brute_reference(monkeypatch, first_descent_loop)
             del events[:], expands[:], roots[:]
             stats = solve(graph)
             assert stats.nodes == len(expands) + events.count(("charge",)) + sum(roots)
+            assert events == [("charge",), ("check",)] * (len(events) // 2)
             tally["root colored"] += sum(roots)
-            for p, e in enumerate(events):
-                if e[0] == "draw":
-                    assert events[p + 1 : p + 3] == [("charge",), ("check", e[1])]
-                    tally["draws"] += 1
 
     run(lambda graph: color_graph(*graph).stats,
         chain(_seeded_graphs(160), _stuck_planted_graphs(3000, 6.5)))
@@ -892,15 +993,15 @@ def test_incremental_forward_check_matches_brute_reference(monkeypatch, first_de
     colored = {}  # id of a child's masks -> (those masks, its coloring)
     checks = refuted = 0
 
-    def checked(g, masks, asg):
+    def checked(g, masks, v, c):
         nonlocal checks, refuted
         if id(masks) in colored:
             _, acc = colored[id(masks)]
         else:
             assert masks == [7 * (v in g) for v in range(max(g) + 1)]  # a leaf's root
             acc = {}
-        child = forward_check(g, masks, asg)
-        merged = {**acc, **asg}
+        child = forward_check(g, masks, v, c)
+        merged = {**acc, v: c}
         assert (child is None) == brute_forward_refuted(g, merged)
         checks += 1
         if child is None:
@@ -1107,7 +1208,7 @@ def test_two_list_leaf_hand_built_cases(monkeypatch):
     # A 4-cycle on which vertex 0's first color, 0, forces 1 to 1 and 2
     # to 2, which leaves 3 nothing; its second color colors it.
     g = adjacency(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-    assert _forward_check(g, [0b011, 0b011, 0b101, 0b110], {0: 0}) is None
+    assert _forward_check(g, [0b011, 0b011, 0b101, 0b110], 0, 0) is None
     assert decide(g, [0b011, 0b011, 0b101, 0b110])
     # Two adjacent three-color vertices and a two-color vertex next to both.
     assert decide(adjacency(3, [(0, 1), (0, 2), (1, 2)]), [7, 7, 0b011])
@@ -1146,19 +1247,18 @@ def test_commit_loop_tries_only_open_vertices_of_the_current_leaf_masks(monkeypa
     tried = []  # (vertex, color) tries of the loop in progress
     tally = Counter()
 
-    def checked(g, masks, asg):
+    def checked(g, masks, v, c):
         if sys._getframe(1).f_code.co_name == "_commit_loop":
-            ((v, c),) = asg.items()
             assert masks[v].bit_count() in (2, 3) and masks[v] >> c & 1, (v, masks[v])
             tally["two-color tries"] += masks[v] != 7
             tried.append((v, c))
-        return forward_check(g, masks, asg)
+        return forward_check(g, masks, v, c)
 
     def logged_loop(g, masks):
         del tried[:]
         want_tries, want = brute_backtrack_loop(g, masks, forward_check)
         out = commit_loop(g, masks)
-        assert [t for (t,) in want_tries] == tried and out == want
+        assert want_tries == tried and out == want
         tally["tries"] += len(tried)
         tally["backtrack tries"] += len(tried) - len(brute_commit_loop(g, masks, forward_check)[0])
         if out:  # every open vertex had its turn
@@ -1193,9 +1293,9 @@ def test_commit_loop_matches_brute_force_on_seeded_masks():
     tried = []
     tally = Counter()
 
-    def logged(g, masks, asg):
-        tried.append(tuple(asg.items()))
-        return forward_check(g, masks, asg)
+    def logged(g, masks, v, c):
+        tried.append((v, c))
+        return forward_check(g, masks, v, c)
 
     def check(graphs, masks):
         """The loop's answer on each of graphs, the same graph in two
@@ -1234,7 +1334,7 @@ def test_commit_loop_matches_brute_force_on_seeded_masks():
         if not two:
             live = [v for v in range(n) if masks[v]]
             partial = {v: rng.choice(bits(masks[v])) for v in rng.sample(live, len(live) // 3)}
-            masks = _forward_check(g, masks, partial)
+            masks = _check_all(g, masks, partial)
             if masks is None:
                 continue
         out = check((g, shuffled), masks)
@@ -1327,14 +1427,14 @@ def test_node_commit_loop_stuck_graphs_are_colored_by_the_search(name, monkeypat
     g = adjacency(n, edges)
     strip_low_degree(g, [])
     assert len(g) == n
-    assert _forward_check(g, [7] * n, commits) is not None
+    assert _check_all(g, [7] * n, commits) is not None
     assert brute_vertex_color(extension_graph(n, edges, commits)) is None
     forward_check, kept = vertexcolor._forward_check, {}
 
-    def logged(g, masks, asg):
-        out = forward_check(g, masks, asg)
+    def logged(g, masks, v, c):
+        out = forward_check(g, masks, v, c)
         if out is not None:
-            kept.update(asg)
+            kept[v] = c
         return out
 
     monkeypatch.setattr(vertexcolor, "_forward_check", logged)
@@ -1440,6 +1540,16 @@ def test_node_commit_loop_decides_nodes_before_branching_and_leaves(monkeypatch)
     assert tally["colored"] > 1000 and tally["leaf"] > 300 and tally["branched"] > 26, tally
 
 
+def _check_all(g, masks, colored):
+    """_forward_check folded over colored's vertices in order: the
+    masks, or None once one call refutes."""
+    for v, c in colored.items():
+        if masks is None:
+            break
+        masks = _forward_check(g, masks, v, c)
+    return masks
+
+
 def test_forward_check_refutes_only_unextendable_colorings():
     rng = random.Random(31)
     refuted = kept = 0
@@ -1449,7 +1559,7 @@ def test_forward_check_refutes_only_unextendable_colorings():
         partial = {v: rng.randrange(3) for v in range(n) if rng.random() < 0.4}
         if any(partial.get(u, -1) == partial.get(v, -2) for u, v in edges):
             continue  # improper partial colorings never reach the check
-        if _forward_check(g, [7] * n, partial) is None:
+        if _check_all(g, [7] * n, partial) is None:
             refuted += 1
             assert brute_vertex_color(extension_graph(n, edges, partial)) is None
         else:
@@ -1461,44 +1571,47 @@ def test_forward_check_refutes_a_clash_inside_one_coloring():
     # Two adjacent vertices of one unit coloring with one color: each
     # empties the other's mask, so the check alone refutes the coloring.
     g = adjacency(3, [(0, 1), (1, 2)])
-    assert _forward_check(g, [7] * 3, {0: 1, 1: 1}) is None
-    assert _forward_check(g, [7] * 3, {0: 1, 2: 1}) is not None
+    assert _check_all(g, [7] * 3, {0: 1, 1: 1}) is None
+    assert _check_all(g, [7] * 3, {0: 1, 2: 1}) is not None
 
 
 def test_forward_check_keeps_colored_vertices_as_singletons():
     # On the path 0-1-2-3, coloring 0 and 2 forces 1; every colored or
     # forced vertex stays in the masks with its one color.
     g = adjacency(4, [(0, 1), (1, 2), (2, 3)])
-    child = _forward_check(g, [7] * 4, {0: 0, 2: 1})
+    child = _check_all(g, [7] * 4, {0: 0, 2: 1})
     assert child == [0b001, 0b100, 0b010, 0b101]
-    assert _forward_check(g, child, {3: 1}) is None  # 2 already has color 1
+    assert _forward_check(g, child, 3, 1) is None  # 2 already has color 1
 
 
 def test_leaf_charges_no_coloring_a_propagated_color_excludes():
-    # Bushy roots 0 (interior {0, 1}) and 9.  The first coloring of 0's
-    # tree, 0 -> 0 and 1 -> 1, forces 2, 3 and 4 to 2 and then 5 to 0, so
-    # 9 loses color 0 though no colored vertex is next to it.  9's tree
-    # is charged for 9 -> 1 alone, which succeeds.
+    # Bushy roots 0 (interior {0, 1}) and 9.  Coloring 0 -> 0 and then
+    # 1 -> 1 forces 2, 3 and 4 to 2 and then 5 to 0, so 9 loses color 0
+    # though no colored vertex is next to it.  9 is charged for 9 -> 1
+    # alone, which succeeds: three nodes, one per vertex color drawn.
+    # (Two while a bushy tree's whole coloring was one node.)
     edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7),
              (1, 8), (2, 5), (2, 6), (2, 7), (2, 8), (5, 9), (9, 10), (9, 11), (9, 12)]
     g = adjacency(13, edges)
     f = build_bushy_forest(g)
     assert (f.roots, f.internal) == ([0, 9], {0, 1, 9})
-    masks = _forward_check(g, [7] * 13, {0: 0, 1: 1})
+    masks = _check_all(g, [7] * 13, {0: 0, 1: 1})
     assert (masks[5], masks[9]) == (0b001, 0b110)
     stats = SearchStats()
     coloring = vertexcolor._solve_leaf(g, SolverConfig(), stats)
-    assert stats.nodes == 2 and (coloring[0], coloring[1], coloring[9]) == (0, 1, 1)
+    assert stats.nodes == 3 and (coloring[0], coloring[1], coloring[9]) == (0, 1, 1)
     assert sorted(coloring) == list(range(13)) and proper(edges, coloring)
 
 
 def test_enumeration_node_limit_stops_before_any_csp_call(first_descent_loop):
     # Every interior coloring of this graph's one leaf is refuted by the
     # forward check, so the call spends its whole budget enumerating.
+    # Each interior vertex color drawn is a node: 85, from 76 while a
+    # bushy tree's whole coloring was one.
     graph = random_graph(random.Random(186), 24, 0.25)
     res = color_graph(*graph)
     assert res.colorable is False
-    assert (res.stats.nodes, res.stats.leaves, res.stats.csp_calls) == (76, 1, 0)
+    assert (res.stats.nodes, res.stats.leaves, res.stats.csp_calls) == (85, 1, 0)
     for limit in range(res.stats.nodes):
         res = color_graph(*graph, SolverConfig(node_limit=limit))
         assert res.colorable is None
