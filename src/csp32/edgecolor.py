@@ -4,10 +4,10 @@ edge_root builds the conflict graph on the edge ids from the edge list
 and strips edges with two or fewer conflicts.  Even, Itai & Shamir's
 commit loop (vertexcolor.commit_coloring, two-color edges first, then
 the most conflicts, going back over its two-color commits within a
-budget of one forward check per edge) runs once on it, all three colors
-at every edge: a coloring or a refutation it reaches decides the call,
-charged as the one-node line-graph leaf it replaces.  Only a root on
-which the budget runs out builds an EdgeInstance and is spliced.
+budget of one forward check per edge) runs once, at the root, all three
+colors at every edge: a coloring or a refutation it reaches decides the
+call, charged as the one-node line-graph leaf it replaces.  Only a root
+on which the budget runs out goes on to the loop-free splice search.
 
 A splice removes an unconstrained edge joining two degree-three vertices
 together with its four neighbor edges, replacing them by two new edges
@@ -288,9 +288,7 @@ def proper_edge_coloring(edges: list[Edge], colors: list) -> bool:
     return all(c in (0, 1, 2) for c in colors) and len(set(ends)) == len(ends)
 
 
-def _line_graph_solve(
-    ei: EdgeInstance, cfg: SolverConfig, stats: SearchStats
-) -> Optional[dict[int, int]]:
+def _line_graph_solve(ei: EdgeInstance, cfg: SolverConfig, stats: SearchStats):
     ids = sorted(ei.edges)
     index = {eid: i for i, eid in enumerate(ids)}  # keeps the order of ids
     lg_edges = sorted((index[a], index[b]) for a in ids for b in bits(ei.conflicts(a)) if a < b)
@@ -321,6 +319,15 @@ def _expand(
     return (None if colors is None else lift(colors, path)), ()
 
 
+def _splice_search(edges: list[Edge], steps: list, cfg: SolverConfig, stats: SearchStats):
+    """The splice search from edge_root's stripped root and its lift steps."""
+    ei = EdgeInstance.from_graph(edges)
+    for step in steps:
+        ei.remove_edge(step.vertex)
+    plan = select_splices(ei)
+    return depth_first((0, steps), lambda state: _expand(ei, plan, cfg, stats, state))
+
+
 def edge_color(
     n: int, edges: Iterable[Edge], config: Optional[SolverConfig] = None
 ) -> tuple[Optional[dict[Edge, int]], SearchStats]:
@@ -338,17 +345,12 @@ def edge_color(
     if (root := edge_root(n, edges)) is None:
         return None, stats
     g, steps = root
-    colors = commit_coloring(g, steps)
-    if colors is not None:  # colored or refuted outright, charged as the one-node leaf it replaces
+    if (colors := commit_coloring(g, steps)) is None:
+        colors = _splice_search(edges, steps, cfg, stats)
+    else:  # colored or refuted outright, charged as the one-node leaf it replaces
         stats.nodes += 1
         stats.leaves += 1
         cfg.charge(stats)
-    else:
-        ei = EdgeInstance.from_graph(edges)
-        for step in steps:
-            ei.remove_edge(step.vertex)
-        plan = select_splices(ei)
-        colors = depth_first((0, steps), lambda state: _expand(ei, plan, cfg, stats, state))
     if colors is None or colors is False:
         return None, stats
     if not proper_edge_coloring(edges, [colors.get(i) for i in range(len(edges))]):

@@ -1,20 +1,20 @@
 """Exact graph 3-coloring built on top of the binary CSP solver.
 
 The graph is a plain adjacency dict (vertex -> set of neighbors) on the
-input's vertex ids.  At each graph node the pipeline strips low-degree
-vertices, then runs Even, Itai & Shamir's commit loop (commit_coloring),
-two-color vertices first and then the highest degree, on the stripped
-graph with every vertex allowed all three colors.  The loop goes back
-over its two-color commits at a dead end, within a budget of one forward
-check per vertex: a coloring it reaches or a refutation decides the
-node, charged as that one graph node (no leaf, no CSP call).  Only a
-node on which the budget runs out branches away cycles and large trees
-of degree-three vertices, or, with none left, becomes a leaf: it grows a
-bushy forest plus a height-two forest, colors the forest interiors one
-vertex at a time depth first, forward-checking each color its mask
-keeps, and hands each full interior coloring to the CSP solver as a
-list-coloring instance (transform.list_coloring_csp), each vertex with
-the colors its forward-checked mask keeps.
+input's vertex ids.  color_graph strips low-degree vertices, then runs
+Even, Itai & Shamir's commit loop (commit_coloring) once, at the root,
+two-color vertices first and then the highest degree, with every vertex
+allowed all three colors.  The loop goes back over its two-color commits
+at a dead end, within a budget of one forward check per vertex: a
+coloring it reaches or a refutation decides the call, charged as the
+root graph node.  Only a root on which the budget runs out goes on to
+the paper's search (_search), with no loop: each graph node strips,
+then branches away cycles and large trees of degree-three vertices or,
+with none left, becomes a leaf: it grows a bushy forest plus a
+height-two forest, colors the forest interiors one vertex at a time
+depth first, forward-checking each color its mask keeps, and hands each
+full interior coloring to the CSP solver as a list-coloring instance
+(transform.list_coloring_csp), with the colors each mask keeps.
 
 The graph changes only by vertex removals and merges, each recorded as
 a lift step (GreedyColored or CycleColored, and Merged).  Lifting
@@ -504,8 +504,8 @@ def _forward_check(g: Adjacency, masks: list[int], v: int, c: int) -> Optional[l
 
 def _commit_loop(g: Adjacency, masks: list[int]) -> list[int] | bool | None:
     """Even, Itai & Shamir's (1976) commit loop in Brélaz's (1979)
-    saturation order, with a bounded backtrack, for commit_coloring (every
-    graph node, edgecolor.edge_color's root).  Each step takes the open
+    saturation order, with a bounded backtrack, for commit_coloring (at
+    the roots of color_graph and edge_color).  Each step takes the open
     vertex of g (two or three colors left in the masks current at
     that step) with the fewest colors, then the highest degree in g,
     then the lowest id, and commits the first color, ascending, that the
@@ -588,8 +588,8 @@ def _expand(cfg: SolverConfig, stats: SearchStats, state: tuple[Adjacency, list]
     stats.nodes += 1
     cfg.charge(stats)
     strip_low_degree(g, steps)
-    if (coloring := commit_coloring(g, steps)) is not None:  # charged as this one graph node
-        return (None if coloring is False else coloring), ()
+    if not g:  # stripping removed every vertex: the steps alone color it
+        return lift({}, steps), ()
     sub = _degree3_subgraph(g)  # g is unchanged when no cycle branches
     branch = branch_degree3_cycle(g, sub)
     if branch is None:
@@ -600,9 +600,12 @@ def _expand(cfg: SolverConfig, stats: SearchStats, state: tuple[Adjacency, list]
     return (None if leaf is None else lift(leaf, steps)), ()
 
 
-def color_graph(
-    n: int, edges, config: Optional[SolverConfig] = None
-) -> ColorResult:
+def _search(g: Adjacency, steps: list, cfg: SolverConfig, stats: SearchStats):
+    """The paper's search from graph node g and its lift steps, with no commit loop."""
+    return depth_first((g, steps), lambda state: _expand(cfg, stats, state))
+
+
+def color_graph(n: int, edges, config: Optional[SolverConfig] = None) -> ColorResult:
     """Find a proper 3-coloring of a simple graph, or report none exists.
 
     config's node limit counts graph nodes and the nested CSP nodes
@@ -612,11 +615,16 @@ def color_graph(
     stats = SearchStats()
     edges = list(edges)  # an iterator would be spent before the final check
     g = adjacency(n, edges)
+    strip_low_degree(g, steps := [])
     try:
-        coloring = depth_first((g, []), lambda state: _expand(cfg, stats, state))
+        if (coloring := commit_coloring(g, steps)) is None:
+            coloring = _search(g, steps, cfg, stats)
+        else:  # colored or refuted outright, charged as the root graph node
+            stats.nodes += 1
+            cfg.charge(stats)
     except NodeLimitReached:
         return ColorResult(None, None, stats)
-    if coloring is None:
+    if coloring is None or coloring is False:
         return ColorResult(False, None, stats)
     get = coloring.get
     if not all(get(v) in (0, 1, 2) for v in range(n)) or any(get(u) == get(v) for u, v in edges):

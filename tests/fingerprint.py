@@ -89,7 +89,7 @@ def _graphs():
     # the two planted graphs of seeds 0-320,000 (n 30/40/50/60/80 and
     # mean degree 4.6, 5.5, 6 or 7, by seed) whose coloring leaf has
     # outside vertices to place by flow, with the commit loop and its
-    # backtrack run at every graph node first
+    # backtrack run at the root first
     for seed, n, degree in ((303612, 50, 6), (318189, 80, 5.5)):
         yield "flow", planted_3colorable(random.Random(seed), n, degree / n)
 

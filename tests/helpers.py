@@ -7,12 +7,13 @@ family of fuzz inputs for that rule.
 """
 
 import os
-import random
 import subprocess
 import sys
 from collections import Counter
 from itertools import combinations, product
 from pathlib import Path
+
+import pytest
 
 import csp32
 import csp32.edgecolor as edgecolor
@@ -34,7 +35,9 @@ from csp32.instance import (
 from csp32.analysis import work_factor
 from csp32.oracle import brute_csp
 from csp32.solver import (
+    NodeLimitReached,
     SearchStats,
+    SolverConfig,
     avoid,
     build,
     choose_rule,
@@ -46,6 +49,7 @@ from csp32.solver import (
 )
 from csp32.transform import GeneralCSP, coloring_to_csp
 from csp32.vertexcolor import (
+    ColorResult,
     Merged,
     _delete_cycle,
     _remove_greedy,
@@ -719,53 +723,51 @@ def strip_low_neighbor_edges(ei):
     return g, steps
 
 
-def stripped_instance(graph):
-    """The EdgeInstance edge_color's splice search starts from on graph,
-    (n, edges) with maximum degree three, built as a stuck root builds
-    it: edge_root's stripped edges removed from the input's instance."""
-    _, steps = edgecolor.edge_root(*graph)
-    ei = EdgeInstance.from_graph(graph[1])
-    for step in steps:
-        ei.remove_edge(step.vertex)
-    return ei
+def search_color(n, edges, config=None):
+    """color_graph's answer, as a ColorResult, from the paper's search
+    alone: vertexcolor._search on the stripped root, with no commit loop,
+    so that every input reaches its branchings, forests and leaves."""
+    cfg, stats = config or SolverConfig(), SearchStats()
+    strip_low_degree(g := adjacency(n, edges), steps := [])
+    try:
+        coloring = vertexcolor._search(g, steps, cfg, stats)
+    except NodeLimitReached:
+        return ColorResult(None, None, stats)
+    assert coloring is None or all(coloring[u] != coloring[v] for u, v in edges)
+    return ColorResult(coloring is not None, coloring, stats)
 
 
-def edge_root_stuck(graph):
-    """Whether edgecolor's commit_coloring, the package's or one a test
-    patched in, gets no answer on edgecolor.edge_root's stripped root of
-    graph, (n, edges) with maximum degree three: the package's commit
-    loop runs out of budget there, so that edge_color builds the splice
-    search's EdgeInstance and goes on to its splices and line-graph
-    leaves instead of deciding it at the root."""
-    return edgecolor.commit_coloring(*edgecolor.edge_root(*graph)) is None
+def search_edge_color(n, edges, config=None):
+    """edge_color's answer on (n, edges), maximum degree three, from the
+    splice search alone: edgecolor._splice_search on edge_root's stripped
+    root, with no commit loop there (each line-graph leaf is still a
+    color_graph call).  Raises NodeLimitReached as edge_color does."""
+    stats = SearchStats()
+    _g, steps = edgecolor.edge_root(n, edges)
+    colors = edgecolor._splice_search(edges, steps, config or SolverConfig(), stats)
+    if colors is None:
+        return None, stats
+    assert edgecolor.proper_edge_coloring(edges, [colors[i] for i in range(len(edges))])
+    return {tuple(edges[i]): c for i, c in colors.items()}, stats
 
 
-def node_root_stuck(graph):
-    """Whether vertexcolor's commit_coloring, the package's or one a test
-    patched in, gets no answer on the stripped root graph node of graph,
-    (n, edges): the package's commit loop runs out of budget there, so
-    that color_graph goes on to its branching or leaf instead of
-    deciding it there."""
-    g = adjacency(*graph)
-    strip_low_degree(g, steps := [])
-    return vertexcolor.commit_coloring(g, steps) is None
+def splice_line_graphs(graphs):
+    """The line graphs, as (n, edges), that the splice search
+    (search_edge_color) hands to color_graph at its leaves on these cubic
+    graphs.  color_graph's commit loop decides nearly every one at its
+    root, so the tests of the leaf run the paper's search on them."""
+    seen = []
+    color = edgecolor.color_graph
 
+    def record(n, edges, cfg):
+        seen.append((n, edges))
+        return color(n, edges, cfg)
 
-def commit_coloring_with(loop):
-    """vertexcolor.commit_coloring running loop in place of the package's
-    commit loop, for a test to patch in as edgecolor.commit_coloring: the
-    edge_color root then runs loop while the graph nodes of its
-    line-graph leaves keep the package's loop."""
-
-    def coloring(g, steps):
-        package = vertexcolor._commit_loop
-        vertexcolor._commit_loop = loop
-        try:
-            return vertexcolor.commit_coloring(g, steps)
-        finally:
-            vertexcolor._commit_loop = package
-
-    return coloring
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(edgecolor, "color_graph", record)
+        for graph in graphs:
+            search_edge_color(*graph)
+    return seen
 
 
 def line_graph(n, edges):
@@ -1175,18 +1177,6 @@ def brute_commit_loop(g, masks, forward_check):
         else:
             return tries, None
         masks = child
-
-
-def first_descent(g, masks):
-    """The commit loop with no backtrack, as it ran before it had one:
-    the masks its first descent colors, or None at its first dead end.
-    On two-color masks that None still refutes them.  Tests of the
-    paper's search patch it in for vertexcolor's loop, which every graph
-    node and edge_color root reach through commit_coloring (the
-    first_descent_loop fixture), so that seeded inputs reach the
-    branchings, forests, leaves and splices the backtrack now decides
-    before them."""
-    return brute_commit_loop(g, masks, vertexcolor._forward_check)[1]
 
 
 class _Refuted(Exception):

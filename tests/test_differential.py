@@ -15,7 +15,7 @@ from csp32.oracle import random_3cnf, random_cubic, random_graph
 from csp32.solver import solve
 from csp32.transform import coloring_to_csp, sat_to_csp
 from csp32.vertexcolor import color_graph
-from helpers import dpll, dsatur_color, first_descent, line_graph
+from helpers import dpll, dsatur_color, line_graph, search_color
 
 
 def test_answers_match_dpll_and_dsatur_past_brute_force_sizes(monkeypatch):
@@ -38,10 +38,9 @@ def test_answers_match_dpll_and_dsatur_past_brute_force_sizes(monkeypatch):
 
     # G(n, 4.6/n), n = 40-70, through color_graph and, for every third
     # graph, the direct encoding: 181 of the 300 graphs are uncolorable.
-    # The commit loop's backtrack decides nearly every one at its root,
-    # so color_graph runs again with the loop's first descent alone
-    # (helpers.first_descent), where the paper's search decides them and
-    # 40 leaves reach the leaf CSP.
+    # The commit loop at color_graph's root decides nearly every one, so
+    # the paper's search runs on each too (helpers.search_color), and its
+    # leaves reach the leaf CSP.
     leaf_csps = []
     csp_solve = vertexcolor.solve
 
@@ -57,13 +56,11 @@ def test_answers_match_dpll_and_dsatur_past_brute_force_sizes(monkeypatch):
         graph = random_graph(rng, n, 4.6 / n)
         want = dsatur_color(*graph) is not None
         assert color_graph(*graph).colorable == want, seed
-        with monkeypatch.context() as mp:
-            mp.setattr(vertexcolor, "_commit_loop", first_descent)
-            assert color_graph(*graph).colorable == want, seed
+        assert search_color(*graph).colorable == want, seed
         if seed % 3 == 0:
             assert solve(coloring_to_csp(*graph)).satisfiable == want, seed
         colorable.append(want)
-    assert colorable.count(False) == 181 and len(leaf_csps) > 30
+    assert colorable.count(False) == 181 and len(leaf_csps) > 600
 
     # 3-edge-coloring of random cubic graphs, n = 20-34, against DSATUR
     # on their line graphs: two of the 200 have none.

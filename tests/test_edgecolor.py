@@ -1,9 +1,9 @@
 """Edge 3-coloring of degree-at-most-three graphs via vertex splicing.
 
-The tests that take the first_descent_loop fixture (tests/conftest.py)
-run the commit loop without its backtrack, as it ran before it had one,
-so that their seeded inputs reach the splice search and its line-graph
-leaves, which the backtrack now decides before them.
+edge_color runs the commit loop once, at its root, and it decides most
+seeded inputs there.  The tests of the splice search run it directly,
+with no loop at its root: helpers.search_edge_color (edgecolor's
+_splice_search on edge_root's stripped root).
 """
 
 import json
@@ -33,27 +33,25 @@ from csp32.oracle import (
     brute_vertex_color,
     planted_cubic_edge_colorable,
     random_cubic,
-    random_graph,
 )
-from csp32.vertexcolor import color_graph
+from csp32.vertexcolor import color_graph, commit_coloring
 from helpers import (
     charge_identity,
-    commit_coloring_with,
     brute_conflict_k4s,
     brute_line_graph_edges,
     brute_splice,
     brute_splice_candidates,
     constraint_set,
-    edge_root_stuck,
     edge_snapshot,
-    first_descent,
     flower_snark,
     line_graph,
     partner_index,
     run_fresh,
     scan_incidence,
+    search_color,
+    search_edge_color,
+    splice_line_graphs,
     strip_low_neighbor_edges,
-    stripped_instance,
 )
 
 
@@ -67,6 +65,20 @@ def subcubic(rng, n, p):
             deg[u] += 1
             deg[v] += 1
     return n, edges
+
+
+def _root_instance(graph):
+    """The EdgeInstance the splice search starts from on graph, (n, edges)
+    with maximum degree three: the input's, less the edges edge_root
+    strips (strip_low_neighbor_edges, its reference)."""
+    strip_low_neighbor_edges(ei := EdgeInstance.from_graph(graph[1]))
+    return ei
+
+
+def _root_stuck(graph):
+    """Whether the commit loop gets no answer on edge_root's stripped root
+    of graph, so that edge_color goes on to the splice search."""
+    return commit_coloring(*edge_root(*graph)) is None
 
 
 def proper_edge(edges, coloring):
@@ -185,7 +197,7 @@ def test_strip_removes_low_neighbor_edges():
     path = (4, [(0, 1), (1, 2), (2, 3)])
     g, steps = edge_root(*path)
     assert g == {} and len(steps) == 3
-    assert not stripped_instance(path).edges
+    assert not _root_instance(path).edges
 
 
 def _variants(rng, edges):
@@ -235,11 +247,11 @@ def _edge_cubic_batch(seed, count=1250):
 def test_edge_color_builds_one_conflict_graph(monkeypatch):
     # Each edge_color call builds one root line graph, through
     # edgecolor.edge_root, and the splice search's EdgeInstance exactly
-    # when the commit loop gets no answer on that root (edge_root_stuck),
-    # stripped of the root's stripped edges.  Subcubic inputs, which
-    # strip edges, run the first descent at their root (their line-graph
-    # leaves keep the real loop), so that some get stuck; on edge-cubic's
-    # seed-1 batch the real loop gets stuck on 8 of 1,250.
+    # when the commit loop gets no answer on that root (_root_stuck),
+    # stripped of the root's stripped edges; the splice search alone
+    # (search_edge_color) builds both every time.  The loop decides the
+    # subcubic inputs, which strip edges; on edge-cubic's seed-1 batch it
+    # gets stuck on 8 of 1,250.
     roots, built, planned = [], [], []
     root, select = edgecolor.edge_root, edgecolor.select_splices
     from_graph = EdgeInstance.from_graph
@@ -260,23 +272,21 @@ def test_edge_color_builds_one_conflict_graph(monkeypatch):
     monkeypatch.setattr(EdgeInstance, "from_graph", staticmethod(counted_build))
     monkeypatch.setattr(edgecolor, "select_splices", logged_select)
 
-    def run(graph):
-        stuck = edge_root_stuck(graph)
-        want = [stripped_instance(graph)] if stuck else []
+    def run(graph, front=edge_color):
+        stuck = front is search_edge_color or _root_stuck(graph)
+        want = [_root_instance(graph)] if stuck else []
         del roots[:], built[:], planned[:]
-        edge_color(*graph)
+        front(*graph)
         assert roots == [graph[1]] and built == [graph[1]] * stuck and planned == want
         return stuck
 
     rng = random.Random(51)
     stripped = Counter()
-    with monkeypatch.context() as mp:
-        mp.setattr(edgecolor, "commit_coloring", commit_coloring_with(first_descent))
-        for _ in range(60):
-            graph = subcubic(rng, rng.randint(6, 16), rng.uniform(0.3, 0.9))
-            stuck = run(graph)
-            stripped[bool(edge_root(*graph)[1]), stuck] += 1
-    assert stripped[True, False] > 20 and stripped[True, True] > 5, stripped
+    for _ in range(60):
+        graph = subcubic(rng, rng.randint(6, 16), rng.uniform(0.3, 0.9))
+        run(graph, search_edge_color)
+        stripped[bool(edge_root(*graph)[1]), run(graph)] += 1
+    assert stripped[True, False] > 20, stripped
     assert sum(map(run, _edge_cubic_batch(1))) == 8
 
 
@@ -331,7 +341,7 @@ def test_splice_returns_only_live_children():
         graph = rng.choice([random_cubic, planted_cubic_edge_colorable])(
             rng, rng.choice([8, 10, 12, 16])
         )
-        ei = stripped_instance(graph)
+        ei = _root_instance(graph)
         while cands := splice_candidates(ei):
             eid = rng.choice(cands)
             live = 0
@@ -357,7 +367,7 @@ def test_k4_refutation_is_sound():
         graph = rng.choice([random_cubic, planted_cubic_edge_colorable])(
             rng, rng.choice([8, 10, 12])
         )
-        ei = stripped_instance(graph)
+        ei = _root_instance(graph)
         while cands := splice_candidates(ei):
             eid = rng.choice(cands)
             for step in splice(ei, eid):
@@ -376,7 +386,7 @@ def test_k4_refutation_is_sound():
     assert refuted > 100 and kept > 100
 
 
-def test_search_states_hold_no_k4(monkeypatch, first_descent_loop):
+def test_search_states_hold_no_k4(monkeypatch):
     # Checking the two new edges of each pairing is enough: no state the
     # splice search keeps, and no leaf, has a K4 of conflicts anywhere,
     # and every refuted pairing has one through a new edge.
@@ -402,10 +412,9 @@ def test_search_states_hold_no_k4(monkeypatch, first_descent_loop):
 
     monkeypatch.setattr(edgecolor, "_refuted", refuted)
     monkeypatch.setattr(edgecolor, "_line_graph_solve", leaf)
-    # the commit loop colors most of these at the root, before any splice
-    for s in range(120):
-        edge_color(*planted_cubic_edge_colorable(random.Random(s), 12 + 2 * (s % 10)))
-        edge_color(*random_cubic(random.Random(s), 8 + 2 * (s % 8)))
+    for s in range(60):
+        search_edge_color(*planted_cubic_edge_colorable(random.Random(s), 12 + 2 * (s % 10)))
+        search_edge_color(*random_cubic(random.Random(s), 8 + 2 * (s % 8)))
     assert seen["kept"] > 500 and seen["refuted"] > 150 and seen["leaves"] > 50
 
 
@@ -477,7 +486,7 @@ def test_splice_candidates_match_brute_reference(index_checked):
     found = 0
     for graph in graphs:
         _assert_matches_reference(EdgeInstance.from_graph(graph[1]))
-        ei = stripped_instance(graph)
+        ei = _root_instance(graph)
         _assert_matches_reference(ei)
         found += len(splice_candidates(ei))
     assert found > 1000
@@ -538,7 +547,7 @@ def test_splice_paths_match_brute_reference(index_checked, monkeypatch):
         graph = rng.choice([random_cubic, planted_cubic_edge_colorable])(
             rng, rng.choice([8, 10, 12, 16])
         )
-        ei = stripped_instance(graph)
+        ei = _root_instance(graph)
         walk(ei)
     assert seen["states"] > 200 and seen["constraint_decided"] > 100
     assert seen["restored"] > 200
@@ -647,15 +656,21 @@ def test_edge_color_verifies_iterator_input(monkeypatch):
             edge_color(4, edges)
 
 
-def test_node_limit_bounds_the_whole_call(monkeypatch, first_descent_loop):
-    # Unlimited, this graph takes 15 splices and 23 graph+CSP nodes over
-    # two line graphs; every smaller limit must stop the call as a
-    # whole, not give each line graph a fresh budget, including limits
-    # that run out inside a line graph's forward-checked enumeration.
+def test_node_limit_bounds_the_whole_call(monkeypatch):
+    # Unlimited, the splice search on this graph takes 15 splices and two
+    # line graphs of one node each; every smaller limit must stop
+    # the call as a whole, not give each line graph a fresh budget.
+    # color_graph's commit loop decides both line graphs at their root,
+    # so the limits that run out inside a line graph's forward-checked
+    # enumeration are checked on the paper's search run on them directly.
     graph = random_cubic(random.Random(357), 22)
-    coloring, stats = edge_color(*graph)
+    coloring, stats = search_edge_color(*graph)
     assert coloring is not None
-    assert (stats.splices, stats.leaves, stats.nodes + stats.csp_nodes) == (15, 2, 23)
+    assert (stats.splices, stats.leaves, stats.nodes + stats.csp_nodes) == (15, 2, 2)
+    for limit in range(stats.spent):
+        with pytest.raises(NodeLimitReached) as info:
+            search_edge_color(*graph, SolverConfig(node_limit=limit))
+        assert info.value.stats.spent == limit + 1
     ran_out = []  # the function whose charge raised first, per limited call
     charge = SolverConfig.charge
 
@@ -668,12 +683,12 @@ def test_node_limit_bounds_the_whole_call(monkeypatch, first_descent_loop):
 
     monkeypatch.setattr(SolverConfig, "charge", traced)
     inside = 0
-    for limit in range(stats.spent):
-        del ran_out[:]
-        with pytest.raises(NodeLimitReached) as info:
-            edge_color(*graph, SolverConfig(node_limit=limit))
-        assert info.value.stats.spent == limit + 1
-        inside += ran_out[0] == "extensions"  # vertexcolor._solve_leaf's enumeration
+    for n, edges in splice_line_graphs([graph]):
+        for limit in range(search_color(n, edges).stats.spent):
+            del ran_out[:]
+            res = search_color(n, edges, SolverConfig(node_limit=limit))
+            assert res.colorable is None and res.stats.spent == limit + 1
+            inside += ran_out[0] == "extensions"  # vertexcolor._solve_leaf's enumeration
     assert inside > 9
 
 
@@ -731,37 +746,20 @@ def test_root_commit_loop_colors_without_splicing(monkeypatch):
     # one-node line-graph leaf it replaces, with no splice plan drawn.  A
     # root it refutes is decided there too, charged the same, and returns
     # None.  A root it runs out of budget on goes on to plan its splices.
-    # The root hands vertexcolor.commit_coloring edge_root's graph and
-    # steps, and the loop gets every remaining edge with all three colors.
-    roots, plans = [], []
-    masks = []  # the masks the loop got at the root in progress
-    coloring, commit_loop = edgecolor.commit_coloring, vertexcolor._commit_loop
+    plans = []
     select = edgecolor.select_splices
-
-    def logged_root(g, steps):
-        del masks[:]
-        out = coloring(g, steps)
-        roots.append((g, steps, out))
-        return out
-
-    def logged_loop(g, masks_in):
-        masks.append(masks_in.copy())
-        return commit_loop(g, masks_in)
 
     def logged_select(ei):
         plans.append(ei)
         return select(ei)
 
-    monkeypatch.setattr(edgecolor, "commit_coloring", logged_root)
-    monkeypatch.setattr(vertexcolor, "_commit_loop", logged_loop)
     monkeypatch.setattr(edgecolor, "select_splices", logged_select)
     seen = Counter()
     for n, edges in _stuck_root_inputs():
-        del roots[:], plans[:]
+        g, steps = edge_root(n, edges)
+        out = commit_coloring(g, steps)
+        del plans[:]
         got, stats = edge_color(n, edges)
-        ((g, steps, out),) = roots
-        assert (g, steps) == edge_root(n, edges)
-        assert masks[:1] == [[7 * (e in g) for e in range(max(g, default=-1) + 1)]]
         if out is None:
             assert len(plans) == 1
             seen["stuck", got is not None] += 1
@@ -770,7 +768,7 @@ def test_root_commit_loop_colors_without_splicing(monkeypatch):
         assert plans == [] and (got is not None) == colored
         assert (stats.splices, stats.nodes, stats.leaves, stats.csp_nodes) == (0, 1, 1, 0)
         if colored:
-            assert proper_edge(edges, got) and len(got) == len(edges)
+            assert proper_edge(edges, got) and got == {tuple(edges[e]): c for e, c in out.items()}
         seen["colored" if colored else "refuted", len(steps) > 0] += 1
     assert seen["colored", False] > 60 and seen["colored", True] > 15
     assert seen["refuted", False] > 9 and seen["refuted", True] > 16
@@ -789,16 +787,14 @@ def _stuck_root_inputs():
         yield random_cubic(random.Random(s), 16 + 2 * (s % 13))
 
 
-def test_stuck_root_commit_loop_leaves_the_search_as_it_was(monkeypatch):
-    # A root the loop runs out of budget on searches exactly as a call
-    # with no root loop: the same splices, skips, leaves, K4 refutations
-    # and counts, and the same coloring.
+def test_stuck_root_commit_loop_leaves_the_search_as_it_was():
+    # A root the loop runs out of budget on searches exactly as the splice
+    # search alone (search_edge_color): the same splices, skips, leaves,
+    # K4 refutations and counts, and the same coloring.
     runs = 0
-    for graph in filter(edge_root_stuck, _stuck_root_inputs()):
+    for graph in filter(_root_stuck, _stuck_root_inputs()):
         got, stats = edge_color(*graph)
-        with monkeypatch.context() as mp:
-            mp.setattr(edgecolor, "commit_coloring", lambda g, steps: None)
-            want, want_stats = edge_color(*graph)
+        want, want_stats = search_edge_color(*graph)
         assert got == want and vars(stats) == vars(want_stats)
         runs += stats.splices > 0
     assert runs > 50
@@ -808,7 +804,7 @@ def test_root_commit_loop_is_charged_as_one_node():
     # node_limit 0 stops a call the loop colors at its root, which is
     # charged as one node; node_limit 1 lets it finish.
     graph = planted_cubic_edge_colorable(random.Random(1), 24)
-    assert not edge_root_stuck(graph)
+    assert not _root_stuck(graph)
     with pytest.raises(NodeLimitReached) as info:
         edge_color(*graph, SolverConfig(node_limit=0))
     assert (info.value.stats.spent, info.value.stats.splices) == (1, 0)

@@ -29,7 +29,6 @@ from csp32.oracle import (
 )
 from csp32.solver import build, merge, solve
 from csp32.transform import sat_to_csp
-from csp32.vertexcolor import color_graph
 
 from helpers import (
     SetInstance,
@@ -42,6 +41,7 @@ from helpers import (
     live_pairs,
     pair_order_problems,
     same_instance,
+    search_color,
     validate,
 )
 
@@ -507,7 +507,7 @@ def test_lift_restores_every_variable():
         assert set(full) == set(inst.colors)
 
 
-def test_simplify_matches_four_lemma_reference(monkeypatch, first_descent_loop):
+def test_simplify_matches_four_lemma_reference(monkeypatch):
     # Every simplify call of the solves below, at the root and at every
     # branch child, is compared with the set-form reference of its
     # batched rounds; the lemma simplify does without (use an
@@ -552,21 +552,19 @@ def test_simplify_matches_four_lemma_reference(monkeypatch, first_descent_loop):
             solve(inst)
     assert high_colors >= 3
     reached = tally.copy()
-    # leaf residues: the list-coloring instances color_graph hands to solve
-    # (each full interior coloring of a leaf builds one; small planted
-    # graphs near mean degree 5.5 reach a few leaves once the graph-node
-    # loop runs without its backtrack, which the first_descent_loop
-    # fixture does: with it, the loop decides nearly every one of them
-    # at the root)
+    # leaf residues: the list-coloring instances the paper's search hands
+    # to solve (each full interior coloring of a leaf builds one), run
+    # directly, as color_graph's commit loop decides nearly every one of
+    # these small planted graphs at its root
     leaf_calls = sum(
-        color_graph(*graph).stats.csp_calls
-        for seed in range(2000)
+        search_color(*graph).stats.csp_calls
+        for seed in range(100)
         for graph in (
             planted_3colorable(random.Random(seed), 22, 0.25),
             planted_3colorable(random.Random(seed), 26, 0.22),
         )
     )
-    assert leaf_calls > 80 and sum((tally - reached).values()) > 15
+    assert leaf_calls > 150 and sum((tally - reached).values()) > 40
     assert tally["unconstrained"] == 0
     assert min(tally[name] for name in ("free-pair", "dominated", "dead")) > 0, tally
 

@@ -1,9 +1,11 @@
 """Graph 3-coloring pipeline: reductions, forests, and end-to-end solving.
 
-The tests that take the first_descent_loop fixture (tests/conftest.py)
-run the commit loop without its backtrack, as it ran before it had one,
-so that seeded inputs reach the paper's search; where their comments
-say the loop gets stuck, they mean that first descent.
+color_graph and edge_color run the commit loop once, at their root, and
+it decides nearly every seeded input there.  The tests of the paper's
+search, its branchings, forests and leaves, run it directly, with no
+loop: helpers.search_color (vertexcolor._search on the stripped root)
+and, on line graphs, the same search on the graphs the splice search
+hands to its leaves (helpers.splice_line_graphs).
 """
 
 import random
@@ -16,7 +18,7 @@ import pytest
 
 import csp32.edgecolor as edgecolor
 import csp32.vertexcolor as vertexcolor
-from csp32.edgecolor import edge_color
+from csp32.edgecolor import edge_color, edge_root
 from csp32.graphalg import bfs
 from csp32.instance import Instance, bits, lift
 from csp32.oracle import (
@@ -31,6 +33,7 @@ from csp32.solver import NodeLimitReached, SearchStats, SolverConfig, solve
 from csp32.transform import coloring_to_csp
 from csp32.vertexcolor import (
     ColorConfig,
+    commit_coloring,
     Merged,
     _degree3_subgraph,
     _forward_check,
@@ -59,12 +62,12 @@ from helpers import (
     brute_forward_refuted,
     brute_leaf_order,
     brute_solve_leaf,
-    edge_root_stuck,
     extension_graph,
-    first_descent,
     flower_snark,
-    node_root_stuck,
     run_fresh,
+    search_color,
+    search_edge_color,
+    splice_line_graphs,
 )
 
 
@@ -189,12 +192,11 @@ TREE8 = (13, [(i, i + 1) for i in range(7)] + list(combinations(range(8, 13), 2)
 REPEATED_OUTSIDE = planted_3colorable(random.Random("109:469:planted-color:36"), 36, 7 / 36)
 
 
-# Small seeded graphs whose leaf CSP branches under the commit loop's
-# first descent (first_descent_loop), from seeds 0-4999 of their
-# families: the loop colors most graphs at a graph node, so few reach a
-# leaf, and fewer leaf CSPs branch.  With the backtrack, none of the planted 7/n graphs
-# of seeds 0-2999 at n = 100-150 builds one.  Each branching has a claim
-# to check: dangling, then implication four times.
+# Small seeded graphs whose leaf CSP branches in the paper's search
+# (helpers.search_color), from seeds 0-4999 of their families: few leaf
+# CSPs branch.  Under color_graph's commit loop, none of the planted 7/n
+# graphs of seeds 0-2999 at n = 100-150 builds one.  Each branching has
+# a claim to check: dangling, then implication four times.
 BRANCHING_LEAVES = (
     planted_3colorable(random.Random(113), 22, 0.25),
     planted_3colorable(random.Random(762), 22, 0.25),
@@ -273,7 +275,7 @@ def test_bushy_forest_invariants():
     assert built > 20
 
 
-def test_leaf_stage_records_breakdowns(first_descent_loop):
+def test_leaf_stage_records_breakdowns():
     # Dense random graphs reach the forest/leaf stage; the stats keep the
     # componentwise max of the leaves' vertex accounting, one 5-tuple
     # however many leaves there are.
@@ -281,7 +283,7 @@ def test_leaf_stage_records_breakdowns(first_descent_loop):
     saw_breakdown = False
     for _ in range(40):
         n, edges = random_graph(rng, rng.randint(10, 14), p=0.5)
-        res = color_graph(n, edges)
+        res = search_color(n, edges)
         want = brute_vertex_color((n, edges))
         assert res.colorable == (want is not None)
         br = res.stats.breakdowns
@@ -362,44 +364,42 @@ def test_odd_cycle_third_child_with_repeated_outside_neighbor():
     assert (len(children), lifted) == (2, 2)
 
 
-def test_check_claims_reaches_the_leaf_csp(monkeypatch, first_descent_loop):
+def test_check_claims_reaches_the_leaf_csp(monkeypatch):
     # This graph has a leaf CSP that branches; with every cap at 0 the
-    # claim check must fire inside color_graph's nested solve.
+    # claim check must fire inside the search's nested solve.
     graph = BRANCHING_LEAVES[0]
-    assert color_graph(*graph, SolverConfig(check_claims=True)).colorable
+    assert search_color(*graph, SolverConfig(check_claims=True)).colorable
     monkeypatch.setattr("csp32.solver.claim_cap", lambda name: 0.0)
-    assert color_graph(*graph).colorable
+    assert search_color(*graph).colorable
     with pytest.raises(AssertionError):
-        color_graph(*graph, SolverConfig(check_claims=True))
+        search_color(*graph, SolverConfig(check_claims=True))
 
 
 def test_check_claims_survives_python_O():
     # The same check in a python -O subprocess, which drops assert
     # statements: the claim check must still raise.  The subprocess runs
-    # the commit loop without its backtrack, as the first_descent_loop
-    # fixture does, so that the graph reaches its branching leaf CSP.
+    # the paper's search alone (helpers.search_color), as the test above
+    # does, so that the graph reaches its branching leaf CSP.
     code = (
         "import random, sys\n"
         f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
-        "from csp32 import solver, vertexcolor\n"
+        "from csp32 import solver\n"
         "from csp32.oracle import planted_3colorable\n"
-        "from csp32.vertexcolor import color_graph\n"
-        "from helpers import first_descent\n"
-        "vertexcolor._commit_loop = first_descent\n"
+        "from helpers import search_color\n"
         "solver.claim_cap = lambda name: 0.0\n"
         "graph = planted_3colorable(random.Random(113), 22, 0.25)\n"
-        "color_graph(*graph, solver.SolverConfig(check_claims=True))\n"
+        "search_color(*graph, solver.SolverConfig(check_claims=True))\n"
     )
     run = run_fresh(code, "-O")
     assert run.returncode == 1
     assert "AssertionError: ('dangling', [" in run.stderr
 
 
-def test_claim_checked_coloring_matches_brute_force(first_descent_loop):
+def test_claim_checked_coloring_matches_brute_force():
     def claim_checked(graph) -> bool:
-        """color_graph under the claim check agrees with brute force;
-        whether a leaf CSP branched."""
-        res = color_graph(*graph, SolverConfig(check_claims=True))
+        """The paper's search under the claim check agrees with brute
+        force; whether a leaf CSP branched."""
+        res = search_color(*graph, SolverConfig(check_claims=True))
         assert res.colorable == (brute_vertex_color(graph) is not None)
         if res.colorable:
             assert proper(graph[1], res.coloring)
@@ -457,7 +457,8 @@ def test_color_graph_verifies_iterator_input(monkeypatch):
 
 
 def _leaf_graphs(graphs):
-    """The residues color_graph hands to its leaf stage on these graphs."""
+    """The residues the paper's search hands to its leaf stage on these
+    graphs."""
     seen = []
     solve_leaf = vertexcolor._solve_leaf
 
@@ -468,7 +469,7 @@ def _leaf_graphs(graphs):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(vertexcolor, "_solve_leaf", record)
         for graph in graphs:
-            color_graph(*graph)
+            search_color(*graph)
     return seen
 
 
@@ -487,16 +488,13 @@ def _planted_graphs(count):
         yield planted_3colorable(random.Random(seed), 36, 7 / 36)
 
 
-def _stuck_planted_graphs(count, degree):
+def _sparse_planted_graphs(count, degree):
     """Planted 3-colorable graphs at n = 30 to 50 and the given mean
-    degree, from seeds 0 to count - 1, only those whose stripped root the
-    commit loop in place gets no answer on (the first descent, under
-    first_descent_loop): it colors most planted graphs there, and these
-    go on to a leaf.  The sparser they are, the more three-color
-    vertices their leaves keep."""
+    degree, from seeds 0 to count - 1.  The sparser they are, the more
+    three-color vertices their leaves keep."""
     for seed in range(count):
         n = 30 + seed % 21
-        yield from filter(node_root_stuck, [planted_3colorable(random.Random(seed), n, degree / n)])
+        yield planted_3colorable(random.Random(seed), n, degree / n)
 
 
 def _assert_forests(g):
@@ -517,7 +515,7 @@ def _assert_forests(g):
     return f, trees, x_set, y_set
 
 
-def test_forests_match_brute_reference(first_descent_loop):
+def test_forests_match_brute_reference():
     residues = _leaf_graphs(chain(_seeded_graphs(80), _planted_graphs(300)))
     rooted = adjacent = 0
     for g in residues:
@@ -595,26 +593,17 @@ def _bfs_numbered(n, edges):
     return n, [(pos[u], pos[v]) for u, v in edges]
 
 
-def test_height_two_placement_on_planted_y_vertices(first_descent_loop):
+def test_height_two_placement_on_planted_y_vertices():
     # Real leaf residues with a nonempty Y set: every one is placed with
     # each Y vertex under one adjacent leaf, within the 3/5 tree caps and
-    # two per leaf, and color_graph's verdict matches the brute oracle.
-    # The commit loop colors about three in four of these graphs at their
-    # root graph node, so they reach no leaf; the rest reach one leaf, the
-    # whole graph, and only those need the oracle.
+    # two per leaf, and the search's verdict matches the brute oracle.
+    # Each graph reaches one leaf, the whole graph.
     rng = random.Random(50)
     seen = Counter()
-    for _ in range(2000):
+    for _ in range(1000):
         graph = planted_y_graph(rng)
-        res = color_graph(*graph)
-        if not node_root_stuck(graph):
-            assert res.colorable and proper(graph[1], res.coloring)
-            assert (res.stats.nodes, res.stats.leaves) == (1, 0)
-            seen["loop colored"] += 1
-            continue
+        res = search_color(*graph)
         assert res.colorable == (brute_vertex_color(_bfs_numbered(*graph)) is not None)
-        if res.colorable:
-            assert proper(graph[1], res.coloring)
         (g,) = _leaf_graphs([graph])
         assert len(g) == graph[0]
         _f, trees, _x_set, y_set = _assert_forests(g)
@@ -622,8 +611,8 @@ def test_height_two_placement_on_planted_y_vertices(first_descent_loop):
         seen["high over three"] += any(t.high and t.grand_count > 3 for t in trees)
         seen["low placed"] += any(not t.high and t.grand_count for t in trees)
         seen[res.colorable] += 1
-    assert seen["high over three"] > 38 and seen["low placed"] > 75
-    assert seen[True] > 50 and seen[False] > 260, seen
+    assert seen["high over three"] > 100 and seen["low placed"] > 200
+    assert seen[True] > 700 and seen[False] > 190, seen
 
 
 def _assert_placed(g, trees, y_set):
@@ -641,9 +630,10 @@ def test_flow_places_outside_vertices_under_adjacent_leaves():
     # The leaf residue of this planted graph has an outside vertex that
     # is neither packed nor next to the bushy forest (the flow's Y set).
     # Of the planted graphs of seeds 0-320,000, n 30/40/50/60/80 and mean
-    # degree 4.6, 5.5, 6 or 7 by seed, only two reach such a leaf, this
-    # one among them: the commit loop decides the others at a graph node
-    # first or at their leaf without one.
+    # degree 4.6, 5.5, 6 or 7 by seed, only two reach such a leaf under
+    # color_graph, this one among them: the commit loop decides the others
+    # first.  Its root is one the loop gets no answer on, so color_graph
+    # runs the paper's search from there, as _leaf_graphs does.
     graph = planted_3colorable(random.Random(318189), 80, 5.5 / 80)
     (g,) = _leaf_graphs([graph])
     trees, _x_set, y_set = build_height_two_forest(g, build_bushy_forest(g))
@@ -778,20 +768,14 @@ def _record_csp(monkeypatch):
 
 
 def _cubic_graphs():
-    """Seeded planted and random cubic graphs for edge_color, only those
-    whose stripped root the commit loop in place gets no answer on (the
-    first descent, under first_descent_loop): the loop colors
-    most small ones there, before any splice or line-graph leaf.  Most of
-    the rest are colored at the splice search's first leaf, so the random
-    ones run to n = 30 to give the line-graph leaves real enumeration."""
+    """Seeded planted and random cubic graphs for the splice search.
+    Most are colored at its first leaf, so the random ones run to n = 30
+    to give the line-graph leaves real enumeration."""
     for s in range(100):
-        yield from filter(edge_root_stuck, (
-            planted_cubic_edge_colorable(random.Random(s), 12 + 2 * (s % 8)),
-            random_cubic(random.Random(s), 10 + 2 * (s % 4)),
-        ))
-    yield from filter(edge_root_stuck, (
-        random_cubic(random.Random(100 + s), 16 + 2 * (s % 8)) for s in range(200)
-    ))
+        yield planted_cubic_edge_colorable(random.Random(s), 12 + 2 * (s % 8))
+        yield random_cubic(random.Random(s), 10 + 2 * (s % 4))
+    for s in range(200):
+        yield random_cubic(random.Random(100 + s), 16 + 2 * (s % 8))
 
 
 def _planted_cubic_graphs(count):
@@ -803,9 +787,10 @@ def _planted_cubic_graphs(count):
 
 
 # planted cubic seeds at n = 24, 32 and 40, from the first 30,000,
-# 20,000 and 15,000, whose edge_color call colors a line-graph leaf: the
-# commit loop colors nearly every colorable line graph at its root graph
-# node, so about one such seed in 1,500 reaches a leaf it colors
+# 20,000 and 15,000, whose edge_color call colored a line-graph leaf
+# while a commit loop with no backtrack ran at every graph node (about
+# one seed in 1,500); color_graph's root loop now colors those line
+# graphs before any leaf, so the tests run the paper's search on them
 COLORED_LINE_LEAVES = {
     24: (20, 4512, 5552, 6879, 16240, 17765, 21537, 27249),
     32: (276, 1528, 1955, 2127, 7769, 8175, 9391, 11289, 12816, 14640, 16330, 18788, 19626),
@@ -834,56 +819,47 @@ def _both_ways(monkeypatch, run):
     return out
 
 
-def test_forward_checked_leaf_matches_brute_reference(monkeypatch, first_descent_loop):
-    def run(graph):
-        res = color_graph(*graph)
-        return (res.colorable, res.coloring), res.stats
-
-    # the commit loop colors most of the seeded graphs at their root
-    # graph node, before any leaf, so planted graphs it gets stuck on
-    # join the batch
-    calls = [0, 0]
-    decided = 0
-    for graph in chain(_seeded_graphs(100), _stuck_planted_graphs(1600, 7)):
+def _assert_matches_brute_leaf(monkeypatch, graphs) -> Counter:
+    """The paper's search on each graph, with the forward-checked leaf and
+    with the brute reference: the same answers, leaf CSP instances,
+    decided leaf colorings, leaves and breakdowns, and no more CSP calls.
+    Tallies leaves, the CSP calls of each way and the colorings decided."""
+    tally = Counter()
+    for graph in graphs:
         (got, got_csp, got_leaf, got_stats), (want, want_csp, want_leaf, want_stats) = _both_ways(
-            monkeypatch, lambda: run(graph)
+            monkeypatch, lambda: ((res := search_color(*graph)).coloring, res.stats)
         )
         assert got == want and got_csp == want_csp and got_leaf == want_leaf
-        decided += len(got_leaf)
         assert (got_stats.leaves, got_stats.breakdowns) == (want_stats.leaves, want_stats.breakdowns)
         assert got_stats.csp_calls <= want_stats.csp_calls
-        calls[0] += got_stats.csp_calls
-        calls[1] += want_stats.csp_calls
-    assert decided > 150  # leaves their CSP call colored
-    assert calls[0] < calls[1] / 2  # the check prunes most leaf CSP calls
+        tally.update(leaves=got_stats.leaves, decided=len(got_leaf),
+                     calls=got_stats.csp_calls, brute_calls=want_stats.csp_calls)
+    return tally
 
 
-def test_forward_checked_line_graphs_match_brute_reference(monkeypatch, first_descent_loop):
-    # The commit loop colors nearly every colorable line graph at its
-    # root graph node, so the line-graph leaves that remain are mostly
-    # uncolorable and refuted; residues counts the leaf CSP calls, one
-    # per full interior coloring's residue, and
-    # the COLORED_LINE_LEAVES seeds give the colored leaves.
+def test_forward_checked_leaf_matches_brute_reference(monkeypatch):
+    tally = _assert_matches_brute_leaf(
+        monkeypatch, chain(_seeded_graphs(100), _sparse_planted_graphs(300, 7))
+    )
+    assert tally["decided"] > 350  # leaves their CSP call colored
+    assert tally["calls"] < tally["brute_calls"] / 2  # the check prunes most leaf CSP calls
+
+
+def test_forward_checked_line_graphs_match_brute_reference(monkeypatch):
+    # The same on the line graphs of the splice search's leaves: the
+    # flower snarks' are uncolorable and refuted, and the cubic graphs'
+    # mostly colored.
     colored = (
         planted_cubic_edge_colorable(random.Random(s), n)
         for n, seeds in COLORED_LINE_LEAVES.items() for s in seeds
     )
-    leaves = residues = decided = 0
-    for graph in chain(
-        _cubic_graphs(), _random_cubic_graphs(100), map(flower_snark, (5, 7)), colored
-    ):
-        (got, got_csp, got_leaf, got_stats), (want, want_csp, want_leaf, want_stats) = _both_ways(
-            monkeypatch, lambda: edge_color(*graph)
-        )
-        assert got == want and got_csp == want_csp and got_leaf == want_leaf
-        assert (got_stats.splices, got_stats.leaves) == (want_stats.splices, want_stats.leaves)
-        leaves += got_stats.leaves
-        residues += got_stats.csp_calls
-        decided += len(got_leaf)
-    assert leaves > 180 and residues > 70 and decided > 20
+    tally = _assert_matches_brute_leaf(monkeypatch, splice_line_graphs(
+        chain(_cubic_graphs(), _random_cubic_graphs(100), map(flower_snark, (5, 7)), colored)
+    ))
+    assert tally["leaves"] > 350 and tally["calls"] > 600 and tally["decided"] > 300
 
 
-def test_leaf_draws_match_brute_reference(monkeypatch, first_descent_loop):
+def test_leaf_draws_match_brute_reference(monkeypatch):
     # At every leaf of seeded color-planted, G(n, p) and line-graph
     # inputs, the search colors the leaf's interior vertices in the
     # reference's order (brute_leaf_order), one vertex per depth, and
@@ -894,16 +870,16 @@ def test_leaf_draws_match_brute_reference(monkeypatch, first_descent_loop):
     # tallied with the tree's proper colorings (brute_bushy_unit) that
     # the masks there rule out.  Line graphs of cubic graphs never
     # restrict a bushy tree's masks here, so only the colored batch
-    # prunes.  The commit loop colors most colored inputs at their root
-    # graph node, before any leaf, so that batch adds planted graphs it
-    # gets stuck on.  An edge_color root the loop colors is charged as
-    # one node with no graph node under it.
+    # prunes.  The search runs no commit loop, so every forward check is
+    # the leaf's; the line graphs are gathered before any of it is logged.
+    planted = (planted_cubic_edge_colorable(random.Random(s), 24) for s in range(10))
+    line_graphs = splice_line_graphs(
+        chain(_cubic_graphs(), map(flower_snark, (9, 11, 13)), planted)
+    )
     forest, forward_check = vertexcolor.build_height_two_forest, vertexcolor._forward_check
     residual_solve, expand, charge = vertexcolor._residual_solve, vertexcolor._expand, SolverConfig.charge
-    root_coloring = edgecolor.commit_coloring
     events = []  # ("charge",) and ("check",) from the enumeration
     expands = []  # graph nodes of the call in progress
-    roots = []  # edge_color's root loop outcomes, True when it colored, of that call
     leaf = {}  # the leaf in progress: its reference order and bushy trees
     depths = {}  # id of a step's masks -> (its depth, those masks, the colors tried from them)
     tally = Counter()
@@ -924,8 +900,6 @@ def test_leaf_draws_match_brute_reference(monkeypatch, first_descent_loop):
         return charge(cfg, stats)
 
     def checked(g, masks, v, c):
-        if sys._getframe(1).f_code.co_name != "extensions":
-            return forward_check(g, masks, v, c)
         if id(masks) not in depths:
             assert masks == [7 * (u in g) for u in range(max(g) + 1)]  # the leaf's root
             depths[id(masks)] = (0, masks, [])
@@ -953,42 +927,35 @@ def test_leaf_draws_match_brute_reference(monkeypatch, first_descent_loop):
         expands.append(args)
         return expand(*args)
 
-    def logged_root(g, steps):
-        out = root_coloring(g, steps)
-        roots.append(out is not None)
-        return out
-
     monkeypatch.setattr(vertexcolor, "build_height_two_forest", forests)
     monkeypatch.setattr(vertexcolor, "_forward_check", checked)
     monkeypatch.setattr(vertexcolor, "_residual_solve", solved)
     monkeypatch.setattr(vertexcolor, "_expand", counted)
     monkeypatch.setattr(SolverConfig, "charge", charged)
-    monkeypatch.setattr(edgecolor, "commit_coloring", logged_root)
 
-    def run(solve, graphs):
+    def run(graphs):
         for graph in graphs:
-            del events[:], expands[:], roots[:]
-            stats = solve(graph)
-            assert stats.nodes == len(expands) + events.count(("charge",)) + sum(roots)
+            del events[:], expands[:]
+            stats = search_color(*graph).stats
+            assert stats.nodes == len(expands) + events.count(("charge",))
             assert events == [("charge",), ("check",)] * (len(events) // 2)
-            tally["root colored"] += sum(roots)
 
-    run(lambda graph: color_graph(*graph).stats,
-        chain(_seeded_graphs(160), _stuck_planted_graphs(3000, 6.5)))
+    run(chain(_seeded_graphs(160), _sparse_planted_graphs(600, 6.5)))
     colored = +tally
-    planted = (planted_cubic_edge_colorable(random.Random(s), 24) for s in range(10))
-    run(lambda graph: edge_color(*graph)[1],
-        chain(_cubic_graphs(), map(flower_snark, (9, 11, 13)), planted))
+    run(line_graphs)
     line = tally - colored
-    assert colored["calls"] > 1500 and colored["deep"] > 500 and colored["pruned"] > 400
-    assert line["calls"] > 700 and line["deep"] > 150 and line["root colored"] > 3
+    assert colored["calls"] > 3000 and colored["deep"] > 1000 and colored["pruned"] > 650
+    assert line["calls"] > 4000 and line["deep"] > 900
 
 
-def test_incremental_forward_check_matches_brute_reference(monkeypatch, first_descent_loop):
+def test_incremental_forward_check_matches_brute_reference(monkeypatch):
     # At every enumeration step of seeded color-planted, G(n, p) and
     # line-graph leaves, the masks carried down from the parent give the
     # from-scratch check's verdict, and a kept child's masks are the
     # lists that check propagates.
+    line_graphs = splice_line_graphs(
+        chain(_cubic_graphs(), _planted_cubic_graphs(30), map(flower_snark, (5, 7, 9)))
+    )
     forward_check = vertexcolor._forward_check
     colored = {}  # id of a child's masks -> (those masks, its coloring)
     checks = refuted = 0
@@ -1014,28 +981,29 @@ def test_incremental_forward_check_matches_brute_reference(monkeypatch, first_de
 
     monkeypatch.setattr(vertexcolor, "_forward_check", checked)
     for graph in _seeded_graphs(200):
-        color_graph(*graph)
+        search_color(*graph)
         colored.clear()
     assert checks > 3000 and refuted > 1000
     before = checks, refuted
-    for graph in (*_cubic_graphs(), *_planted_cubic_graphs(30)):
-        edge_color(*graph)
+    for graph in line_graphs:
+        search_color(*graph)
         colored.clear()
     assert checks - before[0] > 200 and refuted - before[1] > 50  # line graphs
 
 
-def test_leaf_csp_holds_every_leaf_vertex_with_its_mask(monkeypatch, first_descent_loop):
+def test_leaf_csp_holds_every_leaf_vertex_with_its_mask(monkeypatch):
     # At every leaf CSP call of seeded color-planted, G(n, p) and
     # line-graph leaves, the CSP holds every leaf vertex, on its own id,
     # with its mask's colors, and one constraint per color shared across
     # each leaf edge.  A vertex left one color has no constraint, as
     # propagation cleared that color from its neighbours; dropping those
     # vertices and renumbering the rest in vertex order gives _leaf_csp.
-    # Every full interior coloring goes to the CSP; the commit loop
-    # colors most graphs at their root graph node before any leaf, so
-    # the planted batch holds only graphs the loop gets stuck on at the
-    # root, from 4,000 seeds, and the flower snarks and 200 random cubic
-    # graphs give the line-graph floors their entries.
+    # Every full interior coloring goes to the CSP; the line graphs of
+    # the splice search's leaves on the flower snarks and 200 random
+    # cubic graphs give the line-graph floors their entries.
+    line_graphs = splice_line_graphs(
+        chain(_random_cubic_graphs(200), map(flower_snark, (5, 7, 9, 11, 13)))
+    )
     residual_solve, csp_solve = vertexcolor._residual_solve, vertexcolor.solve
     leaf = {}  # graph and masks of the call in progress
     sizes = Counter()
@@ -1067,13 +1035,11 @@ def test_leaf_csp_holds_every_leaf_vertex_with_its_mask(monkeypatch, first_desce
 
     monkeypatch.setattr(vertexcolor, "solve", checked_solve)
     monkeypatch.setattr(vertexcolor, "_residual_solve", checked)
-    for graph in _seeded_graphs(120):
-        color_graph(*graph)
-    for graph in _stuck_planted_graphs(4000, 6):
-        color_graph(*graph)
+    for graph in chain(_seeded_graphs(120), _sparse_planted_graphs(400, 6)):
+        search_color(*graph)
     before = +sizes
-    for graph in (*_random_cubic_graphs(200), *map(flower_snark, (5, 7, 9, 11, 13))):
-        edge_color(*graph)
+    for graph in line_graphs:
+        search_color(*graph)
     line = sizes - before
     assert before[1] > 7000 and before[2] > 9000 and before[3] > 1400
     assert line[2] > 24000 and line[3] > 3400
@@ -1130,16 +1096,15 @@ def test_solve_decides_two_color_csps_at_the_root():
     assert min(verdicts[k, sat] for k in (0, 1, 2) for sat in (True, False)) > 50, verdicts
 
 
-def test_two_list_leaves_are_decided_by_propagation(monkeypatch, first_descent_loop):
+def test_two_list_leaves_are_decided_by_propagation(monkeypatch):
     # At every leaf of seeded color-planted, G(n, p) and line-graph
     # leaves with at most two three-color vertices, the direct CSP on the
     # residue takes one node and fires no rule, so the one node the leaf
     # is charged is that solve's.  Its verdict is the leaf's, and a
-    # coloring that comes back is proper and lies inside the masks.  The
-    # commit loop colors most graphs and line graphs at their root graph
-    # node, before any leaf, so planted graphs it gets stuck on join the
-    # colored batch, and random cubic graphs and flower snarks the
-    # line-graph batch.
+    # coloring that comes back is proper and lies inside the masks.
+    line_graphs = splice_line_graphs(
+        chain(_cubic_graphs(), _random_cubic_graphs(100), map(flower_snark, (5, 7, 9)))
+    )
     residual_solve = vertexcolor._residual_solve
     verdicts, threes = Counter(), Counter()
 
@@ -1160,11 +1125,11 @@ def test_two_list_leaves_are_decided_by_propagation(monkeypatch, first_descent_l
         return full
 
     monkeypatch.setattr(vertexcolor, "_residual_solve", checked)
-    for graph in chain(_seeded_graphs(120), _stuck_planted_graphs(1000, 7)):
-        color_graph(*graph)
+    for graph in chain(_seeded_graphs(120), _sparse_planted_graphs(200, 7)):
+        search_color(*graph)
     before = +verdicts
-    for graph in chain(_cubic_graphs(), _random_cubic_graphs(100), map(flower_snark, (5, 7, 9))):
-        edge_color(*graph)
+    for graph in line_graphs:
+        search_color(*graph)
     assert verdicts[True] > 100 and verdicts[False] > 300
     assert sum((verdicts - before).values()) > 170  # line graphs
     assert threes[1] > 100 and threes[2] > 70
@@ -1234,41 +1199,40 @@ def test_two_list_leaf_hand_built_cases(monkeypatch):
     assert not decide(adjacency(4 * k + 4, edges), [0b011] * k + [7] * (3 * k) + [7, 7, 7, 0b011])
 
 
-def test_commit_loop_tries_only_open_vertices_of_the_current_leaf_masks(monkeypatch):
-    # At every graph node and leaf of seeded color-planted graphs, the
-    # commit loop tries a vertex only while the masks current at that try
-    # leave it two or three colors, each color in its mask, and its tries
-    # and answer are the reference's, which takes at each step the vertex
-    # its order rule picks among those still open, and backtracks as the
-    # loop does.  A vertex an earlier commit forced is not tried; a loop
-    # that read each mask from the leaf's starting masks would try it,
-    # though it would keep every answer.
-    commit_loop, forward_check = vertexcolor._commit_loop, vertexcolor._forward_check
+def test_commit_loop_tries_only_open_vertices_of_the_current_masks(monkeypatch):
+    # On the stripped root of seeded color-planted graphs, with all three
+    # colors at every vertex, as color_graph runs it, the commit loop
+    # tries a vertex only while the masks current at that try leave it
+    # two or three colors, each color in its mask, and its tries and
+    # answer are the reference's, which takes at each step the vertex its
+    # order rule picks among those still open, and backtracks as the loop
+    # does.  A vertex an earlier commit forced is not tried; a loop that
+    # read each mask from the starting masks would try it, though it
+    # would keep every answer.
+    forward_check = vertexcolor._forward_check
     tried = []  # (vertex, color) tries of the loop in progress
     tally = Counter()
 
     def checked(g, masks, v, c):
-        if sys._getframe(1).f_code.co_name == "_commit_loop":
-            assert masks[v].bit_count() in (2, 3) and masks[v] >> c & 1, (v, masks[v])
-            tally["two-color tries"] += masks[v] != 7
-            tried.append((v, c))
+        assert masks[v].bit_count() in (2, 3) and masks[v] >> c & 1, (v, masks[v])
+        tally["two-color tries"] += masks[v] != 7
+        tried.append((v, c))
         return forward_check(g, masks, v, c)
 
-    def logged_loop(g, masks):
-        del tried[:]
+    for graph in _planted_graphs(200):
+        strip_low_degree(g := adjacency(*graph), [])
+        masks = [7 * (v in g) for v in range(max(g, default=-1) + 1)]
         want_tries, want = brute_backtrack_loop(g, masks, forward_check)
-        out = commit_loop(g, masks)
+        descent_tries = brute_commit_loop(g, masks, forward_check)[0]
+        del tried[:]
+        with monkeypatch.context() as mp:
+            mp.setattr(vertexcolor, "_forward_check", checked)
+            out = vertexcolor._commit_loop(g, masks)
         assert want_tries == tried and out == want
         tally["tries"] += len(tried)
-        tally["backtrack tries"] += len(tried) - len(brute_commit_loop(g, masks, forward_check)[0])
+        tally["backtrack tries"] += len(tried) - len(descent_tries)
         if out:  # every open vertex had its turn
-            tally["forced"] += sum(masks[v].bit_count() > 1 for v in g) - len({v for v, _c in tried})
-        return out
-
-    monkeypatch.setattr(vertexcolor, "_forward_check", checked)
-    monkeypatch.setattr(vertexcolor, "_commit_loop", logged_loop)
-    for graph in _planted_graphs(200):
-        color_graph(*graph)
+            tally["forced"] += len(g) - len({v for v, _c in tried})
     assert tally["tries"] > 1200 and tally["forced"] > 3000, tally
     assert tally["two-color tries"] > 1000 and tally["backtrack tries"] > 75, tally
 
@@ -1415,14 +1379,13 @@ COMMIT_STUCK = {
 
 
 @pytest.mark.parametrize("name", sorted(COMMIT_STUCK))
-def test_node_commit_loop_stuck_graphs_are_colored_by_the_search(name, monkeypatch):
+def test_node_commit_loop_stuck_graphs_are_colored_by_the_search(name):
     # Stripping keeps every vertex and the first descent gets stuck at the
     # root graph node after the commits listed, which pass the forward
     # check though no coloring extends them.  The loop goes back over its
     # two-color commits and colors the graph there, charged as that one
-    # graph node.  Without the backtrack the search goes on, the cubic
-    # graph by its cycle branching and the other by its leaf, and colors
-    # the graph.
+    # graph node.  The paper's search, with no loop, colors the graph
+    # too, the cubic one by its cycle branching and the other by its leaf.
     (n, edges), commits = COMMIT_STUCK[name]
     g = adjacency(n, edges)
     strip_low_degree(g, [])
@@ -1437,16 +1400,13 @@ def test_node_commit_loop_stuck_graphs_are_colored_by_the_search(name, monkeypat
             kept[v] = c
         return out
 
-    monkeypatch.setattr(vertexcolor, "_forward_check", logged)
-    assert first_descent(g, [7] * n) is None
+    assert brute_commit_loop(g, [7] * n, logged)[1] is None
     assert list(kept.items()) == list(commits.items())
-    monkeypatch.undo()
     committed = vertexcolor._commit_loop(g, [7] * n)
     res = color_graph(n, edges)
     assert res.colorable and res.coloring == {v: committed[v].bit_length() - 1 for v in g}
     assert (res.stats.nodes, res.stats.leaves) == (1, 0)
-    monkeypatch.setattr(vertexcolor, "_commit_loop", first_descent)
-    res = color_graph(n, edges)
+    res = search_color(n, edges)
     assert res.colorable and proper(edges, res.coloring)
     assert res.stats.nodes > 1
     assert res.stats.leaves == (name == "tripartite")
@@ -1473,71 +1433,116 @@ def test_node_commit_loop_on_wheels():
         assert res.stats.breakdowns == (0, 0, 0, 0, 0)
 
 
-def test_node_commit_loop_decides_nodes_before_branching_and_leaves(monkeypatch):
-    # At every graph node of seeded color-planted, G(n, p) and cubic
-    # graphs, the commit loop runs once, first, on the stripped graph's
-    # all-three-color masks, through commit_coloring; on a graph that
-    # stripping empties it returns at once, and the node returns its
-    # steps' lift.  A node it colors returns the loop's coloring lifted
-    # through the node's steps, and a node it refutes returns None
-    # (tested with `is False`, as an empty coloring is an answer); either
-    # way with no children,
-    # calling no branch builder, forest or leaf, and charging only its
-    # own graph node.  A node it gets no answer on goes on to branching
-    # or its leaf as before.  The backtrack decides nearly every node, so
-    # the stuck nodes come from a second pass that runs the loop without
-    # it (first_descent).
-    expand = vertexcolor._expand
-    calls = []  # (name, arguments, result) within the node in progress
+# The seeds s < 300 of G(n, 4.6/n), n = 60 + s % 40, whose stripped root
+# the commit loop gets no answer on
+GNP_STUCK = (34, 100, 142, 150, 184, 198, 260, 268, 269, 272, 276)
+FRONT_ENDS = ("vertexcolor.color_graph", "edgecolor.edge_color")
+PROFILED = {
+    *FRONT_ENDS, "vertexcolor._commit_loop", "vertexcolor._search", "edgecolor._splice_search",
+    "vertexcolor.branch_degree3_cycle", "vertexcolor.branch_degree3_tree",
+    "vertexcolor._solve_leaf", "edgecolor.select_splices", "edgecolor.splice",
+}
+
+
+def _profiled(run):
+    """run()'s result and its calls to the PROFILED functions in call
+    order, each as (module.function, the callee's arguments), as a
+    profiler sees them: nothing is patched."""
+    calls = []
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_globals["__name__"].startswith("csp32."):
+            name = f"{frame.f_globals['__name__'][6:]}.{frame.f_code.co_name}"
+            if name in PROFILED:
+                calls.append((name, dict(frame.f_locals)))
+
+    sys.setprofile(profile)
+    try:
+        out = run()
+    finally:
+        sys.setprofile(None)
+    return out, calls
+
+
+def test_commit_loop_runs_once_at_each_front_end_root():
+    # Each color_graph and edge_color call, a line-graph leaf's among
+    # them, runs the commit loop exactly once, first: on its stripped root
+    # with all three colors at every vertex (edge), before any branching,
+    # leaf, splice plan or splice.  A root the loop decides is charged as
+    # one node (for edge_color, the one-node line-graph leaf it replaces)
+    # and nothing else runs; on a stuck root the call makes the calls of
+    # the paper's search alone (helpers.search_color, search_edge_color),
+    # with its answer and stats.  That search never runs the loop but in
+    # a line-graph leaf's color_graph call.
     tally = Counter()
 
-    def logged(name, fn):
-        def call(*args):
-            out = fn(*args)
-            if name != "_commit_loop" or sys._getframe(1).f_code.co_name == "commit_coloring":
-                calls.append((name, args, out))
-            return out
-        return call
+    def loop_once_per_front_end(names):
+        for i, name in enumerate(names):
+            if name == "vertexcolor._commit_loop":
+                assert i and names[i - 1] in FRONT_ENDS
+            elif name in FRONT_ENDS:
+                assert names[i + 1 : i + 2] == ["vertexcolor._commit_loop"]
 
-    def node(cfg, stats, state):
-        del calls[:]
-        before = dict(vars(stats))
-        value, children = expand(cfg, stats, state)
-        g, steps = state  # stripped in place by the node
-        (first, (loop_g, masks), committed), *rest = calls
-        assert first == "_commit_loop" and loop_g is g
-        assert masks == [7 * (v in g) for v in range(max(g, default=-1) + 1)]
-        if committed is not None:
-            colored = committed is not False
-            want = lift({v: committed[v].bit_length() - 1 for v in g}, steps) if colored else None
-            assert value == want and children == () and rest == []
-            assert vars(stats) == dict(before, nodes=before["nodes"] + 1)
-            tally["refuted" if not colored else "colored" if g else "stripped"] += 1
+    def check(front_name, front, search, graph, root):
+        (got, stats), calls = _profiled(lambda: front(*graph))
+        (want, want_stats), search_calls = _profiled(lambda: search(*graph))
+        names, search_names = [name for name, _ in calls], [name for name, _ in search_calls]
+        loop_once_per_front_end(names)
+        loop_once_per_front_end(search_names)
+        g, steps = root
+        (first, _), (loop, args) = calls[:2]
+        assert (first, loop, args["g"]) == (front_name, "vertexcolor._commit_loop", g)
+        assert args["masks"] == [7 * (v in g) for v in range(max(g, default=-1) + 1)]
+        decided = commit_coloring({v: set(ns) for v, ns in g.items()}, list(steps))
+        if decided is None:
+            assert names[2:] == search_names and got == want and vars(stats) == vars(want_stats)
         else:
-            names = [name for name, _, _ in rest]
-            branched = any(out is not None for name, _, out in rest if name.startswith("branch"))
-            assert names[0] == "branch_degree3_cycle" and branched != ("_solve_leaf" in names)
-            tally["branched" if branched else "leaf"] += 1
-        return value, children
+            assert names == names[:2] and (got is None) == (decided is False)
+            assert (stats.nodes, stats.csp_nodes, stats.splices, stats.spent) == (1, 0, 0, 1)
+        tally[first, "stuck" if decided is None else bool(decided)] += 1
+        return search_names
 
-    for name in ("_commit_loop", "_solve_leaf", "branch_degree3_cycle", "branch_degree3_tree",
-                 "build_bushy_forest", "build_height_two_forest"):
-        monkeypatch.setattr(vertexcolor, name, logged(name, getattr(vertexcolor, name)))
-    monkeypatch.setattr(vertexcolor, "_expand", node)
-    for graph in chain(_planted_graphs(300), _seeded_graphs(100)):
-        color_graph(*graph)
-    decided = +tally
-    monkeypatch.setattr(vertexcolor, "_commit_loop", logged("_commit_loop", first_descent))
-    for graph in chain(_planted_graphs(300), _stuck_planted_graphs(2500, 7)):
-        res = color_graph(*graph)
-        assert res.colorable and proper(graph[1], res.coloring)
-    # the loop colors most graphs that would branch at their root node,
-    # so random cubic graphs and two hand-built ones give the branchings
-    cubic = (random_cubic(random.Random(s), 10 + 2 * (s % 8)) for s in range(1000))
-    for graph in chain(_seeded_graphs(100), cubic, [TREE8, COMMIT_STUCK["cubic"][0]]):
-        color_graph(*graph)
-    assert decided["colored"] > 300 and decided["refuted"] > 65 and decided["stripped"] > 5, decided
-    assert tally["colored"] > 1000 and tally["leaf"] > 300 and tally["branched"] > 26, tally
+    def vertex(graph):
+        strip_low_degree(g := adjacency(*graph), steps := [])
+        search_names = check(
+            "vertexcolor.color_graph",
+            lambda n, edges: ((res := color_graph(n, edges)).coloring, res.stats),
+            lambda n, edges: ((res := search_color(n, edges)).coloring, res.stats),
+            graph, (g, steps),
+        )
+        assert "vertexcolor._commit_loop" not in search_names
+
+    # the loop decides every seeded graph here at its root but the
+    # G(n, 4.6/n) graphs and the last two random cubic ones
+    gnp = (random_graph(random.Random(s), 60 + s % 40, 4.6 / (60 + s % 40)) for s in GNP_STUCK)
+    cubic = (random_cubic(random.Random(s), 10 + 2 * (s % 8)) for s in (*range(200), 410, 514))
+    for graph in chain(_seeded_graphs(60), gnp, cubic, [TREE8, COMMIT_STUCK["cubic"][0]]):
+        vertex(graph)
+    edge_inputs = chain(
+        (planted_cubic_edge_colorable(random.Random(s), 24 + 8 * (s % 3)) for s in range(90)),
+        (random_cubic(random.Random(s), 16 + 2 * (s % 13)) for s in range(200)),
+        map(flower_snark, (5, 7)),
+    )
+    for graph in edge_inputs:
+        check("edgecolor.edge_color", edge_color, search_edge_color, graph, edge_root(*graph))
+    vertex_calls, edge_calls = "vertexcolor.color_graph", "edgecolor.edge_color"
+    assert tally[vertex_calls, True] > 250 and tally[vertex_calls, False] > 50, tally
+    assert tally[vertex_calls, "stuck"] == len(GNP_STUCK) + 2, tally
+    assert tally[edge_calls, True] > 250 and tally[edge_calls, False]
+    assert tally[edge_calls, "stuck"] > 10, tally
+
+
+def test_search_colors_a_graph_node_stripping_empties():
+    # A graph node of the paper's search that stripping empties returns
+    # its steps' lift, charged as that one graph node, with no leaf: the
+    # root of a tree, and the one child of the cube's 4-cycle branching,
+    # whose deletion leaves a 4-cycle of degree-two vertices.
+    tree = (6, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)])
+    cube = (8, [(u, u | 1 << b) for u in range(8) for b in range(3) if not u >> b & 1])
+    for (n, edges), nodes in ((tree, 1), (cube, 2)):
+        res = search_color(n, edges)
+        assert res.colorable and sorted(res.coloring) == list(range(n))
+        assert (res.stats.nodes, res.stats.leaves, res.stats.csp_calls) == (nodes, 0, 0)
 
 
 def _check_all(g, masks, colored):
@@ -1603,16 +1608,16 @@ def test_leaf_charges_no_coloring_a_propagated_color_excludes():
     assert sorted(coloring) == list(range(13)) and proper(edges, coloring)
 
 
-def test_enumeration_node_limit_stops_before_any_csp_call(first_descent_loop):
+def test_enumeration_node_limit_stops_before_any_csp_call():
     # Every interior coloring of this graph's one leaf is refuted by the
     # forward check, so the call spends its whole budget enumerating.
     # Each interior vertex color drawn is a node: 85, from 76 while a
     # bushy tree's whole coloring was one.
     graph = random_graph(random.Random(186), 24, 0.25)
-    res = color_graph(*graph)
+    res = search_color(*graph)
     assert res.colorable is False
     assert (res.stats.nodes, res.stats.leaves, res.stats.csp_calls) == (85, 1, 0)
     for limit in range(res.stats.nodes):
-        res = color_graph(*graph, SolverConfig(node_limit=limit))
+        res = search_color(*graph, SolverConfig(node_limit=limit))
         assert res.colorable is None
         assert res.stats.csp_calls == 0 and res.stats.spent == limit + 1
