@@ -92,7 +92,7 @@ class EdgeInstance:
         return (self.at[u] | self.at[v] | self.partners.get(eid, 0)) & ~(1 << eid)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpliceStep:
     """Five edges replaced by two difference-constrained edges.
 

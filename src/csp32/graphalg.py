@@ -37,10 +37,11 @@ def adjacency(n: int, edges) -> Adjacency:
     for u, v in edges:
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
-        if u not in g or v not in g:
-            raise ValueError(f"edge ({u}, {v}) has a vertex outside 0..{n - 1}")
-        g[u].add(v)
-        g[v].add(u)
+        try:
+            g[u].add(v)
+            g[v].add(u)
+        except KeyError:
+            raise ValueError(f"edge ({u}, {v}) has a vertex outside 0..{n - 1}") from None
     return g
 
 

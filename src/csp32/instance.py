@@ -46,7 +46,7 @@ def bits(mask: int) -> list[int]:
 # Lift steps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assigned:
     var: int
     color: int
@@ -55,7 +55,7 @@ class Assigned:
         sol[self.var] = self.color
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwoColorEliminated:
     """Variable var had colors (color_r, color_g) left and was projected out.
 
@@ -81,7 +81,7 @@ class TwoColorEliminated:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IsolatedMerge:
     """Two three-color variables joined by an isolated constraint were merged.
 

@@ -1,5 +1,6 @@
-"""Depth-first driver, breadth-first traversal and components, and
-matching and max-flow subroutines against brute-force references.
+"""The graph input check, the depth-first driver, breadth-first
+traversal and components, and matching and max-flow subroutines against
+brute-force references.
 
 networkx is a test-only reference here: general_matching must return a
 matching as large as its max_weight_matching, and max_flow must place as
@@ -7,12 +8,15 @@ many items as its maximum_flow_value, so it is imported inside the tests
 that compare with it."""
 
 import random
+import re
 import sys
+import traceback
 from itertools import combinations
 
 import pytest
 
 from csp32 import edgecolor
+from csp32.edgecolor import edge_color
 from csp32.graphalg import (
     bfs,
     bipartite_matching,
@@ -22,6 +26,8 @@ from csp32.graphalg import (
     max_flow,
 )
 from csp32.oracle import planted_cubic_edge_colorable, random_cubic
+from csp32.transform import coloring_to_csp
+from csp32.vertexcolor import color_graph
 
 
 def brute_max_matching(nodes, edges):
@@ -323,3 +329,21 @@ def test_components_match_networkx():
         got = components(pool, adj.__getitem__)
         want = nx.connected_components(nx.Graph(adj).subgraph(pool))
         assert got == sorted(sorted(c) for c in want), trial
+
+
+@pytest.mark.parametrize("front_end", [color_graph, edge_color, coloring_to_csp])
+def test_graph_input_check_raises_value_error_alone(front_end):
+    # Every graph front end reads its input through adjacency.  A bad
+    # vertex count or edge is a ValueError naming it, with no KeyError
+    # from adjacency's lookup chained into the traceback: a vertex equal
+    # to n or negative fails at either end of the edge.
+    bad_edges = [(3, [e], f"edge ({e[0]}, {e[1]}) has a vertex outside 0..2")
+                 for e in ((0, 3), (3, 0), (1, -1), (-1, 1))]
+    for n, edges, message in [
+        (-1, [], "negative vertex count -1"),
+        (3, [(0, 1), (2, 2)], "self-loop at vertex 2"),
+        *bad_edges,
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)) as info:
+            front_end(n, edges)
+        assert "KeyError" not in "".join(traceback.format_exception(info.value))

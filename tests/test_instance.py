@@ -1,11 +1,14 @@
 """Instance bookkeeping, polynomial simplifications, and solution lifting."""
 
+import dataclasses
 import random
 from collections import Counter
 
 import pytest
 
+from csp32.edgecolor import SpliceStep
 from csp32.instance import (
+    Assigned,
     Instance,
     IsolatedMerge,
     TwoColorEliminated,
@@ -29,6 +32,7 @@ from csp32.oracle import (
 )
 from csp32.solver import build, merge, solve
 from csp32.transform import sat_to_csp
+from csp32.vertexcolor import CycleColored, GreedyColored, Merged
 
 from helpers import (
     SetInstance,
@@ -591,3 +595,37 @@ def test_lift_steps_reject_a_solution_of_another_instance():
         merge.lift({0: 1})
     with pytest.raises(ValueError, match="merged variable 5 got unknown color 3"):
         merge.lift({5: 3})
+
+
+def lift_step_records():
+    """One record of each lift step kind, built fresh on every call."""
+    return [
+        Assigned(0, 1),
+        TwoColorEliminated(0, 0, 1, ((1, 0),), ((1, 1),)),
+        IsolatedMerge(5, ((0, (0, 1), (1, 2)),)),
+        Merged(0, 2),
+        GreedyColored(3, (0, 1)),
+        CycleColored(((0, 4), (1, 5), (2, 6), (3, 7))),
+        SpliceStep(0, ((5, (1, 2)), (6, (3, 4)))),
+    ]
+
+
+def test_lift_step_records_are_frozen_slotted_values():
+    # Every lift step is a frozen, slotted dataclass: no field can be
+    # set, it hashes and compares by value, and it has no __dict__.
+    for step, twin in zip(lift_step_records(), lift_step_records()):
+        name = dataclasses.fields(step)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(step, name, 9)
+        assert not hasattr(step, "__dict__")
+        assert step is not twin and step == twin and hash(step) == hash(twin)
+    assert len(set(lift_step_records() + lift_step_records())) == 7
+
+
+def test_greedy_lift_takes_the_first_free_color():
+    out = {0: 0, 1: 2}
+    GreedyColored(3, (0, 1)).lift(out)
+    assert out[3] == 1
+    # recorded neighbors holding all three colors leave the vertex none
+    with pytest.raises(ValueError, match="removed vertex 3 has three distinctly colored"):
+        GreedyColored(3, (0, 1, 2)).lift({0: 0, 1: 1, 2: 2})

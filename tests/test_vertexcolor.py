@@ -1589,6 +1589,23 @@ def test_forward_check_keeps_colored_vertices_as_singletons():
     assert _forward_check(g, child, 3, 1) is None  # 2 already has color 1
 
 
+def test_forward_check_pops_forced_vertices_with_their_one_color():
+    # The check stacks vertex ids and reads a forced vertex's color off
+    # its mask when it pops it.  On a triangle with lists {0, 1} at 1 and
+    # 2, coloring 0 with 0 forces both to 1: the one popped first empties
+    # the other before it is popped, which refutes.
+    g = adjacency(3, [(0, 1), (0, 2), (1, 2)])
+    assert _forward_check(g, [7, 0b011, 0b011], 0, 0) is None
+    # Coloring 0 with 0 and then 3 with 1 forces 1 and 2 to 2 in one
+    # check; popping 1 forces 4 to 1.
+    g = adjacency(5, [(0, 1), (0, 2), (0, 4), (1, 3), (1, 4), (2, 3)])
+    colored = {0: 0, 3: 1}
+    want = brute_forward_lists(g, colored)
+    got = _check_all(g, [7] * 5, colored)
+    assert got == [sum(1 << c for c in want[v]) for v in range(5)]
+    assert got == [0b001, 0b100, 0b100, 0b010, 0b010]
+
+
 def test_leaf_charges_no_coloring_a_propagated_color_excludes():
     # Bushy roots 0 (interior {0, 1}) and 9.  Coloring 0 -> 0 and then
     # 1 -> 1 forces 2, 3 and 4 to 2 and then 5 to 0, so 9 loses color 0
